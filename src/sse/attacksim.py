@@ -8,7 +8,6 @@ controller that consumes the secure estimate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -16,6 +15,7 @@ import numpy as np
 
 from .estimator import EstimatorConfig, estimate
 from .linmodel import (
+    JsonFile,
     ObservabilityStack,
     StackedWindow,
     SubsetCapError,
@@ -178,8 +178,9 @@ def generate_instance(
         candidate = SystemModel(A=a, B=b, C=c, tau=tau, s_bar=s_bar, noise_bounds=bounds)
         cand_stack = build_observability(candidate)
         if _observability_holds(candidate, cand_stack, level_s, rng):
+            # the level does not enter the stack, so the candidate's stack serves
             model = replace(candidate, verified_sparse_obs=level_s)
-            stack = build_observability(model)
+            stack = cand_stack
             break
     if model is None:
         raise RuntimeError(f"no {observability_level}-sparse observable system found "
@@ -276,9 +277,11 @@ class AttackPhase:
 
 
 @dataclass(frozen=True)
-class AttackScenario:
+class AttackScenario(JsonFile):
     """Disjoint attack phases (at most one sensor corrupted at a time) plus
     simulation defaults."""
+
+    json_kind = "scenario"
 
     phases: tuple
     steps: int = 600
@@ -324,19 +327,6 @@ class AttackScenario:
             seed=int(doc.get("seed", 0)),
             name=str(doc.get("name", "scenario")),
         )
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "AttackScenario":
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("scenario document must be a JSON object")
-        return cls.from_json_dict(doc)
 
 
 def alternating_encoder_scenario() -> AttackScenario:
@@ -401,16 +391,17 @@ class Trace:
             fh.write(",".join(header) + "\n")
             for t in range(self.steps):
                 row = [str(t)]
-                row += [_fmt(v) for v in (self.x_true[t, 0], self.x_true[t, 1],
-                                          self.x_est[t, 0], self.x_est[t, 1])]
-                row += [_fmt(v) for v in self.y[t]]
-                row += [_fmt(v) for v in self.attack[t]]
+                row += [format_exact(v) for v in (self.x_true[t, 0], self.x_true[t, 1],
+                                                  self.x_est[t, 0], self.x_est[t, 1])]
+                row += [format_exact(v) for v in self.y[t]]
+                row += [format_exact(v) for v in self.attack[t]]
                 row += [str(int(v)) for v in self.b[t]]
-                row.append(_fmt(self.u[t]))
+                row.append(format_exact(self.u[t]))
                 fh.write(",".join(row) + "\n")
 
 
-def _fmt(value: float) -> str:
+def format_exact(value: float) -> str:
+    """Decimal text that reads back as the same float (17 significant digits)."""
     return format(float(value), ".17g")
 
 

@@ -21,6 +21,7 @@ from importlib import resources
 import numpy as np
 
 from . import attacksim, oracle
+from .attacksim import format_exact
 from .estimator import (
     EstimatorConfig,
     IterationLimitError,
@@ -49,10 +50,6 @@ EXIT_CAP = 4
 
 class InputError(Exception):
     pass
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
 
 
 def _load_model(path: str) -> SystemModel:
@@ -125,17 +122,17 @@ def cmd_observability(args) -> int:
     min_card = max(p - model.s_bar, 1) if args.min_card is None else args.min_card
     o_bar = compute_o_bar(stack, min_card, subset_cap=args.subset_cap,
                           full_rank_only=args.full_rank_only)
-    out.write(f"o_bar (|I| >= {min_card}) = {_fmt(o_bar)}\n")
+    out.write(f"o_bar (|I| >= {min_card}) = {format_exact(o_bar)}\n")
     try:
         delta = compute_delta_s(stack, model.s_bar, subset_cap=args.subset_cap)
-        out.write(f"delta_s = {_fmt(delta)}\n")
+        out.write(f"delta_s = {format_exact(delta)}\n")
         if delta < 1.0:
             from .estimator import delta_bound
 
             bounds = delta_bound(model, RobustnessConstants(o_bar, delta), args.epsilon)
-            out.write(f"detection_threshold_sq = {_fmt(bounds.detection_threshold_sq)}\n")
-            out.write(f"detected_delta = {_fmt(bounds.detected_delta)}\n")
-            out.write(f"undetected_bound = {_fmt(bounds.undetected_bound)}\n")
+            out.write(f"detection_threshold_sq = {format_exact(bounds.detection_threshold_sq)}\n")
+            out.write(f"detected_delta = {format_exact(bounds.detected_delta)}\n")
+            out.write(f"undetected_bound = {format_exact(bounds.undetected_bound)}\n")
         else:
             out.write("detection_threshold_sq = inf (delta_s >= 1)\n")
     except GramSingularError as exc:
@@ -350,7 +347,7 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
 def _write_bench_csv(rows: list[dict], path) -> None:
     def render(value):
         if isinstance(value, float):
-            return _fmt(value)
+            return format_exact(value)
         return str(value)
 
     out = open(path, "w", newline="") if path else sys.stdout

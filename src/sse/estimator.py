@@ -44,9 +44,6 @@ class EstimatorConfig:
     epsilon: float = 1e-6
     max_iterations: int | None = None  # None: 10 * C(p, p - 2*s_bar + 1), capped at 1e7
     shrink_conflict: bool = True
-    # treat the model as 3*s_bar-sparse observable without checking (the check
-    # itself is combinatorial; generators that verified it set the model flag)
-    assume_3s_observable: bool = False
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -119,23 +116,24 @@ class Estimate:
         }
 
 
-def _agree_allowed(model: SystemModel, config: EstimatorConfig) -> tuple[bool, bool]:
+def _agree_allowed(
+    model: SystemModel, stack: ObservabilityStack, config: EstimatorConfig
+) -> tuple[bool, bool]:
     """(allowed, downgraded): whether agreement certificates may be emitted.
 
     They are only sound when the state stays observable after losing any
     3*s_bar sensors; without that verification the strategy silently runs in
-    conflict-only mode and reports the downgrade.
+    conflict-only mode and reports the downgrade.  The stack remembers the
+    check, so it runs once per stack and budget.
     """
     if config.strategy is not Strategy.CONFLICT_AGREE:
         return False, False
     if model.p <= 3 * model.s_bar:
         return False, True
-    if config.assume_3s_observable:
-        return True, False
     if model.verified_sparse_obs is not None and model.verified_sparse_obs >= 3 * model.s_bar:
         return True, False
     try:
-        if check_sparse_observability(model, 3 * model.s_bar):
+        if check_sparse_observability(model, 3 * model.s_bar, stack=stack):
             return True, False
     except SubsetCapError:
         pass
@@ -163,7 +161,7 @@ def estimate(
     p, s_bar = model.p, model.s_bar
     started = time.perf_counter()
     inst = satcore.new_instance(p, s_bar)
-    agree_allowed, downgraded = _agree_allowed(model, config)
+    agree_allowed, downgraded = _agree_allowed(model, stack, config)
     cap = config.iteration_cap(p, s_bar)
     result = Estimate(
         feasible=False,

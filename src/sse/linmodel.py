@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,10 +60,32 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
+class JsonFile:
+    """``save``/``load`` for a type with ``to_json_dict``/``from_json_dict``;
+    ``json_kind`` names the document in the error for a non-object file."""
+
+    json_kind = "document"
+
+    def save(self, path) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.to_json_dict(), fh, indent=2)
+            fh.write("\n")
+
+    @classmethod
+    def load(cls, path):
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{cls.json_kind} document must be a JSON object")
+        return cls.from_json_dict(doc)
+
+
 @dataclass(frozen=True, eq=False)
-class SystemModel:
+class SystemModel(JsonFile):
     """Discrete-time plant x+ = A x + B u, y = C x, with a window length,
     an attack budget, and per-sensor noise norm bounds over the window."""
+
+    json_kind = "model"
 
     A: np.ndarray
     B: np.ndarray
@@ -146,30 +168,22 @@ class SystemModel:
             verified_sparse_obs=doc.get("verified_sparse_obs"),
         )
 
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "SystemModel":
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError("model document must be a JSON object")
-        return cls.from_json_dict(doc)
-
 
 @dataclass(frozen=True, eq=False)
 class ObservabilityStack:
     """Per-sensor observability blocks O_i (tau x n), their vertical stack,
-    kernel dimensions, spectral norms, and Gram matrices."""
+    kernel dimensions, spectral norms, and Gram matrices.
+
+    Build it once per model and reuse it: it also remembers the answers of
+    ``check_sparse_observability(model, s, stack=stack)`` by ``s``.
+    """
 
     blocks: tuple
     full: np.ndarray
     block_kernel_dims: np.ndarray
     block_norms: np.ndarray
     gram_blocks: np.ndarray  # p x n x n, entry i is O_i^T O_i
+    _sparse_obs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -187,17 +201,12 @@ class ObservabilityStack:
         """Stacked block rows for the given sensor indices, in the given order."""
         return self.full.reshape(self.p, self.tau, self.n)[list(sensors)].reshape(-1, self.n)
 
-    def grams(self) -> list:
-        """Per-sensor Gram matrices O_i^T O_i."""
-        return list(self.gram_blocks)
-
 
 @dataclass(frozen=True, eq=False)
 class StackedWindow:
     """Input-compensated stacked outputs Y_i (one length-tau vector per sensor)."""
 
     blocks: tuple
-    raw_inputs: np.ndarray
 
     @property
     def p(self) -> int:
@@ -269,9 +278,7 @@ def stack_window(model: SystemModel, outputs, inputs) -> StackedWindow:
     blocks = tuple(np.ascontiguousarray(compensated[:, i]) for i in range(p))
     for b in blocks:
         b.setflags(write=False)
-    raw = inputs.copy()
-    raw.setflags(write=False)
-    return StackedWindow(blocks=blocks, raw_inputs=raw)
+    return StackedWindow(blocks=blocks)
 
 
 def roll_forward(model: SystemModel, x_delayed, inputs) -> np.ndarray:
@@ -302,7 +309,9 @@ def check_sparse_observability(
 ) -> bool:
     """True iff the system stays observable after removing any s sensors.
 
-    Exhaustive over all C(p, s) removals; refuses above ``subset_cap``.
+    Exhaustive over all C(p, s) removals; refuses above ``subset_cap``.  A
+    given ``stack`` (the model's) remembers the answer, so each s is
+    enumerated once per stack.
     """
     p, n = model.p, model.n
     if not 0 <= s <= p:
@@ -310,13 +319,12 @@ def check_sparse_observability(
     _check_cap(math.comb(p, s), subset_cap)
     if stack is None:
         stack = build_observability(model)
-    keep_size = p - s
-    if keep_size == 0:
-        return False
-    for kept in itertools.combinations(range(p), keep_size):
-        if numerical_rank(stack.rows(kept)) < n:
-            return False
-    return True
+    elif s in stack._sparse_obs:
+        return stack._sparse_obs[s]
+    kept_sets = itertools.combinations(range(p), p - s)
+    holds = s < p and all(numerical_rank(stack.rows(kept)) >= n for kept in kept_sets)
+    stack._sparse_obs[s] = holds
+    return holds
 
 
 def compute_o_bar(
@@ -379,7 +387,7 @@ def compute_delta_s(
         count += math.comb(p, size) * max(gammas, 1)
     _check_cap(count, subset_cap)
 
-    grams = stack.grams()
+    grams = list(stack.gram_blocks)  # list items index faster than ndarray views
     worst = 0.0  # the empty Gamma contributes zero
     for size in range(max(min_i, 1), p + 1):
         for subset in itertools.combinations(range(p), size):

@@ -30,6 +30,9 @@ WEIGHT_DECAY = 0.8
 # or the budget force it out.
 PHASE_BONUS = 1e6
 
+# Search nodes one solve may visit before raising SearchBudgetError.
+MAX_SEARCH_NODES = 20_000_000
+
 
 class ConstraintKind(str, Enum):
     AT_MOST_K = "at_most_k"
@@ -72,14 +75,11 @@ def _bits(mask: int):
 class SatInstance:
     """Single-owner mutable constraint store plus solver state."""
 
-    def __init__(self, p: int, s_bar: int, max_nodes: int = 20_000_000,
-                 pad_to_budget: bool = True):
+    def __init__(self, p: int, s_bar: int):
         if not 0 <= s_bar <= p:
             raise ValueError(f"s_bar must be in [0, {p}], got {s_bar}")
         self.p = p
         self.s_bar = s_bar
-        self.max_nodes = max_nodes
-        self.pad_to_budget = pad_to_budget
         self.stats = SatStats()
         self.weights = np.zeros(p)
         self._phase = 0                        # mask of the last support
@@ -153,12 +153,12 @@ class SatInstance:
         if self._contradiction:
             return None
         unhit0 = np.arange(self._count, dtype=np.int64)
-        self._nodes_left = self.max_nodes
+        self._nodes_left = MAX_SEARCH_NODES
         found = self._dfs((), unhit0, 0, self.s_bar)
         if found is None:
             return None
         support = set(found)
-        if self.pad_to_budget and len(support) < self.s_bar:
+        if len(support) < self.s_bar:
             candidates = sorted(range(self.p), key=lambda v: (-self._rank(v), v))
             for v in candidates:
                 if len(support) >= self.s_bar:
@@ -188,7 +188,7 @@ class SatInstance:
         """Depth-limited hitting-set search; deterministic branching (smallest
         set first, most-suspected member first)."""
         if self._nodes_left <= 0:
-            raise SearchBudgetError(f"exceeded {self.max_nodes} search nodes")
+            raise SearchBudgetError(f"exceeded {MAX_SEARCH_NODES} search nodes")
         self._nodes_left -= 1
         if unhit.size == 0:
             return chosen

@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sse import (
     RobustnessConstants,
+    SubsetCapError,
     SystemModel,
     build_observability,
+    check_sparse_observability,
+    linmodel,
 )
 from sse.attacksim import generate_instance
 from sse.estimator import (
@@ -48,8 +52,7 @@ def test_four_lines_all_strategies_find_the_attacked_line(four_lines):
         Strategy.CONFLICT_AGREE: 2,
     }
     for strategy, expected_iters in expectations.items():
-        result = estimate(model, stack, window,
-                          cfg(strategy, assume_3s_observable=True))
+        result = estimate(model, stack, window, cfg(strategy))
         assert result.feasible
         assert result.support == (2,)
         assert np.allclose(result.x, [2.0, 6.0], atol=1e-9)
@@ -109,10 +112,54 @@ def test_agree_gate_respects_verified_flag():
     assert result.agree_active and not result.agree_downgraded
 
 
+def _count_rank_calls(monkeypatch):
+    calls = []
+    real = linmodel.numerical_rank
+    monkeypatch.setattr(linmodel, "numerical_rank", lambda m: calls.append(1) or real(m))
+    return calls
+
+
+def test_agree_gate_checked_once_per_stack(monkeypatch):
+    inst = generate_instance(3, 8, 1, 2, "3s", 0.0, seed=5, attack_norm=4.0)
+    model = replace(inst.model, verified_sparse_obs=None)
+    stack = build_observability(model)
+    calls = _count_rank_calls(monkeypatch)
+    first = estimate(model, stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
+    assert calls
+    calls.clear()
+    again = estimate(model, stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
+    assert not calls
+    assert first.agree_active == again.agree_active == check_sparse_observability(model, 6)
+    assert again.agree_active and not again.agree_downgraded
+    assert again.iterations == first.iterations and again.support == first.support
+    # the generator's exact level check already sits on the stack it returns
+    calls.clear()
+    estimate(model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
+    assert not calls
+
+
+def test_agree_gate_remembers_a_failed_check(monkeypatch, four_lines):
+    model, stack, window = four_lines  # not 3-sparse observable
+    calls = _count_rank_calls(monkeypatch)
+    estimate(model, stack, window, cfg(Strategy.CONFLICT_AGREE))
+    assert calls
+    calls.clear()
+    again = estimate(model, stack, window, cfg(Strategy.CONFLICT_AGREE))
+    assert not calls
+    assert again.agree_downgraded and not again.agree_active
+    assert not check_sparse_observability(model, 3)
+
+
+def test_remembered_check_still_honours_subset_cap(four_lines):
+    model, stack, _ = four_lines
+    assert not check_sparse_observability(model, 3, stack=stack)
+    with pytest.raises(SubsetCapError):
+        check_sparse_observability(model, 3, stack=stack, subset_cap=3)
+
+
 def test_agree_gate_arithmetic_blocks_p_equal_3s():
     inst = generate_instance(2, 6, 1, 2, "2s", 0.0, seed=6, attack_norm=4.0)
-    result = estimate(inst.model, inst.stack, inst.window,
-                      cfg(Strategy.CONFLICT_AGREE, 1e-6, assume_3s_observable=True))
+    result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
     # p = 6 = 3 * s_bar: the gate requires strictly more sensors
     assert result.agree_downgraded
 
