@@ -121,14 +121,18 @@ def _agree_allowed(
 ) -> tuple[bool, bool]:
     """(allowed, downgraded): whether agreement certificates may be emitted.
 
-    They are only sound when the state stays observable after losing any
-    3*s_bar sensors; without that verification the strategy silently runs in
-    conflict-only mode and reports the downgrade.  The stack remembers the
-    check, so it runs once per stack and budget.
+    They are only sound on exact data, and only when the state stays
+    observable after losing any 3*s_bar sensors: under noise an attack below
+    the detection threshold can pass the agreement check.  Otherwise the
+    strategy silently runs in conflict-only mode and reports the downgrade.
+    The stack remembers the observability check, so it runs once per stack
+    and budget.
     """
     if config.strategy is not Strategy.CONFLICT_AGREE:
         return False, False
     if model.p <= 3 * model.s_bar:
+        return False, True
+    if np.any(model.noise_bounds > 0):
         return False, True
     if model.verified_sparse_obs is not None and model.verified_sparse_obs >= 3 * model.s_bar:
         return True, False
@@ -156,7 +160,8 @@ def estimate(
 
     Returns a feasible estimate (state at the window start plus the attack
     indicators) or an infeasible outcome when no sensor subset within budget
-    explains the data.
+    explains the data.  A sensor with a non-finite reading in the window is
+    treated as attacked: a singleton certificate for it is learned up front.
     """
     p, s_bar = model.p, model.s_bar
     started = time.perf_counter()
@@ -174,6 +179,12 @@ def estimate(
         agree_downgraded=downgraded,
         budget=s_bar,
     )
+    finite = np.isfinite(window.blocks)
+    if not finite.all():
+        for i in np.flatnonzero(~finite.all(axis=1)).tolist():
+            cert = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({i}))
+            result.certificates.append(cert)
+            inst.add_constraint(_to_pb(cert))
     while True:
         assignment = inst.solve()
         if assignment is None:

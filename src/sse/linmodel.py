@@ -171,15 +171,14 @@ class SystemModel(JsonFile):
 
 @dataclass(frozen=True, eq=False)
 class ObservabilityStack:
-    """Per-sensor observability blocks O_i (tau x n), their vertical stack,
-    kernel dimensions, spectral norms, and Gram matrices.
+    """Per-sensor observability blocks O_i (tau x n), their kernel
+    dimensions, spectral norms, and Gram matrices.
 
     Build it once per model and reuse it: it also remembers the answers of
     ``check_sparse_observability(model, s, stack=stack)`` by ``s``.
     """
 
-    blocks: tuple
-    full: np.ndarray
+    blocks: np.ndarray  # p x tau x n, entry i is O_i
     block_kernel_dims: np.ndarray
     block_norms: np.ndarray
     gram_blocks: np.ndarray  # p x n x n, entry i is O_i^T O_i
@@ -187,33 +186,33 @@ class ObservabilityStack:
 
     @property
     def p(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     @property
     def n(self) -> int:
-        return self.full.shape[1]
+        return self.blocks.shape[2]
 
     @property
     def tau(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
     def rows(self, sensors) -> np.ndarray:
         """Stacked block rows for the given sensor indices, in the given order."""
-        return self.full.reshape(self.p, self.tau, self.n)[list(sensors)].reshape(-1, self.n)
+        return self.blocks[list(sensors)].reshape(-1, self.n)
 
 
 @dataclass(frozen=True, eq=False)
 class StackedWindow:
     """Input-compensated stacked outputs Y_i (one length-tau vector per sensor)."""
 
-    blocks: tuple
+    blocks: np.ndarray  # p x tau, row i is Y_i
 
     @property
     def p(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     def stacked(self, sensors) -> np.ndarray:
-        return np.concatenate([self.blocks[i] for i in sensors])
+        return self.blocks[list(sensors)].reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -225,7 +224,7 @@ class RobustnessConstants:
 
 
 def build_observability(model: SystemModel) -> ObservabilityStack:
-    """Construct all O_i = [C_i; C_i A; ...; C_i A^(tau-1)] and the full stack."""
+    """Construct all O_i = [C_i; C_i A; ...; C_i A^(tau-1)]."""
     p, n, tau = model.p, model.n, model.tau
     # layers[j] = C @ A^j; block i interleaves row i of each layer.
     layers = np.empty((tau, p, n))
@@ -234,11 +233,8 @@ def build_observability(model: SystemModel) -> ObservabilityStack:
         layers[j] = cur
         if j + 1 < tau:
             cur = cur @ model.A
-    blocks = tuple(np.ascontiguousarray(layers[:, i, :]) for i in range(p))
-    for b in blocks:
-        b.setflags(write=False)
-    full = np.concatenate(blocks, axis=0)
-    full.setflags(write=False)
+    blocks = np.ascontiguousarray(layers.transpose(1, 0, 2))
+    blocks.setflags(write=False)
     kdims = np.array([n - numerical_rank(b) for b in blocks], dtype=int)
     norms = np.array(
         [np.linalg.svd(b, compute_uv=False)[0] if b.size else 0.0 for b in blocks]
@@ -248,8 +244,7 @@ def build_observability(model: SystemModel) -> ObservabilityStack:
     norms.setflags(write=False)
     grams.setflags(write=False)
     return ObservabilityStack(
-        blocks=blocks, full=full, block_kernel_dims=kdims, block_norms=norms,
-        gram_blocks=grams,
+        blocks=blocks, block_kernel_dims=kdims, block_norms=norms, gram_blocks=grams
     )
 
 
@@ -275,9 +270,8 @@ def stack_window(model: SystemModel, outputs, inputs) -> StackedWindow:
         if j + 1 < tau:
             z = model.A @ z + model.B @ inputs[j]
     compensated = outputs - compensation
-    blocks = tuple(np.ascontiguousarray(compensated[:, i]) for i in range(p))
-    for b in blocks:
-        b.setflags(write=False)
+    blocks = np.ascontiguousarray(compensated.T)
+    blocks.setflags(write=False)
     return StackedWindow(blocks=blocks)
 
 

@@ -12,6 +12,12 @@ budget with the most-suspected sensors, mirroring how a general-purpose solver
 returns non-minimal models.  With no constraints the all-zero assignment is
 returned, and everything is deterministic given the constraint store and the
 solve history.
+
+The store is one list of int bitmasks: each at-least-one set with the
+all-zero sensors stripped (an empty mask is a contradiction).  Weights and
+phase change only between solves, so each solve ranks the sensors once; every
+search node tries its set's members in that order, and the padding pass walks
+the same order.
 """
 
 from __future__ import annotations
@@ -65,13 +71,6 @@ class SearchBudgetError(RuntimeError):
     """The hitting-set search exceeded its node budget (diagnostic guard)."""
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class SatInstance:
     """Single-owner mutable constraint store plus solver state."""
 
@@ -83,12 +82,8 @@ class SatInstance:
         self.stats = SatStats()
         self.weights = np.zeros(p)
         self._phase = 0                        # mask of the last support
-        self._masks: list[int] = []            # effective (zero-stripped) sets
+        self._masks: list[int] = []            # at-least-one sets, zero fixes stripped
         self._zero_mask = 0
-        self._contradiction = False
-        self._table = np.zeros((64, p), dtype=bool)
-        self._sizes = np.zeros(64, dtype=np.int64)
-        self._count = 0
 
     # -- constraint store ---------------------------------------------------
 
@@ -97,19 +92,16 @@ class SatInstance:
             raise ValueError(f"sensor index out of range in {sorted(c.sensors)}")
         if c.kind is ConstraintKind.AT_MOST_K:
             raise ValueError("the cardinality budget is fixed at construction")
+        mask = 0
+        for i in c.sensors:
+            mask |= 1 << i
         if c.kind is ConstraintKind.ALL_ZERO:
-            new_zero = 0
-            for i in c.sensors:
-                new_zero |= 1 << i
-            self._zero_mask |= new_zero
+            self._zero_mask |= mask
             self.weights[sorted(c.sensors)] = 0.0
-            self._restrip()
+            self._masks = [m & ~self._zero_mask for m in self._masks]
         elif c.kind is ConstraintKind.AT_LEAST_ONE:
-            mask = 0
-            for i in c.sensors:
-                mask |= 1 << i
             self.weights *= WEIGHT_DECAY
-            self._append(mask & ~self._zero_mask)
+            self._masks.append(mask & ~self._zero_mask)
         else:
             raise ValueError(f"unknown constraint kind {c.kind}")
 
@@ -120,29 +112,6 @@ class SatInstance:
         if not (self._zero_mask >> sensor) & 1:
             self.weights[sensor] += amount
 
-    def _append(self, free_mask: int) -> None:
-        if free_mask == 0:
-            self._contradiction = True
-        if self._count == self._table.shape[0]:
-            self._table = np.concatenate([self._table, np.zeros_like(self._table)])
-            self._sizes = np.concatenate([self._sizes, np.zeros_like(self._sizes)])
-        row = self._count
-        for v in _bits(free_mask):
-            self._table[row, v] = True
-        self._sizes[row] = free_mask.bit_count()
-        self._masks.append(free_mask)
-        self._count += 1
-
-    def _restrip(self) -> None:
-        """Re-apply the zero fixes to every stored set (rare path)."""
-        masks = self._masks
-        self._masks = []
-        self._count = 0
-        self._table[:] = False
-        self._contradiction = False
-        for mask in masks:
-            self._append(mask & ~self._zero_mask)
-
     # -- search -------------------------------------------------------------
 
     def solve(self) -> SatAssignment | None:
@@ -150,47 +119,38 @@ class SatInstance:
         weight, complete via backtracking), padded with suspected sensors up
         to the budget; None when no support fits the budget."""
         self.stats.solve_calls += 1
-        if self._contradiction:
+        if 0 in self._masks:
             return None
-        unhit0 = np.arange(self._count, dtype=np.int64)
+        rank = [
+            w + PHASE_BONUS if (self._phase >> v) & 1 else w
+            for v, w in enumerate(self.weights.tolist())
+        ]
+        # most suspected first, ascending index on ties (sorted is stable);
+        # weights and phase only change between solves
+        order = sorted(range(self.p), key=rank.__getitem__, reverse=True)
+        self._ranked = [(v, 1 << v) for v in order]
         self._nodes_left = MAX_SEARCH_NODES
-        found = self._dfs((), unhit0, 0, self.s_bar)
+        found = self._dfs((), self._masks, 0, self.s_bar)
         if found is None:
             return None
         support = set(found)
-        if len(support) < self.s_bar:
-            candidates = sorted(range(self.p), key=lambda v: (-self._rank(v), v))
-            for v in candidates:
-                if len(support) >= self.s_bar:
-                    break
-                if self._rank(v) <= 0.0:
-                    break  # only sensors implicated by some constraint
-                if v in support or (self._zero_mask >> v) & 1:
-                    continue
+        for v, bit in self._ranked:
+            if len(support) >= self.s_bar or rank[v] <= 0.0:
+                break  # pad only with sensors implicated by some constraint
+            if v not in support and not self._zero_mask & bit:
                 support.add(v)
-        self._phase = 0
-        for v in support:
-            self._phase |= 1 << v
+        self._phase = sum(1 << v for v in support)
         b = np.zeros(self.p, dtype=bool)
         b[sorted(support)] = True
         return SatAssignment(b=b, support=tuple(sorted(support)))
 
-    def _rank(self, v: int) -> float:
-        bonus = PHASE_BONUS if (self._phase >> v) & 1 else 0.0
-        return bonus + self.weights[v]
-
-    def _order(self, mask: int) -> list:
-        members = list(_bits(mask))
-        members.sort(key=lambda v: (-self._rank(v), v))
-        return members
-
-    def _dfs(self, chosen: tuple, unhit: np.ndarray, banned: int, limit: int):
+    def _dfs(self, chosen: tuple, unhit: list, banned: int, limit: int):
         """Depth-limited hitting-set search; deterministic branching (smallest
         set first, most-suspected member first)."""
         if self._nodes_left <= 0:
             raise SearchBudgetError(f"exceeded {MAX_SEARCH_NODES} search nodes")
         self._nodes_left -= 1
-        if unhit.size == 0:
+        if not unhit:
             return chosen
         depth = len(chosen)
         if depth >= limit:
@@ -199,26 +159,26 @@ class SatInstance:
         if depth == limit - 1:
             # exactly one more pick allowed: it must hit every remaining set
             inter = ~banned
-            for r in unhit:
-                inter &= self._masks[r]
+            for mask in unhit:
+                inter &= mask
                 if inter == 0:
                     self.stats.conflicts += 1
                     return None
             self.stats.propagations += 1
-            return chosen + (self._order(inter)[0],)
-        r_sel = int(unhit[np.argmin(self._sizes[unhit])])
-        free = self._masks[r_sel] & ~banned
+            return chosen + (next(v for v, bit in self._ranked if inter & bit),)
+        free = min(unhit, key=int.bit_count) & ~banned
         if free == 0:
             self.stats.conflicts += 1
             return None
-        col_block = self._table[unhit]
-        for v in self._order(free):
+        for v, bit in self._ranked:
+            if not free & bit:
+                continue
             self.stats.decisions += 1
-            child_unhit = unhit[~col_block[:, v]]
+            child_unhit = [mask for mask in unhit if not mask & bit]
             found = self._dfs(chosen + (v,), child_unhit, banned, limit)
             if found is not None:
                 return found
-            banned |= 1 << v  # later branches must use a different member
+            banned |= bit  # later branches must use a different member
         return None
 
 

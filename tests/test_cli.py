@@ -161,6 +161,20 @@ def test_estimate_minimal_support_matches_oracle(ugv_model_file, tmp_path, capsy
     assert est["support"] == [2]
 
 
+def test_estimate_treats_nan_reading_as_attacked(ugv_model_file, tmp_path, capsys):
+    outputs, inputs, x_final = attacked_window(attack=0.0)
+    outputs[-1, 2] = math.nan
+    trace_path = tmp_path / "window.csv"
+    write_window_trace(trace_path, outputs, inputs)
+    assert "nan" in trace_path.read_text()
+    assert main(["estimate", ugv_model_file, str(trace_path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["support"] == [2]
+    assert doc["iterations"] == 1
+    assert doc["certificates"][0] == {"kind": "at_least_one_attacked", "sensors": [2]}
+    assert np.allclose(doc["x_current"], x_final, atol=1e-9)
+
+
 def test_trace_reads_simulator_csv(tmp_path, capsys):
     model = discretize_ugv().model
     model_path = tmp_path / "ugv.json"

@@ -1,8 +1,11 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sse import (
     RobustnessConstants,
@@ -305,3 +308,97 @@ def test_agree_certificate_termination_bound():
             s_bar = inst.model.s_bar
             bound = sum(math.comb(2 * s_bar, k) for k in range(s_bar + 1))
             assert remaining <= bound
+
+
+# ---------------------------------------------------------------------------
+# differential: every strategy against the brute-force oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_instances(draw):
+    """(n, p, s, s_bar, level, seed) accepted by ``generate_instance``."""
+    level = draw(st.sampled_from(["2s", "3s"]))
+    s_bar = draw(st.integers(1, 2))
+    p = draw(st.integers((2 if level == "2s" else 3) * s_bar + 1, 8))
+    n = draw(st.integers(2, 4))
+    s = draw(st.integers(0, s_bar))
+    return n, p, s, s_bar, level, draw(st.integers(0, 2**31 - 1))
+
+
+def _small_instance(spec, noise):
+    n, p, s, s_bar, level, seed = spec
+    return generate_instance(n, p, s, s_bar, level, noise, seed=seed,
+                             attack_norm=(0.05, 2.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(spec=small_instances(), noise=st.sampled_from([0.0, 0.05]))
+@example(spec=(2, 7, 2, 2, "3s", 1517215338), noise=0.05)
+@example(spec=(4, 5, 1, 1, "3s", 1473099080), noise=0.05)
+@example(spec=(3, 7, 2, 2, "3s", 1896709351), noise=0.05)
+def test_strategies_match_oracle_feasibility(spec, noise):
+    inst = _small_instance(spec, noise)
+    oracle = brute_force(inst.model, inst.stack, inst.window, epsilon=1e-6)
+    for strategy in Strategy:
+        result = estimate(inst.model, inst.stack, inst.window, cfg(strategy, 1e-6))
+        assert result.feasible == bool(oracle.supports), strategy
+        if result.feasible:
+            assert result.support in oracle.supports
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(spec=small_instances())
+def test_minimal_support_matches_unique_oracle_minimum(spec):
+    inst = _small_instance(spec, 0.0)
+    oracle = brute_force(inst.model, inst.stack, inst.window, epsilon=1e-6)
+    assume(oracle.unique_minimal)
+    for strategy in Strategy:
+        result = minimal_support_estimate(inst.model, inst.stack, inst.window,
+                                          cfg(strategy, 1e-6))
+        assert result.feasible
+        assert result.support == oracle.minimal[0], strategy
+
+
+def test_agree_certificates_gated_off_under_noise():
+    # the sub-threshold attack on sensor 5 passes an agreement check under
+    # noise; emitting that certificate made this instance infeasible
+    inst = generate_instance(2, 7, 2, 2, "3s", 0.05, seed=1517215338,
+                             attack_norm=(0.05, 2.0))
+    result = estimate(inst.model, inst.stack, inst.window,
+                      cfg(Strategy.CONFLICT_AGREE, 1e-6))
+    assert result.agree_downgraded and not result.agree_active
+    assert result.feasible and result.support == (3, 5)
+
+
+# ---------------------------------------------------------------------------
+# non-finite readings
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_sensor_is_attacked_up_front(four_lines, bad):
+    model, stack, _ = four_lines
+    window = line_window(model, [8.0, 4.0, bad, 2.0])
+    for strategy in Strategy:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = estimate(model, stack, window, cfg(strategy))
+        assert result.feasible
+        assert result.support == (2,)
+        assert result.iterations == 1
+        assert np.allclose(result.x, [2.0, 6.0], atol=1e-9)
+        assert result.certificates[0].kind is CertificateKind.AT_LEAST_ONE_ATTACKED
+        assert result.certificates[0].sensors == {2}
+
+
+def test_non_finite_sensors_beyond_budget_are_infeasible(four_lines):
+    model, stack, _ = four_lines  # s_bar = 1
+    window = line_window(model, [8.0, math.nan, math.nan, 2.0])
+    for strategy in Strategy:
+        result = estimate(model, stack, window, cfg(strategy))
+        assert not result.feasible
+        assert result.iterations == 0
+        assert {c.sensors for c in result.certificates} == {frozenset({1}), frozenset({2})}
+    assert not brute_force(model, stack, window).supports
+    assert not minimal_support_estimate(model, stack, window, cfg()).feasible

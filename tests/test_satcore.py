@@ -4,7 +4,14 @@ import time
 import numpy as np
 import pytest
 
-from sse.satcore import ConstraintKind, PBConstraint, SatInstance, new_instance
+from sse import satcore
+from sse.satcore import (
+    ConstraintKind,
+    PBConstraint,
+    SatInstance,
+    SearchBudgetError,
+    new_instance,
+)
 
 
 def alo(*sensors):
@@ -180,3 +187,37 @@ def test_stats_accumulate():
     inst.solve()
     assert inst.stats.solve_calls == 2
     assert inst.stats.decisions >= 1
+
+
+def test_phase_saving_beats_a_higher_bump():
+    inst = new_instance(4, 1)
+    inst.add_constraint(alo(0, 1))
+    assert inst.solve().support == (0,)
+    inst.bump(1, amount=5.0)
+    # the last support stays preferred over a more suspected sensor
+    assert inst.solve().support == (0,)
+    fresh = new_instance(4, 1)
+    fresh.add_constraint(alo(0, 1))
+    fresh.bump(1, amount=5.0)
+    assert fresh.solve().support == (1,)
+
+
+def test_padding_adds_only_suspected_free_sensors():
+    inst = new_instance(6, 4)
+    inst.add_constraint(alo(0, 1))
+    inst.bump(3)
+    inst.bump(4, amount=1.0)
+    # 0 hits the set; 3 and 4 carry weight; 1, 2 and 5 carry none
+    assert inst.solve().support == (0, 3, 4)
+    inst.add_constraint(zero(3))
+    # 3 keeps its phase bonus but is fixed to zero, so padding skips it
+    assert inst.solve().support == (0, 4)
+
+
+def test_search_budget_error_on_a_small_node_budget(monkeypatch):
+    monkeypatch.setattr(satcore, "MAX_SEARCH_NODES", 3)
+    inst = new_instance(8, 3)
+    for pair in ((0, 1), (2, 3), (4, 5), (6, 7)):
+        inst.add_constraint(alo(*pair))
+    with pytest.raises(SearchBudgetError):
+        inst.solve()
