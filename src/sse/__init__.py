@@ -25,10 +25,8 @@ from .linmodel import (
     stack_window,
 )
 from .oracle import OracleResult, brute_force
-from .satcore import ConstraintKind, PBConstraint, SatInstance, new_instance
+from .satcore import Certificate, CertificateKind, SatInstance, new_instance
 from .theory import (
-    Certificate,
-    CertificateKind,
     CheckResult,
     ConflictSearchError,
     Strategy,

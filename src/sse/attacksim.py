@@ -40,6 +40,11 @@ UGV_NOISE_SQ = 0.2  # per-sensor squared noise norm bound over the window
 AUDIT_SAMPLES = 200
 AUDIT_EXACT_LIMIT = 20_000
 
+# Random systems drawn before generate_instance gives up on a level.
+MAX_RESAMPLES = 1000
+# Standard deviation of the true initial state's entries.
+STATE_SCALE = 3.0
+
 
 @dataclass(frozen=True)
 class UgvModel:
@@ -120,9 +125,7 @@ def _observability_holds(model: SystemModel, stack, level_s: int, rng) -> bool:
     return True
 
 
-def _resolve_tau(n: int, p: int, level_s: int, tau: int | None) -> int:
-    if tau is not None:
-        return tau
+def _resolve_tau(n: int, p: int, level_s: int) -> int:
     keep = max(p - level_s, 1)
     needed = math.ceil(n / keep)
     return min(n, max(needed, min(2, n)))
@@ -137,15 +140,11 @@ def generate_instance(
     noise_bounds=0.0,
     seed: int = 0,
     *,
-    tau: int | None = None,
-    m: int = 1,
     attack_norm=(1.0, 10.0),
-    input_scale: float = 1.0,
-    state_scale: float = 3.0,
-    max_resamples: int = 1000,
 ) -> GeneratedInstance:
-    """Random instance: an observable system, one measurement window with
-    bounded noise, and attacks injected on ``s`` random sensors.
+    """Random instance: an observable single-input system, one measurement
+    window with bounded noise and standard-normal inputs, and attacks
+    injected on ``s`` random sensors.
 
     ``observability_level`` is "2s" or "3s" (the system is resampled until it
     stays observable after removing that many times ``s_bar`` sensors).
@@ -163,17 +162,17 @@ def generate_instance(
             f"p={p} sensors cannot stay observable after removing {level_s}"
         )
     rng = np.random.default_rng(seed)
-    tau = _resolve_tau(n, p, level_s, tau)
+    tau = _resolve_tau(n, p, level_s)
     bounds = np.broadcast_to(np.asarray(noise_bounds, dtype=float), (p,)).copy()
 
     model = None
     stack = None
-    for _ in range(max_resamples):
+    for _ in range(MAX_RESAMPLES):
         a = rng.normal(size=(n, n))
         radius = max(abs(np.linalg.eigvals(a)))
         if radius > 0:
             a *= 0.95 / radius
-        b = rng.normal(size=(n, m))
+        b = rng.normal(size=(n, 1))
         c = rng.normal(size=(p, n))
         candidate = SystemModel(A=a, B=b, C=c, tau=tau, s_bar=s_bar, noise_bounds=bounds)
         cand_stack = build_observability(candidate)
@@ -184,10 +183,10 @@ def generate_instance(
             break
     if model is None:
         raise RuntimeError(f"no {observability_level}-sparse observable system found "
-                           f"in {max_resamples} draws")
+                           f"in {MAX_RESAMPLES} draws")
 
-    x_true = rng.normal(size=n) * state_scale
-    inputs = rng.normal(size=(tau, m)) * input_scale
+    x_true = rng.normal(size=n) * STATE_SCALE
+    inputs = rng.normal(size=(tau, 1))
 
     attacked = tuple(sorted(int(i) for i in rng.choice(p, size=s, replace=False)))
     if np.isscalar(attack_norm):
@@ -427,9 +426,6 @@ def run_closed_loop(
     steps: int | None = None,
     config: EstimatorConfig = EstimatorConfig(),
     seed: int | None = None,
-    *,
-    path_length: float = 5.0,
-    poles=(0.8, 0.85),
 ) -> Trace:
     """Drive the vehicle along the reference path while the estimator feeds
     the controller from attacked, noisy measurements.
@@ -445,7 +441,7 @@ def run_closed_loop(
         raise ValueError(f"need at least tau={model.tau} steps, got {steps}")
     rng = np.random.default_rng(seed)
     stack = build_observability(model)
-    gain = place_feedback_gain(model.A, model.B, poles)
+    gain = place_feedback_gain(model.A, model.B)
     p, tau = model.p, model.tau
     per_step_noise = model.noise_bounds / math.sqrt(tau)
 
@@ -489,7 +485,7 @@ def run_closed_loop(
         tr.y[t] = y
         tr.attack[t] = attack
         tr.noise[t] = noise
-        tr.ref[t] = square_path_reference(t, scenario.segment_steps, path_length)
+        tr.ref[t] = square_path_reference(t, scenario.segment_steps)
 
         if t >= tau - 1:
             outputs = tr.y[t - tau + 1 : t + 1]

@@ -26,8 +26,8 @@ from .linmodel import (
     SystemModel,
     check_sparse_observability,
 )
-from .satcore import ConstraintKind, PBConstraint
-from .theory import Certificate, CertificateKind, Strategy, certificates, t_check
+from .satcore import Certificate, CertificateKind
+from .theory import Strategy, certificates, t_check
 
 
 class IterationLimitError(RuntimeError):
@@ -43,7 +43,6 @@ class EstimatorConfig:
     strategy: Strategy = Strategy.CONFLICT_AGREE
     epsilon: float = 1e-6
     max_iterations: int | None = None  # None: 10 * C(p, p - 2*s_bar + 1), capped at 1e7
-    shrink_conflict: bool = True
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -144,12 +143,6 @@ def _agree_allowed(
     return False, True
 
 
-def _to_pb(cert: Certificate) -> PBConstraint:
-    if cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED:
-        return PBConstraint(ConstraintKind.AT_LEAST_ONE, cert.sensors)
-    return PBConstraint(ConstraintKind.ALL_ZERO, cert.sensors)
-
-
 def estimate(
     model: SystemModel,
     stack: ObservabilityStack,
@@ -184,7 +177,7 @@ def estimate(
         for i in np.flatnonzero(~finite.all(axis=1)).tolist():
             cert = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({i}))
             result.certificates.append(cert)
-            inst.add_constraint(_to_pb(cert))
+            inst.add_constraint(cert)
     while True:
         assignment = inst.solve()
         if assignment is None:
@@ -194,7 +187,9 @@ def estimate(
         trusted = tuple(i for i in range(p) if i not in suspected)
         if not trusted:
             # no sensor left to estimate from: reject this hypothesis outright
-            inst.add_constraint(PBConstraint(ConstraintKind.AT_LEAST_ONE, frozenset()))
+            inst.add_constraint(
+                Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset())
+            )
             continue
         result.iterations += 1
         check = t_check(stack, window, trusted, model.noise_bounds, config.epsilon)
@@ -220,7 +215,6 @@ def estimate(
             model.noise_bounds,
             config.strategy,
             agree_allowed=agree_allowed,
-            shrink=config.shrink_conflict,
         )
         record.certificates = tuple(certs)
         record.conflict_fallback = diag.conflict_fallback
@@ -229,9 +223,7 @@ def estimate(
             result.conflict_fallbacks += 1
         for cert in certs:
             result.certificates.append(cert)
-            inst.add_constraint(_to_pb(cert))
-            if cert.suspect is not None:
-                inst.bump(cert.suspect)
+            inst.add_constraint(cert)
         if result.iterations >= cap:
             raise IterationLimitError(result.iterations)
 

@@ -12,6 +12,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .linmodel import ObservabilityStack, StackedWindow, SubsetCapError
 from .theory import t_check
 
@@ -37,7 +39,9 @@ def brute_force(
     epsilon: float = 1e-6,
 ) -> OracleResult:
     """Enumerate all attack supports of size <= s_bar whose complement passes
-    the least-squares check."""
+    the least-squares check.  A sensor with a non-finite reading in the window
+    is treated as attacked, as the estimator does: supports that leave it out
+    are skipped, since their complement can never pass."""
     p = stack.p
     budget = model.s_bar if s_bar is None else int(s_bar)
     if not 0 <= budget < p:
@@ -45,10 +49,13 @@ def brute_force(
     count = sum(math.comb(p, s) for s in range(budget + 1))
     if count > ORACLE_SUBSET_CAP:
         raise SubsetCapError(count, ORACLE_SUBSET_CAP)
+    nonfinite = set(np.flatnonzero(~np.isfinite(window.blocks).all(axis=1)).tolist())
     feasible = []
     x_map = {}
     for size in range(budget + 1):
         for gamma in itertools.combinations(range(p), size):
+            if not nonfinite.issubset(gamma):
+                continue
             complement = tuple(i for i in range(p) if i not in gamma)
             check = t_check(stack, window, complement, model.noise_bounds, epsilon)
             if check.sat:

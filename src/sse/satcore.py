@@ -1,23 +1,25 @@
 """Pseudo-Boolean search over the attack-indicator vector b.
 
-The constraint store holds one global cardinality budget (sum b_i <= s_bar),
-learned at-least-one sets, and learned all-zero sets.  Every at-least-one
-constraint must be hit by the support of b, so solving is a budget-limited
-hitting-set search: greedy descent ordered by suspicion weights, complete via
-backtracking.  Weights come from decayed theory-side bumps plus a sticky
-preference for the previously returned support (phase saving), so sensors that
-keep showing up in conflicts get flagged first and stay flagged; that is what
-makes the certificate heuristics pay off.  Found supports are padded up to the
-budget with the most-suspected sensors, mirroring how a general-purpose solver
-returns non-minimal models.  With no constraints the all-zero assignment is
-returned, and everything is deterministic given the constraint store and the
-solve history.
+The store holds one global cardinality budget (sum b_i <= s_bar) and learns
+the theory side's certificates: every at-least-one-attacked set must be hit
+by the support of b, and an all-unattacked set fixes its sensors to zero.  A
+certificate's suspect is its bump: learning the certificate adds suspicion
+weight to that sensor.  Solving is a budget-limited hitting-set search:
+greedy descent ordered by suspicion weights, complete via backtracking.
+Weights come from decayed bumps plus a sticky preference for the previously
+returned support (phase saving), so sensors that keep showing up in conflicts
+get flagged first and stay flagged; that is what makes the certificate
+heuristics pay off.  Found supports are padded up to the budget with the
+most-suspected sensors, mirroring how a general-purpose solver returns
+non-minimal models.  With nothing learned the all-zero assignment is
+returned, and everything is deterministic given the learned certificates and
+the solve history.
 
-The store is one list of int bitmasks: each at-least-one set with the
-all-zero sensors stripped (an empty mask is a contradiction).  Weights and
-phase change only between solves, so each solve ranks the sensors once; every
-search node tries its set's members in that order, and the padding pass walks
-the same order.
+The store is one list of int bitmasks: each at-least-one-attacked set with
+the unattacked sensors stripped (an empty mask is a contradiction).  Weights
+and phase change only between solves, so each solve ranks the sensors once;
+every search node tries its set's members in that order, and the padding
+pass walks the same order.
 """
 
 from __future__ import annotations
@@ -40,17 +42,22 @@ PHASE_BONUS = 1e6
 MAX_SEARCH_NODES = 20_000_000
 
 
-class ConstraintKind(str, Enum):
-    AT_MOST_K = "at_most_k"
-    AT_LEAST_ONE = "at_least_one"
-    ALL_ZERO = "all_zero"
+class CertificateKind(str, Enum):
+    AT_LEAST_ONE_ATTACKED = "at_least_one_attacked"
+    ALL_UNATTACKED = "all_unattacked"
 
 
 @dataclass(frozen=True)
-class PBConstraint:
-    kind: ConstraintKind
+class Certificate:
+    kind: CertificateKind
     sensors: frozenset
-    k: int | None = None
+    # member the theory side considers most suspicious (the one whose
+    # hyperplane broke the intersection); a branching hint, not a constraint
+    suspect: int | None = None
+
+    def __str__(self):
+        names = ",".join(str(i) for i in sorted(self.sensors))
+        return f"{self.kind.value}({names})"
 
 
 @dataclass(frozen=True)
@@ -87,23 +94,22 @@ class SatInstance:
 
     # -- constraint store ---------------------------------------------------
 
-    def add_constraint(self, c: PBConstraint) -> None:
-        if any(not 0 <= i < self.p for i in c.sensors):
-            raise ValueError(f"sensor index out of range in {sorted(c.sensors)}")
-        if c.kind is ConstraintKind.AT_MOST_K:
-            raise ValueError("the cardinality budget is fixed at construction")
+    def add_constraint(self, cert: Certificate) -> None:
+        """Learn a certificate, then bump its suspect when it names one."""
+        if any(not 0 <= i < self.p for i in cert.sensors):
+            raise ValueError(f"sensor index out of range in {sorted(cert.sensors)}")
         mask = 0
-        for i in c.sensors:
+        for i in cert.sensors:
             mask |= 1 << i
-        if c.kind is ConstraintKind.ALL_ZERO:
+        if cert.kind is CertificateKind.ALL_UNATTACKED:
             self._zero_mask |= mask
-            self.weights[sorted(c.sensors)] = 0.0
+            self.weights[sorted(cert.sensors)] = 0.0
             self._masks = [m & ~self._zero_mask for m in self._masks]
-        elif c.kind is ConstraintKind.AT_LEAST_ONE:
+        else:
             self.weights *= WEIGHT_DECAY
             self._masks.append(mask & ~self._zero_mask)
-        else:
-            raise ValueError(f"unknown constraint kind {c.kind}")
+        if cert.suspect is not None:
+            self.bump(cert.suspect)
 
     def bump(self, sensor: int, amount: float = 2.0) -> None:
         """Extra suspicion weight for one sensor (theory-guided branching hint)."""

@@ -20,11 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .linmodel import ObservabilityStack, StackedWindow
-
-
-class CertificateKind(str, Enum):
-    AT_LEAST_ONE_ATTACKED = "at_least_one_attacked"
-    ALL_UNATTACKED = "all_unattacked"
+from .satcore import Certificate, CertificateKind
 
 
 class Strategy(str, Enum):
@@ -38,19 +34,6 @@ class ConflictSearchError(RuntimeError):
     conflicting subset (impossible on exact data, possible under noise)."""
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: CertificateKind
-    sensors: frozenset
-    # member the theory side considers most suspicious (the one whose
-    # hyperplane broke the intersection); a branching hint, not a constraint
-    suspect: int | None = None
-
-    def __str__(self):
-        names = ",".join(str(i) for i in sorted(self.sensors))
-        return f"{self.kind.value}({names})"
-
-
 @dataclass(frozen=True, eq=False)
 class CheckResult:
     sat: bool
@@ -60,10 +43,6 @@ class CheckResult:
     sensors: tuple
     noise_budget: float      # ||Psi_I|| + epsilon
     rank_deficient: bool
-
-    @property
-    def status(self) -> str:
-        return "SAT" if self.sat else "UNSAT"
 
 
 @dataclass
@@ -242,7 +221,6 @@ def certificates(
     strategy: Strategy,
     *,
     agree_allowed: bool = False,
-    shrink: bool = True,
 ) -> tuple:
     """Certificates to learn from an UNSAT check, per the configured strategy.
 
@@ -259,7 +237,7 @@ def certificates(
         certs = [
             certificate_conflict(
                 stack, window, sensors, check, s_bar, epsilon, noise_bounds,
-                shrink=shrink, diagnostics=diag,
+                diagnostics=diag,
             )
         ]
     except ConflictSearchError:

@@ -26,10 +26,10 @@ from sse.attacksim import (
     run_closed_loop,
     ugv_guarantees,
 )
-from sse.cli import iteration_bound, run_bench
+from sse.bench import iteration_bound, run_bench
 from sse.estimator import EstimatorConfig, delta_bound, estimate, minimal_support_estimate
 from sse.oracle import brute_force
-from sse.satcore import ConstraintKind, PBConstraint, new_instance
+from sse.satcore import Certificate, CertificateKind, new_instance
 from sse.theory import Strategy
 
 from conftest import line_model, line_window, scalar_sensors
@@ -338,9 +338,9 @@ def _satisfies(b, s_bar, constraints):
         return False
     for kind, sensors in constraints:
         hits = [b[i] for i in sensors]
-        if kind is ConstraintKind.AT_LEAST_ONE and not any(hits):
+        if kind is CertificateKind.AT_LEAST_ONE_ATTACKED and not any(hits):
             return False
-        if kind is ConstraintKind.ALL_ZERO and any(hits):
+        if kind is CertificateKind.ALL_UNATTACKED and any(hits):
             return False
     return True
 
@@ -354,11 +354,12 @@ def test_criterion_9_satcore_completeness():
         inst = new_instance(p, s_bar)
         constraints = []
         for _ in range(int(rng.integers(0, 7))):
-            kind = ConstraintKind.AT_LEAST_ONE if rng.uniform() < 0.8 else ConstraintKind.ALL_ZERO
+            kind = (CertificateKind.AT_LEAST_ONE_ATTACKED if rng.uniform() < 0.8
+                    else CertificateKind.ALL_UNATTACKED)
             size = int(rng.integers(1, p + 1))
             sensors = tuple(sorted(rng.choice(p, size=size, replace=False).tolist()))
             constraints.append((kind, sensors))
-            inst.add_constraint(PBConstraint(kind, frozenset(sensors)))
+            inst.add_constraint(Certificate(kind, frozenset(sensors)))
         got = inst.solve()
         expected = any(
             _satisfies(np.array(bits), s_bar, constraints)

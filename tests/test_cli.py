@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from sse.attacksim import AttackScenario, discretize_ugv, run_closed_loop
-from sse.cli import iteration_bound, main
+from sse.bench import iteration_bound
+from sse.cli import main
 from sse.theory import Strategy
 
 
@@ -173,6 +174,9 @@ def test_estimate_treats_nan_reading_as_attacked(ugv_model_file, tmp_path, capsy
     assert doc["iterations"] == 1
     assert doc["certificates"][0] == {"kind": "at_least_one_attacked", "sensors": [2]}
     assert np.allclose(doc["x_current"], x_final, atol=1e-9)
+    assert main(["oracle", ugv_model_file, str(trace_path)]) == 0
+    orc = json.loads(capsys.readouterr().out)
+    assert orc["minimal"] == [[2]]
 
 
 def test_trace_reads_simulator_csv(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,3 +70,14 @@ def test_budget_and_cap_validation():
     big = generate_instance(2, 24, 1, 1, "2s", 0.0, seed=1)
     with pytest.raises(SubsetCapError):
         brute_force(big.model, big.stack, big.window, s_bar=12)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_reading_is_attacked_without_warnings(four_lines, bad):
+    model, stack, _ = four_lines
+    window = line_window(model, [8.0, 4.0, bad, 2.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = brute_force(model, stack, window, epsilon=1e-9)
+    assert caught == []
+    assert result.supports == result.minimal == ((2,),)

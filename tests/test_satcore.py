@@ -6,8 +6,8 @@ import pytest
 
 from sse import satcore
 from sse.satcore import (
-    ConstraintKind,
-    PBConstraint,
+    Certificate,
+    CertificateKind,
     SatInstance,
     SearchBudgetError,
     new_instance,
@@ -15,11 +15,11 @@ from sse.satcore import (
 
 
 def alo(*sensors):
-    return PBConstraint(ConstraintKind.AT_LEAST_ONE, frozenset(sensors))
+    return Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(sensors))
 
 
 def zero(*sensors):
-    return PBConstraint(ConstraintKind.ALL_ZERO, frozenset(sensors))
+    return Certificate(CertificateKind.ALL_UNATTACKED, frozenset(sensors))
 
 
 def satisfies(b, s_bar, constraints):
@@ -28,9 +28,9 @@ def satisfies(b, s_bar, constraints):
         return False
     for c in constraints:
         members = [b[i] for i in c.sensors]
-        if c.kind is ConstraintKind.AT_LEAST_ONE and not any(members):
+        if c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED and not any(members):
             return False
-        if c.kind is ConstraintKind.ALL_ZERO and any(members):
+        if c.kind is CertificateKind.ALL_UNATTACKED and any(members):
             return False
     return True
 
@@ -113,7 +113,7 @@ def test_never_reproposes_excluded_supports():
         seen.append(got.support)
         # exclude exactly this hypothesis, as the estimation loop does
         complement = frozenset(range(5)) - set(got.support)
-        inst.add_constraint(PBConstraint(ConstraintKind.AT_LEAST_ONE, complement))
+        inst.add_constraint(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, complement))
 
 
 def test_soundness_on_random_instances():
@@ -144,8 +144,6 @@ def test_constraint_validation():
     inst = new_instance(3, 1)
     with pytest.raises(ValueError, match="out of range"):
         inst.add_constraint(alo(0, 7))
-    with pytest.raises(ValueError, match="budget"):
-        inst.add_constraint(PBConstraint(ConstraintKind.AT_MOST_K, frozenset({0}), k=1))
     with pytest.raises(ValueError, match="s_bar"):
         SatInstance(3, 9)
 
@@ -154,7 +152,7 @@ def test_empty_at_least_one_is_permanent_unsat():
     inst = new_instance(3, 2)
     inst.add_constraint(alo(1))
     assert inst.solve() is not None
-    inst.add_constraint(PBConstraint(ConstraintKind.AT_LEAST_ONE, frozenset()))
+    inst.add_constraint(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset()))
     assert inst.solve() is None
     assert inst.solve() is None
 
@@ -165,6 +163,22 @@ def test_bump_prioritizes_suspects():
     inst.bump(3)
     got = inst.solve()
     assert 3 in got.support
+
+
+def test_learning_a_suspect_equals_add_then_bump():
+    learned = new_instance(5, 2)
+    learned.add_constraint(
+        Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({0, 1}), suspect=1))
+    learned.add_constraint(
+        Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({1, 2, 3}), suspect=3))
+    manual = new_instance(5, 2)
+    manual.add_constraint(alo(0, 1))
+    manual.bump(1)
+    manual.add_constraint(alo(1, 2, 3))
+    manual.bump(3)
+    # the bump lands after the decay, so the newer suspect outweighs the older
+    assert learned.weights.tolist() == manual.weights.tolist() == [0.0, 1.6, 0.0, 2.0, 0.0]
+    assert learned.solve().support == manual.solve().support
 
 
 def test_large_instance_speed():
