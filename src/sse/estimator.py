@@ -153,8 +153,9 @@ def estimate(
 
     Returns a feasible estimate (state at the window start plus the attack
     indicators) or an infeasible outcome when no sensor subset within budget
-    explains the data.  A sensor with a non-finite reading in the window is
-    treated as attacked: a singleton certificate for it is learned up front.
+    explains the data.  A sensor whose window row has a non-finite squared
+    norm (a NaN or +-inf reading, or one whose square overflows) is treated as
+    attacked: a singleton certificate for it is learned up front.
     """
     p, s_bar = model.p, model.s_bar
     started = time.perf_counter()
@@ -172,12 +173,10 @@ def estimate(
         agree_downgraded=downgraded,
         budget=s_bar,
     )
-    finite = np.isfinite(window.blocks)
-    if not finite.all():
-        for i in np.flatnonzero(~finite.all(axis=1)).tolist():
-            cert = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({i}))
-            result.certificates.append(cert)
-            inst.add_constraint(cert)
+    for i in window.nonfinite_sensors():
+        cert = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({i}))
+        result.certificates.append(cert)
+        inst.add_constraint(cert)
     while True:
         assignment = inst.solve()
         if assignment is None:

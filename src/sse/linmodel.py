@@ -172,7 +172,7 @@ class SystemModel(JsonFile):
 @dataclass(frozen=True, eq=False)
 class ObservabilityStack:
     """Per-sensor observability blocks O_i (tau x n), their kernel
-    dimensions, spectral norms, and Gram matrices.
+    dimensions, spectral norms (and their squares), and Gram matrices.
 
     Build it once per model and reuse it: it also remembers the answers of
     ``check_sparse_observability(model, s, stack=stack)`` by ``s``.
@@ -182,6 +182,8 @@ class ObservabilityStack:
     block_kernel_dims: np.ndarray
     block_norms: np.ndarray
     gram_blocks: np.ndarray  # p x n x n, entry i is O_i^T O_i
+    block_norms_sq: np.ndarray  # block_norms ** 2
+    dead_block: bool  # some block_norms_sq entry is 0: that sensor sees nothing
     _sparse_obs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -214,6 +216,16 @@ class StackedWindow:
     def stacked(self, sensors) -> np.ndarray:
         return self.blocks[list(sensors)].reshape(-1)
 
+    def nonfinite_sensors(self) -> list:
+        """Sensors whose row has a non-finite squared norm: a NaN or +-inf
+        reading, or one so large that its square overflows."""
+        flat = self.blocks.reshape(-1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isfinite(flat.dot(flat)):
+                return []
+            row_sq = (self.blocks * self.blocks).sum(axis=1)
+        return np.flatnonzero(~np.isfinite(row_sq)).tolist()
+
 
 @dataclass(frozen=True)
 class RobustnessConstants:
@@ -240,11 +252,16 @@ def build_observability(model: SystemModel) -> ObservabilityStack:
         [np.linalg.svd(b, compute_uv=False)[0] if b.size else 0.0 for b in blocks]
     )
     grams = np.stack([b.T @ b for b in blocks])
-    kdims.setflags(write=False)
-    norms.setflags(write=False)
-    grams.setflags(write=False)
+    norms_sq = norms**2
+    for arr in (kdims, norms, grams, norms_sq):
+        arr.setflags(write=False)
     return ObservabilityStack(
-        blocks=blocks, block_kernel_dims=kdims, block_norms=norms, gram_blocks=grams
+        blocks=blocks,
+        block_kernel_dims=kdims,
+        block_norms=norms,
+        gram_blocks=grams,
+        block_norms_sq=norms_sq,
+        dead_block=not bool((norms_sq > 0).all()),
     )
 
 

@@ -12,8 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .linmodel import ObservabilityStack, StackedWindow, SubsetCapError
 from .theory import t_check
 
@@ -39,9 +37,9 @@ def brute_force(
     epsilon: float = 1e-6,
 ) -> OracleResult:
     """Enumerate all attack supports of size <= s_bar whose complement passes
-    the least-squares check.  A sensor with a non-finite reading in the window
-    is treated as attacked, as the estimator does: supports that leave it out
-    are skipped, since their complement can never pass."""
+    the least-squares check.  A sensor whose window row has a non-finite
+    squared norm is treated as attacked, as the estimator does: supports that
+    leave it out are skipped."""
     p = stack.p
     budget = model.s_bar if s_bar is None else int(s_bar)
     if not 0 <= budget < p:
@@ -49,7 +47,7 @@ def brute_force(
     count = sum(math.comb(p, s) for s in range(budget + 1))
     if count > ORACLE_SUBSET_CAP:
         raise SubsetCapError(count, ORACLE_SUBSET_CAP)
-    nonfinite = set(np.flatnonzero(~np.isfinite(window.blocks).all(axis=1)).tolist())
+    nonfinite = set(window.nonfinite_sensors())
     feasible = []
     x_map = {}
     for size in range(budget + 1):

@@ -9,6 +9,15 @@ the explanation: a linear walk that pairs the lowest-residual sensors with
 high-residual candidates until they conflict, and an agreement pass that
 certifies the lowest-residual sensors as clean when they are mutually
 consistent.
+
+The walk's conflict is then shrunk: in kernel-dimension order, trailing
+members are dropped while the rest stays infeasible.  The sets it tries are
+nested prefixes, so one batched solve over running sums of the Gram blocks
+and of O_i^T Y_i decides them together (nested least-squares updating, Golub
+and Van Loan, *Matrix Computations*, sec. 6.5).  A prefix that is
+undetermined, whose batched solve fails, or whose batched residual lies in
+the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
+``||Psi|| + epsilon`` is checked on its own instead.
 """
 
 from __future__ import annotations
@@ -21,6 +30,14 @@ import numpy as np
 
 from .linmodel import ObservabilityStack, StackedWindow
 from .satcore import Certificate, CertificateKind
+
+
+# The shrink pass batches its prefix decisions only when at least this many
+# prefixes are determined; below it, per-prefix checks are cheaper.
+MIN_BATCH_PREFIXES = 3
+# Relative half-width of the band around the budget in which a batched
+# residual is not trusted to decide a prefix (see _prefix_decisions).
+TIE_RTOL = 1e-10
 
 
 class Strategy(str, Enum):
@@ -74,45 +91,57 @@ def t_check(
         raise ValueError("sensor set must be non-empty")
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    noise_bounds = np.asarray(noise_bounds, dtype=float)
+    return _check(stack, window, sensors, np.asarray(noise_bounds, dtype=float), epsilon)
+
+
+def _check(
+    stack: ObservabilityStack,
+    window: StackedWindow,
+    sensors: tuple,
+    noise_bounds: np.ndarray,
+    epsilon: float,
+) -> CheckResult:
+    """``t_check`` on a sorted, non-empty tuple and a float array."""
     idx = list(sensors)
-    o_i = stack.rows(idx)
-    y_i = window.stacked(idx)
+    n = stack.n
+    o_i = stack.blocks[idx].reshape(-1, n)
+    y_i = window.blocks[idx].reshape(-1)
     # Normal-equation fast path; fall back to the SVD solver when the Gram
     # matrix is singular or the gradient check says the solve went bad.
+    # math.sqrt(v.dot(v)) is numpy's 2-norm of a vector, without its overhead.
     x = None
     rank_deficient = False
     gram = stack.gram_blocks[idx].sum(axis=0)
     rhs = o_i.T @ y_i
-    scale = float(np.linalg.norm(y_i)) * math.sqrt(
-        float(np.sum(stack.block_norms[idx] ** 2))
-    )
+    norms_sq = stack.block_norms_sq[idx]
+    scale = math.sqrt(float(y_i.dot(y_i))) * math.sqrt(float(norms_sq.sum()))
     try:
         cand = np.linalg.solve(gram, rhs)
-        if np.linalg.norm(rhs - gram @ cand) <= 1e-9 * max(scale, 1e-300):
+        grad = rhs - gram @ cand
+        if math.sqrt(float(grad.dot(grad))) <= 1e-9 * max(scale, 1e-300):
             x = cand
     except np.linalg.LinAlgError:
         pass
     if x is None:
         x, _, rank, _ = np.linalg.lstsq(o_i, y_i, rcond=None)
-        rank_deficient = rank < stack.n
+        rank_deficient = rank < n
     fit = o_i @ x
     diff = y_i - fit
-    tau = stack.tau
-    block_res = (diff * diff).reshape(len(idx), tau).sum(axis=1)
+    block_res = (diff * diff).reshape(len(idx), stack.tau).sum(axis=1)
     residual_sq = float(block_res.sum())
     psi_sq = float(np.sum(noise_bounds[idx] ** 2))
     sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
-    norms_sq = stack.block_norms[idx] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = np.where(norms_sq > 0, block_res / norms_sq, math.inf)
-    # a dead sensor carries no state information; it sorts last
-    per_sensor = dict(zip(sensors, normalized.tolist()))
+    if stack.dead_block:
+        # a dead sensor carries no state information; it sorts last
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normalized = np.where(norms_sq > 0, block_res / norms_sq, math.inf)
+    else:
+        normalized = block_res / norms_sq
     return CheckResult(
         sat=sat,
         x=x,
         residual_sq=residual_sq,
-        per_sensor_residuals=per_sensor,
+        per_sensor_residuals=dict(zip(sensors, normalized.tolist())),
         sensors=sensors,
         noise_budget=math.sqrt(psi_sq) + epsilon,
         rank_deficient=rank_deficient,
@@ -122,6 +151,61 @@ def t_check(
 def _sorted_by_residual(check: CheckResult):
     """Sensor indices by ascending normalized residual, index as tiebreak."""
     return sorted(check.sensors, key=lambda i: (check.per_sensor_residuals[i], i))
+
+
+def _prefix_decisions(
+    stack: ObservabilityStack,
+    window: StackedWindow,
+    ordered: list,
+    noise_bounds: np.ndarray,
+    epsilon: float,
+) -> dict:
+    """SAT decisions for the prefixes ``ordered[:keep]``, 1 <= keep < len,
+    from one batched solve; ``{keep: sat}``, empty when fewer than
+    ``MIN_BATCH_PREFIXES`` prefixes are determined (tau * keep >= n).
+
+    Only determined prefixes are solved, from running sums
+    of the Gram blocks, of O_i^T Y_i, of ||Y_i||^2, of the squared block norms
+    and of the squared noise bounds.  A prefix is left out of the table, and
+    so left to ``_check``, when the batched solve raises, when its solution
+    fails ``_check``'s relative gradient test, or when its residual norm lies
+    within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` of the
+    budget ``||Psi|| + epsilon``, where a different summation order could
+    flip the decision.
+    """
+    tau, n = stack.tau, stack.n
+    first = -(-n // tau)  # smallest determined prefix length
+    last = len(ordered) - 1
+    if last - first + 1 < MIN_BATCH_PREFIXES:
+        return {}
+    blocks = stack.blocks[ordered]  # (m, tau, n)
+    ys = window.blocks[ordered]  # (m, tau)
+    # running sums from prefix `first` on; a loop over rows beats cumsum
+    # along the leading axis of a stack of matrices
+    grams = stack.gram_blocks[ordered[first - 1:last]]  # (K, n, n), a copy
+    grams[0] = stack.gram_blocks[ordered[:first]].sum(axis=0)
+    for k in range(1, len(grams)):
+        grams[k] += grams[k - 1]
+    rhs = np.cumsum((ys[:last, None, :] @ blocks[:last])[:, 0], axis=0)[first - 1:]
+    y_sq = np.cumsum((ys * ys).sum(axis=1))[first - 1:last]
+    norms_sq = np.cumsum(stack.block_norms_sq[ordered])[first - 1:last]
+    psi_sq = np.cumsum(noise_bounds[ordered] ** 2)[first - 1:last]
+    try:
+        xs = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]  # (K, n)
+    except np.linalg.LinAlgError:
+        return {}
+    grad = rhs - (grams @ xs[:, :, None])[:, :, 0]
+    scale = np.maximum(np.sqrt(y_sq) * np.sqrt(norms_sq), 1e-300)
+    solved = np.sqrt((grad * grad).sum(axis=1)) <= 1e-9 * scale
+    # one fit of every sensor under every prefix's state: (m * tau, K)
+    diff = ys.reshape(-1, 1) - blocks.reshape(-1, n) @ xs.T
+    per_sensor = (diff * diff).reshape(len(ordered), tau, -1).sum(axis=1)  # (m, K)
+    keeps = np.arange(first, last + 1)
+    residual = np.sqrt(np.cumsum(per_sensor, axis=0)[keeps - 1, keeps - first])
+    budget = np.sqrt(psi_sq) + epsilon
+    clear = np.abs(residual - budget) > TIE_RTOL * (budget + np.sqrt(y_sq))
+    sat = (residual <= budget).tolist()
+    return {k: s for k, s, ok in zip(keeps.tolist(), sat, (solved & clear).tolist()) if ok}
 
 
 def certificate_conflict(
@@ -138,21 +222,32 @@ def certificate_conflict(
 ) -> Certificate:
     """Small sensor set that cannot all be attack-free.
 
-    Seeds with the p - 2*s_bar lowest-residual sensors (residuals taken at the
-    failed check's minimizer), then walks candidates from the highest residual
-    down until the seed-plus-candidate check fails.  The optional shrink pass
-    orders the conflicting set by ascending kernel dimension and drops trailing
-    members while the set stays infeasible.
+    Seeds with the p - 2*s_bar lowest-residual sensors of ``check`` (residuals
+    taken at the failed check's minimizer), then walks candidates from the
+    highest residual down until the seed-plus-candidate check fails.
+    ``sensors`` is the set ``check`` was run on; its canonical form
+    ``check.sensors`` is used.
+
+    The optional shrink pass orders the conflicting set by ascending kernel
+    dimension and drops trailing members while the set stays infeasible,
+    reading prefix lengths from the longest down until one passes.  When at
+    least ``MIN_BATCH_PREFIXES`` prefixes are determined (tau * keep >= n),
+    one batched solve decides them (see ``_prefix_decisions``).  A prefix it
+    leaves undecided (undetermined, a failed batched solve, or a residual
+    within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the
+    budget ``||Psi|| + epsilon``) goes through the ordinary check, so every
+    certificate is still a set that ``t_check`` rejects.  Each prefix
+    decision counts as one theory check.
     """
     if check.sat:
         raise ValueError("conflict certificates require an UNSAT check")
-    sensors = tuple(sorted(set(int(i) for i in sensors)))
-    p = stack.p
-    seed_size = p - 2 * s_bar
-    if len(sensors) <= seed_size:
+    seed_size = stack.p - 2 * s_bar
+    if len(check.sensors) <= seed_size:
         raise ValueError(
-            f"need more than {seed_size} sensors to search for a conflict, got {len(sensors)}"
+            f"need more than {seed_size} sensors to search for a conflict, "
+            f"got {len(check.sensors)}"
         )
+    noise_bounds = np.asarray(noise_bounds, dtype=float)
     diag = diagnostics if diagnostics is not None else CertificateDiagnostics()
     ranked = _sorted_by_residual(check)
     seed = ranked[:seed_size]
@@ -170,10 +265,15 @@ def certificate_conflict(
         )
     if shrink and len(conflict) > 1:
         ordered = sorted(conflict, key=lambda i: (int(stack.block_kernel_dims[i]), i))
+        decided = _prefix_decisions(stack, window, ordered, noise_bounds, epsilon)
         keep = len(ordered) - 1
         while keep >= 1:
             diag.theory_checks += 1
-            if t_check(stack, window, ordered[:keep], noise_bounds, epsilon).sat:
+            sat = decided.get(keep)
+            if sat is None:
+                prefix = tuple(sorted(ordered[:keep]))
+                sat = _check(stack, window, prefix, noise_bounds, epsilon).sat
+            if sat:
                 break
             keep -= 1
         conflict = ordered[: keep + 1]
@@ -224,14 +324,15 @@ def certificates(
 ) -> tuple:
     """Certificates to learn from an UNSAT check, per the configured strategy.
 
-    Returns (certificate list, diagnostics).  The conflict walk can fail on
+    ``sensors`` is the set ``check`` was run on; like the certificate
+    functions, this uses its canonical form ``check.sensors``.  Returns
+    (certificate list, diagnostics).  The conflict walk can fail on
     noisy data; the trivial certificate is emitted instead and the fallback is
     flagged so exact-data callers can assert it never fires.
     """
-    sensors = tuple(sorted(set(int(i) for i in sensors)))
     diag = CertificateDiagnostics()
-    trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(sensors))
-    if strategy is Strategy.TRIVIAL or len(sensors) <= stack.p - 2 * s_bar:
+    trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))
+    if strategy is Strategy.TRIVIAL or len(check.sensors) <= stack.p - 2 * s_bar:
         return [trivial], diag
     try:
         certs = [

@@ -392,6 +392,23 @@ def test_non_finite_sensor_is_attacked_up_front(four_lines, bad):
         assert result.certificates[0].sensors == {2}
 
 
+@pytest.mark.parametrize("spike", [1e300, 1e160])
+def test_overflowing_reading_is_attacked_without_warnings(four_lines, spike):
+    # the reading is finite but its square overflows, so it counts as non-finite
+    model, stack, _ = four_lines
+    window = line_window(model, [8.0, 4.0, spike, 2.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = [estimate(model, stack, window, cfg(strategy)) for strategy in Strategy]
+        minimal = minimal_support_estimate(model, stack, window, cfg())
+    assert caught == []
+    for result in results:
+        assert result.support == (2,)
+        assert result.iterations == 1
+        assert result.certificates[0].sensors == {2}
+    assert minimal.support == (2,)
+
+
 def test_non_finite_sensors_beyond_budget_are_infeasible(four_lines):
     model, stack, _ = four_lines  # s_bar = 1
     window = line_window(model, [8.0, math.nan, math.nan, 2.0])

@@ -72,7 +72,7 @@ def test_budget_and_cap_validation():
         brute_force(big.model, big.stack, big.window, s_bar=12)
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e300, 1e160])
 def test_non_finite_reading_is_attacked_without_warnings(four_lines, bad):
     model, stack, _ = four_lines
     window = line_window(model, [8.0, 4.0, bad, 2.0])

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import sse.theory
 from sse import SystemModel, build_observability, stack_window
+from sse.attacksim import discretize_ugv, generate_instance
+from sse.estimator import EstimatorConfig, estimate
 from sse.theory import (
     Certificate,
     CertificateDiagnostics,
@@ -15,6 +18,7 @@ from sse.theory import (
     certificates,
     t_check,
 )
+from sse.theory import _prefix_decisions
 
 from conftest import four_lines, line_model, line_window, scalar_sensors
 
@@ -412,3 +416,266 @@ def test_noiseless_sat_checks_pin_the_true_state():
                 if check.sat:
                     err = np.linalg.norm(check.x - inst.x_true)
                     assert err <= 1e-6 * (1 + np.linalg.norm(inst.x_true))
+
+
+# ---------------------------------------------------------------------------
+# the lean check against the earlier implementation
+# ---------------------------------------------------------------------------
+
+
+def _reference_t_check(stack, window, sensors, noise_bounds, epsilon):
+    """The check as it was before its per-call overhead was removed."""
+    sensors = tuple(sorted(set(int(i) for i in sensors)))
+    noise_bounds = np.asarray(noise_bounds, dtype=float)
+    idx = list(sensors)
+    o_i = stack.rows(idx)
+    y_i = window.stacked(idx)
+    x = None
+    rank_deficient = False
+    gram = stack.gram_blocks[idx].sum(axis=0)
+    rhs = o_i.T @ y_i
+    scale = float(np.linalg.norm(y_i)) * math.sqrt(
+        float(np.sum(stack.block_norms[idx] ** 2))
+    )
+    try:
+        cand = np.linalg.solve(gram, rhs)
+        if np.linalg.norm(rhs - gram @ cand) <= 1e-9 * max(scale, 1e-300):
+            x = cand
+    except np.linalg.LinAlgError:
+        pass
+    if x is None:
+        x, _, rank, _ = np.linalg.lstsq(o_i, y_i, rcond=None)
+        rank_deficient = rank < stack.n
+    fit = o_i @ x
+    diff = y_i - fit
+    tau = stack.tau
+    block_res = (diff * diff).reshape(len(idx), tau).sum(axis=1)
+    residual_sq = float(block_res.sum())
+    psi_sq = float(np.sum(noise_bounds[idx] ** 2))
+    sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
+    norms_sq = stack.block_norms[idx] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = np.where(norms_sq > 0, block_res / norms_sq, math.inf)
+    per_sensor = dict(zip(sensors, normalized.tolist()))
+    return sat, x, residual_sq, per_sensor, rank_deficient
+
+
+def _desk_instance(s=8):
+    return generate_instance(25, 60, s, 20, "2s", 0.0, seed=9000 + 97 * s)
+
+
+def _ugv_case():
+    ugv = discretize_ugv()
+    stack = build_observability(ugv.model)
+    outputs = np.array([[0.3, 1.0, 1.2], [0.4, 0.9, 1.1]])
+    return ugv.model, stack, stack_window(ugv.model, outputs, np.zeros((2, 1)))
+
+
+def _dead_block_case():
+    model = line_model([[1.0, 1.0], [0.0, 0.0], [-1.0, 1.0], [0.0, 1.0]], s_bar=1)
+    return model, build_observability(model), line_window(model, [8.0, 0.0, 4.0, 7.0])
+
+
+@pytest.mark.parametrize("case", ["ugv", "four_lines", "desk", "dead_block"])
+def test_t_check_matches_reference_bit_for_bit(case, four_lines):
+    if case == "ugv":
+        model, stack, window = _ugv_case()
+    elif case == "four_lines":
+        model, stack, window = four_lines
+    elif case == "desk":
+        inst = _desk_instance()
+        model, stack, window = inst.model, inst.stack, inst.window
+    else:
+        model, stack, window = _dead_block_case()
+        assert stack.dead_block
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        size = int(rng.integers(1, stack.p + 1))
+        sensors = rng.choice(stack.p, size=size, replace=False).tolist()
+        for epsilon in (0.0, 1e-6):
+            check = t_check(stack, window, sensors, model.noise_bounds, epsilon)
+            sat, x, residual_sq, per_sensor, rank_deficient = _reference_t_check(
+                stack, window, sensors, model.noise_bounds, epsilon)
+            assert check.x.tobytes() == x.tobytes()
+            assert check.residual_sq == residual_sq
+            assert check.per_sensor_residuals == per_sensor
+            assert list(check.per_sensor_residuals) == list(per_sensor)
+            assert (check.sat, check.rank_deficient) == (sat, rank_deficient)
+    if case == "dead_block":
+        check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
+        assert check.per_sensor_residuals[1] == math.inf
+
+
+# ---------------------------------------------------------------------------
+# the batched shrink pass
+# ---------------------------------------------------------------------------
+
+
+def _shrink_order(stack, sensors):
+    return sorted(sensors, key=lambda i: (int(stack.block_kernel_dims[i]), i))
+
+
+def _walk_conflicts(model, stack, window, s_bar, trusted_sets, epsilon):
+    """Unshrunk conflicts of the walk, in shrink order, over the given sets."""
+    out = []
+    for trusted in trusted_sets:
+        check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
+        if check.sat or len(check.sensors) <= stack.p - 2 * s_bar:
+            continue
+        try:
+            cert = certificate_conflict(stack, window, trusted, check, s_bar, epsilon,
+                                        model.noise_bounds, shrink=False)
+        except ConflictSearchError:
+            continue
+        out.append(_shrink_order(stack, cert.sensors))
+    return out
+
+
+def _random_trusted(rng, p, s_bar, count):
+    return [sorted(set(range(p)) - set(rng.choice(p, size=s_bar, replace=False).tolist()))
+            for _ in range(count)]
+
+
+def _plant(seed):
+    n, p, s_bar, tau = 4, 12, 2, 3
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    a *= 0.95 / max(abs(np.linalg.eigvals(a)))
+    model = SystemModel(A=a, B=rng.normal(size=(n, 1)), C=rng.normal(size=(p, n)),
+                        tau=tau, s_bar=s_bar, noise_bounds=np.zeros(p))
+    x0 = rng.normal(size=n) * 3.0
+    outputs = np.array([model.C @ np.linalg.matrix_power(a, k) @ x0 for k in range(tau)])
+    attacked = rng.choice(p, size=s_bar, replace=False)
+    outputs[:, attacked] += rng.uniform(1.0, 10.0, size=(tau, s_bar))
+    return model, build_observability(model), stack_window(model, outputs, np.zeros((tau, 1)))
+
+
+def _shrink_cases():
+    cases = []
+    inst = _desk_instance()
+    rng = np.random.default_rng(3)
+    cases.append((inst.model, inst.stack, inst.window, 20, 1e-6,
+                  _random_trusted(rng, 60, 20, 6)))
+    for seed in range(3):
+        model, stack, window = _plant(seed)
+        cases.append((model, stack, window, 2, 1e-6, _random_trusted(rng, 12, 2, 12)))
+    for spec in ((2, 7, 2, 2, "3s", 1517215338), (4, 5, 1, 1, "3s", 1473099080),
+                 (3, 7, 2, 2, "3s", 1896709351)):
+        inst = generate_instance(*spec[:5], 0.05, seed=spec[5], attack_norm=(0.05, 2.0))
+        p = inst.model.p
+        cases.append((inst.model, inst.stack, inst.window, spec[3], 1e-6,
+                      [list(range(p))] + _random_trusted(rng, p, 1, 8)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_batched_prefix_decisions_match_t_check(monkeypatch, case):
+    monkeypatch.setattr(sse.theory, "MIN_BATCH_PREFIXES", 1)
+    model, stack, window, s_bar, epsilon, trusted_sets = _shrink_cases()[case]
+    conflicts = _walk_conflicts(model, stack, window, s_bar, trusted_sets, epsilon)
+    assert conflicts
+    decided = 0
+    for ordered in conflicts:
+        table = _prefix_decisions(stack, window, ordered, model.noise_bounds, epsilon)
+        for keep in range(1, len(ordered)):
+            if keep in table:
+                decided += 1
+                assert table[keep] == t_check(stack, window, ordered[:keep],
+                                              model.noise_bounds, epsilon).sat
+            else:  # only determined prefixes are ever batched
+                assert keep * stack.tau < stack.n or not table
+    assert decided > 0
+
+
+def _sequential_shrink(model, stack, window, ordered, epsilon):
+    """The shrink pass with one t_check per prefix: (kept sensors, checks)."""
+    keep, checks = len(ordered) - 1, 0
+    while keep >= 1:
+        checks += 1
+        if t_check(stack, window, ordered[:keep], model.noise_bounds, epsilon).sat:
+            break
+        keep -= 1
+    return frozenset(ordered[: keep + 1]), checks
+
+
+@pytest.mark.parametrize("min_batch", [1, 10**6])
+def test_shrink_pass_matches_sequential_shrink(monkeypatch, min_batch):
+    # both sides of the batching threshold give the sequential pass's answer
+    monkeypatch.setattr(sse.theory, "MIN_BATCH_PREFIXES", min_batch)
+    for model, stack, window, s_bar, epsilon, trusted_sets in _shrink_cases():
+        for trusted in trusted_sets:
+            check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
+            if check.sat or len(check.sensors) <= stack.p - 2 * s_bar:
+                continue
+            try:
+                loose = certificate_conflict(stack, window, trusted, check, s_bar, epsilon,
+                                             model.noise_bounds, shrink=False)
+            except ConflictSearchError:
+                continue
+            walk = CertificateDiagnostics()
+            certificate_conflict(stack, window, trusted, check, s_bar, epsilon,
+                                 model.noise_bounds, shrink=False, diagnostics=walk)
+            diag = CertificateDiagnostics()
+            cert = certificate_conflict(stack, window, trusted, check, s_bar, epsilon,
+                                        model.noise_bounds, diagnostics=diag)
+            kept, checks = _sequential_shrink(model, stack, window,
+                                              _shrink_order(stack, loose.sensors), epsilon)
+            assert cert.sensors == kept
+            assert diag.theory_checks == walk.theory_checks + checks
+
+
+def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
+    # sensors 0 and 1 are the same line, so the conflict's two-sensor prefix
+    # has a singular Gram matrix: the batch decides nothing and every prefix
+    # goes through the check
+    rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    model = line_model(rows, s_bar=1)
+    stack = build_observability(model)
+    offsets = rows @ np.array([2.0, 6.0])
+    offsets[4] += 3.0
+    window = line_window(model, offsets)
+    check = t_check(stack, window, range(5), model.noise_bounds, 1e-6)
+    loose = certificate_conflict(stack, window, range(5), check, 1, 1e-6,
+                                 model.noise_bounds, shrink=False)
+    ordered = _shrink_order(stack, loose.sensors)
+    assert ordered == [0, 1, 3, 4]
+    monkeypatch.setattr(sse.theory, "MIN_BATCH_PREFIXES", 1)
+    assert _prefix_decisions(stack, window, ordered, model.noise_bounds, 1e-6) == {}
+    # without the pair, the same sensors are all decided in one batch
+    assert len(_prefix_decisions(stack, window, [1, 3, 4, 2], model.noise_bounds,
+                                 1e-6)) == 2
+    checked = []
+    real = sse.theory._check
+    monkeypatch.setattr(sse.theory, "_check",
+                        lambda *args: checked.append(args[2]) or real(*args))
+    cert = certificate_conflict(stack, window, range(5), check, 1, 1e-6,
+                                model.noise_bounds)
+    kept, _ = _sequential_shrink(model, stack, window, ordered, 1e-6)
+    assert cert.sensors == kept
+    assert (0, 1, 3) in checked
+    assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
+
+
+def test_every_conflict_certificate_is_rejected(monkeypatch):
+    # one full desk-scale solve: the batch decides most shrink prefixes, and
+    # every conflict it helps build must still fail the check
+    batches = []
+    real = sse.theory._prefix_decisions
+
+    def counting(*args):
+        table = real(*args)
+        batches.append(len(table))
+        return table
+
+    monkeypatch.setattr(sse.theory, "_prefix_decisions", counting)
+    inst = _desk_instance(8)
+    config = EstimatorConfig(strategy=Strategy.CONFLICT, epsilon=1e-6)
+    result = estimate(inst.model, inst.stack, inst.window, config)
+    assert result.feasible and set(inst.attacked) <= set(result.support)
+    conflicts = [c for c in result.certificates
+                 if c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED]
+    assert len(conflicts) == result.iterations - 1
+    assert sum(batches) > 0
+    for cert in conflicts:
+        assert not t_check(inst.stack, inst.window, cert.sensors,
+                           inst.model.noise_bounds, 1e-6).sat
