@@ -13,12 +13,12 @@ from sse.theory import (
     CertificateKind,
     ConflictSearchError,
     Strategy,
+    _prefix_decisions,
     certificate_agree,
     certificate_conflict,
     certificates,
     t_check,
 )
-from sse.theory import _prefix_decisions
 
 from conftest import four_lines, line_model, line_window, scalar_sensors
 
@@ -607,14 +607,13 @@ def test_shrink_pass_matches_sequential_shrink(monkeypatch, min_batch):
             check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
             if check.sat or len(check.sensors) <= stack.p - 2 * s_bar:
                 continue
+            walk = CertificateDiagnostics()
             try:
                 loose = certificate_conflict(stack, window, trusted, check, s_bar, epsilon,
-                                             model.noise_bounds, shrink=False)
+                                             model.noise_bounds, shrink=False,
+                                             diagnostics=walk)
             except ConflictSearchError:
                 continue
-            walk = CertificateDiagnostics()
-            certificate_conflict(stack, window, trusted, check, s_bar, epsilon,
-                                 model.noise_bounds, shrink=False, diagnostics=walk)
             diag = CertificateDiagnostics()
             cert = certificate_conflict(stack, window, trusted, check, s_bar, epsilon,
                                         model.noise_bounds, diagnostics=diag)
