@@ -9,7 +9,7 @@ controller that consumes the secure estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .linmodel import (
     JsonFile,
     ObservabilityStack,
     StackedWindow,
-    SubsetCapError,
     SystemModel,
     build_observability,
     check_sparse_observability,
@@ -106,7 +105,8 @@ class GeneratedInstance:
 
 
 def _observability_holds(model: SystemModel, stack, level_s: int, rng) -> bool:
-    """Exact check when enumerable, sampled audit otherwise."""
+    """Exact check when enumerable, whose answer ``stack`` keeps as proof;
+    otherwise a sampled audit, which proves nothing and leaves no answer."""
     p, n = model.p, model.n
     keep = p - level_s
     if keep <= 0:
@@ -114,10 +114,7 @@ def _observability_holds(model: SystemModel, stack, level_s: int, rng) -> bool:
             f"cannot be {level_s}-sparse observable with only {p} sensors"
         )
     if math.comb(p, level_s) <= AUDIT_EXACT_LIMIT:
-        try:
-            return check_sparse_observability(model, level_s, stack=stack)
-        except SubsetCapError:
-            pass
+        return check_sparse_observability(model, level_s, stack=stack)
     for _ in range(AUDIT_SAMPLES):
         kept = rng.choice(p, size=keep, replace=False)
         if numerical_rank(stack.rows(sorted(kept))) < n:
@@ -165,8 +162,6 @@ def generate_instance(
     tau = _resolve_tau(n, p, level_s)
     bounds = np.broadcast_to(np.asarray(noise_bounds, dtype=float), (p,)).copy()
 
-    model = None
-    stack = None
     for _ in range(MAX_RESAMPLES):
         a = rng.normal(size=(n, n))
         radius = max(abs(np.linalg.eigvals(a)))
@@ -174,14 +169,11 @@ def generate_instance(
             a *= 0.95 / radius
         b = rng.normal(size=(n, 1))
         c = rng.normal(size=(p, n))
-        candidate = SystemModel(A=a, B=b, C=c, tau=tau, s_bar=s_bar, noise_bounds=bounds)
-        cand_stack = build_observability(candidate)
-        if _observability_holds(candidate, cand_stack, level_s, rng):
-            # the level does not enter the stack, so the candidate's stack serves
-            model = replace(candidate, verified_sparse_obs=level_s)
-            stack = cand_stack
+        model = SystemModel(A=a, B=b, C=c, tau=tau, s_bar=s_bar, noise_bounds=bounds)
+        stack = build_observability(model)
+        if _observability_holds(model, stack, level_s, rng):
             break
-    if model is None:
+    else:
         raise RuntimeError(f"no {observability_level}-sparse observable system found "
                            f"in {MAX_RESAMPLES} draws")
 
@@ -495,14 +487,13 @@ def run_closed_loop(
             result = estimate(model, stack, window, config)
             tr.estimated[t] = True
             tr.feasible[t] = result.feasible
+            if result.feasible:
+                tr.b[t, list(result.support)] = 1
             if result.feasible and not result.rank_deficient_final:
-                tr.b[t] = result.b.astype(int)
                 x_est = roll_forward(model, result.x, recent_u.reshape(tau - 1, 1))
             else:
                 # hold the previous estimate through the model for one step
                 tr.degenerate[t] = result.feasible
-                if result.feasible:
-                    tr.b[t] = result.b.astype(int)
                 x_est = model.A @ x_est + model.B @ np.array([tr.u[t - 1]]) if t else x_est
         else:
             # no full window yet: invert the output map directly

@@ -69,11 +69,11 @@ class IterationRecord:
 class Estimate:
     feasible: bool
     x: np.ndarray | None
-    b: np.ndarray | None
     iterations: int
     certificates: list
     residual_sq: float | None
     records: list = field(default_factory=list)
+    support: tuple = ()
     agree_active: bool = False
     agree_downgraded: bool = False
     conflict_fallbacks: int = 0
@@ -81,17 +81,10 @@ class Estimate:
     budget: int = 0
     solve_time: float = 0.0
 
-    @property
-    def support(self) -> tuple:
-        if self.b is None:
-            return ()
-        return tuple(int(i) for i in np.flatnonzero(self.b))
-
     def to_json_dict(self) -> dict:
         return {
             "status": "feasible" if self.feasible else "infeasible",
             "x": None if self.x is None else list(self.x),
-            "b": None if self.b is None else [int(v) for v in self.b],
             "support": list(self.support),
             "iterations": self.iterations,
             "residual_sq": self.residual_sq,
@@ -124,8 +117,8 @@ def _agree_allowed(
     observable after losing any 3*s_bar sensors: under noise an attack below
     the detection threshold can pass the agreement check.  Otherwise the
     strategy silently runs in conflict-only mode and reports the downgrade.
-    The stack remembers the observability check, so it runs once per stack
-    and budget.
+    The only proof is the exact check, whose answer the stack remembers, so
+    it runs once per stack and budget.
     """
     if config.strategy is not Strategy.CONFLICT_AGREE:
         return False, False
@@ -133,8 +126,6 @@ def _agree_allowed(
         return False, True
     if np.any(model.noise_bounds > 0):
         return False, True
-    if model.verified_sparse_obs is not None and model.verified_sparse_obs >= 3 * model.s_bar:
-        return True, False
     try:
         if check_sparse_observability(model, 3 * model.s_bar, stack=stack):
             return True, False
@@ -152,7 +143,7 @@ def estimate(
     """Solve the windowed estimation problem under the model's attack budget.
 
     Returns a feasible estimate (state at the window start plus the attack
-    indicators) or an infeasible outcome when no sensor subset within budget
+    support) or an infeasible outcome when no sensor subset within budget
     explains the data.  A sensor whose window row has a non-finite squared
     norm (a NaN or +-inf reading, or one whose square overflows) is treated as
     attacked: a singleton certificate for it is learned up front.
@@ -165,7 +156,6 @@ def estimate(
     result = Estimate(
         feasible=False,
         x=None,
-        b=None,
         iterations=0,
         certificates=[],
         residual_sq=None,
@@ -178,11 +168,10 @@ def estimate(
         result.certificates.append(cert)
         inst.add_constraint(cert)
     while True:
-        assignment = inst.solve()
-        if assignment is None:
+        suspected = inst.solve()
+        if suspected is None:
             result.solve_time = time.perf_counter() - started
             return result
-        suspected = assignment.support
         trusted = tuple(i for i in range(p) if i not in suspected)
         if not trusted:
             # no sensor left to estimate from: reject this hypothesis outright
@@ -199,7 +188,7 @@ def estimate(
         if check.sat:
             result.feasible = True
             result.x = check.x
-            result.b = assignment.b
+            result.support = suspected
             result.residual_sq = check.residual_sq
             result.rank_deficient_final = check.rank_deficient
             result.solve_time = time.perf_counter() - started
@@ -207,7 +196,6 @@ def estimate(
         certs, diag = certificates(
             stack,
             window,
-            trusted,
             check,
             s_bar,
             config.epsilon,

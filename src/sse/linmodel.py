@@ -93,9 +93,6 @@ class SystemModel(JsonFile):
     tau: int
     s_bar: int
     noise_bounds: np.ndarray
-    # Highest s for which s-sparse observability has been verified externally
-    # (e.g. by the instance generator); None when unknown.
-    verified_sparse_obs: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "A", _as_matrix(self.A, "A"))
@@ -141,7 +138,7 @@ class SystemModel(JsonFile):
         return float(np.dot(self.noise_bounds, self.noise_bounds))
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "A": self.A.tolist(),
             "B": self.B.tolist(),
             "C": self.C.tolist(),
@@ -149,9 +146,6 @@ class SystemModel(JsonFile):
             "s_bar": self.s_bar,
             "noise_bounds": self.noise_bounds.tolist(),
         }
-        if self.verified_sparse_obs is not None:
-            doc["verified_sparse_obs"] = self.verified_sparse_obs
-        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SystemModel":
@@ -165,7 +159,6 @@ class SystemModel(JsonFile):
             tau=doc["tau"],
             s_bar=doc["s_bar"],
             noise_bounds=doc["noise_bounds"],
-            verified_sparse_obs=doc.get("verified_sparse_obs"),
         )
 
 

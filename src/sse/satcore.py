@@ -1,8 +1,8 @@
-"""Pseudo-Boolean search over the attack-indicator vector b.
+"""Pseudo-Boolean search over the attack support.
 
-The store holds one global cardinality budget (sum b_i <= s_bar) and learns
+The store holds one global cardinality budget (|support| <= s_bar) and learns
 the theory side's certificates: every at-least-one-attacked set must be hit
-by the support of b, and an all-unattacked set fixes its sensors to zero.  A
+by the support, and an all-unattacked set fixes its sensors to zero.  A
 certificate's suspect is its bump: learning the certificate adds suspicion
 weight to that sensor.  Solving is a budget-limited hitting-set search:
 greedy descent ordered by suspicion weights, complete via backtracking.
@@ -11,9 +11,9 @@ returned support (phase saving), so sensors that keep showing up in conflicts
 get flagged first and stay flagged; that is what makes the certificate
 heuristics pay off.  Found supports are padded up to the budget with the
 most-suspected sensors, mirroring how a general-purpose solver returns
-non-minimal models.  With nothing learned the all-zero assignment is
-returned, and everything is deterministic given the learned certificates and
-the solve history.
+non-minimal models.  With nothing learned the empty support is returned,
+and everything is deterministic given the learned certificates and the solve
+history.
 
 The store is one list of int bitmasks: each at-least-one-attacked set with
 the unattacked sensors stripped (an empty mask is a contradiction).  Weights
@@ -58,12 +58,6 @@ class Certificate:
     def __str__(self):
         names = ",".join(str(i) for i in sorted(self.sensors))
         return f"{self.kind.value}({names})"
-
-
-@dataclass(frozen=True)
-class SatAssignment:
-    b: np.ndarray
-    support: tuple
 
 
 @dataclass
@@ -120,10 +114,11 @@ class SatInstance:
 
     # -- search -------------------------------------------------------------
 
-    def solve(self) -> SatAssignment | None:
+    def solve(self) -> tuple | None:
         """Irredundant support hitting every learned set (greedy by suspicion
         weight, complete via backtracking), padded with suspected sensors up
-        to the budget; None when no support fits the budget."""
+        to the budget, as a sorted tuple; None when no support fits the
+        budget."""
         self.stats.solve_calls += 1
         if 0 in self._masks:
             return None
@@ -146,9 +141,7 @@ class SatInstance:
             if v not in support and not self._zero_mask & bit:
                 support.add(v)
         self._phase = sum(1 << v for v in support)
-        b = np.zeros(self.p, dtype=bool)
-        b[sorted(support)] = True
-        return SatAssignment(b=b, support=tuple(sorted(support)))
+        return tuple(sorted(support))
 
     def _dfs(self, chosen: tuple, unhit: list, banned: int, limit: int):
         """Depth-limited hitting-set search; deterministic branching (smallest

@@ -58,7 +58,6 @@ class CheckResult:
     residual_sq: float
     per_sensor_residuals: dict
     sensors: tuple
-    noise_budget: float      # ||Psi_I|| + epsilon
     rank_deficient: bool
 
 
@@ -83,8 +82,10 @@ def t_check(
 
     SAT iff ||Y_I - O_I x|| <= ||Psi_I|| + epsilon at the minimizer, with
     ||Psi_I||^2 the sum of the selected sensors' squared noise bounds.  A
-    rank-deficient stack is not an error; the minimum-norm solution is
-    returned and flagged.
+    rank-deficient stack is not an error.  A set with fewer equations than
+    states (tau * |I| < n) is flagged, and so is one whose rank the SVD
+    fallback finds short; x is then a least-squares solution, the minimum-norm
+    one only when the fallback ran.
     """
     sensors = tuple(sorted(set(int(i) for i in sensors)))
     if not sensors:
@@ -110,7 +111,7 @@ def _check(
     # matrix is singular or the gradient check says the solve went bad.
     # math.sqrt(v.dot(v)) is numpy's 2-norm of a vector, without its overhead.
     x = None
-    rank_deficient = False
+    rank_deficient = len(idx) * stack.tau < n
     gram = stack.gram_blocks[idx].sum(axis=0)
     rhs = o_i.T @ y_i
     norms_sq = stack.block_norms_sq[idx]
@@ -143,7 +144,6 @@ def _check(
         residual_sq=residual_sq,
         per_sensor_residuals=dict(zip(sensors, normalized.tolist())),
         sensors=sensors,
-        noise_budget=math.sqrt(psi_sq) + epsilon,
         rank_deficient=rank_deficient,
     )
 
@@ -211,7 +211,6 @@ def _prefix_decisions(
 def certificate_conflict(
     stack: ObservabilityStack,
     window: StackedWindow,
-    sensors,
     check: CheckResult,
     s_bar: int,
     epsilon: float,
@@ -225,8 +224,6 @@ def certificate_conflict(
     Seeds with the p - 2*s_bar lowest-residual sensors of ``check`` (residuals
     taken at the failed check's minimizer), then walks candidates from the
     highest residual down until the seed-plus-candidate check fails.
-    ``sensors`` is the set ``check`` was run on; its canonical form
-    ``check.sensors`` is used.
 
     The optional shrink pass orders the conflicting set by ascending kernel
     dimension and drops trailing members while the set stays infeasible,
@@ -286,7 +283,6 @@ def certificate_conflict(
 def certificate_agree(
     stack: ObservabilityStack,
     window: StackedWindow,
-    sensors,
     check: CheckResult,
     s_bar: int,
     epsilon: float,
@@ -313,7 +309,6 @@ def certificate_agree(
 def certificates(
     stack: ObservabilityStack,
     window: StackedWindow,
-    sensors,
     check: CheckResult,
     s_bar: int,
     epsilon: float,
@@ -324,9 +319,7 @@ def certificates(
 ) -> tuple:
     """Certificates to learn from an UNSAT check, per the configured strategy.
 
-    ``sensors`` is the set ``check`` was run on; like the certificate
-    functions, this uses its canonical form ``check.sensors``.  Returns
-    (certificate list, diagnostics).  The conflict walk can fail on
+    Returns (certificate list, diagnostics).  The conflict walk can fail on
     noisy data; the trivial certificate is emitted instead and the fallback is
     flagged so exact-data callers can assert it never fires.
     """
@@ -337,7 +330,7 @@ def certificates(
     try:
         certs = [
             certificate_conflict(
-                stack, window, sensors, check, s_bar, epsilon, noise_bounds,
+                stack, window, check, s_bar, epsilon, noise_bounds,
                 diagnostics=diag,
             )
         ]
@@ -347,7 +340,7 @@ def certificates(
     if strategy is Strategy.CONFLICT_AGREE:
         if agree_allowed:
             agree = certificate_agree(
-                stack, window, sensors, check, s_bar, epsilon, noise_bounds,
+                stack, window, check, s_bar, epsilon, noise_bounds,
                 diagnostics=diag,
             )
             if agree is not None:

@@ -367,7 +367,7 @@ def test_criterion_9_satcore_completeness():
         )
         assert (got is not None) == expected
         if got is not None:
-            assert _satisfies(got.b, s_bar, constraints)
+            assert _satisfies(np.isin(np.arange(p), got), s_bar, constraints)
     _report(9, "solver agrees with exhaustive enumeration on 1000 random constraint sets",
             started)
 

@@ -125,6 +125,19 @@ def test_estimate_recovers_attacked_encoder(ugv_model_file, tmp_path, capsys):
     assert doc["trace"]
 
 
+def test_estimate_accepts_legacy_verification_key(ugv_model_file, tmp_path, capsys):
+    with open(ugv_model_file) as fh:
+        doc = json.load(fh)
+    doc["verified_sparse_obs"] = 1
+    model_path = tmp_path / "legacy.json"
+    model_path.write_text(json.dumps(doc))
+    outputs, inputs, _ = attacked_window()
+    trace_path = tmp_path / "window.csv"
+    write_window_trace(trace_path, outputs, inputs)
+    assert main(["estimate", str(model_path), str(trace_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["support"] == [2]
+
+
 def test_estimate_short_trace_is_input_error(ugv_model_file, tmp_path, capsys):
     trace_path = tmp_path / "short.csv"
     write_window_trace(trace_path, np.zeros((1, 3)), np.zeros((1, 1)))

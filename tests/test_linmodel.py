@@ -62,7 +62,6 @@ def test_model_json_round_trip():
     assert np.array_equal(back.C, model.C)
     assert back.tau == model.tau and back.s_bar == model.s_bar
     assert np.array_equal(back.noise_bounds, model.noise_bounds)
-    assert back.verified_sparse_obs is None
 
 
 def test_model_json_missing_field():
@@ -390,10 +389,11 @@ def test_o_bar_ugv_enumeration():
     assert compute_o_bar(stack, 2) == pytest.approx(expected, rel=1e-12)
 
 
-def test_model_round_trip_keeps_verification_flag():
+def test_model_loads_legacy_verification_key():
     from sse.attacksim import generate_instance
 
     model = generate_instance(2, 5, 0, 1, "2s", 0.1, seed=0).model
-    assert model.verified_sparse_obs == 2
-    back = SystemModel.from_json_dict(model.to_json_dict())
-    assert back.verified_sparse_obs == 2
+    doc = model.to_json_dict()
+    assert "verified_sparse_obs" not in doc
+    back = SystemModel.from_json_dict({**doc, "verified_sparse_obs": 2})
+    assert back.to_json_dict() == doc

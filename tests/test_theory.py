@@ -151,7 +151,7 @@ def test_four_lines_conflict_found_on_first_candidate(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
     diag = CertificateDiagnostics()
-    cert = certificate_conflict(stack, window, (0, 1, 2, 3), check, 1, 1e-9,
+    cert = certificate_conflict(stack, window, check, 1, 1e-9,
                                 model.noise_bounds, diagnostics=diag)
     assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
     # seed = two lowest residuals {3, 1}; first candidate = max residual 2
@@ -163,9 +163,9 @@ def test_four_lines_conflict_found_on_first_candidate(four_lines):
 def test_four_lines_shrink_pass_is_noop(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    with_shrink = certificate_conflict(stack, window, (0, 1, 2, 3), check, 1, 1e-9,
+    with_shrink = certificate_conflict(stack, window, check, 1, 1e-9,
                                        model.noise_bounds, shrink=True)
-    without = certificate_conflict(stack, window, (0, 1, 2, 3), check, 1, 1e-9,
+    without = certificate_conflict(stack, window, check, 1, 1e-9,
                                    model.noise_bounds, shrink=False)
     assert with_shrink.sensors == without.sensors
 
@@ -186,7 +186,7 @@ def test_conflict_walk_needs_two_candidates():
     first = t_check(stack, window, seed + [candidates[0]], model.noise_bounds, 1e-9)
     assert first.sat  # the max-residual line passes through the seed intersection
     diag = CertificateDiagnostics()
-    cert = certificate_conflict(stack, window, (0, 1, 2, 3), check, 1, 1e-9,
+    cert = certificate_conflict(stack, window, check, 1, 1e-9,
                                 model.noise_bounds, shrink=False, diagnostics=diag)
     assert diag.theory_checks == 2
     assert 2 in cert.sensors
@@ -204,9 +204,9 @@ def test_shrink_drops_high_kernel_members():
     sensors = (0, 1, 2, 3, 4)
     check = t_check(stack, window, sensors, model.noise_bounds, 1e-9)
     assert not check.sat
-    shrunk = certificate_conflict(stack, window, sensors, check, 1, 1e-9,
+    shrunk = certificate_conflict(stack, window, check, 1, 1e-9,
                                   model.noise_bounds, shrink=True)
-    loose = certificate_conflict(stack, window, sensors, check, 1, 1e-9,
+    loose = certificate_conflict(stack, window, check, 1, 1e-9,
                                  model.noise_bounds, shrink=False)
     assert shrunk.sensors <= loose.sensors
     assert 2 in shrunk.sensors
@@ -216,13 +216,13 @@ def test_conflict_requires_unsat_and_enough_sensors(four_lines):
     model, stack, window = four_lines
     good = t_check(stack, window, (0, 1, 3), model.noise_bounds, 1e-9)
     with pytest.raises(ValueError, match="UNSAT"):
-        certificate_conflict(stack, window, (0, 1, 3), good, 1, 1e-9, model.noise_bounds)
+        certificate_conflict(stack, window, good, 1, 1e-9, model.noise_bounds)
     # p - 2*s_bar = 3 here, so a 3-sensor conflict is too small to search
     small_model, small_stack, small_window = scalar_sensors(5, [0.0, 0.0, 9.0, 0.0, 0.0])
     bad = t_check(small_stack, small_window, (0, 1, 2), small_model.noise_bounds, 1e-9)
     assert not bad.sat
     with pytest.raises(ValueError, match="more than"):
-        certificate_conflict(small_stack, small_window, (0, 1, 2), bad, 1, 1e-9,
+        certificate_conflict(small_stack, small_window, bad, 1, 1e-9,
                              small_model.noise_bounds)
 
 
@@ -238,9 +238,9 @@ def test_conflict_walk_can_fail_under_noise():
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 0.0)
     assert not check.sat
     with pytest.raises(ConflictSearchError):
-        certificate_conflict(stack, window, (0, 1, 2, 3), check, 1, 0.0,
+        certificate_conflict(stack, window, check, 1, 0.0,
                              model.noise_bounds)
-    certs, diag = certificates(stack, window, (0, 1, 2, 3), check, 1, 0.0,
+    certs, diag = certificates(stack, window, check, 1, 0.0,
                                model.noise_bounds, Strategy.CONFLICT)
     assert diag.conflict_fallback
     assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
@@ -255,7 +255,7 @@ def test_conflict_certificates_intersect_true_support():
         sensors = tuple(range(7))
         check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-8)
         assert not check.sat
-        cert = certificate_conflict(inst.stack, inst.window, sensors, check, 2, 1e-8,
+        cert = certificate_conflict(inst.stack, inst.window, check, 2, 1e-8,
                                     inst.model.noise_bounds)
         assert cert.sensors & set(inst.attacked)
         assert len(cert.sensors) <= 7 - 2 * 2 + 1
@@ -269,7 +269,7 @@ def test_conflict_certificates_intersect_true_support():
 def test_four_lines_agree_certifies_lowest_residual_pair(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    cert = certificate_agree(stack, window, (0, 1, 2, 3), check, 1, 1e-9,
+    cert = certificate_agree(stack, window, check, 1, 1e-9,
                              model.noise_bounds)
     assert cert is not None
     assert cert.kind is CertificateKind.ALL_UNATTACKED
@@ -287,7 +287,7 @@ def test_agree_absent_when_seed_inconsistent():
     ranked = sorted(check.sensors, key=lambda i: (check.per_sensor_residuals[i], i))
     seed_check = t_check(stack, window, ranked[:2], model.noise_bounds, 1e-9)
     if not seed_check.sat:  # construction sanity: the seed itself conflicts
-        assert certificate_agree(stack, window, (0, 1, 2, 3), check, 1, 1e-9,
+        assert certificate_agree(stack, window, check, 1, 1e-9,
                                  model.noise_bounds) is None
 
 
@@ -302,7 +302,7 @@ def test_agree_single_sensor_edge():
     window = stack_window(model, outputs, np.zeros((2, 1)))
     check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
     assert not check.sat
-    cert = certificate_agree(stack, window, (0, 1, 2), check, 1, 1e-9,
+    cert = certificate_agree(stack, window, check, 1, 1e-9,
                              model.noise_bounds)
     assert cert is not None and len(cert.sensors) == 1
 
@@ -316,7 +316,7 @@ def test_agree_certificates_avoid_true_support():
         sensors = tuple(range(10))
         check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-8)
         assert not check.sat
-        cert = certificate_agree(inst.stack, inst.window, sensors, check, 2, 1e-8,
+        cert = certificate_agree(inst.stack, inst.window, check, 2, 1e-8,
                                  inst.model.noise_bounds)
         if cert is not None:
             found += 1
@@ -333,7 +333,7 @@ def test_agree_certificates_avoid_true_support():
 def test_trivial_strategy_blames_all_checked(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    certs, _ = certificates(stack, window, (0, 1, 2, 3), check, 1, 1e-9,
+    certs, _ = certificates(stack, window, check, 1, 1e-9,
                             model.noise_bounds, Strategy.TRIVIAL)
     assert len(certs) == 1
     assert certs[0].sensors == frozenset({0, 1, 2, 3})
@@ -342,7 +342,7 @@ def test_trivial_strategy_blames_all_checked(four_lines):
 def test_conflict_agree_emits_both_when_allowed(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    certs, diag = certificates(stack, window, (0, 1, 2, 3), check, 1, 1e-9,
+    certs, diag = certificates(stack, window, check, 1, 1e-9,
                                model.noise_bounds, Strategy.CONFLICT_AGREE,
                                agree_allowed=True)
     kinds = [c.kind for c in certs]
@@ -353,7 +353,7 @@ def test_conflict_agree_emits_both_when_allowed(four_lines):
 def test_conflict_agree_suppressed_without_gate(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    certs, diag = certificates(stack, window, (0, 1, 2, 3), check, 1, 1e-9,
+    certs, diag = certificates(stack, window, check, 1, 1e-9,
                                model.noise_bounds, Strategy.CONFLICT_AGREE,
                                agree_allowed=False)
     assert [c.kind for c in certs] == [CertificateKind.AT_LEAST_ONE_ATTACKED]
@@ -364,7 +364,7 @@ def test_small_sensor_sets_fall_back_to_trivial():
     model, stack, window = scalar_sensors(3, [0.0, 0.0, 5.0], s_bar=1)
     check = t_check(stack, window, (0, 2), model.noise_bounds, 1e-9)
     assert not check.sat
-    certs, _ = certificates(stack, window, (0, 2), check, 1, 1e-9,
+    certs, _ = certificates(stack, window, check, 1, 1e-9,
                             model.noise_bounds, Strategy.CONFLICT)
     assert certs[0].sensors == frozenset({0, 2})
 
@@ -500,10 +500,21 @@ def test_t_check_matches_reference_bit_for_bit(case, four_lines):
             assert check.residual_sq == residual_sq
             assert check.per_sensor_residuals == per_sensor
             assert list(check.per_sensor_residuals) == list(per_sensor)
-            assert (check.sat, check.rank_deficient) == (sat, rank_deficient)
+            undetermined = stack.tau * len(set(sensors)) < stack.n
+            assert (check.sat, check.rank_deficient) == (sat, rank_deficient or undetermined)
     if case == "dead_block":
         check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
         assert check.per_sensor_residuals[1] == math.inf
+
+
+def test_t_check_flags_undetermined_sets():
+    # 12 sensors give 24 equations for 25 states
+    inst = _desk_instance(8)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        sensors = rng.choice(inst.stack.p, size=12, replace=False).tolist()
+        check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-6)
+        assert check.rank_deficient
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +534,7 @@ def _walk_conflicts(model, stack, window, s_bar, trusted_sets, epsilon):
         if check.sat or len(check.sensors) <= stack.p - 2 * s_bar:
             continue
         try:
-            cert = certificate_conflict(stack, window, trusted, check, s_bar, epsilon,
+            cert = certificate_conflict(stack, window, check, s_bar, epsilon,
                                         model.noise_bounds, shrink=False)
         except ConflictSearchError:
             continue
@@ -609,13 +620,13 @@ def test_shrink_pass_matches_sequential_shrink(monkeypatch, min_batch):
                 continue
             walk = CertificateDiagnostics()
             try:
-                loose = certificate_conflict(stack, window, trusted, check, s_bar, epsilon,
+                loose = certificate_conflict(stack, window, check, s_bar, epsilon,
                                              model.noise_bounds, shrink=False,
                                              diagnostics=walk)
             except ConflictSearchError:
                 continue
             diag = CertificateDiagnostics()
-            cert = certificate_conflict(stack, window, trusted, check, s_bar, epsilon,
+            cert = certificate_conflict(stack, window, check, s_bar, epsilon,
                                         model.noise_bounds, diagnostics=diag)
             kept, checks = _sequential_shrink(model, stack, window,
                                               _shrink_order(stack, loose.sensors), epsilon)
@@ -634,7 +645,7 @@ def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
     offsets[4] += 3.0
     window = line_window(model, offsets)
     check = t_check(stack, window, range(5), model.noise_bounds, 1e-6)
-    loose = certificate_conflict(stack, window, range(5), check, 1, 1e-6,
+    loose = certificate_conflict(stack, window, check, 1, 1e-6,
                                  model.noise_bounds, shrink=False)
     ordered = _shrink_order(stack, loose.sensors)
     assert ordered == [0, 1, 3, 4]
@@ -647,7 +658,7 @@ def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
     real = sse.theory._check
     monkeypatch.setattr(sse.theory, "_check",
                         lambda *args: checked.append(args[2]) or real(*args))
-    cert = certificate_conflict(stack, window, range(5), check, 1, 1e-6,
+    cert = certificate_conflict(stack, window, check, 1, 1e-6,
                                 model.noise_bounds)
     kept, _ = _sequential_shrink(model, stack, window, ordered, 1e-6)
     assert cert.sensors == kept
