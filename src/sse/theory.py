@@ -10,13 +10,26 @@ high-residual candidates until they conflict, and an agreement pass that
 certifies the lowest-residual sensors as clean when they are mutually
 consistent.
 
+Both start from the seed, the p - 2*s_bar sensors with the lowest residuals
+at the failed check's minimizer, and share one check of it, the seed fit.
+The failed fit runs over attacked sensors too, which pull it off the state.
+When the seed over-determines the state (tau * |seed| > n) and the walk has
+at least two candidates, one concentration step from least trimmed squares
+(Rousseeuw and Van Driessen, "Computing LTS regression for large data sets",
+DMKD 2006) ranks the checked sensors again by their residuals at the seed
+fit, and the walk seeds, walks and picks its suspect from that ranking.  A
+seed with no spare equations is interpolated by its own fit, so the step
+could not move it and is skipped.
+
 The walk's conflict is then shrunk: in kernel-dimension order, trailing
 members are dropped while the rest stays infeasible.  The sets it tries are
 nested prefixes, so one batched solve over running sums of the Gram blocks
 and of O_i^T Y_i decides them together (nested least-squares updating, Golub
-and Van Loan, *Matrix Computations*, sec. 6.5).  A prefix that is
-undetermined, whose batched solve fails, or whose batched residual lies in
-the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
+and Van Loan, *Matrix Computations*, sec. 6.5).  The same table decides the
+full set, which is the walk's trial, so a trial that fails is decided and
+shrunk from one solve.  A prefix that is undetermined, whose batched solve
+fails, or whose batched residual lies in the tie band
+``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
 ``||Psi|| + epsilon`` is checked on its own instead.
 """
 
@@ -148,9 +161,46 @@ def _check(
     )
 
 
-def _sorted_by_residual(check: CheckResult):
-    """Sensor indices by ascending normalized residual, index as tiebreak."""
-    return sorted(check.sensors, key=lambda i: (check.per_sensor_residuals[i], i))
+def _sorted_by_residual(check: CheckResult) -> list:
+    """Sensor indices by ascending normalized residual; ``check.sensors``
+    ascends, so the stable sort breaks ties by index."""
+    return sorted(check.sensors, key=check.per_sensor_residuals.__getitem__)
+
+
+def _seed_fit(
+    stack: ObservabilityStack,
+    window: StackedWindow,
+    check: CheckResult,
+    seed_size: int,
+    noise_bounds,
+    epsilon: float,
+    diag: CertificateDiagnostics,
+) -> CheckResult:
+    """The check of the seed, ``check``'s seed_size lowest-residual sensors;
+    one theory check."""
+    diag.theory_checks += 1
+    return t_check(stack, window, _sorted_by_residual(check)[:seed_size], noise_bounds, epsilon)
+
+
+def _aimed(stack: ObservabilityStack, seed_size: int, candidates: int) -> bool:
+    """Whether the concentration step can change the walk: the seed
+    over-determines the state and there is more than one candidate."""
+    return stack.tau * seed_size > stack.n and candidates >= 2
+
+
+def _refit_ranking(
+    stack: ObservabilityStack, window: StackedWindow, sensors: tuple, x: np.ndarray
+) -> list:
+    """``sensors`` (ascending) by ascending normalized residual at ``x``,
+    normalized as in ``_check``; the stable sort breaks ties by index."""
+    diff = window.blocks - stack.blocks @ x  # (p, tau): every sensor, cheaper than a subset
+    block_res = (diff * diff).sum(axis=1)
+    if stack.dead_block:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = np.where(stack.block_norms_sq > 0, block_res / stack.block_norms_sq, math.inf)
+    else:
+        res = block_res / stack.block_norms_sq
+    return sorted(sensors, key=res.tolist().__getitem__)
 
 
 def _prefix_decisions(
@@ -160,9 +210,10 @@ def _prefix_decisions(
     noise_bounds: np.ndarray,
     epsilon: float,
 ) -> dict:
-    """SAT decisions for the prefixes ``ordered[:keep]``, 1 <= keep < len,
-    from one batched solve; ``{keep: sat}``, empty when fewer than
-    ``MIN_BATCH_PREFIXES`` prefixes are determined (tau * keep >= n).
+    """SAT decisions for the prefixes ``ordered[:keep]``, 1 <= keep <= len
+    (the full set included), from one batched solve; ``{keep: sat}``, empty
+    when fewer than ``MIN_BATCH_PREFIXES`` prefixes are determined
+    (tau * keep >= n).
 
     Only determined prefixes are solved, from running sums
     of the Gram blocks, of O_i^T Y_i, of ||Y_i||^2, of the squared block norms
@@ -175,7 +226,7 @@ def _prefix_decisions(
     """
     tau, n = stack.tau, stack.n
     first = -(-n // tau)  # smallest determined prefix length
-    last = len(ordered) - 1
+    last = len(ordered)
     if last - first + 1 < MIN_BATCH_PREFIXES:
         return {}
     blocks = stack.blocks[ordered]  # (m, tau, n)
@@ -186,10 +237,10 @@ def _prefix_decisions(
     grams[0] = stack.gram_blocks[ordered[:first]].sum(axis=0)
     for k in range(1, len(grams)):
         grams[k] += grams[k - 1]
-    rhs = np.cumsum((ys[:last, None, :] @ blocks[:last])[:, 0], axis=0)[first - 1:]
-    y_sq = np.cumsum((ys * ys).sum(axis=1))[first - 1:last]
-    norms_sq = np.cumsum(stack.block_norms_sq[ordered])[first - 1:last]
-    psi_sq = np.cumsum(noise_bounds[ordered] ** 2)[first - 1:last]
+    rhs = np.cumsum((ys[:, None, :] @ blocks)[:, 0], axis=0)[first - 1:]
+    y_sq = np.cumsum((ys * ys).sum(axis=1))[first - 1:]
+    norms_sq = np.cumsum(stack.block_norms_sq[ordered])[first - 1:]
+    psi_sq = np.cumsum(noise_bounds[ordered] ** 2)[first - 1:]
     try:
         xs = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]  # (K, n)
     except np.linalg.LinAlgError:
@@ -217,24 +268,36 @@ def certificate_conflict(
     noise_bounds,
     *,
     shrink: bool = True,
+    seed_fit: CheckResult | None = None,
     diagnostics: CertificateDiagnostics | None = None,
 ) -> Certificate:
     """Small sensor set that cannot all be attack-free.
 
-    Seeds with the p - 2*s_bar lowest-residual sensors of ``check`` (residuals
-    taken at the failed check's minimizer), then walks candidates from the
-    highest residual down until the seed-plus-candidate check fails.
+    ``check`` must be a rejected check made with the same noise bounds and
+    epsilon.  Its p - 2*s_bar lowest-residual sensors are the seed, and
+    ``seed_fit`` their check (made here when not given, one theory check).
+    When the seed over-determines the state (tau * |seed| > n) and there are
+    at least two candidates, the checked sensors are ranked again by their
+    normalized residuals at the seed fit's state (one concentration step);
+    otherwise the check's own ranking stands and no seed fit is needed.  The
+    walk seeds with the ranking's p - 2*s_bar lowest, then tries candidates
+    from the highest residual down until the seed-plus-candidate set fails.
+    A lone candidate's trial is the checked set itself, which ``check``
+    rejected, so it is taken without a check.  The suspect is the member
+    ranked highest.
 
-    The optional shrink pass orders the conflicting set by ascending kernel
-    dimension and drops trailing members while the set stays infeasible,
-    reading prefix lengths from the longest down until one passes.  When at
-    least ``MIN_BATCH_PREFIXES`` prefixes are determined (tau * keep >= n),
-    one batched solve decides them (see ``_prefix_decisions``).  A prefix it
-    leaves undecided (undetermined, a failed batched solve, or a residual
-    within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the
-    budget ``||Psi|| + epsilon``) goes through the ordinary check, so every
-    certificate is still a set that ``t_check`` rejects.  Each prefix
-    decision counts as one theory check.
+    With ``shrink`` each trial is put in shrink order, ascending kernel
+    dimension, and one batched solve decides its determined prefixes and the
+    trial itself (see ``_prefix_decisions``); the walk reads the trial's
+    decision there and checks it only when the table leaves it out.  The
+    shrink pass then drops trailing members while the set stays infeasible,
+    reading prefix lengths from the longest down until one passes.  A prefix
+    the table leaves undecided (undetermined, a failed batched solve, or a
+    residual within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)``
+    around the budget ``||Psi|| + epsilon``) goes through the ordinary check,
+    so every certificate is still a set that ``t_check`` rejects.  Each
+    trial and prefix decision counts as one theory check.  Without
+    ``shrink`` every trial goes through ``t_check``.
     """
     if check.sat:
         raise ValueError("conflict certificates require an UNSAT check")
@@ -246,38 +309,50 @@ def certificate_conflict(
         )
     noise_bounds = np.asarray(noise_bounds, dtype=float)
     diag = diagnostics if diagnostics is not None else CertificateDiagnostics()
-    ranked = _sorted_by_residual(check)
+    if _aimed(stack, seed_size, len(check.sensors) - seed_size):
+        if seed_fit is None:
+            seed_fit = _seed_fit(stack, window, check, seed_size, noise_bounds, epsilon, diag)
+        ranked = _refit_ranking(stack, window, check.sensors, seed_fit.x)
+    else:
+        ranked = _sorted_by_residual(check)
     seed = ranked[:seed_size]
     candidates = ranked[seed_size:][::-1]  # highest residual first
-    conflict: list | None = None
+    dims = stack.block_kernel_dims.tolist()
+    decided: dict = {}
     for cand in candidates:
         trial = seed + [cand]
+        if shrink:  # shrink order: ascending kernel dimension, then index
+            trial.sort()
+            trial.sort(key=dims.__getitem__)
+            decided = _prefix_decisions(stack, window, trial, noise_bounds, epsilon)
+        if len(candidates) == 1:
+            break  # the checked set, already rejected
         diag.theory_checks += 1
-        if not t_check(stack, window, trial, noise_bounds, epsilon).sat:
-            conflict = trial
+        sat = decided.get(len(trial))
+        if sat is None:
+            sat = t_check(stack, window, trial, noise_bounds, epsilon).sat
+        if not sat:
             break
-    if conflict is None:
+    else:
         raise ConflictSearchError(
             f"no conflicting subset found among {len(candidates)} candidates"
         )
+    conflict = trial
     if shrink and len(conflict) > 1:
-        ordered = sorted(conflict, key=lambda i: (int(stack.block_kernel_dims[i]), i))
-        decided = _prefix_decisions(stack, window, ordered, noise_bounds, epsilon)
-        keep = len(ordered) - 1
+        keep = len(conflict) - 1
         while keep >= 1:
             diag.theory_checks += 1
             sat = decided.get(keep)
             if sat is None:
-                prefix = tuple(sorted(ordered[:keep]))
+                prefix = tuple(sorted(conflict[:keep]))
                 sat = _check(stack, window, prefix, noise_bounds, epsilon).sat
             if sat:
                 break
             keep -= 1
-        conflict = ordered[: keep + 1]
-    suspect = max(conflict, key=lambda i: (check.per_sensor_residuals[i], i))
-    return Certificate(
-        CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(conflict), suspect=suspect
-    )
+        conflict = conflict[: keep + 1]
+    sensors = frozenset(conflict)
+    suspect = next(i for i in reversed(ranked) if i in sensors)
+    return Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, sensors, suspect=suspect)
 
 
 def certificate_agree(
@@ -288,21 +363,23 @@ def certificate_agree(
     epsilon: float,
     noise_bounds,
     *,
+    seed_fit: CheckResult | None = None,
     diagnostics: CertificateDiagnostics | None = None,
 ) -> Certificate | None:
-    """Certify the p - 2*s_bar lowest-residual sensors as clean when they are
-    mutually consistent; None when they are not (no constraint learned)."""
+    """Certify the seed, the p - 2*s_bar lowest-residual sensors of
+    ``check``, as clean when they are mutually consistent; None when they
+    are not (no constraint learned).  ``seed_fit`` is the seed's check, made
+    here when not given (one theory check)."""
     if check.sat:
         raise ValueError("agree certificates require an UNSAT check")
-    p = stack.p
-    seed_size = p - 2 * s_bar
+    seed_size = stack.p - 2 * s_bar
     if seed_size < 1 or len(check.sensors) < seed_size:
         return None
     diag = diagnostics if diagnostics is not None else CertificateDiagnostics()
-    seed = _sorted_by_residual(check)[:seed_size]
-    diag.theory_checks += 1
-    if t_check(stack, window, seed, noise_bounds, epsilon).sat:
-        return Certificate(CertificateKind.ALL_UNATTACKED, frozenset(seed))
+    if seed_fit is None:
+        seed_fit = _seed_fit(stack, window, check, seed_size, noise_bounds, epsilon, diag)
+    if seed_fit.sat:
+        return Certificate(CertificateKind.ALL_UNATTACKED, frozenset(seed_fit.sensors))
     return None
 
 
@@ -319,33 +396,40 @@ def certificates(
 ) -> tuple:
     """Certificates to learn from an UNSAT check, per the configured strategy.
 
-    Returns (certificate list, diagnostics).  The conflict walk can fail on
+    Returns (certificate list, diagnostics).  The seed fit is made at most
+    once, when the conflict walk's concentration step or the agree
+    certificate needs it, and both receive it.  The conflict walk can fail on
     noisy data; the trivial certificate is emitted instead and the fallback is
     flagged so exact-data callers can assert it never fires.
     """
     diag = CertificateDiagnostics()
     trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))
-    if strategy is Strategy.TRIVIAL or len(check.sensors) <= stack.p - 2 * s_bar:
+    seed_size = stack.p - 2 * s_bar
+    if strategy is Strategy.TRIVIAL or len(check.sensors) <= seed_size:
         return [trivial], diag
+    agree = strategy is Strategy.CONFLICT_AGREE and agree_allowed
+    seed_fit = None
+    if (agree and seed_size >= 1) or _aimed(stack, seed_size, len(check.sensors) - seed_size):
+        seed_fit = _seed_fit(stack, window, check, seed_size, noise_bounds, epsilon, diag)
     try:
         certs = [
             certificate_conflict(
                 stack, window, check, s_bar, epsilon, noise_bounds,
-                diagnostics=diag,
+                seed_fit=seed_fit, diagnostics=diag,
             )
         ]
     except ConflictSearchError:
         diag.conflict_fallback = True
         certs = [trivial]
     if strategy is Strategy.CONFLICT_AGREE:
-        if agree_allowed:
-            agree = certificate_agree(
+        if agree:
+            cert = certificate_agree(
                 stack, window, check, s_bar, epsilon, noise_bounds,
-                diagnostics=diag,
+                seed_fit=seed_fit, diagnostics=diag,
             )
-            if agree is not None:
+            if cert is not None:
                 diag.agree_emitted = True
-                certs.append(agree)
+                certs.append(cert)
         else:
             diag.agree_suppressed = True
     return certs, diag

@@ -94,6 +94,23 @@ def test_iteration_cap_raises(four_lines):
         estimate(model, stack, window, cfg(Strategy.TRIVIAL, max_iterations=1))
 
 
+# (generator seed, s) of the desk-scale instances in criterion 4's conflict
+# grid that stalled at the 1000-iteration cap while the walk was seeded from
+# the failed fit
+FORMERLY_CAPPED = [(10746, 18), (10843, 19), (10940, 20), (10844, 19), (10166, 12),
+                   (10943, 20), (10847, 19)]
+
+
+@pytest.mark.parametrize("seed, s", FORMERLY_CAPPED)
+def test_aimed_conflict_walk_solves_formerly_capped_desk_instances(seed, s):
+    inst = generate_instance(25, 60, s, 20, "2s", 0.0, seed=seed)
+    result = estimate(inst.model, inst.stack, inst.window,
+                      cfg(Strategy.CONFLICT, epsilon=1e-6, max_iterations=1000))
+    assert result.feasible
+    assert set(inst.attacked) <= set(result.support)
+    assert result.iterations <= 100
+
+
 def test_default_iteration_cap_formula():
     config = EstimatorConfig()
     assert config.iteration_cap(10, 2) == 10 * math.comb(10, 7)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -259,6 +260,129 @@ def test_conflict_certificates_intersect_true_support():
                                     inst.model.noise_bounds)
         assert cert.sensors & set(inst.attacked)
         assert len(cert.sensors) <= 7 - 2 * 2 + 1
+
+
+# ---------------------------------------------------------------------------
+# the aimed walk: one seed fit, the concentration step, its skip rules
+# ---------------------------------------------------------------------------
+
+
+def _unaimed_walk(stack, window, check, s_bar, epsilon, noise_bounds):
+    """The walk seeded and aimed from the failed check's own residuals:
+    (conflict, suspect, trials checked), or None when no trial fails."""
+    ranked = sorted(check.sensors, key=lambda i: (check.per_sensor_residuals[i], i))
+    seed_size = stack.p - 2 * s_bar
+    for checks, cand in enumerate(ranked[seed_size:][::-1], start=1):
+        trial = ranked[:seed_size] + [cand]
+        if not t_check(stack, window, trial, noise_bounds, epsilon).sat:
+            suspect = max(trial, key=lambda i: (check.per_sensor_residuals[i], i))
+            return frozenset(trial), suspect, checks
+    return None
+
+
+def _counting_checks(monkeypatch):
+    """Record every t_check and _check made in theory as (name, sensors)."""
+    checked = []
+    real_t, real_check = sse.theory.t_check, sse.theory._check
+    monkeypatch.setattr(sse.theory, "t_check",
+                        lambda st, w, sensors, *a: checked.append(
+                            ("t_check", tuple(sorted(sensors)))) or real_t(st, w, sensors, *a))
+    monkeypatch.setattr(sse.theory, "_check",
+                        lambda st, w, sensors, *a: checked.append(("_check", sensors))
+                        or real_check(st, w, sensors, *a))
+    return checked
+
+
+def test_one_candidate_walk_takes_the_checked_set(monkeypatch, four_lines):
+    # p - 2*s_bar = 2 and three sensors checked: the only trial is the checked
+    # set, which the check already rejected
+    model, stack, window = four_lines
+    check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
+    assert not check.sat
+    checked = _counting_checks(monkeypatch)
+    diag = CertificateDiagnostics()
+    cert = certificate_conflict(stack, window, check, 1, 1e-9, model.noise_bounds,
+                                shrink=False, diagnostics=diag)
+    assert cert.sensors == frozenset(check.sensors)
+    assert diag.theory_checks == 0 and checked == []
+
+
+def test_exactly_determined_seed_walks_unaimed():
+    # n = tau = 2 and one seed sensor: the seed fit interpolates the seed, so
+    # the walk keeps the check's ranking and makes no seed fit
+    cases = 0
+    for seed in range(6):
+        inst = generate_instance(2, 5, 2, 2, "2s", 0.0, seed=seed, attack_norm=(2.0, 8.0))
+        model, stack, window = inst.model, inst.stack, inst.window
+        assert stack.tau * (stack.p - 2 * 2) == stack.n
+        for size in (3, 4, 5):  # at least two candidates
+            for trusted in itertools.combinations(range(5), size):
+                check = t_check(stack, window, trusted, model.noise_bounds, 1e-6)
+                if check.sat:
+                    continue
+                want = _unaimed_walk(stack, window, check, 2, 1e-6, model.noise_bounds)
+                if want is None:
+                    with pytest.raises(ConflictSearchError):
+                        certificate_conflict(stack, window, check, 2, 1e-6,
+                                             model.noise_bounds, shrink=False)
+                    continue
+                diag = CertificateDiagnostics()
+                cert = certificate_conflict(stack, window, check, 2, 1e-6,
+                                            model.noise_bounds, shrink=False,
+                                            diagnostics=diag)
+                assert (cert.sensors, cert.suspect, diag.theory_checks) == want
+                cases += 1
+    assert cases > 0
+
+
+def test_certificates_share_one_seed_fit_with_agree(monkeypatch):
+    found = 0
+    for seed in range(20):
+        inst = generate_instance(4, 10, 2, 2, "3s", 0.0, seed=seed, attack_norm=(2.0, 6.0))
+        model, stack, window = inst.model, inst.stack, inst.window
+        check = t_check(stack, window, tuple(range(10)), model.noise_bounds, 1e-8)
+        assert not check.sat
+        alone = certificate_agree(stack, window, check, 2, 1e-8, model.noise_bounds)
+        seed_set = tuple(sorted(sorted(check.sensors,
+                                       key=lambda i: (check.per_sensor_residuals[i], i))[:6]))
+        with monkeypatch.context() as m:
+            checked = _counting_checks(m)
+            certs, diag = certificates(stack, window, check, 2, 1e-8, model.noise_bounds,
+                                       Strategy.CONFLICT_AGREE, agree_allowed=True)
+        assert checked.count(("t_check", seed_set)) == 1
+        agree = [c for c in certs if c.kind is CertificateKind.ALL_UNATTACKED]
+        assert agree == ([] if alone is None else [alone])
+        assert diag.agree_emitted == (alone is not None)
+        found += alone is not None
+    assert found > 0
+
+
+def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
+    # desk scale: tau * (p - 2*s_bar) = 40 > n = 25, so the walk re-ranks by
+    # the residuals at the seed fit and picks its suspect from them
+    inst = generate_instance(25, 60, 18, 20, "2s", 0.0, seed=9000 + 97 * 18)
+    model, stack, window = inst.model, inst.stack, inst.window
+    rng = np.random.default_rng(5)
+    for trusted in _random_trusted(rng, 60, 20, 10):
+        check = t_check(stack, window, trusted, model.noise_bounds, 1e-6)
+        if check.sat:
+            continue
+        ranked = sorted(check.sensors, key=lambda i: (check.per_sensor_residuals[i], i))
+        fit = t_check(stack, window, ranked[:20], model.noise_bounds, 1e-6)
+        with monkeypatch.context() as m:
+            checked = _counting_checks(m)
+            certs, _ = certificates(stack, window, check, 20, 1e-6, model.noise_bounds,
+                                    Strategy.CONFLICT)
+        # the seed fit is the only t_check: the shrink batch decides the trial
+        assert [name for name, _ in checked].count("t_check") == 1
+        cert = certs[0]
+        assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
+        refit = {i: float(np.sum((window.blocks[i] - stack.blocks[i] @ fit.x) ** 2))
+                 / float(stack.block_norms_sq[i]) for i in cert.sensors}
+        assert cert.suspect == max(cert.sensors, key=lambda i: (refit[i], i))
+        assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
+        assert certificate_conflict(stack, window, check, 20, 1e-6, model.noise_bounds,
+                                    seed_fit=fit) == cert
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +712,7 @@ def test_batched_prefix_decisions_match_t_check(monkeypatch, case):
     decided = 0
     for ordered in conflicts:
         table = _prefix_decisions(stack, window, ordered, model.noise_bounds, epsilon)
-        for keep in range(1, len(ordered)):
+        for keep in range(1, len(ordered) + 1):
             if keep in table:
                 decided += 1
                 assert table[keep] == t_check(stack, window, ordered[:keep],
@@ -651,9 +775,10 @@ def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
     assert ordered == [0, 1, 3, 4]
     monkeypatch.setattr(sse.theory, "MIN_BATCH_PREFIXES", 1)
     assert _prefix_decisions(stack, window, ordered, model.noise_bounds, 1e-6) == {}
-    # without the pair, the same sensors are all decided in one batch
+    # without the pair, the same sensors are all decided in one batch: the
+    # prefixes of 2 and 3 sensors and the full set
     assert len(_prefix_decisions(stack, window, [1, 3, 4, 2], model.noise_bounds,
-                                 1e-6)) == 2
+                                 1e-6)) == 3
     checked = []
     real = sse.theory._check
     monkeypatch.setattr(sse.theory, "_check",
