@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .linmodel import (
     SystemModel,
     check_sparse_observability,
 )
-from .satcore import Certificate, CertificateKind
+from .satcore import Certificate, CertificateKind, SatStats
 from .theory import Strategy, certificates, t_check
 
 
@@ -80,6 +80,7 @@ class Estimate:
     rank_deficient_final: bool = False
     budget: int = 0
     solve_time: float = 0.0
+    sat: SatStats = field(default_factory=SatStats)  # the SAT core's search counts
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,6 +91,7 @@ class Estimate:
             "residual_sq": self.residual_sq,
             "budget": self.budget,
             "solve_time": self.solve_time,
+            "sat": asdict(self.sat),
             "certificates": [
                 {"kind": c.kind.value, "sensors": sorted(c.sensors)} for c in self.certificates
             ],
@@ -162,6 +164,7 @@ def estimate(
         agree_active=agree_allowed,
         agree_downgraded=downgraded,
         budget=s_bar,
+        sat=inst.stats,
     )
     for i in window.nonfinite_sensors():
         cert = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({i}))
@@ -172,7 +175,8 @@ def estimate(
         if suspected is None:
             result.solve_time = time.perf_counter() - started
             return result
-        trusted = tuple(i for i in range(p) if i not in suspected)
+        excluded = set(suspected)
+        trusted = tuple([i for i in range(p) if i not in excluded])
         if not trusted:
             # no sensor left to estimate from: reject this hypothesis outright
             inst.add_constraint(
@@ -231,10 +235,12 @@ def minimal_support_estimate(
     best: Estimate | None = None
     budget = model.s_bar
     total_iterations = 0
+    total_sat = SatStats()
     while budget >= 0:
         trial_model = replace(model, s_bar=budget)
         outcome = estimate(trial_model, stack, window, config)
         total_iterations += outcome.iterations
+        total_sat += outcome.sat
         if not outcome.feasible:
             break
         best = outcome
@@ -242,8 +248,10 @@ def minimal_support_estimate(
     if best is None:
         infeasible = outcome
         infeasible.iterations = total_iterations
+        infeasible.sat = total_sat
         return infeasible
     best.iterations = total_iterations
+    best.sat = total_sat
     # the estimate also solves the problem at the budget matching its support
     best.budget = len(best.support)
     return best

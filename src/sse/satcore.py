@@ -15,16 +15,24 @@ non-minimal models.  With nothing learned the empty support is returned,
 and everything is deterministic given the learned certificates and the solve
 history.
 
-The store is one list of int bitmasks: each at-least-one-attacked set with
-the unattacked sensors stripped (an empty mask is a contradiction).  Weights
-and phase change only between solves, so each solve ranks the sensors once;
-every search node tries its set's members in that order, and the padding
-pass walks the same order.
+The store is one list of int bitmasks, the rows: each at-least-one-attacked
+set with the unattacked sensors stripped, in the order it was learned.  A
+column index over the rows serves the search: for each sensor, an int bitset
+of the positions of the rows that hold it, and for each row size, an int
+bitset of the positions of the rows of that size.  Learning a set appends a
+row and indexes it; an all-unattacked set re-masks the rows, empties the
+columns of its sensors and rebuilds the size index.  A search node carries
+the rows still unhit as one bitset of positions: a child is that bitset less
+its pick's column, and the set it branches on is the first row of the
+smallest size among them.  A stored row of size 0 is a contradiction.
+Weights and phase change only between solves, so each solve ranks the
+sensors once; every search node tries its set's members in that order, and
+the padding pass walks the same order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -67,6 +75,9 @@ class SatStats:
     propagations: int = 0
     conflicts: int = 0
 
+    def __add__(self, other: SatStats) -> SatStats:
+        return SatStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+
 
 class SearchBudgetError(RuntimeError):
     """The hitting-set search exceeded its node budget (diagnostic guard)."""
@@ -84,6 +95,8 @@ class SatInstance:
         self.weights = np.zeros(p)
         self._phase = 0                        # mask of the last support
         self._masks: list[int] = []            # at-least-one sets, zero fixes stripped
+        self._occ = [0] * p                    # sensor -> positions of the rows holding it
+        self._by_size = [0] * (p + 1)          # size -> positions of the rows of that size
         self._zero_mask = 0
 
     # -- constraint store ---------------------------------------------------
@@ -99,9 +112,20 @@ class SatInstance:
             self._zero_mask |= mask
             self.weights[sorted(cert.sensors)] = 0.0
             self._masks = [m & ~self._zero_mask for m in self._masks]
+            for i in cert.sensors:
+                self._occ[i] = 0
+            self._by_size = [0] * (self.p + 1)
+            for pos, row in enumerate(self._masks):
+                self._by_size[row.bit_count()] |= 1 << pos
         else:
             self.weights *= WEIGHT_DECAY
-            self._masks.append(mask & ~self._zero_mask)
+            row = mask & ~self._zero_mask
+            bit = 1 << len(self._masks)
+            self._masks.append(row)
+            self._by_size[row.bit_count()] |= bit
+            for i in cert.sensors:
+                if row >> i & 1:
+                    self._occ[i] |= bit
         if cert.suspect is not None:
             self.bump(cert.suspect)
 
@@ -120,7 +144,7 @@ class SatInstance:
         to the budget, as a sorted tuple; None when no support fits the
         budget."""
         self.stats.solve_calls += 1
-        if 0 in self._masks:
+        if self._by_size[0]:
             return None
         rank = [
             w + PHASE_BONUS if (self._phase >> v) & 1 else w
@@ -130,8 +154,9 @@ class SatInstance:
         # weights and phase only change between solves
         order = sorted(range(self.p), key=rank.__getitem__, reverse=True)
         self._ranked = [(v, 1 << v) for v in order]
+        self._size_classes = [rows for rows in self._by_size if rows]
         self._nodes_left = MAX_SEARCH_NODES
-        found = self._dfs((), self._masks, 0, self.s_bar)
+        found = self._dfs((), (1 << len(self._masks)) - 1, 0, self.s_bar)
         if found is None:
             return None
         support = set(found)
@@ -143,9 +168,10 @@ class SatInstance:
         self._phase = sum(1 << v for v in support)
         return tuple(sorted(support))
 
-    def _dfs(self, chosen: tuple, unhit: list, banned: int, limit: int):
-        """Depth-limited hitting-set search; deterministic branching (smallest
-        set first, most-suspected member first)."""
+    def _dfs(self, chosen: tuple, unhit: int, banned: int, limit: int):
+        """Depth-limited hitting-set search over the rows at the set positions
+        of ``unhit``; deterministic branching (first smallest set first,
+        most-suspected member first)."""
         if self._nodes_left <= 0:
             raise SearchBudgetError(f"exceeded {MAX_SEARCH_NODES} search nodes")
         self._nodes_left -= 1
@@ -155,17 +181,22 @@ class SatInstance:
         if depth >= limit:
             self.stats.conflicts += 1
             return None
+        occ = self._occ
         if depth == limit - 1:
-            # exactly one more pick allowed: it must hit every remaining set
-            inter = ~banned
-            for mask in unhit:
-                inter &= mask
-                if inter == 0:
-                    self.stats.conflicts += 1
-                    return None
-            self.stats.propagations += 1
-            return chosen + (next(v for v, bit in self._ranked if inter & bit),)
-        free = min(unhit, key=int.bit_count) & ~banned
+            # exactly one more pick allowed: a member of the first remaining
+            # set whose column holds every remaining set
+            first = self._masks[(unhit & -unhit).bit_length() - 1] & ~banned
+            for v, bit in self._ranked:
+                if first & bit and not unhit & ~occ[v]:
+                    self.stats.propagations += 1
+                    return chosen + (v,)
+            self.stats.conflicts += 1
+            return None
+        for rows in self._size_classes:
+            smallest = unhit & rows
+            if smallest:
+                break
+        free = self._masks[(smallest & -smallest).bit_length() - 1] & ~banned
         if free == 0:
             self.stats.conflicts += 1
             return None
@@ -173,8 +204,7 @@ class SatInstance:
             if not free & bit:
                 continue
             self.stats.decisions += 1
-            child_unhit = [mask for mask in unhit if not mask & bit]
-            found = self._dfs(chosen + (v,), child_unhit, banned, limit)
+            found = self._dfs(chosen + (v,), unhit & ~occ[v], banned, limit)
             if found is not None:
                 return found
             banned |= bit  # later branches must use a different member

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -218,6 +219,8 @@ def test_estimate_to_json_dict(four_lines):
     assert doc["support"] == [2]
     assert doc["iterations"] == result.iterations
     assert len(doc["trace"]) == result.iterations
+    assert doc["sat"] == asdict(result.sat)
+    assert doc["sat"]["solve_calls"] == result.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +257,21 @@ def test_minimal_support_infeasible_at_budget_propagates():
     window = line_window(model, [11.0, 4.0, 10.0, 2.0])
     result = minimal_support_estimate(model, stack, window, cfg())
     assert not result.feasible
+
+
+def test_minimal_support_sums_counts_over_budgets():
+    inst = generate_instance(3, 9, 3, 3, "2s", 0.0, seed=1)
+    config = cfg(Strategy.TRIVIAL, epsilon=1e-6)
+    result = minimal_support_estimate(inst.model, inst.stack, inst.window, config)
+    # budget 3 is feasible with a 3-sensor support, budget 2 is not
+    per_budget = [
+        estimate(replace(inst.model, s_bar=b), inst.stack, inst.window, config) for b in (3, 2)
+    ]
+    assert [r.feasible for r in per_budget] == [True, False]
+    assert result.support == per_budget[0].support and len(result.support) == 3
+    assert result.iterations == sum(r.iterations for r in per_budget)
+    assert result.sat == per_budget[0].sat + per_budget[1].sat
+    assert result.sat.decisions > per_budget[0].sat.decisions > 0
 
 
 # ---------------------------------------------------------------------------

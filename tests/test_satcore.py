@@ -234,3 +234,152 @@ def test_search_budget_error_on_a_small_node_budget(monkeypatch):
         inst.add_constraint(alo(*pair))
     with pytest.raises(SearchBudgetError):
         inst.solve()
+
+
+class ListOfMasksInstance:
+    """Reference store: the learned sets as a list of int bitmasks, each search
+    node filtering that list (the store before the column index).  Kept to
+    check that the indexed search is the same search, count for count."""
+
+    def __init__(self, p, s_bar):
+        self.p = p
+        self.s_bar = s_bar
+        self.stats = satcore.SatStats()
+        self.weights = np.zeros(p)
+        self._phase = 0
+        self._masks = []
+        self._zero_mask = 0
+
+    def add_constraint(self, cert):
+        mask = 0
+        for i in cert.sensors:
+            mask |= 1 << i
+        if cert.kind is CertificateKind.ALL_UNATTACKED:
+            self._zero_mask |= mask
+            self.weights[sorted(cert.sensors)] = 0.0
+            self._masks = [m & ~self._zero_mask for m in self._masks]
+        else:
+            self.weights *= satcore.WEIGHT_DECAY
+            self._masks.append(mask & ~self._zero_mask)
+        if cert.suspect is not None:
+            self.bump(cert.suspect)
+
+    def bump(self, sensor, amount=2.0):
+        if not (self._zero_mask >> sensor) & 1:
+            self.weights[sensor] += amount
+
+    def solve(self):
+        self.stats.solve_calls += 1
+        if 0 in self._masks:
+            return None
+        rank = [
+            w + satcore.PHASE_BONUS if (self._phase >> v) & 1 else w
+            for v, w in enumerate(self.weights.tolist())
+        ]
+        order = sorted(range(self.p), key=rank.__getitem__, reverse=True)
+        self._ranked = [(v, 1 << v) for v in order]
+        found = self._dfs((), self._masks, 0, self.s_bar)
+        if found is None:
+            return None
+        support = set(found)
+        for v, bit in self._ranked:
+            if len(support) >= self.s_bar or rank[v] <= 0.0:
+                break
+            if v not in support and not self._zero_mask & bit:
+                support.add(v)
+        self._phase = sum(1 << v for v in support)
+        return tuple(sorted(support))
+
+    def _dfs(self, chosen, unhit, banned, limit):
+        if not unhit:
+            return chosen
+        depth = len(chosen)
+        if depth >= limit:
+            self.stats.conflicts += 1
+            return None
+        if depth == limit - 1:
+            inter = ~banned
+            for mask in unhit:
+                inter &= mask
+                if inter == 0:
+                    self.stats.conflicts += 1
+                    return None
+            self.stats.propagations += 1
+            return chosen + (next(v for v, bit in self._ranked if inter & bit),)
+        free = min(unhit, key=int.bit_count) & ~banned
+        if free == 0:
+            self.stats.conflicts += 1
+            return None
+        for v, bit in self._ranked:
+            if not free & bit:
+                continue
+            self.stats.decisions += 1
+            child_unhit = [mask for mask in unhit if not mask & bit]
+            found = self._dfs(chosen + (v,), child_unhit, banned, limit)
+            if found is not None:
+                return found
+            banned |= bit
+        return None
+
+
+def random_op_stream(rng, p, s_bar, length):
+    """Learned sets (some with suspects, some empty, some the complement of
+    the last support as the trivial strategy learns), all-unattacked fixes
+    and bumps, with a solve after each."""
+    ops = []
+    for _ in range(length):
+        roll = rng.uniform()
+        if roll < 0.03:
+            ops.append(("add", alo()))
+        elif roll < 0.15:
+            size = int(rng.integers(1, max(p // 4, 1) + 1))
+            ops.append(("add", zero(*rng.choice(p, size=size, replace=False).tolist())))
+        elif roll < 0.25:
+            ops.append(("bump", int(rng.integers(p)), float(rng.choice([1.0, 2.0, 5.0]))))
+        elif roll < 0.45:
+            ops.append(("complement",))
+        else:
+            size = int(rng.integers(1, p + 1))
+            members = rng.choice(p, size=size, replace=False).tolist()
+            suspect = int(rng.choice(members)) if rng.uniform() < 0.6 else None
+            ops.append(("add", Certificate(
+                CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(members), suspect)))
+        ops.append(("solve",))
+    return ops
+
+
+def assert_index_describes_rows(inst):
+    rows = inst._masks
+    assert inst._occ == [
+        sum(1 << pos for pos, row in enumerate(rows) if row >> v & 1) for v in range(inst.p)
+    ]
+    assert inst._by_size == [
+        sum(1 << pos for pos, row in enumerate(rows) if row.bit_count() == size)
+        for size in range(inst.p + 1)
+    ]
+
+
+def test_indexed_search_matches_list_of_masks_reference():
+    rng = np.random.default_rng(20261018)
+    solves = 0
+    for stream in range(400):
+        p = int(rng.choice([1, 2, 3, 5, 8, 12, 30, 60, 64, 65, 100]))
+        s_bar = int(rng.integers(0, min(p, 5) + 1))
+        indexed, reference = new_instance(p, s_bar), ListOfMasksInstance(p, s_bar)
+        last = ()
+        for op in random_op_stream(rng, p, s_bar, int(rng.integers(1, 40))):
+            if op[0] == "solve":
+                got, want = indexed.solve(), reference.solve()
+                assert got == want, (stream, got, want)
+                assert indexed.stats == reference.stats, stream
+                assert indexed.weights.tolist() == reference.weights.tolist(), stream
+                assert indexed._masks == reference._masks
+                assert_index_describes_rows(indexed)
+                last = () if got is None else got
+                solves += 1
+                continue
+            if op[0] == "complement":
+                op = ("add", alo(*sorted(set(range(p)) - set(last))))
+            for inst in (indexed, reference):
+                getattr(inst, "add_constraint" if op[0] == "add" else "bump")(*op[1:])
+    assert solves > 4000

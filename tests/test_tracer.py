@@ -1,20 +1,37 @@
 """The benchmark's per-layer tracer still fits the library it wraps."""
 
+from dataclasses import replace
+
 import sse
 from perfbench.layers import Tracer
+from sse.attacksim import generate_instance
 from sse.theory import Strategy
 
 
 def test_tracer_counts_match_estimates(four_lines):
     model, stack, window = four_lines
+    inst = generate_instance(3, 9, 3, 3, "2s", 0.0, seed=1)
+    # four_lines searches without a decision; the generated instance makes
+    # decisions at its budget and conflicts at one below it (infeasible)
+    cases = [(model, stack, window)] + [
+        (replace(inst.model, s_bar=s_bar), inst.stack, inst.window) for s_bar in (3, 2)
+    ]
     tracer = Tracer()
     tracer.install()
     try:
-        iterations = sum(
-            sse.estimate(model, stack, window, sse.EstimatorConfig(strategy=strategy)).iterations
+        results = [
+            sse.estimate(m, st, w, sse.EstimatorConfig(strategy=strategy))
+            for m, st, w in cases
             for strategy in Strategy
-        )
+        ]
     finally:
         tracer.uninstall()
+    iterations = sum(r.iterations for r in results)
     assert iterations > 0
     assert tracer.calls["theory.main_check"] == tracer.counts["estimator.iterations"] == iterations
+    assert tracer.calls["satcore.solve"] == sum(r.sat.solve_calls for r in results)
+    decisions = sum(r.sat.decisions for r in results)
+    conflicts = sum(r.sat.conflicts for r in results)
+    assert decisions > 0 and conflicts > 0
+    assert tracer.counts["satcore.decisions"] == decisions
+    assert tracer.counts["satcore.conflicts"] == conflicts
