@@ -311,13 +311,8 @@ class AttackScenario(JsonFile):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AttackScenario":
         phases = tuple(AttackPhase(**ph) for ph in doc.get("phases", []))
-        return cls(
-            phases=phases,
-            steps=int(doc.get("steps", 600)),
-            segment_steps=int(doc.get("segment_steps", 150)),
-            seed=int(doc.get("seed", 0)),
-            name=str(doc.get("name", "scenario")),
-        )
+        casts = {"steps": int, "segment_steps": int, "seed": int, "name": str}
+        return cls(phases=phases, **{k: cast(doc[k]) for k, cast in casts.items() if k in doc})
 
 
 def alternating_encoder_scenario() -> AttackScenario:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import attacksim, bench, oracle
 from .attacksim import format_exact
-from .estimator import EstimatorConfig, estimate, minimal_support_estimate
+from .estimator import EstimatorConfig, delta_bound, estimate, minimal_support_estimate
 from .linmodel import (
     GramSingularError,
     RobustnessConstants,
@@ -119,8 +119,6 @@ def cmd_observability(args) -> int:
         delta = compute_delta_s(stack, model.s_bar, subset_cap=args.subset_cap)
         out.write(f"delta_s = {format_exact(delta)}\n")
         if delta < 1.0:
-            from .estimator import delta_bound
-
             bounds = delta_bound(model, RobustnessConstants(o_bar, delta), args.epsilon)
             out.write(f"detection_threshold_sq = {format_exact(bounds.detection_threshold_sq)}\n")
             out.write(f"detected_delta = {format_exact(bounds.detected_delta)}\n")
@@ -157,13 +155,10 @@ def cmd_estimate(args) -> int:
     else:
         result = estimate(model, stack, window, config)
     doc = result.to_json_dict()
-    if result.feasible and model.tau > 1:
+    if result.feasible:
         # the window-start estimate plus the inputs applied inside the window
         # (the final row's input acts after the last sample)
-        x_now = roll_forward(model, result.x, inputs[:-1])
-        doc["x_current"] = list(x_now)
-    elif result.feasible:
-        doc["x_current"] = list(result.x)
+        doc["x_current"] = list(roll_forward(model, result.x, inputs[:-1]))
     text = json.dumps(doc, indent=2)
     if args.output:
         with open(args.output, "w") as fh:

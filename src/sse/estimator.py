@@ -62,7 +62,6 @@ class IterationRecord:
     residual_sq: float
     certificates: tuple = ()
     conflict_fallback: bool = False
-    agree_emitted: bool = False
 
 
 @dataclass
@@ -209,7 +208,6 @@ def estimate(
         )
         record.certificates = tuple(certs)
         record.conflict_fallback = diag.conflict_fallback
-        record.agree_emitted = diag.agree_emitted
         if diag.conflict_fallback:
             result.conflict_fallbacks += 1
         for cert in certs:

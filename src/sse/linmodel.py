@@ -165,7 +165,7 @@ class SystemModel(JsonFile):
 @dataclass(frozen=True, eq=False)
 class ObservabilityStack:
     """Per-sensor observability blocks O_i (tau x n), their kernel
-    dimensions, spectral norms (and their squares), and Gram matrices.
+    dimensions, squared spectral norms, and Gram matrices.
 
     Build it once per model and reuse it: it also remembers the answers of
     ``check_sparse_observability(model, s, stack=stack)`` by ``s``.
@@ -173,9 +173,8 @@ class ObservabilityStack:
 
     blocks: np.ndarray  # p x tau x n, entry i is O_i
     block_kernel_dims: np.ndarray
-    block_norms: np.ndarray
     gram_blocks: np.ndarray  # p x n x n, entry i is O_i^T O_i
-    block_norms_sq: np.ndarray  # block_norms ** 2
+    block_norms_sq: np.ndarray  # squared spectral norm of each O_i
     dead_block: bool  # some block_norms_sq entry is 0: that sensor sees nothing
     _sparse_obs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -241,17 +240,15 @@ def build_observability(model: SystemModel) -> ObservabilityStack:
     blocks = np.ascontiguousarray(layers.transpose(1, 0, 2))
     blocks.setflags(write=False)
     kdims = np.array([n - numerical_rank(b) for b in blocks], dtype=int)
-    norms = np.array(
+    norms_sq = np.array(
         [np.linalg.svd(b, compute_uv=False)[0] if b.size else 0.0 for b in blocks]
-    )
+    ) ** 2
     grams = np.stack([b.T @ b for b in blocks])
-    norms_sq = norms**2
-    for arr in (kdims, norms, grams, norms_sq):
+    for arr in (kdims, grams, norms_sq):
         arr.setflags(write=False)
     return ObservabilityStack(
         blocks=blocks,
         block_kernel_dims=kdims,
-        block_norms=norms,
         gram_blocks=grams,
         block_norms_sq=norms_sq,
         dead_block=not bool((norms_sq > 0).all()),

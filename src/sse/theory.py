@@ -69,7 +69,7 @@ class CheckResult:
     sat: bool
     x: np.ndarray
     residual_sq: float
-    per_sensor_residuals: dict
+    residuals: np.ndarray  # normalized per-sensor residuals, in the order of sensors
     sensors: tuple
     rank_deficient: bool
 
@@ -80,8 +80,6 @@ class CertificateDiagnostics:
 
     theory_checks: int = 0
     conflict_fallback: bool = False
-    agree_emitted: bool = False
-    agree_suppressed: bool = False
 
 
 def t_check(
@@ -145,26 +143,32 @@ def _check(
     residual_sq = float(block_res.sum())
     psi_sq = float(np.sum(noise_bounds[idx] ** 2))
     sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
-    if stack.dead_block:
-        # a dead sensor carries no state information; it sorts last
-        with np.errstate(divide="ignore", invalid="ignore"):
-            normalized = np.where(norms_sq > 0, block_res / norms_sq, math.inf)
-    else:
-        normalized = block_res / norms_sq
     return CheckResult(
         sat=sat,
         x=x,
         residual_sq=residual_sq,
-        per_sensor_residuals=dict(zip(sensors, normalized.tolist())),
+        residuals=_normalized(stack, block_res, norms_sq),
         sensors=sensors,
         rank_deficient=rank_deficient,
     )
 
 
+def _normalized(
+    stack: ObservabilityStack, block_res: np.ndarray, norms_sq: np.ndarray
+) -> np.ndarray:
+    """Block residuals over the blocks' squared norms; a dead sensor carries
+    no state information, so it gets inf and sorts last."""
+    if not stack.dead_block:
+        return block_res / norms_sq
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(norms_sq > 0, block_res / norms_sq, math.inf)
+
+
 def _sorted_by_residual(check: CheckResult) -> list:
     """Sensor indices by ascending normalized residual; ``check.sensors``
     ascends, so the stable sort breaks ties by index."""
-    return sorted(check.sensors, key=check.per_sensor_residuals.__getitem__)
+    res = check.residuals.tolist()
+    return [check.sensors[k] for k in sorted(range(len(res)), key=res.__getitem__)]
 
 
 def _seed_fit(
@@ -194,12 +198,7 @@ def _refit_ranking(
     """``sensors`` (ascending) by ascending normalized residual at ``x``,
     normalized as in ``_check``; the stable sort breaks ties by index."""
     diff = window.blocks - stack.blocks @ x  # (p, tau): every sensor, cheaper than a subset
-    block_res = (diff * diff).sum(axis=1)
-    if stack.dead_block:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = np.where(stack.block_norms_sq > 0, block_res / stack.block_norms_sq, math.inf)
-    else:
-        res = block_res / stack.block_norms_sq
+    res = _normalized(stack, (diff * diff).sum(axis=1), stack.block_norms_sq)
     return sorted(sensors, key=res.tolist().__getitem__)
 
 
@@ -421,15 +420,11 @@ def certificates(
     except ConflictSearchError:
         diag.conflict_fallback = True
         certs = [trivial]
-    if strategy is Strategy.CONFLICT_AGREE:
-        if agree:
-            cert = certificate_agree(
-                stack, window, check, s_bar, epsilon, noise_bounds,
-                seed_fit=seed_fit, diagnostics=diag,
-            )
-            if cert is not None:
-                diag.agree_emitted = True
-                certs.append(cert)
-        else:
-            diag.agree_suppressed = True
+    if agree:
+        cert = certificate_agree(
+            stack, window, check, s_bar, epsilon, noise_bounds,
+            seed_fit=seed_fit, diagnostics=diag,
+        )
+        if cert is not None:
+            certs.append(cert)
     return certs, diag

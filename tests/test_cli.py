@@ -18,6 +18,11 @@ def ugv_model_file(tmp_path):
     return str(path)
 
 
+def _csv_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
 def write_window_trace(path, outputs, inputs):
     p = outputs.shape[1]
     with open(path, "w", newline="") as fh:
@@ -223,7 +228,7 @@ def test_simulate_scenario_file_attack_free(tmp_path):
     AttackScenario(phases=(), steps=25, segment_steps=25).save(scn_path)
     out = tmp_path / "quiet.csv"
     assert main(["simulate", str(scn_path), "--output", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = _csv_rows(out)
     assert len(rows) == 25
     assert all(row["b1"] == "0" and row["b2"] == "0" and row["b3"] == "0" for row in rows)
 
@@ -251,7 +256,7 @@ def test_bench_produces_trials_and_aggregates(tmp_path):
     }])
     out = tmp_path / "bench.csv"
     assert main(["bench", spec, "--output", str(out)]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = _csv_rows(out)
     trials = [r for r in rows if r["record"] == "trial"]
     aggregates = [r for r in rows if r["record"] == "aggregate"]
     assert len(trials) == 6 and len(aggregates) == 2
@@ -273,8 +278,8 @@ def test_bench_jobs_deterministic(tmp_path):
     assert main(["bench", spec, "--output", str(out2), "--jobs", "2"]) == 0
     strip = lambda text: [",".join(line.split(",")[:11]) for line in text.splitlines()]
     # identical apart from wall-time jitter
-    rows1 = list(csv.DictReader(open(out1)))
-    rows2 = list(csv.DictReader(open(out2)))
+    rows1 = _csv_rows(out1)
+    rows2 = _csv_rows(out2)
     for r1, r2 in zip(rows1, rows2):
         r1.pop("wall_time"), r2.pop("wall_time")
         assert r1 == r2
@@ -295,7 +300,7 @@ def test_bench_capped_trials_recorded(tmp_path):
     }])
     out = tmp_path / "bench.csv"
     assert main(["bench", spec, "--output", str(out)]) == 0
-    rows = [r for r in csv.DictReader(open(out)) if r["record"] == "trial"]
+    rows = [r for r in _csv_rows(out) if r["record"] == "trial"]
     assert rows[0]["status"] == "capped"
     assert rows[0]["iterations"] == "2"
 
@@ -316,7 +321,7 @@ def test_bench_scaling_sweep_shape(tmp_path):
     spec = bench_spec(tmp_path, sweeps)
     out = tmp_path / "scaling.csv"
     assert main(["bench", spec, "--output", str(out)]) == 0
-    rows = [r for r in csv.DictReader(open(out)) if r["record"] == "trial"]
+    rows = [r for r in _csv_rows(out) if r["record"] == "trial"]
     assert len(rows) == 12
     for row in rows:
         assert row["status"] in ("feasible", "capped")

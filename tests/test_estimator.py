@@ -345,12 +345,37 @@ def test_agree_certificate_termination_bound():
         result = estimate(inst.model, inst.stack, inst.window,
                           cfg(Strategy.CONFLICT_AGREE, 1e-6))
         assert result.feasible
-        fired = [k for k, rec in enumerate(result.records) if rec.agree_emitted]
+        fired = [k for k, rec in enumerate(result.records)
+                 if any(c.kind is CertificateKind.ALL_UNATTACKED for c in rec.certificates)]
         if fired:
             remaining = result.iterations - (fired[0] + 1)
             s_bar = inst.model.s_bar
             bound = sum(math.comb(2 * s_bar, k) for k in range(s_bar + 1))
             assert remaining <= bound
+
+
+def test_conflict_agree_iterations_with_the_gate_open():
+    # criterion 4's per-point comparison where the agree gate is open: at its
+    # p = 3 * s_bar the gate always downgrades, so conflict_agree repeats
+    # conflict there; here p = 14 > 3 * s_bar = 9 on exact "3s" instances
+    per_point = {}
+    agree_certs = 0
+    for s in (1, 2, 3):
+        for trial in range(10):
+            inst = generate_instance(4, 14, s, 3, "3s", 0.0, seed=7000 + 97 * s + trial)
+            for strategy in (Strategy.CONFLICT, Strategy.CONFLICT_AGREE):
+                result = estimate(inst.model, inst.stack, inst.window, cfg(strategy, 1e-6))
+                assert result.feasible
+                assert set(inst.attacked) <= set(result.support)
+                if strategy is Strategy.CONFLICT_AGREE:
+                    assert result.agree_active
+                    agree_certs += sum(c.kind is CertificateKind.ALL_UNATTACKED
+                                       for c in result.certificates)
+                per_point.setdefault((strategy, s), []).append(result.iterations)
+    assert agree_certs > 0
+    for s in (1, 2, 3):
+        agree = np.mean(per_point[Strategy.CONFLICT_AGREE, s])
+        assert agree <= np.mean(per_point[Strategy.CONFLICT, s]) + 1e-9
 
 
 # ---------------------------------------------------------------------------

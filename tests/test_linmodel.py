@@ -98,7 +98,7 @@ def test_zero_row_observes_nothing():
     model = SystemModel(A=model.A, B=model.B, C=c, tau=3, s_bar=1, noise_bounds=np.zeros(4))
     stack = build_observability(model)
     assert stack.block_kernel_dims[2] == 3
-    assert stack.block_norms[2] == 0.0
+    assert stack.block_norms_sq[2] == 0.0
 
 
 def test_row_structure_matches_naive_powers():

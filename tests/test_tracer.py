@@ -5,6 +5,7 @@ from dataclasses import replace
 import sse
 from perfbench.layers import Tracer
 from sse.attacksim import generate_instance
+from sse.satcore import CertificateKind
 from sse.theory import Strategy
 
 
@@ -35,3 +36,19 @@ def test_tracer_counts_match_estimates(four_lines):
     assert decisions > 0 and conflicts > 0
     assert tracer.counts["satcore.decisions"] == decisions
     assert tracer.counts["satcore.conflicts"] == conflicts
+
+
+def test_tracer_counts_agree_certificates_when_the_gate_is_open():
+    # p = 9 > 3 * s_bar on exact data: the agree gate is open
+    inst = generate_instance(3, 9, 2, 2, "3s", 0.0, seed=11, attack_norm=(3.0, 7.0))
+    config = sse.EstimatorConfig(strategy=Strategy.CONFLICT_AGREE)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        result = sse.estimate(inst.model, inst.stack, inst.window, config)
+    finally:
+        tracer.uninstall()
+    assert result.agree_active
+    agree = sum(c.kind is CertificateKind.ALL_UNATTACKED for c in result.certificates)
+    assert agree > 0
+    assert tracer.counts["theory.agree_certs"] == agree
