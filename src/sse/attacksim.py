@@ -32,6 +32,9 @@ UGV_MASS = 0.8
 UGV_FRICTION = 1.0
 UGV_DT = 0.1
 UGV_NOISE_SQ = 0.2  # per-sensor squared noise norm bound over the window
+UGV_ATTACKABLE = (1, 2)  # the scenario's attack surface: the two encoders
+FEEDBACK_POLES = (0.8, 0.85)  # closed-loop poles placed by the controller
+PATH_LENGTH = 5.0  # position target of the square path's outbound legs
 
 # Subsets sampled when an observability level is too combinatorial to verify
 # exhaustively; random instances fail a rank test with probability zero, so a
@@ -43,6 +46,8 @@ AUDIT_EXACT_LIMIT = 20_000
 MAX_RESAMPLES = 1000
 # Standard deviation of the true initial state's entries.
 STATE_SCALE = 3.0
+# Default attack norm: each attacked sensor's norm is drawn from [lo, hi].
+ATTACK_NORM_RANGE = {"lo": 1.0, "hi": 10.0}
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,6 @@ class GeneratedInstance:
     outputs: np.ndarray      # raw tau x p samples
     inputs: np.ndarray       # raw tau x m samples
 
-    @property
-    def attack_norms(self) -> dict:
-        return {i: float(np.linalg.norm(v)) for i, v in self.attack_blocks.items()}
-
 
 def _observability_holds(model: SystemModel, stack, level_s: int, rng) -> bool:
     """Exact check when enumerable, whose answer ``stack`` keeps as proof;
@@ -137,7 +138,7 @@ def generate_instance(
     noise_bounds=0.0,
     seed: int = 0,
     *,
-    attack_norm=(1.0, 10.0),
+    attack_norm=ATTACK_NORM_RANGE,
 ) -> GeneratedInstance:
     """Random instance: an observable single-input system, one measurement
     window with bounded noise and standard-normal inputs, and attacks
@@ -145,8 +146,9 @@ def generate_instance(
 
     ``observability_level`` is "2s" or "3s" (the system is resampled until it
     stays observable after removing that many times ``s_bar`` sensors).
-    ``attack_norm`` fixes each attacked sensor's stacked attack norm, either
-    exactly (float or per-sensor sequence) or as a (lo, hi) uniform range.
+    ``attack_norm`` fixes each attacked sensor's stacked attack norm: a
+    number for all of them, a sequence of ``s`` per-sensor norms, or a
+    uniform range ``{"lo": lo, "hi": hi}``.
     Fully deterministic for a given seed.
     """
     if s > s_bar:
@@ -183,12 +185,16 @@ def generate_instance(
     attacked = tuple(sorted(int(i) for i in rng.choice(p, size=s, replace=False)))
     if np.isscalar(attack_norm):
         norms = [float(attack_norm)] * s
-    elif isinstance(attack_norm, tuple) and len(attack_norm) == 2:
-        norms = [float(rng.uniform(*attack_norm)) for _ in range(s)]
+    elif isinstance(attack_norm, dict):
+        if set(attack_norm) != {"lo", "hi"}:
+            raise ValueError("an attack norm range has the keys 'lo' and 'hi', "
+                             f"got {sorted(attack_norm)}")
+        norms = [float(rng.uniform(attack_norm["lo"], attack_norm["hi"])) for _ in range(s)]
     else:
         norms = [float(v) for v in attack_norm]
         if len(norms) != s:
-            raise ValueError(f"need {s} attack norms, got {len(norms)}")
+            raise ValueError(f"need {s} attack norms, got {len(norms)}; "
+                             'a uniform range is spelled {"lo": lo, "hi": hi}')
     attack_blocks = {}
     for sensor, norm in zip(attacked, norms):
         direction = rng.normal(size=tau)
@@ -391,20 +397,21 @@ def format_exact(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def place_feedback_gain(a: np.ndarray, b: np.ndarray, poles=(0.8, 0.85)) -> np.ndarray:
-    """State-feedback gain placing the closed-loop poles of a 2-state system."""
+def place_feedback_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """State-feedback gain placing the closed-loop poles of a 2-state system
+    at ``FEEDBACK_POLES``."""
     ctrb = np.column_stack([b.reshape(-1), (a @ b).reshape(-1)])
     if abs(np.linalg.det(ctrb)) < 1e-12:
         raise ValueError("system is not controllable; cannot place poles")
-    chi = (a - poles[0] * np.eye(2)) @ (a - poles[1] * np.eye(2))
+    chi = (a - FEEDBACK_POLES[0] * np.eye(2)) @ (a - FEEDBACK_POLES[1] * np.eye(2))
     return (np.linalg.solve(ctrb.T, np.array([0.0, 1.0])) @ chi).reshape(1, 2)
 
 
-def square_path_reference(t: int, segment_steps: int, length: float = 5.0) -> float:
+def square_path_reference(t: int, segment_steps: int) -> float:
     """1-D reduction of the stop-and-turn square path: the position target
-    alternates between 0 and ``length`` every segment."""
+    alternates between ``PATH_LENGTH`` and 0 every segment."""
     leg = (t // segment_steps) % 2
-    return length if leg == 0 else 0.0
+    return PATH_LENGTH if leg == 0 else 0.0
 
 
 def run_closed_loop(
@@ -501,9 +508,9 @@ def run_closed_loop(
     return tr
 
 
-def ugv_guarantees(ugv: UgvModel, epsilon: float, attackable=(1, 2)):
+def ugv_guarantees(ugv: UgvModel, epsilon: float):
     """Robustness constants and bounds for the vehicle, restricted to the
-    scenario's attack surface.
+    scenario's attack surface, ``UGV_ATTACKABLE``.
 
     The velocity encoders alone never observe position, so the unrestricted
     leakage constant degenerates to 1; restricting the attacked set to the
@@ -516,7 +523,7 @@ def ugv_guarantees(ugv: UgvModel, epsilon: float, attackable=(1, 2)):
     stack = build_observability(ugv.model)
     o_bar = compute_o_bar(stack, ugv.model.p - ugv.model.s_bar, full_rank_only=True)
     delta = compute_delta_s(
-        stack, ugv.model.s_bar, attackable=attackable, skip_singular_sets=True
+        stack, ugv.model.s_bar, attackable=UGV_ATTACKABLE, skip_singular_sets=True
     )
     constants = RobustnessConstants(o_bar=o_bar, delta_s=delta)
     return constants, delta_bound(ugv.model, constants, epsilon)

@@ -38,16 +38,13 @@ def _run_bench_trial(task: dict) -> list[dict]:
     sweep_idx, trial, spec = task["sweep"], task["trial"], task["spec"]
     n, p, s, s_bar = spec["n"], spec["p"], spec["s"], spec["s_bar"]
     seed = spec.get("seed", 0) + task.get("seed_offset", 0) + trial
-    attack_norm = spec.get("attack_norm", (1.0, 10.0))
-    if isinstance(attack_norm, (list, tuple)):
-        attack_norm = tuple(attack_norm)
     rows = []
     instance = attacksim.generate_instance(
         n, p, s, s_bar,
         observability_level=spec.get("observability", "2s"),
         noise_bounds=spec.get("noise", 0.0),
         seed=seed,
-        attack_norm=attack_norm,
+        attack_norm=spec.get("attack_norm", attacksim.ATTACK_NORM_RANGE),
     )
     for strategy_name in spec.get("strategies", ["conflict"]):
         strategy = Strategy(strategy_name)

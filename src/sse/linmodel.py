@@ -205,9 +205,6 @@ class StackedWindow:
     def p(self) -> int:
         return self.blocks.shape[0]
 
-    def stacked(self, sensors) -> np.ndarray:
-        return self.blocks[list(sensors)].reshape(-1)
-
     def nonfinite_sensors(self) -> list:
         """Sensors whose row has a non-finite squared norm: a NaN or +-inf
         reading, or one so large that its square overflows."""

@@ -266,7 +266,6 @@ def certificate_conflict(
     epsilon: float,
     noise_bounds,
     *,
-    shrink: bool = True,
     seed_fit: CheckResult | None = None,
     diagnostics: CertificateDiagnostics | None = None,
 ) -> Certificate:
@@ -285,18 +284,17 @@ def certificate_conflict(
     rejected, so it is taken without a check.  The suspect is the member
     ranked highest.
 
-    With ``shrink`` each trial is put in shrink order, ascending kernel
-    dimension, and one batched solve decides its determined prefixes and the
-    trial itself (see ``_prefix_decisions``); the walk reads the trial's
-    decision there and checks it only when the table leaves it out.  The
-    shrink pass then drops trailing members while the set stays infeasible,
-    reading prefix lengths from the longest down until one passes.  A prefix
-    the table leaves undecided (undetermined, a failed batched solve, or a
-    residual within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)``
-    around the budget ``||Psi|| + epsilon``) goes through the ordinary check,
-    so every certificate is still a set that ``t_check`` rejects.  Each
-    trial and prefix decision counts as one theory check.  Without
-    ``shrink`` every trial goes through ``t_check``.
+    Each trial is put in shrink order, ascending kernel dimension, and one
+    batched solve decides its determined prefixes and the trial itself (see
+    ``_prefix_decisions``); the walk reads the trial's decision there and
+    checks it only when the table leaves it out.  The shrink pass then drops
+    trailing members while the set stays infeasible, reading prefix lengths
+    from the longest down until one passes.  A prefix the table leaves
+    undecided (undetermined, a failed batched solve, or a residual within the
+    tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
+    ``||Psi|| + epsilon``) goes through the ordinary check, so every
+    certificate is still a set that ``t_check`` rejects.  Each trial and
+    prefix decision counts as one theory check.
     """
     if check.sat:
         raise ValueError("conflict certificates require an UNSAT check")
@@ -317,13 +315,11 @@ def certificate_conflict(
     seed = ranked[:seed_size]
     candidates = ranked[seed_size:][::-1]  # highest residual first
     dims = stack.block_kernel_dims.tolist()
-    decided: dict = {}
     for cand in candidates:
         trial = seed + [cand]
-        if shrink:  # shrink order: ascending kernel dimension, then index
-            trial.sort()
-            trial.sort(key=dims.__getitem__)
-            decided = _prefix_decisions(stack, window, trial, noise_bounds, epsilon)
+        trial.sort()  # shrink order: ascending kernel dimension, then index
+        trial.sort(key=dims.__getitem__)
+        decided = _prefix_decisions(stack, window, trial, noise_bounds, epsilon)
         if len(candidates) == 1:
             break  # the checked set, already rejected
         diag.theory_checks += 1
@@ -336,20 +332,16 @@ def certificate_conflict(
         raise ConflictSearchError(
             f"no conflicting subset found among {len(candidates)} candidates"
         )
-    conflict = trial
-    if shrink and len(conflict) > 1:
-        keep = len(conflict) - 1
-        while keep >= 1:
-            diag.theory_checks += 1
-            sat = decided.get(keep)
-            if sat is None:
-                prefix = tuple(sorted(conflict[:keep]))
-                sat = _check(stack, window, prefix, noise_bounds, epsilon).sat
-            if sat:
-                break
-            keep -= 1
-        conflict = conflict[: keep + 1]
-    sensors = frozenset(conflict)
+    keep = len(trial) - 1
+    while keep >= 1:
+        diag.theory_checks += 1
+        sat = decided.get(keep)
+        if sat is None:
+            sat = _check(stack, window, tuple(sorted(trial[:keep])), noise_bounds, epsilon).sat
+        if sat:
+            break
+        keep -= 1
+    sensors = frozenset(trial[: keep + 1])
     suspect = next(i for i in reversed(ranked) if i in sensors)
     return Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, sensors, suspect=suspect)
 

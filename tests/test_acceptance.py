@@ -80,7 +80,7 @@ def test_criterion_1_noiseless_delta_completeness():
     for n, p, s, s_bar in _size_schedule(rng, 500):
         inst = generate_instance(n, p, s, s_bar, "2s", 0.0,
                                  seed=int(rng.integers(0, 2**31)),
-                                 attack_norm=(1.0, 10.0))
+                                 attack_norm={"lo": 1.0, "hi": 10.0})
         result = estimate(inst.model, inst.stack, inst.window, config)
         assert result.feasible, f"infeasible at n={n} p={p} s={s} s_bar={s_bar}"
         assert set(inst.attacked) <= set(result.support)
@@ -110,7 +110,7 @@ def test_criterion_2_oracle_equivalence():
         s = int(rng.integers(0, s_bar + 1))
         inst = generate_instance(n, p, s, s_bar, "2s", 0.0,
                                  seed=int(rng.integers(0, 2**31)),
-                                 attack_norm=(1.0, 8.0))
+                                 attack_norm={"lo": 1.0, "hi": 8.0})
         result = minimal_support_estimate(inst.model, inst.stack, inst.window, config)
         oracle = brute_force(inst.model, inst.stack, inst.window, epsilon=1e-6)
         assert result.feasible and oracle.minimal
@@ -399,7 +399,7 @@ def test_criterion_10_uniqueness_boundary():
         s = int(rng.integers(0, s_bar + 1))
         inst = generate_instance(n, p, s, s_bar, "2s", 0.0,
                                  seed=int(rng.integers(0, 2**31)),
-                                 attack_norm=(1.0, 6.0))
+                                 attack_norm={"lo": 1.0, "hi": 6.0})
         result = brute_force(inst.model, inst.stack, inst.window, epsilon=1e-6)
         assert result.minimal == (inst.attacked,)
     _report(10, "minimal support is ambiguous exactly when sparse observability fails",

@@ -77,7 +77,7 @@ def test_ugv_output_map():
 
 
 def test_generated_window_decomposition():
-    inst = generate_instance(3, 6, 2, 2, "2s", 0.3, seed=4, attack_norm=(1.0, 3.0))
+    inst = generate_instance(3, 6, 2, 2, "2s", 0.3, seed=4, attack_norm={"lo": 1.0, "hi": 3.0})
     stack = inst.stack
     for i in range(6):
         expected = stack.blocks[i] @ inst.x_true
@@ -89,8 +89,21 @@ def test_generated_attack_sparsity_and_norms():
     inst = generate_instance(3, 7, 2, 3, "2s", 0.0, seed=5, attack_norm=2.5)
     assert len(inst.attacked) == 2
     assert set(inst.attack_blocks) == set(inst.attacked)
-    for norm in inst.attack_norms.values():
-        assert norm == pytest.approx(2.5, rel=1e-12)
+    for block in inst.attack_blocks.values():
+        assert np.linalg.norm(block) == pytest.approx(2.5, rel=1e-12)
+
+
+def test_attack_norm_list_is_per_sensor_and_range_is_a_dict():
+    exact = generate_instance(3, 7, 2, 3, "2s", 0.0, seed=5, attack_norm=[3.0, 7.0])
+    norms = [np.linalg.norm(exact.attack_blocks[i]) for i in exact.attacked]
+    assert norms == pytest.approx([3.0, 7.0], rel=1e-12)
+    drawn = generate_instance(3, 7, 2, 3, "2s", 0.0, seed=5, attack_norm={"lo": 3.0, "hi": 7.0})
+    for block in drawn.attack_blocks.values():
+        assert 3.0 <= np.linalg.norm(block) <= 7.0 + 1e-12
+    with pytest.raises(ValueError, match='"lo": lo'):
+        generate_instance(3, 7, 3, 3, "2s", 0.0, seed=5, attack_norm=[3.0, 7.0])
+    with pytest.raises(ValueError, match="'lo' and 'hi'"):
+        generate_instance(3, 7, 2, 3, "2s", 0.0, seed=5, attack_norm={"low": 3.0, "hi": 7.0})
 
 
 def test_generated_noise_respects_bounds():
@@ -172,7 +185,7 @@ def test_phase_validation():
 
 def test_feedback_gain_places_poles():
     model = discretize_ugv().model
-    gain = place_feedback_gain(model.A, model.B, poles=(0.8, 0.85))
+    gain = place_feedback_gain(model.A, model.B)
     closed = model.A - model.B @ gain
     assert np.allclose(sorted(np.linalg.eigvals(closed).real), [0.8, 0.85], atol=1e-9)
 

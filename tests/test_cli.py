@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sse.attacksim import AttackScenario, discretize_ugv, run_closed_loop
+import sse.attacksim
+from sse.attacksim import AttackScenario, discretize_ugv, generate_instance, run_closed_loop
 from sse.bench import iteration_bound
-from sse.cli import main
+from sse.cli import EXIT_INPUT, main
 from sse.theory import Strategy
 
 
@@ -276,7 +277,6 @@ def test_bench_jobs_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["bench", spec, "--output", str(out1)]) == 0
     assert main(["bench", spec, "--output", str(out2), "--jobs", "2"]) == 0
-    strip = lambda text: [",".join(line.split(",")[:11]) for line in text.splitlines()]
     # identical apart from wall-time jitter
     rows1 = _csv_rows(out1)
     rows2 = _csv_rows(out2)
@@ -303,6 +303,43 @@ def test_bench_capped_trials_recorded(tmp_path):
     rows = [r for r in _csv_rows(out) if r["record"] == "trial"]
     assert rows[0]["status"] == "capped"
     assert rows[0]["iterations"] == "2"
+
+
+def _bench_instances(monkeypatch, tmp_path, sweep):
+    """Run a one-sweep bench and return the instances it generated."""
+    made = []
+    real = sse.attacksim.generate_instance
+    monkeypatch.setattr(sse.attacksim, "generate_instance",
+                        lambda *a, **kw: made.append(real(*a, **kw)) or made[-1])
+    assert main(["bench", bench_spec(tmp_path, [sweep]),
+                 "--output", str(tmp_path / "bench.csv")]) == 0
+    return made
+
+
+def test_bench_attack_norm_list_is_per_sensor_at_two_attacks(monkeypatch, tmp_path):
+    sweep = {"n": 3, "p": 8, "s": 2, "s_bar": 2, "trials": 2, "attack_norm": [3.0, 7.0]}
+    for inst in _bench_instances(monkeypatch, tmp_path, sweep):
+        norms = [np.linalg.norm(inst.attack_blocks[i]) for i in inst.attacked]
+        assert norms == pytest.approx([3.0, 7.0], rel=1e-12)
+
+
+def test_bench_attack_norm_range_is_lo_hi(monkeypatch, tmp_path):
+    sweep = {"n": 3, "p": 8, "s": 2, "s_bar": 2, "trials": 2, "seed": 4,
+             "attack_norm": {"lo": 3.0, "hi": 7.0}}
+    for trial, inst in enumerate(_bench_instances(monkeypatch, tmp_path, sweep)):
+        want = generate_instance(3, 8, 2, 2, "2s", 0.0, seed=4 + trial,
+                                 attack_norm={"lo": 3.0, "hi": 7.0})
+        assert inst.outputs.tobytes() == want.outputs.tobytes()
+        for block in inst.attack_blocks.values():
+            assert 3.0 <= np.linalg.norm(block) <= 7.0 + 1e-12
+
+
+def test_bench_old_attack_norm_range_is_input_error(tmp_path, capsys):
+    # a 2-element list is per-sensor norms, so at s = 3 it is short by one
+    spec = bench_spec(tmp_path, [{"n": 3, "p": 9, "s": 3, "s_bar": 3, "trials": 1,
+                                  "attack_norm": [3.0, 7.0]}])
+    assert main(["bench", spec]) == EXIT_INPUT
+    assert '{"lo": lo, "hi": hi}' in capsys.readouterr().err
 
 
 def test_iteration_bound_values():

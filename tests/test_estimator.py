@@ -194,7 +194,7 @@ def test_agree_gate_arithmetic_blocks_p_equal_3s():
 
 
 def test_agree_certificates_fire_and_pin_sensors():
-    inst = generate_instance(3, 9, 2, 2, "3s", 0.0, seed=11, attack_norm=(3.0, 7.0))
+    inst = generate_instance(3, 9, 2, 2, "3s", 0.0, seed=11, attack_norm={"lo": 3.0, "hi": 7.0})
     result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
     assert result.feasible
     agree = [c for c in result.certificates if c.kind is CertificateKind.ALL_UNATTACKED]
@@ -243,7 +243,7 @@ def test_minimal_support_single_attack_under_large_budget():
 
 
 def test_minimal_support_two_colluding_attacks():
-    inst = generate_instance(3, 9, 2, 3, "2s", 0.0, seed=3, attack_norm=(2.0, 6.0))
+    inst = generate_instance(3, 9, 2, 3, "2s", 0.0, seed=3, attack_norm={"lo": 2.0, "hi": 6.0})
     result = minimal_support_estimate(inst.model, inst.stack, inst.window, cfg(epsilon=1e-6))
     oracle = brute_force(inst.model, inst.stack, inst.window, epsilon=1e-6)
     assert len(result.support) == 2
@@ -341,7 +341,7 @@ def test_agree_certificate_termination_bound():
     # the other 2*s_bar sensors
     for seed in (11, 17, 23, 31):
         inst = generate_instance(3, 9, 2, 2, "3s", 0.0, seed=seed,
-                                 attack_norm=(3.0, 7.0))
+                                 attack_norm={"lo": 3.0, "hi": 7.0})
         result = estimate(inst.model, inst.stack, inst.window,
                           cfg(Strategy.CONFLICT_AGREE, 1e-6))
         assert result.feasible
@@ -397,7 +397,7 @@ def small_instances(draw):
 def _small_instance(spec, noise):
     n, p, s, s_bar, level, seed = spec
     return generate_instance(n, p, s, s_bar, level, noise, seed=seed,
-                             attack_norm=(0.05, 2.0))
+                             attack_norm={"lo": 0.05, "hi": 2.0})
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -432,7 +432,7 @@ def test_agree_certificates_gated_off_under_noise():
     # the sub-threshold attack on sensor 5 passes an agreement check under
     # noise; emitting that certificate made this instance infeasible
     inst = generate_instance(2, 7, 2, 2, "3s", 0.05, seed=1517215338,
-                             attack_norm=(0.05, 2.0))
+                             attack_norm={"lo": 0.05, "hi": 2.0})
     result = estimate(inst.model, inst.stack, inst.window,
                       cfg(Strategy.CONFLICT_AGREE, 1e-6))
     assert result.agree_downgraded and not result.agree_active

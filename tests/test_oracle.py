@@ -20,7 +20,8 @@ def test_attack_free_minimal_support_is_empty():
 
 def test_true_support_recovered_uniquely():
     for seed in range(10):
-        inst = generate_instance(3, 7, 2, 2, "2s", 0.0, seed=seed, attack_norm=(2.0, 8.0))
+        inst = generate_instance(3, 7, 2, 2, "2s", 0.0, seed=seed,
+                                 attack_norm={"lo": 2.0, "hi": 8.0})
         result = brute_force(inst.model, inst.stack, inst.window, epsilon=1e-6)
         assert result.minimal == (inst.attacked,)
         # every feasible support contains the attacked sensors

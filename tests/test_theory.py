@@ -125,7 +125,7 @@ def test_least_squares_optimality_property():
         sensors = tuple(sorted(rng.choice(6, size=4, replace=False).tolist()))
         check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 0.01)
         o_i = inst.stack.rows(sensors)
-        y_i = inst.window.stacked(sensors)
+        y_i = inst.window.blocks[list(sensors)].reshape(-1)
         gradient = np.linalg.norm(o_i.T @ (y_i - o_i @ check.x))
         assert gradient <= 1e-8 * np.linalg.norm(o_i, 2) * max(np.linalg.norm(y_i), 1.0)
 
@@ -170,11 +170,9 @@ def test_four_lines_conflict_found_on_first_candidate(four_lines):
 def test_four_lines_shrink_pass_is_noop(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    with_shrink = certificate_conflict(stack, window, check, 1, 1e-9,
-                                       model.noise_bounds, shrink=True)
-    without = certificate_conflict(stack, window, check, 1, 1e-9,
-                                   model.noise_bounds, shrink=False)
-    assert with_shrink.sensors == without.sensors
+    cert = certificate_conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    conflict, suspect, _ = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
+    assert (cert.sensors, cert.suspect) == (frozenset(conflict), suspect)
 
 
 def test_conflict_walk_needs_two_candidates():
@@ -192,11 +190,16 @@ def test_conflict_walk_needs_two_candidates():
     seed, candidates = ranked[:2], ranked[2:][::-1]
     first = t_check(stack, window, seed + [candidates[0]], model.noise_bounds, 1e-9)
     assert first.sat  # the max-residual line passes through the seed intersection
+    conflict, _, checks = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
+    assert checks == 2
+    assert 2 in conflict
     diag = CertificateDiagnostics()
     cert = certificate_conflict(stack, window, check, 1, 1e-9,
-                                model.noise_bounds, shrink=False, diagnostics=diag)
-    assert diag.theory_checks == 2
-    assert 2 in cert.sensors
+                                model.noise_bounds, diagnostics=diag)
+    kept, shrink_checks = _sequential_shrink(model, stack, window,
+                                             _shrink_order(stack, conflict), 1e-9)
+    assert cert.sensors == kept
+    assert diag.theory_checks == checks + shrink_checks
 
 
 def test_shrink_drops_high_kernel_members():
@@ -211,11 +214,9 @@ def test_shrink_drops_high_kernel_members():
     sensors = (0, 1, 2, 3, 4)
     check = t_check(stack, window, sensors, model.noise_bounds, 1e-9)
     assert not check.sat
-    shrunk = certificate_conflict(stack, window, check, 1, 1e-9,
-                                  model.noise_bounds, shrink=True)
-    loose = certificate_conflict(stack, window, check, 1, 1e-9,
-                                 model.noise_bounds, shrink=False)
-    assert shrunk.sensors <= loose.sensors
+    shrunk = certificate_conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    loose, _, _ = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
+    assert shrunk.sensors <= frozenset(loose)
     assert 2 in shrunk.sensors
 
 
@@ -258,7 +259,8 @@ def test_conflict_certificates_intersect_true_support():
     from sse.attacksim import generate_instance
 
     for seed in range(20):
-        inst = generate_instance(3, 7, 2, 2, "2s", 0.0, seed=seed, attack_norm=(2.0, 8.0))
+        inst = generate_instance(3, 7, 2, 2, "2s", 0.0, seed=seed,
+                                 attack_norm={"lo": 2.0, "hi": 8.0})
         sensors = tuple(range(7))
         check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-8)
         assert not check.sat
@@ -271,6 +273,39 @@ def test_conflict_certificates_intersect_true_support():
 # ---------------------------------------------------------------------------
 # the aimed walk: one seed fit, the concentration step, its skip rules
 # ---------------------------------------------------------------------------
+
+
+def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds):
+    """The conflict walk without the shrink pass, one t_check per trial:
+    (conflict in walk order, suspect, theory checks).  The walk is aimed by
+    the seed fit's residuals when the seed over-determines the state and
+    there are at least two candidates; a lone candidate's trial is the
+    checked set, taken without a check.  Raises ConflictSearchError when no
+    trial fails."""
+    seed_size = stack.p - 2 * s_bar
+    ranked = sorted(check.sensors, key=lambda i: (_residual_of(check, i), i))
+    candidates = ranked[seed_size:][::-1]
+    checks = 0
+    if stack.tau * seed_size > stack.n and len(candidates) >= 2:
+        fit = t_check(stack, window, ranked[:seed_size], noise_bounds, epsilon)
+        checks += 1
+        diff = window.blocks - stack.blocks @ fit.x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = np.where(stack.block_norms_sq > 0,
+                           (diff * diff).sum(axis=1) / stack.block_norms_sq, math.inf)
+        ranked = sorted(ranked, key=lambda i: (res[i], i))
+        candidates = ranked[seed_size:][::-1]
+    for cand in candidates:
+        trial = ranked[:seed_size] + [cand]
+        if len(candidates) == 1:
+            break
+        checks += 1
+        if not t_check(stack, window, trial, noise_bounds, epsilon).sat:
+            break
+    else:
+        raise ConflictSearchError(f"no conflict among {len(candidates)} candidates")
+    suspect = next(i for i in reversed(ranked) if i in trial)
+    return trial, suspect, checks
 
 
 def _unaimed_walk(stack, window, check, s_bar, epsilon, noise_bounds):
@@ -301,16 +336,22 @@ def _counting_checks(monkeypatch):
 
 def test_one_candidate_walk_takes_the_checked_set(monkeypatch, four_lines):
     # p - 2*s_bar = 2 and three sensors checked: the only trial is the checked
-    # set, which the check already rejected
+    # set, which the check already rejected; only the shrink pass checks
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
     assert not check.sat
+    conflict, _, walk_checks = _reference_walk(stack, window, check, 1, 1e-9,
+                                               model.noise_bounds)
+    assert frozenset(conflict) == frozenset(check.sensors) and walk_checks == 0
+    ordered = _shrink_order(stack, conflict)
+    kept, shrink_checks = _sequential_shrink(model, stack, window, ordered, 1e-9)
     checked = _counting_checks(monkeypatch)
     diag = CertificateDiagnostics()
     cert = certificate_conflict(stack, window, check, 1, 1e-9, model.noise_bounds,
-                                shrink=False, diagnostics=diag)
-    assert cert.sensors == frozenset(check.sensors)
-    assert diag.theory_checks == 0 and checked == []
+                                diagnostics=diag)
+    assert cert.sensors == kept == frozenset(check.sensors)
+    assert diag.theory_checks == shrink_checks == len(checked)
+    assert [sensors for _, sensors in checked] == [tuple(sorted(ordered[:2]))]
 
 
 def test_exactly_determined_seed_walks_unaimed():
@@ -318,7 +359,8 @@ def test_exactly_determined_seed_walks_unaimed():
     # the walk keeps the check's ranking and makes no seed fit
     cases = 0
     for seed in range(6):
-        inst = generate_instance(2, 5, 2, 2, "2s", 0.0, seed=seed, attack_norm=(2.0, 8.0))
+        inst = generate_instance(2, 5, 2, 2, "2s", 0.0, seed=seed,
+                                 attack_norm={"lo": 2.0, "hi": 8.0})
         model, stack, window = inst.model, inst.stack, inst.window
         assert stack.tau * (stack.p - 2 * 2) == stack.n
         for size in (3, 4, 5):  # at least two candidates
@@ -330,13 +372,17 @@ def test_exactly_determined_seed_walks_unaimed():
                 if want is None:
                     with pytest.raises(ConflictSearchError):
                         certificate_conflict(stack, window, check, 2, 1e-6,
-                                             model.noise_bounds, shrink=False)
+                                             model.noise_bounds)
                     continue
+                conflict, _, walk_checks = want
+                kept, shrink_checks = _sequential_shrink(
+                    model, stack, window, _shrink_order(stack, conflict), 1e-6)
+                suspect = max(kept, key=lambda i: (_residual_of(check, i), i))
                 diag = CertificateDiagnostics()
                 cert = certificate_conflict(stack, window, check, 2, 1e-6,
-                                            model.noise_bounds, shrink=False,
-                                            diagnostics=diag)
-                assert (cert.sensors, cert.suspect, diag.theory_checks) == want
+                                            model.noise_bounds, diagnostics=diag)
+                assert (cert.sensors, cert.suspect) == (kept, suspect)
+                assert diag.theory_checks == walk_checks + shrink_checks
                 cases += 1
     assert cases > 0
 
@@ -344,7 +390,8 @@ def test_exactly_determined_seed_walks_unaimed():
 def test_certificates_share_one_seed_fit_with_agree(monkeypatch):
     found = 0
     for seed in range(20):
-        inst = generate_instance(4, 10, 2, 2, "3s", 0.0, seed=seed, attack_norm=(2.0, 6.0))
+        inst = generate_instance(4, 10, 2, 2, "3s", 0.0, seed=seed,
+                                 attack_norm={"lo": 2.0, "hi": 6.0})
         model, stack, window = inst.model, inst.stack, inst.window
         check = t_check(stack, window, tuple(range(10)), model.noise_bounds, 1e-8)
         assert not check.sat
@@ -442,7 +489,8 @@ def test_agree_certificates_avoid_true_support():
 
     found = 0
     for seed in range(20):
-        inst = generate_instance(4, 10, 2, 2, "3s", 0.0, seed=seed, attack_norm=(2.0, 6.0))
+        inst = generate_instance(4, 10, 2, 2, "3s", 0.0, seed=seed,
+                                 attack_norm={"lo": 2.0, "hi": 6.0})
         sensors = tuple(range(10))
         check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-8)
         assert not check.sat
@@ -562,7 +610,7 @@ def _reference_t_check(stack, window, sensors, noise_bounds, epsilon):
     noise_bounds = np.asarray(noise_bounds, dtype=float)
     idx = list(sensors)
     o_i = stack.rows(idx)
-    y_i = window.stacked(idx)
+    y_i = window.blocks[idx].reshape(-1)
     x = None
     rank_deficient = False
     gram = stack.gram_blocks[idx].sum(axis=0)
@@ -667,11 +715,11 @@ def _walk_conflicts(model, stack, window, s_bar, trusted_sets, epsilon):
         if check.sat or len(check.sensors) <= stack.p - 2 * s_bar:
             continue
         try:
-            cert = certificate_conflict(stack, window, check, s_bar, epsilon,
-                                        model.noise_bounds, shrink=False)
+            conflict, _, _ = _reference_walk(stack, window, check, s_bar, epsilon,
+                                             model.noise_bounds)
         except ConflictSearchError:
             continue
-        out.append(_shrink_order(stack, cert.sensors))
+        out.append(_shrink_order(stack, conflict))
     return out
 
 
@@ -705,7 +753,8 @@ def _shrink_cases():
         cases.append((model, stack, window, 2, 1e-6, _random_trusted(rng, 12, 2, 12)))
     for spec in ((2, 7, 2, 2, "3s", 1517215338), (4, 5, 1, 1, "3s", 1473099080),
                  (3, 7, 2, 2, "3s", 1896709351)):
-        inst = generate_instance(*spec[:5], 0.05, seed=spec[5], attack_norm=(0.05, 2.0))
+        inst = generate_instance(*spec[:5], 0.05, seed=spec[5],
+                                 attack_norm={"lo": 0.05, "hi": 2.0})
         p = inst.model.p
         cases.append((inst.model, inst.stack, inst.window, spec[3], 1e-6,
                       [list(range(p))] + _random_trusted(rng, p, 1, 8)))
@@ -751,20 +800,20 @@ def test_shrink_pass_matches_sequential_shrink(monkeypatch, min_batch):
             check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
             if check.sat or len(check.sensors) <= stack.p - 2 * s_bar:
                 continue
-            walk = CertificateDiagnostics()
             try:
-                loose = certificate_conflict(stack, window, check, s_bar, epsilon,
-                                             model.noise_bounds, shrink=False,
-                                             diagnostics=walk)
+                loose, suspect, walk_checks = _reference_walk(stack, window, check, s_bar,
+                                                              epsilon, model.noise_bounds)
             except ConflictSearchError:
                 continue
             diag = CertificateDiagnostics()
             cert = certificate_conflict(stack, window, check, s_bar, epsilon,
                                         model.noise_bounds, diagnostics=diag)
             kept, checks = _sequential_shrink(model, stack, window,
-                                              _shrink_order(stack, loose.sensors), epsilon)
+                                              _shrink_order(stack, loose), epsilon)
             assert cert.sensors == kept
-            assert diag.theory_checks == walk.theory_checks + checks
+            assert diag.theory_checks == walk_checks + checks
+            if suspect in kept:  # the shrink kept the walk's top-ranked member
+                assert cert.suspect == suspect
 
 
 def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
@@ -778,9 +827,8 @@ def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
     offsets[4] += 3.0
     window = line_window(model, offsets)
     check = t_check(stack, window, range(5), model.noise_bounds, 1e-6)
-    loose = certificate_conflict(stack, window, check, 1, 1e-6,
-                                 model.noise_bounds, shrink=False)
-    ordered = _shrink_order(stack, loose.sensors)
+    loose, _, _ = _reference_walk(stack, window, check, 1, 1e-6, model.noise_bounds)
+    ordered = _shrink_order(stack, loose)
     assert ordered == [0, 1, 3, 4]
     monkeypatch.setattr(sse.theory, "MIN_BATCH_PREFIXES", 1)
     assert _prefix_decisions(stack, window, ordered, model.noise_bounds, 1e-6) == {}

@@ -1,5 +1,6 @@
 """The benchmark's per-layer tracer still fits the library it wraps."""
 
+import itertools
 from dataclasses import replace
 
 import sse
@@ -36,11 +37,20 @@ def test_tracer_counts_match_estimates(four_lines):
     assert decisions > 0 and conflicts > 0
     assert tracer.counts["satcore.decisions"] == decisions
     assert tracer.counts["satcore.conflicts"] == conflicts
+    # the theory.cert span sees every conflict certificate the walk returns
+    conflict_certs = [
+        c for r, (_, strategy) in zip(results, itertools.product(cases, Strategy))
+        if strategy is not Strategy.TRIVIAL
+        for c in r.certificates if c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
+    ]
+    assert conflict_certs
+    assert tracer.counts["conflict_certs"] == len(conflict_certs)
+    assert tracer.counts["conflict_cert_sensors"] == sum(len(c.sensors) for c in conflict_certs)
 
 
 def test_tracer_counts_agree_certificates_when_the_gate_is_open():
     # p = 9 > 3 * s_bar on exact data: the agree gate is open
-    inst = generate_instance(3, 9, 2, 2, "3s", 0.0, seed=11, attack_norm=(3.0, 7.0))
+    inst = generate_instance(3, 9, 2, 2, "3s", 0.0, seed=11, attack_norm={"lo": 3.0, "hi": 7.0})
     config = sse.EstimatorConfig(strategy=Strategy.CONFLICT_AGREE)
     tracer = Tracer()
     tracer.install()
