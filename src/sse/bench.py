@@ -89,6 +89,9 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
     sweeps = spec_doc.get("sweeps", [])
     tasks = []
     for sweep_idx, spec in enumerate(sweeps):
+        missing = [k for k in ("n", "p", "s", "s_bar") if k not in spec]
+        if missing:
+            raise ValueError(f"sweep {sweep_idx} lacks {', '.join(map(repr, missing))}")
         for trial in range(int(spec.get("trials", 1))):
             tasks.append({"sweep": sweep_idx, "trial": trial, "spec": spec,
                           "seed_offset": seed_offset})

@@ -24,6 +24,12 @@ DEFAULT_SUBSET_CAP = 10**6
 # Singular values below max(dim) * sigma_max * RANK_RTOL count as zero.
 RANK_RTOL = 1e-12
 
+# The subset enumerations take subsets in chunks whose stacked matrices hold
+# about this many floats, so memory stays bounded whatever p is.  Each chunk
+# makes one stacked LAPACK call, which gives every matrix the same bits as a
+# call on that matrix alone.
+CHUNK_FLOATS = 1 << 15
+
 
 class SubsetCapError(RuntimeError):
     """A combinatorial enumeration would exceed the configured subset cap."""
@@ -39,15 +45,25 @@ class GramSingularError(RuntimeError):
     it to be positive definite."""
 
 
+def _zero_tol(top, dim: int):
+    """Spectral values at or below this count as zero: ``dim * top *
+    RANK_RTOL``, with ``top`` the largest singular value or eigenvalue and
+    ``dim`` the larger side of the matrix."""
+    return dim * top * RANK_RTOL
+
+
+def _nonzero(sv: np.ndarray, dim: int) -> np.ndarray:
+    """Which singular values ``sv[..., :]``, largest first, of matrices whose
+    larger side is ``dim`` count as nonzero."""
+    return sv > _zero_tol(sv[..., :1], dim)
+
+
 def numerical_rank(m: np.ndarray) -> int:
     """Rank with singular values below max(dim)*sigma_max*1e-12 treated as zero."""
     if m.size == 0:
         return 0
     s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    tol = max(m.shape) * s[0] * RANK_RTOL
-    return int(np.count_nonzero(s > tol))
+    return int(np.count_nonzero(s > _zero_tol(s[0], max(m.shape))))
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -236,11 +252,10 @@ def build_observability(model: SystemModel) -> ObservabilityStack:
             cur = cur @ model.A
     blocks = np.ascontiguousarray(layers.transpose(1, 0, 2))
     blocks.setflags(write=False)
-    kdims = np.array([n - numerical_rank(b) for b in blocks], dtype=int)
-    norms_sq = np.array(
-        [np.linalg.svd(b, compute_uv=False)[0] if b.size else 0.0 for b in blocks]
-    ) ** 2
-    grams = np.stack([b.T @ b for b in blocks])
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    kdims = n - _nonzero(sv, max(tau, n)).sum(axis=1)
+    norms_sq = sv[:, 0] ** 2
+    grams = blocks.transpose(0, 2, 1) @ blocks
     for arr in (kdims, grams, norms_sq):
         arr.setflags(write=False)
     return ObservabilityStack(
@@ -298,6 +313,49 @@ def _check_cap(count: int, cap: int) -> None:
         raise SubsetCapError(count, cap)
 
 
+def _subset_chunks(p: int, sizes, floats_each: int):
+    """The subsets of range(p) with a size in ``sizes`` (ascending), by size
+    and then in ``itertools.combinations`` order, as index rows front-padded
+    with p to the largest size; at most ``CHUNK_FLOATS // floats_each`` rows
+    per chunk."""
+    width, rows = sizes[-1], max(1, CHUNK_FLOATS // floats_each)
+    pending, held = [], 0
+    for size in sizes:
+        combos = itertools.combinations(range(p), size)
+        left = math.comb(p, size)
+        while left:
+            m = min(rows - held, left)
+            flat = itertools.chain.from_iterable(itertools.islice(combos, m))
+            block = np.fromiter(flat, dtype=np.intp, count=m * size).reshape(m, size)
+            if size < width:
+                block = np.concatenate([np.full((m, width - size), p), block], axis=1)
+            pending.append(block)
+            held, left = held + m, left - m
+            if held == rows:
+                yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+                pending, held = [], 0
+    if pending:
+        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+
+
+def _subset_svds(stack: ObservabilityStack, size: int):
+    """Singular values of O_I for the size-subsets I, and which of them count
+    as nonzero, one chunk at a time in enumeration order."""
+    rows, n = size * stack.tau, stack.n
+    for idx in _subset_chunks(stack.p, [size], rows * n):
+        sv = np.linalg.svd(stack.blocks[idx].reshape(len(idx), rows, n), compute_uv=False)
+        yield sv, _nonzero(sv, max(rows, n))
+
+
+def _gram_sums(grams: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``sum(grams[i] for i in row)`` for each row of ``idx``, added left to
+    right from zero as that sum does."""
+    total = np.zeros(idx.shape[:1] + grams.shape[1:])
+    for col in idx.T:
+        total += grams[col]
+    return total
+
+
 def check_sparse_observability(
     model: SystemModel,
     s: int,
@@ -319,8 +377,9 @@ def check_sparse_observability(
         stack = build_observability(model)
     elif s in stack._sparse_obs:
         return stack._sparse_obs[s]
-    kept_sets = itertools.combinations(range(p), p - s)
-    holds = s < p and all(numerical_rank(stack.rows(kept)) >= n for kept in kept_sets)
+    holds = s < p and all(
+        (nonzero.sum(axis=1) >= n).all() for _, nonzero in _subset_svds(stack, p - s)
+    )
     stack._sparse_obs[s] = holds
     return holds
 
@@ -344,16 +403,14 @@ def compute_o_bar(
     _check_cap(count, subset_cap)
     worst = 0.0
     for size in range(min_card, p + 1):
-        for subset in itertools.combinations(range(p), size):
-            sv = np.linalg.svd(stack.rows(subset), compute_uv=False)
-            tol = max(size * stack.tau, n) * sv[0] * RANK_RTOL if sv[0] > 0 else 0.0
-            positive = sv[sv > tol]
-            if positive.size < n:
-                if full_rank_only:
-                    continue
-                if positive.size == 0:
-                    continue  # zero stack: pinv is zero, contributes nothing
-            worst = max(worst, 1.0 / float(positive[-1]) ** 2)
+        for sv, nonzero in _subset_svds(stack, size):
+            if full_rank_only:
+                nonzero &= (nonzero.sum(axis=1) >= n)[:, None]
+            # ||pinv(O_I)|| is 1 / the smallest nonzero singular value; a zero
+            # stack has a zero pinv and contributes nothing
+            smallest = np.min(sv, where=nonzero, initial=np.inf)
+            if smallest < np.inf:
+                worst = max(worst, 1.0 / float(smallest) ** 2)
     return worst
 
 
@@ -372,7 +429,7 @@ def compute_delta_s(
     known attack surface.  A singular G_I signals a violated observability
     precondition unless ``skip_singular_sets`` is set.
     """
-    p = stack.p
+    p, n = stack.p, stack.n
     if not 0 <= s_bar <= p:
         raise ValueError(f"s_bar must be in [0, {p}], got {s_bar}")
     attack_set = frozenset(range(p)) if attackable is None else frozenset(attackable)
@@ -385,30 +442,48 @@ def compute_delta_s(
         count += math.comb(p, size) * max(gammas, 1)
     _check_cap(count, subset_cap)
 
-    grams = list(stack.gram_blocks)  # list items index faster than ndarray views
+    # Index p pads subsets and Gammas to a common width: its Gram is zero, so
+    # adding it leaves every sum's bits as sum() gives them.
+    grams = np.concatenate([stack.gram_blocks, np.zeros((1, n, n))])
+    surface = [i for i in range(p) if i in attack_set]
+    gammas = [(p,) * (s_bar - g) + c for g in range(1, s_bar + 1)
+              for c in itertools.combinations(surface, g)]
+    gammas = np.array(gammas, dtype=np.intp).reshape(len(gammas), s_bar)
+    gamma_sizes = (gammas < p).sum(axis=1)
+    gamma_grams = _gram_sums(grams, gammas)
     worst = 0.0  # the empty Gamma contributes zero
-    for size in range(max(min_i, 1), p + 1):
-        for subset in itertools.combinations(range(p), size):
-            g_total = sum(grams[i] for i in subset)
-            eigvals, eigvecs = np.linalg.eigh(g_total)
-            tol = max(eigvals[-1], 0.0) * stack.n * RANK_RTOL
-            if eigvals[0] <= tol:
-                if skip_singular_sets:
-                    continue
+    sizes = range(max(min_i, 1), p + 1)
+    for idx in _subset_chunks(p, sizes, (1 + len(gammas)) * n * n):
+        eigvals, eigvecs = np.linalg.eigh(_gram_sums(grams, idx))
+        tol = _zero_tol(np.maximum(eigvals[:, -1], 0.0), n)
+        singular = eigvals[:, 0] <= tol
+        if singular.any():
+            if not skip_singular_sets:
+                first = tuple(int(i) for i in idx[np.argmax(singular)] if i < p)
                 raise GramSingularError(
-                    f"Gram matrix of sensor set {subset} is singular; the system "
+                    f"Gram matrix of sensor set {first} is singular; the system "
                     f"is not sparse-observable enough for this enumeration"
                 )
-            inv_sqrt = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
-            candidates = [i for i in subset if i in attack_set]
-            for g_size in range(1, min(s_bar, len(candidates)) + 1):
-                for gamma in itertools.combinations(candidates, g_size):
-                    if g_size == size:
-                        continue  # Gamma must be a strict subset of I
-                    g_gamma = sum(grams[i] for i in gamma)
-                    mid = inv_sqrt @ g_gamma @ inv_sqrt
-                    lam = float(np.linalg.eigvalsh(mid)[-1])
-                    worst = max(worst, lam)
+            regular = ~singular
+            idx, eigvals, eigvecs = idx[regular], eigvals[regular], eigvecs[regular]
+        if not len(gammas) or not len(idx):
+            continue
+        # Gamma strictly inside I: all its members in I, and fewer of them
+        member = np.zeros((len(idx), p + 1), dtype=bool)
+        member[np.arange(len(idx))[:, None], idx] = True
+        member[:, p] = True
+        inside = member[:, gammas].all(axis=2)
+        inside &= gamma_sizes < (idx < p).sum(axis=1)[:, None]
+        owner, gamma = np.nonzero(inside)
+        if not len(owner):
+            continue
+        scale = np.zeros(eigvecs.shape)  # diagonal matrices of 1/sqrt(eigvals)
+        scale.reshape(len(idx), n * n)[:, :: n + 1] = 1.0 / np.sqrt(eigvals)
+        inv_sqrt = eigvecs @ scale @ eigvecs.transpose(0, 2, 1)
+        w = inv_sqrt[owner]
+        lam = np.linalg.eigvalsh(w @ gamma_grams[gamma] @ w)[:, -1]
+        # fmax passes over NaN, as max(worst, nan) does
+        worst = max(worst, float(np.fmax.reduce(lam)))
     return worst
 
 

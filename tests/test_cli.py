@@ -342,6 +342,12 @@ def test_bench_old_attack_norm_range_is_input_error(tmp_path, capsys):
     assert '{"lo": lo, "hi": hi}' in capsys.readouterr().err
 
 
+def test_bench_sweep_without_required_key_is_input_error(tmp_path, capsys):
+    spec = bench_spec(tmp_path, [{"n": 2, "s": 1, "s_bar": 1}])
+    assert main(["bench", spec]) == EXIT_INPUT
+    assert "sweep 0 lacks 'p'" in capsys.readouterr().err
+
+
 def test_iteration_bound_values():
     assert iteration_bound(Strategy.TRIVIAL, 4, 1) == 5
     assert iteration_bound(Strategy.CONFLICT, 4, 1) == math.comb(4, 3)

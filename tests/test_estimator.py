@@ -143,8 +143,8 @@ def test_agree_gate_ignores_sampled_audit():
 
 def _count_rank_calls(monkeypatch):
     calls = []
-    real = linmodel.numerical_rank
-    monkeypatch.setattr(linmodel, "numerical_rank", lambda m: calls.append(1) or real(m))
+    real = linmodel._nonzero
+    monkeypatch.setattr(linmodel, "_nonzero", lambda sv, dim: calls.append(1) or real(sv, dim))
     return calls
 
 

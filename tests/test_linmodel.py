@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -15,7 +16,9 @@ from sse import (
     spectral_helper_check,
     stack_window,
 )
+from sse import linmodel
 from sse.attacksim import discretize_ugv
+from sse.linmodel import numerical_rank
 
 from conftest import simulate_outputs
 
@@ -241,8 +244,6 @@ def test_o_bar_matches_direct_svd_enumeration():
     model = random_model(rng, n=2, p=4, tau=2)
     stack = build_observability(model)
     expected = 0.0
-    import itertools
-
     for size in range(2, 5):
         for subset in itertools.combinations(range(4), size):
             sv = np.linalg.svd(np.concatenate([stack.blocks[i] for i in subset]),
@@ -284,6 +285,163 @@ def test_delta_s_subset_cap():
     stack = build_observability(model)
     with pytest.raises(SubsetCapError):
         compute_delta_s(stack, 4, subset_cap=100)
+
+
+# ---------------------------------------------------------------------------
+# batched enumerations against the per-subset reference
+# ---------------------------------------------------------------------------
+
+
+def reference_sparse_observability(stack, s):
+    """One rank per kept subset, stopping at the first deficient one; returns
+    the answer and how many subsets it looked at."""
+    p, n = stack.p, stack.n
+    looked = 0
+    for kept in itertools.combinations(range(p), p - s):
+        looked += 1
+        if numerical_rank(stack.rows(kept)) < n:
+            return False, looked
+    return s < p, looked
+
+
+def reference_o_bar(stack, min_card, full_rank_only=False):
+    p, n = stack.p, stack.n
+    worst = 0.0
+    for size in range(min_card, p + 1):
+        for subset in itertools.combinations(range(p), size):
+            sv = np.linalg.svd(stack.rows(subset), compute_uv=False)
+            tol = max(size * stack.tau, n) * sv[0] * linmodel.RANK_RTOL if sv[0] > 0 else 0.0
+            positive = sv[sv > tol]
+            if positive.size < n:
+                if full_rank_only:
+                    continue
+                if positive.size == 0:
+                    continue
+            worst = max(worst, 1.0 / float(positive[-1]) ** 2)
+    return worst
+
+
+def reference_delta_s(stack, s_bar, attackable=None, skip_singular_sets=False):
+    p = stack.p
+    attack_set = frozenset(range(p)) if attackable is None else frozenset(attackable)
+    grams = list(stack.gram_blocks)
+    worst = 0.0
+    for size in range(max(p - s_bar, 1), p + 1):
+        for subset in itertools.combinations(range(p), size):
+            g_total = sum(grams[i] for i in subset)
+            eigvals, eigvecs = np.linalg.eigh(g_total)
+            tol = max(eigvals[-1], 0.0) * stack.n * linmodel.RANK_RTOL
+            if eigvals[0] <= tol:
+                if skip_singular_sets:
+                    continue
+                raise GramSingularError(
+                    f"Gram matrix of sensor set {subset} is singular; the system "
+                    f"is not sparse-observable enough for this enumeration"
+                )
+            inv_sqrt = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
+            candidates = [i for i in subset if i in attack_set]
+            for g_size in range(1, min(s_bar, len(candidates)) + 1):
+                for gamma in itertools.combinations(candidates, g_size):
+                    if g_size == size:
+                        continue
+                    g_gamma = sum(grams[i] for i in gamma)
+                    lam = float(np.linalg.eigvalsh(inv_sqrt @ g_gamma @ inv_sqrt)[-1])
+                    worst = max(worst, lam)
+    return worst
+
+
+def awkward_model(rng):
+    """A small random model, most often with a dead row, a duplicated row or a
+    row within 1e-13 of another."""
+    n = int(rng.integers(1, 5))
+    p = int(rng.integers(2, 8))
+    c = rng.normal(size=(p, n))
+    kind = int(rng.integers(0, 4))
+    i, j = rng.choice(p, size=2, replace=False)
+    if kind == 1:
+        c[i] = 0.0
+    elif kind == 2:
+        c[i] = c[j]
+    elif kind == 3:
+        c[i] = c[j] * (1.0 + 1e-13)
+    a = rng.normal(size=(n, n))
+    a *= 0.9 / max(abs(np.linalg.eigvals(a)))
+    return SystemModel(A=a, B=np.zeros((n, 1)), C=c, tau=int(rng.integers(1, n + 1)),
+                       s_bar=0, noise_bounds=np.zeros(p))
+
+
+def assert_blocks_match_reference(stack):
+    kdims = [stack.n - numerical_rank(b) for b in stack.blocks]
+    norms_sq = np.array([np.linalg.svd(b, compute_uv=False)[0] for b in stack.blocks]) ** 2
+    assert stack.block_kernel_dims.tolist() == kdims
+    assert stack.block_norms_sq.tobytes() == norms_sq.tobytes()
+
+
+def test_block_rank_tolerance_scales_with_the_longer_side():
+    # block [[1, 0, 0], [2, eps, 0]] has sigma_2 / sigma_1 about eps / 5, which
+    # sits between 2e-12 (tau) and 3e-12 (n): rank 1 with n as the longer side
+    eps = 1.25e-11
+    a = np.array([[2.0, eps, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+    model = SystemModel(A=a, B=np.zeros((3, 1)), C=[[1.0, 0.0, 0.0]], tau=2, s_bar=0,
+                        noise_bounds=[0.0])
+    stack = build_observability(model)
+    assert stack.block_kernel_dims.tolist() == [2]
+    assert_blocks_match_reference(stack)
+
+
+def outcome(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except GramSingularError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("chunk_floats", [1, 300, linmodel.CHUNK_FLOATS],
+                         ids=["one_subset", "few_subsets", "default"])
+def test_batched_analysis_equals_per_subset_reference(monkeypatch, chunk_floats):
+    # one subset per chunk, a few per chunk, and the default bound
+    monkeypatch.setattr(linmodel, "CHUNK_FLOATS", chunk_floats)
+    rng = np.random.default_rng(chunk_floats)
+    errors = 0
+    for _ in range(10):
+        model = awkward_model(rng)
+        stack = build_observability(model)
+        assert_blocks_match_reference(stack)
+        p = model.p
+        for s in range(p + 1):
+            expected, _ = reference_sparse_observability(stack, s)
+            assert check_sparse_observability(model, s) == expected
+        for min_card in range(1, p + 1):
+            for full_rank_only in (False, True):
+                assert (compute_o_bar(stack, min_card, full_rank_only=full_rank_only)
+                        == reference_o_bar(stack, min_card, full_rank_only))
+        surface = sorted(rng.choice(p, size=int(rng.integers(0, p + 1)), replace=False))
+        for s_bar in range(p + 1):
+            for attackable in (None, surface):
+                for skip in (False, True):
+                    got = outcome(compute_delta_s, stack, s_bar, attackable=attackable,
+                                  skip_singular_sets=skip)
+                    want = outcome(reference_delta_s, stack, s_bar, attackable, skip)
+                    assert got == want
+                    errors += isinstance(want, str)
+    assert errors  # the first singular subset was named at least once
+
+
+def test_sparse_observability_stops_at_first_deficient_chunk(monkeypatch):
+    # one subset per chunk: the check ranks exactly the subsets the
+    # short-circuiting reference looks at
+    c = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 0.0]])
+    model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=c, tau=1, s_bar=0,
+                        noise_bounds=np.zeros(5))
+    stack = build_observability(model)
+    _, looked = reference_sparse_observability(stack, 3)
+    assert looked == 4  # (0, 4) is the first pair that sees one direction
+    monkeypatch.setattr(linmodel, "CHUNK_FLOATS", 1)
+    calls = []
+    real = linmodel._nonzero
+    monkeypatch.setattr(linmodel, "_nonzero", lambda sv, dim: calls.append(len(sv)) or real(sv, dim))
+    assert not check_sparse_observability(model, 3, stack=stack)
+    assert calls == [1] * looked
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +523,7 @@ def test_roll_forward_recovers_simulated_state():
 
 
 def test_observable_subsets_have_full_rank():
-    import itertools
-
     from sse.attacksim import generate_instance
-    from sse.linmodel import numerical_rank
 
     inst = generate_instance(3, 6, 1, 1, "2s", 0.0, seed=42)
     stack = inst.stack
@@ -377,8 +532,6 @@ def test_observable_subsets_have_full_rank():
 
 
 def test_o_bar_ugv_enumeration():
-    import itertools
-
     stack = build_observability(discretize_ugv().model)
     expected = 0.0
     for size in (2, 3):

@@ -861,7 +861,8 @@ def test_every_conflict_certificate_is_rejected(monkeypatch):
 
     monkeypatch.setattr(sse.theory, "_prefix_decisions", counting)
     inst = _desk_instance(8)
-    config = EstimatorConfig(strategy=Strategy.CONFLICT, epsilon=1e-6)
+    # the solve needs 9 iterations; a stalled conflict walk fails at the cap
+    config = EstimatorConfig(strategy=Strategy.CONFLICT, epsilon=1e-6, max_iterations=1000)
     result = estimate(inst.model, inst.stack, inst.window, config)
     assert result.feasible and set(inst.attacked) <= set(result.support)
     conflicts = [c for c in result.certificates
