@@ -13,10 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import EstimatorConfig, estimate
+from .estimator import EstimatorConfig, delta_bound, estimate
 from .linmodel import (
     JsonFile,
     ObservabilityStack,
+    RobustnessConstants,
     StackedWindow,
     SystemModel,
     build_observability,
@@ -25,6 +26,7 @@ from .linmodel import (
     compute_o_bar,
     numerical_rank,
     roll_forward,
+    simulate_window,
     stack_window,
 )
 
@@ -107,20 +109,13 @@ class GeneratedInstance:
 
 def _observability_holds(model: SystemModel, stack, level_s: int, rng) -> bool:
     """Exact check when enumerable, whose answer ``stack`` keeps as proof;
-    otherwise a sampled audit, which proves nothing and leaves no answer."""
+    otherwise a sampled audit, which proves nothing and leaves no answer: it
+    draws all ``AUDIT_SAMPLES`` kept sets, then ranks them in one call."""
     p, n = model.p, model.n
-    keep = p - level_s
-    if keep <= 0:
-        raise ValueError(
-            f"cannot be {level_s}-sparse observable with only {p} sensors"
-        )
     if math.comb(p, level_s) <= AUDIT_EXACT_LIMIT:
         return check_sparse_observability(model, level_s, stack=stack)
-    for _ in range(AUDIT_SAMPLES):
-        kept = rng.choice(p, size=keep, replace=False)
-        if numerical_rank(stack.rows(sorted(kept))) < n:
-            return False
-    return True
+    kept = np.sort([rng.choice(p, size=p - level_s, replace=False) for _ in range(AUDIT_SAMPLES)])
+    return bool((numerical_rank(stack.blocks[kept].reshape(AUDIT_SAMPLES, -1, n)) >= n).all())
 
 
 def _resolve_tau(n: int, p: int, level_s: int) -> int:
@@ -209,12 +204,7 @@ def generate_instance(
         noise_blocks[sensor] = direction * radius
 
     # simulate the window forward and overlay attack and noise samples
-    outputs = np.zeros((tau, p))
-    x = x_true.copy()
-    for k in range(tau):
-        outputs[k] = model.C @ x
-        if k + 1 < tau:
-            x = model.A @ x + model.B @ inputs[k]
+    outputs = simulate_window(model, x_true, inputs)
     for sensor, block in attack_blocks.items():
         outputs[:, sensor] += block
     for sensor, block in noise_blocks.items():
@@ -294,10 +284,6 @@ class AttackScenario(JsonFile):
                     f"phases overlap at step {nxt.start}; attacks must alternate"
                 )
         object.__setattr__(self, "phases", tuple(ordered))
-
-    @property
-    def attacked(self) -> tuple:
-        return tuple(sorted({ph.sensor for ph in self.phases}))
 
     def phase_at(self, t: int) -> AttackPhase | None:
         for ph in self.phases:
@@ -517,9 +503,6 @@ def ugv_guarantees(ugv: UgvModel, epsilon: float):
     encoders (and the enumeration to full-rank sensor subsets) matches the
     sets the estimator can actually accept when the GPS stays honest.
     """
-    from .estimator import delta_bound
-    from .linmodel import RobustnessConstants
-
     stack = build_observability(ugv.model)
     o_bar = compute_o_bar(stack, ugv.model.p - ugv.model.s_bar, full_rank_only=True)
     delta = compute_delta_s(

@@ -16,22 +16,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import attacksim
-from .estimator import EstimatorConfig, IterationLimitError, estimate
+from .estimator import EstimatorConfig, IterationLimitError, estimate, iteration_bound
 from .theory import Strategy
 
 BENCH_FIELDS = [
     "record", "sweep", "trial", "n", "p", "s", "s_bar", "strategy", "seed",
     "status", "iterations", "wall_time", "estimation_error", "theoretical_bound",
 ]
-
-
-def iteration_bound(strategy: Strategy, p: int, s_bar: int) -> int:
-    """Worst-case iteration count: every support within budget for the trivial
-    certificate, every maximal conflicting set otherwise."""
-    if strategy is Strategy.TRIVIAL:
-        return sum(math.comb(p, s) for s in range(s_bar + 1))
-    width = max(p - 2 * s_bar + 1, 1)
-    return math.comb(p, min(width, p))
 
 
 def _run_bench_trial(task: dict) -> list[dict]:

@@ -38,11 +38,20 @@ class IterationLimitError(RuntimeError):
         self.iterations = iterations
 
 
+def iteration_bound(strategy: Strategy, p: int, s_bar: int) -> int:
+    """Worst-case iteration count: every support within budget for the trivial
+    certificate, every maximal conflicting set otherwise."""
+    if strategy is Strategy.TRIVIAL:
+        return sum(math.comb(p, s) for s in range(s_bar + 1))
+    width = max(p - 2 * s_bar + 1, 1)
+    return math.comb(p, min(width, p))
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     strategy: Strategy = Strategy.CONFLICT_AGREE
     epsilon: float = 1e-6
-    max_iterations: int | None = None  # None: 10 * C(p, p - 2*s_bar + 1), capped at 1e7
+    max_iterations: int | None = None  # None: 10 * the conflict bound, capped at 1e7
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -51,8 +60,7 @@ class EstimatorConfig:
     def iteration_cap(self, p: int, s_bar: int) -> int:
         if self.max_iterations is not None:
             return self.max_iterations
-        width = max(p - 2 * s_bar + 1, 1)
-        return min(10 * math.comb(p, min(width, p)), 10**7)
+        return min(10 * iteration_bound(Strategy.CONFLICT, p, s_bar), 10**7)
 
 
 @dataclass
@@ -61,7 +69,6 @@ class IterationRecord:
     sat: bool
     residual_sq: float
     certificates: tuple = ()
-    conflict_fallback: bool = False
 
 
 @dataclass
@@ -207,7 +214,6 @@ def estimate(
             agree_allowed=agree_allowed,
         )
         record.certificates = tuple(certs)
-        record.conflict_fallback = diag.conflict_fallback
         if diag.conflict_fallback:
             result.conflict_fallbacks += 1
         for cert in certs:

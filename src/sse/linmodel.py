@@ -58,12 +58,16 @@ def _nonzero(sv: np.ndarray, dim: int) -> np.ndarray:
     return sv > _zero_tol(sv[..., :1], dim)
 
 
-def numerical_rank(m: np.ndarray) -> int:
-    """Rank with singular values below max(dim)*sigma_max*1e-12 treated as zero."""
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(s > _zero_tol(s[0], max(m.shape))))
+def numerical_rank(m: np.ndarray) -> int | np.ndarray:
+    """Rank of a matrix, or of each matrix of a stack ``m[..., rows, cols]``,
+    with singular values at or below ``_zero_tol`` counted as zero: an ``int``
+    for one matrix, an integer array of the stack's leading shape otherwise."""
+    if m.size:
+        sv = np.linalg.svd(m, compute_uv=False)
+        ranks = _nonzero(sv, max(m.shape[-2:])).sum(axis=-1)
+    else:
+        ranks = np.zeros(m.shape[:-2], dtype=np.intp)
+    return int(ranks) if m.ndim == 2 else ranks
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -206,20 +210,12 @@ class ObservabilityStack:
     def tau(self) -> int:
         return self.blocks.shape[1]
 
-    def rows(self, sensors) -> np.ndarray:
-        """Stacked block rows for the given sensor indices, in the given order."""
-        return self.blocks[list(sensors)].reshape(-1, self.n)
-
 
 @dataclass(frozen=True, eq=False)
 class StackedWindow:
     """Input-compensated stacked outputs Y_i (one length-tau vector per sensor)."""
 
     blocks: np.ndarray  # p x tau, row i is Y_i
-
-    @property
-    def p(self) -> int:
-        return self.blocks.shape[0]
 
     def nonfinite_sensors(self) -> list:
         """Sensors whose row has a non-finite squared norm: a NaN or +-inf
@@ -267,6 +263,19 @@ def build_observability(model: SystemModel) -> ObservabilityStack:
     )
 
 
+def simulate_window(model: SystemModel, x0, inputs) -> np.ndarray:
+    """Noise-free outputs ``C x_j`` (tau x p) of a window that starts in state
+    ``x0``, with ``x_(j+1) = A x_j + B u_j`` for the rows ``u_j`` of
+    ``inputs``; the final input is never used."""
+    outputs = np.zeros((model.tau, model.p))
+    x = x0
+    for j in range(model.tau):
+        outputs[j] = model.C @ x
+        if j + 1 < model.tau:
+            x = model.A @ x + model.B @ inputs[j]
+    return outputs
+
+
 def stack_window(model: SystemModel, outputs, inputs) -> StackedWindow:
     """Stack a tau-window of raw outputs, subtracting the known-input response.
 
@@ -281,14 +290,7 @@ def stack_window(model: SystemModel, outputs, inputs) -> StackedWindow:
         raise ValueError(f"expected {tau} output samples of width {p}, got {outputs.shape}")
     if inputs.shape != (tau, m):
         raise ValueError(f"expected {tau} input samples of width {m}, got {inputs.shape}")
-    # z_j = sum_{k<j} A^(j-1-k) B u_k, i.e. the zero-state response at step j.
-    z = np.zeros(model.n)
-    compensation = np.zeros((tau, p))
-    for j in range(tau):
-        compensation[j] = model.C @ z
-        if j + 1 < tau:
-            z = model.A @ z + model.B @ inputs[j]
-    compensated = outputs - compensation
+    compensated = outputs - simulate_window(model, np.zeros(model.n), inputs)
     blocks = np.ascontiguousarray(compensated.T)
     blocks.setflags(write=False)
     return StackedWindow(blocks=blocks)

@@ -39,6 +39,11 @@ def scalar_sensors(p, values, s_bar=1, noise=None):
     return model, build_observability(model), window
 
 
+def stack_rows(stack, sensors):
+    """O_I: the observability rows of the given sensors, in the given order."""
+    return stack.blocks[list(sensors)].reshape(-1, stack.n)
+
+
 def simulate_outputs(model, x0, inputs, attack=None, noise=None):
     """Reference forward simulation of the plant over one window (test oracle)."""
     tau, p = model.tau, model.p

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from sse import attacksim
 from sse.attacksim import (
     AttackPhase,
     AttackScenario,
@@ -18,7 +19,10 @@ from sse.attacksim import (
     ugv_guarantees,
 )
 from sse.estimator import EstimatorConfig
+from sse.linmodel import SystemModel, build_observability, numerical_rank
 from sse.theory import Strategy
+
+from conftest import stack_rows
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +145,75 @@ def test_generator_rejects_impossible_level():
         generate_instance(3, 6, 1, 2, "3s", 0.0, seed=0)
     with pytest.raises(ValueError, match="budget"):
         generate_instance(3, 6, 3, 2, "2s", 0.0, seed=0)
+
+
+# The sampled audit: p = 40 sensors at level 20 is far beyond exact enumeration.
+AUDIT_P, AUDIT_LEVEL = 40, 20
+
+
+def audit_model(c):
+    """A static model (A = I, tau = 1) whose observability blocks are C's rows."""
+    c = np.asarray(c, dtype=float)
+    n = c.shape[1]
+    return SystemModel(A=np.eye(n), B=np.zeros((n, 1)), C=c, tau=1, s_bar=1,
+                       noise_bounds=np.zeros(len(c)))
+
+
+def audit_models():
+    """A model whose every kept set has full rank, one whose rows are all
+    duplicates of one row, and one with dead sensors where a kept set has full
+    rank only if it keeps sensor 17 or 31 (rank 2 otherwise)."""
+    rng = np.random.default_rng(2024)
+    dead = np.zeros((AUDIT_P, 3))
+    dead[:20] = rng.normal(size=(20, 2)) @ rng.normal(size=(2, 3))
+    dead[[17, 31]] = rng.normal(size=(2, 3))
+    return {
+        "random": audit_model(rng.normal(size=(AUDIT_P, 3))),
+        "duplicated": audit_model(np.tile(rng.normal(size=(1, 3)), (AUDIT_P, 1))),
+        "dead": audit_model(dead),
+    }
+
+
+def per_draw_ranks(stack, rng):
+    """The audit's draws ranked one at a time."""
+    ranks = []
+    for _ in range(attacksim.AUDIT_SAMPLES):
+        kept = sorted(rng.choice(AUDIT_P, size=AUDIT_P - AUDIT_LEVEL, replace=False))
+        ranks.append(numerical_rank(stack_rows(stack, kept)))
+    return ranks
+
+
+def test_sampled_audit_rejects_rank_deficient_models():
+    assert math.comb(AUDIT_P, AUDIT_LEVEL) > attacksim.AUDIT_EXACT_LIMIT
+    models = audit_models()
+    for name, expected in (("random", True), ("duplicated", False), ("dead", False)):
+        model = models[name]
+        stack = build_observability(model)
+        rng = np.random.default_rng(7)
+        assert attacksim._observability_holds(model, stack, AUDIT_LEVEL, rng) is expected, name
+
+
+@pytest.mark.parametrize("name", ["random", "dead"])
+def test_sampled_audit_decides_all_draws_in_one_rank_call(name, monkeypatch):
+    model = audit_models()[name]
+    stack = build_observability(model)
+    reference_rng = np.random.default_rng(11)
+    expected = per_draw_ranks(stack, reference_rng)
+    if name == "dead":  # some draws have full rank, some rank 2
+        assert 3 in expected and 2 in expected
+    calls = []
+
+    def spy(m):
+        calls.append(numerical_rank(m))
+        return calls[-1]
+
+    monkeypatch.setattr(attacksim, "numerical_rank", spy)
+    rng = np.random.default_rng(11)
+    holds = attacksim._observability_holds(model, stack, AUDIT_LEVEL, rng)
+    assert holds == (min(expected) >= 3)
+    assert len(calls) == 1 and calls[0].tolist() == expected
+    # every draw is taken, also when an early one fails
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 def test_poor_observability_kernel_dims_at_scale():

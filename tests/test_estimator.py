@@ -116,6 +116,7 @@ def test_default_iteration_cap_formula():
     config = EstimatorConfig()
     assert config.iteration_cap(10, 2) == 10 * math.comb(10, 7)
     assert config.iteration_cap(60, 20) == 10**7
+    assert config.iteration_cap(4, 0) == 10  # the width p + 1 is clipped to p: C(4, 4) = 1
 
 
 def test_agree_gate_downgrades_without_verification(four_lines):

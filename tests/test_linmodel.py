@@ -20,7 +20,7 @@ from sse import linmodel
 from sse.attacksim import discretize_ugv
 from sse.linmodel import numerical_rank
 
-from conftest import simulate_outputs
+from conftest import simulate_outputs, stack_rows
 
 
 def random_model(rng, n=3, p=5, m=1, tau=None, s_bar=1):
@@ -308,7 +308,7 @@ def reference_sparse_observability(stack, s):
     looked = 0
     for kept in itertools.combinations(range(p), p - s):
         looked += 1
-        if reference_rank(stack.rows(kept)) < n:
+        if reference_rank(stack_rows(stack, kept)) < n:
             return False, looked
     return s < p, looked
 
@@ -318,7 +318,7 @@ def reference_o_bar(stack, min_card, full_rank_only=False):
     worst = 0.0
     for size in range(min_card, p + 1):
         for subset in itertools.combinations(range(p), size):
-            sv = np.linalg.svd(stack.rows(subset), compute_uv=False)
+            sv = np.linalg.svd(stack_rows(stack, subset), compute_uv=False)
             tol = max(size * stack.tau, n) * sv[0] * linmodel.RANK_RTOL if sv[0] > 0 else 0.0
             positive = sv[sv > tol]
             if positive.size < n:
@@ -540,7 +540,31 @@ def test_observable_subsets_have_full_rank():
     inst = generate_instance(3, 6, 1, 1, "2s", 0.0, seed=42)
     stack = inst.stack
     for subset in itertools.combinations(range(6), 4):  # |I| >= p - 2*s_bar
-        assert numerical_rank(stack.rows(subset)) == 3
+        assert numerical_rank(stack_rows(stack, subset)) == 3
+
+
+def test_numerical_rank_of_a_stack_equals_per_matrix_ranks():
+    rng = np.random.default_rng(31)
+    mats = rng.normal(size=(12, 6, 4))
+    mats[0] = 0.0
+    mats[1, :, 3] = mats[1, :, 0]
+    mats[2, 1:] = mats[2, :1]
+    mats[3, :, 2:] = 0.0
+    mats[4, :, 1] = mats[4, :, 0] * (1.0 + 1e-14)  # dependent within the tolerance
+    mats[5, :, 1] = mats[5, :, 0] + 1e-9 * rng.normal(size=6)  # independent beyond it
+    # sigma_min / sigma_max = 9e-12: above the 6 x 4 tolerance (6e-12), below
+    # one scaled by the stack's length (12e-12)
+    u, _ = np.linalg.qr(rng.normal(size=(6, 4)))
+    v, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    mats[6] = u @ np.diag([1.0, 1.0, 1.0, 9e-12]) @ v.T
+    ranks = numerical_rank(mats)
+    assert ranks.tolist() == [numerical_rank(m) for m in mats]
+    assert ranks.tolist() == [reference_rank(m) for m in mats]
+    assert ranks[:7].tolist() == [0, 3, 1, 2, 3, 4, 4]
+    assert numerical_rank(mats.reshape(3, 4, 6, 4)).tolist() == ranks.reshape(3, 4).tolist()
+    assert type(numerical_rank(mats[1])) is int
+    assert numerical_rank(np.zeros((0, 3))) == 0
+    assert numerical_rank(np.zeros((5, 0, 3))).tolist() == [0] * 5
 
 
 def test_o_bar_ugv_enumeration():
@@ -548,7 +572,7 @@ def test_o_bar_ugv_enumeration():
     expected = 0.0
     for size in (2, 3):
         for subset in itertools.combinations(range(3), size):
-            sv = np.linalg.svd(stack.rows(subset), compute_uv=False)
+            sv = np.linalg.svd(stack_rows(stack, subset), compute_uv=False)
             positive = sv[sv > sv[0] * 1e-12]
             expected = max(expected, 1.0 / positive[-1] ** 2)
     assert compute_o_bar(stack, 2) == pytest.approx(expected, rel=1e-12)

@@ -21,7 +21,7 @@ from sse.theory import (
     t_check,
 )
 
-from conftest import four_lines, line_model, line_window, scalar_sensors
+from conftest import four_lines, line_model, line_window, scalar_sensors, stack_rows
 
 
 def _residual_of(check, sensor):
@@ -124,7 +124,7 @@ def test_least_squares_optimality_property():
         inst = generate_instance(4, 6, 1, 1, "2s", 0.1, seed=seed)
         sensors = tuple(sorted(rng.choice(6, size=4, replace=False).tolist()))
         check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 0.01)
-        o_i = inst.stack.rows(sensors)
+        o_i = stack_rows(inst.stack, sensors)
         y_i = inst.window.blocks[list(sensors)].reshape(-1)
         gradient = np.linalg.norm(o_i.T @ (y_i - o_i @ check.x))
         assert gradient <= 1e-8 * np.linalg.norm(o_i, 2) * max(np.linalg.norm(y_i), 1.0)
@@ -136,7 +136,7 @@ def test_projector_idempotence():
     for seed in range(5):
         inst = generate_instance(3, 5, 0, 1, "2s", 0.0, seed=seed)
         sensors = (0, 1, 2, 3)
-        o_i = inst.stack.rows(sensors)
+        o_i = stack_rows(inst.stack, sensors)
         projector = np.eye(o_i.shape[0]) - o_i @ np.linalg.pinv(o_i)
         assert np.allclose(projector @ projector, projector, atol=1e-10)
 
@@ -609,7 +609,7 @@ def _reference_t_check(stack, window, sensors, noise_bounds, epsilon):
     sensors = tuple(sorted(set(int(i) for i in sensors)))
     noise_bounds = np.asarray(noise_bounds, dtype=float)
     idx = list(sensors)
-    o_i = stack.rows(idx)
+    o_i = stack_rows(stack, idx)
     y_i = window.blocks[idx].reshape(-1)
     x = None
     rank_deficient = False
