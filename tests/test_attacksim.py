@@ -162,7 +162,7 @@ def audit_model(c):
 def audit_models():
     """A model whose every kept set has full rank, one whose rows are all
     duplicates of one row, and one with dead sensors where a kept set has full
-    rank only if it keeps sensor 17 or 31 (rank 2 otherwise)."""
+    rank only if it keeps sensor 17 or 31 (at most 2 otherwise)."""
     rng = np.random.default_rng(2024)
     dead = np.zeros((AUDIT_P, 3))
     dead[:20] = rng.normal(size=(20, 2)) @ rng.normal(size=(2, 3))
