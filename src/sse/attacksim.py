@@ -423,7 +423,11 @@ def run_closed_loop(
     stack = build_observability(model)
     gain = place_feedback_gain(model.A, model.B)
     p, tau = model.p, model.tau
-    per_step_noise = model.noise_bounds / math.sqrt(tau)
+    # rng.uniform(-bound, bound) is low + (high - low) * rng.random(): the same
+    # doubles and generator state, without uniform's per-call argument checks
+    noise_high = model.noise_bounds / math.sqrt(tau)
+    noise_low = -noise_high
+    noise_width = noise_high - noise_low
 
     x = np.zeros(2)
     x_est = np.zeros(2)
@@ -441,8 +445,9 @@ def run_closed_loop(
         estimated=np.zeros(steps, dtype=bool),
         degenerate=np.zeros(steps, dtype=bool),
     )
+    u_rows = tr.u.reshape(steps, 1)  # a view: row t is u_t
     for t in range(steps):
-        noise = rng.uniform(-per_step_noise, per_step_noise)
+        noise = noise_low + noise_width * rng.random(p)
         clean = model.C @ x
         attack = np.zeros(p)
         phase = scenario.phase_at(t)
@@ -468,17 +473,18 @@ def run_closed_loop(
         tr.ref[t] = square_path_reference(t, scenario.segment_steps)
 
         if t >= tau - 1:
-            outputs = tr.y[t - tau + 1 : t + 1]
-            recent_u = tr.u[t - tau + 1 : t]  # u_t is not applied yet
-            window_inputs = np.concatenate([recent_u, [0.0]]).reshape(tau, 1)
-            window = stack_window(model, outputs, window_inputs)
+            # u_t is not applied yet: it is still 0 and only pads the window
+            window_inputs = u_rows[t - tau + 1 : t + 1]
+            window = stack_window(model, tr.y[t - tau + 1 : t + 1], window_inputs)
             result = estimate(model, stack, window, config)
             tr.estimated[t] = True
             tr.feasible[t] = result.feasible
             if result.feasible:
-                tr.b[t, list(result.support)] = 1
+                b_row = tr.b[t]
+                for sensor in result.support:
+                    b_row[sensor] = 1
             if result.feasible and not result.rank_deficient_final:
-                x_est = roll_forward(model, result.x, recent_u.reshape(tau - 1, 1))
+                x_est = roll_forward(model, result.x, window_inputs[:-1])
             else:
                 # hold the previous estimate through the model for one step
                 tr.degenerate[t] = result.feasible

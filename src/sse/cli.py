@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import sys
+import time
 from importlib import resources
 
 import numpy as np
@@ -210,14 +211,17 @@ def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
     ugv = attacksim.discretize_ugv()
     config = _estimator_config(args)
+    started = time.perf_counter()
     trace = attacksim.run_closed_loop(
         ugv, scenario, steps=args.steps, config=config, seed=args.seed
     )
+    wall = time.perf_counter() - started
     trace.to_csv(args.output)
     infeasible = int(np.sum(trace.estimated & ~trace.feasible))
     sys.stdout.write(
         f"wrote {trace.steps} steps to {args.output} "
-        f"({infeasible} infeasible estimation steps)\n"
+        f"({infeasible} infeasible estimation steps; "
+        f"closed loop {wall:.3f} s, {trace.steps / wall:.0f} steps/s)\n"
     )
     return EXIT_OK
 

@@ -31,11 +31,13 @@ from .theory import Strategy, certificates, t_check
 
 
 class IterationLimitError(RuntimeError):
-    """The estimation loop hit its iteration cap before deciding."""
+    """The estimation loop hit its iteration cap before deciding; ``sat``
+    holds the capped solve's SAT search counts."""
 
-    def __init__(self, iterations: int):
+    def __init__(self, iterations: int, sat: SatStats | None = None):
         super().__init__(f"estimation aborted after {iterations} iterations")
         self.iterations = iterations
+        self.sat = SatStats() if sat is None else sat
 
 
 def iteration_bound(strategy: Strategy, p: int, s_bar: int) -> int:
@@ -220,7 +222,7 @@ def estimate(
             result.certificates.append(cert)
             inst.add_constraint(cert)
         if result.iterations >= cap:
-            raise IterationLimitError(result.iterations)
+            raise IterationLimitError(result.iterations, inst.stats)
 
 
 def minimal_support_estimate(

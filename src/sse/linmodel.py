@@ -182,13 +182,22 @@ class SystemModel(JsonFile):
         )
 
 
+class _CheckMemo(dict):
+    """Per-set constants of the least-squares check by sorted sensor tuple
+    (see ``theory._check``); ``floats`` counts the floats they hold."""
+
+    floats = 0
+
+
 @dataclass(frozen=True, eq=False)
 class ObservabilityStack:
     """Per-sensor observability blocks O_i (tau x n), their kernel
     dimensions, squared spectral norms, and Gram matrices.
 
     Build it once per model and reuse it: it also remembers the answers of
-    ``check_sparse_observability(model, s, stack=stack)`` by ``s``.
+    ``check_sparse_observability(model, s, stack=stack)`` by ``s``, and the
+    per-set constants of the least-squares check (the stacked O_I, the summed
+    Gram, ...) for as many sensor sets as fit a fixed float budget.
     """
 
     blocks: np.ndarray  # p x tau x n, entry i is O_i
@@ -197,6 +206,7 @@ class ObservabilityStack:
     block_norms_sq: np.ndarray  # squared spectral norm of each O_i
     dead_block: bool  # some block_norms_sq entry is 0: that sensor sees nothing
     _sparse_obs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _checks: _CheckMemo = field(default_factory=_CheckMemo, init=False, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -276,6 +286,13 @@ def simulate_window(model: SystemModel, x0, inputs) -> np.ndarray:
     return outputs
 
 
+def _as_rows(value) -> np.ndarray:
+    """``np.atleast_2d(np.asarray(value, dtype=float))``, without the second
+    call for a value that already has two axes."""
+    arr = np.asarray(value, dtype=float)
+    return arr if arr.ndim >= 2 else np.atleast_2d(arr)
+
+
 def stack_window(model: SystemModel, outputs, inputs) -> StackedWindow:
     """Stack a tau-window of raw outputs, subtracting the known-input response.
 
@@ -283,8 +300,8 @@ def stack_window(model: SystemModel, outputs, inputs) -> StackedWindow:
     The final input only pads the window (the response of sample j depends on
     inputs strictly before j) and never enters the compensation.
     """
-    outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    outputs = _as_rows(outputs)
+    inputs = _as_rows(inputs)
     tau, p, m = model.tau, model.p, model.m
     if outputs.shape != (tau, p):
         raise ValueError(f"expected {tau} output samples of width {p}, got {outputs.shape}")
@@ -300,7 +317,9 @@ def roll_forward(model: SystemModel, x_delayed, inputs) -> np.ndarray:
     """Propagate a window-start state to the current time through tau-1 inputs,
     oldest first."""
     x = np.asarray(x_delayed, dtype=float).reshape(model.n)
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float)) if np.size(inputs) else np.zeros((0, model.m))
+    inputs = _as_rows(inputs)
+    if not inputs.size:
+        inputs = np.zeros((0, model.m))
     if inputs.shape != (model.tau - 1, model.m):
         raise ValueError(
             f"expected {model.tau - 1} inputs of width {model.m}, got {inputs.shape}"

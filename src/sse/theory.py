@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,9 @@ MIN_BATCH_PREFIXES = 3
 # Relative half-width of the band around the budget in which a batched
 # residual is not trusted to decide a prefix (see _prefix_decisions).
 TIE_RTOL = 1e-10
+# Floats a stack's memo of per-set check constants may hold in all (see
+# _check); a set that does not fit is recomputed on every check.
+CHECK_MEMO_FLOATS = 1 << 12
 
 
 class Strategy(str, Enum):
@@ -62,6 +66,17 @@ class Strategy(str, Enum):
 class ConflictSearchError(RuntimeError):
     """The linear conflict walk exhausted its candidates without finding a
     conflicting subset (impossible on exact data, possible under noise)."""
+
+
+class _SetConstants(NamedTuple):
+    """What ``_check`` computes from the stack alone for one sensor set."""
+
+    idx: np.ndarray  # the sorted set as an index array
+    o_i: np.ndarray  # the stacked O_I
+    gram: np.ndarray  # the summed Gram blocks
+    norms_sq: np.ndarray  # the squared block norms
+    norm: float  # the square root of their sum
+    singular: bool  # np.linalg.solve raised on gram
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,35 +128,51 @@ def _check(
     noise_bounds: np.ndarray,
     epsilon: float,
 ) -> CheckResult:
-    """``t_check`` on a sorted, non-empty tuple and a float array."""
-    idx = list(sensors)
-    n = stack.n
-    o_i = stack.blocks[idx].reshape(-1, n)
+    """``t_check`` on a sorted, non-empty tuple and a float array.
+
+    The set's constants come from the stack's memo when it holds them, and
+    are added to it while they fit ``CHECK_MEMO_FLOATS``."""
+    n, tau = stack.n, stack.tau
+    memo = stack._checks
+    held = memo.get(sensors)
+    if held is None:
+        idx = np.array(sensors)
+        o_i = stack.blocks[idx].reshape(-1, n)
+        gram = stack.gram_blocks[idx].sum(axis=0)
+        norms_sq = stack.block_norms_sq[idx]
+        norm = math.sqrt(float(norms_sq.sum()))
+        singular = False
+    else:
+        idx, o_i, gram, norms_sq, norm, singular = held
     y_i = window.blocks[idx].reshape(-1)
     # Normal-equation fast path; fall back to the SVD solver when the Gram
     # matrix is singular or the gradient check says the solve went bad.
     # math.sqrt(v.dot(v)) is numpy's 2-norm of a vector, without its overhead.
     x = None
-    rank_deficient = len(idx) * stack.tau < n
-    gram = stack.gram_blocks[idx].sum(axis=0)
+    rank_deficient = len(sensors) * tau < n
     rhs = o_i.T @ y_i
-    norms_sq = stack.block_norms_sq[idx]
-    scale = math.sqrt(float(y_i.dot(y_i))) * math.sqrt(float(norms_sq.sum()))
-    try:
-        cand = np.linalg.solve(gram, rhs)
-        grad = rhs - gram @ cand
-        if math.sqrt(float(grad.dot(grad))) <= 1e-9 * max(scale, 1e-300):
-            x = cand
-    except np.linalg.LinAlgError:
-        pass
+    scale = math.sqrt(float(y_i.dot(y_i))) * norm
+    if not singular:
+        try:
+            cand = np.linalg.solve(gram, rhs)
+            grad = rhs - gram @ cand
+            if math.sqrt(float(grad.dot(grad))) <= 1e-9 * max(scale, 1e-300):
+                x = cand
+        except np.linalg.LinAlgError:
+            singular = True
+    if held is None:
+        floats = o_i.size + gram.size + 2 * len(sensors)
+        if memo.floats + floats <= CHECK_MEMO_FLOATS:
+            memo[sensors] = _SetConstants(idx, o_i, gram, norms_sq, norm, singular)
+            memo.floats += floats
     if x is None:
         x, _, rank, _ = np.linalg.lstsq(o_i, y_i, rcond=None)
         rank_deficient = rank < n
     fit = o_i @ x
     diff = y_i - fit
-    block_res = (diff * diff).reshape(len(idx), stack.tau).sum(axis=1)
+    block_res = (diff * diff).reshape(len(sensors), tau).sum(axis=1)
     residual_sq = float(block_res.sum())
-    psi_sq = float(np.sum(noise_bounds[idx] ** 2))
+    psi_sq = float((noise_bounds[idx] ** 2).sum())
     sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
     return CheckResult(
         sat=sat,

@@ -329,6 +329,33 @@ def test_closed_loop_determinism():
     assert np.array_equal(a.u, b.u)
 
 
+@pytest.mark.parametrize("high", [
+    np.full(3, math.sqrt(attacksim.UGV_NOISE_SQ / 2)),
+    np.array([0.3, 0.0, 1e-3]),  # a zero bound draws exactly 0
+    np.array([1e300, 5.0, 0.0]),
+])
+def test_noise_draw_equals_uniform(high):
+    # the closed loop draws low + (high - low) * random(), which is how numpy
+    # computes uniform(low, high): the same doubles, the same generator state
+    low = -high
+    width = high - low
+    twin_a, twin_b = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(500):
+        drawn = low + width * twin_a.random(3)
+        assert drawn.tobytes() == twin_b.uniform(low, high).tobytes()
+        assert twin_a.bit_generator.state == twin_b.bit_generator.state
+
+
+def test_attack_free_loop_noise_is_the_uniform_stream():
+    # with no attack phase the loop's only draws are its noise samples
+    ugv = discretize_ugv()
+    trace = run_closed_loop(ugv, AttackScenario(phases=(), steps=50), seed=12)
+    bound = ugv.model.noise_bounds / math.sqrt(ugv.model.tau)
+    rng = np.random.default_rng(12)
+    expected = np.array([rng.uniform(-bound, bound) for _ in range(50)])
+    assert trace.noise.tobytes() == expected.tobytes()
+
+
 def test_alternating_attack_detection_smoke():
     ugv = discretize_ugv()
     scenario = alternating_encoder_scenario()

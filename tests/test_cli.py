@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,6 +223,10 @@ def test_simulate_bundled_scenario(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("t,x_true,v_true")
     assert len(lines) == 41
+    summary = capsys.readouterr().out
+    assert re.fullmatch(
+        rf"wrote 40 steps to {re.escape(str(out))} \(\d+ infeasible estimation steps; "
+        r"closed loop \d+\.\d{3} s, \d+ steps/s\)\n", summary), summary
 
 
 def test_simulate_scenario_file_attack_free(tmp_path):

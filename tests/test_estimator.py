@@ -24,6 +24,7 @@ from sse.estimator import (
     minimal_support_estimate,
 )
 from sse.oracle import brute_force
+from sse.satcore import SatStats
 from sse.theory import CertificateKind, Strategy
 
 from conftest import four_lines, line_model, line_window
@@ -93,6 +94,25 @@ def test_iteration_cap_raises(four_lines):
     model, stack, window = four_lines
     with pytest.raises(IterationLimitError):
         estimate(model, stack, window, cfg(Strategy.TRIVIAL, max_iterations=1))
+
+
+def test_capped_solve_carries_its_sat_stats():
+    # the trivial strategy needs all 5 supports within budget to prove this
+    # window infeasible; a cap of 3 stops it after 3 checked hypotheses
+    model = line_model([[1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], [-2.0, 1.0]], s_bar=1)
+    stack = build_observability(model)
+    window = line_window(model, [8.0 + 3.0, 4.0, 8.0 + 2.0, 2.0])
+    with pytest.raises(IterationLimitError) as info:
+        estimate(model, stack, window, cfg(Strategy.TRIVIAL, max_iterations=3))
+    exc = info.value
+    assert exc.iterations == 3
+    assert isinstance(exc.sat, SatStats)
+    assert exc.sat.solve_calls == 3  # one proposal per checked hypothesis
+    full = estimate(model, stack, window, cfg(Strategy.TRIVIAL))
+    assert not full.feasible and full.iterations == 5
+    assert 0 < exc.sat.solve_calls < full.sat.solve_calls
+    assert exc.sat.decisions <= full.sat.decisions
+    assert IterationLimitError(7).sat == SatStats()
 
 
 # (generator seed, s) of the desk-scale instances in criterion 4's conflict

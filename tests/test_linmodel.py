@@ -586,3 +586,103 @@ def test_model_loads_legacy_verification_key():
     assert "verified_sparse_obs" not in doc
     back = SystemModel.from_json_dict({**doc, "verified_sparse_obs": 2})
     assert back.to_json_dict() == doc
+
+
+# ---------------------------------------------------------------------------
+# the lean window helpers against the earlier implementation
+# ---------------------------------------------------------------------------
+
+
+def _reference_stack_window(model, outputs, inputs):
+    """``stack_window``'s blocks as computed before its per-call overhead was
+    trimmed."""
+    outputs = np.atleast_2d(np.asarray(outputs, dtype=float))
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    tau, p, m = model.tau, model.p, model.m
+    if outputs.shape != (tau, p):
+        raise ValueError(f"expected {tau} output samples of width {p}, got {outputs.shape}")
+    if inputs.shape != (tau, m):
+        raise ValueError(f"expected {tau} input samples of width {m}, got {inputs.shape}")
+    compensated = outputs - linmodel.simulate_window(model, np.zeros(model.n), inputs)
+    return np.ascontiguousarray(compensated.T)
+
+
+def _reference_roll_forward(model, x_delayed, inputs):
+    """``roll_forward`` before its per-call overhead was trimmed."""
+    x = np.asarray(x_delayed, dtype=float).reshape(model.n)
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float)) if np.size(inputs) else np.zeros((0, model.m))
+    if inputs.shape != (model.tau - 1, model.m):
+        raise ValueError(
+            f"expected {model.tau - 1} inputs of width {model.m}, got {inputs.shape}"
+        )
+    for u in inputs:
+        x = model.A @ x + model.B @ u
+    return x
+
+
+def _window_models():
+    rng = np.random.default_rng(17)
+    return [
+        discretize_ugv().model,                         # tau = 2
+        random_model(rng, n=4, p=12, tau=3),            # plant size
+        random_model(rng, n=4, p=12, m=2, tau=3),
+        random_model(rng, n=25, p=60, tau=2, s_bar=20),  # desk scale
+    ]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_window_helpers_match_reference_bit_for_bit(k):
+    model = _window_models()[k]
+    rng = np.random.default_rng(100 + k)
+    tau, p, m, n = model.tau, model.p, model.m, model.n
+    for _ in range(40):
+        outputs = rng.normal(size=(tau, p)) * 10.0
+        inputs = rng.normal(size=(tau, m))
+        window = stack_window(model, outputs, inputs)
+        assert window.blocks.flags.c_contiguous and not window.blocks.flags.writeable
+        assert window.blocks.tobytes() == _reference_stack_window(model, outputs, inputs).tobytes()
+        # lists and column views of a longer array, as the closed loop passes
+        column = np.concatenate([rng.normal(size=(3, m)), inputs])[3:]
+        assert stack_window(model, outputs.tolist(), column).blocks.tobytes() == \
+            window.blocks.tobytes()
+        x = rng.normal(size=n)
+        rolled = roll_forward(model, x, inputs[:-1])
+        assert rolled.tobytes() == _reference_roll_forward(model, x, inputs[:-1]).tobytes()
+        assert roll_forward(model, x.tolist(), inputs[:-1].tolist()).tobytes() == rolled.tobytes()
+    if tau == 2 and m == 1:  # a scalar or a flat input is one row
+        for value in (0.7, [0.7], np.array([0.7])):
+            x = np.arange(n, dtype=float)
+            assert roll_forward(model, x, value).tobytes() == \
+                _reference_roll_forward(model, x, value).tobytes()
+
+
+def _error(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_window_helpers_raise_the_reference_errors(k):
+    model = _window_models()[k]
+    tau, p, m, n = model.tau, model.p, model.m, model.n
+    good_out, good_in = np.zeros((tau, p)), np.zeros((tau, m))
+    for outputs, inputs in [
+        (np.zeros((tau + 1, p)), good_in),
+        (np.zeros((tau, p + 1)), good_in),
+        (np.zeros(p), good_in),                 # one flat row
+        (np.zeros((1, tau, p)), good_in),
+        (good_out, np.zeros((tau - 1, m))),
+        (good_out, np.zeros(tau)),              # flat: one row of tau inputs
+        (good_out, 0.0),
+        (good_out, []),
+    ]:
+        message = _error(stack_window, model, outputs, inputs)
+        assert message == _error(_reference_stack_window, model, outputs, inputs)
+    for inputs in [np.zeros((tau, m)), np.zeros((tau - 1, m + 1)), np.zeros((2, tau, m)),
+                   np.zeros((tau + 3, m)).tolist(), np.zeros((tau - 1) * m + 1)]:
+        message = _error(roll_forward, model, np.zeros(n), inputs)
+        assert message == _error(_reference_roll_forward, model, np.zeros(n), inputs)
+    for inputs in ([], np.zeros((0, 3))):  # no inputs, where tau - 1 >= 1 are needed
+        message = _error(roll_forward, model, np.zeros(n), inputs)
+        assert message == _error(_reference_roll_forward, model, np.zeros(n), inputs)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -641,6 +642,18 @@ def _reference_t_check(stack, window, sensors, noise_bounds, epsilon):
     return sat, x, residual_sq, per_sensor, rank_deficient
 
 
+def _assert_matches_reference(stack, window, sensors, noise_bounds, epsilon):
+    check = t_check(stack, window, sensors, noise_bounds, epsilon)
+    sat, x, residual_sq, per_sensor, rank_deficient = _reference_t_check(
+        stack, window, sensors, noise_bounds, epsilon)
+    assert check.x.tobytes() == x.tobytes()
+    assert check.residual_sq == residual_sq
+    assert dict(zip(check.sensors, check.residuals.tolist())) == per_sensor
+    assert list(check.sensors) == list(per_sensor)
+    undetermined = stack.tau * len(set(sensors)) < stack.n
+    assert (check.sat, check.rank_deficient) == (sat, rank_deficient or undetermined)
+
+
 def _desk_instance(s=8):
     return generate_instance(25, 60, s, 20, "2s", 0.0, seed=9000 + 97 * s)
 
@@ -669,23 +682,64 @@ def test_t_check_matches_reference_bit_for_bit(case, four_lines):
     else:
         model, stack, window = _dead_block_case()
         assert stack.dead_block
+    # a second noise budget on the same stack: the memo must not serve the
+    # first one's psi
+    other_bounds = model.noise_bounds + np.linspace(0.01, 0.2, stack.p)
     rng = np.random.default_rng(7)
     for _ in range(60):
         size = int(rng.integers(1, stack.p + 1))
         sensors = rng.choice(stack.p, size=size, replace=False).tolist()
-        for epsilon in (0.0, 1e-6):
-            check = t_check(stack, window, sensors, model.noise_bounds, epsilon)
-            sat, x, residual_sq, per_sensor, rank_deficient = _reference_t_check(
-                stack, window, sensors, model.noise_bounds, epsilon)
-            assert check.x.tobytes() == x.tobytes()
-            assert check.residual_sq == residual_sq
-            assert dict(zip(check.sensors, check.residuals.tolist())) == per_sensor
-            assert list(check.sensors) == list(per_sensor)
-            undetermined = stack.tau * len(set(sensors)) < stack.n
-            assert (check.sat, check.rank_deficient) == (sat, rank_deficient or undetermined)
+        key = tuple(sorted(sensors))
+        # the shared stack fills its memo until the budget is spent; a fresh
+        # copy (empty memo) serves the second check of every set from it
+        fresh = dataclasses.replace(stack)
+        for on in (stack, fresh):
+            for noise_bounds in (model.noise_bounds, other_bounds):
+                for epsilon in (0.0, 1e-6):
+                    for _ in range(2):  # the second check reads the memo if it holds the set
+                        _assert_matches_reference(on, window, sensors, noise_bounds, epsilon)
+        assert key in fresh._checks
     if case == "dead_block":
         check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
         assert _residual_of(check, 1) == math.inf
+
+
+def test_check_memo_remembers_a_singular_gram(monkeypatch):
+    # the velocity encoders alone never see position: their Gram is singular,
+    # the memo records it, and the repeated check goes straight to lstsq
+    model, stack, window = _ugv_case()
+    first = t_check(stack, window, (1, 2), model.noise_bounds, 1e-6)
+    t_check(stack, window, (0, 1), model.noise_bounds, 1e-6)
+    assert stack._checks[(1, 2)].singular
+    assert not stack._checks[(0, 1)].singular
+
+    def no_solve(*args):
+        raise AssertionError("a known-singular Gram was solved again")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    again = t_check(stack, window, (2, 1), model.noise_bounds, 1e-6)
+    assert again.rank_deficient and first.rank_deficient
+    assert again.x.tobytes() == first.x.tobytes()
+    assert again.residuals.tobytes() == first.residuals.tobytes()
+
+
+def test_check_memo_stays_within_its_float_budget():
+    inst = _desk_instance()
+    stack, window = inst.stack, inst.window
+    rng = np.random.default_rng(21)
+    seen = set()
+    while len(seen) < 2000:
+        size = int(rng.integers(1, stack.p + 1))
+        key = tuple(sorted(rng.choice(stack.p, size=size, replace=False).tolist()))
+        if key in seen:
+            continue
+        seen.add(key)
+        t_check(stack, window, key, inst.model.noise_bounds, 1e-6)
+        assert stack._checks.floats <= sse.theory.CHECK_MEMO_FLOATS
+    held = sum(const.o_i.size + const.gram.size + 2 * len(key)
+               for key, const in stack._checks.items())
+    assert stack._checks.floats == held
+    assert 0 < len(stack._checks) < len(seen)
 
 
 def test_t_check_flags_undetermined_sets():
