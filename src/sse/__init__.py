@@ -30,8 +30,6 @@ from .theory import (
     CheckResult,
     ConflictSearchError,
     Strategy,
-    certificate_agree,
-    certificate_conflict,
     certificates,
     t_check,
 )

@@ -4,7 +4,7 @@ Subcommands: observability (model analysis and robustness constants),
 estimate (solve one window from a trace file), oracle (brute-force supports),
 simulate (closed-loop vehicle run to CSV), bench (iteration-count experiments
 to CSV).  Exit codes: 0 success, 2 infeasible estimate, 3 input error,
-4 enumeration cap exceeded.
+4 enumeration or iteration cap exceeded.
 """
 
 from __future__ import annotations
@@ -21,7 +21,13 @@ import numpy as np
 
 from . import attacksim, bench, oracle
 from .attacksim import format_exact
-from .estimator import EstimatorConfig, delta_bound, estimate, minimal_support_estimate
+from .estimator import (
+    EstimatorConfig,
+    IterationLimitError,
+    delta_bound,
+    estimate,
+    minimal_support_estimate,
+)
 from .linmodel import (
     GramSingularError,
     RobustnessConstants,
@@ -251,9 +257,9 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_estimator_flags(parser, default_strategy="conflict_agree"):
+def _add_estimator_flags(parser):
     parser.add_argument("--strategy", choices=[s.value for s in Strategy],
-                        default=default_strategy)
+                        default=Strategy.CONFLICT_AGREE.value)
     parser.add_argument("--epsilon", type=float, default=1e-6)
     parser.add_argument("--max-iterations", type=int, default=None, dest="max_iterations")
 
@@ -318,7 +324,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    except SubsetCapError as exc:
+    except (SubsetCapError, IterationLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP
     except (ValueError, OSError) as exc:

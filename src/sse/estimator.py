@@ -58,6 +58,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
 
     def iteration_cap(self, p: int, s_bar: int) -> int:
         if self.max_iterations is not None:
@@ -118,30 +120,28 @@ class Estimate:
         }
 
 
-def _agree_allowed(
+def _solve_strategy(
     model: SystemModel, stack: ObservabilityStack, config: EstimatorConfig
-) -> tuple[bool, bool]:
-    """(allowed, downgraded): whether agreement certificates may be emitted.
+) -> Strategy:
+    """The strategy the solve runs: ``conflict_agree`` runs as ``conflict``
+    unless agreement certificates are sound.
 
     They are only sound on exact data, and only when the state stays
     observable after losing any 3*s_bar sensors: under noise an attack below
-    the detection threshold can pass the agreement check.  Otherwise the
-    strategy silently runs in conflict-only mode and reports the downgrade.
-    The only proof is the exact check, whose answer the stack remembers, so
-    it runs once per stack and budget.
+    the detection threshold can pass the agreement check.  The only proof is
+    the exact check, whose answer the stack remembers, so it runs once per
+    stack and budget.
     """
     if config.strategy is not Strategy.CONFLICT_AGREE:
-        return False, False
-    if model.p <= 3 * model.s_bar:
-        return False, True
-    if np.any(model.noise_bounds > 0):
-        return False, True
+        return config.strategy
+    if model.p <= 3 * model.s_bar or np.any(model.noise_bounds > 0):
+        return Strategy.CONFLICT
     try:
         if check_sparse_observability(model, 3 * model.s_bar, stack=stack):
-            return True, False
+            return Strategy.CONFLICT_AGREE
     except SubsetCapError:
         pass
-    return False, True
+    return Strategy.CONFLICT
 
 
 def estimate(
@@ -161,7 +161,7 @@ def estimate(
     p, s_bar = model.p, model.s_bar
     started = time.perf_counter()
     inst = satcore.new_instance(p, s_bar)
-    agree_allowed, downgraded = _agree_allowed(model, stack, config)
+    strategy = _solve_strategy(model, stack, config)
     cap = config.iteration_cap(p, s_bar)
     result = Estimate(
         feasible=False,
@@ -169,8 +169,8 @@ def estimate(
         iterations=0,
         certificates=[],
         residual_sq=None,
-        agree_active=agree_allowed,
-        agree_downgraded=downgraded,
+        agree_active=strategy is Strategy.CONFLICT_AGREE,
+        agree_downgraded=strategy is not config.strategy,
         budget=s_bar,
         sat=inst.stats,
     )
@@ -206,14 +206,7 @@ def estimate(
             result.solve_time = time.perf_counter() - started
             return result
         certs, diag = certificates(
-            stack,
-            window,
-            check,
-            s_bar,
-            config.epsilon,
-            model.noise_bounds,
-            config.strategy,
-            agree_allowed=agree_allowed,
+            stack, window, check, s_bar, config.epsilon, model.noise_bounds, strategy
         )
         record.certificates = tuple(certs)
         if diag.conflict_fallback:

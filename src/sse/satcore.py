@@ -41,6 +41,9 @@ import numpy as np
 # recent conflicts dominate older ones.
 WEIGHT_DECAY = 0.8
 
+# Suspicion weight a bump adds to one sensor.
+BUMP = 2.0
+
 # Ordering bonus for members of the previously returned support (phase
 # saving): once a sensor is flagged it stays preferred until the constraints
 # or the budget force it out.
@@ -129,12 +132,13 @@ class SatInstance:
         if cert.suspect is not None:
             self.bump(cert.suspect)
 
-    def bump(self, sensor: int, amount: float = 2.0) -> None:
-        """Extra suspicion weight for one sensor (theory-guided branching hint)."""
+    def bump(self, sensor: int) -> None:
+        """Extra suspicion weight, ``BUMP``, for one sensor (theory-guided
+        branching hint)."""
         if not 0 <= sensor < self.p:
             raise ValueError(f"sensor index out of range: {sensor}")
         if not (self._zero_mask >> sensor) & 1:
-            self.weights[sensor] += amount
+            self.weights[sensor] += BUMP
 
     # -- search -------------------------------------------------------------
 

@@ -4,15 +4,15 @@ fails.
 
 A check stacks the selected sensors' windows, solves the unconstrained
 least-squares problem, and accepts when the residual fits inside the stacked
-noise budget plus the solver tolerance.  On rejection, two heuristics shrink
-the explanation: a linear walk that pairs the lowest-residual sensors with
-high-residual candidates until they conflict, and an agreement pass that
-certifies the lowest-residual sensors as clean when they are mutually
-consistent.
+noise budget plus the solver tolerance.
 
-Both start from the seed, the p - 2*s_bar sensors with the lowest residuals
-at the failed check's minimizer, and share one check of it, the seed fit.
-The failed fit runs over attacked sensors too, which pull it off the state.
+A rejected check is explained in one place, ``certificates``.  It ranks the
+checked sensors once by their residuals at the failed check's minimizer; the
+p - 2*s_bar lowest are the seed, and the seed's own check, the seed fit, is
+made at most once.  Two heuristics share them: a linear walk that pairs the
+seed with high-residual candidates until they conflict, and an agreement
+certificate that certifies the seed as clean when its fit passes.  The
+failed fit runs over attacked sensors too, which pull it off the state.
 When the seed over-determines the state (tau * |seed| > n) and the walk has
 at least two candidates, one concentration step from least trimmed squares
 (Rousseeuw and Van Driessen, "Computing LTS regression for large data sets",
@@ -202,27 +202,6 @@ def _sorted_by_residual(check: CheckResult) -> list:
     return [check.sensors[k] for k in sorted(range(len(res)), key=res.__getitem__)]
 
 
-def _seed_fit(
-    stack: ObservabilityStack,
-    window: StackedWindow,
-    check: CheckResult,
-    seed_size: int,
-    noise_bounds,
-    epsilon: float,
-    diag: CertificateDiagnostics,
-) -> CheckResult:
-    """The check of the seed, ``check``'s seed_size lowest-residual sensors;
-    one theory check."""
-    diag.theory_checks += 1
-    return t_check(stack, window, _sorted_by_residual(check)[:seed_size], noise_bounds, epsilon)
-
-
-def _aimed(stack: ObservabilityStack, seed_size: int, candidates: int) -> bool:
-    """Whether the concentration step can change the walk: the seed
-    over-determines the state and there is more than one candidate."""
-    return stack.tau * seed_size > stack.n and candidates >= 2
-
-
 def _refit_ranking(
     stack: ObservabilityStack, window: StackedWindow, sensors: tuple, x: np.ndarray
 ) -> list:
@@ -292,28 +271,20 @@ def _prefix_decisions(
 def certificate_conflict(
     stack: ObservabilityStack,
     window: StackedWindow,
-    check: CheckResult,
-    s_bar: int,
+    ranked: list,
+    seed_size: int,
     epsilon: float,
-    noise_bounds,
-    *,
-    seed_fit: CheckResult | None = None,
-    diagnostics: CertificateDiagnostics | None = None,
+    noise_bounds: np.ndarray,
+    diag: CertificateDiagnostics,
 ) -> Certificate:
     """Small sensor set that cannot all be attack-free.
 
-    ``check`` must be a rejected check made with the same noise bounds and
-    epsilon.  Its p - 2*s_bar lowest-residual sensors are the seed, and
-    ``seed_fit`` their check (made here when not given, one theory check).
-    When the seed over-determines the state (tau * |seed| > n) and there are
-    at least two candidates, the checked sensors are ranked again by their
-    normalized residuals at the seed fit's state (one concentration step);
-    otherwise the check's own ranking stands and no seed fit is needed.  The
-    walk seeds with the ranking's p - 2*s_bar lowest, then tries candidates
-    from the highest residual down until the seed-plus-candidate set fails.
-    A lone candidate's trial is the checked set itself, which ``check``
-    rejected, so it is taken without a check.  The suspect is the member
-    ranked highest.
+    ``ranked`` is a rejected check's sensors by ascending residual, more than
+    ``seed_size`` of them.  The walk seeds with the seed_size lowest, then
+    tries candidates from the highest residual down until the
+    seed-plus-candidate set fails.  A lone candidate's trial is the checked
+    set itself, which the check rejected, so it is taken without a check.
+    The suspect is the member ranked highest.
 
     Each trial is put in shrink order, ascending kernel dimension, and one
     batched solve decides its determined prefixes and the trial itself (see
@@ -325,24 +296,8 @@ def certificate_conflict(
     tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
     ``||Psi|| + epsilon``) goes through the ordinary check, so every
     certificate is still a set that ``t_check`` rejects.  Each trial and
-    prefix decision counts as one theory check.
+    prefix decision counts as one theory check in ``diag``.
     """
-    if check.sat:
-        raise ValueError("conflict certificates require an UNSAT check")
-    seed_size = stack.p - 2 * s_bar
-    if len(check.sensors) <= seed_size:
-        raise ValueError(
-            f"need more than {seed_size} sensors to search for a conflict, "
-            f"got {len(check.sensors)}"
-        )
-    noise_bounds = np.asarray(noise_bounds, dtype=float)
-    diag = diagnostics if diagnostics is not None else CertificateDiagnostics()
-    if _aimed(stack, seed_size, len(check.sensors) - seed_size):
-        if seed_fit is None:
-            seed_fit = _seed_fit(stack, window, check, seed_size, noise_bounds, epsilon, diag)
-        ranked = _refit_ranking(stack, window, check.sensors, seed_fit.x)
-    else:
-        ranked = _sorted_by_residual(check)
     seed = ranked[:seed_size]
     candidates = ranked[seed_size:][::-1]  # highest residual first
     dims = stack.block_kernel_dims.tolist()
@@ -377,29 +332,9 @@ def certificate_conflict(
     return Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, sensors, suspect=suspect)
 
 
-def certificate_agree(
-    stack: ObservabilityStack,
-    window: StackedWindow,
-    check: CheckResult,
-    s_bar: int,
-    epsilon: float,
-    noise_bounds,
-    *,
-    seed_fit: CheckResult | None = None,
-    diagnostics: CertificateDiagnostics | None = None,
-) -> Certificate | None:
-    """Certify the seed, the p - 2*s_bar lowest-residual sensors of
-    ``check``, as clean when they are mutually consistent; None when they
-    are not (no constraint learned).  ``seed_fit`` is the seed's check, made
-    here when not given (one theory check)."""
-    if check.sat:
-        raise ValueError("agree certificates require an UNSAT check")
-    seed_size = stack.p - 2 * s_bar
-    if seed_size < 1 or len(check.sensors) < seed_size:
-        return None
-    diag = diagnostics if diagnostics is not None else CertificateDiagnostics()
-    if seed_fit is None:
-        seed_fit = _seed_fit(stack, window, check, seed_size, noise_bounds, epsilon, diag)
+def certificate_agree(seed_fit: CheckResult) -> Certificate | None:
+    """Certify the seed as clean when its fit passes; None when it does not
+    (no constraint learned)."""
     if seed_fit.sat:
         return Certificate(CertificateKind.ALL_UNATTACKED, frozenset(seed_fit.sensors))
     return None
@@ -413,41 +348,45 @@ def certificates(
     epsilon: float,
     noise_bounds,
     strategy: Strategy,
-    *,
-    agree_allowed: bool = False,
 ) -> tuple:
-    """Certificates to learn from an UNSAT check, per the configured strategy.
+    """Certificates to learn from an UNSAT check, per the strategy, and
+    the call's diagnostics.
 
-    Returns (certificate list, diagnostics).  The seed fit is made at most
-    once, when the conflict walk's concentration step or the agree
-    certificate needs it, and both receive it.  The conflict walk can fail on
-    noisy data; the trivial certificate is emitted instead and the fallback is
-    flagged so exact-data callers can assert it never fires.
+    ``trivial`` blames every checked sensor, and so does every strategy when
+    no more than p - 2*s_bar sensors were checked.  Otherwise the checked
+    sensors are ranked once by residual, and the p - 2*s_bar lowest are the
+    seed.  The seed's check, the seed fit, is made at most once (one theory
+    check): when the concentration step aims the walk (see the module
+    docstring), and under ``conflict_agree``, whose agree certificate is a
+    passing seed fit.  When the walk fails, as it can on noisy data, the
+    trivial certificate is emitted instead and the fallback is flagged.
+    ``conflict_agree`` is sound only where the estimator's agree gate holds;
+    ``estimate`` runs it as ``conflict`` elsewhere.
     """
+    if check.sat:
+        raise ValueError("certificates require an UNSAT check")
     diag = CertificateDiagnostics()
     trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))
     seed_size = stack.p - 2 * s_bar
     if strategy is Strategy.TRIVIAL or len(check.sensors) <= seed_size:
         return [trivial], diag
-    agree = strategy is Strategy.CONFLICT_AGREE and agree_allowed
-    seed_fit = None
-    if (agree and seed_size >= 1) or _aimed(stack, seed_size, len(check.sensors) - seed_size):
-        seed_fit = _seed_fit(stack, window, check, seed_size, noise_bounds, epsilon, diag)
+    noise_bounds = np.asarray(noise_bounds, dtype=float)
+    ranked = _sorted_by_residual(check)
+    agree = strategy is Strategy.CONFLICT_AGREE and seed_size >= 1
+    aimed = stack.tau * seed_size > stack.n and len(ranked) - seed_size >= 2
+    if agree or aimed:
+        diag.theory_checks += 1
+        seed_fit = t_check(stack, window, ranked[:seed_size], noise_bounds, epsilon)
+        if aimed:
+            ranked = _refit_ranking(stack, window, check.sensors, seed_fit.x)
     try:
-        certs = [
-            certificate_conflict(
-                stack, window, check, s_bar, epsilon, noise_bounds,
-                seed_fit=seed_fit, diagnostics=diag,
-            )
-        ]
+        certs = [certificate_conflict(stack, window, ranked, seed_size, epsilon,
+                                      noise_bounds, diag)]
     except ConflictSearchError:
         diag.conflict_fallback = True
         certs = [trivial]
     if agree:
-        cert = certificate_agree(
-            stack, window, check, s_bar, epsilon, noise_bounds,
-            seed_fit=seed_fit, diagnostics=diag,
-        )
+        cert = certificate_agree(seed_fit)
         if cert is not None:
             certs.append(cert)
     return certs, diag

@@ -9,7 +9,7 @@ import pytest
 import sse.attacksim
 from sse.attacksim import AttackScenario, discretize_ugv, generate_instance, run_closed_loop
 from sse.bench import iteration_bound
-from sse.cli import EXIT_INPUT, main
+from sse.cli import EXIT_CAP, EXIT_INPUT, main
 from sse.theory import Strategy
 
 
@@ -132,6 +132,27 @@ def test_estimate_recovers_attacked_encoder(ugv_model_file, tmp_path, capsys):
     assert doc["trace"]
 
 
+def test_estimate_at_the_iteration_cap_exits_with_cap_code(ugv_model_file, tmp_path, capsys):
+    outputs, inputs, _ = attacked_window()
+    trace_path = tmp_path / "window.csv"
+    write_window_trace(trace_path, outputs, inputs)
+    code = main(["estimate", ugv_model_file, str(trace_path),
+                 "--strategy", "trivial", "--max-iterations", "1"])
+    assert code == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.err == "error: estimation aborted after 1 iterations\n"
+    assert captured.out == ""
+
+
+def test_estimate_iteration_cap_below_one_is_input_error(ugv_model_file, tmp_path, capsys):
+    outputs, inputs, _ = attacked_window()
+    trace_path = tmp_path / "window.csv"
+    write_window_trace(trace_path, outputs, inputs)
+    assert main(["estimate", ugv_model_file, str(trace_path),
+                 "--max-iterations", "-3"]) == EXIT_INPUT
+    assert "max_iterations must be at least 1, got -3" in capsys.readouterr().err
+
+
 def test_estimate_accepts_legacy_verification_key(ugv_model_file, tmp_path, capsys):
     with open(ugv_model_file) as fh:
         doc = json.load(fh)
@@ -227,6 +248,15 @@ def test_simulate_bundled_scenario(tmp_path, capsys):
     assert re.fullmatch(
         rf"wrote 40 steps to {re.escape(str(out))} \(\d+ infeasible estimation steps; "
         r"closed loop \d+\.\d{3} s, \d+ steps/s\)\n", summary), summary
+
+
+def test_simulate_at_the_iteration_cap_exits_with_cap_code(tmp_path, capsys):
+    out = tmp_path / "capped.csv"
+    code = main(["simulate", "ugv_alternating", "--max-iterations", "1",
+                 "--output", str(out)])
+    assert code == EXIT_CAP
+    assert capsys.readouterr().err == "error: estimation aborted after 1 iterations\n"
+    assert not out.exists()
 
 
 def test_simulate_scenario_file_attack_free(tmp_path):
@@ -345,6 +375,13 @@ def test_bench_old_attack_norm_range_is_input_error(tmp_path, capsys):
                                   "attack_norm": [3.0, 7.0]}])
     assert main(["bench", spec]) == EXIT_INPUT
     assert '{"lo": lo, "hi": hi}' in capsys.readouterr().err
+
+
+def test_bench_iteration_cap_below_one_is_input_error(tmp_path, capsys):
+    spec = bench_spec(tmp_path, [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 1,
+                                  "max_iterations": 0}])
+    assert main(["bench", spec]) == EXIT_INPUT
+    assert "max_iterations must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_bench_sweep_without_required_key_is_input_error(tmp_path, capsys):

@@ -460,6 +460,36 @@ def test_agree_certificates_gated_off_under_noise():
     assert result.feasible and result.support == (3, 5)
 
 
+def _same_estimate(a, b):
+    assert (a.feasible, a.iterations, a.support) == (b.feasible, b.iterations, b.support)
+    assert a.certificates == b.certificates
+    assert [asdict(r) for r in a.records] == [asdict(r) for r in b.records]
+    assert (None if a.x is None else a.x.tobytes()) == (None if b.x is None else b.x.tobytes())
+
+
+@pytest.mark.parametrize("spec", [
+    (4, 10, 2, 2, "3s", 0.05),  # noisy "3s": the gate closes on noise
+    (3, 6, 2, 2, "2s", 0.0),  # p = 3 * s_bar
+    (3, 5, 1, 2, "2s", 0.0),  # p < 3 * s_bar
+])
+def test_closed_gate_conflict_agree_is_the_conflict_estimate(spec):
+    for seed in range(8):
+        inst = generate_instance(*spec, seed=300 + seed, attack_norm={"lo": 2.0, "hi": 8.0})
+        runs = [estimate(inst.model, inst.stack, inst.window, cfg(strategy, 1e-6))
+                for strategy in (Strategy.CONFLICT_AGREE, Strategy.CONFLICT)]
+        assert runs[0].agree_downgraded and not runs[0].agree_active
+        assert not runs[1].agree_downgraded and not runs[1].agree_active
+        _same_estimate(*runs)
+        assert runs[0].feasible and runs[0].iterations > 1  # certificates were learned
+
+
+@pytest.mark.parametrize("cap", [0, -3])
+def test_iteration_cap_below_one_is_rejected(cap):
+    with pytest.raises(ValueError, match="max_iterations"):
+        EstimatorConfig(max_iterations=cap)
+    assert EstimatorConfig(max_iterations=1).iteration_cap(4, 1) == 1
+
+
 # ---------------------------------------------------------------------------
 # non-finite readings
 # ---------------------------------------------------------------------------

@@ -206,25 +206,31 @@ def test_phase_saving_beats_a_higher_bump():
     inst = new_instance(4, 1)
     inst.add_constraint(alo(0, 1))
     assert inst.solve() == (0,)
-    inst.bump(1, amount=5.0)
+    for _ in range(3):
+        inst.bump(1)
+    assert inst.weights[1] > inst.weights[0]
     # the last support stays preferred over a more suspected sensor
     assert inst.solve() == (0,)
     fresh = new_instance(4, 1)
     fresh.add_constraint(alo(0, 1))
-    fresh.bump(1, amount=5.0)
+    for _ in range(3):
+        fresh.bump(1)
     assert fresh.solve() == (1,)
 
 
 def test_padding_adds_only_suspected_free_sensors():
-    inst = new_instance(6, 4)
+    inst = new_instance(6, 3)
     inst.add_constraint(alo(0, 1))
+    inst.bump(5)
+    inst.bump(5)
+    inst.bump(4)
     inst.bump(3)
-    inst.bump(4, amount=1.0)
-    # 0 hits the set; 3 and 4 carry weight; 1, 2 and 5 carry none
-    assert inst.solve() == (0, 3, 4)
+    # 0 hits the set; two budget slots are left for 5 (two bumps), then 3
+    # and 4 (one each, lower index first); 1 and 2 carry no weight
+    assert inst.solve() == (0, 3, 5)
     inst.add_constraint(zero(3))
     # 3 keeps its phase bonus but is fixed to zero, so padding skips it
-    assert inst.solve() == (0, 4)
+    assert inst.solve() == (0, 4, 5)
 
 
 def test_search_budget_error_on_a_small_node_budget(monkeypatch):
@@ -264,9 +270,9 @@ class ListOfMasksInstance:
         if cert.suspect is not None:
             self.bump(cert.suspect)
 
-    def bump(self, sensor, amount=2.0):
+    def bump(self, sensor):
         if not (self._zero_mask >> sensor) & 1:
-            self.weights[sensor] += amount
+            self.weights[sensor] += satcore.BUMP
 
     def solve(self):
         self.stats.solve_calls += 1
@@ -335,7 +341,7 @@ def random_op_stream(rng, p, s_bar, length):
             size = int(rng.integers(1, max(p // 4, 1) + 1))
             ops.append(("add", zero(*rng.choice(p, size=size, replace=False).tolist())))
         elif roll < 0.25:
-            ops.append(("bump", int(rng.integers(p)), float(rng.choice([1.0, 2.0, 5.0]))))
+            ops.append(("bump", int(rng.integers(p)), int(rng.choice([1, 2, 3]))))
         elif roll < 0.45:
             ops.append(("complement",))
         else:
@@ -381,5 +387,9 @@ def test_indexed_search_matches_list_of_masks_reference():
             if op[0] == "complement":
                 op = ("add", alo(*sorted(set(range(p)) - set(last))))
             for inst in (indexed, reference):
-                getattr(inst, "add_constraint" if op[0] == "add" else "bump")(*op[1:])
+                if op[0] == "add":
+                    inst.add_constraint(op[1])
+                else:  # a sensor bumped one to three times
+                    for _ in range(op[2]):
+                        inst.bump(op[1])
     assert solves > 4000

@@ -16,6 +16,7 @@ from sse.theory import (
     ConflictSearchError,
     Strategy,
     _prefix_decisions,
+    _refit_ranking,
     certificate_agree,
     certificate_conflict,
     certificates,
@@ -28,6 +29,30 @@ from conftest import four_lines, line_model, line_window, scalar_sensors, stack_
 def _residual_of(check, sensor):
     """The normalized residual of one checked sensor."""
     return check.residuals[check.sensors.index(sensor)].item()
+
+
+def _ranked(check):
+    """The checked sensors by ascending normalized residual, then index."""
+    return sorted(check.sensors, key=lambda i: (_residual_of(check, i), i))
+
+
+def _conflict(stack, window, check, s_bar, epsilon, noise_bounds):
+    """The conflict certificate and diagnostics ``certificates`` gives under
+    the conflict strategy."""
+    certs, diag = certificates(stack, window, check, s_bar, epsilon, noise_bounds,
+                               Strategy.CONFLICT)
+    assert len(certs) == 1
+    return certs[0], diag
+
+
+def _agree(stack, window, check, s_bar, epsilon, noise_bounds):
+    """The agree certificate ``certificates`` gives under conflict_agree, or
+    None."""
+    certs, _ = certificates(stack, window, check, s_bar, epsilon, noise_bounds,
+                            Strategy.CONFLICT_AGREE)
+    agree = [c for c in certs if c.kind is CertificateKind.ALL_UNATTACKED]
+    assert len(agree) <= 1
+    return agree[0] if agree else None
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +183,8 @@ def test_dead_sensor_sorts_last():
 def test_four_lines_conflict_found_on_first_candidate(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    diag = CertificateDiagnostics()
-    cert = certificate_conflict(stack, window, check, 1, 1e-9,
-                                model.noise_bounds, diagnostics=diag)
+    cert, diag = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    assert not diag.conflict_fallback
     assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
     # seed = two lowest residuals {3, 1}; first candidate = max residual 2
     assert cert.sensors == frozenset({1, 2, 3})
@@ -171,7 +195,7 @@ def test_four_lines_conflict_found_on_first_candidate(four_lines):
 def test_four_lines_shrink_pass_is_noop(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    cert = certificate_conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    cert, _ = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
     conflict, suspect, _ = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
     assert (cert.sensors, cert.suspect) == (frozenset(conflict), suspect)
 
@@ -187,16 +211,14 @@ def test_conflict_walk_needs_two_candidates():
     window = line_window(model, offsets)
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
     assert not check.sat
-    ranked = sorted(check.sensors, key=lambda i: (_residual_of(check, i), i))
+    ranked = _ranked(check)
     seed, candidates = ranked[:2], ranked[2:][::-1]
     first = t_check(stack, window, seed + [candidates[0]], model.noise_bounds, 1e-9)
     assert first.sat  # the max-residual line passes through the seed intersection
     conflict, _, checks = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
     assert checks == 2
     assert 2 in conflict
-    diag = CertificateDiagnostics()
-    cert = certificate_conflict(stack, window, check, 1, 1e-9,
-                                model.noise_bounds, diagnostics=diag)
+    cert, diag = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
     kept, shrink_checks = _sequential_shrink(model, stack, window,
                                              _shrink_order(stack, conflict), 1e-9)
     assert cert.sensors == kept
@@ -215,7 +237,7 @@ def test_shrink_drops_high_kernel_members():
     sensors = (0, 1, 2, 3, 4)
     check = t_check(stack, window, sensors, model.noise_bounds, 1e-9)
     assert not check.sat
-    shrunk = certificate_conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    shrunk, _ = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
     loose, _, _ = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
     assert shrunk.sensors <= frozenset(loose)
     assert 2 in shrunk.sensors
@@ -225,14 +247,26 @@ def test_conflict_requires_unsat_and_enough_sensors(four_lines):
     model, stack, window = four_lines
     good = t_check(stack, window, (0, 1, 3), model.noise_bounds, 1e-9)
     with pytest.raises(ValueError, match="UNSAT"):
-        certificate_conflict(stack, window, good, 1, 1e-9, model.noise_bounds)
-    # p - 2*s_bar = 3 here, so a 3-sensor conflict is too small to search
+        certificates(stack, window, good, 1, 1e-9, model.noise_bounds, Strategy.CONFLICT)
+    # p - 2*s_bar = 3 here, so a 3-sensor set is too small to search: the
+    # conflict strategy blames all of it
     small_model, small_stack, small_window = scalar_sensors(5, [0.0, 0.0, 9.0, 0.0, 0.0])
     bad = t_check(small_stack, small_window, (0, 1, 2), small_model.noise_bounds, 1e-9)
     assert not bad.sat
-    with pytest.raises(ValueError, match="more than"):
-        certificate_conflict(small_stack, small_window, bad, 1, 1e-9,
-                             small_model.noise_bounds)
+    certs, diag = certificates(small_stack, small_window, bad, 1, 1e-9,
+                               small_model.noise_bounds, Strategy.CONFLICT)
+    assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
+                                 frozenset({0, 1, 2}))]
+    assert diag.theory_checks == 0 and not diag.conflict_fallback
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_certificates_reject_a_sat_check_under_every_strategy(four_lines, strategy):
+    model, stack, window = four_lines
+    good = t_check(stack, window, (0, 1, 3), model.noise_bounds, 1e-9)
+    assert good.sat
+    with pytest.raises(ValueError, match="UNSAT"):
+        certificates(stack, window, good, 1, 1e-9, model.noise_bounds, strategy)
 
 
 def test_conflict_walk_can_fail_under_noise():
@@ -246,9 +280,10 @@ def test_conflict_walk_can_fail_under_noise():
     window = line_window(model, offsets)
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 0.0)
     assert not check.sat
+    # four lines, two in the seed, n = 2 = tau * |seed|: the walk is unaimed
     with pytest.raises(ConflictSearchError):
-        certificate_conflict(stack, window, check, 1, 0.0,
-                             model.noise_bounds)
+        certificate_conflict(stack, window, _ranked(check), 2, 0.0,
+                             model.noise_bounds, CertificateDiagnostics())
     certs, diag = certificates(stack, window, check, 1, 0.0,
                                model.noise_bounds, Strategy.CONFLICT)
     assert diag.conflict_fallback
@@ -265,8 +300,9 @@ def test_conflict_certificates_intersect_true_support():
         sensors = tuple(range(7))
         check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-8)
         assert not check.sat
-        cert = certificate_conflict(inst.stack, inst.window, check, 2, 1e-8,
-                                    inst.model.noise_bounds)
+        cert, diag = _conflict(inst.stack, inst.window, check, 2, 1e-8,
+                               inst.model.noise_bounds)
+        assert not diag.conflict_fallback
         assert cert.sensors & set(inst.attacked)
         assert len(cert.sensors) <= 7 - 2 * 2 + 1
 
@@ -284,7 +320,7 @@ def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds):
     checked set, taken without a check.  Raises ConflictSearchError when no
     trial fails."""
     seed_size = stack.p - 2 * s_bar
-    ranked = sorted(check.sensors, key=lambda i: (_residual_of(check, i), i))
+    ranked = _ranked(check)
     candidates = ranked[seed_size:][::-1]
     checks = 0
     if stack.tau * seed_size > stack.n and len(candidates) >= 2:
@@ -312,7 +348,7 @@ def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds):
 def _unaimed_walk(stack, window, check, s_bar, epsilon, noise_bounds):
     """The walk seeded and aimed from the failed check's own residuals:
     (conflict, suspect, trials checked), or None when no trial fails."""
-    ranked = sorted(check.sensors, key=lambda i: (_residual_of(check, i), i))
+    ranked = _ranked(check)
     seed_size = stack.p - 2 * s_bar
     for checks, cand in enumerate(ranked[seed_size:][::-1], start=1):
         trial = ranked[:seed_size] + [cand]
@@ -347,9 +383,7 @@ def test_one_candidate_walk_takes_the_checked_set(monkeypatch, four_lines):
     ordered = _shrink_order(stack, conflict)
     kept, shrink_checks = _sequential_shrink(model, stack, window, ordered, 1e-9)
     checked = _counting_checks(monkeypatch)
-    diag = CertificateDiagnostics()
-    cert = certificate_conflict(stack, window, check, 1, 1e-9, model.noise_bounds,
-                                diagnostics=diag)
+    cert, diag = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
     assert cert.sensors == kept == frozenset(check.sensors)
     assert diag.theory_checks == shrink_checks == len(checked)
     assert [sensors for _, sensors in checked] == [tuple(sorted(ordered[:2]))]
@@ -371,17 +405,17 @@ def test_exactly_determined_seed_walks_unaimed():
                     continue
                 want = _unaimed_walk(stack, window, check, 2, 1e-6, model.noise_bounds)
                 if want is None:
-                    with pytest.raises(ConflictSearchError):
-                        certificate_conflict(stack, window, check, 2, 1e-6,
-                                             model.noise_bounds)
+                    certs, diag = certificates(stack, window, check, 2, 1e-6,
+                                               model.noise_bounds, Strategy.CONFLICT)
+                    assert diag.conflict_fallback
+                    assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
+                                                 frozenset(check.sensors))]
                     continue
                 conflict, _, walk_checks = want
                 kept, shrink_checks = _sequential_shrink(
                     model, stack, window, _shrink_order(stack, conflict), 1e-6)
                 suspect = max(kept, key=lambda i: (_residual_of(check, i), i))
-                diag = CertificateDiagnostics()
-                cert = certificate_conflict(stack, window, check, 2, 1e-6,
-                                            model.noise_bounds, diagnostics=diag)
+                cert, diag = _conflict(stack, window, check, 2, 1e-6, model.noise_bounds)
                 assert (cert.sensors, cert.suspect) == (kept, suspect)
                 assert diag.theory_checks == walk_checks + shrink_checks
                 cases += 1
@@ -396,13 +430,12 @@ def test_certificates_share_one_seed_fit_with_agree(monkeypatch):
         model, stack, window = inst.model, inst.stack, inst.window
         check = t_check(stack, window, tuple(range(10)), model.noise_bounds, 1e-8)
         assert not check.sat
-        alone = certificate_agree(stack, window, check, 2, 1e-8, model.noise_bounds)
-        seed_set = tuple(sorted(sorted(check.sensors,
-                                       key=lambda i: (_residual_of(check, i), i))[:6]))
+        seed_set = tuple(sorted(_ranked(check)[:6]))
+        alone = certificate_agree(t_check(stack, window, seed_set, model.noise_bounds, 1e-8))
         with monkeypatch.context() as m:
             checked = _counting_checks(m)
             certs, diag = certificates(stack, window, check, 2, 1e-8, model.noise_bounds,
-                                       Strategy.CONFLICT_AGREE, agree_allowed=True)
+                                       Strategy.CONFLICT_AGREE)
         assert checked.count(("t_check", seed_set)) == 1
         agree = [c for c in certs if c.kind is CertificateKind.ALL_UNATTACKED]
         assert agree == ([] if alone is None else [alone])
@@ -421,8 +454,7 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
         check = t_check(stack, window, trusted, model.noise_bounds, 1e-6)
         if check.sat:
             continue
-        ranked = sorted(check.sensors, key=lambda i: (_residual_of(check, i), i))
-        fit = t_check(stack, window, ranked[:20], model.noise_bounds, 1e-6)
+        fit = t_check(stack, window, _ranked(check)[:20], model.noise_bounds, 1e-6)
         with monkeypatch.context() as m:
             checked = _counting_checks(m)
             certs, _ = certificates(stack, window, check, 20, 1e-6, model.noise_bounds,
@@ -435,8 +467,10 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
                  / float(stack.block_norms_sq[i]) for i in cert.sensors}
         assert cert.suspect == max(cert.sensors, key=lambda i: (refit[i], i))
         assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
-        assert certificate_conflict(stack, window, check, 20, 1e-6, model.noise_bounds,
-                                    seed_fit=fit) == cert
+        # the walk on the seed fit's ranking is the certificate
+        refit_ranked = _refit_ranking(stack, window, check.sensors, fit.x)
+        assert certificate_conflict(stack, window, refit_ranked, 20, 1e-6,
+                                    model.noise_bounds, CertificateDiagnostics()) == cert
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +481,7 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
 def test_four_lines_agree_certifies_lowest_residual_pair(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    cert = certificate_agree(stack, window, check, 1, 1e-9,
-                             model.noise_bounds)
+    cert = _agree(stack, window, check, 1, 1e-9, model.noise_bounds)
     assert cert is not None
     assert cert.kind is CertificateKind.ALL_UNATTACKED
     # the two smallest normalized residuals belong to honest lines 3 and 1
@@ -462,11 +495,10 @@ def test_agree_absent_when_seed_inconsistent():
     window = line_window(model, [8.0, 4.0 + 0.5, 8.0, 2.0 + 0.4])
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
     assert not check.sat
-    ranked = sorted(check.sensors, key=lambda i: (_residual_of(check, i), i))
-    seed_check = t_check(stack, window, ranked[:2], model.noise_bounds, 1e-9)
+    seed_check = t_check(stack, window, _ranked(check)[:2], model.noise_bounds, 1e-9)
     if not seed_check.sat:  # construction sanity: the seed itself conflicts
-        assert certificate_agree(stack, window, check, 1, 1e-9,
-                                 model.noise_bounds) is None
+        assert certificate_agree(seed_check) is None
+        assert _agree(stack, window, check, 1, 1e-9, model.noise_bounds) is None
 
 
 def test_agree_single_sensor_edge():
@@ -480,8 +512,7 @@ def test_agree_single_sensor_edge():
     window = stack_window(model, outputs, np.zeros((2, 1)))
     check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
     assert not check.sat
-    cert = certificate_agree(stack, window, check, 1, 1e-9,
-                             model.noise_bounds)
+    cert = _agree(stack, window, check, 1, 1e-9, model.noise_bounds)
     assert cert is not None and len(cert.sensors) == 1
 
 
@@ -495,8 +526,7 @@ def test_agree_certificates_avoid_true_support():
         sensors = tuple(range(10))
         check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-8)
         assert not check.sat
-        cert = certificate_agree(inst.stack, inst.window, check, 2, 1e-8,
-                                 inst.model.noise_bounds)
+        cert = _agree(inst.stack, inst.window, check, 2, 1e-8, inst.model.noise_bounds)
         if cert is not None:
             found += 1
             assert not (cert.sensors & set(inst.attacked))
@@ -522,23 +552,26 @@ def test_conflict_agree_emits_both_when_allowed(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
     certs, diag = certificates(stack, window, check, 1, 1e-9,
-                               model.noise_bounds, Strategy.CONFLICT_AGREE,
-                               agree_allowed=True)
+                               model.noise_bounds, Strategy.CONFLICT_AGREE)
     kinds = [c.kind for c in certs]
     assert kinds == [CertificateKind.AT_LEAST_ONE_ATTACKED, CertificateKind.ALL_UNATTACKED]
 
 
 def test_conflict_agree_suppressed_without_gate(four_lines):
+    # one line alone does not pin the state, so four_lines is not
+    # 3*s_bar-sparse observable and estimate runs conflict_agree as conflict
     model, stack, window = four_lines
+    result = estimate(model, stack, window,
+                      EstimatorConfig(strategy=Strategy.CONFLICT_AGREE, epsilon=1e-9))
+    assert result.agree_downgraded and not result.agree_active
+    first = result.records[0]  # no sensor suspected: all four checked
+    assert first.support == () and not first.sat
+    assert [c.kind for c in first.certificates] == [CertificateKind.AT_LEAST_ONE_ATTACKED]
+    # the closed gate is what suppressed it: certificates under conflict_agree
+    # emits one for the same check
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    certs, _ = certificates(stack, window, check, 1, 1e-9,
-                            model.noise_bounds, Strategy.CONFLICT_AGREE,
-                            agree_allowed=False)
-    assert [c.kind for c in certs] == [CertificateKind.AT_LEAST_ONE_ATTACKED]
-    # the closed gate is what suppressed it: the same check with it open emits one
     opened, _ = certificates(stack, window, check, 1, 1e-9,
-                             model.noise_bounds, Strategy.CONFLICT_AGREE,
-                             agree_allowed=True)
+                             model.noise_bounds, Strategy.CONFLICT_AGREE)
     assert CertificateKind.ALL_UNATTACKED in [c.kind for c in opened]
 
 
@@ -859,9 +892,8 @@ def test_shrink_pass_matches_sequential_shrink(monkeypatch, min_batch):
                                                               epsilon, model.noise_bounds)
             except ConflictSearchError:
                 continue
-            diag = CertificateDiagnostics()
-            cert = certificate_conflict(stack, window, check, s_bar, epsilon,
-                                        model.noise_bounds, diagnostics=diag)
+            cert, diag = _conflict(stack, window, check, s_bar, epsilon, model.noise_bounds)
+            assert not diag.conflict_fallback
             kept, checks = _sequential_shrink(model, stack, window,
                                               _shrink_order(stack, loose), epsilon)
             assert cert.sensors == kept
@@ -894,8 +926,7 @@ def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
     real = sse.theory._check
     monkeypatch.setattr(sse.theory, "_check",
                         lambda *args: checked.append(args[2]) or real(*args))
-    cert = certificate_conflict(stack, window, check, 1, 1e-6,
-                                model.noise_bounds)
+    cert, _ = _conflict(stack, window, check, 1, 1e-6, model.noise_bounds)
     kept, _ = _sequential_shrink(model, stack, window, ordered, 1e-6)
     assert cert.sensors == kept
     assert (0, 1, 3) in checked
