@@ -56,7 +56,8 @@ class EstimatorConfig:
     max_iterations: int | None = None  # None: 10 * the conflict bound, capped at 1e7
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        object.__setattr__(self, "strategy", Strategy(self.strategy))
+        if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
@@ -279,7 +280,7 @@ def delta_bound(
         raise ValueError(
             f"delta_s must be < 1 for the guarantees to hold, got {constants.delta_s}"
         )
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     psi_sq = model.noise_norm_sq
     gap = 1.0 - constants.delta_s

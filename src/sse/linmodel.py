@@ -58,16 +58,9 @@ def _nonzero(sv: np.ndarray, dim: int) -> np.ndarray:
     return sv > _zero_tol(sv[..., :1], dim)
 
 
-def numerical_rank(m: np.ndarray) -> int | np.ndarray:
-    """Rank of a matrix, or of each matrix of a stack ``m[..., rows, cols]``,
-    with singular values at or below ``_zero_tol`` counted as zero: an ``int``
-    for one matrix, an integer array of the stack's leading shape otherwise."""
-    if m.size:
-        sv = np.linalg.svd(m, compute_uv=False)
-        ranks = _nonzero(sv, max(m.shape[-2:])).sum(axis=-1)
-    else:
-        ranks = np.zeros(m.shape[:-2], dtype=np.intp)
-    return int(ranks) if m.ndim == 2 else ranks
+def numerical_rank(m: np.ndarray) -> int:
+    """Rank of a matrix: singular values at or below ``_zero_tol`` count as zero."""
+    return int(_nonzero(np.linalg.svd(m, compute_uv=False), max(m.shape)).sum())
 
 
 def _as_matrix(value, name: str) -> np.ndarray:

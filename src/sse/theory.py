@@ -116,7 +116,7 @@ def t_check(
     sensors = tuple(sorted(set(int(i) for i in sensors)))
     if not sensors:
         raise ValueError("sensor set must be non-empty")
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     return _check(stack, window, sensors, np.asarray(noise_bounds, dtype=float), epsilon)
 

@@ -19,10 +19,7 @@ from sse.attacksim import (
     ugv_guarantees,
 )
 from sse.estimator import EstimatorConfig
-from sse.linmodel import SystemModel, build_observability, numerical_rank
 from sse.theory import Strategy
-
-from conftest import stack_rows
 
 
 # ---------------------------------------------------------------------------
@@ -147,73 +144,44 @@ def test_generator_rejects_impossible_level():
         generate_instance(3, 6, 3, 2, "2s", 0.0, seed=0)
 
 
-# The sampled audit: p = 40 sensors at level 20 is far beyond exact enumeration.
-AUDIT_P, AUDIT_LEVEL = 40, 20
-
-
-def audit_model(c):
-    """A static model (A = I, tau = 1) whose observability blocks are C's rows."""
-    c = np.asarray(c, dtype=float)
-    n = c.shape[1]
-    return SystemModel(A=np.eye(n), B=np.zeros((n, 1)), C=c, tau=1, s_bar=1,
-                       noise_bounds=np.zeros(len(c)))
-
-
-def audit_models():
-    """A model whose every kept set has full rank, one whose rows are all
-    duplicates of one row, and one with dead sensors where a kept set has full
-    rank only if it keeps sensor 17 or 31 (at most 2 otherwise)."""
-    rng = np.random.default_rng(2024)
-    dead = np.zeros((AUDIT_P, 3))
-    dead[:20] = rng.normal(size=(20, 2)) @ rng.normal(size=(2, 3))
-    dead[[17, 31]] = rng.normal(size=(2, 3))
-    return {
-        "random": audit_model(rng.normal(size=(AUDIT_P, 3))),
-        "duplicated": audit_model(np.tile(rng.normal(size=(1, 3)), (AUDIT_P, 1))),
-        "dead": audit_model(dead),
-    }
-
-
-def per_draw_ranks(stack, rng):
-    """The audit's draws ranked one at a time."""
-    ranks = []
+def test_generator_above_the_exact_limit_keeps_its_stream():
+    # C(40, 30) removals are too many to check: the first system is kept
+    # unproven, after the generator's AUDIT_SAMPLES kept-set draws
+    n, p, s_bar, seed = 3, 40, 10, 4
+    level = 3 * s_bar
+    assert math.comb(p, level) > attacksim.AUDIT_EXACT_LIMIT
+    inst = generate_instance(n, p, 2, s_bar, "3s", 0.0, seed=seed)
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n))
+    a *= 0.95 / max(abs(np.linalg.eigvals(a)))
+    b = rng.normal(size=(n, 1))
+    c = rng.normal(size=(p, n))
     for _ in range(attacksim.AUDIT_SAMPLES):
-        kept = sorted(rng.choice(AUDIT_P, size=AUDIT_P - AUDIT_LEVEL, replace=False))
-        ranks.append(numerical_rank(stack_rows(stack, kept)))
-    return ranks
+        rng.choice(p, size=p - level, replace=False)
+    assert np.array_equal(inst.model.A, a)
+    assert np.array_equal(inst.model.B, b)
+    assert np.array_equal(inst.model.C, c)
+    assert np.array_equal(inst.x_true, rng.normal(size=n) * attacksim.STATE_SCALE)
 
 
-def test_sampled_audit_rejects_rank_deficient_models():
-    assert math.comb(AUDIT_P, AUDIT_LEVEL) > attacksim.AUDIT_EXACT_LIMIT
-    models = audit_models()
-    for name, expected in (("random", True), ("duplicated", False), ("dead", False)):
-        model = models[name]
-        stack = build_observability(model)
-        rng = np.random.default_rng(7)
-        assert attacksim._observability_holds(model, stack, AUDIT_LEVEL, rng) is expected, name
-
-
-@pytest.mark.parametrize("name", ["random", "dead"])
-def test_sampled_audit_decides_all_draws_in_one_rank_call(name, monkeypatch):
-    model = audit_models()[name]
-    stack = build_observability(model)
-    reference_rng = np.random.default_rng(11)
-    expected = per_draw_ranks(stack, reference_rng)
-    if name == "dead":  # some draws have full rank, some rank 2
-        assert 3 in expected and 2 in expected
+def test_generator_resamples_a_system_that_fails_the_exact_check(monkeypatch):
+    real = attacksim.check_sparse_observability
     calls = []
 
-    def spy(m):
-        calls.append(numerical_rank(m))
-        return calls[-1]
+    def first_fails(*args, **kwargs):
+        calls.append(args[1])
+        return len(calls) > 1 and real(*args, **kwargs)
 
-    monkeypatch.setattr(attacksim, "numerical_rank", spy)
-    rng = np.random.default_rng(11)
-    holds = attacksim._observability_holds(model, stack, AUDIT_LEVEL, rng)
-    assert holds == (min(expected) >= 3)
-    assert len(calls) == 1 and calls[0].tolist() == expected
-    # every draw is taken, also when an early one fails
-    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    monkeypatch.setattr(attacksim, "check_sparse_observability", first_fails)
+    inst = generate_instance(3, 8, 1, 2, "3s", 0.0, seed=9)
+    assert calls == [6, 6]
+    rng = np.random.default_rng(9)
+    for _ in range(2):  # the first system is rejected, the second kept
+        rng.normal(size=(3, 3))
+        rng.normal(size=(3, 1))
+        c = rng.normal(size=(8, 3))
+    assert np.array_equal(inst.model.C, c)
+    assert np.array_equal(inst.x_true, rng.normal(size=3) * attacksim.STATE_SCALE)
 
 
 def test_poor_observability_kernel_dims_at_scale():
@@ -249,6 +217,8 @@ def test_phase_validation():
         AttackPhase(sensor=1, kind="bogus", start=0, end=5)
     with pytest.raises(ValueError, match="empty"):
         AttackPhase(sensor=1, kind="replay", start=5, end=5)
+    with pytest.raises(ValueError, match="non-negative"):
+        AttackPhase(sensor=-1, kind="replay", start=0, end=5)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +231,28 @@ def test_feedback_gain_places_poles():
     gain = place_feedback_gain(model.A, model.B)
     closed = model.A - model.B @ gain
     assert np.allclose(sorted(np.linalg.eigvals(closed).real), [0.8, 0.85], atol=1e-9)
+
+
+def test_feedback_gain_rejects_an_uncontrollable_pair():
+    a = np.array([[0.9, 0.2], [0.0, 0.5]])
+    b = np.array([[1.0], [0.0]])  # an eigenvector of a
+    with pytest.raises(ValueError, match="not controllable"):
+        place_feedback_gain(a, b)
+
+
+def test_feedback_gain_is_placed_for_a_heavy_vehicle():
+    # controllable, but det(ctrb) is about -1e-13: the rank test ignores scale
+    model = discretize_ugv(M=1e5).model
+    gain = place_feedback_gain(model.A, model.B)
+    closed = model.A - model.B @ gain
+    assert np.allclose(sorted(np.linalg.eigvals(closed).real), [0.8, 0.85], atol=1e-9)
+
+
+def test_closed_loop_rejects_a_phase_on_a_missing_sensor():
+    scenario = AttackScenario(phases=(
+        AttackPhase(sensor=3, kind="step_ramp", start=5, end=10, step=3.0),), steps=20)
+    with pytest.raises(ValueError, match="sensor 3"):
+        run_closed_loop(discretize_ugv(), scenario)
 
 
 def test_square_path_reference_alternates():

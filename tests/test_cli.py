@@ -153,6 +153,16 @@ def test_estimate_iteration_cap_below_one_is_input_error(ugv_model_file, tmp_pat
     assert "max_iterations must be at least 1, got -3" in capsys.readouterr().err
 
 
+def test_estimate_nan_epsilon_is_input_error(ugv_model_file, tmp_path, capsys):
+    outputs, inputs, _ = attacked_window()
+    trace_path = tmp_path / "window.csv"
+    write_window_trace(trace_path, outputs, inputs)
+    assert main(["estimate", ugv_model_file, str(trace_path), "--epsilon", "nan"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "epsilon must be non-negative, got nan" in captured.err
+    assert captured.out == ""
+
+
 def test_estimate_accepts_legacy_verification_key(ugv_model_file, tmp_path, capsys):
     with open(ugv_model_file) as fh:
         doc = json.load(fh)
@@ -267,6 +277,21 @@ def test_simulate_scenario_file_attack_free(tmp_path):
     rows = _csv_rows(out)
     assert len(rows) == 25
     assert all(row["b1"] == "0" and row["b2"] == "0" and row["b3"] == "0" for row in rows)
+
+
+@pytest.mark.parametrize("sensor, message", [
+    (3, "phase attacks sensor 3; the model has 3"),
+    (-1, "attacked sensor must be non-negative, got -1"),
+])
+def test_simulate_rejects_a_sensor_the_vehicle_lacks(tmp_path, capsys, sensor, message):
+    scn_path = tmp_path / "bad.json"
+    doc = {"steps": 20, "phases": [
+        {"sensor": sensor, "kind": "step_ramp", "start": 5, "end": 10, "step": 3.0}]}
+    scn_path.write_text(json.dumps(doc))
+    out = tmp_path / "bad.csv"
+    assert main(["simulate", str(scn_path), "--output", str(out)]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_unknown_scenario(tmp_path, capsys):

@@ -153,8 +153,8 @@ def test_agree_gate_allows_generated_3s_model():
 
 
 def test_agree_gate_ignores_sampled_audit():
-    # C(40, 30) is too many subsets to enumerate: the generator only samples
-    # the 3s level, and the gate's exact check refuses at the subset cap
+    # C(40, 30) is too many subsets to enumerate: the generator leaves the 3s
+    # level unproven, and the gate's exact check refuses at the subset cap
     inst = generate_instance(3, 40, 2, 10, "3s", 0.0, seed=1)
     result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE))
     assert result.agree_downgraded and not result.agree_active
@@ -488,6 +488,31 @@ def test_iteration_cap_below_one_is_rejected(cap):
     with pytest.raises(ValueError, match="max_iterations"):
         EstimatorConfig(max_iterations=cap)
     assert EstimatorConfig(max_iterations=1).iteration_cap(4, 1) == 1
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_strategy_name_runs_as_its_enum(strategy):
+    # a "2s" instance for the trivial walk, a "3s" one for the open agree gate
+    for inst in (generate_instance(3, 7, 2, 2, "2s", 0.0, seed=1),
+                 generate_instance(3, 8, 1, 2, "3s", 0.0, seed=5, attack_norm=4.0)):
+        named, member = (estimate(inst.model, inst.stack, inst.window, cfg(choice, 1e-6))
+                         for choice in (strategy.value, strategy))
+        _same_estimate(named, member)
+        assert (named.agree_active, named.agree_downgraded) == (
+            member.agree_active, member.agree_downgraded)
+    assert EstimatorConfig(strategy=strategy.value).strategy is strategy
+
+
+def test_unknown_strategy_name_is_rejected():
+    with pytest.raises(ValueError, match="bogus"):
+        EstimatorConfig(strategy="bogus")
+
+
+def test_nan_epsilon_is_rejected():
+    with pytest.raises(ValueError, match="epsilon"):
+        EstimatorConfig(epsilon=float("nan"))
+    with pytest.raises(ValueError, match="epsilon"):
+        delta_bound(toy_model(0.1), RobustnessConstants(0.5, 0.5), float("nan"))
 
 
 # ---------------------------------------------------------------------------

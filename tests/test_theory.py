@@ -140,6 +140,8 @@ def test_t_check_input_validation(four_lines):
         t_check(stack, window, (), model.noise_bounds, 0.0)
     with pytest.raises(ValueError, match="epsilon"):
         t_check(stack, window, (0,), model.noise_bounds, -1.0)
+    with pytest.raises(ValueError, match="epsilon"):
+        t_check(stack, window, (0,), model.noise_bounds, float("nan"))
 
 
 def test_least_squares_optimality_property():
