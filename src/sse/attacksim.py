@@ -15,7 +15,6 @@ import numpy as np
 
 from .estimator import EstimatorConfig, delta_bound, estimate
 from .linmodel import (
-    JsonFile,
     ObservabilityStack,
     RobustnessConstants,
     StackedWindow,
@@ -29,6 +28,7 @@ from .linmodel import (
     roll_forward,
     simulate_window,
     stack_window,
+    whole_number,
 )
 
 UGV_MASS = 0.8
@@ -249,10 +249,15 @@ class AttackPhase:
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
+        for name in ("sensor", "start", "end", "delay", "switch_step"):
+            if getattr(self, name) is not None:  # None is switch_step's default
+                object.__setattr__(self, name, whole_number(getattr(self, name), name))
         if self.sensor < 0:
             raise ValueError(f"attacked sensor must be non-negative, got {self.sensor}")
         if self.end <= self.start:
             raise ValueError(f"phase [{self.start}, {self.end}) is empty")
+        if self.delay < 1:
+            raise ValueError(f"replay delay must be at least 1 step, got {self.delay}")
 
     def to_json_dict(self) -> dict:
         doc = {"sensor": self.sensor, "kind": self.kind, "start": self.start, "end": self.end}
@@ -266,11 +271,9 @@ class AttackPhase:
 
 
 @dataclass(frozen=True)
-class AttackScenario(JsonFile):
+class AttackScenario:
     """Disjoint attack phases (at most one sensor corrupted at a time) plus
     simulation defaults."""
-
-    json_kind = "scenario"
 
     phases: tuple
     steps: int = 600
@@ -279,6 +282,10 @@ class AttackScenario(JsonFile):
     name: str = "scenario"
 
     def __post_init__(self):
+        for name in ("steps", "segment_steps", "seed"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        if self.segment_steps < 1:
+            raise ValueError(f"segment_steps must be at least 1, got {self.segment_steps}")
         ordered = sorted(self.phases, key=lambda ph: ph.start)
         for prev, nxt in zip(ordered, ordered[1:]):
             if nxt.start < prev.end:
@@ -305,8 +312,8 @@ class AttackScenario(JsonFile):
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AttackScenario":
         phases = tuple(AttackPhase(**ph) for ph in doc.get("phases", []))
-        casts = {"steps": int, "segment_steps": int, "seed": int, "name": str}
-        return cls(phases=phases, **{k: cast(doc[k]) for k, cast in casts.items() if k in doc})
+        return cls(phases=phases, **{k: doc[k] for k in ("steps", "segment_steps", "seed", "name")
+                                     if k in doc})
 
 
 def alternating_encoder_scenario() -> AttackScenario:
@@ -323,6 +330,10 @@ def alternating_encoder_scenario() -> AttackScenario:
             AttackPhase(sensor=1, kind="replay", start=360, end=480, delay=150),
         ),
     )
+
+
+# Scenarios that ``sse simulate`` runs by name.
+SCENARIOS = {"ugv_alternating": alternating_encoder_scenario}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import attacksim
 from .estimator import EstimatorConfig, IterationLimitError, estimate, iteration_bound
+from .linmodel import whole_number
 from .theory import Strategy
 
 BENCH_FIELDS = [
@@ -77,13 +78,17 @@ def _run_bench_trial(task: dict) -> list[dict]:
 
 def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]:
     """Run every sweep trial and append per-(sweep, strategy) aggregate rows."""
-    sweeps = spec_doc.get("sweeps", [])
+    sweeps = spec_doc.get("sweeps", []) if isinstance(spec_doc, dict) else None
+    if not isinstance(sweeps, list):
+        raise ValueError("a bench spec is a JSON object with a 'sweeps' list")
     tasks = []
     for sweep_idx, spec in enumerate(sweeps):
+        if not isinstance(spec, dict):
+            raise ValueError(f"sweep {sweep_idx} must be a JSON object, got {spec!r}")
         missing = [k for k in ("n", "p", "s", "s_bar") if k not in spec]
         if missing:
             raise ValueError(f"sweep {sweep_idx} lacks {', '.join(map(repr, missing))}")
-        for trial in range(int(spec.get("trials", 1))):
+        for trial in range(whole_number(spec.get("trials", 1), f"sweep {sweep_idx} trials")):
             tasks.append({"sweep": sweep_idx, "trial": trial, "spec": spec,
                           "seed_offset": seed_offset})
     if jobs > 1 and len(tasks) > 1:

@@ -13,9 +13,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 import time
-from importlib import resources
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .estimator import (
     minimal_support_estimate,
 )
 from .linmodel import (
+    DEFAULT_SUBSET_CAP,
     GramSingularError,
     RobustnessConstants,
     SubsetCapError,
@@ -52,13 +53,20 @@ class InputError(Exception):
     pass
 
 
-def _load_model(path: str) -> SystemModel:
+def _read_json(path: str, what: str, parse):
+    """``parse`` applied to the JSON object in file ``path``; every failure,
+    the content's own included, is an ``InputError`` that names the file."""
     try:
-        return SystemModel.load(path)
+        with open(path) as fh:
+            doc = json.load(fh)
     except FileNotFoundError as exc:
-        raise InputError(f"model file not found: {path}") from exc
+        raise InputError(f"{what} not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: a {what} must be a JSON object")
+    try:
+        return parse(doc)
     except (ValueError, TypeError, KeyError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -91,7 +99,7 @@ def _read_trace(path: str, p: int, m: int):
 
 def _estimator_config(args) -> EstimatorConfig:
     return EstimatorConfig(
-        strategy=Strategy(args.strategy),
+        strategy=args.strategy,
         epsilon=args.epsilon,
         max_iterations=getattr(args, "max_iterations", None),
     )
@@ -103,7 +111,7 @@ def _estimator_config(args) -> EstimatorConfig:
 
 
 def cmd_observability(args) -> int:
-    model = _load_model(args.model)
+    model = _read_json(args.model, "model file", SystemModel.from_json_dict)
     stack = build_observability(model)
     p = model.p
     out = sys.stdout
@@ -152,7 +160,7 @@ def _window_from_trace(model: SystemModel, path: str):
 
 
 def cmd_estimate(args) -> int:
-    model = _load_model(args.model)
+    model = _read_json(args.model, "model file", SystemModel.from_json_dict)
     outputs, inputs = _window_from_trace(model, args.trace)
     stack = build_observability(model)
     window = stack_window(model, outputs, inputs)
@@ -176,7 +184,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    model = _load_model(args.model)
+    model = _read_json(args.model, "model file", SystemModel.from_json_dict)
     outputs, inputs = _window_from_trace(model, args.trace)
     stack = build_observability(model)
     window = stack_window(model, outputs, inputs)
@@ -199,18 +207,10 @@ def cmd_oracle(args) -> int:
 
 
 def _load_scenario(name: str) -> attacksim.AttackScenario:
-    try:
-        return attacksim.AttackScenario.load(name)
-    except FileNotFoundError:
-        bundled = resources.files("sse").joinpath("data", f"{name}.json")
-        if bundled.is_file():
-            with bundled.open() as fh:
-                return attacksim.AttackScenario.from_json_dict(json.load(fh))
-        raise InputError(f"scenario not found: {name} (no such file or bundled scenario)")
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{name}: invalid JSON at line {exc.lineno}") from exc
-    except (ValueError, TypeError) as exc:
-        raise InputError(f"{name}: {exc}") from exc
+    """The scenario in file ``name``, or else the bundled scenario of that name."""
+    if name in attacksim.SCENARIOS and not os.path.exists(name):
+        return attacksim.SCENARIOS[name]()
+    return _read_json(name, "scenario", attacksim.AttackScenario.from_json_dict)
 
 
 def cmd_simulate(args) -> int:
@@ -238,16 +238,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        with open(args.spec) as fh:
-            spec_doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise InputError(f"bench spec not found: {args.spec}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{args.spec}: invalid JSON at line {exc.lineno}") from exc
-    if not isinstance(spec_doc, dict):
-        raise InputError("bench spec must be a JSON object with a 'sweeps' list")
-    rows = bench.run_bench(spec_doc, jobs=args.jobs, seed_offset=args.seed)
+    rows = _read_json(args.spec, "bench spec",
+                      lambda doc: bench.run_bench(doc, jobs=args.jobs, seed_offset=args.seed))
     bench.write_bench_csv(rows, args.output)
     return EXIT_OK
 
@@ -274,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument("model")
     p_obs.add_argument("--max-s", type=int, default=None)
     p_obs.add_argument("--epsilon", type=float, default=1e-6)
-    p_obs.add_argument("--subset-cap", type=int, default=10**6)
+    p_obs.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP)
     p_obs.add_argument("--min-card", type=int, default=None, dest="min_card",
                        help="smallest subset size in the pseudo-inverse sweep "
                             "(default p - s_bar; 1 scans everything)")

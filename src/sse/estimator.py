@@ -25,6 +25,7 @@ from .linmodel import (
     SubsetCapError,
     SystemModel,
     check_sparse_observability,
+    whole_number,
 )
 from .satcore import Certificate, CertificateKind, SatStats
 from .theory import Strategy, certificates, t_check
@@ -59,8 +60,11 @@ class EstimatorConfig:
         object.__setattr__(self, "strategy", Strategy(self.strategy))
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be at least 1, got {self.max_iterations}")
+        if self.max_iterations is not None:
+            cap = whole_number(self.max_iterations, "max_iterations")
+            if cap < 1:
+                raise ValueError(f"max_iterations must be at least 1, got {cap}")
+            object.__setattr__(self, "max_iterations", cap)
 
     def iteration_cap(self, p: int, s_bar: int) -> int:
         if self.max_iterations is not None:
@@ -83,10 +87,9 @@ class Estimate:
     iterations: int
     certificates: list
     residual_sq: float | None
+    strategy: Strategy  # the strategy the solve ran: conflict_agree may run as conflict
     records: list = field(default_factory=list)
     support: tuple = ()
-    agree_active: bool = False
-    agree_downgraded: bool = False
     conflict_fallbacks: int = 0
     rank_deficient_final: bool = False
     budget: int = 0
@@ -101,6 +104,7 @@ class Estimate:
             "iterations": self.iterations,
             "residual_sq": self.residual_sq,
             "budget": self.budget,
+            "strategy": self.strategy.value,
             "solve_time": self.solve_time,
             "sat": asdict(self.sat),
             "certificates": [
@@ -170,8 +174,7 @@ def estimate(
         iterations=0,
         certificates=[],
         residual_sq=None,
-        agree_active=strategy is Strategy.CONFLICT_AGREE,
-        agree_downgraded=strategy is not config.strategy,
+        strategy=strategy,
         budget=s_bar,
         sat=inst.stats,
     )

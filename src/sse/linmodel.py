@@ -12,8 +12,8 @@ state-error bounds.
 from __future__ import annotations
 
 import itertools
-import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +63,14 @@ def numerical_rank(m: np.ndarray) -> int:
     return int(_nonzero(np.linalg.svd(m, compute_uv=False), max(m.shape)).sum())
 
 
+def whole_number(value, name: str) -> int:
+    """``value`` as an int: 2 and 2.0 pass, while 2.5, "2" or inf raise
+    ``ValueError`` instead of being truncated."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _as_matrix(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.ndim != 2:
@@ -73,32 +81,10 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return arr
 
 
-class JsonFile:
-    """``save``/``load`` for a type with ``to_json_dict``/``from_json_dict``;
-    ``json_kind`` names the document in the error for a non-object file."""
-
-    json_kind = "document"
-
-    def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"{cls.json_kind} document must be a JSON object")
-        return cls.from_json_dict(doc)
-
-
 @dataclass(frozen=True, eq=False)
-class SystemModel(JsonFile):
+class SystemModel:
     """Discrete-time plant x+ = A x + B u, y = C x, with a window length,
     an attack budget, and per-sensor noise norm bounds over the window."""
-
-    json_kind = "model"
 
     A: np.ndarray
     B: np.ndarray
@@ -118,13 +104,13 @@ class SystemModel(JsonFile):
             raise ValueError(f"B has {self.B.shape[0]} rows, expected {n}")
         if self.C.shape[1] != n:
             raise ValueError(f"C has {self.C.shape[1]} columns, expected {n}")
-        if not 1 <= int(self.tau) <= n:
+        object.__setattr__(self, "tau", whole_number(self.tau, "tau"))
+        if not 1 <= self.tau <= n:
             raise ValueError(f"tau must satisfy 1 <= tau <= n={n}, got {self.tau}")
-        object.__setattr__(self, "tau", int(self.tau))
         p = self.C.shape[0]
-        if not 0 <= int(self.s_bar) <= p:
+        object.__setattr__(self, "s_bar", whole_number(self.s_bar, "s_bar"))
+        if not 0 <= self.s_bar <= p:
             raise ValueError(f"s_bar must satisfy 0 <= s_bar <= p={p}, got {self.s_bar}")
-        object.__setattr__(self, "s_bar", int(self.s_bar))
         nb = np.array(self.noise_bounds, dtype=float).reshape(-1)
         if nb.shape != (p,):
             raise ValueError(f"noise_bounds must have length p={p}, got {nb.shape}")

@@ -196,11 +196,9 @@ def test_poor_observability_kernel_dims_at_scale():
 # ---------------------------------------------------------------------------
 
 
-def test_scenario_round_trip(tmp_path):
+def test_scenario_round_trip():
     scenario = alternating_encoder_scenario()
-    path = tmp_path / "scenario.json"
-    scenario.save(path)
-    back = AttackScenario.load(path)
+    back = AttackScenario.from_json_dict(json.loads(json.dumps(scenario.to_json_dict())))
     assert back == scenario
 
 
@@ -219,6 +217,44 @@ def test_phase_validation():
         AttackPhase(sensor=1, kind="replay", start=5, end=5)
     with pytest.raises(ValueError, match="non-negative"):
         AttackPhase(sensor=-1, kind="replay", start=0, end=5)
+
+
+@pytest.mark.parametrize("delay", [0, -1])
+def test_replay_delay_below_one_is_rejected(delay):
+    # -1 would read a row past the end of the run, 0 the row being written
+    with pytest.raises(ValueError, match=f"replay delay must be at least 1 step, got {delay}"):
+        AttackPhase(sensor=1, kind="replay", start=5, end=20, delay=delay)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sensor", 1.5), ("start", 0.5), ("end", 9.5), ("delay", 1.5), ("switch_step", 7.5),
+    ("sensor", "1"), ("delay", math.inf),
+])
+def test_phase_step_fields_are_whole_numbers(field, value):
+    doc = {"sensor": 1, "kind": "step_ramp", "start": 0, "end": 10, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+        AttackScenario.from_json_dict({"phases": [doc]})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("steps", 20.7, "steps must be a whole number, got 20.7"),
+    ("seed", 0.5, "seed must be a whole number, got 0.5"),
+    ("segment_steps", 0, "segment_steps must be at least 1, got 0"),
+    ("segment_steps", 2.5, "segment_steps must be a whole number, got 2.5"),
+])
+def test_scenario_document_rejects_a_bad_count(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        AttackScenario.from_json_dict({"phases": [], field: value})
+
+
+def test_scenario_document_loads_whole_floats_as_ints():
+    doc = {"steps": 20, "segment_steps": 10, "seed": 3, "phases": [
+        {"sensor": 1, "kind": "step_ramp", "start": 5, "end": 20, "switch_step": 8}]}
+    scenario = AttackScenario.from_json_dict(json.loads(json.dumps(doc), parse_int=float))
+    assert scenario == AttackScenario.from_json_dict(doc)
+    phase = scenario.phases[0]
+    assert all(type(v) is int for v in (scenario.steps, scenario.segment_steps, scenario.seed,
+                                        phase.sensor, phase.start, phase.end, phase.switch_step))
 
 
 # ---------------------------------------------------------------------------
@@ -383,10 +419,3 @@ def test_trace_csv_round_trip(tmp_path):
     assert float(row5[1]) == trace.x_true[5, 0]
     assert float(row5[14]) == trace.u[5]
 
-
-def test_bundled_scenario_file_matches_builtin():
-    from importlib import resources
-
-    bundled = resources.files("sse").joinpath("data", "ugv_alternating.json")
-    doc = json.loads(bundled.read_text())
-    assert doc == alternating_encoder_scenario().to_json_dict()

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import sse.attacksim
-from sse.attacksim import AttackScenario, discretize_ugv, generate_instance, run_closed_loop
+from sse.attacksim import (
+    AttackScenario,
+    alternating_encoder_scenario,
+    discretize_ugv,
+    generate_instance,
+    run_closed_loop,
+)
 from sse.bench import iteration_bound
 from sse.cli import EXIT_CAP, EXIT_INPUT, main
 from sse.theory import Strategy
@@ -16,7 +22,7 @@ from sse.theory import Strategy
 @pytest.fixture
 def ugv_model_file(tmp_path):
     path = tmp_path / "ugv.json"
-    discretize_ugv().model.save(path)
+    path.write_text(json.dumps(discretize_ugv().model.to_json_dict()))
     return str(path)
 
 
@@ -74,7 +80,7 @@ def test_observability_warns_about_large_budget(tmp_path, capsys):
 
     big = dataclasses.replace(model, s_bar=2)
     path = tmp_path / "big.json"
-    big.save(path)
+    path.write_text(json.dumps(big.to_json_dict()))
     assert main(["observability", str(path)]) == 0
     assert "cannot be uniquely" in capsys.readouterr().out
 
@@ -84,7 +90,7 @@ def test_observability_constants_for_healthy_model(tmp_path, capsys):
 
     inst = generate_instance(2, 5, 1, 1, "2s", 0.1, seed=0)
     path = tmp_path / "model.json"
-    inst.model.save(path)
+    path.write_text(json.dumps(inst.model.to_json_dict()))
     assert main(["observability", str(path), "--max-s", "2"]) == 0
     out = capsys.readouterr().out
     assert "sparse_observable s=2: yes" in out
@@ -107,7 +113,7 @@ def test_subset_cap_exit_code(tmp_path):
 
     inst = generate_instance(2, 12, 1, 4, "2s", 0.0, seed=1)
     path = tmp_path / "wide.json"
-    inst.model.save(path)
+    path.write_text(json.dumps(inst.model.to_json_dict()))
     assert main(["observability", str(path), "--max-s", "6", "--subset-cap", "5"]) == 4
 
 
@@ -194,7 +200,7 @@ def test_estimate_infeasible_exit_code(tmp_path, capsys):
     # both encoders disagree with each other and the GPS: budget 1 cannot cope
     model = discretize_ugv().model
     path = tmp_path / "ugv.json"
-    model.save(path)
+    path.write_text(json.dumps(model.to_json_dict()))
     outputs = np.array([[0.0, 50.0, -50.0], [0.0, 50.0, -50.0]])
     trace_path = tmp_path / "window.csv"
     write_window_trace(trace_path, outputs, np.zeros((2, 1)))
@@ -233,7 +239,7 @@ def test_estimate_treats_nan_reading_as_attacked(ugv_model_file, tmp_path, capsy
 def test_trace_reads_simulator_csv(tmp_path, capsys):
     model = discretize_ugv().model
     model_path = tmp_path / "ugv.json"
-    model.save(model_path)
+    model_path.write_text(json.dumps(model.to_json_dict()))
     scenario = AttackScenario(phases=(), steps=30, segment_steps=30)
     trace = run_closed_loop(discretize_ugv(), scenario, seed=0)
     csv_path = tmp_path / "sim.csv"
@@ -271,7 +277,8 @@ def test_simulate_at_the_iteration_cap_exits_with_cap_code(tmp_path, capsys):
 
 def test_simulate_scenario_file_attack_free(tmp_path):
     scn_path = tmp_path / "quiet.json"
-    AttackScenario(phases=(), steps=25, segment_steps=25).save(scn_path)
+    quiet = AttackScenario(phases=(), steps=25, segment_steps=25)
+    scn_path.write_text(json.dumps(quiet.to_json_dict()))
     out = tmp_path / "quiet.csv"
     assert main(["simulate", str(scn_path), "--output", str(out)]) == 0
     rows = _csv_rows(out)
@@ -294,9 +301,77 @@ def test_simulate_rejects_a_sensor_the_vehicle_lacks(tmp_path, capsys, sensor, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("phase, message", [
+    ({"delay": -1}, "replay delay must be at least 1 step, got -1"),
+    ({"delay": 0}, "replay delay must be at least 1 step, got 0"),
+    ({"delay": 1.5}, "delay must be a whole number, got 1.5"),
+    ({"sensor": 1.5}, "sensor must be a whole number, got 1.5"),
+], ids=["delay_-1", "delay_0", "delay_1.5", "sensor_1.5"])
+def test_simulate_rejects_a_bad_replay_phase(tmp_path, capsys, phase, message):
+    scn_path = tmp_path / "replay.json"
+    doc = {"steps": 20, "phases": [
+        {"sensor": 1, "kind": "replay", "start": 5, "end": 20, "delay": 2, **phase}]}
+    scn_path.write_text(json.dumps(doc))
+    out = tmp_path / "replay.csv"
+    assert main(["simulate", str(scn_path), "--output", str(out)]) == EXIT_INPUT
+    assert f"{scn_path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_unknown_scenario(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "ghost.json")]) == 3
     assert "scenario not found" in capsys.readouterr().err
+
+
+def test_simulate_bundled_scenario_is_the_library_run(tmp_path):
+    out, ref = tmp_path / "cli.csv", tmp_path / "library.csv"
+    assert main(["simulate", "ugv_alternating", "--output", str(out)]) == 0
+    run_closed_loop(discretize_ugv(), alternating_encoder_scenario()).to_csv(ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_simulate_file_wins_over_a_bundled_name(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    quiet = AttackScenario(phases=(), steps=25, segment_steps=25)
+    (tmp_path / "ugv_alternating").write_text(json.dumps(quiet.to_json_dict()))
+    assert main(["simulate", "ugv_alternating", "--output", "quiet.csv"]) == 0
+    rows = _csv_rows(tmp_path / "quiet.csv")
+    assert len(rows) == 25 and not any(float(row["a2"]) or float(row["a3"]) for row in rows)
+
+
+# ---------------------------------------------------------------------------
+# JSON documents: model, scenario and bench spec
+# ---------------------------------------------------------------------------
+
+
+# what the CLI calls each document -> the command that reads it from a path, an
+# object its library type rejects, and the library's message for that object
+DOCUMENTS = {
+    "model file": (lambda path: ["observability", path], {"A": [[1.0]]},
+                   "model document missing fields: B, C, tau, s_bar, noise_bounds"),
+    "scenario": (lambda path: ["simulate", path, "--output", path + ".csv"], {"phases": 3},
+                 "'int' object is not iterable"),
+    "bench spec": (lambda path: ["bench", path], {"sweeps": 3},
+                   "a bench spec is a JSON object with a 'sweeps' list"),
+}
+
+
+@pytest.mark.parametrize("what", list(DOCUMENTS), ids=["model", "scenario", "bench"])
+@pytest.mark.parametrize("flaw", ["missing_file", "invalid_json", "non_object", "bad_content"])
+def test_document_errors_are_input_errors_naming_the_file(tmp_path, capsys, what, flaw):
+    command, content, content_message = DOCUMENTS[what]
+    path = tmp_path / "document.json"
+    text, message = {
+        "missing_file": (None, f"{what} not found: {path}"),
+        "invalid_json": ('{"A": [[1, 2],', f"{path}: invalid JSON at line 1, column 15"),
+        "non_object": ("[1, 2]", f"{path}: a {what} must be a JSON object"),
+        "bad_content": (json.dumps(content), f"{path}: {content_message}"),
+    }[flaw]
+    if text is not None:
+        path.write_text(text)
+    assert main(command(str(path))) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (f"error: {message}\n", "")
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +482,18 @@ def test_bench_iteration_cap_below_one_is_input_error(tmp_path, capsys):
                                   "max_iterations": 0}])
     assert main(["bench", spec]) == EXIT_INPUT
     assert "max_iterations must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"sweeps": [3]}, "sweep 0 must be a JSON object, got 3"),
+    ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 2.5}]},
+     "sweep 0 trials must be a whole number, got 2.5"),
+], ids=["sweep_not_object", "trials_not_whole"])
+def test_bench_malformed_spec_is_input_error(tmp_path, capsys, doc, message):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bench", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_bench_sweep_without_required_key_is_input_error(tmp_path, capsys):

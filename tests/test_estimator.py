@@ -142,14 +142,14 @@ def test_default_iteration_cap_formula():
 def test_agree_gate_downgrades_without_verification(four_lines):
     model, stack, window = four_lines  # not 3-sparse observable (single lines in R^2)
     result = estimate(model, stack, window, cfg(Strategy.CONFLICT_AGREE))
-    assert result.agree_downgraded and not result.agree_active
+    assert result.strategy is Strategy.CONFLICT
     assert all(c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED for c in result.certificates)
 
 
 def test_agree_gate_allows_generated_3s_model():
     inst = generate_instance(3, 8, 1, 2, "3s", 0.0, seed=5, attack_norm=4.0)
     result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
-    assert result.agree_active and not result.agree_downgraded
+    assert result.strategy is Strategy.CONFLICT_AGREE
 
 
 def test_agree_gate_ignores_sampled_audit():
@@ -157,7 +157,7 @@ def test_agree_gate_ignores_sampled_audit():
     # level unproven, and the gate's exact check refuses at the subset cap
     inst = generate_instance(3, 40, 2, 10, "3s", 0.0, seed=1)
     result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE))
-    assert result.agree_downgraded and not result.agree_active
+    assert result.strategy is Strategy.CONFLICT
     assert result.feasible
     assert set(inst.attacked) <= set(result.support)
 
@@ -179,8 +179,8 @@ def test_agree_gate_checked_once_per_stack(monkeypatch):
     calls.clear()
     again = estimate(model, stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
     assert not calls
-    assert first.agree_active == again.agree_active == check_sparse_observability(model, 6)
-    assert again.agree_active and not again.agree_downgraded
+    assert first.strategy is again.strategy is Strategy.CONFLICT_AGREE
+    assert check_sparse_observability(model, 6)
     assert again.iterations == first.iterations and again.support == first.support
     # the generator's exact level check already sits on the stack it returns
     calls.clear()
@@ -196,7 +196,7 @@ def test_agree_gate_remembers_a_failed_check(monkeypatch, four_lines):
     calls.clear()
     again = estimate(model, stack, window, cfg(Strategy.CONFLICT_AGREE))
     assert not calls
-    assert again.agree_downgraded and not again.agree_active
+    assert again.strategy is Strategy.CONFLICT
     assert not check_sparse_observability(model, 3)
 
 
@@ -211,7 +211,7 @@ def test_agree_gate_arithmetic_blocks_p_equal_3s():
     inst = generate_instance(2, 6, 1, 2, "2s", 0.0, seed=6, attack_norm=4.0)
     result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
     # p = 6 = 3 * s_bar: the gate requires strictly more sensors
-    assert result.agree_downgraded
+    assert result.strategy is Strategy.CONFLICT
 
 
 def test_agree_certificates_fire_and_pin_sensors():
@@ -242,6 +242,9 @@ def test_estimate_to_json_dict(four_lines):
     assert len(doc["trace"]) == result.iterations
     assert doc["sat"] == asdict(result.sat)
     assert doc["sat"]["solve_calls"] == result.iterations
+    # four_lines is not 3-sparse observable: conflict_agree says it ran as conflict
+    downgraded = estimate(model, stack, window, cfg(Strategy.CONFLICT_AGREE)).to_json_dict()
+    assert (doc["strategy"], downgraded["strategy"]) == ("conflict", "conflict")
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +392,7 @@ def test_conflict_agree_iterations_with_the_gate_open():
                 assert result.feasible
                 assert set(inst.attacked) <= set(result.support)
                 if strategy is Strategy.CONFLICT_AGREE:
-                    assert result.agree_active
+                    assert result.strategy is Strategy.CONFLICT_AGREE
                     agree_certs += sum(c.kind is CertificateKind.ALL_UNATTACKED
                                        for c in result.certificates)
                 per_point.setdefault((strategy, s), []).append(result.iterations)
@@ -456,7 +459,7 @@ def test_agree_certificates_gated_off_under_noise():
                              attack_norm={"lo": 0.05, "hi": 2.0})
     result = estimate(inst.model, inst.stack, inst.window,
                       cfg(Strategy.CONFLICT_AGREE, 1e-6))
-    assert result.agree_downgraded and not result.agree_active
+    assert result.strategy is Strategy.CONFLICT
     assert result.feasible and result.support == (3, 5)
 
 
@@ -477,8 +480,7 @@ def test_closed_gate_conflict_agree_is_the_conflict_estimate(spec):
         inst = generate_instance(*spec, seed=300 + seed, attack_norm={"lo": 2.0, "hi": 8.0})
         runs = [estimate(inst.model, inst.stack, inst.window, cfg(strategy, 1e-6))
                 for strategy in (Strategy.CONFLICT_AGREE, Strategy.CONFLICT)]
-        assert runs[0].agree_downgraded and not runs[0].agree_active
-        assert not runs[1].agree_downgraded and not runs[1].agree_active
+        assert runs[0].strategy is runs[1].strategy is Strategy.CONFLICT
         _same_estimate(*runs)
         assert runs[0].feasible and runs[0].iterations > 1  # certificates were learned
 
@@ -490,6 +492,12 @@ def test_iteration_cap_below_one_is_rejected(cap):
     assert EstimatorConfig(max_iterations=1).iteration_cap(4, 1) == 1
 
 
+def test_iteration_cap_is_a_whole_number():
+    with pytest.raises(ValueError, match="max_iterations must be a whole number, got 2.5"):
+        EstimatorConfig(max_iterations=2.5)
+    assert type(EstimatorConfig(max_iterations=2.0).iteration_cap(4, 1)) is int
+
+
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_strategy_name_runs_as_its_enum(strategy):
     # a "2s" instance for the trivial walk, a "3s" one for the open agree gate
@@ -498,8 +506,7 @@ def test_strategy_name_runs_as_its_enum(strategy):
         named, member = (estimate(inst.model, inst.stack, inst.window, cfg(choice, 1e-6))
                          for choice in (strategy.value, strategy))
         _same_estimate(named, member)
-        assert (named.agree_active, named.agree_downgraded) == (
-            member.agree_active, member.agree_downgraded)
+        assert named.strategy is member.strategy
     assert EstimatorConfig(strategy=strategy.value).strategy is strategy
 
 

@@ -72,6 +72,23 @@ def test_model_json_missing_field():
         SystemModel.from_json_dict({"A": [[1.0]]})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("s_bar", 0.9),  # truncated, it would trust every sensor
+    ("tau", 2.5), ("tau", "2"), ("s_bar", float("nan")), ("s_bar", None),
+])
+def test_model_document_rejects_a_count_that_is_not_whole(field, value):
+    doc = {**discretize_ugv().model.to_json_dict(), field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a whole number, got {value!r}"):
+        SystemModel.from_json_dict(doc)
+
+
+def test_model_document_loads_whole_floats_as_ints():
+    doc = {**discretize_ugv().model.to_json_dict(), "tau": 2.0, "s_bar": np.float64(1.0)}
+    model = SystemModel.from_json_dict(doc)
+    assert (model.tau, model.s_bar) == (2, 1)
+    assert type(model.tau) is int and type(model.s_bar) is int
+
+
 # ---------------------------------------------------------------------------
 # observability stacking
 # ---------------------------------------------------------------------------

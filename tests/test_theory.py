@@ -565,7 +565,7 @@ def test_conflict_agree_suppressed_without_gate(four_lines):
     model, stack, window = four_lines
     result = estimate(model, stack, window,
                       EstimatorConfig(strategy=Strategy.CONFLICT_AGREE, epsilon=1e-9))
-    assert result.agree_downgraded and not result.agree_active
+    assert result.strategy is Strategy.CONFLICT
     first = result.records[0]  # no sensor suspected: all four checked
     assert first.support == () and not first.sat
     assert [c.kind for c in first.certificates] == [CertificateKind.AT_LEAST_ONE_ATTACKED]

@@ -58,7 +58,7 @@ def test_tracer_counts_agree_certificates_when_the_gate_is_open():
         result = sse.estimate(inst.model, inst.stack, inst.window, config)
     finally:
         tracer.uninstall()
-    assert result.agree_active
+    assert result.strategy is Strategy.CONFLICT_AGREE
     agree = sum(c.kind is CertificateKind.ALL_UNATTACKED for c in result.certificates)
     assert agree > 0
     assert tracer.counts["theory.agree_certs"] == agree
