@@ -81,13 +81,16 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
     sweeps = spec_doc.get("sweeps", []) if isinstance(spec_doc, dict) else None
     if not isinstance(sweeps, list):
         raise ValueError("a bench spec is a JSON object with a 'sweeps' list")
-    tasks = []
+    tasks, checked = [], []
     for sweep_idx, spec in enumerate(sweeps):
         if not isinstance(spec, dict):
             raise ValueError(f"sweep {sweep_idx} must be a JSON object, got {spec!r}")
         missing = [k for k in ("n", "p", "s", "s_bar") if k not in spec]
         if missing:
             raise ValueError(f"sweep {sweep_idx} lacks {', '.join(map(repr, missing))}")
+        spec = {**spec, **{k: whole_number(spec[k], f"sweep {sweep_idx} {k}")
+                           for k in ("n", "p", "s", "s_bar")}}
+        checked.append(spec)
         for trial in range(whole_number(spec.get("trials", 1), f"sweep {sweep_idx} trials")):
             tasks.append({"sweep": sweep_idx, "trial": trial, "spec": spec,
                           "seed_offset": seed_offset})
@@ -106,7 +109,7 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
         iters = [r["iterations"] for r in group if isinstance(r["iterations"], int)]
         errors = [r["estimation_error"] for r in group
                   if isinstance(r["estimation_error"], float)]
-        spec = sweeps[sweep_idx]
+        spec = checked[sweep_idx]
         agg = {
             "record": "aggregate", "sweep": sweep_idx, "trial": "",
             "n": spec["n"], "p": spec["p"], "s": spec["s"], "s_bar": spec["s_bar"],

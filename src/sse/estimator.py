@@ -165,7 +165,8 @@ def estimate(
     """
     p, s_bar = model.p, model.s_bar
     started = time.perf_counter()
-    inst = satcore.new_instance(p, s_bar)
+    # a support of every sensor leaves no equation to check: not a hypothesis
+    inst = satcore.new_instance(p, min(s_bar, p - 1))
     strategy = _solve_strategy(model, stack, config)
     cap = config.iteration_cap(p, s_bar)
     result = Estimate(
@@ -189,12 +190,6 @@ def estimate(
             return result
         excluded = set(suspected)
         trusted = tuple([i for i in range(p) if i not in excluded])
-        if not trusted:
-            # no sensor left to estimate from: reject this hypothesis outright
-            inst.add_constraint(
-                Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset())
-            )
-            continue
         result.iterations += 1
         check = t_check(stack, window, trusted, model.noise_bounds, config.epsilon)
         record = IterationRecord(
@@ -234,30 +229,28 @@ def minimal_support_estimate(
     Runs the budgeted problem with the budget descending from the model's
     s_bar; certificates are not carried across budgets (clean-sensor
     certificates are only sound under the budget they were derived for).
+    The result's iterations, SAT counts, solve time and conflict fallbacks
+    are totals over every budget tried, the final infeasible one included.
     """
     best: Estimate | None = None
     budget = model.s_bar
-    total_iterations = 0
-    total_sat = SatStats()
+    outcomes = []
     while budget >= 0:
-        trial_model = replace(model, s_bar=budget)
-        outcome = estimate(trial_model, stack, window, config)
-        total_iterations += outcome.iterations
-        total_sat += outcome.sat
+        outcome = estimate(replace(model, s_bar=budget), stack, window, config)
+        outcomes.append(outcome)
         if not outcome.feasible:
             break
         best = outcome
         budget = min(budget - 1, len(outcome.support) - 1) if outcome.support else -1
-    if best is None:
-        infeasible = outcome
-        infeasible.iterations = total_iterations
-        infeasible.sat = total_sat
-        return infeasible
-    best.iterations = total_iterations
-    best.sat = total_sat
-    # the estimate also solves the problem at the budget matching its support
-    best.budget = len(best.support)
-    return best
+    result = outcome if best is None else best
+    result.iterations = sum(o.iterations for o in outcomes)
+    result.sat = sum((o.sat for o in outcomes), SatStats())
+    result.solve_time = sum(o.solve_time for o in outcomes)
+    result.conflict_fallbacks = sum(o.conflict_fallbacks for o in outcomes)
+    if best is not None:
+        # the estimate also solves the problem at the budget matching its support
+        best.budget = len(best.support)
+    return result
 
 
 @dataclass(frozen=True)

@@ -108,6 +108,8 @@ class SystemModel:
         if not 1 <= self.tau <= n:
             raise ValueError(f"tau must satisfy 1 <= tau <= n={n}, got {self.tau}")
         p = self.C.shape[0]
+        if not p:
+            raise ValueError("C must have at least one row (sensor)")
         object.__setattr__(self, "s_bar", whole_number(self.s_bar, "s_bar"))
         if not 0 <= self.s_bar <= p:
             raise ValueError(f"s_bar must satisfy 0 <= s_bar <= p={p}, got {self.s_bar}")
@@ -313,36 +315,24 @@ def _check_cap(count: int, cap: int) -> None:
         raise SubsetCapError(count, cap)
 
 
-def _subset_chunks(p: int, sizes, floats_each: int):
-    """The subsets of range(p) with a size in ``sizes`` (ascending), by size
-    and then in ``itertools.combinations`` order, as index rows front-padded
-    with p to the largest size; at most ``CHUNK_FLOATS // floats_each`` rows
-    per chunk."""
-    width, rows = sizes[-1], max(1, CHUNK_FLOATS // floats_each)
-    pending, held = [], 0
-    for size in sizes:
-        combos = itertools.combinations(range(p), size)
-        left = math.comb(p, size)
-        while left:
-            m = min(rows - held, left)
-            flat = itertools.chain.from_iterable(itertools.islice(combos, m))
-            block = np.fromiter(flat, dtype=np.intp, count=m * size).reshape(m, size)
-            if size < width:
-                block = np.concatenate([np.full((m, width - size), p), block], axis=1)
-            pending.append(block)
-            held, left = held + m, left - m
-            if held == rows:
-                yield pending[0] if len(pending) == 1 else np.concatenate(pending)
-                pending, held = [], 0
-    if pending:
-        yield pending[0] if len(pending) == 1 else np.concatenate(pending)
+def _subset_chunks(p: int, size: int, floats_each: int):
+    """The size-subsets of range(p) in ``itertools.combinations`` order, as
+    index rows; at most ``CHUNK_FLOATS // floats_each`` rows per chunk."""
+    rows = max(1, CHUNK_FLOATS // floats_each)
+    combos = itertools.combinations(range(p), size)
+    left = math.comb(p, size)
+    while left:
+        m = min(rows, left)
+        flat = itertools.chain.from_iterable(itertools.islice(combos, m))
+        yield np.fromiter(flat, dtype=np.intp, count=m * size).reshape(m, size)
+        left -= m
 
 
 def _subset_svds(stack: ObservabilityStack, size: int):
     """Singular values of O_I for the size-subsets I, and which of them count
     as nonzero, one chunk at a time in enumeration order."""
     rows, n = size * stack.tau, stack.n
-    for idx in _subset_chunks(stack.p, [size], rows * n):
+    for idx in _subset_chunks(stack.p, size, rows * n):
         sv = np.linalg.svd(stack.blocks[idx].reshape(len(idx), rows, n), compute_uv=False)
         yield sv, _nonzero(sv, max(rows, n))
 
@@ -442,48 +432,44 @@ def compute_delta_s(
         count += math.comb(p, size) * max(gammas, 1)
     _check_cap(count, subset_cap)
 
-    # Index p pads subsets and Gammas to a common width: its Gram is zero, so
-    # adding it leaves every sum's bits as sum() gives them.
-    grams = np.concatenate([stack.gram_blocks, np.zeros((1, n, n))])
+    grams = stack.gram_blocks
     surface = [i for i in range(p) if i in attack_set]
-    gammas = [(p,) * (s_bar - g) + c for g in range(1, s_bar + 1)
-              for c in itertools.combinations(surface, g)]
-    gammas = np.array(gammas, dtype=np.intp).reshape(len(gammas), s_bar)
-    gamma_sizes = (gammas < p).sum(axis=1)
-    gamma_grams = _gram_sums(grams, gammas)
+    # the Gammas of each size g = 1, 2, ..., as index rows and summed Grams
+    gamma_sets = []
+    for g in range(1, min(s_bar, len(surface)) + 1):
+        rows = np.array(list(itertools.combinations(surface, g)), dtype=np.intp)
+        gamma_sets.append((rows, _gram_sums(grams, rows)))
+    floats_each = (1 + sum(len(rows) for rows, _ in gamma_sets)) * n * n
     worst = 0.0  # the empty Gamma contributes zero
-    sizes = range(max(min_i, 1), p + 1)
-    for idx in _subset_chunks(p, sizes, (1 + len(gammas)) * n * n):
-        eigvals, eigvecs = np.linalg.eigh(_gram_sums(grams, idx))
-        tol = _zero_tol(np.maximum(eigvals[:, -1], 0.0), n)
-        singular = eigvals[:, 0] <= tol
-        if singular.any():
-            if not skip_singular_sets:
-                first = tuple(int(i) for i in idx[np.argmax(singular)] if i < p)
-                raise GramSingularError(
-                    f"Gram matrix of sensor set {first} is singular; the system "
-                    f"is not sparse-observable enough for this enumeration"
-                )
-            regular = ~singular
-            idx, eigvals, eigvecs = idx[regular], eigvals[regular], eigvecs[regular]
-        if not len(gammas) or not len(idx):
-            continue
-        # Gamma strictly inside I: all its members in I, and fewer of them
-        member = np.zeros((len(idx), p + 1), dtype=bool)
-        member[np.arange(len(idx))[:, None], idx] = True
-        member[:, p] = True
-        inside = member[:, gammas].all(axis=2)
-        inside &= gamma_sizes < (idx < p).sum(axis=1)[:, None]
-        owner, gamma = np.nonzero(inside)
-        if not len(owner):
-            continue
-        scale = np.zeros(eigvecs.shape)  # diagonal matrices of 1/sqrt(eigvals)
-        scale.reshape(len(idx), n * n)[:, :: n + 1] = 1.0 / np.sqrt(eigvals)
-        inv_sqrt = eigvecs @ scale @ eigvecs.transpose(0, 2, 1)
-        w = inv_sqrt[owner]
-        lam = np.linalg.eigvalsh(w @ gamma_grams[gamma] @ w)[:, -1]
-        # fmax passes over NaN, as max(worst, nan) does
-        worst = max(worst, float(np.fmax.reduce(lam)))
+    for size in range(max(min_i, 1), p + 1):
+        for idx in _subset_chunks(p, size, floats_each):
+            eigvals, eigvecs = np.linalg.eigh(_gram_sums(grams, idx))
+            tol = _zero_tol(np.maximum(eigvals[:, -1], 0.0), n)
+            singular = eigvals[:, 0] <= tol
+            if singular.any():
+                if not skip_singular_sets:
+                    first = tuple(idx[np.argmax(singular)].tolist())
+                    raise GramSingularError(
+                        f"Gram matrix of sensor set {first} is singular; the system "
+                        f"is not sparse-observable enough for this enumeration"
+                    )
+                regular = ~singular
+                idx, eigvals, eigvecs = idx[regular], eigvals[regular], eigvecs[regular]
+            member = np.zeros((len(idx), p), dtype=bool)
+            member[np.arange(len(idx))[:, None], idx] = True
+            inv_sqrt = None
+            for rows, sums in gamma_sets[: size - 1]:  # Gamma strictly inside I
+                owner, gamma = np.nonzero(member[:, rows].all(axis=2))
+                if not len(owner):
+                    continue
+                if inv_sqrt is None:
+                    scale = np.zeros(eigvecs.shape)  # diagonal matrices of 1/sqrt(eigvals)
+                    scale.reshape(len(idx), n * n)[:, :: n + 1] = 1.0 / np.sqrt(eigvals)
+                    inv_sqrt = eigvecs @ scale @ eigvecs.transpose(0, 2, 1)
+                w = inv_sqrt[owner]
+                lam = np.linalg.eigvalsh(w @ sums[gamma] @ w)[:, -1]
+                # fmax passes over NaN, as max(worst, nan) does
+                worst = max(worst, float(np.fmax.reduce(lam)))
     return worst
 
 

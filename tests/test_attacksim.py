@@ -312,6 +312,20 @@ def test_noise_free_attack_free_loop_tracks_exactly():
     assert abs(trace.x_true[99, 0] - 5.0) < 0.25
 
 
+def test_rank_deficient_estimate_coasts_through_the_model():
+    # with the GPS attacked only the two velocity encoders are trusted, and
+    # they never see position: a feasible but rank-deficient solve
+    ugv = discretize_ugv()
+    phase = AttackPhase(sensor=0, kind="step_ramp", start=20, end=40, step=30.0)
+    trace = run_closed_loop(ugv, AttackScenario(phases=(phase,), steps=60), seed=0)
+    model = ugv.model
+    assert np.flatnonzero(trace.degenerate).tolist() == [20, 40]
+    for t in (20, 40):
+        assert trace.feasible[t] and trace.b[t].tolist() == [1, 0, 0]
+        coasted = model.A @ trace.x_est[t - 1] + model.B @ np.array([trace.u[t - 1]])
+        assert trace.x_est[t].tobytes() == coasted.tobytes()
+
+
 def test_noisy_attack_free_loop_flags_nothing():
     ugv = discretize_ugv()
     scenario = AttackScenario(phases=(), steps=150, segment_steps=150)

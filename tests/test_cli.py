@@ -196,6 +196,21 @@ def test_estimate_missing_columns(ugv_model_file, tmp_path, capsys):
     assert "missing columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "trace file not found"),
+    ("", "empty trace file"),
+    ("y1,y2,y3,u1\n0,0,0,0\n0,zero,0,0\n", "bad number on line 3"),
+], ids=["missing", "empty", "not_a_number"])
+def test_estimate_bad_trace_is_input_error_naming_the_file(ugv_model_file, tmp_path,
+                                                           capsys, content, message):
+    trace_path = tmp_path / "window.csv"
+    if content is not None:
+        trace_path.write_text(content)
+    assert main(["estimate", ugv_model_file, str(trace_path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert message in err and str(trace_path) in err
+
+
 def test_estimate_infeasible_exit_code(tmp_path, capsys):
     # both encoders disagree with each other and the GPS: budget 1 cannot cope
     model = discretize_ugv().model
@@ -488,12 +503,30 @@ def test_bench_iteration_cap_below_one_is_input_error(tmp_path, capsys):
     ({"sweeps": [3]}, "sweep 0 must be a JSON object, got 3"),
     ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 2.5}]},
      "sweep 0 trials must be a whole number, got 2.5"),
-], ids=["sweep_not_object", "trials_not_whole"])
+    ({"sweeps": [{"n": 2, "p": 6.5, "s": 1, "s_bar": 1, "trials": 1}]},
+     "sweep 0 p must be a whole number, got 6.5"),
+], ids=["sweep_not_object", "trials_not_whole", "p_not_whole"])
 def test_bench_malformed_spec_is_input_error(tmp_path, capsys, doc, message):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(doc))
     assert main(["bench", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_bench_whole_float_counts_run_as_ints(tmp_path):
+    sweep = {"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 2, "seed": 5,
+             "strategies": ["trivial", "conflict"]}
+    tables = []
+    for name, p in (("int", 6), ("float", 6.0)):
+        out = tmp_path / f"{name}.csv"
+        assert main(["bench", bench_spec(tmp_path, [{**sweep, "p": p}]),
+                     "--output", str(out)]) == 0
+        rows = _csv_rows(out)
+        for row in rows:
+            row.pop("wall_time")
+        tables.append(rows)
+    assert tables[0] == tables[1]
+    assert {row["p"] for row in tables[1]} == {"6"}
 
 
 def test_bench_sweep_without_required_key_is_input_error(tmp_path, capsys):

@@ -13,7 +13,9 @@ from sse import (
     SystemModel,
     build_observability,
     check_sparse_observability,
+    estimator,
     linmodel,
+    stack_window,
 )
 from sse.attacksim import generate_instance
 from sse.estimator import (
@@ -283,10 +285,26 @@ def test_minimal_support_infeasible_at_budget_propagates():
     assert not result.feasible
 
 
-def test_minimal_support_sums_counts_over_budgets():
+def test_minimal_support_sums_counts_over_budgets(monkeypatch):
     inst = generate_instance(3, 9, 3, 3, "2s", 0.0, seed=1)
     config = cfg(Strategy.TRIVIAL, epsilon=1e-6)
+    returned = []  # each budget's totals as estimate returns them, in budget order
+    real = estimator.estimate
+
+    def recording(*args):
+        outcome = real(*args)
+        returned.append((outcome.iterations, replace(outcome.sat), outcome.solve_time,
+                         outcome.conflict_fallbacks))
+        return outcome
+
+    monkeypatch.setattr(estimator, "estimate", recording)
     result = minimal_support_estimate(inst.model, inst.stack, inst.window, config)
+    iterations, sats, times, fallbacks = zip(*returned)
+    assert len(returned) == 2
+    assert result.iterations == sum(iterations)
+    assert result.sat == sum(sats, SatStats())
+    assert result.solve_time == sum(times)
+    assert result.conflict_fallbacks == sum(fallbacks)
     # budget 3 is feasible with a 3-sensor support, budget 2 is not
     per_budget = [
         estimate(replace(inst.model, s_bar=b), inst.stack, inst.window, config) for b in (3, 2)
@@ -569,4 +587,50 @@ def test_non_finite_sensors_beyond_budget_are_infeasible(four_lines):
         assert result.iterations == 0
         assert {c.sensors for c in result.certificates} == {frozenset({1}), frozenset({2})}
     assert not brute_force(model, stack, window).supports
+    assert not minimal_support_estimate(model, stack, window, cfg()).feasible
+
+
+# ---------------------------------------------------------------------------
+# a budget of every sensor
+# ---------------------------------------------------------------------------
+
+
+def first_coordinate_sensors(readings):
+    """s_bar = p sensors that each read x_1 of a plant at rest (A = I, tau = 2);
+    ``readings[i]`` is sensor i's window, oldest sample first."""
+    p = len(readings)
+    model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=[[1.0, 0.0]] * p, tau=2,
+                        s_bar=p, noise_bounds=np.zeros(p))
+    window = stack_window(model, np.array(readings, dtype=float).T, np.zeros((2, 1)))
+    return model, build_observability(model), window
+
+
+@pytest.mark.parametrize("readings", [
+    [(1, 1), (1, 5), (1, 7)],
+    [(1, 1), (1, 5), (1, 7), (1, 9)],
+], ids=["p3", "p4"])
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_budget_of_every_sensor_finds_the_feasible_support(readings, strategy):
+    # only sensor 0 is self-consistent; a support of all p sensors would leave
+    # nothing to check, so the search must not stop at it
+    model, stack, window = first_coordinate_sensors(readings)
+    p = model.p
+    oracle = brute_force(model, stack, window, s_bar=p - 1)
+    assert oracle.supports == (tuple(range(1, p)),)
+    result = estimate(model, stack, window, cfg(strategy))
+    assert result.feasible
+    assert result.support in oracle.supports
+    assert result.budget == p
+    assert all(c.sensors for c in result.certificates)
+
+
+@pytest.mark.parametrize("readings", [
+    [(1, 2), (1, 3)],  # each sensor contradicts itself
+    [(math.nan, 1), (1, math.inf)],  # every sensor is non-finite
+], ids=["self_inconsistent", "non_finite"])
+def test_budget_of_every_sensor_stays_infeasible(readings):
+    model, stack, window = first_coordinate_sensors(readings)
+    assert not brute_force(model, stack, window, s_bar=model.p - 1).supports
+    for strategy in Strategy:
+        assert not estimate(model, stack, window, cfg(strategy)).feasible
     assert not minimal_support_estimate(model, stack, window, cfg()).feasible

@@ -53,6 +53,8 @@ def test_model_validation_errors():
         SystemModel(A=eye, B=eye, C=eye, tau=2, s_bar=1, noise_bounds=[-1, 0])
     with pytest.raises(ValueError, match="columns"):
         SystemModel(A=eye, B=eye, C=np.ones((3, 3)), tau=2, s_bar=1, noise_bounds=[0, 0, 0])
+    with pytest.raises(ValueError, match="at least one row"):
+        SystemModel(A=eye, B=eye, C=np.zeros((0, 2)), tau=2, s_bar=0, noise_bounds=[])
 
 
 def test_model_json_round_trip():
