@@ -8,7 +8,10 @@ controller that consumes the secure estimate.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,27 +61,18 @@ ATTACK_NORM_RANGE = {"lo": 1.0, "hi": 10.0}
 class UgvModel:
     """Ground vehicle moving on a line: position, velocity, force input."""
 
-    M: float
-    B_f: float
     dt: float
     model: SystemModel
 
 
-def discretize_ugv(M: float = UGV_MASS, B_f: float = UGV_FRICTION, dt: float = UGV_DT) -> UgvModel:
-    """Exact zero-order-hold discretization of the 1-D vehicle dynamics."""
-    if M <= 0 or dt <= 0:
-        raise ValueError("mass and time step must be positive")
-    if B_f < 0:
-        raise ValueError("friction must be non-negative")
-    a = B_f / M
-    if a * dt < 1e-8:
-        a_d = np.array([[1.0, dt], [0.0, 1.0]])
-        b_d = np.array([[dt**2 / (2.0 * M)], [dt / M]])
-    else:
-        e = math.exp(-a * dt)
-        phi = (1.0 - e) / a
-        a_d = np.array([[1.0, phi], [0.0, e]])
-        b_d = np.array([[(dt - phi) / (a * M)], [phi / M]])
+def discretize_ugv() -> UgvModel:
+    """Exact zero-order-hold discretization of the 1-D vehicle dynamics: mass
+    ``UGV_MASS``, friction ``UGV_FRICTION``, time step ``UGV_DT``."""
+    a = UGV_FRICTION / UGV_MASS
+    e = math.exp(-a * UGV_DT)
+    phi = (1.0 - e) / a
+    a_d = np.array([[1.0, phi], [0.0, e]])
+    b_d = np.array([[(UGV_DT - phi) / (a * UGV_MASS)], [phi / UGV_MASS]])
     c = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     model = SystemModel(
         A=a_d,
@@ -88,7 +82,7 @@ def discretize_ugv(M: float = UGV_MASS, B_f: float = UGV_FRICTION, dt: float = U
         s_bar=1,
         noise_bounds=np.full(3, math.sqrt(UGV_NOISE_SQ)),
     )
-    return UgvModel(M=M, B_f=B_f, dt=dt, model=model)
+    return UgvModel(dt=UGV_DT, model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +252,10 @@ class AttackPhase:
             raise ValueError(f"phase [{self.start}, {self.end}) is empty")
         if self.delay < 1:
             raise ValueError(f"replay delay must be at least 1 step, got {self.delay}")
+        for name in ("amplitude", "floor_frac", "step", "slope"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
 
     def to_json_dict(self) -> dict:
         doc = {"sensor": self.sensor, "kind": self.kind, "start": self.start, "end": self.end}
@@ -345,7 +343,6 @@ SCENARIOS = {"ugv_alternating": alternating_encoder_scenario}
 class Trace:
     """Per-step record of a closed-loop run."""
 
-    dt: float
     x_true: np.ndarray       # steps x 2
     x_est: np.ndarray        # steps x 2
     y: np.ndarray            # steps x p
@@ -353,7 +350,6 @@ class Trace:
     noise: np.ndarray        # steps x p
     b: np.ndarray            # steps x p (int indicators)
     u: np.ndarray            # steps
-    ref: np.ndarray          # steps (position reference)
     feasible: np.ndarray     # steps (bool; False before the first window too)
     estimated: np.ndarray    # steps (bool; whether the solver ran)
     degenerate: np.ndarray   # steps (bool; estimate rejected as rank-deficient)
@@ -378,22 +374,24 @@ class Trace:
         header += [f"a{i + 1}" for i in range(p)]
         header += [f"b{i + 1}" for i in range(p)]
         header += ["u"]
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for t in range(self.steps):
-                row = [str(t)]
-                row += [format_exact(v) for v in (self.x_true[t, 0], self.x_true[t, 1],
-                                                  self.x_est[t, 0], self.x_est[t, 1])]
-                row += [format_exact(v) for v in self.y[t]]
-                row += [format_exact(v) for v in self.attack[t]]
-                row += [str(int(v)) for v in self.b[t]]
-                row.append(format_exact(self.u[t]))
-                fh.write(",".join(row) + "\n")
+        rows = ([t, *self.x_true[t], *self.x_est[t], *self.y[t], *self.attack[t], *self.b[t],
+                 self.u[t]] for t in range(self.steps))
+        write_csv(path, header, rows)
 
 
 def format_exact(value: float) -> str:
     """Decimal text that reads back as the same float (17 significant digits)."""
     return format(float(value), ".17g")
+
+
+def write_csv(path, header: list, rows) -> None:
+    """CSV of ``rows`` under ``header``, floats as ``format_exact`` text and
+    anything else as ``str``; stdout when ``path`` is empty."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as out:
+        out.write(",".join(header) + "\n")
+        for row in rows:
+            out.write(",".join(format_exact(v) if isinstance(v, float) else str(v)
+                               for v in row) + "\n")
 
 
 def place_feedback_gain(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -448,7 +446,6 @@ def run_closed_loop(
     x = np.zeros(2)
     x_est = np.zeros(2)
     tr = Trace(
-        dt=ugv.dt,
         x_true=np.zeros((steps, 2)),
         x_est=np.zeros((steps, 2)),
         y=np.zeros((steps, p)),
@@ -456,7 +453,6 @@ def run_closed_loop(
         noise=np.zeros((steps, p)),
         b=np.zeros((steps, p), dtype=int),
         u=np.zeros(steps),
-        ref=np.zeros(steps),
         feasible=np.zeros(steps, dtype=bool),
         estimated=np.zeros(steps, dtype=bool),
         degenerate=np.zeros(steps, dtype=bool),
@@ -486,7 +482,7 @@ def run_closed_loop(
         tr.y[t] = y
         tr.attack[t] = attack
         tr.noise[t] = noise
-        tr.ref[t] = square_path_reference(t, scenario.segment_steps)
+        ref = square_path_reference(t, scenario.segment_steps)
 
         if t >= tau - 1:
             # u_t is not applied yet: it is still 0 and only pads the window
@@ -510,7 +506,7 @@ def run_closed_loop(
             x_est = np.array([y[0], 0.5 * (y[1] + y[2])])
         tr.x_est[t] = x_est
 
-        u = float(-(gain @ (x_est - np.array([tr.ref[t], 0.0])))[0])
+        u = float(-(gain @ (x_est - np.array([ref, 0.0])))[0])
         tr.u[t] = u
         x = model.A @ x + model.B @ np.array([u])
     return tr

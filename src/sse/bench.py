@@ -9,7 +9,6 @@ budget, solved with each strategy, reported per trial and per sweep.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -18,7 +17,7 @@ import numpy as np
 from . import attacksim
 from .estimator import EstimatorConfig, IterationLimitError, estimate, iteration_bound
 from .linmodel import whole_number
-from .theory import Strategy
+from .theory import DEFAULT_EPSILON, Strategy
 
 BENCH_FIELDS = [
     "record", "sweep", "trial", "n", "p", "s", "s_bar", "strategy", "seed",
@@ -42,18 +41,18 @@ def _run_bench_trial(task: dict) -> list[dict]:
         strategy = Strategy(strategy_name)
         config = EstimatorConfig(
             strategy=strategy,
-            epsilon=spec.get("epsilon", 1e-6),
+            epsilon=spec.get("epsilon", DEFAULT_EPSILON),
             max_iterations=spec.get("max_iterations"),
         )
         row = {
             "record": "trial", "sweep": sweep_idx, "trial": trial, "n": n, "p": p,
             "s": s, "s_bar": s_bar, "strategy": strategy.value, "seed": seed,
             "theoretical_bound": iteration_bound(strategy, p, s_bar),
+            "iterations": "", "estimation_error": "",
         }
         start = time.perf_counter()
         try:
             result = estimate(instance.model, instance.stack, instance.window, config)
-            row["wall_time"] = time.perf_counter() - start
             row["iterations"] = result.iterations
             if result.feasible:
                 err = np.linalg.norm(result.x - instance.x_true)
@@ -61,17 +60,12 @@ def _run_bench_trial(task: dict) -> list[dict]:
                 row["estimation_error"] = err / max(np.linalg.norm(instance.x_true), 1e-12)
             else:
                 row["status"] = "infeasible"
-                row["estimation_error"] = ""
         except IterationLimitError as exc:
-            row["wall_time"] = time.perf_counter() - start
             row["iterations"] = exc.iterations
             row["status"] = "capped"
-            row["estimation_error"] = ""
         except Exception as exc:  # record per-trial failures, keep running
-            row["wall_time"] = time.perf_counter() - start
-            row["iterations"] = ""
             row["status"] = f"error:{type(exc).__name__}"
-            row["estimation_error"] = ""
+        row["wall_time"] = time.perf_counter() - start
         rows.append(row)
     return rows
 
@@ -89,7 +83,7 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
         if missing:
             raise ValueError(f"sweep {sweep_idx} lacks {', '.join(map(repr, missing))}")
         spec = {**spec, **{k: whole_number(spec[k], f"sweep {sweep_idx} {k}")
-                           for k in ("n", "p", "s", "s_bar")}}
+                           for k in ("n", "p", "s", "s_bar", "seed") if k in spec}}
         checked.append(spec)
         for trial in range(whole_number(spec.get("trials", 1), f"sweep {sweep_idx} trials")):
             tasks.append({"sweep": sweep_idx, "trial": trial, "spec": spec,
@@ -126,16 +120,5 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
 def write_bench_csv(rows: list[dict], path) -> None:
     """CSV with one line per row in ``BENCH_FIELDS`` order; stdout when
     ``path`` is empty."""
-    def render(value):
-        if isinstance(value, float):
-            return attacksim.format_exact(value)
-        return str(value)
-
-    out = open(path, "w", newline="") if path else sys.stdout
-    try:
-        out.write(",".join(BENCH_FIELDS) + "\n")
-        for row in rows:
-            out.write(",".join(render(row.get(fieldname, "")) for fieldname in BENCH_FIELDS) + "\n")
-    finally:
-        if path:
-            out.close()
+    attacksim.write_csv(path, BENCH_FIELDS,
+                        ([row.get(name, "") for name in BENCH_FIELDS] for row in rows))

@@ -41,7 +41,7 @@ from .linmodel import (
     roll_forward,
     stack_window,
 )
-from .theory import Strategy
+from .theory import DEFAULT_EPSILON, Strategy
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -49,7 +49,7 @@ EXIT_INPUT = 3
 EXIT_CAP = 4
 
 
-class InputError(Exception):
+class InputError(ValueError):
     pass
 
 
@@ -101,7 +101,7 @@ def _estimator_config(args) -> EstimatorConfig:
     return EstimatorConfig(
         strategy=args.strategy,
         epsilon=args.epsilon,
-        max_iterations=getattr(args, "max_iterations", None),
+        max_iterations=args.max_iterations,
     )
 
 
@@ -150,20 +150,20 @@ def cmd_observability(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _window_from_trace(model: SystemModel, path: str):
-    outputs, inputs = _read_trace(path, model.p, model.m)
+def _load_window(args):
+    """Model, observability stack, stacked last window of the trace, its inputs."""
+    model = _read_json(args.model, "model file", SystemModel.from_json_dict)
+    outputs, inputs = _read_trace(args.trace, model.p, model.m)
     if outputs.shape[0] < model.tau:
         raise InputError(
             f"trace has {outputs.shape[0]} rows, need at least tau={model.tau}"
         )
-    return outputs[-model.tau :], inputs[-model.tau :]
+    outputs, inputs = outputs[-model.tau :], inputs[-model.tau :]
+    return model, build_observability(model), stack_window(model, outputs, inputs), inputs
 
 
 def cmd_estimate(args) -> int:
-    model = _read_json(args.model, "model file", SystemModel.from_json_dict)
-    outputs, inputs = _window_from_trace(model, args.trace)
-    stack = build_observability(model)
-    window = stack_window(model, outputs, inputs)
+    model, stack, window, inputs = _load_window(args)
     config = _estimator_config(args)
     if args.minimal_support:
         result = minimal_support_estimate(model, stack, window, config)
@@ -184,10 +184,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    model = _read_json(args.model, "model file", SystemModel.from_json_dict)
-    outputs, inputs = _window_from_trace(model, args.trace)
-    stack = build_observability(model)
-    window = stack_window(model, outputs, inputs)
+    model, stack, window, _ = _load_window(args)
     result = oracle.brute_force(model, stack, window, s_bar=args.s_bar, epsilon=args.epsilon)
     doc = {
         "supports": [list(s) for s in result.supports],
@@ -252,7 +249,7 @@ def cmd_bench(args) -> int:
 def _add_estimator_flags(parser):
     parser.add_argument("--strategy", choices=[s.value for s in Strategy],
                         default=Strategy.CONFLICT_AGREE.value)
-    parser.add_argument("--epsilon", type=float, default=1e-6)
+    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     parser.add_argument("--max-iterations", type=int, default=None, dest="max_iterations")
 
 
@@ -265,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs = sub.add_parser("observability", help="model rank analysis and robustness constants")
     p_obs.add_argument("model")
     p_obs.add_argument("--max-s", type=int, default=None)
-    p_obs.add_argument("--epsilon", type=float, default=1e-6)
+    p_obs.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p_obs.add_argument("--subset-cap", type=int, default=DEFAULT_SUBSET_CAP)
     p_obs.add_argument("--min-card", type=int, default=None, dest="min_card",
                        help="smallest subset size in the pseudo-inverse sweep "
@@ -286,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument("model")
     p_orc.add_argument("trace")
     p_orc.add_argument("--s-bar", type=int, default=None, dest="s_bar")
-    p_orc.add_argument("--epsilon", type=float, default=1e-6)
+    p_orc.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     p_orc.set_defaults(func=cmd_oracle)
 
     p_sim = sub.add_parser("simulate", help="closed-loop vehicle run under attack")
@@ -313,9 +310,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except (SubsetCapError, IterationLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP

@@ -28,17 +28,17 @@ from .linmodel import (
     whole_number,
 )
 from .satcore import Certificate, CertificateKind, SatStats
-from .theory import Strategy, certificates, t_check
+from .theory import DEFAULT_EPSILON, Strategy, certificates, t_check
 
 
 class IterationLimitError(RuntimeError):
     """The estimation loop hit its iteration cap before deciding; ``sat``
     holds the capped solve's SAT search counts."""
 
-    def __init__(self, iterations: int, sat: SatStats | None = None):
+    def __init__(self, iterations: int, sat: SatStats):
         super().__init__(f"estimation aborted after {iterations} iterations")
         self.iterations = iterations
-        self.sat = SatStats() if sat is None else sat
+        self.sat = sat
 
 
 def iteration_bound(strategy: Strategy, p: int, s_bar: int) -> int:
@@ -53,7 +53,7 @@ def iteration_bound(strategy: Strategy, p: int, s_bar: int) -> int:
 @dataclass(frozen=True)
 class EstimatorConfig:
     strategy: Strategy = Strategy.CONFLICT_AGREE
-    epsilon: float = 1e-6
+    epsilon: float = DEFAULT_EPSILON
     max_iterations: int | None = None  # None: 10 * the conflict bound, capped at 1e7
 
     def __post_init__(self):
@@ -97,6 +97,9 @@ class Estimate:
     sat: SatStats = field(default_factory=SatStats)  # the SAT core's search counts
 
     def to_json_dict(self) -> dict:
+        def render(certs):
+            return [{"kind": c.kind.value, "sensors": sorted(c.sensors)} for c in certs]
+
         return {
             "status": "feasible" if self.feasible else "infeasible",
             "x": None if self.x is None else list(self.x),
@@ -107,18 +110,13 @@ class Estimate:
             "strategy": self.strategy.value,
             "solve_time": self.solve_time,
             "sat": asdict(self.sat),
-            "certificates": [
-                {"kind": c.kind.value, "sensors": sorted(c.sensors)} for c in self.certificates
-            ],
+            "certificates": render(self.certificates),
             "trace": [
                 {
                     "support": list(r.support),
                     "status": "SAT" if r.sat else "UNSAT",
                     "residual_sq": r.residual_sq,
-                    "certificates": [
-                        {"kind": c.kind.value, "sensors": sorted(c.sensors)}
-                        for c in r.certificates
-                    ],
+                    "certificates": render(r.certificates),
                 }
                 for r in self.records
             ],
@@ -278,7 +276,7 @@ def delta_bound(
         )
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    psi_sq = model.noise_norm_sq
+    psi_sq = float(np.dot(model.noise_bounds, model.noise_bounds))
     gap = 1.0 - constants.delta_s
     threshold = (2.0 / gap) * psi_sq + epsilon / gap
     detected = constants.o_bar * psi_sq

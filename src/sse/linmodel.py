@@ -133,11 +133,6 @@ class SystemModel:
     def p(self) -> int:
         return self.C.shape[0]
 
-    @property
-    def noise_norm_sq(self) -> float:
-        """Squared norm bound of the full stacked noise vector."""
-        return float(np.dot(self.noise_bounds, self.noise_bounds))
-
     def to_json_dict(self) -> dict:
         return {
             "A": self.A.tolist(),

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .linmodel import ObservabilityStack, StackedWindow, SubsetCapError
-from .theory import t_check
+from .theory import DEFAULT_EPSILON, t_check
 
 ORACLE_SUBSET_CAP = 10**5
 
@@ -34,7 +34,7 @@ def brute_force(
     stack: ObservabilityStack,
     window: StackedWindow,
     s_bar: int | None = None,
-    epsilon: float = 1e-6,
+    epsilon: float = DEFAULT_EPSILON,
 ) -> OracleResult:
     """Enumerate all attack supports of size <= s_bar whose complement passes
     the least-squares check.  A sensor whose window row has a non-finite

@@ -66,10 +66,6 @@ class Certificate:
     # hyperplane broke the intersection); a branching hint, not a constraint
     suspect: int | None = None
 
-    def __str__(self):
-        names = ",".join(str(i) for i in sorted(self.sensors))
-        return f"{self.kind.value}({names})"
-
 
 @dataclass
 class SatStats:

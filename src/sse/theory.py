@@ -55,6 +55,8 @@ TIE_RTOL = 1e-10
 # Floats a stack's memo of per-set check constants may hold in all (see
 # _check); a set that does not fit is recomputed on every check.
 CHECK_MEMO_FLOATS = 1 << 12
+# Solver tolerance epsilon every entry point uses unless told otherwise.
+DEFAULT_EPSILON = 1e-6
 
 
 class Strategy(str, Enum):

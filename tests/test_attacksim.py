@@ -27,10 +27,14 @@ from sse.theory import Strategy
 # ---------------------------------------------------------------------------
 
 
-def test_frictionless_limit_is_double_integrator():
-    ugv = discretize_ugv(M=2.0, B_f=0.0, dt=0.1)
-    assert np.allclose(ugv.model.A, [[1.0, 0.1], [0.0, 1.0]], atol=1e-12)
-    assert np.allclose(ugv.model.B, [[0.1**2 / 4.0], [0.05]], atol=1e-12)
+def zero_order_hold(m, b_f, dt):
+    """(A, B) of the vehicle at mass m, friction b_f and step dt, from the
+    augmented-matrix exponential."""
+    aug = np.zeros((3, 3))
+    aug[:2, :2] = np.array([[0.0, 1.0], [0.0, -b_f / m]]) * dt
+    aug[:2, 2:] = np.array([[0.0], [1.0 / m]]) * dt
+    exp_aug = scipy.linalg.expm(aug)
+    return exp_aug[:2, :2], exp_aug[:2, 2:]
 
 
 def test_velocity_decay_matches_scalar_exponential():
@@ -39,31 +43,11 @@ def test_velocity_decay_matches_scalar_exponential():
     assert ugv.model.A[1, 1] == pytest.approx(0.8825, abs=5e-5)
 
 
-def test_small_step_limit():
-    ugv = discretize_ugv(dt=1e-9)
-    assert np.allclose(ugv.model.A, np.eye(2), atol=1e-8)
-    assert np.allclose(ugv.model.B, 0.0, atol=1e-8)
-
-
 def test_discretization_matches_matrix_exponential():
-    for m, b_f, dt in ((0.8, 1.0, 0.1), (1.3, 0.4, 0.05), (2.0, 3.0, 0.2)):
-        ugv = discretize_ugv(M=m, B_f=b_f, dt=dt)
-        a_c = np.array([[0.0, 1.0], [0.0, -b_f / m]])
-        b_c = np.array([[0.0], [1.0 / m]])
-        # zero-order hold via the augmented-matrix exponential
-        aug = np.zeros((3, 3))
-        aug[:2, :2] = a_c * dt
-        aug[:2, 2:] = b_c * dt
-        exp_aug = scipy.linalg.expm(aug)
-        assert np.allclose(ugv.model.A, exp_aug[:2, :2], atol=1e-12)
-        assert np.allclose(ugv.model.B, exp_aug[:2, 2:], atol=1e-12)
-
-
-def test_discretize_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        discretize_ugv(M=0.0)
-    with pytest.raises(ValueError):
-        discretize_ugv(dt=-0.1)
+    ugv = discretize_ugv()
+    a, b = zero_order_hold(attacksim.UGV_MASS, attacksim.UGV_FRICTION, attacksim.UGV_DT)
+    assert np.allclose(ugv.model.A, a, atol=1e-12)
+    assert np.allclose(ugv.model.B, b, atol=1e-12)
 
 
 def test_ugv_output_map():
@@ -236,6 +220,15 @@ def test_phase_step_fields_are_whole_numbers(field, value):
         AttackScenario.from_json_dict({"phases": [doc]})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("amplitude", "40"), ("floor_frac", math.nan), ("step", None), ("slope", -math.inf),
+])
+def test_phase_signal_fields_are_finite_numbers(field, value):
+    doc = {"sensor": 1, "kind": "step_ramp", "start": 0, "end": 10, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {value!r}$"):
+        AttackScenario.from_json_dict({"phases": [doc]})
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("steps", 20.7, "steps must be a whole number, got 20.7"),
     ("seed", 0.5, "seed must be a whole number, got 0.5"),
@@ -278,9 +271,9 @@ def test_feedback_gain_rejects_an_uncontrollable_pair():
 
 def test_feedback_gain_is_placed_for_a_heavy_vehicle():
     # controllable, but det(ctrb) is about -1e-13: the rank test ignores scale
-    model = discretize_ugv(M=1e5).model
-    gain = place_feedback_gain(model.A, model.B)
-    closed = model.A - model.B @ gain
+    a, b = zero_order_hold(1e5, attacksim.UGV_FRICTION, attacksim.UGV_DT)
+    gain = place_feedback_gain(a, b)
+    closed = a - b @ gain
     assert np.allclose(sorted(np.linalg.eigvals(closed).real), [0.8, 0.85], atol=1e-9)
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import sse.attacksim
+import sse.bench
 from sse.attacksim import (
     AttackScenario,
     alternating_encoder_scenario,
@@ -14,8 +15,9 @@ from sse.attacksim import (
     generate_instance,
     run_closed_loop,
 )
-from sse.bench import iteration_bound
+from sse.bench import iteration_bound, run_bench
 from sse.cli import EXIT_CAP, EXIT_INPUT, main
+from sse.estimator import Estimate
 from sse.theory import Strategy
 
 
@@ -95,6 +97,18 @@ def test_observability_constants_for_healthy_model(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sparse_observable s=2: yes" in out
     assert "o_bar" in out and "detection_threshold_sq" in out
+
+
+def test_observability_reports_no_threshold_at_full_leakage(tmp_path, capsys):
+    # delta_s is exactly 1 here, so no attack norm is guaranteed to be detected
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": [[1, 0], [0, 1]], "B": [[0], [0]],
+                                "C": [[1, 0], [0, 1], [1, 1]], "tau": 1, "s_bar": 1,
+                                "noise_bounds": [0, 0, 0]}))
+    assert main(["observability", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "delta_s = 1\n" in out
+    assert out.endswith("detection_threshold_sq = inf (delta_s >= 1)\n")
 
 
 def test_malformed_json_is_input_error(tmp_path, capsys):
@@ -333,6 +347,20 @@ def test_simulate_rejects_a_bad_replay_phase(tmp_path, capsys, phase, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("phase, message", [
+    ({"kind": "random_noise", "amplitude": "40"}, "amplitude must be a finite number, got '40'"),
+    ({"kind": "step_ramp", "step": None}, "step must be a finite number, got None"),
+], ids=["amplitude_text", "step_null"])
+def test_simulate_rejects_a_phase_number_that_is_not_finite(tmp_path, capsys, phase, message):
+    scn_path = tmp_path / "phase.json"
+    scn_path.write_text(json.dumps({"steps": 20, "phases": [
+        {"sensor": 1, "start": 5, "end": 20, **phase}]}))
+    out = tmp_path / "phase.csv"
+    assert main(["simulate", str(scn_path), "--output", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {scn_path}: {message}\n"
+    assert not out.exists()
+
+
 def test_simulate_unknown_scenario(tmp_path, capsys):
     assert main(["simulate", str(tmp_path / "ghost.json")]) == 3
     assert "scenario not found" in capsys.readouterr().err
@@ -455,6 +483,30 @@ def test_bench_capped_trials_recorded(tmp_path):
     assert rows[0]["iterations"] == "2"
 
 
+def _infeasible_estimate(*args):
+    return Estimate(feasible=False, x=None, iterations=4, certificates=[],
+                    residual_sq=None, strategy=Strategy.CONFLICT)
+
+
+def _failing_estimate(*args):
+    raise RuntimeError("solver fault")
+
+
+@pytest.mark.parametrize("fake, status, iterations", [
+    (_infeasible_estimate, "infeasible", 4),
+    (_failing_estimate, "error:RuntimeError", ""),
+], ids=["infeasible", "error"])
+def test_bench_trial_rows_for_an_unsolved_window(monkeypatch, fake, status, iterations):
+    monkeypatch.setattr(sse.bench, "estimate", fake)
+    rows = run_bench({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 1,
+                                  "strategies": ["conflict"]}]})
+    trial = rows[0]
+    assert trial["record"] == "trial"
+    assert (trial["status"], trial["iterations"], trial["estimation_error"]) == (
+        status, iterations, "")
+    assert isinstance(trial["wall_time"], float) and trial["wall_time"] >= 0.0
+
+
 def _bench_instances(monkeypatch, tmp_path, sweep):
     """Run a one-sweep bench and return the instances it generated."""
     made = []
@@ -527,6 +579,23 @@ def test_bench_whole_float_counts_run_as_ints(tmp_path):
         tables.append(rows)
     assert tables[0] == tables[1]
     assert {row["p"] for row in tables[1]} == {"6"}
+
+
+def test_bench_whole_float_seed_runs_as_an_int(tmp_path, capsys):
+    tables = []
+    for name, seed in (("int", 2), ("float", 2.0)):
+        out = tmp_path / f"{name}.csv"
+        sweep = {"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 2, "seed": seed}
+        assert main(["bench", bench_spec(tmp_path, [sweep]), "--output", str(out)]) == 0
+        rows = _csv_rows(out)
+        for row in rows:
+            row.pop("wall_time")
+        tables.append(rows)
+    assert tables[0] == tables[1]
+    path = bench_spec(tmp_path, [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "seed": 2.5}])
+    assert main(["bench", path]) == EXIT_INPUT
+    message = "sweep 0 seed must be a whole number, got 2.5"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_bench_sweep_without_required_key_is_input_error(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Every library module other than the package's ``__init__`` uses each name
-it imports, found by a scan of its syntax tree."""
+it imports, and every private module-level helper is read somewhere in the
+package, both found by scans of the syntax trees."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,20 @@ def test_module_uses_every_name_it_imports(path):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     unused = [f"{name} (line {line})" for name, line in imported_names(tree) if name not in read]
     assert not unused, f"{path.name} imports names it never reads: {', '.join(unused)}"
+
+
+def test_every_private_helper_is_read():
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [(path.name, node.name) for path, tree in zip(sorted(SRC.glob("*.py")), trees)
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")]
+    assert len(defined) > 20
+    dead = [f"{module}: {name}" for module, name in defined if name not in read]
+    assert not dead, f"private helpers nothing in the package reads: {', '.join(dead)}"
