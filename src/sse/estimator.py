@@ -181,15 +181,15 @@ def estimate(
         cert = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({i}))
         result.certificates.append(cert)
         inst.add_constraint(cert)
+    everyone = set(range(p))
     while True:
         suspected = inst.solve()
         if suspected is None:
             result.solve_time = time.perf_counter() - started
             return result
-        excluded = set(suspected)
-        trusted = tuple([i for i in range(p) if i not in excluded])
         result.iterations += 1
-        check = t_check(stack, window, trusted, model.noise_bounds, config.epsilon)
+        check = t_check(stack, window, everyone.difference(suspected),
+                        model.noise_bounds, config.epsilon)
         record = IterationRecord(
             support=suspected, sat=check.sat, residual_sq=check.residual_sq
         )

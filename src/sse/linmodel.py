@@ -36,8 +36,6 @@ class SubsetCapError(RuntimeError):
 
     def __init__(self, count: int, cap: int):
         super().__init__(f"enumeration needs {count} subsets, cap is {cap}")
-        self.count = count
-        self.cap = cap
 
 
 class GramSingularError(RuntimeError):

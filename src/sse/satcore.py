@@ -26,8 +26,12 @@ the rows still unhit as one bitset of positions: a child is that bitset less
 its pick's column, and the set it branches on is the first row of the
 smallest size among them.  A stored row of size 0 is a contradiction.
 Weights and phase change only between solves, so each solve ranks the
-sensors once; every search node tries its set's members in that order, and
-the padding pass walks the same order.
+sensors once: the weights as a list, ``PHASE_BONUS`` added to the members of
+the last support (kept as an ascending list, the phase), then one stable
+sort, most suspected first and ascending index on ties.  One per-instance
+table of sensor bits (``1 << v``) pairs each ranked sensor with its bit and
+builds the learned masks.  Every search node tries its set's members in rank
+order, and the padding pass walks the same order.
 """
 
 from __future__ import annotations
@@ -92,7 +96,8 @@ class SatInstance:
         self.s_bar = s_bar
         self.stats = SatStats()
         self.weights = np.zeros(p)
-        self._phase = 0                        # mask of the last support
+        self._bits = [1 << v for v in range(p)]
+        self._phase: list[int] = []            # the last support, ascending
         self._masks: list[int] = []            # at-least-one sets, zero fixes stripped
         self._occ = [0] * p                    # sensor -> positions of the rows holding it
         self._by_size = [0] * (p + 1)          # size -> positions of the rows of that size
@@ -102,29 +107,31 @@ class SatInstance:
 
     def add_constraint(self, cert: Certificate) -> None:
         """Learn a certificate, then bump its suspect when it names one."""
-        if any(not 0 <= i < self.p for i in cert.sensors):
-            raise ValueError(f"sensor index out of range in {sorted(cert.sensors)}")
-        mask = 0
-        for i in cert.sensors:
-            mask |= 1 << i
+        sensors = cert.sensors
+        if sensors and not (0 <= min(sensors) and max(sensors) < self.p):
+            raise ValueError(f"sensor index out of range in {sorted(sensors)}")
+        bits = self._bits
+        mask = sum(map(bits.__getitem__, sensors))  # distinct bits: the union
         if cert.kind is CertificateKind.ALL_UNATTACKED:
             self._zero_mask |= mask
-            self.weights[sorted(cert.sensors)] = 0.0
+            self.weights[sorted(sensors)] = 0.0
             self._masks = [m & ~self._zero_mask for m in self._masks]
-            for i in cert.sensors:
+            for i in sensors:
                 self._occ[i] = 0
             self._by_size = [0] * (self.p + 1)
             for pos, row in enumerate(self._masks):
                 self._by_size[row.bit_count()] |= 1 << pos
         else:
             self.weights *= WEIGHT_DECAY
-            row = mask & ~self._zero_mask
+            zero = self._zero_mask
+            row = mask & ~zero
             bit = 1 << len(self._masks)
             self._masks.append(row)
             self._by_size[row.bit_count()] |= bit
-            for i in cert.sensors:
-                if row >> i & 1:
-                    self._occ[i] |= bit
+            occ = self._occ
+            for i in sensors:
+                if not zero & bits[i]:
+                    occ[i] |= bit
         if cert.suspect is not None:
             self.bump(cert.suspect)
 
@@ -146,14 +153,13 @@ class SatInstance:
         self.stats.solve_calls += 1
         if self._by_size[0]:
             return None
-        rank = [
-            w + PHASE_BONUS if (self._phase >> v) & 1 else w
-            for v, w in enumerate(self.weights.tolist())
-        ]
+        rank = self.weights.tolist()
+        for v in self._phase:
+            rank[v] += PHASE_BONUS
         # most suspected first, ascending index on ties (sorted is stable);
         # weights and phase only change between solves
         order = sorted(range(self.p), key=rank.__getitem__, reverse=True)
-        self._ranked = [(v, 1 << v) for v in order]
+        self._ranked = list(zip(order, map(self._bits.__getitem__, order)))
         self._size_classes = [rows for rows in self._by_size if rows]
         self._nodes_left = MAX_SEARCH_NODES
         found = self._dfs((), (1 << len(self._masks)) - 1, 0, self.s_bar)
@@ -165,8 +171,8 @@ class SatInstance:
                 break  # pad only with sensors implicated by some constraint
             if v not in support and not self._zero_mask & bit:
                 support.add(v)
-        self._phase = sum(1 << v for v in support)
-        return tuple(sorted(support))
+        self._phase = sorted(support)
+        return tuple(self._phase)
 
     def _dfs(self, chosen: tuple, unhit: int, banned: int, limit: int):
         """Depth-limited hitting-set search over the rows at the set positions
@@ -187,7 +193,7 @@ class SatInstance:
             # set whose column holds every remaining set
             first = self._masks[(unhit & -unhit).bit_length() - 1] & ~banned
             for v, bit in self._ranked:
-                if first & bit and not unhit & ~occ[v]:
+                if first & bit and occ[v] & unhit == unhit:
                     self.stats.propagations += 1
                     return chosen + (v,)
             self.stats.conflicts += 1
@@ -204,7 +210,9 @@ class SatInstance:
             if not free & bit:
                 continue
             self.stats.decisions += 1
-            found = self._dfs(chosen + (v,), unhit & ~occ[v], banned, limit)
+            # unhit less the column: on long ints, an xor of the overlap is
+            # cheaper than & ~
+            found = self._dfs(chosen + (v,), unhit ^ (unhit & occ[v]), banned, limit)
             if found is not None:
                 return found
             banned |= bit  # later branches must use a different member

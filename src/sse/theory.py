@@ -36,6 +36,7 @@ fails, or whose batched residual lies in the tie band
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -81,8 +82,9 @@ class _SetConstants(NamedTuple):
     singular: bool  # np.linalg.solve raised on gram
 
 
-@dataclass(frozen=True, eq=False)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One least-squares check's outcome (a named tuple: cheap to build)."""
+
     sat: bool
     x: np.ndarray
     residual_sq: float
@@ -115,9 +117,16 @@ def t_check(
     fallback finds short; x is then a least-squares solution, the minimum-norm
     one only when the fallback ran.
     """
-    sensors = tuple(sorted(set(int(i) for i in sensors)))
+    try:
+        sensors = tuple(sorted(set(map(operator.index, sensors))))
+    except TypeError:
+        bad = next(i for i in sensors if not hasattr(i, "__index__"))
+        raise ValueError(f"sensor index {bad!r} is not an integer") from None
     if not sensors:
         raise ValueError("sensor set must be non-empty")
+    if sensors[0] < 0 or sensors[-1] >= stack.p:
+        bad = sensors[0] if sensors[0] < 0 else sensors[-1]
+        raise ValueError(f"sensor index {bad} out of range for p = {stack.p}")
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     return _check(stack, window, sensors, np.asarray(noise_bounds, dtype=float), epsilon)
@@ -138,15 +147,15 @@ def _check(
     memo = stack._checks
     held = memo.get(sensors)
     if held is None:
-        idx = np.array(sensors)
-        o_i = stack.blocks[idx].reshape(-1, n)
-        gram = stack.gram_blocks[idx].sum(axis=0)
-        norms_sq = stack.block_norms_sq[idx]
+        idx = np.fromiter(sensors, np.intp, len(sensors))
+        o_i = stack.blocks.take(idx, 0).reshape(-1, n)
+        gram = stack.gram_blocks.take(idx, 0).sum(axis=0)
+        norms_sq = stack.block_norms_sq.take(idx)
         norm = math.sqrt(float(norms_sq.sum()))
         singular = False
     else:
         idx, o_i, gram, norms_sq, norm, singular = held
-    y_i = window.blocks[idx].reshape(-1)
+    y_i = window.blocks.take(idx, 0).reshape(-1)
     # Normal-equation fast path; fall back to the SVD solver when the Gram
     # matrix is singular or the gradient check says the solve went bad.
     # math.sqrt(v.dot(v)) is numpy's 2-norm of a vector, without its overhead.
@@ -174,7 +183,7 @@ def _check(
     diff = y_i - fit
     block_res = (diff * diff).reshape(len(sensors), tau).sum(axis=1)
     residual_sq = float(block_res.sum())
-    psi_sq = float((noise_bounds[idx] ** 2).sum())
+    psi_sq = float((noise_bounds.take(idx) ** 2).sum())
     sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
     return CheckResult(
         sat=sat,
@@ -240,18 +249,19 @@ def _prefix_decisions(
     last = len(ordered)
     if last - first + 1 < MIN_BATCH_PREFIXES:
         return {}
-    blocks = stack.blocks[ordered]  # (m, tau, n)
-    ys = window.blocks[ordered]  # (m, tau)
+    idx = np.fromiter(ordered, np.intp, last)
+    blocks = stack.blocks.take(idx, 0)  # (m, tau, n)
+    ys = window.blocks.take(idx, 0)  # (m, tau)
     # running sums from prefix `first` on; a loop over rows beats cumsum
     # along the leading axis of a stack of matrices
-    grams = stack.gram_blocks[ordered[first - 1:last]]  # (K, n, n), a copy
-    grams[0] = stack.gram_blocks[ordered[:first]].sum(axis=0)
+    grams = stack.gram_blocks.take(idx[first - 1:], 0)  # (K, n, n), a copy
+    grams[0] = stack.gram_blocks.take(idx[:first], 0).sum(axis=0)
     for k in range(1, len(grams)):
         grams[k] += grams[k - 1]
     rhs = np.cumsum((ys[:, None, :] @ blocks)[:, 0], axis=0)[first - 1:]
     y_sq = np.cumsum((ys * ys).sum(axis=1))[first - 1:]
-    norms_sq = np.cumsum(stack.block_norms_sq[ordered])[first - 1:]
-    psi_sq = np.cumsum(noise_bounds[ordered] ** 2)[first - 1:]
+    norms_sq = np.cumsum(stack.block_norms_sq.take(idx))[first - 1:]
+    psi_sq = np.cumsum(noise_bounds.take(idx) ** 2)[first - 1:]
     try:
         xs = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]  # (K, n)
     except np.linalg.LinAlgError:

@@ -393,3 +393,42 @@ def test_indexed_search_matches_list_of_masks_reference():
                     for _ in range(op[2]):
                         inst.bump(op[1])
     assert solves > 4000
+
+
+def test_indexed_search_matches_reference_at_desk_scale():
+    """The regime of the desk-scale trivial baseline (p = 60, s_bar = 20): each
+    solve's complement is learned as a 40-sensor row with no suspect, so most
+    weights tie at zero and supports are padded up to the budget; bumps and a
+    few all-unattacked fixes come in between."""
+    rng = np.random.default_rng(20261019)
+    p, s_bar = 60, 20
+    indexed, reference = new_instance(p, s_bar), ListOfMasksInstance(p, s_bar)
+    complements = padded = fixes = 0
+    for step in range(500):
+        got, want = indexed.solve(), reference.solve()
+        assert got == want, (step, got, want)
+        assert indexed.stats == reference.stats, step
+        assert indexed.weights.tolist() == reference.weights.tolist(), step
+        assert indexed._masks == reference._masks, step
+        if got is None:
+            break
+        padded += len(got) == s_bar
+        roll = rng.uniform()
+        if roll < 0.03:
+            sensor, times = int(rng.integers(p)), int(rng.integers(1, 4))
+            for inst in (indexed, reference):
+                for _ in range(times):
+                    inst.bump(sensor)
+        elif roll < 0.04 and fixes < 3:
+            fixes += 1
+            fix = zero(*rng.choice(p, size=2, replace=False).tolist())
+            for inst in (indexed, reference):
+                inst.add_constraint(fix)
+        complement = alo(*sorted(set(range(p)) - set(got)))
+        for inst in (indexed, reference):
+            inst.add_constraint(complement)
+        complements += 1
+    assert_index_describes_rows(indexed)
+    stats = indexed.stats
+    assert complements >= 300 and fixes >= 1 and padded >= 100, (complements, fixes, padded)
+    assert stats.propagations >= 100 and stats.conflicts >= 1, stats

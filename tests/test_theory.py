@@ -142,6 +142,20 @@ def test_t_check_input_validation(four_lines):
         t_check(stack, window, (0,), model.noise_bounds, -1.0)
     with pytest.raises(ValueError, match="epsilon"):
         t_check(stack, window, (0,), model.noise_bounds, float("nan"))
+    # a negative index would wrap around to sensor p - 1, a float would be
+    # truncated, and an index >= p would fail inside numpy
+    with pytest.raises(ValueError, match="sensor index -1 out of range"):
+        t_check(stack, window, [-1, 0, 1], model.noise_bounds, 0.0)
+    with pytest.raises(ValueError, match="sensor index 0.7 is not an integer"):
+        t_check(stack, window, [0.7, 1, 2], model.noise_bounds, 0.0)
+    with pytest.raises(ValueError, match="sensor index 4 out of range"):
+        t_check(stack, window, [1, 4], model.noise_bounds, 0.0)
+    # ints and numpy integer scalars name the same set
+    mixed = t_check(stack, window, [np.int64(3), np.int32(0), 1], model.noise_bounds, 0.0)
+    plain = t_check(stack, window, (0, 1, 3), model.noise_bounds, 0.0)
+    assert mixed.sensors == plain.sensors == (0, 1, 3)
+    assert all(type(i) is int for i in mixed.sensors)
+    assert mixed.x.tobytes() == plain.x.tobytes()
 
 
 def test_least_squares_optimality_property():
