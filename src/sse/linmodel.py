@@ -172,6 +172,12 @@ class ObservabilityStack:
     ``check_sparse_observability(model, s, stack=stack)`` by ``s``, and the
     per-set constants of the least-squares check (the stacked O_I, the summed
     Gram, ...) for as many sensor sets as fit a fixed float budget.
+
+    A block has full row rank when ``n - block_kernel_dims[i] == tau``, by
+    the ``_zero_tol`` rank rule.  The conflict shrink pass takes that as the
+    answer for a one-sensor prefix with a finite reading (it passes, with no
+    solve), even where rounding would push the check's residual past its
+    budget; see ``sse.theory``.
     """
 
     blocks: np.ndarray  # p x tau x n, entry i is O_i

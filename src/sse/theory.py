@@ -27,10 +27,19 @@ nested prefixes, so one batched solve over running sums of the Gram blocks
 and of O_i^T Y_i decides them together (nested least-squares updating, Golub
 and Van Loan, *Matrix Computations*, sec. 6.5).  The same table decides the
 full set, which is the walk's trial, so a trial that fails is decided and
-shrunk from one solve.  A prefix that is undetermined, whose batched solve
-fails, or whose batched residual lies in the tie band
-``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
-``||Psi|| + epsilon`` is checked on its own instead.
+shrunk from one solve.  The one-sensor prefix is decided by the stack
+when its block has full row rank (rank tau, by the stack's kernel
+dimensions) and its reading is finite: such a block fits any reading
+exactly, so the prefix passes without a solve.  Any other prefix that is
+undetermined, whose batched solve fails, or whose batched residual lies in
+the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
+``||Psi|| + epsilon`` is checked on its own instead.  Tie policy: the
+stack's rank rule rules over the table and the check.  On an
+ill-conditioned block (from a condition number of a few times 1e4 at
+readings of size 10, far inside the rank tolerance) the check's
+normal-equation solve can leave a rounding residual past the budget; the
+certificate then keeps one more member, the two-sensor prefix already found
+infeasible, so it is still a set that ``t_check`` rejects.
 """
 
 from __future__ import annotations
@@ -303,12 +312,18 @@ def certificate_conflict(
     ``_prefix_decisions``); the walk reads the trial's decision there and
     checks it only when the table leaves it out.  The shrink pass then drops
     trailing members while the set stays infeasible, reading prefix lengths
-    from the longest down until one passes.  A prefix the table leaves
-    undecided (undetermined, a failed batched solve, or a residual within the
-    tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
+    from the longest down until one passes.  The one-sensor prefix passes
+    without a solve when its block has full row rank
+    (``n - block_kernel_dims[i] == tau``) and its reading's squared norm is
+    finite; the stack's rank rule decides even where the table or the check
+    would read rounding as a failure (see the module docstring).  Any other
+    prefix the table leaves undecided (undetermined, a failed batched solve,
+    or a residual within the tie band
+    ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
     ``||Psi|| + epsilon``) goes through the ordinary check, so every
     certificate is still a set that ``t_check`` rejects.  Each trial and
-    prefix decision counts as one theory check in ``diag``.
+    prefix decision, table, stack or check, counts as one theory check in
+    ``diag``.
     """
     seed = ranked[:seed_size]
     candidates = ranked[seed_size:][::-1]  # highest residual first
@@ -333,6 +348,10 @@ def certificate_conflict(
     keep = len(trial) - 1
     while keep >= 1:
         diag.theory_checks += 1
+        if keep == 1 and dims[trial[0]] == stack.n - stack.tau:
+            # full row rank: the block fits any finite reading exactly
+            if math.isfinite(sum(v * v for v in window.blocks[trial[0]].tolist())):
+                break
         sat = decided.get(keep)
         if sat is None:
             sat = _check(stack, window, tuple(sorted(trial[:keep])), noise_bounds, epsilon).sat

@@ -4,16 +4,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sse.theory
 from sse import SystemModel, build_observability, stack_window
-from sse.attacksim import discretize_ugv, generate_instance
+from sse.attacksim import (
+    alternating_encoder_scenario,
+    discretize_ugv,
+    generate_instance,
+    run_closed_loop,
+)
 from sse.estimator import EstimatorConfig, estimate
 from sse.theory import (
     Certificate,
     CertificateDiagnostics,
     CertificateKind,
     ConflictSearchError,
+    DEFAULT_EPSILON,
     Strategy,
     _prefix_decisions,
     _refit_ranking,
@@ -810,10 +818,11 @@ def _shrink_order(stack, sensors):
     return sorted(sensors, key=lambda i: (int(stack.block_kernel_dims[i]), i))
 
 
-def _walk_conflicts(model, stack, window, s_bar, trusted_sets, epsilon):
-    """Unshrunk conflicts of the walk, in shrink order, over the given sets."""
+def _walk_conflicts(model, stack, windows, s_bar, trusted_sets, epsilon):
+    """Unshrunk conflicts of the walk, in shrink order, with their windows,
+    over every window and the given sets."""
     out = []
-    for trusted in trusted_sets:
+    for window, trusted in itertools.product(windows, trusted_sets):
         check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
         if check.sat or len(check.sensors) <= stack.p - 2 * s_bar:
             continue
@@ -822,7 +831,7 @@ def _walk_conflicts(model, stack, window, s_bar, trusted_sets, epsilon):
                                              model.noise_bounds)
         except ConflictSearchError:
             continue
-        out.append(_shrink_order(stack, conflict))
+        out.append((window, _shrink_order(stack, conflict)))
     return out
 
 
@@ -845,33 +854,54 @@ def _plant(seed):
     return model, build_observability(model), stack_window(model, outputs, np.zeros((tau, 1)))
 
 
+def _vehicle_windows(steps=340, every=7):
+    """The vehicle and the windows a short seeded ``ugv_alternating`` run
+    stacks, every ``every``-th step: the random-noise phase on encoder 1
+    (steps 60-180), the step-ramp on encoder 2 (210-330) and the clean steps
+    around them."""
+    ugv = discretize_ugv()
+    model, tau = ugv.model, ugv.model.tau
+    trace = run_closed_loop(ugv, alternating_encoder_scenario(), steps=steps, seed=4)
+    return model, [stack_window(model, trace.y[t - tau + 1:t + 1],
+                                trace.u[t - tau + 1:t + 1, None])
+                   for t in range(tau - 1, steps, every)]
+
+
 def _shrink_cases():
+    """(model, stack, windows, s_bar, epsilon, trusted sets): every trusted
+    set is checked on every window."""
     cases = []
     inst = _desk_instance()
     rng = np.random.default_rng(3)
-    cases.append((inst.model, inst.stack, inst.window, 20, 1e-6,
+    cases.append((inst.model, inst.stack, [inst.window], 20, 1e-6,
                   _random_trusted(rng, 60, 20, 6)))
     for seed in range(3):
         model, stack, window = _plant(seed)
-        cases.append((model, stack, window, 2, 1e-6, _random_trusted(rng, 12, 2, 12)))
+        cases.append((model, stack, [window], 2, 1e-6, _random_trusted(rng, 12, 2, 12)))
     for spec in ((2, 7, 2, 2, "3s", 1517215338), (4, 5, 1, 1, "3s", 1473099080),
                  (3, 7, 2, 2, "3s", 1896709351)):
         inst = generate_instance(*spec[:5], 0.05, seed=spec[5],
                                  attack_norm={"lo": 0.05, "hi": 2.0})
         p = inst.model.p
-        cases.append((inst.model, inst.stack, inst.window, spec[3], 1e-6,
+        cases.append((inst.model, inst.stack, [inst.window], spec[3], 1e-6,
                       [list(range(p))] + _random_trusted(rng, p, 1, 8)))
+    # the vehicle: the GPS block is square with full rank, so the stack
+    # decides its one-sensor prefix; the encoders' blocks both see velocity
+    # alone (rank 1), so theirs go through the check
+    model, windows = _vehicle_windows()
+    cases.append((model, build_observability(model), windows, model.s_bar,
+                  DEFAULT_EPSILON, [[0, 1, 2], [0, 1], [0, 2], [1, 2]]))
     return cases
 
 
-@pytest.mark.parametrize("case", range(7))
+@pytest.mark.parametrize("case", range(8))
 def test_batched_prefix_decisions_match_t_check(monkeypatch, case):
     monkeypatch.setattr(sse.theory, "MIN_BATCH_PREFIXES", 1)
-    model, stack, window, s_bar, epsilon, trusted_sets = _shrink_cases()[case]
-    conflicts = _walk_conflicts(model, stack, window, s_bar, trusted_sets, epsilon)
+    model, stack, windows, s_bar, epsilon, trusted_sets = _shrink_cases()[case]
+    conflicts = _walk_conflicts(model, stack, windows, s_bar, trusted_sets, epsilon)
     assert conflicts
     decided = 0
-    for ordered in conflicts:
+    for window, ordered in conflicts:
         table = _prefix_decisions(stack, window, ordered, model.noise_bounds, epsilon)
         for keep in range(1, len(ordered) + 1):
             if keep in table:
@@ -898,8 +928,8 @@ def _sequential_shrink(model, stack, window, ordered, epsilon):
 def test_shrink_pass_matches_sequential_shrink(monkeypatch, min_batch):
     # both sides of the batching threshold give the sequential pass's answer
     monkeypatch.setattr(sse.theory, "MIN_BATCH_PREFIXES", min_batch)
-    for model, stack, window, s_bar, epsilon, trusted_sets in _shrink_cases():
-        for trusted in trusted_sets:
+    for model, stack, windows, s_bar, epsilon, trusted_sets in _shrink_cases():
+        for window, trusted in itertools.product(windows, trusted_sets):
             check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
             if check.sat or len(check.sensors) <= stack.p - 2 * s_bar:
                 continue
@@ -947,6 +977,113 @@ def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
     assert cert.sensors == kept
     assert (0, 1, 3) in checked
     assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
+
+
+# kinds of C row in the rank property test: a fresh random row, a dead one, a
+# copy of an earlier row, or an earlier row moved by 1e-6
+ROW_KINDS = ("random", "dead", "duplicate", "near")
+# blocks worse conditioned than this are left to the tie test below: the
+# normal-equation check's rounding residual grows with the square of the
+# condition number and passes epsilon from about 3e4 at readings of size 10
+COND_LIMIT = 1e3
+
+
+@st.composite
+def _rank_models(draw):
+    n = draw(st.sampled_from([4, 3, 2, 1]))
+    tau = n - draw(st.integers(0, n - 1))  # the simplest draw is a square block
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=5))
+    # A = I + spread * R: at spread 0 every block repeats one row, and at
+    # 1e-2 a block's rows are nearly dependent
+    spread = draw(st.sampled_from([0.0, 1e-2, 1.0]))
+    return n, tau, kinds, spread, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(spec=_rank_models())
+def test_full_row_rank_blocks_pass_the_check_alone(spec):
+    # what the shrink pass assumes of a one-sensor prefix it does not check
+    n, tau, kinds, spread, seed = spec
+    rng = np.random.default_rng(seed)
+    rows = []
+    for kind in kinds:
+        if kind == "dead":
+            rows.append(np.zeros(n))
+        elif kind == "random" or not rows:
+            rows.append(rng.normal(size=n))
+        else:
+            row = rows[int(rng.integers(len(rows)))]
+            rows.append(row + 1e-6 * rng.normal(size=n) if kind == "near" else row.copy())
+    p = len(rows)
+    model = SystemModel(A=np.eye(n) + spread * rng.normal(size=(n, n)), B=np.zeros((n, 1)),
+                        C=np.array(rows), tau=tau, s_bar=0, noise_bounds=np.zeros(p))
+    stack = build_observability(model)
+    window = stack_window(model, rng.uniform(-10.0, 10.0, size=(tau, p)), np.zeros((tau, 1)))
+    for i in np.flatnonzero(stack.block_kernel_dims == n - tau).tolist():
+        sv = np.linalg.svd(stack.blocks[i], compute_uv=False)
+        if sv[0] > COND_LIMIT * sv[-1]:
+            continue
+        for bounds in (np.zeros(p), rng.uniform(0.0, 1.0, size=p)):
+            assert t_check(stack, window, (i,), bounds, DEFAULT_EPSILON).sat
+
+
+def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
+    # sensor 0's block is square and of full rank by the stack's rule, but its
+    # condition number is about 1e6: the check's normal-equation solve leaves
+    # a rounding residual of about 0.03, so t_check rejects the lone sensor
+    # although the block interpolates any reading.  The stack decides: the
+    # prefix passes, and the certificate keeps the pair the walk rejected.
+    a = np.eye(2) + 1e-6 * np.array([[1.0, 2.0], [3.0, -1.0]])
+    c = np.array([[1.0, 0.5], [0.0, 1.0], [1.0, 0.0]])
+    model = SystemModel(A=a, B=np.zeros((2, 1)), C=c, tau=2, s_bar=1, noise_bounds=np.zeros(3))
+    stack = build_observability(model)
+    assert stack.block_kernel_dims.tolist() == [0, 0, 0]
+    window = stack_window(model, np.array([[3.0, 1.0, 2.0], [-4.0, 1.0, 2.0]]),
+                          np.zeros((2, 1)))
+    bounds = model.noise_bounds
+    assert not t_check(stack, window, (0,), bounds, DEFAULT_EPSILON).sat
+    exact = np.linalg.solve(stack.blocks[0], window.blocks[0])
+    assert np.linalg.norm(stack.blocks[0] @ exact - window.blocks[0]) <= DEFAULT_EPSILON
+    check = t_check(stack, window, range(3), bounds, DEFAULT_EPSILON)
+    checked = _counting_checks(monkeypatch)
+    cert, diag = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
+    assert cert.sensors == frozenset({0, 1})
+    assert ("_check", (0,)) not in checked
+    assert diag.theory_checks == 2  # the walk's one trial and the stack's decision
+    monkeypatch.undo()
+    assert not t_check(stack, window, cert.sensors, bounds, DEFAULT_EPSILON).sat
+
+
+def test_vehicle_shrink_checks_only_the_encoder_singletons(monkeypatch):
+    checked = _counting_checks(monkeypatch)
+    run_closed_loop(discretize_ugv(), alternating_encoder_scenario(), steps=340, seed=4)
+    singles = [sensors for name, sensors in checked if name == "_check" and len(sensors) == 1]
+    # the GPS block has full row rank, so the stack decides its prefix; an
+    # encoder block has rank 1 of 2, and its lone reading can fail
+    assert (0,) not in singles
+    assert (1,) in singles
+
+
+@pytest.mark.parametrize("reading", [math.inf, math.nan, 1e200], ids=["inf", "nan", "overflow"])
+def test_nonfinite_reading_in_the_one_sensor_prefix_is_checked(monkeypatch, reading):
+    # estimate never gets here: it learns a singleton for a non-finite row
+    # before its first check.  Called directly, the GPS block has full row
+    # rank but its reading is not finite (or its square overflows), so the
+    # check decides the prefix and rejects it, as it did before the stack
+    # rule: the certificate is the GPS alone.
+    model, stack, _ = _ugv_case()
+    window = stack_window(model, np.array([[reading, 1.0, 1.2], [0.4, 0.9, 1.1]]),
+                          np.zeros((2, 1)))
+    bounds = model.noise_bounds
+    checked = _counting_checks(monkeypatch)
+    with np.errstate(all="ignore"):
+        check = t_check(stack, window, range(3), bounds, DEFAULT_EPSILON)
+        assert not check.sat
+        cert, _ = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
+        direct = certificate_conflict(stack, window, [1, 0], 1, DEFAULT_EPSILON, bounds,
+                                      CertificateDiagnostics())
+    assert cert.sensors == direct.sensors == frozenset({0})
+    assert checked.count(("_check", (0,))) == 2
 
 
 def test_every_conflict_certificate_is_rejected(monkeypatch):

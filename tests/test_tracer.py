@@ -1,7 +1,14 @@
-"""The benchmark's per-layer tracer still fits the library it wraps."""
+"""The benchmark's per-layer tracer, and the runner that drives it, still fit
+the library they wrap."""
 
 import itertools
+import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 import sse
 from perfbench.layers import Tracer
@@ -62,3 +69,19 @@ def test_tracer_counts_agree_certificates_when_the_gate_is_open():
     agree = sum(c.kind is CertificateKind.ALL_UNATTACKED for c in result.certificates)
     assert agree > 0
     assert tracer.counts["theory.agree_certs"] == agree
+
+
+@pytest.mark.parametrize("workload", ["ugv_loop", "plant_stream"])
+def test_benchmark_runner_smoke(workload):
+    # one short traced run: every window passes the runner's own checks, and
+    # the traced pass counts what the untraced pass did
+    root = Path(__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "0.2",
+         "--trace", "1"],
+        cwd=root, capture_output=True, text=True, timeout=300, check=False)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["correct"] is True, run.stderr
+    assert result["failed"] == 0
+    assert result["attempted"] > 0
