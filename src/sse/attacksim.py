@@ -347,7 +347,6 @@ class Trace:
     x_est: np.ndarray        # steps x 2
     y: np.ndarray            # steps x p
     attack: np.ndarray       # steps x p
-    noise: np.ndarray        # steps x p
     b: np.ndarray            # steps x p (int indicators)
     u: np.ndarray            # steps
     feasible: np.ndarray     # steps (bool; False before the first window too)
@@ -450,7 +449,6 @@ def run_closed_loop(
         x_est=np.zeros((steps, 2)),
         y=np.zeros((steps, p)),
         attack=np.zeros((steps, p)),
-        noise=np.zeros((steps, p)),
         b=np.zeros((steps, p), dtype=int),
         u=np.zeros(steps),
         feasible=np.zeros(steps, dtype=bool),
@@ -481,7 +479,6 @@ def run_closed_loop(
         tr.x_true[t] = x
         tr.y[t] = y
         tr.attack[t] = attack
-        tr.noise[t] = noise
         ref = square_path_reference(t, scenario.segment_steps)
 
         if t >= tau - 1:

@@ -23,6 +23,8 @@ BENCH_FIELDS = [
     "record", "sweep", "trial", "n", "p", "s", "s_bar", "strategy", "seed",
     "status", "iterations", "wall_time", "estimation_error", "theoretical_bound",
 ]
+SWEEP_KEYS = ("n", "p", "s", "s_bar", "trials", "seed", "strategies", "observability",
+              "noise", "attack_norm", "epsilon", "max_iterations")
 
 
 def _run_bench_trial(task: dict) -> list[dict]:
@@ -82,6 +84,9 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
         missing = [k for k in ("n", "p", "s", "s_bar") if k not in spec]
         if missing:
             raise ValueError(f"sweep {sweep_idx} lacks {', '.join(map(repr, missing))}")
+        unknown = [k for k in spec if k not in SWEEP_KEYS]
+        if unknown:
+            raise ValueError(f"sweep {sweep_idx} has unknown key {unknown[0]!r}")
         spec = {**spec, **{k: whole_number(spec[k], f"sweep {sweep_idx} {k}")
                            for k in ("n", "p", "s", "s_bar", "seed") if k in spec}}
         checked.append(spec)

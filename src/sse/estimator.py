@@ -27,18 +27,18 @@ from .linmodel import (
     check_sparse_observability,
     whole_number,
 )
-from .satcore import Certificate, CertificateKind, SatStats
+from .satcore import Certificate, CertificateKind, SolveStats
 from .theory import DEFAULT_EPSILON, Strategy, certificates, t_check
 
 
 class IterationLimitError(RuntimeError):
-    """The estimation loop hit its iteration cap before deciding; ``sat``
-    holds the capped solve's SAT search counts."""
+    """The estimation loop hit its iteration cap before deciding; ``stats``
+    holds the capped solve's counts."""
 
-    def __init__(self, iterations: int, sat: SatStats):
+    def __init__(self, iterations: int, stats: SolveStats):
         super().__init__(f"estimation aborted after {iterations} iterations")
         self.iterations = iterations
-        self.sat = sat
+        self.stats = stats
 
 
 def iteration_bound(strategy: Strategy, p: int, s_bar: int) -> int:
@@ -90,11 +90,9 @@ class Estimate:
     strategy: Strategy  # the strategy the solve ran: conflict_agree may run as conflict
     records: list = field(default_factory=list)
     support: tuple = ()
-    conflict_fallbacks: int = 0
     rank_deficient_final: bool = False
     budget: int = 0
-    solve_time: float = 0.0
-    sat: SatStats = field(default_factory=SatStats)  # the SAT core's search counts
+    stats: SolveStats = field(default_factory=SolveStats)  # the solve's counts and time
 
     def to_json_dict(self) -> dict:
         def render(certs):
@@ -108,8 +106,7 @@ class Estimate:
             "residual_sq": self.residual_sq,
             "budget": self.budget,
             "strategy": self.strategy.value,
-            "solve_time": self.solve_time,
-            "sat": asdict(self.sat),
+            "stats": asdict(self.stats),
             "certificates": render(self.certificates),
             "trace": [
                 {
@@ -175,18 +172,14 @@ def estimate(
         residual_sq=None,
         strategy=strategy,
         budget=s_bar,
-        sat=inst.stats,
+        stats=inst.stats,
     )
     for i in window.nonfinite_sensors():
         cert = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({i}))
         result.certificates.append(cert)
         inst.add_constraint(cert)
     everyone = set(range(p))
-    while True:
-        suspected = inst.solve()
-        if suspected is None:
-            result.solve_time = time.perf_counter() - started
-            return result
+    while result.iterations < cap and (suspected := inst.solve()) is not None:
         result.iterations += 1
         check = t_check(stack, window, everyone.difference(suspected),
                         model.noise_bounds, config.epsilon)
@@ -200,19 +193,20 @@ def estimate(
             result.support = suspected
             result.residual_sq = check.residual_sq
             result.rank_deficient_final = check.rank_deficient
-            result.solve_time = time.perf_counter() - started
-            return result
-        certs, diag = certificates(
+            break
+        certs, counts = certificates(
             stack, window, check, s_bar, config.epsilon, model.noise_bounds, strategy
         )
         record.certificates = tuple(certs)
-        if diag.conflict_fallback:
-            result.conflict_fallbacks += 1
+        inst.stats.theory_checks += counts.theory_checks
+        inst.stats.conflict_fallbacks += counts.conflict_fallbacks
         for cert in certs:
             result.certificates.append(cert)
             inst.add_constraint(cert)
-        if result.iterations >= cap:
-            raise IterationLimitError(result.iterations, inst.stats)
+    inst.stats.solve_time = time.perf_counter() - started
+    if not result.feasible and result.iterations >= cap:
+        raise IterationLimitError(result.iterations, inst.stats)
+    return result
 
 
 def minimal_support_estimate(
@@ -227,27 +221,31 @@ def minimal_support_estimate(
     Runs the budgeted problem with the budget descending from the model's
     s_bar; certificates are not carried across budgets (clean-sensor
     certificates are only sound under the budget they were derived for).
-    The result's iterations, SAT counts, solve time and conflict fallbacks
-    are totals over every budget tried, the final infeasible one included.
+    The result's ``iterations`` and ``stats`` are totals over every budget
+    tried, the final infeasible one included.  The iteration cap holds per
+    budget; an ``IterationLimitError`` carries the same totals, the capped
+    budget included.
     """
-    best: Estimate | None = None
     budget = model.s_bar
     outcomes = []
-    while budget >= 0:
-        outcome = estimate(replace(model, s_bar=budget), stack, window, config)
-        outcomes.append(outcome)
-        if not outcome.feasible:
-            break
-        best = outcome
-        budget = min(budget - 1, len(outcome.support) - 1) if outcome.support else -1
-    result = outcome if best is None else best
-    result.iterations = sum(o.iterations for o in outcomes)
-    result.sat = sum((o.sat for o in outcomes), SatStats())
-    result.solve_time = sum(o.solve_time for o in outcomes)
-    result.conflict_fallbacks = sum(o.conflict_fallbacks for o in outcomes)
-    if best is not None:
+    try:
+        while budget >= 0:
+            outcome = estimate(replace(model, s_bar=budget), stack, window, config)
+            outcomes.append(outcome)
+            if not outcome.feasible:
+                break
+            budget = min(budget, len(outcome.support)) - 1
+    except IterationLimitError as capped:
+        outcomes.append(capped)
+    iterations = sum(o.iterations for o in outcomes)
+    stats = sum((o.stats for o in outcomes), SolveStats())
+    if isinstance(outcomes[-1], IterationLimitError):
+        raise IterationLimitError(iterations, stats)
+    result = ([o for o in outcomes if o.feasible] or outcomes)[-1]  # the last feasible
+    result.iterations, result.stats = iterations, stats
+    if result.feasible:
         # the estimate also solves the problem at the budget matching its support
-        best.budget = len(best.support)
+        result.budget = len(result.support)
     return result
 
 

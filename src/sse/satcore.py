@@ -72,14 +72,19 @@ class Certificate:
 
 
 @dataclass
-class SatStats:
+class SolveStats:
+    """One solve's counts (SAT search, theory side) and its wall time (s)."""
+
     solve_calls: int = 0
     decisions: int = 0
     propagations: int = 0
     conflicts: int = 0
+    theory_checks: int = 0
+    conflict_fallbacks: int = 0
+    solve_time: float = 0.0
 
-    def __add__(self, other: SatStats) -> SatStats:
-        return SatStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
+    def __add__(self, other: SolveStats) -> SolveStats:
+        return SolveStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
 
 
 class SearchBudgetError(RuntimeError):
@@ -94,7 +99,7 @@ class SatInstance:
             raise ValueError(f"s_bar must be in [0, {p}], got {s_bar}")
         self.p = p
         self.s_bar = s_bar
-        self.stats = SatStats()
+        self.stats = SolveStats()
         self.weights = np.zeros(p)
         self._bits = [1 << v for v in range(p)]
         self._phase: list[int] = []            # the last support, ascending

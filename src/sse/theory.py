@@ -46,14 +46,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
 from .linmodel import ObservabilityStack, StackedWindow
-from .satcore import Certificate, CertificateKind
+from .satcore import Certificate, CertificateKind, SolveStats
 
 
 # The shrink pass batches its prefix decisions only when at least this many
@@ -67,6 +66,9 @@ TIE_RTOL = 1e-10
 CHECK_MEMO_FLOATS = 1 << 12
 # Solver tolerance epsilon every entry point uses unless told otherwise.
 DEFAULT_EPSILON = 1e-6
+# The gradient test that accepts a normal-equation solve (_check, _prefix_decisions).
+GRAD_RTOL = 1e-9
+GRAD_FLOOR = 1e-300
 
 
 class Strategy(str, Enum):
@@ -100,14 +102,6 @@ class CheckResult(NamedTuple):
     residuals: np.ndarray  # normalized per-sensor residuals, in the order of sensors
     sensors: tuple
     rank_deficient: bool
-
-
-@dataclass
-class CertificateDiagnostics:
-    """Bookkeeping for one certificate-generation call."""
-
-    theory_checks: int = 0
-    conflict_fallback: bool = False
 
 
 def t_check(
@@ -176,7 +170,7 @@ def _check(
         try:
             cand = np.linalg.solve(gram, rhs)
             grad = rhs - gram @ cand
-            if math.sqrt(float(grad.dot(grad))) <= 1e-9 * max(scale, 1e-300):
+            if math.sqrt(float(grad.dot(grad))) <= GRAD_RTOL * max(scale, GRAD_FLOOR):
                 x = cand
         except np.linalg.LinAlgError:
             singular = True
@@ -276,8 +270,8 @@ def _prefix_decisions(
     except np.linalg.LinAlgError:
         return {}
     grad = rhs - (grams @ xs[:, :, None])[:, :, 0]
-    scale = np.maximum(np.sqrt(y_sq) * np.sqrt(norms_sq), 1e-300)
-    solved = np.sqrt((grad * grad).sum(axis=1)) <= 1e-9 * scale
+    scale = np.maximum(np.sqrt(y_sq) * np.sqrt(norms_sq), GRAD_FLOOR)
+    solved = np.sqrt((grad * grad).sum(axis=1)) <= GRAD_RTOL * scale
     # one fit of every sensor under every prefix's state: (m * tau, K)
     diff = ys.reshape(-1, 1) - blocks.reshape(-1, n) @ xs.T
     per_sensor = (diff * diff).reshape(len(ordered), tau, -1).sum(axis=1)  # (m, K)
@@ -296,7 +290,7 @@ def certificate_conflict(
     seed_size: int,
     epsilon: float,
     noise_bounds: np.ndarray,
-    diag: CertificateDiagnostics,
+    stats: SolveStats,
 ) -> Certificate:
     """Small sensor set that cannot all be attack-free.
 
@@ -323,7 +317,7 @@ def certificate_conflict(
     ``||Psi|| + epsilon``) goes through the ordinary check, so every
     certificate is still a set that ``t_check`` rejects.  Each trial and
     prefix decision, table, stack or check, counts as one theory check in
-    ``diag``.
+    ``stats``.
     """
     seed = ranked[:seed_size]
     candidates = ranked[seed_size:][::-1]  # highest residual first
@@ -335,7 +329,7 @@ def certificate_conflict(
         decided = _prefix_decisions(stack, window, trial, noise_bounds, epsilon)
         if len(candidates) == 1:
             break  # the checked set, already rejected
-        diag.theory_checks += 1
+        stats.theory_checks += 1
         sat = decided.get(len(trial))
         if sat is None:
             sat = t_check(stack, window, trial, noise_bounds, epsilon).sat
@@ -347,7 +341,7 @@ def certificate_conflict(
         )
     keep = len(trial) - 1
     while keep >= 1:
-        diag.theory_checks += 1
+        stats.theory_checks += 1
         if keep == 1 and dims[trial[0]] == stack.n - stack.tau:
             # full row rank: the block fits any finite reading exactly
             if math.isfinite(sum(v * v for v in window.blocks[trial[0]].tolist())):
@@ -380,8 +374,8 @@ def certificates(
     noise_bounds,
     strategy: Strategy,
 ) -> tuple:
-    """Certificates to learn from an UNSAT check, per the strategy, and
-    the call's diagnostics.
+    """Certificates to learn from an UNSAT check, per the strategy, and the
+    call's ``theory_checks`` and ``conflict_fallbacks`` as a ``SolveStats``.
 
     ``trivial`` blames every checked sensor, and so does every strategy when
     no more than p - 2*s_bar sensors were checked.  Otherwise the checked
@@ -390,34 +384,34 @@ def certificates(
     check): when the concentration step aims the walk (see the module
     docstring), and under ``conflict_agree``, whose agree certificate is a
     passing seed fit.  When the walk fails, as it can on noisy data, the
-    trivial certificate is emitted instead and the fallback is flagged.
+    trivial certificate is emitted instead and the fallback is counted.
     ``conflict_agree`` is sound only where the estimator's agree gate holds;
     ``estimate`` runs it as ``conflict`` elsewhere.
     """
     if check.sat:
         raise ValueError("certificates require an UNSAT check")
-    diag = CertificateDiagnostics()
+    counts = SolveStats()
     trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))
     seed_size = stack.p - 2 * s_bar
     if strategy is Strategy.TRIVIAL or len(check.sensors) <= seed_size:
-        return [trivial], diag
+        return [trivial], counts
     noise_bounds = np.asarray(noise_bounds, dtype=float)
     ranked = _sorted_by_residual(check)
     agree = strategy is Strategy.CONFLICT_AGREE and seed_size >= 1
     aimed = stack.tau * seed_size > stack.n and len(ranked) - seed_size >= 2
     if agree or aimed:
-        diag.theory_checks += 1
+        counts.theory_checks += 1
         seed_fit = t_check(stack, window, ranked[:seed_size], noise_bounds, epsilon)
         if aimed:
             ranked = _refit_ranking(stack, window, check.sensors, seed_fit.x)
     try:
         certs = [certificate_conflict(stack, window, ranked, seed_size, epsilon,
-                                      noise_bounds, diag)]
+                                      noise_bounds, counts)]
     except ConflictSearchError:
-        diag.conflict_fallback = True
+        counts.conflict_fallbacks = 1
         certs = [trivial]
     if agree:
         cert = certificate_agree(seed_fit)
         if cert is not None:
             certs.append(cert)
-    return certs, diag
+    return certs, counts

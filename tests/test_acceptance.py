@@ -86,7 +86,7 @@ def test_criterion_1_noiseless_delta_completeness():
         assert set(inst.attacked) <= set(result.support)
         rel = np.linalg.norm(result.x - inst.x_true) / (1 + np.linalg.norm(inst.x_true))
         assert rel <= 1e-6, f"relative error {rel} at n={n} p={p} s={s} s_bar={s_bar}"
-        assert result.conflict_fallbacks == 0
+        assert result.stats.conflict_fallbacks == 0
         _log_run(Strategy.CONFLICT, p, s_bar, result.iterations)
         runs += 1
     assert runs == 500

@@ -331,8 +331,9 @@ def test_window_noise_stays_admissible():
     ugv = discretize_ugv()
     scenario = AttackScenario(phases=(), steps=120, segment_steps=60)
     trace = run_closed_loop(ugv, scenario, seed=2)
+    noise = trace.y - trace.x_true @ ugv.model.C.T  # attack-free: y = C x + noise
     for t in range(1, trace.steps):
-        window = trace.noise[t - 1 : t + 1]
+        window = noise[t - 1 : t + 1]
         norms = np.linalg.norm(window, axis=0)
         assert np.all(norms <= ugv.model.noise_bounds + 1e-12)
 
@@ -382,13 +383,15 @@ def test_noise_draw_equals_uniform(high):
 
 
 def test_attack_free_loop_noise_is_the_uniform_stream():
-    # with no attack phase the loop's only draws are its noise samples
+    # with no attack phase the loop's only draws are its noise samples, and
+    # each reading is the loop's clean + attack + noise
     ugv = discretize_ugv()
     trace = run_closed_loop(ugv, AttackScenario(phases=(), steps=50), seed=12)
     bound = ugv.model.noise_bounds / math.sqrt(ugv.model.tau)
     rng = np.random.default_rng(12)
-    expected = np.array([rng.uniform(-bound, bound) for _ in range(50)])
-    assert trace.noise.tobytes() == expected.tobytes()
+    expected = np.array([ugv.model.C @ trace.x_true[t] + np.zeros(3)
+                         + rng.uniform(-bound, bound) for t in range(50)])
+    assert trace.y.tobytes() == expected.tobytes()
 
 
 def test_alternating_attack_detection_smoke():

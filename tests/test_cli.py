@@ -557,7 +557,13 @@ def test_bench_iteration_cap_below_one_is_input_error(tmp_path, capsys):
      "sweep 0 trials must be a whole number, got 2.5"),
     ({"sweeps": [{"n": 2, "p": 6.5, "s": 1, "s_bar": 1, "trials": 1}]},
      "sweep 0 p must be a whole number, got 6.5"),
-], ids=["sweep_not_object", "trials_not_whole", "p_not_whole"])
+    ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "noize": 0.5}]},
+     "sweep 0 has unknown key 'noize'"),
+    ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 1},
+                 {"n": 2, "p": 6, "s": 1, "s_bar": 1, "strategy": ["trivial"], "noize": 0.5}]},
+     "sweep 1 has unknown key 'strategy'"),
+], ids=["sweep_not_object", "trials_not_whole", "p_not_whole", "misspelt_key",
+        "singular_strategies"])
 def test_bench_malformed_spec_is_input_error(tmp_path, capsys, doc, message):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(doc))

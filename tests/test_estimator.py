@@ -26,8 +26,8 @@ from sse.estimator import (
     minimal_support_estimate,
 )
 from sse.oracle import brute_force
-from sse.satcore import SatStats
-from sse.theory import CertificateKind, Strategy
+from sse.satcore import SolveStats
+from sse.theory import CertificateKind, Strategy, certificates, t_check
 
 from conftest import four_lines, line_model, line_window
 
@@ -63,7 +63,7 @@ def test_four_lines_all_strategies_find_the_attacked_line(four_lines):
         assert result.support == (2,)
         assert np.allclose(result.x, [2.0, 6.0], atol=1e-9)
         assert result.iterations == expected_iters
-        assert result.conflict_fallbacks == 0
+        assert result.stats.conflict_fallbacks == 0
 
 
 def test_four_lines_iterations_within_bounds(four_lines):
@@ -108,12 +108,13 @@ def test_capped_solve_carries_its_sat_stats():
         estimate(model, stack, window, cfg(Strategy.TRIVIAL, max_iterations=3))
     exc = info.value
     assert exc.iterations == 3
-    assert isinstance(exc.sat, SatStats)
-    assert exc.sat.solve_calls == 3  # one proposal per checked hypothesis
+    assert isinstance(exc.stats, SolveStats)
+    assert exc.stats.solve_calls == 3  # one proposal per checked hypothesis
+    assert exc.stats.solve_time > 0.0
     full = estimate(model, stack, window, cfg(Strategy.TRIVIAL))
     assert not full.feasible and full.iterations == 5
-    assert 0 < exc.sat.solve_calls < full.sat.solve_calls
-    assert exc.sat.decisions <= full.sat.decisions
+    assert 0 < exc.stats.solve_calls < full.stats.solve_calls
+    assert exc.stats.decisions <= full.stats.decisions
 
 
 # (generator seed, s) of the desk-scale instances in criterion 4's conflict
@@ -230,7 +231,7 @@ def test_noiseless_runs_never_fall_back():
         inst = generate_instance(3, 7, 2, 2, "2s", 0.0, seed=seed)
         result = estimate(inst.model, inst.stack, inst.window, cfg(epsilon=1e-6))
         assert result.feasible
-        assert result.conflict_fallbacks == 0
+        assert result.stats.conflict_fallbacks == 0
 
 
 def test_estimate_to_json_dict(four_lines):
@@ -241,8 +242,8 @@ def test_estimate_to_json_dict(four_lines):
     assert doc["support"] == [2]
     assert doc["iterations"] == result.iterations
     assert len(doc["trace"]) == result.iterations
-    assert doc["sat"] == asdict(result.sat)
-    assert doc["sat"]["solve_calls"] == result.iterations
+    assert doc["stats"] == asdict(result.stats)
+    assert doc["stats"]["solve_calls"] == result.iterations
     # four_lines is not 3-sparse observable: conflict_agree says it ran as conflict
     downgraded = estimate(model, stack, window, cfg(Strategy.CONFLICT_AGREE)).to_json_dict()
     assert (doc["strategy"], downgraded["strategy"]) == ("conflict", "conflict")
@@ -292,18 +293,15 @@ def test_minimal_support_sums_counts_over_budgets(monkeypatch):
 
     def recording(*args):
         outcome = real(*args)
-        returned.append((outcome.iterations, replace(outcome.sat), outcome.solve_time,
-                         outcome.conflict_fallbacks))
+        returned.append((outcome.iterations, replace(outcome.stats)))
         return outcome
 
     monkeypatch.setattr(estimator, "estimate", recording)
     result = minimal_support_estimate(inst.model, inst.stack, inst.window, config)
-    iterations, sats, times, fallbacks = zip(*returned)
+    iterations, stats = zip(*returned)
     assert len(returned) == 2
     assert result.iterations == sum(iterations)
-    assert result.sat == sum(sats, SatStats())
-    assert result.solve_time == sum(times)
-    assert result.conflict_fallbacks == sum(fallbacks)
+    assert result.stats == sum(stats, SolveStats())
     # budget 3 is feasible with a 3-sensor support, budget 2 is not
     per_budget = [
         estimate(replace(inst.model, s_bar=b), inst.stack, inst.window, config) for b in (3, 2)
@@ -311,8 +309,62 @@ def test_minimal_support_sums_counts_over_budgets(monkeypatch):
     assert [r.feasible for r in per_budget] == [True, False]
     assert result.support == per_budget[0].support and len(result.support) == 3
     assert result.iterations == sum(r.iterations for r in per_budget)
-    assert result.sat == per_budget[0].sat + per_budget[1].sat
-    assert result.sat.decisions > per_budget[0].sat.decisions > 0
+    # the fresh solves' counts match; their times do not
+    untimed = [replace(r.stats, solve_time=0.0) for r in (result, *per_budget)]
+    assert untimed[0] == untimed[1] + untimed[2]
+    assert result.stats.decisions > per_budget[0].stats.decisions > 0
+
+
+def test_capped_minimal_support_reports_totals_over_budgets():
+    # budget 6 finds a two-sensor support in 3 iterations; budget 1 then
+    # stops at the per-budget cap of 6
+    inst = generate_instance(6, 20, 2, 6, "2s", 0.0, seed=1)
+    config = cfg(Strategy.CONFLICT, epsilon=1e-6, max_iterations=6)
+    with pytest.raises(IterationLimitError) as info:
+        minimal_support_estimate(inst.model, inst.stack, inst.window, config)
+    first = estimate(inst.model, inst.stack, inst.window, config)
+    assert first.feasible and len(first.support) == 2 and first.iterations == 3
+    with pytest.raises(IterationLimitError) as capped:
+        estimate(replace(inst.model, s_bar=1), inst.stack, inst.window, config)
+    assert capped.value.iterations == 6
+    exc = info.value
+    assert exc.iterations == 9 and "after 9 iterations" in str(exc)
+    untimed = [replace(s, solve_time=0.0) for s in (exc.stats, first.stats, capped.value.stats)]
+    assert untimed[0] == untimed[1] + untimed[2]
+    assert exc.stats.solve_calls == 9 and exc.stats.solve_time > 0.0
+
+
+def _replayed_counts(model, stack, window, result, epsilon):
+    """Summed counts of ``certificates`` replayed on every rejected record of
+    ``result``, checking that each replay gives the record's certificates."""
+    total = SolveStats()
+    for record in result.records:
+        if record.sat:
+            continue
+        trusted = set(range(model.p)).difference(record.support)
+        check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
+        certs, counts = certificates(stack, window, check, model.s_bar, epsilon,
+                                     model.noise_bounds, result.strategy)
+        assert tuple(certs) == record.certificates
+        total += counts
+    return total
+
+
+@pytest.mark.parametrize("strategy, args, kwargs", [
+    (Strategy.CONFLICT, (6, 20, 2, 6, "2s", 0.0), {"seed": 1}),
+    (Strategy.CONFLICT, (25, 60, 8, 20, "2s", 0.0), {"seed": 9000 + 97 * 8}),
+    # p = 9 > 3 * s_bar on exact data: the agree gate is open
+    (Strategy.CONFLICT_AGREE, (3, 9, 2, 2, "3s", 0.0),
+     {"seed": 11, "attack_norm": {"lo": 3.0, "hi": 7.0}}),
+], ids=["conflict", "conflict_desk", "conflict_agree_gate_open"])
+def test_estimate_counts_the_theory_checks_of_its_certificates(strategy, args, kwargs):
+    inst = generate_instance(*args, **kwargs)
+    result = estimate(inst.model, inst.stack, inst.window, cfg(strategy, epsilon=1e-6))
+    assert result.feasible and result.strategy is strategy
+    replayed = _replayed_counts(inst.model, inst.stack, inst.window, result, 1e-6)
+    assert replayed.theory_checks > 0
+    assert result.stats.theory_checks == replayed.theory_checks
+    assert result.stats.conflict_fallbacks == replayed.conflict_fallbacks == 0
 
 
 # ---------------------------------------------------------------------------

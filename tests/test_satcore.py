@@ -250,7 +250,7 @@ class ListOfMasksInstance:
     def __init__(self, p, s_bar):
         self.p = p
         self.s_bar = s_bar
-        self.stats = satcore.SatStats()
+        self.stats = satcore.SolveStats()
         self.weights = np.zeros(p)
         self._phase = 0
         self._masks = []

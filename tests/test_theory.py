@@ -16,9 +16,9 @@ from sse.attacksim import (
     run_closed_loop,
 )
 from sse.estimator import EstimatorConfig, estimate
+from sse.satcore import SolveStats
 from sse.theory import (
     Certificate,
-    CertificateDiagnostics,
     CertificateKind,
     ConflictSearchError,
     DEFAULT_EPSILON,
@@ -45,12 +45,12 @@ def _ranked(check):
 
 
 def _conflict(stack, window, check, s_bar, epsilon, noise_bounds):
-    """The conflict certificate and diagnostics ``certificates`` gives under
+    """The conflict certificate and counts ``certificates`` gives under
     the conflict strategy."""
-    certs, diag = certificates(stack, window, check, s_bar, epsilon, noise_bounds,
+    certs, counts = certificates(stack, window, check, s_bar, epsilon, noise_bounds,
                                Strategy.CONFLICT)
     assert len(certs) == 1
-    return certs[0], diag
+    return certs[0], counts
 
 
 def _agree(stack, window, check, s_bar, epsilon, noise_bounds):
@@ -207,8 +207,8 @@ def test_dead_sensor_sorts_last():
 def test_four_lines_conflict_found_on_first_candidate(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    cert, diag = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
-    assert not diag.conflict_fallback
+    cert, counts = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    assert counts.conflict_fallbacks == 0
     assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
     # seed = two lowest residuals {3, 1}; first candidate = max residual 2
     assert cert.sensors == frozenset({1, 2, 3})
@@ -242,11 +242,11 @@ def test_conflict_walk_needs_two_candidates():
     conflict, _, checks = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
     assert checks == 2
     assert 2 in conflict
-    cert, diag = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    cert, counts = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
     kept, shrink_checks = _sequential_shrink(model, stack, window,
                                              _shrink_order(stack, conflict), 1e-9)
     assert cert.sensors == kept
-    assert diag.theory_checks == checks + shrink_checks
+    assert counts.theory_checks == checks + shrink_checks
 
 
 def test_shrink_drops_high_kernel_members():
@@ -277,11 +277,11 @@ def test_conflict_requires_unsat_and_enough_sensors(four_lines):
     small_model, small_stack, small_window = scalar_sensors(5, [0.0, 0.0, 9.0, 0.0, 0.0])
     bad = t_check(small_stack, small_window, (0, 1, 2), small_model.noise_bounds, 1e-9)
     assert not bad.sat
-    certs, diag = certificates(small_stack, small_window, bad, 1, 1e-9,
+    certs, counts = certificates(small_stack, small_window, bad, 1, 1e-9,
                                small_model.noise_bounds, Strategy.CONFLICT)
     assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
                                  frozenset({0, 1, 2}))]
-    assert diag.theory_checks == 0 and not diag.conflict_fallback
+    assert counts.theory_checks == 0 and counts.conflict_fallbacks == 0
 
 
 @pytest.mark.parametrize("strategy", list(Strategy))
@@ -307,12 +307,16 @@ def test_conflict_walk_can_fail_under_noise():
     # four lines, two in the seed, n = 2 = tau * |seed|: the walk is unaimed
     with pytest.raises(ConflictSearchError):
         certificate_conflict(stack, window, _ranked(check), 2, 0.0,
-                             model.noise_bounds, CertificateDiagnostics())
-    certs, diag = certificates(stack, window, check, 1, 0.0,
+                             model.noise_bounds, SolveStats())
+    certs, counts = certificates(stack, window, check, 1, 0.0,
                                model.noise_bounds, Strategy.CONFLICT)
-    assert diag.conflict_fallback
+    assert counts.conflict_fallbacks == 1
     assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
                                  frozenset({0, 1, 2, 3}))]
+    # estimate's first check is this one, and its counts keep the fallback
+    result = estimate(model, stack, window, EstimatorConfig(Strategy.CONFLICT, epsilon=0.0))
+    assert result.records[0].certificates == tuple(certs)
+    assert result.stats.conflict_fallbacks == 1
 
 
 def test_conflict_certificates_intersect_true_support():
@@ -324,9 +328,9 @@ def test_conflict_certificates_intersect_true_support():
         sensors = tuple(range(7))
         check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-8)
         assert not check.sat
-        cert, diag = _conflict(inst.stack, inst.window, check, 2, 1e-8,
+        cert, counts = _conflict(inst.stack, inst.window, check, 2, 1e-8,
                                inst.model.noise_bounds)
-        assert not diag.conflict_fallback
+        assert counts.conflict_fallbacks == 0
         assert cert.sensors & set(inst.attacked)
         assert len(cert.sensors) <= 7 - 2 * 2 + 1
 
@@ -407,9 +411,9 @@ def test_one_candidate_walk_takes_the_checked_set(monkeypatch, four_lines):
     ordered = _shrink_order(stack, conflict)
     kept, shrink_checks = _sequential_shrink(model, stack, window, ordered, 1e-9)
     checked = _counting_checks(monkeypatch)
-    cert, diag = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    cert, counts = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
     assert cert.sensors == kept == frozenset(check.sensors)
-    assert diag.theory_checks == shrink_checks == len(checked)
+    assert counts.theory_checks == shrink_checks == len(checked)
     assert [sensors for _, sensors in checked] == [tuple(sorted(ordered[:2]))]
 
 
@@ -429,9 +433,9 @@ def test_exactly_determined_seed_walks_unaimed():
                     continue
                 want = _unaimed_walk(stack, window, check, 2, 1e-6, model.noise_bounds)
                 if want is None:
-                    certs, diag = certificates(stack, window, check, 2, 1e-6,
+                    certs, counts = certificates(stack, window, check, 2, 1e-6,
                                                model.noise_bounds, Strategy.CONFLICT)
-                    assert diag.conflict_fallback
+                    assert counts.conflict_fallbacks == 1
                     assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
                                                  frozenset(check.sensors))]
                     continue
@@ -439,9 +443,9 @@ def test_exactly_determined_seed_walks_unaimed():
                 kept, shrink_checks = _sequential_shrink(
                     model, stack, window, _shrink_order(stack, conflict), 1e-6)
                 suspect = max(kept, key=lambda i: (_residual_of(check, i), i))
-                cert, diag = _conflict(stack, window, check, 2, 1e-6, model.noise_bounds)
+                cert, counts = _conflict(stack, window, check, 2, 1e-6, model.noise_bounds)
                 assert (cert.sensors, cert.suspect) == (kept, suspect)
-                assert diag.theory_checks == walk_checks + shrink_checks
+                assert counts.theory_checks == walk_checks + shrink_checks
                 cases += 1
     assert cases > 0
 
@@ -458,7 +462,7 @@ def test_certificates_share_one_seed_fit_with_agree(monkeypatch):
         alone = certificate_agree(t_check(stack, window, seed_set, model.noise_bounds, 1e-8))
         with monkeypatch.context() as m:
             checked = _counting_checks(m)
-            certs, diag = certificates(stack, window, check, 2, 1e-8, model.noise_bounds,
+            certs, counts = certificates(stack, window, check, 2, 1e-8, model.noise_bounds,
                                        Strategy.CONFLICT_AGREE)
         assert checked.count(("t_check", seed_set)) == 1
         agree = [c for c in certs if c.kind is CertificateKind.ALL_UNATTACKED]
@@ -494,7 +498,7 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
         # the walk on the seed fit's ranking is the certificate
         refit_ranked = _refit_ranking(stack, window, check.sensors, fit.x)
         assert certificate_conflict(stack, window, refit_ranked, 20, 1e-6,
-                                    model.noise_bounds, CertificateDiagnostics()) == cert
+                                    model.noise_bounds, SolveStats()) == cert
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +579,7 @@ def test_trivial_strategy_blames_all_checked(four_lines):
 def test_conflict_agree_emits_both_when_allowed(four_lines):
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    certs, diag = certificates(stack, window, check, 1, 1e-9,
+    certs, counts = certificates(stack, window, check, 1, 1e-9,
                                model.noise_bounds, Strategy.CONFLICT_AGREE)
     kinds = [c.kind for c in certs]
     assert kinds == [CertificateKind.AT_LEAST_ONE_ATTACKED, CertificateKind.ALL_UNATTACKED]
@@ -938,12 +942,12 @@ def test_shrink_pass_matches_sequential_shrink(monkeypatch, min_batch):
                                                               epsilon, model.noise_bounds)
             except ConflictSearchError:
                 continue
-            cert, diag = _conflict(stack, window, check, s_bar, epsilon, model.noise_bounds)
-            assert not diag.conflict_fallback
+            cert, counts = _conflict(stack, window, check, s_bar, epsilon, model.noise_bounds)
+            assert counts.conflict_fallbacks == 0
             kept, checks = _sequential_shrink(model, stack, window,
                                               _shrink_order(stack, loose), epsilon)
             assert cert.sensors == kept
-            assert diag.theory_checks == walk_checks + checks
+            assert counts.theory_checks == walk_checks + checks
             if suspect in kept:  # the shrink kept the walk's top-ranked member
                 assert cert.suspect == suspect
 
@@ -1046,10 +1050,10 @@ def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
     assert np.linalg.norm(stack.blocks[0] @ exact - window.blocks[0]) <= DEFAULT_EPSILON
     check = t_check(stack, window, range(3), bounds, DEFAULT_EPSILON)
     checked = _counting_checks(monkeypatch)
-    cert, diag = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
+    cert, counts = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
     assert cert.sensors == frozenset({0, 1})
     assert ("_check", (0,)) not in checked
-    assert diag.theory_checks == 2  # the walk's one trial and the stack's decision
+    assert counts.theory_checks == 2  # the walk's one trial and the stack's decision
     monkeypatch.undo()
     assert not t_check(stack, window, cert.sensors, bounds, DEFAULT_EPSILON).sat
 
@@ -1081,7 +1085,7 @@ def test_nonfinite_reading_in_the_one_sensor_prefix_is_checked(monkeypatch, read
         assert not check.sat
         cert, _ = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
         direct = certificate_conflict(stack, window, [1, 0], 1, DEFAULT_EPSILON, bounds,
-                                      CertificateDiagnostics())
+                                      SolveStats())
     assert cert.sensors == direct.sensors == frozenset({0})
     assert checked.count(("_check", (0,))) == 2
 

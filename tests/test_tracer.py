@@ -38,9 +38,9 @@ def test_tracer_counts_match_estimates(four_lines):
     iterations = sum(r.iterations for r in results)
     assert iterations > 0
     assert tracer.calls["theory.main_check"] == tracer.counts["estimator.iterations"] == iterations
-    assert tracer.calls["satcore.solve"] == sum(r.sat.solve_calls for r in results)
-    decisions = sum(r.sat.decisions for r in results)
-    conflicts = sum(r.sat.conflicts for r in results)
+    assert tracer.calls["satcore.solve"] == sum(r.stats.solve_calls for r in results)
+    decisions = sum(r.stats.decisions for r in results)
+    conflicts = sum(r.stats.conflicts for r in results)
     assert decisions > 0 and conflicts > 0
     assert tracer.counts["satcore.decisions"] == decisions
     assert tracer.counts["satcore.conflicts"] == conflicts
