@@ -73,8 +73,12 @@ def _run_bench_trial(task: dict) -> list[dict]:
 
 
 def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]:
-    """Run every sweep trial and append per-(sweep, strategy) aggregate rows."""
-    sweeps = spec_doc.get("sweeps", []) if isinstance(spec_doc, dict) else None
+    """Run every sweep trial and append per-(sweep, strategy) aggregate rows.
+    The spec's one top-level key is ``sweeps``, a list (it may be empty)."""
+    unknown = [k for k in spec_doc if k != "sweeps"] if isinstance(spec_doc, dict) else []
+    if unknown:
+        raise ValueError(f"bench spec has unknown key {unknown[0]!r}")
+    sweeps = spec_doc.get("sweeps") if isinstance(spec_doc, dict) else None
     if not isinstance(sweeps, list):
         raise ValueError("a bench spec is a JSON object with a 'sweeps' list")
     tasks, checked = [], []

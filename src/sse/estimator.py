@@ -25,6 +25,7 @@ from .linmodel import (
     SubsetCapError,
     SystemModel,
     check_sparse_observability,
+    require_fit,
     whole_number,
 )
 from .satcore import Certificate, CertificateKind, SolveStats
@@ -156,8 +157,10 @@ def estimate(
     support) or an infeasible outcome when no sensor subset within budget
     explains the data.  A sensor whose window row has a non-finite squared
     norm (a NaN or +-inf reading, or one whose square overflows) is treated as
-    attacked: a singleton certificate for it is learned up front.
+    attacked: a singleton certificate for it is learned up front.  A stack
+    or window that does not fit the model raises ``ValueError``.
     """
+    require_fit(model, stack, window)
     p, s_bar = model.p, model.s_bar
     started = time.perf_counter()
     # a support of every sensor leaves no equation to check: not a hypothesis

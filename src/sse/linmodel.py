@@ -158,7 +158,8 @@ class SystemModel:
 
 class _CheckMemo(dict):
     """Per-set constants of the least-squares check by sorted sensor tuple
-    (see ``theory._check``); ``floats`` counts the floats they hold."""
+    (see ``theory.t_check``, their one reader and writer); ``floats`` counts
+    the floats they hold."""
 
     floats = 0
 
@@ -170,13 +171,13 @@ class ObservabilityStack:
 
     Build it once per model and reuse it: it also remembers the answers of
     ``check_sparse_observability(model, s, stack=stack)`` by ``s``, and the
-    per-set constants of the least-squares check (the stacked O_I, the summed
+    per-set constants of ``theory.t_check`` (the stacked O_I, the summed
     Gram, ...) for as many sensor sets as fit a fixed float budget.
 
     A block has full row rank when ``n - block_kernel_dims[i] == tau``, by
-    the ``_zero_tol`` rank rule.  The conflict shrink pass takes that as the
-    answer for a one-sensor prefix with a finite reading (it passes, with no
-    solve), even where rounding would push the check's residual past its
+    the ``_zero_tol`` rank rule.  The conflict walk's decider takes that as
+    the answer for a one-sensor set with a finite reading (it passes, with
+    no solve), even where rounding would push ``t_check``'s residual past its
     budget; see ``sse.theory``.
     """
 
@@ -216,6 +217,16 @@ class StackedWindow:
                 return []
             row_sq = (self.blocks * self.blocks).sum(axis=1)
         return np.flatnonzero(~np.isfinite(row_sq)).tolist()
+
+
+def require_fit(model: SystemModel, stack: ObservabilityStack, window: StackedWindow) -> None:
+    """Raise ``ValueError`` unless the stack's blocks are (p, tau, n) and the
+    window's (p, tau), with the model's p, tau and n."""
+    p, tau = model.p, model.tau
+    if stack.blocks.shape != (p, tau, model.n) or window.blocks.shape != (p, tau):
+        raise ValueError(
+            f"stack blocks {stack.blocks.shape} and window blocks {window.blocks.shape} "
+            f"do not fit the model's (p, tau, n) = {(p, tau, model.n)}")
 
 
 @dataclass(frozen=True)

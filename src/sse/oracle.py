@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .linmodel import ObservabilityStack, StackedWindow, SubsetCapError
+from .linmodel import ObservabilityStack, StackedWindow, SubsetCapError, require_fit
 from .theory import DEFAULT_EPSILON, t_check
 
 ORACLE_SUBSET_CAP = 10**5
@@ -39,7 +39,9 @@ def brute_force(
     """Enumerate all attack supports of size <= s_bar whose complement passes
     the least-squares check.  A sensor whose window row has a non-finite
     squared norm is treated as attacked, as the estimator does: supports that
-    leave it out are skipped."""
+    leave it out are skipped.  A stack or window that does not fit the model
+    raises ``ValueError``."""
+    require_fit(model, stack, window)
     p = stack.p
     budget = model.s_bar if s_bar is None else int(s_bar)
     if not 0 <= budget < p:

@@ -16,15 +16,17 @@ and everything is deterministic given the learned certificates and the solve
 history.
 
 The store is one list of int bitmasks, the rows: each at-least-one-attacked
-set with the unattacked sensors stripped, in the order it was learned.  A
-column index over the rows serves the search: for each sensor, an int bitset
-of the positions of the rows that hold it, and for each row size, an int
-bitset of the positions of the rows of that size.  Learning a set appends a
-row and indexes it; an all-unattacked set re-masks the rows, empties the
-columns of its sensors and rebuilds the size index.  A search node carries
-the rows still unhit as one bitset of positions: a child is that bitset less
-its pick's column, and the set it branches on is the first row of the
-smallest size among them.  A stored row of size 0 is a contradiction.
+set exactly as it was learned, in the order it was learned.  A column index
+over the rows serves the search: for each sensor, an int bitset of the
+positions of the rows that hold it, and for each row size, an int bitset of
+the positions of the rows of that size, where a row's size counts only its
+members not fixed clean.  Learning a set appends a row and indexes it; an
+all-unattacked set only adds its sensors to the clean mask, zeroes their
+weights and rebuilds the size index.  Every search starts with the clean
+mask banned, so no branch picks a clean sensor.  A search node carries the
+rows still unhit as one bitset of positions: a child is that bitset less its
+pick's column, and the set it branches on is the first row of the smallest
+size among them.  A stored row of size 0 is a contradiction.
 Weights and phase change only between solves, so each solve ranks the
 sensors once: the weights as a list, ``PHASE_BONUS`` added to the members of
 the last support (kept as an ascending list, the phase), then one stable
@@ -103,7 +105,7 @@ class SatInstance:
         self.weights = np.zeros(p)
         self._bits = [1 << v for v in range(p)]
         self._phase: list[int] = []            # the last support, ascending
-        self._masks: list[int] = []            # at-least-one sets, zero fixes stripped
+        self._masks: list[int] = []            # at-least-one sets, as learned
         self._occ = [0] * p                    # sensor -> positions of the rows holding it
         self._by_size = [0] * (p + 1)          # size -> positions of the rows of that size
         self._zero_mask = 0
@@ -118,25 +120,19 @@ class SatInstance:
         bits = self._bits
         mask = sum(map(bits.__getitem__, sensors))  # distinct bits: the union
         if cert.kind is CertificateKind.ALL_UNATTACKED:
-            self._zero_mask |= mask
+            self._zero_mask = zero = self._zero_mask | mask
             self.weights[sorted(sensors)] = 0.0
-            self._masks = [m & ~self._zero_mask for m in self._masks]
-            for i in sensors:
-                self._occ[i] = 0
             self._by_size = [0] * (self.p + 1)
             for pos, row in enumerate(self._masks):
-                self._by_size[row.bit_count()] |= 1 << pos
+                self._by_size[(row & ~zero).bit_count()] |= 1 << pos
         else:
             self.weights *= WEIGHT_DECAY
-            zero = self._zero_mask
-            row = mask & ~zero
             bit = 1 << len(self._masks)
-            self._masks.append(row)
-            self._by_size[row.bit_count()] |= bit
+            self._masks.append(mask)
+            self._by_size[(mask & ~self._zero_mask).bit_count()] |= bit
             occ = self._occ
             for i in sensors:
-                if not zero & bits[i]:
-                    occ[i] |= bit
+                occ[i] |= bit
         if cert.suspect is not None:
             self.bump(cert.suspect)
 
@@ -167,7 +163,7 @@ class SatInstance:
         self._ranked = list(zip(order, map(self._bits.__getitem__, order)))
         self._size_classes = [rows for rows in self._by_size if rows]
         self._nodes_left = MAX_SEARCH_NODES
-        found = self._dfs((), (1 << len(self._masks)) - 1, 0, self.s_bar)
+        found = self._dfs((), (1 << len(self._masks)) - 1, self._zero_mask, self.s_bar)
         if found is None:
             return None
         support = set(found)

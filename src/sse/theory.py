@@ -27,19 +27,19 @@ nested prefixes, so one batched solve over running sums of the Gram blocks
 and of O_i^T Y_i decides them together (nested least-squares updating, Golub
 and Van Loan, *Matrix Computations*, sec. 6.5).  The same table decides the
 full set, which is the walk's trial, so a trial that fails is decided and
-shrunk from one solve.  The one-sensor prefix is decided by the stack
-when its block has full row rank (rank tau, by the stack's kernel
-dimensions) and its reading is finite: such a block fits any reading
-exactly, so the prefix passes without a solve.  Any other prefix that is
-undetermined, whose batched solve fails, or whose batched residual lies in
-the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
-``||Psi|| + epsilon`` is checked on its own instead.  Tie policy: the
-stack's rank rule rules over the table and the check.  On an
-ill-conditioned block (from a condition number of a few times 1e4 at
-readings of size 10, far inside the rank tolerance) the check's
-normal-equation solve can leave a rounding residual past the budget; the
-certificate then keeps one more member, the two-sensor prefix already found
-infeasible, so it is still a set that ``t_check`` rejects.
+shrunk from one solve.  One decider answers every set the walk and the
+shrink ask about.  A lone sensor whose block has full row rank (rank tau, by
+the stack's kernel dimensions) and whose reading is finite passes without a
+solve: such a block fits any reading exactly.  Otherwise the table answers,
+unless the set is undetermined, its batched solve failed, or its batched
+residual lies in the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)``
+around the budget ``||Psi|| + epsilon``; then ``t_check``, the one
+least-squares check, decides.  Tie policy: the stack's rank rule rules over
+the table and the check.  On an ill-conditioned block (from a condition
+number of a few times 1e4 at readings of size 10, far inside the rank
+tolerance) the check's normal-equation solve can leave a rounding residual
+past the budget; the certificate then keeps one more member, the two-sensor
+prefix already found infeasible, so it is still a set that ``t_check`` rejects.
 """
 
 from __future__ import annotations
@@ -62,11 +62,11 @@ MIN_BATCH_PREFIXES = 3
 # residual is not trusted to decide a prefix (see _prefix_decisions).
 TIE_RTOL = 1e-10
 # Floats a stack's memo of per-set check constants may hold in all (see
-# _check); a set that does not fit is recomputed on every check.
+# t_check); a set that does not fit is recomputed on every check.
 CHECK_MEMO_FLOATS = 1 << 12
 # Solver tolerance epsilon every entry point uses unless told otherwise.
 DEFAULT_EPSILON = 1e-6
-# The gradient test that accepts a normal-equation solve (_check, _prefix_decisions).
+# The gradient test that accepts a normal-equation solve (t_check, _prefix_decisions).
 GRAD_RTOL = 1e-9
 GRAD_FLOOR = 1e-300
 
@@ -83,7 +83,7 @@ class ConflictSearchError(RuntimeError):
 
 
 class _SetConstants(NamedTuple):
-    """What ``_check`` computes from the stack alone for one sensor set."""
+    """What ``t_check`` computes from the stack alone for one sensor set."""
 
     idx: np.ndarray  # the sorted set as an index array
     o_i: np.ndarray  # the stacked O_I
@@ -118,7 +118,8 @@ def t_check(
     rank-deficient stack is not an error.  A set with fewer equations than
     states (tau * |I| < n) is flagged, and so is one whose rank the SVD
     fallback finds short; x is then a least-squares solution, the minimum-norm
-    one only when the fallback ran.
+    one only when the fallback ran.  The stack's memo keeps the set's
+    constants while they fit ``CHECK_MEMO_FLOATS``.
     """
     try:
         sensors = tuple(sorted(set(map(operator.index, sensors))))
@@ -132,20 +133,6 @@ def t_check(
         raise ValueError(f"sensor index {bad} out of range for p = {stack.p}")
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    return _check(stack, window, sensors, np.asarray(noise_bounds, dtype=float), epsilon)
-
-
-def _check(
-    stack: ObservabilityStack,
-    window: StackedWindow,
-    sensors: tuple,
-    noise_bounds: np.ndarray,
-    epsilon: float,
-) -> CheckResult:
-    """``t_check`` on a sorted, non-empty tuple and a float array.
-
-    The set's constants come from the stack's memo when it holds them, and
-    are added to it while they fit ``CHECK_MEMO_FLOATS``."""
     n, tau = stack.n, stack.tau
     memo = stack._checks
     held = memo.get(sensors)
@@ -186,7 +173,7 @@ def _check(
     diff = y_i - fit
     block_res = (diff * diff).reshape(len(sensors), tau).sum(axis=1)
     residual_sq = float(block_res.sum())
-    psi_sq = float((noise_bounds.take(idx) ** 2).sum())
+    psi_sq = float((np.asarray(noise_bounds, dtype=float).take(idx) ** 2).sum())
     sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
     return CheckResult(
         sat=sat,
@@ -220,7 +207,7 @@ def _refit_ranking(
     stack: ObservabilityStack, window: StackedWindow, sensors: tuple, x: np.ndarray
 ) -> list:
     """``sensors`` (ascending) by ascending normalized residual at ``x``,
-    normalized as in ``_check``; the stable sort breaks ties by index."""
+    normalized as in ``t_check``; the stable sort breaks ties by index."""
     diff = window.blocks - stack.blocks @ x  # (p, tau): every sensor, cheaper than a subset
     res = _normalized(stack, (diff * diff).sum(axis=1), stack.block_norms_sq)
     return sorted(sensors, key=res.tolist().__getitem__)
@@ -241,8 +228,8 @@ def _prefix_decisions(
     Only determined prefixes are solved, from running sums
     of the Gram blocks, of O_i^T Y_i, of ||Y_i||^2, of the squared block norms
     and of the squared noise bounds.  A prefix is left out of the table, and
-    so left to ``_check``, when the batched solve raises, when its solution
-    fails ``_check``'s relative gradient test, or when its residual norm lies
+    so left to ``t_check``, when the batched solve raises, when its solution
+    fails ``t_check``'s relative gradient test, or when its residual norm lies
     within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` of the
     budget ``||Psi|| + epsilon``, where a different summation order could
     flip the decision.
@@ -303,54 +290,45 @@ def certificate_conflict(
 
     Each trial is put in shrink order, ascending kernel dimension, and one
     batched solve decides its determined prefixes and the trial itself (see
-    ``_prefix_decisions``); the walk reads the trial's decision there and
-    checks it only when the table leaves it out.  The shrink pass then drops
-    trailing members while the set stays infeasible, reading prefix lengths
-    from the longest down until one passes.  The one-sensor prefix passes
-    without a solve when its block has full row rank
-    (``n - block_kernel_dims[i] == tau``) and its reading's squared norm is
-    finite; the stack's rank rule decides even where the table or the check
-    would read rounding as a failure (see the module docstring).  Any other
-    prefix the table leaves undecided (undetermined, a failed batched solve,
-    or a residual within the tie band
-    ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the budget
-    ``||Psi|| + epsilon``) goes through the ordinary check, so every
-    certificate is still a set that ``t_check`` rejects.  Each trial and
-    prefix decision, table, stack or check, counts as one theory check in
-    ``stats``.
+    ``_prefix_decisions``).  The shrink pass then drops trailing members
+    while the set stays infeasible, reading prefix lengths from the longest
+    down until one passes.  The walk's trials and the shrink's prefixes are
+    decided by one local decider, ``passes``: a one-sensor prefix passes when
+    its block has full row rank (``n - block_kernel_dims[i] == tau``) and its
+    reading's squared norm is finite, even where the table or the check
+    would read rounding as a failure (see the module docstring); otherwise
+    the table answers, and ``t_check`` decides what the table leaves out, so
+    every certificate is still a set that ``t_check`` rejects.  Each
+    decision counts as one theory check in ``stats``.
     """
     seed = ranked[:seed_size]
     candidates = ranked[seed_size:][::-1]  # highest residual first
     dims = stack.block_kernel_dims.tolist()
+
+    def passes(keep: int) -> bool:
+        stats.theory_checks += 1
+        if keep == 1 and dims[trial[0]] == stack.n - stack.tau:
+            # full row rank: the block fits any finite reading exactly
+            if math.isfinite(sum(v * v for v in window.blocks[trial[0]].tolist())):
+                return True
+        sat = decided.get(keep)
+        if sat is None:
+            sat = t_check(stack, window, trial[:keep], noise_bounds, epsilon).sat
+        return sat
+
     for cand in candidates:
         trial = seed + [cand]
         trial.sort()  # shrink order: ascending kernel dimension, then index
         trial.sort(key=dims.__getitem__)
         decided = _prefix_decisions(stack, window, trial, noise_bounds, epsilon)
-        if len(candidates) == 1:
-            break  # the checked set, already rejected
-        stats.theory_checks += 1
-        sat = decided.get(len(trial))
-        if sat is None:
-            sat = t_check(stack, window, trial, noise_bounds, epsilon).sat
-        if not sat:
-            break
+        if len(candidates) == 1 or not passes(len(trial)):
+            break  # a lone candidate's trial is the checked set, already rejected
     else:
         raise ConflictSearchError(
             f"no conflicting subset found among {len(candidates)} candidates"
         )
     keep = len(trial) - 1
-    while keep >= 1:
-        stats.theory_checks += 1
-        if keep == 1 and dims[trial[0]] == stack.n - stack.tau:
-            # full row rank: the block fits any finite reading exactly
-            if math.isfinite(sum(v * v for v in window.blocks[trial[0]].tolist())):
-                break
-        sat = decided.get(keep)
-        if sat is None:
-            sat = _check(stack, window, tuple(sorted(trial[:keep])), noise_bounds, epsilon).sat
-        if sat:
-            break
+    while keep >= 1 and not passes(keep):
         keep -= 1
     sensors = frozenset(trial[: keep + 1])
     suspect = next(i for i in reversed(ranked) if i in sensors)

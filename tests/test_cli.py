@@ -562,13 +562,22 @@ def test_bench_iteration_cap_below_one_is_input_error(tmp_path, capsys):
     ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 1},
                  {"n": 2, "p": 6, "s": 1, "s_bar": 1, "strategy": ["trivial"], "noize": 0.5}]},
      "sweep 1 has unknown key 'strategy'"),
+    ({"sweep": [{"n": 2, "p": 6, "s": 1, "s_bar": 1}]}, "bench spec has unknown key 'sweep'"),
+    ({}, "a bench spec is a JSON object with a 'sweeps' list"),
+    ({"sweeps": [], "jobs": 2}, "bench spec has unknown key 'jobs'"),
 ], ids=["sweep_not_object", "trials_not_whole", "p_not_whole", "misspelt_key",
-        "singular_strategies"])
+        "singular_strategies", "misspelt_sweeps", "no_sweeps", "unknown_top_level_key"])
 def test_bench_malformed_spec_is_input_error(tmp_path, capsys, doc, message):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(doc))
     assert main(["bench", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_bench_empty_sweep_list_runs_nothing(tmp_path, capsys):
+    assert run_bench({"sweeps": []}) == []
+    assert main(["bench", bench_spec(tmp_path, [])]) == 0
+    assert capsys.readouterr().out.strip() == ",".join(sse.bench.BENCH_FIELDS)
 
 
 def test_bench_whole_float_counts_run_as_ints(tmp_path):

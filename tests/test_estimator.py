@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import asdict, replace
 
@@ -589,6 +590,28 @@ def test_nan_epsilon_is_rejected():
         EstimatorConfig(epsilon=float("nan"))
     with pytest.raises(ValueError, match="epsilon"):
         delta_bound(toy_model(0.1), RobustnessConstants(0.5, 0.5), float("nan"))
+
+
+ENTRY_POINTS = {
+    "estimate_conflict": lambda m, st, w: estimate(m, st, w, cfg(Strategy.CONFLICT)),
+    "estimate_trivial": lambda m, st, w: estimate(m, st, w, cfg(Strategy.TRIVIAL)),
+    "brute_force": brute_force,
+}
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("misfit", ["five_sensor_window", "ten_sensor_stack"])
+def test_stack_or_window_of_another_shape_is_rejected(entry, misfit):
+    inst = generate_instance(3, 8, 1, 1, "2s", 0.0, seed=0)
+    stack, window = inst.stack, inst.window
+    if misfit == "five_sensor_window":
+        window = linmodel.StackedWindow(blocks=window.blocks[:5])
+    else:
+        stack = generate_instance(3, 10, 1, 1, "2s", 0.0, seed=0).stack
+    message = (f"stack blocks {stack.blocks.shape} and window blocks {window.blocks.shape} "
+               "do not fit the model's (p, tau, n) = (8, 2, 3)")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ENTRY_POINTS[entry](inst.model, stack, window)
 
 
 # ---------------------------------------------------------------------------

@@ -387,15 +387,12 @@ def _unaimed_walk(stack, window, check, s_bar, epsilon, noise_bounds):
 
 
 def _counting_checks(monkeypatch):
-    """Record every t_check and _check made in theory as (name, sensors)."""
+    """Record every t_check made in theory as ("t_check", sorted sensors)."""
     checked = []
-    real_t, real_check = sse.theory.t_check, sse.theory._check
+    real_t = sse.theory.t_check
     monkeypatch.setattr(sse.theory, "t_check",
                         lambda st, w, sensors, *a: checked.append(
                             ("t_check", tuple(sorted(sensors)))) or real_t(st, w, sensors, *a))
-    monkeypatch.setattr(sse.theory, "_check",
-                        lambda st, w, sensors, *a: checked.append(("_check", sensors))
-                        or real_check(st, w, sensors, *a))
     return checked
 
 
@@ -487,10 +484,16 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
             checked = _counting_checks(m)
             certs, _ = certificates(stack, window, check, 20, 1e-6, model.noise_bounds,
                                     Strategy.CONFLICT)
-        # the seed fit is the only t_check: the shrink batch decides the trial
-        assert [name for name, _ in checked].count("t_check") == 1
+        # the seed fit is one t_check, and the shrink batch decides the trial:
+        # every other t_check is a shrink prefix too short to be determined
         cert = certs[0]
         assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
+        seed_set = tuple(sorted(_ranked(check)[:20]))
+        assert checked.count(("t_check", seed_set)) == 1
+        for _, sensors in checked:
+            if sensors != seed_set:
+                assert len(sensors) < -(-25 // 2)
+                assert set(sensors) <= cert.sensors or cert.sensors <= set(sensors)
         refit = {i: float(np.sum((window.blocks[i] - stack.blocks[i] @ fit.x) ** 2))
                  / float(stack.block_norms_sq[i]) for i in cert.sensors}
         assert cert.suspect == max(cert.sensors, key=lambda i: (refit[i], i))
@@ -973,9 +976,9 @@ def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
     assert len(_prefix_decisions(stack, window, [1, 3, 4, 2], model.noise_bounds,
                                  1e-6)) == 3
     checked = []
-    real = sse.theory._check
-    monkeypatch.setattr(sse.theory, "_check",
-                        lambda *args: checked.append(args[2]) or real(*args))
+    real = sse.theory.t_check
+    monkeypatch.setattr(sse.theory, "t_check",
+                        lambda *args: checked.append(tuple(sorted(args[2]))) or real(*args))
     cert, _ = _conflict(stack, window, check, 1, 1e-6, model.noise_bounds)
     kept, _ = _sequential_shrink(model, stack, window, ordered, 1e-6)
     assert cert.sensors == kept
@@ -1052,7 +1055,7 @@ def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
     checked = _counting_checks(monkeypatch)
     cert, counts = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
     assert cert.sensors == frozenset({0, 1})
-    assert ("_check", (0,)) not in checked
+    assert ("t_check", (0,)) not in checked
     assert counts.theory_checks == 2  # the walk's one trial and the stack's decision
     monkeypatch.undo()
     assert not t_check(stack, window, cert.sensors, bounds, DEFAULT_EPSILON).sat
@@ -1061,7 +1064,7 @@ def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
 def test_vehicle_shrink_checks_only_the_encoder_singletons(monkeypatch):
     checked = _counting_checks(monkeypatch)
     run_closed_loop(discretize_ugv(), alternating_encoder_scenario(), steps=340, seed=4)
-    singles = [sensors for name, sensors in checked if name == "_check" and len(sensors) == 1]
+    singles = [sensors for name, sensors in checked if name == "t_check" and len(sensors) == 1]
     # the GPS block has full row rank, so the stack decides its prefix; an
     # encoder block has rank 1 of 2, and its lone reading can fail
     assert (0,) not in singles
@@ -1087,7 +1090,7 @@ def test_nonfinite_reading_in_the_one_sensor_prefix_is_checked(monkeypatch, read
         direct = certificate_conflict(stack, window, [1, 0], 1, DEFAULT_EPSILON, bounds,
                                       SolveStats())
     assert cert.sensors == direct.sensors == frozenset({0})
-    assert checked.count(("_check", (0,))) == 2
+    assert checked.count(("t_check", (0,))) == 2
 
 
 def test_every_conflict_certificate_is_rejected(monkeypatch):

@@ -8,11 +8,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sse
 from perfbench.layers import Tracer
-from sse.attacksim import generate_instance
+from sse.attacksim import discretize_ugv, generate_instance
 from sse.satcore import CertificateKind
 from sse.theory import Strategy
 
@@ -69,6 +70,27 @@ def test_tracer_counts_agree_certificates_when_the_gate_is_open():
     agree = sum(c.kind is CertificateKind.ALL_UNATTACKED for c in result.certificates)
     assert agree > 0
     assert tracer.counts["theory.agree_certs"] == agree
+
+
+def test_tracer_sees_the_shrink_checks():
+    # the two encoders disagree, so the check on (1, 2) fails; the walk has
+    # one candidate and takes the checked set, and the shrink must check
+    # encoder 1 alone, whose block has rank 1 of 2
+    model = discretize_ugv().model
+    stack = sse.build_observability(model)
+    window = sse.stack_window(model, np.array([[0.3, 1.0, 5.0], [0.4, 1.0, 5.0]]),
+                              np.zeros((2, 1)))
+    check = sse.t_check(stack, window, (1, 2), model.noise_bounds, 1e-6)
+    assert not check.sat
+    assert stack.block_kernel_dims[1] == 1
+    tracer = Tracer()
+    tracer.install()
+    try:
+        _, counts = sse.certificates(stack, window, check, model.s_bar, 1e-6,
+                                     model.noise_bounds, Strategy.CONFLICT)
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["theory.cert_check"] == counts.theory_checks == 1
 
 
 @pytest.mark.parametrize("workload", ["ugv_loop", "plant_stream"])

@@ -1,0 +1,93 @@
+"""One SHA-256 over every output of the benchmark's seed-0 workloads.
+
+    python3 tools/fingerprint.py
+
+Run it from the repository root.  It sets up ``desk_sweep`` (1 round),
+``ugv_loop`` (75 rounds) and ``plant_stream`` (5 rounds) from
+``perfbench.workloads`` with seed 0, runs their rounds untimed, and hashes
+every estimate in call order: ``feasible``, ``support``, ``iterations``, the
+certificates (kind, sorted sensors, suspect), the ``stats`` counts (all but
+``solve_time``) and the bytes of ``x``; a capped solve contributes its
+iteration count and its counts.  A change meant to leave every output alone
+must print the same digest as its parent.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from dataclasses import astuple, replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+import sse  # noqa: E402
+import sse.attacksim  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
+
+ROUNDS = {"desk_sweep": 1, "ugv_loop": 75, "plant_stream": 5}
+SEED = 0
+
+
+class _Untimed:
+    """The part of ``timing.Meter`` a workload calls, doing nothing."""
+
+    def start(self): pass
+    def stop(self): pass
+    def record(self, latency): pass
+    def boundary(self): pass
+    def finish(self): pass
+
+
+def _counts(stats) -> tuple:
+    return astuple(replace(stats, solve_time=0.0))
+
+
+def _digest_estimate(h, out) -> None:
+    if isinstance(out, sse.IterationLimitError):
+        h.update(repr(("capped", out.iterations, _counts(out.stats))).encode())
+        return
+    certs = [(c.kind.value, sorted(c.sensors), c.suspect) for c in out.certificates]
+    h.update(repr((out.feasible, out.support, out.iterations, certs,
+                   _counts(out.stats))).encode())
+    if out.x is not None:
+        h.update(np.ascontiguousarray(out.x, dtype=float).tobytes())
+
+
+def fingerprint() -> tuple:
+    """(digest, estimates hashed per workload)."""
+    h = hashlib.sha256()
+    hashed = dict.fromkeys(ROUNDS, 0)
+    real = sse.estimate
+
+    def recording(*args, **kwargs):
+        hashed[name] += 1
+        try:
+            out = real(*args, **kwargs)
+        except sse.IterationLimitError as exc:
+            _digest_estimate(h, exc)
+            raise
+        _digest_estimate(h, out)
+        return out
+
+    sse.estimate = sse.attacksim.estimate = recording
+    try:
+        for name, rounds in ROUNDS.items():
+            workload, meter = WORKLOADS[name](), _Untimed()
+            state = workload.setup(SEED, meter)
+            with workload.session(state, meter):
+                for r in range(rounds):
+                    workload.run_round(state, r, meter)
+    finally:
+        sse.estimate = sse.attacksim.estimate = real
+    return h.hexdigest(), hashed
+
+
+if __name__ == "__main__":
+    digest, hashed = fingerprint()
+    if not all(hashed.values()):
+        raise SystemExit(f"fingerprint: a workload made no estimate: {hashed}")
+    print(digest, " ".join(f"{k}={v}" for k, v in hashed.items()))
