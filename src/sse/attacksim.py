@@ -12,7 +12,7 @@ import contextlib
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -309,9 +309,12 @@ class AttackScenario:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AttackScenario":
+        known = {f.name for f in fields(cls)}
+        unknown = [k for k in doc if k not in known]
+        if unknown:
+            raise ValueError(f"scenario has unknown key {unknown[0]!r}")
         phases = tuple(AttackPhase(**ph) for ph in doc.get("phases", []))
-        return cls(phases=phases, **{k: doc[k] for k in ("steps", "segment_steps", "seed", "name")
-                                     if k in doc})
+        return cls(**{**doc, "phases": phases})
 
 
 def alternating_encoder_scenario() -> AttackScenario:
@@ -425,8 +428,8 @@ def run_closed_loop(
     previous estimate through the model for one step.
     """
     model = ugv.model
-    steps = scenario.steps if steps is None else int(steps)
-    seed = scenario.seed if seed is None else int(seed)
+    steps = scenario.steps if steps is None else whole_number(steps, "steps")
+    seed = scenario.seed if seed is None else whole_number(seed, "seed")
     if steps < model.tau:
         raise ValueError(f"need at least tau={model.tau} steps, got {steps}")
     for phase in scenario.phases:

@@ -81,6 +81,8 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
     sweeps = spec_doc.get("sweeps") if isinstance(spec_doc, dict) else None
     if not isinstance(sweeps, list):
         raise ValueError("a bench spec is a JSON object with a 'sweeps' list")
+    if whole_number(jobs, "jobs") < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     tasks, checked = [], []
     for sweep_idx, spec in enumerate(sweeps):
         if not isinstance(spec, dict):

@@ -4,7 +4,7 @@ Subcommands: observability (model analysis and robustness constants),
 estimate (solve one window from a trace file), oracle (brute-force supports),
 simulate (closed-loop vehicle run to CSV), bench (iteration-count experiments
 to CSV).  Exit codes: 0 success, 2 infeasible estimate, 3 input error,
-4 enumeration or iteration cap exceeded.
+4 enumeration, iteration or search-node cap exceeded.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .linmodel import (
     roll_forward,
     stack_window,
 )
+from .satcore import SearchBudgetError
 from .theory import DEFAULT_EPSILON, Strategy
 
 EXIT_OK = 0
@@ -310,7 +311,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SubsetCapError, IterationLimitError) as exc:
+    except (SubsetCapError, IterationLimitError, SearchBudgetError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAP
     except (ValueError, OSError) as exc:

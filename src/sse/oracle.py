@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .linmodel import ObservabilityStack, StackedWindow, SubsetCapError, require_fit
+from .linmodel import ObservabilityStack, StackedWindow, SubsetCapError, require_fit, whole_number
 from .theory import DEFAULT_EPSILON, t_check
 
 ORACLE_SUBSET_CAP = 10**5
@@ -43,7 +43,7 @@ def brute_force(
     raises ``ValueError``."""
     require_fit(model, stack, window)
     p = stack.p
-    budget = model.s_bar if s_bar is None else int(s_bar)
+    budget = model.s_bar if s_bar is None else whole_number(s_bar, "s_bar")
     if not 0 <= budget < p:
         raise ValueError(f"s_bar must be in [0, {p - 1}], got {budget}")
     count = sum(math.comb(p, s) for s in range(budget + 1))

@@ -7,19 +7,21 @@ least-squares problem, and accepts when the residual fits inside the stacked
 noise budget plus the solver tolerance.
 
 A rejected check is explained in one place, ``certificates``.  It ranks the
-checked sensors once by their residuals at the failed check's minimizer; the
-p - 2*s_bar lowest are the seed, and the seed's own check, the seed fit, is
-made at most once.  Two heuristics share them: a linear walk that pairs the
-seed with high-residual candidates until they conflict, and an agreement
-certificate that certifies the seed as clean when its fit passes.  The
-failed fit runs over attacked sensors too, which pull it off the state.
-When the seed over-determines the state (tau * |seed| > n) and the walk has
-at least two candidates, one concentration step from least trimmed squares
-(Rousseeuw and Van Driessen, "Computing LTS regression for large data sets",
-DMKD 2006) ranks the checked sensors again by their residuals at the seed
-fit, and the walk seeds, walks and picks its suspect from that ranking.  A
-seed with no spare equations is interpolated by its own fit, so the step
-could not move it and is skipped.
+checked sensors once by their normalized residuals at the failed check's
+minimizer (``_refit_ranking``, the one residual ranking: each block's squared
+residual over its squared norm, a dead sensor last); the p - 2*s_bar lowest
+are the seed, and the seed's own check, the seed fit, is made at most once.
+Two heuristics share them: a linear walk that pairs the seed with
+high-residual candidates until they conflict, and an agreement certificate
+that certifies the seed as clean when its fit passes.  The failed fit runs
+over attacked sensors too, which pull it off the state.  When the seed
+over-determines the state (tau * |seed| > n) and the walk has at least two
+candidates, one concentration step from least trimmed squares (Rousseeuw
+and Van Driessen, "Computing LTS regression for large data sets", DMKD
+2006) ranks the checked sensors again, by the same rule at the seed fit, and
+the walk seeds, walks and picks its suspect from that ranking.  A seed with
+no spare equations is interpolated by its own fit, so the step could not
+move it and is skipped.
 
 The walk's conflict is then shrunk: in kernel-dimension order, trailing
 members are dropped while the rest stays infeasible.  The sets it tries are
@@ -88,9 +90,7 @@ class _SetConstants(NamedTuple):
     idx: np.ndarray  # the sorted set as an index array
     o_i: np.ndarray  # the stacked O_I
     gram: np.ndarray  # the summed Gram blocks
-    norms_sq: np.ndarray  # the squared block norms
-    norm: float  # the square root of their sum
-    singular: bool  # np.linalg.solve raised on gram
+    norm: float  # the square root of the summed squared block norms
 
 
 class CheckResult(NamedTuple):
@@ -99,7 +99,6 @@ class CheckResult(NamedTuple):
     sat: bool
     x: np.ndarray
     residual_sq: float
-    residuals: np.ndarray  # normalized per-sensor residuals, in the order of sensors
     sensors: tuple
     rank_deficient: bool
 
@@ -118,9 +117,12 @@ def t_check(
     rank-deficient stack is not an error.  A set with fewer equations than
     states (tau * |I| < n) is flagged, and so is one whose rank the SVD
     fallback finds short; x is then a least-squares solution, the minimum-norm
-    one only when the fallback ran.  The stack's memo keeps the set's
-    constants while they fit ``CHECK_MEMO_FLOATS``.
+    one only when the fallback ran.  Noise bounds of a length other than p,
+    or a window whose blocks are not (p, tau), raise ``ValueError``.  The
+    stack's memo keeps the set's index array, O_I, Gram matrix and norm while
+    they fit ``CHECK_MEMO_FLOATS``.
     """
+    p, n, tau = stack.p, stack.n, stack.tau
     try:
         sensors = tuple(sorted(set(map(operator.index, sensors))))
     except TypeError:
@@ -128,23 +130,29 @@ def t_check(
         raise ValueError(f"sensor index {bad!r} is not an integer") from None
     if not sensors:
         raise ValueError("sensor set must be non-empty")
-    if sensors[0] < 0 or sensors[-1] >= stack.p:
+    if sensors[0] < 0 or sensors[-1] >= p:
         bad = sensors[0] if sensors[0] < 0 else sensors[-1]
-        raise ValueError(f"sensor index {bad} out of range for p = {stack.p}")
+        raise ValueError(f"sensor index {bad} out of range for p = {p}")
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
-    n, tau = stack.n, stack.tau
+    bounds = np.asarray(noise_bounds, dtype=float)
+    if bounds.shape + window.blocks.shape != (p, p, tau):
+        raise ValueError(
+            f"noise bounds {bounds.shape} and window blocks {window.blocks.shape} "
+            f"do not fit the stack's (p, tau) = {(p, tau)}")
     memo = stack._checks
     held = memo.get(sensors)
     if held is None:
         idx = np.fromiter(sensors, np.intp, len(sensors))
         o_i = stack.blocks.take(idx, 0).reshape(-1, n)
         gram = stack.gram_blocks.take(idx, 0).sum(axis=0)
-        norms_sq = stack.block_norms_sq.take(idx)
-        norm = math.sqrt(float(norms_sq.sum()))
-        singular = False
+        norm = math.sqrt(float(stack.block_norms_sq.take(idx).sum()))
+        floats = o_i.size + gram.size + len(sensors)
+        if memo.floats + floats <= CHECK_MEMO_FLOATS:
+            memo[sensors] = _SetConstants(idx, o_i, gram, norm)
+            memo.floats += floats
     else:
-        idx, o_i, gram, norms_sq, norm, singular = held
+        idx, o_i, gram, norm = held
     y_i = window.blocks.take(idx, 0).reshape(-1)
     # Normal-equation fast path; fall back to the SVD solver when the Gram
     # matrix is singular or the gradient check says the solve went bad.
@@ -153,63 +161,37 @@ def t_check(
     rank_deficient = len(sensors) * tau < n
     rhs = o_i.T @ y_i
     scale = math.sqrt(float(y_i.dot(y_i))) * norm
-    if not singular:
-        try:
-            cand = np.linalg.solve(gram, rhs)
-            grad = rhs - gram @ cand
-            if math.sqrt(float(grad.dot(grad))) <= GRAD_RTOL * max(scale, GRAD_FLOOR):
-                x = cand
-        except np.linalg.LinAlgError:
-            singular = True
-    if held is None:
-        floats = o_i.size + gram.size + 2 * len(sensors)
-        if memo.floats + floats <= CHECK_MEMO_FLOATS:
-            memo[sensors] = _SetConstants(idx, o_i, gram, norms_sq, norm, singular)
-            memo.floats += floats
+    try:
+        cand = np.linalg.solve(gram, rhs)
+        grad = rhs - gram @ cand
+        if math.sqrt(float(grad.dot(grad))) <= GRAD_RTOL * max(scale, GRAD_FLOOR):
+            x = cand
+    except np.linalg.LinAlgError:
+        pass
     if x is None:
         x, _, rank, _ = np.linalg.lstsq(o_i, y_i, rcond=None)
         rank_deficient = rank < n
-    fit = o_i @ x
-    diff = y_i - fit
-    block_res = (diff * diff).reshape(len(sensors), tau).sum(axis=1)
-    residual_sq = float(block_res.sum())
-    psi_sq = float((np.asarray(noise_bounds, dtype=float).take(idx) ** 2).sum())
+    diff = y_i - o_i @ x
+    residual_sq = float((diff * diff).reshape(len(sensors), tau).sum(axis=1).sum())
+    psi_sq = float((bounds.take(idx) ** 2).sum())
     sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
-    return CheckResult(
-        sat=sat,
-        x=x,
-        residual_sq=residual_sq,
-        residuals=_normalized(stack, block_res, norms_sq),
-        sensors=sensors,
-        rank_deficient=rank_deficient,
-    )
-
-
-def _normalized(
-    stack: ObservabilityStack, block_res: np.ndarray, norms_sq: np.ndarray
-) -> np.ndarray:
-    """Block residuals over the blocks' squared norms; a dead sensor carries
-    no state information, so it gets inf and sorts last."""
-    if not stack.dead_block:
-        return block_res / norms_sq
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(norms_sq > 0, block_res / norms_sq, math.inf)
-
-
-def _sorted_by_residual(check: CheckResult) -> list:
-    """Sensor indices by ascending normalized residual; ``check.sensors``
-    ascends, so the stable sort breaks ties by index."""
-    res = check.residuals.tolist()
-    return [check.sensors[k] for k in sorted(range(len(res)), key=res.__getitem__)]
+    return CheckResult(sat, x, residual_sq, sensors, rank_deficient)
 
 
 def _refit_ranking(
     stack: ObservabilityStack, window: StackedWindow, sensors: tuple, x: np.ndarray
 ) -> list:
-    """``sensors`` (ascending) by ascending normalized residual at ``x``,
-    normalized as in ``t_check``; the stable sort breaks ties by index."""
+    """``sensors`` (ascending) by ascending normalized residual at ``x``: a
+    block's squared residual over its squared norm.  A dead sensor carries no
+    state information, so it gets inf and sorts last; the stable sort breaks
+    ties by index."""
     diff = window.blocks - stack.blocks @ x  # (p, tau): every sensor, cheaper than a subset
-    res = _normalized(stack, (diff * diff).sum(axis=1), stack.block_norms_sq)
+    res = (diff * diff).sum(axis=1)
+    if stack.dead_block:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = np.where(stack.block_norms_sq > 0, res / stack.block_norms_sq, math.inf)
+    else:
+        res = res / stack.block_norms_sq
     return sorted(sensors, key=res.tolist().__getitem__)
 
 
@@ -357,12 +339,13 @@ def certificates(
 
     ``trivial`` blames every checked sensor, and so does every strategy when
     no more than p - 2*s_bar sensors were checked.  Otherwise the checked
-    sensors are ranked once by residual, and the p - 2*s_bar lowest are the
-    seed.  The seed's check, the seed fit, is made at most once (one theory
-    check): when the concentration step aims the walk (see the module
-    docstring), and under ``conflict_agree``, whose agree certificate is a
-    passing seed fit.  When the walk fails, as it can on noisy data, the
-    trivial certificate is emitted instead and the fallback is counted.
+    sensors are ranked once by residual at ``check.x``, and the p - 2*s_bar
+    lowest are the seed.  The seed's check, the seed fit, is made at most
+    once (one theory check): when the concentration step aims the walk (see
+    the module docstring), and under ``conflict_agree``, whose agree
+    certificate is a passing seed fit.  When the walk fails, as it can on
+    noisy data, the trivial certificate is emitted instead and the fallback
+    is counted.
     ``conflict_agree`` is sound only where the estimator's agree gate holds;
     ``estimate`` runs it as ``conflict`` elsewhere.
     """
@@ -374,7 +357,7 @@ def certificates(
     if strategy is Strategy.TRIVIAL or len(check.sensors) <= seed_size:
         return [trivial], counts
     noise_bounds = np.asarray(noise_bounds, dtype=float)
-    ranked = _sorted_by_residual(check)
+    ranked = _refit_ranking(stack, window, check.sensors, check.x)
     agree = strategy is Strategy.CONFLICT_AGREE and seed_size >= 1
     aimed = stack.tau * seed_size > stack.n and len(ranked) - seed_size >= 2
     if agree or aimed:

@@ -234,6 +234,7 @@ def test_phase_signal_fields_are_finite_numbers(field, value):
     ("seed", 0.5, "seed must be a whole number, got 0.5"),
     ("segment_steps", 0, "segment_steps must be at least 1, got 0"),
     ("segment_steps", 2.5, "segment_steps must be a whole number, got 2.5"),
+    ("stpes", 5, "scenario has unknown key 'stpes'"),
 ])
 def test_scenario_document_rejects_a_bad_count(field, value, message):
     with pytest.raises(ValueError, match=message):
@@ -282,6 +283,13 @@ def test_closed_loop_rejects_a_phase_on_a_missing_sensor():
         AttackPhase(sensor=3, kind="step_ramp", start=5, end=10, step=3.0),), steps=20)
     with pytest.raises(ValueError, match="sensor 3"):
         run_closed_loop(discretize_ugv(), scenario)
+
+
+@pytest.mark.parametrize("count, value", [("steps", 3.7), ("seed", 1.5)])
+def test_closed_loop_counts_are_whole_numbers(count, value):
+    scenario = AttackScenario(phases=(), steps=20)
+    with pytest.raises(ValueError, match=f"{count} must be a whole number, got {value}"):
+        run_closed_loop(discretize_ugv(), scenario, **{count: value})
 
 
 def test_square_path_reference_alternates():

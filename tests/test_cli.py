@@ -8,6 +8,7 @@ import pytest
 
 import sse.attacksim
 import sse.bench
+import sse.satcore
 from sse.attacksim import (
     AttackScenario,
     alternating_encoder_scenario,
@@ -283,6 +284,19 @@ def test_trace_reads_simulator_csv(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
+def test_estimate_past_the_search_budget_exits_with_cap_code(tmp_path, capsys, monkeypatch):
+    # a budget of 2 makes the second solve branch, a second search node
+    model_path = tmp_path / "ugv2.json"
+    model_path.write_text(json.dumps({**discretize_ugv().model.to_json_dict(), "s_bar": 2}))
+    monkeypatch.setattr(sse.satcore, "MAX_SEARCH_NODES", 1)
+    outputs, inputs, _ = attacked_window()
+    trace_path = tmp_path / "window.csv"
+    write_window_trace(trace_path, outputs, inputs)
+    assert main(["estimate", str(model_path), str(trace_path)]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == ("error: exceeded 1 search nodes\n", "")
+
+
 def test_simulate_bundled_scenario(tmp_path, capsys):
     out = tmp_path / "fig.csv"
     assert main(["simulate", "ugv_alternating", "--steps", "40", "--output", str(out)]) == 0
@@ -358,6 +372,16 @@ def test_simulate_rejects_a_phase_number_that_is_not_finite(tmp_path, capsys, ph
     out = tmp_path / "phase.csv"
     assert main(["simulate", str(scn_path), "--output", str(out)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {scn_path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["stpes", "phase"])
+def test_simulate_rejects_an_unknown_scenario_key(tmp_path, capsys, key):
+    scn_path = tmp_path / "typo.json"
+    scn_path.write_text(json.dumps({"phases": [], key: 5}))
+    out = tmp_path / "typo.csv"
+    assert main(["simulate", str(scn_path), "--output", str(out)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {scn_path}: scenario has unknown key {key!r}\n"
     assert not out.exists()
 
 
@@ -572,6 +596,20 @@ def test_bench_malformed_spec_is_input_error(tmp_path, capsys, doc, message):
     path.write_text(json.dumps(doc))
     assert main(["bench", str(path)]) == EXIT_INPUT
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("jobs, message", [
+    (0, "jobs must be at least 1, got 0"),
+    (-2, "jobs must be at least 1, got -2"),
+    (1.5, "jobs must be a whole number, got 1.5"),
+])
+def test_bench_jobs_below_one_is_input_error(tmp_path, capsys, jobs, message):
+    with pytest.raises(ValueError, match=message):
+        run_bench({"sweeps": []}, jobs=jobs)
+    if isinstance(jobs, int):
+        spec = bench_spec(tmp_path, [])
+        assert main(["bench", spec, "--jobs", str(jobs)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {spec}: {message}\n"
 
 
 def test_bench_empty_sweep_list_runs_nothing(tmp_path, capsys):

@@ -68,6 +68,8 @@ def test_budget_and_cap_validation():
     model, stack, window = scalar_sensors(3, [0.0, 0.0, 0.0], s_bar=2)
     with pytest.raises(ValueError, match="s_bar"):
         brute_force(model, stack, window, s_bar=3)
+    with pytest.raises(ValueError, match="s_bar must be a whole number, got 1.9"):
+        brute_force(model, stack, window, s_bar=1.9)
     big = generate_instance(2, 24, 1, 1, "2s", 0.0, seed=1)
     with pytest.raises(SubsetCapError):
         brute_force(big.model, big.stack, big.window, s_bar=12)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sse.theory
-from sse import SystemModel, build_observability, stack_window
+from sse import StackedWindow, SystemModel, build_observability, stack_window
 from sse.attacksim import (
     alternating_encoder_scenario,
     discretize_ugv,
@@ -34,14 +35,25 @@ from sse.theory import (
 from conftest import four_lines, line_model, line_window, scalar_sensors, stack_rows
 
 
-def _residual_of(check, sensor):
-    """The normalized residual of one checked sensor."""
-    return check.residuals[check.sensors.index(sensor)].item()
+def _residuals_at(stack, window, x):
+    """Every sensor's normalized residual at x: its block's squared residual
+    over its squared norm, inf for a dead sensor."""
+    diff = window.blocks - stack.blocks @ x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(stack.block_norms_sq > 0,
+                        (diff * diff).sum(axis=1) / stack.block_norms_sq, math.inf)
 
 
-def _ranked(check):
-    """The checked sensors by ascending normalized residual, then index."""
-    return sorted(check.sensors, key=lambda i: (_residual_of(check, i), i))
+def _residual_of(stack, window, check, sensor):
+    """The normalized residual of one sensor at the check's minimizer."""
+    return _residuals_at(stack, window, check.x)[sensor].item()
+
+
+def _ranked(stack, window, check):
+    """The checked sensors by ascending normalized residual at the check's
+    minimizer, then index."""
+    res = _residuals_at(stack, window, check.x)
+    return sorted(check.sensors, key=lambda i: (res[i], i))
 
 
 def _conflict(stack, window, check, s_bar, epsilon, noise_bounds):
@@ -86,7 +98,7 @@ def test_four_lines_full_set_rejected_with_known_minimizer(four_lines):
     expected = {0: 0.32, 1: 0.08, 2: 1.96, 3: 0.008}
     assert check.sensors == (0, 1, 2, 3)
     for i, value in expected.items():
-        assert check.residuals[i] == pytest.approx(value, abs=1e-12)
+        assert _residual_of(stack, window, check, i) == pytest.approx(value, abs=1e-12)
 
 
 def test_single_full_rank_sensor_interpolates():
@@ -166,6 +178,16 @@ def test_t_check_input_validation(four_lines):
     assert mixed.x.tobytes() == plain.x.tobytes()
 
 
+@pytest.mark.parametrize("bounds_len, window_rows", [(5, 8), (12, 8), (8, 5)])
+def test_t_check_rejects_bounds_or_window_of_another_length(bounds_len, window_rows):
+    inst = generate_instance(3, 8, 1, 1, "2s", 0.0, seed=0)
+    stack, bounds = inst.stack, np.resize(inst.model.noise_bounds, bounds_len)
+    window = StackedWindow(inst.window.blocks[:window_rows])
+    shapes = f"noise bounds ({bounds_len},) and window blocks ({window_rows}, {stack.tau})"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        t_check(stack, window, range(5), bounds, 1e-6)
+
+
 def test_least_squares_optimality_property():
     rng = np.random.default_rng(12)
     from sse.attacksim import generate_instance
@@ -196,7 +218,7 @@ def test_dead_sensor_sorts_last():
     stack = build_observability(model)
     window = line_window(model, [8.0, 0.0, 4.0])
     check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
-    assert _residual_of(check, 1) == math.inf
+    assert _residual_of(stack, window, check, 1) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +257,7 @@ def test_conflict_walk_needs_two_candidates():
     window = line_window(model, offsets)
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
     assert not check.sat
-    ranked = _ranked(check)
+    ranked = _ranked(stack, window, check)
     seed, candidates = ranked[:2], ranked[2:][::-1]
     first = t_check(stack, window, seed + [candidates[0]], model.noise_bounds, 1e-9)
     assert first.sat  # the max-residual line passes through the seed intersection
@@ -306,7 +328,7 @@ def test_conflict_walk_can_fail_under_noise():
     assert not check.sat
     # four lines, two in the seed, n = 2 = tau * |seed|: the walk is unaimed
     with pytest.raises(ConflictSearchError):
-        certificate_conflict(stack, window, _ranked(check), 2, 0.0,
+        certificate_conflict(stack, window, _ranked(stack, window, check), 2, 0.0,
                              model.noise_bounds, SolveStats())
     certs, counts = certificates(stack, window, check, 1, 0.0,
                                model.noise_bounds, Strategy.CONFLICT)
@@ -348,16 +370,13 @@ def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds):
     checked set, taken without a check.  Raises ConflictSearchError when no
     trial fails."""
     seed_size = stack.p - 2 * s_bar
-    ranked = _ranked(check)
+    ranked = _ranked(stack, window, check)
     candidates = ranked[seed_size:][::-1]
     checks = 0
     if stack.tau * seed_size > stack.n and len(candidates) >= 2:
         fit = t_check(stack, window, ranked[:seed_size], noise_bounds, epsilon)
         checks += 1
-        diff = window.blocks - stack.blocks @ fit.x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = np.where(stack.block_norms_sq > 0,
-                           (diff * diff).sum(axis=1) / stack.block_norms_sq, math.inf)
+        res = _residuals_at(stack, window, fit.x)
         ranked = sorted(ranked, key=lambda i: (res[i], i))
         candidates = ranked[seed_size:][::-1]
     for cand in candidates:
@@ -376,12 +395,12 @@ def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds):
 def _unaimed_walk(stack, window, check, s_bar, epsilon, noise_bounds):
     """The walk seeded and aimed from the failed check's own residuals:
     (conflict, suspect, trials checked), or None when no trial fails."""
-    ranked = _ranked(check)
+    ranked = _ranked(stack, window, check)
     seed_size = stack.p - 2 * s_bar
     for checks, cand in enumerate(ranked[seed_size:][::-1], start=1):
         trial = ranked[:seed_size] + [cand]
         if not t_check(stack, window, trial, noise_bounds, epsilon).sat:
-            suspect = max(trial, key=lambda i: (_residual_of(check, i), i))
+            suspect = max(trial, key=lambda i: (_residual_of(stack, window, check, i), i))
             return frozenset(trial), suspect, checks
     return None
 
@@ -439,7 +458,7 @@ def test_exactly_determined_seed_walks_unaimed():
                 conflict, _, walk_checks = want
                 kept, shrink_checks = _sequential_shrink(
                     model, stack, window, _shrink_order(stack, conflict), 1e-6)
-                suspect = max(kept, key=lambda i: (_residual_of(check, i), i))
+                suspect = max(kept, key=lambda i: (_residual_of(stack, window, check, i), i))
                 cert, counts = _conflict(stack, window, check, 2, 1e-6, model.noise_bounds)
                 assert (cert.sensors, cert.suspect) == (kept, suspect)
                 assert counts.theory_checks == walk_checks + shrink_checks
@@ -455,7 +474,7 @@ def test_certificates_share_one_seed_fit_with_agree(monkeypatch):
         model, stack, window = inst.model, inst.stack, inst.window
         check = t_check(stack, window, tuple(range(10)), model.noise_bounds, 1e-8)
         assert not check.sat
-        seed_set = tuple(sorted(_ranked(check)[:6]))
+        seed_set = tuple(sorted(_ranked(stack, window, check)[:6]))
         alone = certificate_agree(t_check(stack, window, seed_set, model.noise_bounds, 1e-8))
         with monkeypatch.context() as m:
             checked = _counting_checks(m)
@@ -479,7 +498,7 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
         check = t_check(stack, window, trusted, model.noise_bounds, 1e-6)
         if check.sat:
             continue
-        fit = t_check(stack, window, _ranked(check)[:20], model.noise_bounds, 1e-6)
+        fit = t_check(stack, window, _ranked(stack, window, check)[:20], model.noise_bounds, 1e-6)
         with monkeypatch.context() as m:
             checked = _counting_checks(m)
             certs, _ = certificates(stack, window, check, 20, 1e-6, model.noise_bounds,
@@ -488,14 +507,13 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
         # every other t_check is a shrink prefix too short to be determined
         cert = certs[0]
         assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
-        seed_set = tuple(sorted(_ranked(check)[:20]))
+        seed_set = tuple(sorted(_ranked(stack, window, check)[:20]))
         assert checked.count(("t_check", seed_set)) == 1
         for _, sensors in checked:
             if sensors != seed_set:
                 assert len(sensors) < -(-25 // 2)
                 assert set(sensors) <= cert.sensors or cert.sensors <= set(sensors)
-        refit = {i: float(np.sum((window.blocks[i] - stack.blocks[i] @ fit.x) ** 2))
-                 / float(stack.block_norms_sq[i]) for i in cert.sensors}
+        refit = _residuals_at(stack, window, fit.x)
         assert cert.suspect == max(cert.sensors, key=lambda i: (refit[i], i))
         assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
         # the walk on the seed fit's ranking is the certificate
@@ -526,7 +544,8 @@ def test_agree_absent_when_seed_inconsistent():
     window = line_window(model, [8.0, 4.0 + 0.5, 8.0, 2.0 + 0.4])
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
     assert not check.sat
-    seed_check = t_check(stack, window, _ranked(check)[:2], model.noise_bounds, 1e-9)
+    seed = _ranked(stack, window, check)[:2]
+    seed_check = t_check(stack, window, seed, model.noise_bounds, 1e-9)
     if not seed_check.sat:  # construction sanity: the seed itself conflicts
         assert certificate_agree(seed_check) is None
         assert _agree(stack, window, check, 1, 1e-9, model.noise_bounds) is None
@@ -699,21 +718,16 @@ def _reference_t_check(stack, window, sensors, noise_bounds, epsilon):
     residual_sq = float(block_res.sum())
     psi_sq = float(np.sum(noise_bounds[idx] ** 2))
     sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
-    norms_sq = stack.block_norms_sq[idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        normalized = np.where(norms_sq > 0, block_res / norms_sq, math.inf)
-    per_sensor = dict(zip(sensors, normalized.tolist()))
-    return sat, x, residual_sq, per_sensor, rank_deficient
+    return sat, x, residual_sq, sensors, rank_deficient
 
 
 def _assert_matches_reference(stack, window, sensors, noise_bounds, epsilon):
     check = t_check(stack, window, sensors, noise_bounds, epsilon)
-    sat, x, residual_sq, per_sensor, rank_deficient = _reference_t_check(
+    sat, x, residual_sq, ref_sensors, rank_deficient = _reference_t_check(
         stack, window, sensors, noise_bounds, epsilon)
     assert check.x.tobytes() == x.tobytes()
     assert check.residual_sq == residual_sq
-    assert dict(zip(check.sensors, check.residuals.tolist())) == per_sensor
-    assert list(check.sensors) == list(per_sensor)
+    assert check.sensors == ref_sensors
     undetermined = stack.tau * len(set(sensors)) < stack.n
     assert (check.sat, check.rank_deficient) == (sat, rank_deficient or undetermined)
 
@@ -765,26 +779,7 @@ def test_t_check_matches_reference_bit_for_bit(case, four_lines):
         assert key in fresh._checks
     if case == "dead_block":
         check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
-        assert _residual_of(check, 1) == math.inf
-
-
-def test_check_memo_remembers_a_singular_gram(monkeypatch):
-    # the velocity encoders alone never see position: their Gram is singular,
-    # the memo records it, and the repeated check goes straight to lstsq
-    model, stack, window = _ugv_case()
-    first = t_check(stack, window, (1, 2), model.noise_bounds, 1e-6)
-    t_check(stack, window, (0, 1), model.noise_bounds, 1e-6)
-    assert stack._checks[(1, 2)].singular
-    assert not stack._checks[(0, 1)].singular
-
-    def no_solve(*args):
-        raise AssertionError("a known-singular Gram was solved again")
-
-    monkeypatch.setattr(np.linalg, "solve", no_solve)
-    again = t_check(stack, window, (2, 1), model.noise_bounds, 1e-6)
-    assert again.rank_deficient and first.rank_deficient
-    assert again.x.tobytes() == first.x.tobytes()
-    assert again.residuals.tobytes() == first.residuals.tobytes()
+        assert _residual_of(stack, window, check, 1) == math.inf
 
 
 def test_check_memo_stays_within_its_float_budget():
@@ -800,7 +795,7 @@ def test_check_memo_stays_within_its_float_budget():
         seen.add(key)
         t_check(stack, window, key, inst.model.noise_bounds, 1e-6)
         assert stack._checks.floats <= sse.theory.CHECK_MEMO_FLOATS
-    held = sum(const.o_i.size + const.gram.size + 2 * len(key)
+    held = sum(const.o_i.size + const.gram.size + len(key)
                for key, const in stack._checks.items())
     assert stack._checks.floats == held
     assert 0 < len(stack._checks) < len(seen)

@@ -9,7 +9,10 @@ every estimate in call order: ``feasible``, ``support``, ``iterations``, the
 certificates (kind, sorted sensors, suspect), the ``stats`` counts (all but
 ``solve_time``) and the bytes of ``x``; a capped solve contributes its
 iteration count and its counts.  A change meant to leave every output alone
-must print the same digest as its parent.
+must print the same digest as its parent.  The combined digest comes first,
+with the estimates hashed per workload; then one line per workload gives the
+digest of that workload's estimates alone, so a changed combined digest
+names the workload that moved.
 """
 
 from __future__ import annotations
@@ -46,20 +49,24 @@ def _counts(stats) -> tuple:
     return astuple(replace(stats, solve_time=0.0))
 
 
-def _digest_estimate(h, out) -> None:
+def _digest_estimate(hashes, out) -> None:
+    """Feed one estimate, or a capped solve's error, to every hash in ``hashes``."""
     if isinstance(out, sse.IterationLimitError):
-        h.update(repr(("capped", out.iterations, _counts(out.stats))).encode())
-        return
-    certs = [(c.kind.value, sorted(c.sensors), c.suspect) for c in out.certificates]
-    h.update(repr((out.feasible, out.support, out.iterations, certs,
-                   _counts(out.stats))).encode())
-    if out.x is not None:
-        h.update(np.ascontiguousarray(out.x, dtype=float).tobytes())
+        data = repr(("capped", out.iterations, _counts(out.stats))).encode()
+    else:
+        certs = [(c.kind.value, sorted(c.sensors), c.suspect) for c in out.certificates]
+        data = repr((out.feasible, out.support, out.iterations, certs,
+                     _counts(out.stats))).encode()
+        if out.x is not None:
+            data += np.ascontiguousarray(out.x, dtype=float).tobytes()
+    for h in hashes:
+        h.update(data)
 
 
 def fingerprint() -> tuple:
-    """(digest, estimates hashed per workload)."""
+    """(combined digest, digest per workload, estimates hashed per workload)."""
     h = hashlib.sha256()
+    per_workload = {name: hashlib.sha256() for name in ROUNDS}
     hashed = dict.fromkeys(ROUNDS, 0)
     real = sse.estimate
 
@@ -68,9 +75,9 @@ def fingerprint() -> tuple:
         try:
             out = real(*args, **kwargs)
         except sse.IterationLimitError as exc:
-            _digest_estimate(h, exc)
+            _digest_estimate((h, per_workload[name]), exc)
             raise
-        _digest_estimate(h, out)
+        _digest_estimate((h, per_workload[name]), out)
         return out
 
     sse.estimate = sse.attacksim.estimate = recording
@@ -83,11 +90,13 @@ def fingerprint() -> tuple:
                     workload.run_round(state, r, meter)
     finally:
         sse.estimate = sse.attacksim.estimate = real
-    return h.hexdigest(), hashed
+    return h.hexdigest(), {k: v.hexdigest() for k, v in per_workload.items()}, hashed
 
 
 if __name__ == "__main__":
-    digest, hashed = fingerprint()
+    digest, per_workload, hashed = fingerprint()
     if not all(hashed.values()):
         raise SystemExit(f"fingerprint: a workload made no estimate: {hashed}")
     print(digest, " ".join(f"{k}={v}" for k, v in hashed.items()))
+    for name, workload_digest in per_workload.items():
+        print(name, workload_digest)
