@@ -236,6 +236,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:  # checked before the spec is read: the error is the flag's
+        raise InputError(f"jobs must be at least 1, got {args.jobs}")
     rows = _read_json(args.spec, "bench spec",
                       lambda doc: bench.run_bench(doc, jobs=args.jobs, seed_offset=args.seed))
     bench.write_bench_csv(rows, args.output)

@@ -23,6 +23,17 @@ the walk seeds, walks and picks its suspect from that ranking.  A seed with
 no spare equations is interpolated by its own fit, so the step could not
 move it and is skipped.
 
+A clean seed also exposes the attacked sensors among the rest.  Each checked
+sensor i outside it gives the set seed + {i}; one batched solve decides them
+all, and each rejected one is learned as an at-least-one-attacked
+certificate with suspect i (a theory solver returning several explanations
+per call: Sebastiani, "Lazy satisfiability modulo theories", JSAT 2007).
+Once the agree certificate zeroes the seed, each acts as the singleton {i}.
+The walk's conflict would be a subset of seed + {cand} holding cand, which
+then acts as {cand}, one of the exposures, so the walk is skipped.  It runs
+only when every exposure passes (rounding can do that), so that every
+rejected check still learns an at-least-one certificate.
+
 The walk's conflict is then shrunk: in kernel-dimension order, trailing
 members are dropped while the rest stays infeasible.  The sets it tries are
 nested prefixes, so one batched solve over running sums of the Gram blocks
@@ -36,7 +47,9 @@ solve: such a block fits any reading exactly.  Otherwise the table answers,
 unless the set is undetermined, its batched solve failed, or its batched
 residual lies in the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)``
 around the budget ``||Psi|| + epsilon``; then ``t_check``, the one
-least-squares check, decides.  Tie policy: the stack's rank rule rules over
+least-squares check, decides.  The exposure table keeps the same band and
+the same fallback to ``t_check``; both tables decide through one helper,
+``_batched_decisions``.  Tie policy: the stack's rank rule rules over
 the table and the check.  On an ill-conditioned block (from a condition
 number of a few times 1e4 at readings of size 10, far inside the rank
 tolerance) the check's normal-equation solve can leave a rounding residual
@@ -209,12 +222,8 @@ def _prefix_decisions(
 
     Only determined prefixes are solved, from running sums
     of the Gram blocks, of O_i^T Y_i, of ||Y_i||^2, of the squared block norms
-    and of the squared noise bounds.  A prefix is left out of the table, and
-    so left to ``t_check``, when the batched solve raises, when its solution
-    fails ``t_check``'s relative gradient test, or when its residual norm lies
-    within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` of the
-    budget ``||Psi|| + epsilon``, where a different summation order could
-    flip the decision.
+    and of the squared noise bounds.  A prefix that ``_batched_decisions``
+    leaves undecided is left out of the table, and so left to ``t_check``.
     """
     tau, n = stack.tau, stack.n
     first = -(-n // tau)  # smallest determined prefix length
@@ -234,22 +243,89 @@ def _prefix_decisions(
     y_sq = np.cumsum((ys * ys).sum(axis=1))[first - 1:]
     norms_sq = np.cumsum(stack.block_norms_sq.take(idx))[first - 1:]
     psi_sq = np.cumsum(noise_bounds.take(idx) ** 2)[first - 1:]
+    keeps = np.arange(first, last + 1)
+
+    def residual_sq(xs):
+        # one fit of every sensor under every prefix's state: (m * tau, K)
+        diff = ys.reshape(-1, 1) - blocks.reshape(-1, n) @ xs.T
+        per_sensor = (diff * diff).reshape(last, tau, -1).sum(axis=1)  # (m, K)
+        return np.cumsum(per_sensor, axis=0)[keeps - 1, keeps - first]
+
+    sat = _batched_decisions(grams, rhs, y_sq, norms_sq, psi_sq, epsilon, residual_sq)
+    return {k: s for k, s in zip(keeps.tolist(), sat) if s is not None}
+
+
+def _batched_decisions(grams, rhs, y_sq, norms_sq, psi_sq, epsilon, residual_sq) -> list:
+    """SAT decisions for K sensor sets from one batched normal-equation
+    solve, the one tie policy of both batched tables (``_prefix_decisions``,
+    ``_exposures``).  Set k has the summed Gram ``grams[k]``, O^T Y
+    ``rhs[k]``, ||Y||^2 ``y_sq[k]``, summed squared block norms
+    ``norms_sq[k]`` and ||Psi||^2 ``psi_sq[k]``; ``residual_sq(xs)`` gives
+    every set's squared residual at its solution ``xs[k]``.  A decision is
+    None, left to ``t_check``, when the batched solve raises, when its
+    solution fails ``t_check``'s relative gradient test, or when its residual
+    norm lies within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)``
+    of the budget ``||Psi|| + epsilon``, where a different summation order
+    could flip the decision.
+    """
     try:
         xs = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]  # (K, n)
     except np.linalg.LinAlgError:
-        return {}
+        return [None] * len(grams)
     grad = rhs - (grams @ xs[:, :, None])[:, :, 0]
     scale = np.maximum(np.sqrt(y_sq) * np.sqrt(norms_sq), GRAD_FLOOR)
     solved = np.sqrt((grad * grad).sum(axis=1)) <= GRAD_RTOL * scale
-    # one fit of every sensor under every prefix's state: (m * tau, K)
-    diff = ys.reshape(-1, 1) - blocks.reshape(-1, n) @ xs.T
-    per_sensor = (diff * diff).reshape(len(ordered), tau, -1).sum(axis=1)  # (m, K)
-    keeps = np.arange(first, last + 1)
-    residual = np.sqrt(np.cumsum(per_sensor, axis=0)[keeps - 1, keeps - first])
+    residual = np.sqrt(residual_sq(xs))
     budget = np.sqrt(psi_sq) + epsilon
     clear = np.abs(residual - budget) > TIE_RTOL * (budget + np.sqrt(y_sq))
     sat = (residual <= budget).tolist()
-    return {k: s for k, s, ok in zip(keeps.tolist(), sat, (solved & clear).tolist()) if ok}
+    return [s if ok else None for s, ok in zip(sat, (solved & clear).tolist())]
+
+
+def _exposures(
+    stack: ObservabilityStack,
+    window: StackedWindow,
+    seed: tuple,
+    sensors: tuple,
+    noise_bounds: np.ndarray,
+    epsilon: float,
+    stats: SolveStats,
+) -> list:
+    """At-least-one-attacked certificates ``seed | {i}``, suspect i, for each
+    sensor i of ``sensors`` outside the clean ``seed`` (ascending) whose set
+    is rejected.  One batched solve decides every set from the seed's sums
+    plus sensor i's terms (see ``_batched_decisions``), and ``t_check``
+    decides what it leaves out; each decision counts as one theory check in
+    ``stats``."""
+    n, tau, m = stack.n, stack.tau, len(seed)
+    outside = [i for i in sensors if i not in seed]
+    idx = np.fromiter(seed + tuple(outside), np.intp, m + len(outside))
+    blocks = stack.blocks.take(idx, 0)  # (m + K, tau, n): the seed, then the rest
+    ys = window.blocks.take(idx, 0)  # (m + K, tau)
+    k = np.arange(len(outside))
+
+    def seed_plus(terms):  # the seed's sum plus each outside sensor's own term
+        return terms[m:] + terms[:m].sum(axis=0)
+
+    def residual_sq(xs):
+        # every sensor's fit under every set's state: (m + K, K)
+        diff = ys.reshape(-1, 1) - blocks.reshape(-1, n) @ xs.T
+        per_sensor = (diff * diff).reshape(len(idx), tau, -1).sum(axis=1)
+        return per_sensor[:m].sum(axis=0) + per_sensor[m + k, k]
+
+    decided = _batched_decisions(
+        seed_plus(stack.gram_blocks.take(idx, 0)), seed_plus((ys[:, None, :] @ blocks)[:, 0]),
+        seed_plus((ys * ys).sum(axis=1)), seed_plus(stack.block_norms_sq.take(idx)),
+        seed_plus(noise_bounds.take(idx) ** 2), epsilon, residual_sq)
+    certs = []
+    for i, sat in zip(outside, decided):
+        stats.theory_checks += 1
+        if sat is None:
+            sat = t_check(stack, window, seed + (i,), noise_bounds, epsilon).sat
+        if not sat:
+            certs.append(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
+                                     frozenset(seed + (i,)), suspect=i))
+    return certs
 
 
 def certificate_conflict(
@@ -346,6 +422,12 @@ def certificates(
     certificate is a passing seed fit.  When the walk fails, as it can on
     noisy data, the trivial certificate is emitted instead and the fallback
     is counted.
+    Under ``conflict_agree`` with a passing seed fit, the exposures come
+    first: one at-least-one certificate ``seed | {i}``, suspect i, for each
+    checked sensor i outside the seed whose set is rejected, in ascending i,
+    each decision one theory check (see ``_exposures``).  When one is
+    rejected the walk is skipped; when every one passes, the walk runs as
+    under ``conflict``.  The agree certificate comes last.
     ``conflict_agree`` is sound only where the estimator's agree gate holds;
     ``estimate`` runs it as ``conflict`` elsewhere.
     """
@@ -363,14 +445,19 @@ def certificates(
     if agree or aimed:
         counts.theory_checks += 1
         seed_fit = t_check(stack, window, ranked[:seed_size], noise_bounds, epsilon)
+    certs = []
+    if agree and seed_fit.sat:
+        certs = _exposures(stack, window, seed_fit.sensors, check.sensors, noise_bounds,
+                           epsilon, counts)
+    if not certs:
         if aimed:
             ranked = _refit_ranking(stack, window, check.sensors, seed_fit.x)
-    try:
-        certs = [certificate_conflict(stack, window, ranked, seed_size, epsilon,
-                                      noise_bounds, counts)]
-    except ConflictSearchError:
-        counts.conflict_fallbacks = 1
-        certs = [trivial]
+        try:
+            certs = [certificate_conflict(stack, window, ranked, seed_size, epsilon,
+                                          noise_bounds, counts)]
+        except ConflictSearchError:
+            counts.conflict_fallbacks = 1
+            certs = [trivial]
     if agree:
         cert = certificate_agree(seed_fit)
         if cert is not None:

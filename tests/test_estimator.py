@@ -448,6 +448,25 @@ def test_agree_certificate_termination_bound():
             assert remaining <= bound
 
 
+def test_clean_seed_exposes_both_attacked_sensors():
+    # the agree gate is open: the first check fails, its seed fit passes, and
+    # seed + {i} fails exactly for the two attacked sensors, so one rejected
+    # check teaches the core the whole support
+    inst = generate_instance(4, 12, 2, 2, "3s", 0.0, seed=3, attack_norm={"lo": 3.0, "hi": 7.0})
+    result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
+    assert result.strategy is Strategy.CONFLICT_AGREE
+    assert result.iterations == 2
+    first, second = result.records
+    assert first.support == () and not first.sat
+    *exposures, agree = first.certificates
+    assert agree.kind is CertificateKind.ALL_UNATTACKED and len(agree.sensors) == 12 - 2 * 2
+    assert [c.suspect for c in exposures] == sorted(inst.attacked)
+    for cert in exposures:
+        assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
+        assert cert.sensors == agree.sensors | {cert.suspect}
+    assert second.sat and second.support == tuple(sorted(inst.attacked)) == result.support
+
+
 def test_conflict_agree_iterations_with_the_gate_open():
     # criterion 4's per-point comparison where the agree gate is open: at its
     # p = 3 * s_bar the gate always downgrades, so conflict_agree repeats

@@ -16,7 +16,8 @@ from sse.attacksim import (
     generate_instance,
     run_closed_loop,
 )
-from sse.estimator import EstimatorConfig, estimate
+from sse.estimator import EstimatorConfig, estimate, minimal_support_estimate
+from sse.oracle import brute_force
 from sse.satcore import SolveStats
 from sse.theory import (
     Certificate,
@@ -1112,3 +1113,147 @@ def test_every_conflict_certificate_is_rejected(monkeypatch):
     for cert in conflicts:
         assert not t_check(inst.stack, inst.window, cert.sensors,
                            inst.model.noise_bounds, 1e-6).sat
+
+
+# ---------------------------------------------------------------------------
+# exposures: what a clean seed shows about the other checked sensors
+# ---------------------------------------------------------------------------
+
+
+GATE_OPEN_CASES = (
+    [("plant", seed) for seed in range(4)]
+    + [((3, 9, s, 2, "3s"), seed) for s, seed in ((2, 11), (2, 17), (1, 23))]
+    + [((4, 14, s, 3, "3s"), 7000 + 97 * s) for s in (2, 3)]
+    + [((3, 8, 2, 2, "3s"), 400 + seed) for seed in range(3)]
+)
+
+
+def _gate_open_case(case):
+    """(model, stack, window) of an exact window the agree gate is open on:
+    a plant-style model (n=4, p=12, s_bar=2, tau=3) or a generated "3s"
+    instance, some with attacks small enough to leave the seed fit failing."""
+    spec, seed = GATE_OPEN_CASES[case]
+    if spec == "plant":
+        return _plant(seed)
+    inst = generate_instance(*spec, 0.0, seed=seed, attack_norm={"lo": 0.05, "hi": 7.0})
+    return inst.model, inst.stack, inst.window
+
+
+def _exposures_of(record):
+    """The at-least-one certificates of a record that are exposures of its
+    agree certificate's seed: the seed plus their suspect."""
+    agree = [c.sensors for c in record.certificates if c.kind is CertificateKind.ALL_UNATTACKED]
+    return [c for c in record.certificates
+            if agree and c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
+            and c.sensors == agree[0] | {c.suspect} and c.suspect not in agree[0]]
+
+
+AGREE_CONFIG = EstimatorConfig(strategy=Strategy.CONFLICT_AGREE, epsilon=1e-6)
+
+
+@pytest.mark.parametrize("case", range(len(GATE_OPEN_CASES)))
+def test_gate_open_at_least_one_certificates_are_rejected_sets(case):
+    model, stack, window = _gate_open_case(case)
+    result = estimate(model, stack, window, AGREE_CONFIG)
+    assert result.strategy is Strategy.CONFLICT_AGREE
+    assert any(_exposures_of(r) for r in result.records)
+    for cert in result.certificates:
+        if cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED:
+            assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
+    oracle = brute_force(model, stack, window, epsilon=1e-6)
+    assert result.feasible and result.support in oracle.supports
+    assert minimal_support_estimate(model, stack, window, AGREE_CONFIG).support in oracle.minimal
+
+
+@pytest.mark.parametrize("case", range(len(GATE_OPEN_CASES)))
+def test_exposure_decisions_match_t_check(monkeypatch, case):
+    model, stack, window = _gate_open_case(case)
+    batched = estimate(model, stack, window, AGREE_CONFIG)
+    # each exposure the table decided is the one t_check makes
+    for record in batched.records:
+        if record.sat:
+            continue
+        seed = [c.sensors for c in record.certificates
+                if c.kind is CertificateKind.ALL_UNATTACKED]
+        if not seed or not _exposures_of(record):
+            continue
+        outside = sorted(set(range(model.p)) - set(record.support) - seed[0])
+        rejected = [i for i in outside if not t_check(stack, window, seed[0] | {i},
+                                                      model.noise_bounds, 1e-6).sat]
+        assert [c.suspect for c in _exposures_of(record)] == rejected
+    # a tie band this wide leaves every exposure to t_check: same answer
+    with monkeypatch.context() as m:
+        m.setattr(sse.theory, "TIE_RTOL", 1e300)
+        checked = _counting_checks(m)
+        checks = estimate(model, stack, window, AGREE_CONFIG)
+    assert (checks.feasible, checks.support, checks.iterations) == (
+        batched.feasible, batched.support, batched.iterations)
+    assert checks.x.tobytes() == batched.x.tobytes()
+    assert checks.certificates == batched.certificates
+    assert checks.stats.theory_checks == batched.stats.theory_checks
+    exposed = [c for r in checks.records for c in _exposures_of(r)]
+    assert exposed
+    for cert in exposed:
+        assert ("t_check", tuple(sorted(cert.sensors))) in checked
+
+
+def _lines_off_by(scales, epsilon, s_bar):
+    """Unit-norm lines through (2, -1): six exact, then one more per scale,
+    each off the point by scale * epsilon (alternating sides)."""
+    rows = np.random.default_rng(2).normal(size=(6 + len(scales), 2))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    offsets = rows @ np.array([2.0, -1.0])
+    offsets[6:] += epsilon * np.array(scales) * (-1.0) ** np.arange(len(scales))
+    model = line_model(rows, s_bar=s_bar)
+    return model, build_observability(model), line_window(model, offsets)
+
+
+def test_exposure_decisions_match_t_check_near_the_budget(monkeypatch):
+    # lines off the seed's point by about epsilon: each exposure's residual is
+    # its own line's miss, less what the fit absorbs, so some pass and some fail
+    epsilon = 1e-3
+    model, stack, window = _lines_off_by((0.5, 1.0, 1.15, 1.3, 2.0, 4.0), epsilon, 3)
+    seed, sensors = tuple(range(6)), tuple(range(12))
+    rejected = [i for i in range(6, 12)
+                if not t_check(stack, window, seed + (i,), model.noise_bounds, epsilon).sat]
+    assert 0 < len(rejected) < 6
+    want = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(seed + (i,)), suspect=i)
+            for i in rejected]
+    for tie_rtol in (sse.theory.TIE_RTOL, 1e300):
+        with monkeypatch.context() as m:
+            m.setattr(sse.theory, "TIE_RTOL", tie_rtol)
+            checked = _counting_checks(m)
+            stats = SolveStats()
+            assert sse.theory._exposures(stack, window, seed, sensors, model.noise_bounds,
+                                         epsilon, stats) == want
+        assert stats.theory_checks == 6
+        # the table decides every exposure, unless the band is that wide
+        assert len(checked) == (6 if tie_rtol == 1e300 else 0)
+
+
+def test_walk_runs_when_every_exposure_passes(monkeypatch):
+    # sensors 6-9 each miss the point of the six exact lines by 0.9 * epsilon:
+    # each fits the six within epsilon, so every exposure passes, but together
+    # they do not, so the check on all ten fails
+    epsilon = 1e-3
+    model, stack, window = _lines_off_by((0.9, 0.9, 0.9, 0.9), epsilon, 2)
+    check = t_check(stack, window, range(10), model.noise_bounds, epsilon)
+    assert not check.sat
+    seed = frozenset(range(6))
+    for i in range(6, 10):
+        assert t_check(stack, window, seed | {i}, model.noise_bounds, epsilon).sat
+    walks = []
+    real = sse.theory.certificate_conflict
+    monkeypatch.setattr(sse.theory, "certificate_conflict",
+                        lambda *a: walks.append(a) or real(*a))
+    conflict, conflict_counts = certificates(stack, window, check, 2, epsilon,
+                                             model.noise_bounds, Strategy.CONFLICT)
+    walks.clear()
+    certs, counts = certificates(stack, window, check, 2, epsilon, model.noise_bounds,
+                                 Strategy.CONFLICT_AGREE)
+    assert len(walks) == 1
+    # the walk's certificate (its trivial fallback: no trial of it fails
+    # either), then the agree certificate
+    assert certs == conflict + [Certificate(CertificateKind.ALL_UNATTACKED, seed)]
+    assert counts.conflict_fallbacks == conflict_counts.conflict_fallbacks == 1
+    assert counts.theory_checks == conflict_counts.theory_checks + 4

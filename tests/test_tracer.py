@@ -1,7 +1,6 @@
 """The benchmark's per-layer tracer, and the runner that drives it, still fit
 the library they wrap."""
 
-import itertools
 import json
 import subprocess
 import sys
@@ -28,12 +27,14 @@ def test_tracer_counts_match_estimates(four_lines):
     ]
     tracer = Tracer()
     tracer.install()
+    results, walks = [], []  # walks: the tracer's walk counts during each solve
     try:
-        results = [
-            sse.estimate(m, st, w, sse.EstimatorConfig(strategy=strategy))
-            for m, st, w in cases
-            for strategy in Strategy
-        ]
+        for m, st, w in cases:
+            for strategy in Strategy:
+                before = tracer.counts["conflict_certs"], tracer.counts["conflict_cert_sensors"]
+                results.append(sse.estimate(m, st, w, sse.EstimatorConfig(strategy=strategy)))
+                walks.append((tracer.counts["conflict_certs"] - before[0],
+                              tracer.counts["conflict_cert_sensors"] - before[1]))
     finally:
         tracer.uninstall()
     iterations = sum(r.iterations for r in results)
@@ -45,15 +46,20 @@ def test_tracer_counts_match_estimates(four_lines):
     assert decisions > 0 and conflicts > 0
     assert tracer.counts["satcore.decisions"] == decisions
     assert tracer.counts["satcore.conflicts"] == conflicts
-    # the theory.cert span sees every conflict certificate the walk returns
-    conflict_certs = [
-        c for r, (_, strategy) in zip(results, itertools.product(cases, Strategy))
-        if strategy is not Strategy.TRIVIAL
-        for c in r.certificates if c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
-    ]
+    # the theory.cert span sees every certificate `certificates` returns, the
+    # exposures of the gate-open solve included
+    assert any(r.strategy is Strategy.CONFLICT_AGREE for r in results)
+    assert tracer.counts["certificates"] == sum(
+        len(rec.certificates) for r in results for rec in r.records if not rec.sat)
+    # and every conflict certificate the walk returns: a solve that runs as
+    # conflict learns no other at-least-one certificate
+    ran_conflict = [(r, seen) for r, seen in zip(results, walks)
+                    if r.strategy is Strategy.CONFLICT]
+    conflict_certs = [c for r, _ in ran_conflict for c in r.certificates
+                      if c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED]
     assert conflict_certs
-    assert tracer.counts["conflict_certs"] == len(conflict_certs)
-    assert tracer.counts["conflict_cert_sensors"] == sum(len(c.sensors) for c in conflict_certs)
+    assert sum(seen[0] for _, seen in ran_conflict) == len(conflict_certs)
+    assert sum(seen[1] for _, seen in ran_conflict) == sum(len(c.sensors) for c in conflict_certs)
 
 
 def test_tracer_counts_agree_certificates_when_the_gate_is_open():
