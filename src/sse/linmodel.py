@@ -173,12 +173,6 @@ class ObservabilityStack:
     ``check_sparse_observability(model, s, stack=stack)`` by ``s``, and the
     per-set constants of ``theory.t_check`` (the stacked O_I, the summed
     Gram, ...) for as many sensor sets as fit a fixed float budget.
-
-    A block has full row rank when ``n - block_kernel_dims[i] == tau``, by
-    the ``_zero_tol`` rank rule.  The conflict walk's decider takes that as
-    the answer for a one-sensor set with a finite reading (it passes, with
-    no solve), even where rounding would push ``t_check``'s residual past its
-    budget; see ``sse.theory``.
     """
 
     blocks: np.ndarray  # p x tau x n, entry i is O_i

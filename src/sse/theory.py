@@ -23,38 +23,32 @@ the walk seeds, walks and picks its suspect from that ranking.  A seed with
 no spare equations is interpolated by its own fit, so the step could not
 move it and is skipped.
 
-A clean seed also exposes the attacked sensors among the rest.  Each checked
-sensor i outside it gives the set seed + {i}; one batched solve decides them
-all, and each rejected one is learned as an at-least-one-attacked
-certificate with suspect i (a theory solver returning several explanations
-per call: Sebastiani, "Lazy satisfiability modulo theories", JSAT 2007).
-Once the agree certificate zeroes the seed, each acts as the singleton {i}.
-The walk's conflict would be a subset of seed + {cand} holding cand, which
-then acts as {cand}, one of the exposures, so the walk is skipped.  It runs
-only when every exposure passes (rounding can do that), so that every
-rejected check still learns an at-least-one certificate.
+Each walk trial is a candidate followed by the seed in ascending kernel
+dimension, and ``t_check`` decides its prefixes from the fewest sensors
+that over-determine the state (n // tau + 1, whose stacked blocks have more
+rows than states) up; the first rejected prefix is the conflict, and the
+candidate, a member of every prefix, is its suspect (insertion-based
+conflict extraction with a preference order: Junker, "QuickXplain:
+preferred explanations and relaxations for over-constrained problems",
+AAAI 2004; Marques-Silva, "Minimal unsatisfiability: models, algorithms and
+applications", ISMVL 2010).  A shorter prefix has no spare equation, so it
+is not checked.  When the seed is clean and the candidate attacked, the
+first prefix already fails: a conflict usually costs one check.  Every
+conflict is a set that ``t_check`` rejected, or the checked set.
 
-The walk's conflict is then shrunk: in kernel-dimension order, trailing
-members are dropped while the rest stays infeasible.  The sets it tries are
-nested prefixes, so one batched solve over running sums of the Gram blocks
-and of O_i^T Y_i decides them together (nested least-squares updating, Golub
-and Van Loan, *Matrix Computations*, sec. 6.5).  The same table decides the
-full set, which is the walk's trial, so a trial that fails is decided and
-shrunk from one solve.  One decider answers every set the walk and the
-shrink ask about.  A lone sensor whose block has full row rank (rank tau, by
-the stack's kernel dimensions) and whose reading is finite passes without a
-solve: such a block fits any reading exactly.  Otherwise the table answers,
-unless the set is undetermined, its batched solve failed, or its batched
-residual lies in the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)``
-around the budget ``||Psi|| + epsilon``; then ``t_check``, the one
-least-squares check, decides.  The exposure table keeps the same band and
-the same fallback to ``t_check``; both tables decide through one helper,
-``_batched_decisions``.  Tie policy: the stack's rank rule rules over
-the table and the check.  On an ill-conditioned block (from a condition
-number of a few times 1e4 at readings of size 10, far inside the rank
-tolerance) the check's normal-equation solve can leave a rounding residual
-past the budget; the certificate then keeps one more member, the two-sensor
-prefix already found infeasible, so it is still a set that ``t_check`` rejects.
+A clean seed also exposes the attacked sensors among the rest.  Each checked
+sensor i outside it gives the set seed + {i}; one batched normal-equation
+solve decides them all, and each rejected one is learned as an
+at-least-one-attacked certificate with suspect i (a theory solver returning
+several explanations per call: Sebastiani, "Lazy satisfiability modulo
+theories", JSAT 2007).  A set whose batched solve fails, or whose residual
+lies in the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the
+budget ``||Psi|| + epsilon``, is left to ``t_check``.  Once the agree
+certificate zeroes the seed, each exposure acts as the singleton {i}.  The
+walk's conflict would be a subset of seed + {cand} holding cand, which then
+acts as {cand}, one of the exposures, so the walk is skipped.  It runs only
+when every exposure passes (rounding can do that), so that every rejected
+check still learns an at-least-one certificate.
 """
 
 from __future__ import annotations
@@ -70,18 +64,15 @@ from .linmodel import ObservabilityStack, StackedWindow
 from .satcore import Certificate, CertificateKind, SolveStats
 
 
-# The shrink pass batches its prefix decisions only when at least this many
-# prefixes are determined; below it, per-prefix checks are cheaper.
-MIN_BATCH_PREFIXES = 3
-# Relative half-width of the band around the budget in which a batched
-# residual is not trusted to decide a prefix (see _prefix_decisions).
+# Relative half-width of the band around the budget in which the exposure
+# table's batched residual is not trusted to decide a set (see _exposures).
 TIE_RTOL = 1e-10
 # Floats a stack's memo of per-set check constants may hold in all (see
 # t_check); a set that does not fit is recomputed on every check.
 CHECK_MEMO_FLOATS = 1 << 12
 # Solver tolerance epsilon every entry point uses unless told otherwise.
 DEFAULT_EPSILON = 1e-6
-# The gradient test that accepts a normal-equation solve (t_check, _prefix_decisions).
+# The gradient test that accepts a normal-equation solve (t_check, _exposures).
 GRAD_RTOL = 1e-9
 GRAD_FLOOR = 1e-300
 
@@ -208,60 +199,12 @@ def _refit_ranking(
     return sorted(sensors, key=res.tolist().__getitem__)
 
 
-def _prefix_decisions(
-    stack: ObservabilityStack,
-    window: StackedWindow,
-    ordered: list,
-    noise_bounds: np.ndarray,
-    epsilon: float,
-) -> dict:
-    """SAT decisions for the prefixes ``ordered[:keep]``, 1 <= keep <= len
-    (the full set included), from one batched solve; ``{keep: sat}``, empty
-    when fewer than ``MIN_BATCH_PREFIXES`` prefixes are determined
-    (tau * keep >= n).
-
-    Only determined prefixes are solved, from running sums
-    of the Gram blocks, of O_i^T Y_i, of ||Y_i||^2, of the squared block norms
-    and of the squared noise bounds.  A prefix that ``_batched_decisions``
-    leaves undecided is left out of the table, and so left to ``t_check``.
-    """
-    tau, n = stack.tau, stack.n
-    first = -(-n // tau)  # smallest determined prefix length
-    last = len(ordered)
-    if last - first + 1 < MIN_BATCH_PREFIXES:
-        return {}
-    idx = np.fromiter(ordered, np.intp, last)
-    blocks = stack.blocks.take(idx, 0)  # (m, tau, n)
-    ys = window.blocks.take(idx, 0)  # (m, tau)
-    # running sums from prefix `first` on; a loop over rows beats cumsum
-    # along the leading axis of a stack of matrices
-    grams = stack.gram_blocks.take(idx[first - 1:], 0)  # (K, n, n), a copy
-    grams[0] = stack.gram_blocks.take(idx[:first], 0).sum(axis=0)
-    for k in range(1, len(grams)):
-        grams[k] += grams[k - 1]
-    rhs = np.cumsum((ys[:, None, :] @ blocks)[:, 0], axis=0)[first - 1:]
-    y_sq = np.cumsum((ys * ys).sum(axis=1))[first - 1:]
-    norms_sq = np.cumsum(stack.block_norms_sq.take(idx))[first - 1:]
-    psi_sq = np.cumsum(noise_bounds.take(idx) ** 2)[first - 1:]
-    keeps = np.arange(first, last + 1)
-
-    def residual_sq(xs):
-        # one fit of every sensor under every prefix's state: (m * tau, K)
-        diff = ys.reshape(-1, 1) - blocks.reshape(-1, n) @ xs.T
-        per_sensor = (diff * diff).reshape(last, tau, -1).sum(axis=1)  # (m, K)
-        return np.cumsum(per_sensor, axis=0)[keeps - 1, keeps - first]
-
-    sat = _batched_decisions(grams, rhs, y_sq, norms_sq, psi_sq, epsilon, residual_sq)
-    return {k: s for k, s in zip(keeps.tolist(), sat) if s is not None}
-
-
 def _batched_decisions(grams, rhs, y_sq, norms_sq, psi_sq, epsilon, residual_sq) -> list:
     """SAT decisions for K sensor sets from one batched normal-equation
-    solve, the one tie policy of both batched tables (``_prefix_decisions``,
-    ``_exposures``).  Set k has the summed Gram ``grams[k]``, O^T Y
-    ``rhs[k]``, ||Y||^2 ``y_sq[k]``, summed squared block norms
-    ``norms_sq[k]`` and ||Psi||^2 ``psi_sq[k]``; ``residual_sq(xs)`` gives
-    every set's squared residual at its solution ``xs[k]``.  A decision is
+    solve, the exposure table's tie policy (see ``_exposures``).  Set k has
+    the summed Gram ``grams[k]``, O^T Y ``rhs[k]``, ||Y||^2 ``y_sq[k]``,
+    summed squared block norms ``norms_sq[k]`` and ||Psi||^2 ``psi_sq[k]``;
+    ``residual_sq(xs)`` gives every set's squared residual at its solution ``xs[k]``.  A decision is
     None, left to ``t_check``, when the batched solve raises, when its
     solution fails ``t_check``'s relative gradient test, or when its residual
     norm lies within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)``
@@ -340,57 +283,40 @@ def certificate_conflict(
     """Small sensor set that cannot all be attack-free.
 
     ``ranked`` is a rejected check's sensors by ascending residual, more than
-    ``seed_size`` of them.  The walk seeds with the seed_size lowest, then
-    tries candidates from the highest residual down until the
-    seed-plus-candidate set fails.  A lone candidate's trial is the checked
-    set itself, which the check rejected, so it is taken without a check.
-    The suspect is the member ranked highest.
-
-    Each trial is put in shrink order, ascending kernel dimension, and one
-    batched solve decides its determined prefixes and the trial itself (see
-    ``_prefix_decisions``).  The shrink pass then drops trailing members
-    while the set stays infeasible, reading prefix lengths from the longest
-    down until one passes.  The walk's trials and the shrink's prefixes are
-    decided by one local decider, ``passes``: a one-sensor prefix passes when
-    its block has full row rank (``n - block_kernel_dims[i] == tau``) and its
-    reading's squared norm is finite, even where the table or the check
-    would read rounding as a failure (see the module docstring); otherwise
-    the table answers, and ``t_check`` decides what the table leaves out, so
-    every certificate is still a set that ``t_check`` rejects.  Each
-    decision counts as one theory check in ``stats``.
+    ``seed_size`` of them.  The seed_size lowest are the seed, put in
+    ascending kernel dimension, then index.  Candidates are tried from the
+    highest residual down; each trial is the candidate followed by the seed.
+    ``t_check`` decides the trial's prefixes, growing from the fewest sensors
+    whose stacked blocks have more rows than states (n // tau + 1, or the
+    whole trial when it is shorter), and the first rejected prefix is the
+    certificate, with the candidate as its suspect.  A candidate with no
+    rejected prefix passes the walk to the next.  A lone candidate's full
+    trial is the checked set itself, which the check rejected, so it is taken
+    without a check.  Each ``t_check`` counts as one theory check in
+    ``stats``, and every certificate is a set that ``t_check`` rejected or
+    the checked set.
     """
-    seed = ranked[:seed_size]
+    rest = sorted(ranked[:seed_size])
+    rest.sort(key=stack.block_kernel_dims.tolist().__getitem__)
     candidates = ranked[seed_size:][::-1]  # highest residual first
-    dims = stack.block_kernel_dims.tolist()
-
-    def passes(keep: int) -> bool:
-        stats.theory_checks += 1
-        if keep == 1 and dims[trial[0]] == stack.n - stack.tau:
-            # full row rank: the block fits any finite reading exactly
-            if math.isfinite(sum(v * v for v in window.blocks[trial[0]].tolist())):
-                return True
-        sat = decided.get(keep)
-        if sat is None:
-            sat = t_check(stack, window, trial[:keep], noise_bounds, epsilon).sat
-        return sat
-
+    lone = len(candidates) == 1
+    first = min(stack.n // stack.tau + 1, len(rest) + 1)
     for cand in candidates:
-        trial = seed + [cand]
-        trial.sort()  # shrink order: ascending kernel dimension, then index
-        trial.sort(key=dims.__getitem__)
-        decided = _prefix_decisions(stack, window, trial, noise_bounds, epsilon)
-        if len(candidates) == 1 or not passes(len(trial)):
-            break  # a lone candidate's trial is the checked set, already rejected
-    else:
-        raise ConflictSearchError(
-            f"no conflicting subset found among {len(candidates)} candidates"
-        )
-    keep = len(trial) - 1
-    while keep >= 1 and not passes(keep):
-        keep -= 1
-    sensors = frozenset(trial[: keep + 1])
-    suspect = next(i for i in reversed(ranked) if i in sensors)
-    return Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, sensors, suspect=suspect)
+        trial = [cand] + rest
+        # a lone candidate's full trial is the checked set, already rejected
+        for keep in range(first, len(trial) + 1 - lone):
+            stats.theory_checks += 1
+            if not t_check(stack, window, trial[:keep], noise_bounds, epsilon).sat:
+                break
+        else:
+            if not lone:
+                continue
+            keep = len(trial)
+        return Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(trial[:keep]),
+                           suspect=cand)
+    raise ConflictSearchError(
+        f"no conflicting subset found among {len(candidates)} candidates"
+    )
 
 
 def certificate_agree(seed_fit: CheckResult) -> Certificate | None:
@@ -434,9 +360,9 @@ def certificates(
     if check.sat:
         raise ValueError("certificates require an UNSAT check")
     counts = SolveStats()
-    trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))
     seed_size = stack.p - 2 * s_bar
     if strategy is Strategy.TRIVIAL or len(check.sensors) <= seed_size:
+        trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))
         return [trivial], counts
     noise_bounds = np.asarray(noise_bounds, dtype=float)
     ranked = _refit_ranking(stack, window, check.sensors, check.x)
@@ -457,7 +383,8 @@ def certificates(
                                           noise_bounds, counts)]
         except ConflictSearchError:
             counts.conflict_fallbacks = 1
-            certs = [trivial]
+            certs = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
+                                 frozenset(check.sensors))]
     if agree:
         cert = certificate_agree(seed_fit)
         if cert is not None:

@@ -25,7 +25,6 @@ from sse.theory import (
     ConflictSearchError,
     DEFAULT_EPSILON,
     Strategy,
-    _prefix_decisions,
     _refit_ranking,
     certificate_agree,
     certificate_conflict,
@@ -240,11 +239,15 @@ def test_four_lines_conflict_found_on_first_candidate(four_lines):
 
 
 def test_four_lines_shrink_pass_is_noop(four_lines):
+    # n // tau + 1 = 3 sensors over-determine a point in the plane: the first
+    # prefix the walk checks is its whole three-sensor trial
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    cert, _ = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
-    conflict, suspect, _ = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
-    assert (cert.sensors, cert.suspect) == (frozenset(conflict), suspect)
+    cert, counts = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    conflict, suspect, checks = _reference_walk(stack, window, check, 1, 1e-9,
+                                                model.noise_bounds)
+    assert (cert.sensors, cert.suspect) == (conflict, suspect)
+    assert len(cert.sensors) == 3 and counts.theory_checks == checks
 
 
 def test_conflict_walk_needs_two_candidates():
@@ -262,19 +265,19 @@ def test_conflict_walk_needs_two_candidates():
     seed, candidates = ranked[:2], ranked[2:][::-1]
     first = t_check(stack, window, seed + [candidates[0]], model.noise_bounds, 1e-9)
     assert first.sat  # the max-residual line passes through the seed intersection
-    conflict, _, checks = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
+    conflict, suspect, checks = _reference_walk(stack, window, check, 1, 1e-9,
+                                                model.noise_bounds)
     assert checks == 2
     assert 2 in conflict
     cert, counts = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
-    kept, shrink_checks = _sequential_shrink(model, stack, window,
-                                             _shrink_order(stack, conflict), 1e-9)
-    assert cert.sensors == kept
-    assert counts.theory_checks == checks + shrink_checks
+    assert (cert.sensors, cert.suspect) == (conflict, suspect)
+    assert counts.theory_checks == checks
 
 
 def test_shrink_drops_high_kernel_members():
     # sensors 0-2 pin the state; sensor 3 duplicates sensor 0 and sensor 4 is
-    # nearly dead, so the shrink pass can drop trailing members
+    # dead, so its block has the highest kernel dimension and comes last in
+    # every trial: the first rejected prefix leaves it out
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
     model = line_model(rows, s_bar=1)
     stack = build_observability(model)
@@ -285,9 +288,9 @@ def test_shrink_drops_high_kernel_members():
     check = t_check(stack, window, sensors, model.noise_bounds, 1e-9)
     assert not check.sat
     shrunk, _ = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
-    loose, _, _ = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
-    assert shrunk.sensors <= frozenset(loose)
-    assert 2 in shrunk.sensors
+    conflict, suspect, _ = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
+    assert (shrunk.sensors, shrunk.suspect) == (conflict, suspect)
+    assert 2 in shrunk.sensors and 4 not in shrunk.sensors
 
 
 def test_conflict_requires_unsat_and_enough_sensors(four_lines):
@@ -363,13 +366,21 @@ def test_conflict_certificates_intersect_true_support():
 # ---------------------------------------------------------------------------
 
 
+def _walk_order(stack, sensors):
+    """Sensors by ascending kernel dimension, then index: the order in which
+    the walk appends the seed to each candidate."""
+    return sorted(sensors, key=lambda i: (int(stack.block_kernel_dims[i]), i))
+
+
 def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds):
-    """The conflict walk without the shrink pass, one t_check per trial:
-    (conflict in walk order, suspect, theory checks).  The walk is aimed by
-    the seed fit's residuals when the seed over-determines the state and
-    there are at least two candidates; a lone candidate's trial is the
-    checked set, taken without a check.  Raises ConflictSearchError when no
-    trial fails."""
+    """The conflict walk with one t_check per prefix: (conflict, suspect,
+    theory checks).  The walk is aimed by the seed fit's residuals when the
+    seed over-determines the state and there are at least two candidates.
+    Each trial is a candidate, then the seed in walk order; its prefixes from
+    n // tau + 1 sensors (or the whole trial, when shorter) up are checked in
+    turn, and the first rejected one is the conflict, with the candidate as
+    suspect.  A lone candidate's full trial is the checked set, taken without
+    a check.  Raises ConflictSearchError when no trial has a rejected prefix."""
     seed_size = stack.p - 2 * s_bar
     ranked = _ranked(stack, window, check)
     candidates = ranked[seed_size:][::-1]
@@ -381,16 +392,14 @@ def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds):
         ranked = sorted(ranked, key=lambda i: (res[i], i))
         candidates = ranked[seed_size:][::-1]
     for cand in candidates:
-        trial = ranked[:seed_size] + [cand]
-        if len(candidates) == 1:
-            break
-        checks += 1
-        if not t_check(stack, window, trial, noise_bounds, epsilon).sat:
-            break
-    else:
-        raise ConflictSearchError(f"no conflict among {len(candidates)} candidates")
-    suspect = next(i for i in reversed(ranked) if i in trial)
-    return trial, suspect, checks
+        trial = [cand] + _walk_order(stack, ranked[:seed_size])
+        for keep in range(min(stack.n // stack.tau + 1, len(trial)), len(trial) + 1):
+            if keep == len(trial) and len(candidates) == 1:
+                return frozenset(trial), cand, checks
+            checks += 1
+            if not t_check(stack, window, trial[:keep], noise_bounds, epsilon).sat:
+                return frozenset(trial[:keep]), cand, checks
+    raise ConflictSearchError(f"no conflict among {len(candidates)} candidates")
 
 
 def _unaimed_walk(stack, window, check, s_bar, epsilon, noise_bounds):
@@ -418,25 +427,25 @@ def _counting_checks(monkeypatch):
 
 def test_one_candidate_walk_takes_the_checked_set(monkeypatch, four_lines):
     # p - 2*s_bar = 2 and three sensors checked: the only trial is the checked
-    # set, which the check already rejected; only the shrink pass checks
+    # set, which the check already rejected, and its shorter prefixes have no
+    # spare equation, so the walk checks nothing
     model, stack, window = four_lines
     check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
     assert not check.sat
-    conflict, _, walk_checks = _reference_walk(stack, window, check, 1, 1e-9,
-                                               model.noise_bounds)
-    assert frozenset(conflict) == frozenset(check.sensors) and walk_checks == 0
-    ordered = _shrink_order(stack, conflict)
-    kept, shrink_checks = _sequential_shrink(model, stack, window, ordered, 1e-9)
+    conflict, suspect, walk_checks = _reference_walk(stack, window, check, 1, 1e-9,
+                                                     model.noise_bounds)
+    assert conflict == frozenset(check.sensors) and walk_checks == 0
     checked = _counting_checks(monkeypatch)
     cert, counts = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
-    assert cert.sensors == kept == frozenset(check.sensors)
-    assert counts.theory_checks == shrink_checks == len(checked)
-    assert [sensors for _, sensors in checked] == [tuple(sorted(ordered[:2]))]
+    assert (cert.sensors, cert.suspect) == (conflict, suspect)
+    assert counts.theory_checks == len(checked) == 0
 
 
 def test_exactly_determined_seed_walks_unaimed():
     # n = tau = 2 and one seed sensor: the seed fit interpolates the seed, so
-    # the walk keeps the check's ranking and makes no seed fit
+    # the walk keeps the check's ranking and makes no seed fit; each trial of
+    # two sensors is the first prefix with a spare equation, so the walk
+    # checks the trials alone
     cases = 0
     for seed in range(6):
         inst = generate_instance(2, 5, 2, 2, "2s", 0.0, seed=seed,
@@ -456,13 +465,10 @@ def test_exactly_determined_seed_walks_unaimed():
                     assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
                                                  frozenset(check.sensors))]
                     continue
-                conflict, _, walk_checks = want
-                kept, shrink_checks = _sequential_shrink(
-                    model, stack, window, _shrink_order(stack, conflict), 1e-6)
-                suspect = max(kept, key=lambda i: (_residual_of(stack, window, check, i), i))
+                conflict, suspect, walk_checks = want
                 cert, counts = _conflict(stack, window, check, 2, 1e-6, model.noise_bounds)
-                assert (cert.sensors, cert.suspect) == (kept, suspect)
-                assert counts.theory_checks == walk_checks + shrink_checks
+                assert (cert.sensors, cert.suspect) == (conflict, suspect)
+                assert counts.theory_checks == walk_checks
                 cases += 1
     assert cases > 0
 
@@ -504,16 +510,15 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
             checked = _counting_checks(m)
             certs, _ = certificates(stack, window, check, 20, 1e-6, model.noise_bounds,
                                     Strategy.CONFLICT)
-        # the seed fit is one t_check, and the shrink batch decides the trial:
-        # every other t_check is a shrink prefix too short to be determined
+        # the seed fit is one t_check; every other one is a walk prefix of at
+        # least n // tau + 1 = 13 sensors, and the last is the certificate
         cert = certs[0]
         assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
         seed_set = tuple(sorted(_ranked(stack, window, check)[:20]))
         assert checked.count(("t_check", seed_set)) == 1
-        for _, sensors in checked:
-            if sensors != seed_set:
-                assert len(sensors) < -(-25 // 2)
-                assert set(sensors) <= cert.sensors or cert.sensors <= set(sensors)
+        prefixes = [sensors for _, sensors in checked if sensors != seed_set]
+        assert all(13 <= len(sensors) <= 21 for sensors in prefixes)
+        assert prefixes[-1] == tuple(sorted(cert.sensors))
         refit = _residuals_at(stack, window, fit.x)
         assert cert.suspect == max(cert.sensors, key=lambda i: (refit[i], i))
         assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
@@ -813,29 +818,8 @@ def test_t_check_flags_undetermined_sets():
 
 
 # ---------------------------------------------------------------------------
-# the batched shrink pass
+# the walk's prefixes
 # ---------------------------------------------------------------------------
-
-
-def _shrink_order(stack, sensors):
-    return sorted(sensors, key=lambda i: (int(stack.block_kernel_dims[i]), i))
-
-
-def _walk_conflicts(model, stack, windows, s_bar, trusted_sets, epsilon):
-    """Unshrunk conflicts of the walk, in shrink order, with their windows,
-    over every window and the given sets."""
-    out = []
-    for window, trusted in itertools.product(windows, trusted_sets):
-        check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
-        if check.sat or len(check.sensors) <= stack.p - 2 * s_bar:
-            continue
-        try:
-            conflict, _, _ = _reference_walk(stack, window, check, s_bar, epsilon,
-                                             model.noise_bounds)
-        except ConflictSearchError:
-            continue
-        out.append((window, _shrink_order(stack, conflict)))
-    return out
 
 
 def _random_trusted(rng, p, s_bar, count):
@@ -888,98 +872,91 @@ def _shrink_cases():
         p = inst.model.p
         cases.append((inst.model, inst.stack, [inst.window], spec[3], 1e-6,
                       [list(range(p))] + _random_trusted(rng, p, 1, 8)))
-    # the vehicle: the GPS block is square with full rank, so the stack
-    # decides its one-sensor prefix; the encoders' blocks both see velocity
-    # alone (rank 1), so theirs go through the check
+    # the vehicle: n // tau + 1 = 2, so each two-sensor trial is its own
+    # first prefix
     model, windows = _vehicle_windows()
     cases.append((model, build_observability(model), windows, model.s_bar,
                   DEFAULT_EPSILON, [[0, 1, 2], [0, 1], [0, 2], [1, 2]]))
     return cases
 
 
-@pytest.mark.parametrize("case", range(8))
-def test_batched_prefix_decisions_match_t_check(monkeypatch, case):
-    monkeypatch.setattr(sse.theory, "MIN_BATCH_PREFIXES", 1)
+def _walk_cases(case):
+    """(stack, window, check, s_bar, epsilon, noise bounds) for every
+    rejected check of ``_shrink_cases()[case]`` that the walk runs on."""
     model, stack, windows, s_bar, epsilon, trusted_sets = _shrink_cases()[case]
-    conflicts = _walk_conflicts(model, stack, windows, s_bar, trusted_sets, epsilon)
-    assert conflicts
-    decided = 0
-    for window, ordered in conflicts:
-        table = _prefix_decisions(stack, window, ordered, model.noise_bounds, epsilon)
-        for keep in range(1, len(ordered) + 1):
-            if keep in table:
-                decided += 1
-                assert table[keep] == t_check(stack, window, ordered[:keep],
-                                              model.noise_bounds, epsilon).sat
-            else:  # only determined prefixes are ever batched
-                assert keep * stack.tau < stack.n or not table
-    assert decided > 0
+    for window, trusted in itertools.product(windows, trusted_sets):
+        check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
+        if not check.sat and len(check.sensors) > stack.p - 2 * s_bar:
+            yield stack, window, check, s_bar, epsilon, model.noise_bounds
 
 
-def _sequential_shrink(model, stack, window, ordered, epsilon):
-    """The shrink pass with one t_check per prefix: (kept sensors, checks)."""
-    keep, checks = len(ordered) - 1, 0
-    while keep >= 1:
-        checks += 1
-        if t_check(stack, window, ordered[:keep], model.noise_bounds, epsilon).sat:
-            break
-        keep -= 1
-    return frozenset(ordered[: keep + 1]), checks
+@pytest.mark.parametrize("case", range(8))
+def test_batched_prefix_decisions_match_t_check(case):
+    # the walk decides its prefixes by t_check alone, growing from the first
+    # that over-determines the state: every such prefix shorter than the
+    # certificate passes, and the certificate itself fails
+    walked = 0
+    for stack, window, check, s_bar, epsilon, bounds in _walk_cases(case):
+        cert, counts = _conflict(stack, window, check, s_bar, epsilon, bounds)
+        assert not t_check(stack, window, cert.sensors, bounds, epsilon).sat
+        if counts.conflict_fallbacks:
+            continue
+        walked += 1
+        assert cert.suspect in cert.sensors
+        trial = [cert.suspect] + _walk_order(stack, cert.sensors - {cert.suspect})
+        for keep in range(stack.n // stack.tau + 1, len(trial)):
+            assert t_check(stack, window, trial[:keep], bounds, epsilon).sat
+    assert walked > 0
 
 
-@pytest.mark.parametrize("min_batch", [1, 10**6])
-def test_shrink_pass_matches_sequential_shrink(monkeypatch, min_batch):
-    # both sides of the batching threshold give the sequential pass's answer
-    monkeypatch.setattr(sse.theory, "MIN_BATCH_PREFIXES", min_batch)
-    for model, stack, windows, s_bar, epsilon, trusted_sets in _shrink_cases():
-        for window, trusted in itertools.product(windows, trusted_sets):
-            check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
-            if check.sat or len(check.sensors) <= stack.p - 2 * s_bar:
-                continue
+@pytest.mark.parametrize("memo_floats", [1, 10**6])
+def test_shrink_pass_matches_sequential_shrink(monkeypatch, memo_floats):
+    # the walk gives the reference walk's certificate, suspect and number of
+    # checks, whether the stack's check memo holds none of its sets or all
+    monkeypatch.setattr(sse.theory, "CHECK_MEMO_FLOATS", memo_floats)
+    walked = 0
+    for case in range(8):
+        for stack, window, check, s_bar, epsilon, bounds in _walk_cases(case):
+            cert, counts = _conflict(stack, window, check, s_bar, epsilon, bounds)
             try:
-                loose, suspect, walk_checks = _reference_walk(stack, window, check, s_bar,
-                                                              epsilon, model.noise_bounds)
+                conflict, suspect, checks = _reference_walk(stack, window, check, s_bar,
+                                                            epsilon, bounds)
             except ConflictSearchError:
+                assert counts.conflict_fallbacks == 1
+                assert cert.sensors == frozenset(check.sensors)
                 continue
-            cert, counts = _conflict(stack, window, check, s_bar, epsilon, model.noise_bounds)
+            walked += 1
             assert counts.conflict_fallbacks == 0
-            kept, checks = _sequential_shrink(model, stack, window,
-                                              _shrink_order(stack, loose), epsilon)
-            assert cert.sensors == kept
-            assert counts.theory_checks == walk_checks + checks
-            if suspect in kept:  # the shrink kept the walk's top-ranked member
-                assert cert.suspect == suspect
+            assert (cert.sensors, cert.suspect) == (conflict, suspect)
+            assert counts.theory_checks == checks
+    assert walked > 0
 
 
 def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
-    # sensors 0 and 1 are the same line, so the conflict's two-sensor prefix
-    # has a singular Gram matrix: the batch decides nothing and every prefix
-    # goes through the check
+    # sensors 0 and 1 are the same line and sensor 4 is attacked.  The seed
+    # fit on the clean seed (0, 1, 3) aims the walk at sensor 4, whose first
+    # over-determined prefix (4, 0, 1) holds the duplicated pair: three rows
+    # of rank 2, with no spare equation, so the check passes it and the walk
+    # grows to the next prefix
     rows = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
     model = line_model(rows, s_bar=1)
     stack = build_observability(model)
     offsets = rows @ np.array([2.0, 6.0])
     offsets[4] += 3.0
     window = line_window(model, offsets)
-    check = t_check(stack, window, range(5), model.noise_bounds, 1e-6)
-    loose, _, _ = _reference_walk(stack, window, check, 1, 1e-6, model.noise_bounds)
-    ordered = _shrink_order(stack, loose)
-    assert ordered == [0, 1, 3, 4]
-    monkeypatch.setattr(sse.theory, "MIN_BATCH_PREFIXES", 1)
-    assert _prefix_decisions(stack, window, ordered, model.noise_bounds, 1e-6) == {}
-    # without the pair, the same sensors are all decided in one batch: the
-    # prefixes of 2 and 3 sensors and the full set
-    assert len(_prefix_decisions(stack, window, [1, 3, 4, 2], model.noise_bounds,
-                                 1e-6)) == 3
-    checked = []
-    real = sse.theory.t_check
-    monkeypatch.setattr(sse.theory, "t_check",
-                        lambda *args: checked.append(tuple(sorted(args[2]))) or real(*args))
-    cert, _ = _conflict(stack, window, check, 1, 1e-6, model.noise_bounds)
-    kept, _ = _sequential_shrink(model, stack, window, ordered, 1e-6)
-    assert cert.sensors == kept
-    assert (0, 1, 3) in checked
-    assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
+    bounds = model.noise_bounds
+    check = t_check(stack, window, range(5), bounds, 1e-6)
+    assert _ranked(stack, window, check)[:3] == [3, 0, 1]
+    assert np.linalg.matrix_rank(stack_rows(stack, (4, 0, 1))) == 2
+    checked = _counting_checks(monkeypatch)
+    cert, counts = _conflict(stack, window, check, 1, 1e-6, bounds)
+    monkeypatch.undo()
+    assert [sensors for _, sensors in checked] == [(0, 1, 3), (0, 1, 4), (0, 1, 3, 4)]
+    assert (cert.sensors, cert.suspect) == (frozenset({0, 1, 3, 4}), 4)
+    assert counts.theory_checks == 3
+    assert _reference_walk(stack, window, check, 1, 1e-6, bounds) == (cert.sensors, 4, 3)
+    assert t_check(stack, window, (0, 1, 4), bounds, 1e-6).sat
+    assert not t_check(stack, window, cert.sensors, bounds, 1e-6).sat
 
 
 # kinds of C row in the rank property test: a fresh random row, a dead one, a
@@ -1005,7 +982,7 @@ def _rank_models(draw):
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(spec=_rank_models())
 def test_full_row_rank_blocks_pass_the_check_alone(spec):
-    # what the shrink pass assumes of a one-sensor prefix it does not check
+    # a block of full row rank fits any reading by itself
     n, tau, kinds, spread, seed = spec
     rng = np.random.default_rng(seed)
     rows = []
@@ -1034,8 +1011,8 @@ def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
     # sensor 0's block is square and of full rank by the stack's rule, but its
     # condition number is about 1e6: the check's normal-equation solve leaves
     # a rounding residual of about 0.03, so t_check rejects the lone sensor
-    # although the block interpolates any reading.  The stack decides: the
-    # prefix passes, and the certificate keeps the pair the walk rejected.
+    # although the block interpolates any reading.  The walk checks no lone
+    # sensor (n // tau + 1 = 2), so its certificate is the pair it rejected.
     a = np.eye(2) + 1e-6 * np.array([[1.0, 2.0], [3.0, -1.0]])
     c = np.array([[1.0, 0.5], [0.0, 1.0], [1.0, 0.0]])
     model = SystemModel(A=a, B=np.zeros((2, 1)), C=c, tau=2, s_bar=1, noise_bounds=np.zeros(3))
@@ -1051,8 +1028,8 @@ def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
     checked = _counting_checks(monkeypatch)
     cert, counts = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
     assert cert.sensors == frozenset({0, 1})
-    assert ("t_check", (0,)) not in checked
-    assert counts.theory_checks == 2  # the walk's one trial and the stack's decision
+    assert checked == [("t_check", (0, 1))]
+    assert counts.theory_checks == 1  # the walk's one trial
     monkeypatch.undo()
     assert not t_check(stack, window, cert.sensors, bounds, DEFAULT_EPSILON).sat
 
@@ -1060,20 +1037,20 @@ def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
 def test_vehicle_shrink_checks_only_the_encoder_singletons(monkeypatch):
     checked = _counting_checks(monkeypatch)
     run_closed_loop(discretize_ugv(), alternating_encoder_scenario(), steps=340, seed=4)
-    singles = [sensors for name, sensors in checked if name == "t_check" and len(sensors) == 1]
-    # the GPS block has full row rank, so the stack decides its prefix; an
-    # encoder block has rank 1 of 2, and its lone reading can fail
-    assert (0,) not in singles
-    assert (1,) in singles
+    # n // tau + 1 = 2, and the one-sensor seed has no spare equation, so
+    # there is no seed fit: the walk checks no lone sensor, neither the GPS
+    # (full row rank) nor an encoder (rank 1 of 2)
+    assert checked
+    assert [sensors for _, sensors in checked if len(sensors) == 1] == []
 
 
 @pytest.mark.parametrize("reading", [math.inf, math.nan, 1e200], ids=["inf", "nan", "overflow"])
 def test_nonfinite_reading_in_the_one_sensor_prefix_is_checked(monkeypatch, reading):
     # estimate never gets here: it learns a singleton for a non-finite row
-    # before its first check.  Called directly, the GPS block has full row
-    # rank but its reading is not finite (or its square overflows), so the
-    # check decides the prefix and rejects it, as it did before the stack
-    # rule: the certificate is the GPS alone.
+    # before its first check.  Called directly, the GPS reading is not finite
+    # (or its square overflows), so the check rejects every set that holds
+    # it.  The walk checks no lone sensor (n // tau + 1 = 2): its certificate
+    # is a rejected pair that holds the GPS.
     model, stack, _ = _ugv_case()
     window = stack_window(model, np.array([[reading, 1.0, 1.2], [0.4, 0.9, 1.1]]),
                           np.zeros((2, 1)))
@@ -1085,22 +1062,16 @@ def test_nonfinite_reading_in_the_one_sensor_prefix_is_checked(monkeypatch, read
         cert, _ = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
         direct = certificate_conflict(stack, window, [1, 0], 1, DEFAULT_EPSILON, bounds,
                                       SolveStats())
-    assert cert.sensors == direct.sensors == frozenset({0})
-    assert checked.count(("t_check", (0,))) == 2
+    assert 0 in cert.sensors and len(cert.sensors) == 2
+    # a lone candidate: the checked set, taken without a check
+    assert (direct.sensors, direct.suspect) == (frozenset({0, 1}), 0)
+    assert checked and all(len(sensors) == 2 for _, sensors in checked)
+    with np.errstate(all="ignore"):
+        assert not t_check(stack, window, cert.sensors, bounds, DEFAULT_EPSILON).sat
 
 
-def test_every_conflict_certificate_is_rejected(monkeypatch):
-    # one full desk-scale solve: the batch decides most shrink prefixes, and
-    # every conflict it helps build must still fail the check
-    batches = []
-    real = sse.theory._prefix_decisions
-
-    def counting(*args):
-        table = real(*args)
-        batches.append(len(table))
-        return table
-
-    monkeypatch.setattr(sse.theory, "_prefix_decisions", counting)
+def test_every_conflict_certificate_is_rejected():
+    # one full desk-scale solve: every conflict the walk builds fails the check
     inst = _desk_instance(8)
     # the solve needs 9 iterations; a stalled conflict walk fails at the cap
     config = EstimatorConfig(strategy=Strategy.CONFLICT, epsilon=1e-6, max_iterations=1000)
@@ -1109,10 +1080,49 @@ def test_every_conflict_certificate_is_rejected(monkeypatch):
     conflicts = [c for c in result.certificates
                  if c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED]
     assert len(conflicts) == result.iterations - 1
-    assert sum(batches) > 0
     for cert in conflicts:
         assert not t_check(inst.stack, inst.window, cert.sensors,
                            inst.model.noise_bounds, 1e-6).sat
+
+
+def test_desk_walk_certificates_have_thirteen_members():
+    # n = 25, tau = 2: 13 sensors are the fewest that over-determine the
+    # state, and each of this solve's certificates is the first prefix of
+    # its trial: 13 sensors, the suspect among them, rejected by the check
+    inst = _desk_instance(8)
+    config = EstimatorConfig(strategy=Strategy.CONFLICT, epsilon=1e-6, max_iterations=1000)
+    result = estimate(inst.model, inst.stack, inst.window, config)
+    conflicts = [c for c in result.certificates
+                 if c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED]
+    assert conflicts
+    for cert in conflicts:
+        assert len(cert.sensors) == 13 and cert.suspect in cert.sensors
+        assert not t_check(inst.stack, inst.window, cert.sensors,
+                           inst.model.noise_bounds, 1e-6).sat
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05])
+def test_conflict_matches_the_oracle_on_small_instances(noise):
+    # feasibility and the minimal support under conflict, against brute force
+    config = EstimatorConfig(strategy=Strategy.CONFLICT, epsilon=1e-6)
+    walks = 0
+    for spec in ((2, 7, 2, 2, "3s"), (3, 8, 2, 2, "2s"), (4, 10, 3, 3, "2s"),
+                 (2, 9, 1, 3, "2s")):
+        for seed in range(4):
+            inst = generate_instance(*spec, noise, seed=seed,
+                                     attack_norm={"lo": 0.05, "hi": 2.0})
+            model, stack, window = inst.model, inst.stack, inst.window
+            oracle = brute_force(model, stack, window, epsilon=1e-6)
+            result = estimate(model, stack, window, config)
+            assert result.feasible == bool(oracle.supports)
+            if result.feasible:
+                assert result.support in oracle.supports
+            minimal = minimal_support_estimate(model, stack, window, config)
+            assert minimal.feasible == bool(oracle.supports)
+            if minimal.feasible:
+                assert minimal.support in oracle.minimal
+            walks += result.stats.theory_checks
+    assert walks > 0
 
 
 # ---------------------------------------------------------------------------

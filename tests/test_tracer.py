@@ -79,16 +79,15 @@ def test_tracer_counts_agree_certificates_when_the_gate_is_open():
 
 
 def test_tracer_sees_the_shrink_checks():
-    # the two encoders disagree, so the check on (1, 2) fails; the walk has
-    # one candidate and takes the checked set, and the shrink must check
-    # encoder 1 alone, whose block has rank 1 of 2
+    # the two encoders disagree, so the check on all three sensors fails; the
+    # walk has two candidates, and each trial pairs one with the seed, a
+    # first prefix of two sensors (n // tau + 1 = 2) that the walk checks
     model = discretize_ugv().model
     stack = sse.build_observability(model)
     window = sse.stack_window(model, np.array([[0.3, 1.0, 5.0], [0.4, 1.0, 5.0]]),
                               np.zeros((2, 1)))
-    check = sse.t_check(stack, window, (1, 2), model.noise_bounds, 1e-6)
+    check = sse.t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-6)
     assert not check.sat
-    assert stack.block_kernel_dims[1] == 1
     tracer = Tracer()
     tracer.install()
     try:
@@ -96,7 +95,7 @@ def test_tracer_sees_the_shrink_checks():
                                      model.noise_bounds, Strategy.CONFLICT)
     finally:
         tracer.uninstall()
-    assert tracer.calls["theory.cert_check"] == counts.theory_checks == 1
+    assert tracer.calls["theory.cert_check"] == counts.theory_checks == 2
 
 
 @pytest.mark.parametrize("workload", ["ugv_loop", "plant_stream"])
