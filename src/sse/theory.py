@@ -199,32 +199,6 @@ def _refit_ranking(
     return sorted(sensors, key=res.tolist().__getitem__)
 
 
-def _batched_decisions(grams, rhs, y_sq, norms_sq, psi_sq, epsilon, residual_sq) -> list:
-    """SAT decisions for K sensor sets from one batched normal-equation
-    solve, the exposure table's tie policy (see ``_exposures``).  Set k has
-    the summed Gram ``grams[k]``, O^T Y ``rhs[k]``, ||Y||^2 ``y_sq[k]``,
-    summed squared block norms ``norms_sq[k]`` and ||Psi||^2 ``psi_sq[k]``;
-    ``residual_sq(xs)`` gives every set's squared residual at its solution ``xs[k]``.  A decision is
-    None, left to ``t_check``, when the batched solve raises, when its
-    solution fails ``t_check``'s relative gradient test, or when its residual
-    norm lies within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)``
-    of the budget ``||Psi|| + epsilon``, where a different summation order
-    could flip the decision.
-    """
-    try:
-        xs = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]  # (K, n)
-    except np.linalg.LinAlgError:
-        return [None] * len(grams)
-    grad = rhs - (grams @ xs[:, :, None])[:, :, 0]
-    scale = np.maximum(np.sqrt(y_sq) * np.sqrt(norms_sq), GRAD_FLOOR)
-    solved = np.sqrt((grad * grad).sum(axis=1)) <= GRAD_RTOL * scale
-    residual = np.sqrt(residual_sq(xs))
-    budget = np.sqrt(psi_sq) + epsilon
-    clear = np.abs(residual - budget) > TIE_RTOL * (budget + np.sqrt(y_sq))
-    sat = (residual <= budget).tolist()
-    return [s if ok else None for s, ok in zip(sat, (solved & clear).tolist())]
-
-
 def _exposures(
     stack: ObservabilityStack,
     window: StackedWindow,
@@ -236,30 +210,44 @@ def _exposures(
 ) -> list:
     """At-least-one-attacked certificates ``seed | {i}``, suspect i, for each
     sensor i of ``sensors`` outside the clean ``seed`` (ascending) whose set
-    is rejected.  One batched solve decides every set from the seed's sums
-    plus sensor i's terms (see ``_batched_decisions``), and ``t_check``
-    decides what it leaves out; each decision counts as one theory check in
+    is rejected.  One batched normal-equation solve decides every set from
+    the seed's sums plus sensor i's terms.  ``t_check`` decides the sets it
+    leaves out: all of them when the batched solve raises, and a set whose
+    solution fails ``t_check``'s relative gradient test or whose residual
+    norm lies within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)``
+    of the budget ``||Psi|| + epsilon``, where a different summation order
+    could flip the decision.  Each decision counts as one theory check in
     ``stats``."""
     n, tau, m = stack.n, stack.tau, len(seed)
     outside = [i for i in sensors if i not in seed]
     idx = np.fromiter(seed + tuple(outside), np.intp, m + len(outside))
     blocks = stack.blocks.take(idx, 0)  # (m + K, tau, n): the seed, then the rest
     ys = window.blocks.take(idx, 0)  # (m + K, tau)
-    k = np.arange(len(outside))
 
     def seed_plus(terms):  # the seed's sum plus each outside sensor's own term
         return terms[m:] + terms[:m].sum(axis=0)
 
-    def residual_sq(xs):
+    grams = seed_plus(stack.gram_blocks.take(idx, 0))
+    rhs = seed_plus((ys[:, None, :] @ blocks)[:, 0])
+    y_sq = seed_plus((ys * ys).sum(axis=1))
+    try:
+        xs = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]  # (K, n)
+    except np.linalg.LinAlgError:
+        decided = [None] * len(outside)
+    else:
+        grad = rhs - (grams @ xs[:, :, None])[:, :, 0]
+        norms_sq = seed_plus(stack.block_norms_sq.take(idx))
+        scale = np.maximum(np.sqrt(y_sq) * np.sqrt(norms_sq), GRAD_FLOOR)
+        solved = np.sqrt((grad * grad).sum(axis=1)) <= GRAD_RTOL * scale
         # every sensor's fit under every set's state: (m + K, K)
         diff = ys.reshape(-1, 1) - blocks.reshape(-1, n) @ xs.T
         per_sensor = (diff * diff).reshape(len(idx), tau, -1).sum(axis=1)
-        return per_sensor[:m].sum(axis=0) + per_sensor[m + k, k]
-
-    decided = _batched_decisions(
-        seed_plus(stack.gram_blocks.take(idx, 0)), seed_plus((ys[:, None, :] @ blocks)[:, 0]),
-        seed_plus((ys * ys).sum(axis=1)), seed_plus(stack.block_norms_sq.take(idx)),
-        seed_plus(noise_bounds.take(idx) ** 2), epsilon, residual_sq)
+        k = np.arange(len(outside))
+        residual = np.sqrt(per_sensor[:m].sum(axis=0) + per_sensor[m + k, k])
+        budget = np.sqrt(seed_plus(noise_bounds.take(idx) ** 2)) + epsilon
+        clear = np.abs(residual - budget) > TIE_RTOL * (budget + np.sqrt(y_sq))
+        sat = (residual <= budget).tolist()
+        decided = [s if ok else None for s, ok in zip(sat, (solved & clear).tolist())]
     certs = []
     for i, sat in zip(outside, decided):
         stats.theory_checks += 1
