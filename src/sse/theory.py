@@ -291,15 +291,14 @@ def certificate_conflict(
     first = min(stack.n // stack.tau + 1, len(rest) + 1)
     for cand in candidates:
         trial = [cand] + rest
-        # a lone candidate's full trial is the checked set, already rejected
-        for keep in range(first, len(trial) + 1 - lone):
+        for keep in range(first, len(trial) + 1):
+            if lone and keep == len(trial):
+                break  # the checked set, already rejected
             stats.theory_checks += 1
             if not t_check(stack, window, trial[:keep], noise_bounds, epsilon).sat:
                 break
         else:
-            if not lone:
-                continue
-            keep = len(trial)
+            continue
         return Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(trial[:keep]),
                            suspect=cand)
     raise ConflictSearchError(
