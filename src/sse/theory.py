@@ -176,8 +176,9 @@ def t_check(
         x, _, rank, _ = np.linalg.lstsq(o_i, y_i, rcond=None)
         rank_deficient = rank < n
     diff = y_i - o_i @ x
-    residual_sq = float((diff * diff).reshape(len(sensors), tau).sum(axis=1).sum())
-    psi_sq = float((bounds.take(idx) ** 2).sum())
+    residual_sq = float(diff.dot(diff))
+    psi = bounds.take(idx)
+    psi_sq = float(psi.dot(psi))
     sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
     return CheckResult(sat, x, residual_sq, sensors, rank_deficient)
 

@@ -695,7 +695,9 @@ def test_noiseless_sat_checks_pin_the_true_state():
 
 
 def _reference_t_check(stack, window, sensors, noise_bounds, epsilon):
-    """The check as it was before its per-call overhead was removed."""
+    """The check as it was before its per-call overhead was removed, with
+    the squared residual and noise budget summed as one dot product each,
+    the order ``t_check`` sums them in."""
     sensors = tuple(sorted(set(int(i) for i in sensors)))
     noise_bounds = np.asarray(noise_bounds, dtype=float)
     idx = list(sensors)
@@ -719,10 +721,9 @@ def _reference_t_check(stack, window, sensors, noise_bounds, epsilon):
         rank_deficient = rank < stack.n
     fit = o_i @ x
     diff = y_i - fit
-    tau = stack.tau
-    block_res = (diff * diff).reshape(len(idx), tau).sum(axis=1)
-    residual_sq = float(block_res.sum())
-    psi_sq = float(np.sum(noise_bounds[idx] ** 2))
+    residual_sq = float(diff.dot(diff))
+    psi = noise_bounds[idx]
+    psi_sq = float(psi.dot(psi))
     sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
     return sat, x, residual_sq, sensors, rank_deficient
 
