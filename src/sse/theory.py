@@ -37,18 +37,17 @@ first prefix already fails: a conflict usually costs one check.  Every
 conflict is a set that ``t_check`` rejected, or the checked set.
 
 A clean seed also exposes the attacked sensors among the rest.  Each checked
-sensor i outside it gives the set seed + {i}; one batched normal-equation
-solve decides them all, and each rejected one is learned as an
-at-least-one-attacked certificate with suspect i (a theory solver returning
-several explanations per call: Sebastiani, "Lazy satisfiability modulo
-theories", JSAT 2007).  A set whose batched solve fails, or whose residual
-lies in the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)`` around the
-budget ``||Psi|| + epsilon``, is left to ``t_check``.  Once the agree
-certificate zeroes the seed, each exposure acts as the singleton {i}.  The
-walk's conflict would be a subset of seed + {cand} holding cand, which then
-acts as {cand}, one of the exposures, so the walk is skipped.  It runs only
-when every exposure passes (rounding can do that), so that every rejected
-check still learns an at-least-one certificate.
+sensor i outside it gives the set seed + {i}; ``t_check`` decides each one,
+and each rejected one is learned as an at-least-one-attacked certificate
+with suspect i (a theory solver returning several explanations per call:
+Sebastiani, "Lazy satisfiability modulo theories", JSAT 2007).  So
+``t_check`` is the one decider of every set a certificate names.  Once the
+agree certificate zeroes the seed, each exposure acts as the singleton {i}.
+The walk's conflict would be a subset of seed + {cand} holding cand, which
+then acts as {cand}, one of the exposures, so the walk is skipped.  It runs
+only when every exposure passes (sensors that each fit the seed within the
+budget can still fail together), so that every rejected check still learns
+an at-least-one certificate.
 """
 
 from __future__ import annotations
@@ -64,15 +63,12 @@ from .linmodel import ObservabilityStack, StackedWindow
 from .satcore import Certificate, CertificateKind, SolveStats
 
 
-# Relative half-width of the band around the budget in which the exposure
-# table's batched residual is not trusted to decide a set (see _exposures).
-TIE_RTOL = 1e-10
 # Floats a stack's memo of per-set check constants may hold in all (see
 # t_check); a set that does not fit is recomputed on every check.
 CHECK_MEMO_FLOATS = 1 << 12
 # Solver tolerance epsilon every entry point uses unless told otherwise.
 DEFAULT_EPSILON = 1e-6
-# The gradient test that accepts a normal-equation solve (t_check, _exposures).
+# The gradient test that accepts t_check's normal-equation solve.
 GRAD_RTOL = 1e-9
 GRAD_FLOOR = 1e-300
 
@@ -211,52 +207,15 @@ def _exposures(
 ) -> list:
     """At-least-one-attacked certificates ``seed | {i}``, suspect i, for each
     sensor i of ``sensors`` outside the clean ``seed`` (ascending) whose set
-    is rejected.  One batched normal-equation solve decides every set from
-    the seed's sums plus sensor i's terms.  ``t_check`` decides the sets it
-    leaves out: all of them when the batched solve raises, and a set whose
-    solution fails ``t_check``'s relative gradient test or whose residual
-    norm lies within the tie band ``TIE_RTOL * (||Psi|| + epsilon + ||Y||)``
-    of the budget ``||Psi|| + epsilon``, where a different summation order
-    could flip the decision.  Each decision counts as one theory check in
+    ``t_check`` rejects.  Each decision counts as one theory check in
     ``stats``."""
-    n, tau, m = stack.n, stack.tau, len(seed)
-    outside = [i for i in sensors if i not in seed]
-    idx = np.fromiter(seed + tuple(outside), np.intp, m + len(outside))
-    blocks = stack.blocks.take(idx, 0)  # (m + K, tau, n): the seed, then the rest
-    ys = window.blocks.take(idx, 0)  # (m + K, tau)
-
-    def seed_plus(terms):  # the seed's sum plus each outside sensor's own term
-        return terms[m:] + terms[:m].sum(axis=0)
-
-    grams = seed_plus(stack.gram_blocks.take(idx, 0))
-    rhs = seed_plus((ys[:, None, :] @ blocks)[:, 0])
-    y_sq = seed_plus((ys * ys).sum(axis=1))
-    try:
-        xs = np.linalg.solve(grams, rhs[:, :, None])[:, :, 0]  # (K, n)
-    except np.linalg.LinAlgError:
-        decided = [None] * len(outside)
-    else:
-        grad = rhs - (grams @ xs[:, :, None])[:, :, 0]
-        norms_sq = seed_plus(stack.block_norms_sq.take(idx))
-        scale = np.maximum(np.sqrt(y_sq) * np.sqrt(norms_sq), GRAD_FLOOR)
-        solved = np.sqrt((grad * grad).sum(axis=1)) <= GRAD_RTOL * scale
-        # every sensor's fit under every set's state: (m + K, K)
-        diff = ys.reshape(-1, 1) - blocks.reshape(-1, n) @ xs.T
-        per_sensor = (diff * diff).reshape(len(idx), tau, -1).sum(axis=1)
-        k = np.arange(len(outside))
-        residual = np.sqrt(per_sensor[:m].sum(axis=0) + per_sensor[m + k, k])
-        budget = np.sqrt(seed_plus(noise_bounds.take(idx) ** 2)) + epsilon
-        clear = np.abs(residual - budget) > TIE_RTOL * (budget + np.sqrt(y_sq))
-        sat = (residual <= budget).tolist()
-        decided = [s if ok else None for s, ok in zip(sat, (solved & clear).tolist())]
     certs = []
-    for i, sat in zip(outside, decided):
-        stats.theory_checks += 1
-        if sat is None:
-            sat = t_check(stack, window, seed + (i,), noise_bounds, epsilon).sat
-        if not sat:
-            certs.append(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
-                                     frozenset(seed + (i,)), suspect=i))
+    for i in sensors:
+        if i not in seed:
+            stats.theory_checks += 1
+            if not t_check(stack, window, seed + (i,), noise_bounds, epsilon).sat:
+                certs.append(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
+                                         frozenset(seed + (i,)), suspect=i))
     return certs
 
 

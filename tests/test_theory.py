@@ -1179,9 +1179,11 @@ def test_gate_open_at_least_one_certificates_are_rejected_sets(case):
 @pytest.mark.parametrize("case", range(len(GATE_OPEN_CASES)))
 def test_exposure_decisions_match_t_check(monkeypatch, case):
     model, stack, window = _gate_open_case(case)
-    batched = estimate(model, stack, window, AGREE_CONFIG)
-    # each exposure the table decided is the one t_check makes
-    for record in batched.records:
+    with monkeypatch.context() as m:
+        checked = _counting_checks(m)
+        result = estimate(model, stack, window, AGREE_CONFIG)
+    # each record's exposures are the sets seed | {i} that t_check rejects
+    for record in result.records:
         if record.sat:
             continue
         seed = [c.sensors for c in record.certificates
@@ -1192,17 +1194,8 @@ def test_exposure_decisions_match_t_check(monkeypatch, case):
         rejected = [i for i in outside if not t_check(stack, window, seed[0] | {i},
                                                       model.noise_bounds, 1e-6).sat]
         assert [c.suspect for c in _exposures_of(record)] == rejected
-    # a tie band this wide leaves every exposure to t_check: same answer
-    with monkeypatch.context() as m:
-        m.setattr(sse.theory, "TIE_RTOL", 1e300)
-        checked = _counting_checks(m)
-        checks = estimate(model, stack, window, AGREE_CONFIG)
-    assert (checks.feasible, checks.support, checks.iterations) == (
-        batched.feasible, batched.support, batched.iterations)
-    assert checks.x.tobytes() == batched.x.tobytes()
-    assert checks.certificates == batched.certificates
-    assert checks.stats.theory_checks == batched.stats.theory_checks
-    exposed = [c for r in checks.records for c in _exposures_of(r)]
+    # and the solve checked every exposure's set
+    exposed = [c for r in result.records for c in _exposures_of(r)]
     assert exposed
     for cert in exposed:
         assert ("t_check", tuple(sorted(cert.sensors))) in checked
@@ -1230,16 +1223,13 @@ def test_exposure_decisions_match_t_check_near_the_budget(monkeypatch):
     assert 0 < len(rejected) < 6
     want = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(seed + (i,)), suspect=i)
             for i in rejected]
-    for tie_rtol in (sse.theory.TIE_RTOL, 1e300):
-        with monkeypatch.context() as m:
-            m.setattr(sse.theory, "TIE_RTOL", tie_rtol)
-            checked = _counting_checks(m)
-            stats = SolveStats()
-            assert sse.theory._exposures(stack, window, seed, sensors, model.noise_bounds,
-                                         epsilon, stats) == want
-        assert stats.theory_checks == 6
-        # the table decides every exposure, unless the band is that wide
-        assert len(checked) == (6 if tie_rtol == 1e300 else 0)
+    checked = _counting_checks(monkeypatch)
+    stats = SolveStats()
+    assert sse.theory._exposures(stack, window, seed, sensors, model.noise_bounds,
+                                 epsilon, stats) == want
+    assert stats.theory_checks == 6
+    # one t_check per exposure, in ascending i
+    assert checked == [("t_check", seed + (i,)) for i in range(6, 12)]
 
 
 def test_walk_runs_when_every_exposure_passes(monkeypatch):
