@@ -286,15 +286,18 @@ def certificates(
     """Certificates to learn from an UNSAT check, per the strategy, and the
     call's ``theory_checks`` and ``conflict_fallbacks`` as a ``SolveStats``.
 
-    ``trivial`` blames every checked sensor, and so does every strategy when
-    no more than p - 2*s_bar sensors were checked.  Otherwise the checked
-    sensors are ranked once by residual at ``check.x``, and the p - 2*s_bar
-    lowest are the seed.  The seed's check, the seed fit, is made at most
-    once (one theory check): when the concentration step aims the walk (see
-    the module docstring), and under ``conflict_agree``, whose agree
-    certificate is a passing seed fit.  When the walk fails, as it can on
-    noisy data, the trivial certificate is emitted instead and the fallback
-    is counted.
+    A check whose squared residual is not finite gets one singleton
+    certificate, with no suspect, for each checked sensor whose row is not
+    finite (``StackedWindow.nonfinite_sensors``), when it has any: the rule
+    ``estimate`` applies before its first check.  ``trivial`` blames every
+    checked sensor, and so does every strategy when no more than p - 2*s_bar
+    sensors were checked.  Otherwise the checked sensors are ranked once by
+    residual at ``check.x``, and the p - 2*s_bar lowest are the seed.  The
+    seed's check, the seed fit, is made at most once (one theory check): when
+    the concentration step aims the walk (see the module docstring), and
+    under ``conflict_agree``, whose agree certificate is a passing seed fit.
+    When the walk fails, as it can on noisy data, the trivial certificate is
+    emitted instead and the fallback is counted.
     Under ``conflict_agree`` with a passing seed fit, the exposures come
     first: one at-least-one certificate ``seed | {i}``, suspect i, for each
     checked sensor i outside the seed whose set is rejected, in ascending i,
@@ -307,6 +310,11 @@ def certificates(
     if check.sat:
         raise ValueError("certificates require an UNSAT check")
     counts = SolveStats()
+    if not math.isfinite(check.residual_sq):
+        blamed = [i for i in window.nonfinite_sensors() if i in check.sensors]
+        if blamed:
+            return [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({i}))
+                    for i in blamed], counts
     seed_size = stack.p - 2 * s_bar
     if strategy is Strategy.TRIVIAL or len(check.sensors) <= seed_size:
         trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))

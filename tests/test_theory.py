@@ -1050,8 +1050,8 @@ def test_nonfinite_reading_in_the_one_sensor_prefix_is_checked(monkeypatch, read
     # estimate never gets here: it learns a singleton for a non-finite row
     # before its first check.  Called directly, the GPS reading is not finite
     # (or its square overflows), so the check rejects every set that holds
-    # it.  The walk checks no lone sensor (n // tau + 1 = 2): its certificate
-    # is a rejected pair that holds the GPS.
+    # it, and certificates applies estimate's rule: the singleton {0}, with
+    # no suspect and no check.
     model, stack, _ = _ugv_case()
     window = stack_window(model, np.array([[reading, 1.0, 1.2], [0.4, 0.9, 1.1]]),
                           np.zeros((2, 1)))
@@ -1063,10 +1063,10 @@ def test_nonfinite_reading_in_the_one_sensor_prefix_is_checked(monkeypatch, read
         cert, _ = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
         direct = certificate_conflict(stack, window, [1, 0], 1, DEFAULT_EPSILON, bounds,
                                       SolveStats())
-    assert 0 in cert.sensors and len(cert.sensors) == 2
+    assert (cert.sensors, cert.suspect) == (frozenset({0}), None)
     # a lone candidate: the checked set, taken without a check
     assert (direct.sensors, direct.suspect) == (frozenset({0, 1}), 0)
-    assert checked and all(len(sensors) == 2 for _, sensors in checked)
+    assert checked == []
     with np.errstate(all="ignore"):
         assert not t_check(stack, window, cert.sensors, bounds, DEFAULT_EPSILON).sat
 
