@@ -1179,9 +1179,8 @@ def test_gate_open_at_least_one_certificates_are_rejected_sets(case):
 @pytest.mark.parametrize("case", range(len(GATE_OPEN_CASES)))
 def test_exposure_decisions_match_t_check(monkeypatch, case):
     model, stack, window = _gate_open_case(case)
-    with monkeypatch.context() as m:
-        checked = _counting_checks(m)
-        result = estimate(model, stack, window, AGREE_CONFIG)
+    checked = _counting_checks(monkeypatch)
+    result = estimate(model, stack, window, AGREE_CONFIG)
     # each record's exposures are the sets seed | {i} that t_check rejects
     for record in result.records:
         if record.sat:
