@@ -36,6 +36,14 @@ is not checked.  When the seed is clean and the candidate attacked, the
 first prefix already fails: a conflict usually costs one check.  Every
 conflict is a set that ``t_check`` rejected, or the checked set.
 
+A seed whose fit passes condemns more than one candidate.  When the seed fit
+was made and passed and the walk found its conflict, the candidates after the
+walk's suspect follow in walk order, each with its trial's first checked
+prefix alone (``_more_conflicts``): each rejected prefix is one more conflict,
+with that candidate as suspect, until a prefix passes or s_bar conflicts are
+held.  With the seed consistent, a rejected prefix names an attacked
+candidate, so one rejected check teaches the core most of the attack.
+
 A clean seed also exposes the attacked sensors among the rest.  Each checked
 sensor i outside it gives the set seed + {i}; ``t_check`` decides each one,
 and each rejected one is learned as an at-least-one-attacked certificate
@@ -219,6 +227,47 @@ def _exposures(
     return certs
 
 
+def _walk_order(stack: ObservabilityStack, ranked: list, seed_size: int) -> tuple:
+    """The conflict walk's trials, ``[cand] + rest`` for each candidate:
+    (candidates, highest residual first; rest, the seed_size lowest of
+    ``ranked`` in ascending kernel dimension, then index; first, the length
+    of each trial's first checked prefix)."""
+    rest = sorted(ranked[:seed_size])
+    rest.sort(key=stack.block_kernel_dims.tolist().__getitem__)
+    first = min(stack.n // stack.tau + 1, len(rest) + 1)
+    return ranked[seed_size:][::-1], rest, first
+
+
+def _more_conflicts(
+    stack: ObservabilityStack,
+    window: StackedWindow,
+    ranked: list,
+    seed_size: int,
+    suspect: int,
+    room: int,
+    epsilon: float,
+    noise_bounds: np.ndarray,
+    stats: SolveStats,
+) -> list:
+    """Up to ``room`` more at-least-one-attacked certificates from the walk's
+    candidates after ``suspect``, the walk's own suspect, in walk order: each
+    candidate's first checked prefix ``[cand] + rest[:first - 1]``, suspect
+    cand, while ``t_check`` rejects it.  The first prefix that passes ends the
+    run.  Each decision counts as one theory check in ``stats``."""
+    candidates, rest, first = _walk_order(stack, ranked, seed_size)
+    certs = []
+    for cand in candidates[candidates.index(suspect) + 1:]:
+        if len(certs) == room:
+            break
+        prefix = [cand] + rest[:first - 1]
+        stats.theory_checks += 1
+        if t_check(stack, window, prefix, noise_bounds, epsilon).sat:
+            break
+        certs.append(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(prefix),
+                                 suspect=cand))
+    return certs
+
+
 def certificate_conflict(
     stack: ObservabilityStack,
     window: StackedWindow,
@@ -244,11 +293,8 @@ def certificate_conflict(
     ``stats``, and every certificate is a set that ``t_check`` rejected or
     the checked set.
     """
-    rest = sorted(ranked[:seed_size])
-    rest.sort(key=stack.block_kernel_dims.tolist().__getitem__)
-    candidates = ranked[seed_size:][::-1]  # highest residual first
+    candidates, rest, first = _walk_order(stack, ranked, seed_size)
     lone = len(candidates) == 1
-    first = min(stack.n // stack.tau + 1, len(rest) + 1)
     for cand in candidates:
         trial = [cand] + rest
         for keep in range(first, len(trial) + 1):
@@ -297,7 +343,10 @@ def certificates(
     the concentration step aims the walk (see the module docstring), and
     under ``conflict_agree``, whose agree certificate is a passing seed fit.
     When the walk fails, as it can on noisy data, the trivial certificate is
-    emitted instead and the fallback is counted.
+    emitted instead and the fallback is counted.  When it finds its conflict
+    and the seed fit was made and passed, up to s_bar - 1 more conflicts
+    follow it, one theory check each, plus one for a prefix that passes and
+    ends them (see ``_more_conflicts``).
     Under ``conflict_agree`` with a passing seed fit, the exposures come
     first: one at-least-one certificate ``seed | {i}``, suspect i, for each
     checked sensor i outside the seed whose set is rejected, in ascending i,
@@ -340,6 +389,10 @@ def certificates(
             counts.conflict_fallbacks = 1
             certs = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
                                  frozenset(check.sensors))]
+        else:
+            if (agree or aimed) and seed_fit.sat:
+                certs += _more_conflicts(stack, window, ranked, seed_size, certs[0].suspect,
+                                         s_bar - 1, epsilon, noise_bounds, counts)
     if agree:
         cert = certificate_agree(seed_fit)
         if cert is not None:

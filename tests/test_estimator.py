@@ -317,22 +317,23 @@ def test_minimal_support_sums_counts_over_budgets(monkeypatch):
 
 
 def test_capped_minimal_support_reports_totals_over_budgets():
-    # budget 6 finds a two-sensor support in 3 iterations; budget 1 then
-    # stops at the per-budget cap of 4
+    # budget 6 finds a two-sensor support in 2 iterations (the first rejected
+    # check condemns both attacked sensors); budget 1 then stops at the
+    # per-budget cap of 4
     inst = generate_instance(6, 20, 2, 6, "2s", 0.0, seed=1)
     config = cfg(Strategy.CONFLICT, epsilon=1e-6, max_iterations=4)
     with pytest.raises(IterationLimitError) as info:
         minimal_support_estimate(inst.model, inst.stack, inst.window, config)
     first = estimate(inst.model, inst.stack, inst.window, config)
-    assert first.feasible and len(first.support) == 2 and first.iterations == 3
+    assert first.feasible and len(first.support) == 2 and first.iterations == 2
     with pytest.raises(IterationLimitError) as capped:
         estimate(replace(inst.model, s_bar=1), inst.stack, inst.window, config)
     assert capped.value.iterations == 4
     exc = info.value
-    assert exc.iterations == 7 and "after 7 iterations" in str(exc)
+    assert exc.iterations == 6 and "after 6 iterations" in str(exc)
     untimed = [replace(s, solve_time=0.0) for s in (exc.stats, first.stats, capped.value.stats)]
     assert untimed[0] == untimed[1] + untimed[2]
-    assert exc.stats.solve_calls == 7 and exc.stats.solve_time > 0.0
+    assert exc.stats.solve_calls == 6 and exc.stats.solve_time > 0.0
 
 
 def _replayed_counts(model, stack, window, result, epsilon):

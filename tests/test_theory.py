@@ -354,11 +354,14 @@ def test_conflict_certificates_intersect_true_support():
         sensors = tuple(range(7))
         check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-8)
         assert not check.sat
-        cert, counts = _conflict(inst.stack, inst.window, check, 2, 1e-8,
-                               inst.model.noise_bounds)
+        certs, counts = certificates(inst.stack, inst.window, check, 2, 1e-8,
+                                     inst.model.noise_bounds, Strategy.CONFLICT)
         assert counts.conflict_fallbacks == 0
-        assert cert.sensors & set(inst.attacked)
-        assert len(cert.sensors) <= 7 - 2 * 2 + 1
+        # the walk's conflict, and at most s_bar - 1 = 1 more from its seed fit
+        assert 1 <= len(certs) <= 2
+        for cert in certs:
+            assert cert.sensors & set(inst.attacked)
+            assert len(cert.sensors) <= 7 - 2 * 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +375,7 @@ def _walk_order(stack, sensors):
     return sorted(sensors, key=lambda i: (int(stack.block_kernel_dims[i]), i))
 
 
-def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds):
+def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds, extend=False):
     """The conflict walk with one t_check per prefix: (conflict, suspect,
     theory checks).  The walk is aimed by the seed fit's residuals when the
     seed over-determines the state and there are at least two candidates.
@@ -380,26 +383,54 @@ def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds):
     n // tau + 1 sensors (or the whole trial, when shorter) up are checked in
     turn, and the first rejected one is the conflict, with the candidate as
     suspect.  A lone candidate's full trial is the checked set, taken without
-    a check.  Raises ConflictSearchError when no trial has a rejected prefix."""
+    a check.  Raises ConflictSearchError when no trial has a rejected prefix.
+
+    With ``extend``, the result is (the conflicts as certificates, theory
+    checks): when the seed fit was made and passed, the candidates after the
+    suspect follow in turn, each with its trial's first checked prefix alone,
+    and each rejected one is one more conflict, until one passes or s_bar
+    conflicts are held."""
     seed_size = stack.p - 2 * s_bar
     ranked = _ranked(stack, window, check)
     candidates = ranked[seed_size:][::-1]
     checks = 0
+    consistent = False
     if stack.tau * seed_size > stack.n and len(candidates) >= 2:
         fit = t_check(stack, window, ranked[:seed_size], noise_bounds, epsilon)
         checks += 1
+        consistent = fit.sat
         res = _residuals_at(stack, window, fit.x)
         ranked = sorted(ranked, key=lambda i: (res[i], i))
         candidates = ranked[seed_size:][::-1]
-    for cand in candidates:
-        trial = [cand] + _walk_order(stack, ranked[:seed_size])
-        for keep in range(min(stack.n // stack.tau + 1, len(trial)), len(trial) + 1):
-            if keep == len(trial) and len(candidates) == 1:
-                return frozenset(trial), cand, checks
-            checks += 1
-            if not t_check(stack, window, trial[:keep], noise_bounds, epsilon).sat:
-                return frozenset(trial[:keep]), cand, checks
-    raise ConflictSearchError(f"no conflict among {len(candidates)} candidates")
+    seed = _walk_order(stack, ranked[:seed_size])
+    first = min(stack.n // stack.tau + 1, seed_size + 1)
+
+    def walk():
+        nonlocal checks
+        for cand in candidates:
+            trial = [cand] + seed
+            for keep in range(first, len(trial) + 1):
+                if keep == len(trial) and len(candidates) == 1:
+                    return frozenset(trial), cand
+                checks += 1
+                if not t_check(stack, window, trial[:keep], noise_bounds, epsilon).sat:
+                    return frozenset(trial[:keep]), cand
+        raise ConflictSearchError(f"no conflict among {len(candidates)} candidates")
+
+    conflict, suspect = walk()
+    if not extend:
+        return conflict, suspect, checks
+    certs = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, conflict, suspect=suspect)]
+    for cand in candidates[candidates.index(suspect) + 1:] if consistent else ():
+        if len(certs) == s_bar:
+            break
+        checks += 1
+        prefix = [cand] + seed[:first - 1]
+        if t_check(stack, window, prefix, noise_bounds, epsilon).sat:
+            break
+        certs.append(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(prefix),
+                                 suspect=cand))
+    return certs, checks
 
 
 def _unaimed_walk(stack, window, check, s_bar, epsilon, noise_bounds):
@@ -511,14 +542,22 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
             certs, _ = certificates(stack, window, check, 20, 1e-6, model.noise_bounds,
                                     Strategy.CONFLICT)
         # the seed fit is one t_check; every other one is a walk prefix of at
-        # least n // tau + 1 = 13 sensors, and the last is the certificate
+        # least n // tau + 1 = 13 sensors, and the walk's last is the first
+        # certificate.  When the seed fit passes, the extension's first
+        # prefixes of 13 follow: one per further certificate, and at most one
+        # more that passed
         cert = certs[0]
         assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
         seed_set = tuple(sorted(_ranked(stack, window, check)[:20]))
         assert checked.count(("t_check", seed_set)) == 1
         prefixes = [sensors for _, sensors in checked if sensors != seed_set]
         assert all(13 <= len(sensors) <= 21 for sensors in prefixes)
-        assert prefixes[-1] == tuple(sorted(cert.sensors))
+        walked = prefixes.index(tuple(sorted(cert.sensors))) + 1
+        extra = prefixes[walked:]
+        assert [tuple(sorted(c.sensors)) for c in certs[1:]] == extra[:len(certs) - 1]
+        assert len(extra) - (len(certs) - 1) in (0, 1)
+        assert all(len(sensors) == 13 for sensors in extra)
+        assert extra == [] or fit.sat
         refit = _residuals_at(stack, window, fit.x)
         assert cert.suspect == max(cert.sensors, key=lambda i: (refit[i], i))
         assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
@@ -896,39 +935,47 @@ def test_batched_prefix_decisions_match_t_check(case):
     # the walk decides its prefixes by t_check alone, growing from the first
     # that over-determines the state: every such prefix shorter than the
     # certificate passes, and the certificate itself fails
+    # (the conflicts the seed fit adds are first prefixes, so the same holds)
     walked = 0
     for stack, window, check, s_bar, epsilon, bounds in _walk_cases(case):
-        cert, counts = _conflict(stack, window, check, s_bar, epsilon, bounds)
-        assert not t_check(stack, window, cert.sensors, bounds, epsilon).sat
+        certs, counts = certificates(stack, window, check, s_bar, epsilon, bounds,
+                                     Strategy.CONFLICT)
+        for cert in certs:
+            assert not t_check(stack, window, cert.sensors, bounds, epsilon).sat
         if counts.conflict_fallbacks:
             continue
         walked += 1
-        assert cert.suspect in cert.sensors
-        trial = [cert.suspect] + _walk_order(stack, cert.sensors - {cert.suspect})
-        for keep in range(stack.n // stack.tau + 1, len(trial)):
-            assert t_check(stack, window, trial[:keep], bounds, epsilon).sat
+        for cert in certs:
+            assert cert.suspect in cert.sensors
+            trial = [cert.suspect] + _walk_order(stack, cert.sensors - {cert.suspect})
+            for keep in range(stack.n // stack.tau + 1, len(trial)):
+                assert t_check(stack, window, trial[:keep], bounds, epsilon).sat
     assert walked > 0
 
 
 @pytest.mark.parametrize("memo_floats", [1, 10**6])
 def test_shrink_pass_matches_sequential_shrink(monkeypatch, memo_floats):
-    # the walk gives the reference walk's certificate, suspect and number of
-    # checks, whether the stack's check memo holds none of its sets or all
+    # the walk and its extension give the reference's certificates, suspects
+    # and number of checks, whether the stack's check memo holds none of
+    # their sets or all
     monkeypatch.setattr(sse.theory, "CHECK_MEMO_FLOATS", memo_floats)
     walked = 0
     for case in range(8):
         for stack, window, check, s_bar, epsilon, bounds in _walk_cases(case):
-            cert, counts = _conflict(stack, window, check, s_bar, epsilon, bounds)
+            certs, counts = certificates(stack, window, check, s_bar, epsilon, bounds,
+                                         Strategy.CONFLICT)
             try:
-                conflict, suspect, checks = _reference_walk(stack, window, check, s_bar,
-                                                            epsilon, bounds)
+                want, checks = _reference_walk(stack, window, check, s_bar, epsilon, bounds,
+                                               extend=True)
             except ConflictSearchError:
                 assert counts.conflict_fallbacks == 1
-                assert cert.sensors == frozenset(check.sensors)
+                assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
+                                             frozenset(check.sensors))]
                 continue
             walked += 1
             assert counts.conflict_fallbacks == 0
-            assert (cert.sensors, cert.suspect) == (conflict, suspect)
+            assert certs == want
+            assert [c.suspect for c in certs] == [c.suspect for c in want]
             assert counts.theory_checks == checks
     assert walked > 0
 
@@ -1072,15 +1119,20 @@ def test_nonfinite_reading_in_the_one_sensor_prefix_is_checked(monkeypatch, read
 
 
 def test_every_conflict_certificate_is_rejected():
-    # one full desk-scale solve: every conflict the walk builds fails the check
+    # one full desk-scale solve: every conflict the walk and its extension
+    # build fails the check
     inst = _desk_instance(8)
-    # the solve needs 9 iterations; a stalled conflict walk fails at the cap
+    # the solve needs 2 iterations; a stalled conflict walk fails at the cap
     config = EstimatorConfig(strategy=Strategy.CONFLICT, epsilon=1e-6, max_iterations=1000)
     result = estimate(inst.model, inst.stack, inst.window, config)
     assert result.feasible and set(inst.attacked) <= set(result.support)
     conflicts = [c for c in result.certificates
                  if c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED]
-    assert len(conflicts) == result.iterations - 1
+    # each rejected check learns between one and s_bar of them
+    rejected = [r for r in result.records if not r.sat]
+    assert len(rejected) == result.iterations - 1
+    assert all(1 <= len(r.certificates) <= 20 for r in rejected)
+    assert len(conflicts) == sum(len(r.certificates) for r in rejected)
     for cert in conflicts:
         assert not t_check(inst.stack, inst.window, cert.sensors,
                            inst.model.noise_bounds, 1e-6).sat
@@ -1100,6 +1152,121 @@ def test_desk_walk_certificates_have_thirteen_members():
         assert len(cert.sensors) == 13 and cert.suspect in cert.sensors
         assert not t_check(inst.stack, inst.window, cert.sensors,
                            inst.model.noise_bounds, 1e-6).sat
+
+
+# ---------------------------------------------------------------------------
+# the conflicts a consistent seed fit adds after the walk's
+# ---------------------------------------------------------------------------
+
+
+def _seed_fit(stack, window, check, s_bar, epsilon, bounds):
+    """The seed fit ``certificates`` makes under conflict, or None when the
+    walk is unaimed (no seed fit)."""
+    seed_size = stack.p - 2 * s_bar
+    if stack.tau * seed_size <= stack.n or len(check.sensors) - seed_size < 2:
+        return None
+    return t_check(stack, window, _ranked(stack, window, check)[:seed_size], bounds, epsilon)
+
+
+def _over_budget_cases():
+    """(stack, window, check, s_bar, epsilon, bounds) for rejected checks of
+    all 12 sensors of exact instances with 3 attacked sensors, solved at
+    budget 2: the seed of 8 can be clean while 3 candidates are attacked, so
+    the budget can end the extension."""
+    for seed in range(6):
+        inst = generate_instance(3, 12, 3, 3, "2s", 0.0, seed=seed,
+                                 attack_norm={"lo": 2.0, "hi": 8.0})
+        check = t_check(inst.stack, inst.window, range(12), inst.model.noise_bounds, 1e-6)
+        yield inst.stack, inst.window, check, 2, 1e-6, inst.model.noise_bounds, inst.attacked
+
+
+def test_seed_fit_conflicts_follow_the_walk_and_are_rejected():
+    extended = capped = 0
+    cases = [case + (None,) for c in range(8) for case in _walk_cases(c)]
+    for stack, window, check, s_bar, epsilon, bounds, attacked in cases + list(
+            _over_budget_cases()):
+        certs, counts = certificates(stack, window, check, s_bar, epsilon, bounds,
+                                     Strategy.CONFLICT)
+        assert 1 <= len(certs) <= s_bar
+        if len(certs) == 1:
+            continue
+        extended += 1
+        fit = _seed_fit(stack, window, check, s_bar, epsilon, bounds)
+        assert fit is not None and fit.sat and counts.conflict_fallbacks == 0
+        # the walk's candidates, highest refit residual first: each further
+        # suspect comes later in that order than the one before it
+        seed_size = stack.p - 2 * s_bar
+        order = _refit_ranking(stack, window, check.sensors, fit.x)[seed_size:][::-1]
+        positions = [order.index(c.suspect) for c in certs]
+        assert positions == sorted(set(positions))
+        first = min(stack.n // stack.tau + 1, seed_size + 1)
+        for cert in certs[1:]:
+            assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
+            assert cert.suspect in cert.sensors and len(cert.sensors) == first
+            assert not t_check(stack, window, cert.sensors, bounds, epsilon).sat
+        if attacked is not None and len(certs) == s_bar:
+            capped += len(set(attacked) & set(check.sensors)) > s_bar
+    assert extended > 0 and capped > 0
+
+
+def test_no_extension_without_a_passing_seed_fit(monkeypatch):
+    # the seed fit is made and fails: the walk's conflict alone
+    failed = 0
+    for case in range(8):
+        for stack, window, check, s_bar, epsilon, bounds in _walk_cases(case):
+            fit = _seed_fit(stack, window, check, s_bar, epsilon, bounds)
+            certs, _ = certificates(stack, window, check, s_bar, epsilon, bounds,
+                                    Strategy.CONFLICT)
+            if fit is None or not fit.sat:
+                failed += fit is not None
+                assert len(certs) == 1
+    assert failed > 0
+    # the seed fit passes but the walk falls back: the checked set alone,
+    # then (under conflict_agree) the agree certificate
+    epsilon = 1e-3
+    model, stack, window = _lines_off_by((0.9, 0.9, 0.9, 0.9), epsilon, 2)
+    check = t_check(stack, window, range(10), model.noise_bounds, epsilon)
+    assert _seed_fit(stack, window, check, 2, epsilon, model.noise_bounds).sat
+    trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(range(10)))
+    certs, counts = certificates(stack, window, check, 2, epsilon, model.noise_bounds,
+                                 Strategy.CONFLICT)
+    assert certs == [trivial] and counts.conflict_fallbacks == 1
+    # s_bar = 1 on the vehicle: a run makes exactly the t_check calls it
+    # makes with the extension taken out
+    runs = []
+    for extension in (sse.theory._more_conflicts, lambda *a: []):
+        with monkeypatch.context() as m:
+            m.setattr(sse.theory, "_more_conflicts", extension)
+            checked = _counting_checks(m)
+            trace = run_closed_loop(discretize_ugv(), alternating_encoder_scenario(),
+                                    steps=340, seed=4)
+        runs.append((checked, trace.b.tobytes(), trace.x_est.tobytes()))
+    assert runs[0][0] and runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("strategy", [Strategy.CONFLICT, Strategy.CONFLICT_AGREE])
+def test_seed_fit_conflicts_keep_the_oracle_answers(strategy):
+    # generated "2s" instances, exact and noisy: feasibility and the minimal
+    # support against brute force, with the extension running on some of
+    # their rejected checks
+    config = EstimatorConfig(strategy=strategy, epsilon=1e-6)
+    extended = 0
+    for k, (n, p, s_bar) in enumerate(((3, 9, 2), (4, 10, 2), (6, 11, 2), (3, 13, 3),
+                                        (5, 14, 3), (4, 13, 3))):
+        for s, noise in ((s_bar, 0.0), (s_bar - 1, 0.0), (s_bar, 0.01)):
+            inst = generate_instance(n, p, s, s_bar, "2s", noise, seed=100 + 7 * k + s)
+            model, stack, window = inst.model, inst.stack, inst.window
+            oracle = brute_force(model, stack, window, epsilon=1e-6)
+            result = estimate(model, stack, window, config)
+            assert result.feasible == bool(oracle.supports)
+            if result.feasible:
+                assert result.support in oracle.supports
+            minimal = minimal_support_estimate(model, stack, window, config)
+            assert minimal.feasible == bool(oracle.supports)
+            if minimal.feasible:
+                assert minimal.support in oracle.minimal
+            extended += any(len(r.certificates) > 1 for r in result.records)
+    assert extended > 0
 
 
 @pytest.mark.parametrize("noise", [0.0, 0.05])
