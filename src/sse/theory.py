@@ -79,6 +79,10 @@ DEFAULT_EPSILON = 1e-6
 # The gradient test that accepts t_check's normal-equation solve.
 GRAD_RTOL = 1e-9
 GRAD_FLOOR = 1e-300
+# A rejection by the normal-equation solve whose residual is within this share
+# of norm * ||x|| + ||Y_I|| of the budget is decided again by the SVD solver
+# (see t_check).
+RESOLVE_RTOL = 1e-5
 
 
 class Strategy(str, Enum):
@@ -129,6 +133,16 @@ def t_check(
     or a window whose blocks are not (p, tau), raise ``ValueError``.  The
     stack's memo keeps the set's index array, O_I, Gram matrix and norm while
     they fit ``CHECK_MEMO_FLOATS``.
+
+    The normal-equation solve is accepted on a small gradient, a test of
+    backward stability; its forward error grows with cond(O_I)^2, and the
+    residual it leaves exceeds the least one by up to about u * cond(O_I) *
+    (norm * ||x|| + ||Y_I||), u the unit roundoff.  So on an ill-conditioned
+    set it can reject a set that fits.  A rejection it makes within
+    ``RESOLVE_RTOL`` times that scale of the budget, which covers
+    cond(O_I) up to about 1e10, is decided again by the SVD solver.  Where
+    the two solves disagree the SVD rules, and its fit is returned; where
+    both reject, the normal-equation result stands.
     """
     p, n, tau = stack.p, stack.n, stack.tau
     try:
@@ -168,7 +182,8 @@ def t_check(
     x = None
     rank_deficient = len(sensors) * tau < n
     rhs = o_i.T @ y_i
-    scale = math.sqrt(float(y_i.dot(y_i))) * norm
+    y_norm = math.sqrt(float(y_i.dot(y_i)))
+    scale = y_norm * norm
     try:
         cand = np.linalg.solve(gram, rhs)
         grad = rhs - gram @ cand
@@ -176,14 +191,24 @@ def t_check(
             x = cand
     except np.linalg.LinAlgError:
         pass
-    if x is None:
+    normal = x is not None
+    if not normal:
         x, _, rank, _ = np.linalg.lstsq(o_i, y_i, rcond=None)
         rank_deficient = rank < n
     diff = y_i - o_i @ x
     residual_sq = float(diff.dot(diff))
     psi = bounds.take(idx)
-    psi_sq = float(psi.dot(psi))
-    sat = math.sqrt(residual_sq) <= math.sqrt(psi_sq) + epsilon
+    budget = math.sqrt(float(psi.dot(psi))) + epsilon
+    sat = math.sqrt(residual_sq) <= budget
+    # a normal-equation rejection near the budget goes to the SVD solver,
+    # whose acceptance rules
+    if (normal and not sat and math.sqrt(residual_sq) - budget
+            <= RESOLVE_RTOL * (norm * math.sqrt(float(x.dot(x))) + y_norm)):
+        x_svd, _, rank, _ = np.linalg.lstsq(o_i, y_i, rcond=None)
+        diff = y_i - o_i @ x_svd
+        svd_sq = float(diff.dot(diff))
+        if math.sqrt(svd_sq) <= budget:
+            return CheckResult(True, x_svd, svd_sq, sensors, rank < n)
     return CheckResult(sat, x, residual_sq, sensors, rank_deficient)
 
 

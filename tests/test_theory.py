@@ -1055,21 +1055,28 @@ def test_full_row_rank_blocks_pass_the_check_alone(spec):
             assert t_check(stack, window, (i,), bounds, DEFAULT_EPSILON).sat
 
 
-def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
-    # sensor 0's block is square and of full rank by the stack's rule, but its
-    # condition number is about 1e6: the check's normal-equation solve leaves
-    # a rounding residual of about 0.03, so t_check rejects the lone sensor
-    # although the block interpolates any reading.  The walk checks no lone
-    # sensor (n // tau + 1 = 2), so its certificate is the pair it rejected.
+def _ill_conditioned_pair():
+    """Three sensors of two states, tau = 2: sensor 0's block has condition
+    number about 1e7; sensors 1 and 2 read a state that sensor 0 misses."""
     a = np.eye(2) + 1e-6 * np.array([[1.0, 2.0], [3.0, -1.0]])
     c = np.array([[1.0, 0.5], [0.0, 1.0], [1.0, 0.0]])
     model = SystemModel(A=a, B=np.zeros((2, 1)), C=c, tau=2, s_bar=1, noise_bounds=np.zeros(3))
-    stack = build_observability(model)
-    assert stack.block_kernel_dims.tolist() == [0, 0, 0]
     window = stack_window(model, np.array([[3.0, 1.0, 2.0], [-4.0, 1.0, 2.0]]),
                           np.zeros((2, 1)))
+    return model, build_observability(model), window
+
+
+def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
+    # sensor 0's block is square and of full rank by the stack's rule, but its
+    # condition number is about 1e6: the check's normal-equation solve leaves
+    # a rounding residual of about 0.03, and the SVD solve that decides such a
+    # rejection again accepts the lone sensor, which the block interpolates.
+    # The walk checks no lone sensor (n // tau + 1 = 2), so its certificate
+    # is the pair it rejected.
+    model, stack, window = _ill_conditioned_pair()
+    assert stack.block_kernel_dims.tolist() == [0, 0, 0]
     bounds = model.noise_bounds
-    assert not t_check(stack, window, (0,), bounds, DEFAULT_EPSILON).sat
+    assert t_check(stack, window, (0,), bounds, DEFAULT_EPSILON).sat
     exact = np.linalg.solve(stack.blocks[0], window.blocks[0])
     assert np.linalg.norm(stack.blocks[0] @ exact - window.blocks[0]) <= DEFAULT_EPSILON
     check = t_check(stack, window, range(3), bounds, DEFAULT_EPSILON)
@@ -1080,6 +1087,58 @@ def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
     assert counts.theory_checks == 1  # the walk's one trial
     monkeypatch.undo()
     assert not t_check(stack, window, cert.sensors, bounds, DEFAULT_EPSILON).sat
+
+
+def test_brute_force_lists_the_support_of_an_ill_conditioned_complement():
+    # the complement of (1, 2) is sensor 0 alone, which fits its reading: the
+    # normal-equation solve rejects it, and the SVD solve that decides such a
+    # rejection again accepts it
+    model, stack, window = _ill_conditioned_pair()
+    oracle = brute_force(dataclasses.replace(model, s_bar=2), stack, window)
+    assert oracle.minimal == ((0, 1), (0, 2), (1, 2))
+
+
+def _svd_residual(stack, window, sensors):
+    """The least-squares residual norm of a sensor set by an explicit SVD:
+    singular values below the largest times max(shape) * eps are dropped."""
+    o_i = stack_rows(stack, sensors)
+    y_i = window.blocks[list(sensors)].reshape(-1)
+    u, sv, vt = np.linalg.svd(o_i, full_matrices=False)
+    keep = sv > sv[0] * max(o_i.shape) * np.finfo(float).eps
+    x = vt[keep].T @ ((u[:, keep].T @ y_i) / sv[keep])
+    return float(np.linalg.norm(y_i - o_i @ x))
+
+
+@st.composite
+def _conditioned_models(draw):
+    n = draw(st.integers(2, 4))
+    return (n, n + draw(st.integers(1, 4)), draw(st.integers(2, 10)),
+            draw(st.sampled_from([0.0, 1e-3, 1.0])), draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(spec=_conditioned_models())
+def test_ill_conditioned_checks_match_an_svd_reference(spec):
+    # scalar sensors whose rows have condition number 10**k, k = 2..10, and
+    # readings of a random state, one of them moved by ``attack``: t_check
+    # decides every set as the SVD reference does, away from the budget
+    n, p, k, attack, seed = spec
+    rng = np.random.default_rng(seed)
+    u = np.linalg.qr(rng.normal(size=(p, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    rows = (u * np.logspace(0, -k, n)) @ v.T
+    model = SystemModel(A=np.eye(n), B=np.zeros((n, 1)), C=rows, tau=1, s_bar=0,
+                        noise_bounds=np.zeros(p))
+    stack = build_observability(model)
+    readings = rows @ (rng.normal(size=n) * 10.0 ** rng.uniform(-1.0, 2.0))
+    readings[rng.integers(p)] += attack
+    window = stack_window(model, readings[None, :], np.zeros((1, 1)))
+    for size in range(n + 1, p + 1):
+        for sensors in itertools.combinations(range(p), size):
+            residual = _svd_residual(stack, window, sensors)
+            if abs(residual - DEFAULT_EPSILON) > 0.5 * DEFAULT_EPSILON:
+                check = t_check(stack, window, sensors, model.noise_bounds, DEFAULT_EPSILON)
+                assert check.sat == (residual <= DEFAULT_EPSILON)
 
 
 def test_vehicle_shrink_checks_only_the_encoder_singletons(monkeypatch):
