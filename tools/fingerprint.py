@@ -12,7 +12,9 @@ iteration count and its counts.  A change meant to leave every output alone
 must print the same digest as its parent.  The combined digest comes first,
 with the estimates hashed per workload; then one line per workload gives the
 digest of that workload's estimates alone, so a changed combined digest
-names the workload that moved.
+names the workload that moved, followed by the workload's total
+``iterations`` and ``stats.theory_checks`` over the same estimates (capped
+solves included), so a change that moves them can report by how much.
 """
 
 from __future__ import annotations
@@ -64,20 +66,27 @@ def _digest_estimate(hashes, out) -> None:
 
 
 def fingerprint() -> tuple:
-    """(combined digest, digest per workload, estimates hashed per workload)."""
+    """(combined digest, digest per workload, estimates hashed per workload,
+    [total iterations, total theory checks] per workload)."""
     h = hashlib.sha256()
     per_workload = {name: hashlib.sha256() for name in ROUNDS}
     hashed = dict.fromkeys(ROUNDS, 0)
+    totals = {name: [0, 0] for name in ROUNDS}
     real = sse.estimate
+
+    def record(out):
+        _digest_estimate((h, per_workload[name]), out)
+        totals[name][0] += out.iterations
+        totals[name][1] += out.stats.theory_checks
 
     def recording(*args, **kwargs):
         hashed[name] += 1
         try:
             out = real(*args, **kwargs)
         except sse.IterationLimitError as exc:
-            _digest_estimate((h, per_workload[name]), exc)
+            record(exc)
             raise
-        _digest_estimate((h, per_workload[name]), out)
+        record(out)
         return out
 
     sse.estimate = sse.attacksim.estimate = recording
@@ -90,13 +99,14 @@ def fingerprint() -> tuple:
                     workload.run_round(state, r, meter)
     finally:
         sse.estimate = sse.attacksim.estimate = real
-    return h.hexdigest(), {k: v.hexdigest() for k, v in per_workload.items()}, hashed
+    return h.hexdigest(), {k: v.hexdigest() for k, v in per_workload.items()}, hashed, totals
 
 
 if __name__ == "__main__":
-    digest, per_workload, hashed = fingerprint()
+    digest, per_workload, hashed, totals = fingerprint()
     if not all(hashed.values()):
         raise SystemExit(f"fingerprint: a workload made no estimate: {hashed}")
     print(digest, " ".join(f"{k}={v}" for k, v in hashed.items()))
     for name, workload_digest in per_workload.items():
-        print(name, workload_digest)
+        iterations, theory_checks = totals[name]
+        print(name, workload_digest, f"iterations={iterations}", f"theory_checks={theory_checks}")
