@@ -201,9 +201,10 @@ def t_check(
     budget = math.sqrt(float(psi.dot(psi))) + epsilon
     sat = math.sqrt(residual_sq) <= budget
     # a normal-equation rejection near the budget goes to the SVD solver,
-    # whose acceptance rules
+    # whose acceptance rules; strictly near, so that a residual whose square
+    # overflowed to inf is not solved again
     if (normal and not sat and math.sqrt(residual_sq) - budget
-            <= RESOLVE_RTOL * (norm * math.sqrt(float(x.dot(x))) + y_norm)):
+            < RESOLVE_RTOL * (norm * math.sqrt(float(x.dot(x))) + y_norm)):
         x_svd, _, rank, _ = np.linalg.lstsq(o_i, y_i, rcond=None)
         diff = y_i - o_i @ x_svd
         svd_sq = float(diff.dot(diff))

@@ -1141,6 +1141,22 @@ def test_ill_conditioned_checks_match_an_svd_reference(spec):
                 assert check.sat == (residual <= DEFAULT_EPSILON)
 
 
+def test_overflowing_residual_is_not_solved_again(monkeypatch):
+    # the GPS reading's square overflows: the normal-equation solve passes
+    # its gradient test, the residual is inf, and the rejection stands
+    # without an SVD solve
+    model, stack, _ = _ugv_case()
+    window = stack_window(model, np.array([[1e200, 1.0, 1.2], [0.4, 0.9, 1.1]]),
+                          np.zeros((2, 1)))
+    solves = []
+    real = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(a) or real(*a, **k))
+    with np.errstate(all="ignore"):
+        check = t_check(stack, window, range(3), model.noise_bounds, DEFAULT_EPSILON)
+    assert not check.sat and check.residual_sq == math.inf
+    assert solves == []
+
+
 def test_vehicle_shrink_checks_only_the_encoder_singletons(monkeypatch):
     checked = _counting_checks(monkeypatch)
     run_closed_loop(discretize_ugv(), alternating_encoder_scenario(), steps=340, seed=4)
