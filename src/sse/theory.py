@@ -42,20 +42,16 @@ walk's suspect follow in walk order, each with its trial's first checked
 prefix alone (``_more_conflicts``): each rejected prefix is one more conflict,
 with that candidate as suspect, until a prefix passes or s_bar conflicts are
 held.  With the seed consistent, a rejected prefix names an attacked
-candidate, so one rejected check teaches the core most of the attack.
+candidate, so one rejected check teaches the core most of the attack (a
+theory solver returning several explanations per call: Sebastiani, "Lazy
+satisfiability modulo theories", JSAT 2007).
 
-A clean seed also exposes the attacked sensors among the rest.  Each checked
-sensor i outside it gives the set seed + {i}; ``t_check`` decides each one,
-and each rejected one is learned as an at-least-one-attacked certificate
-with suspect i (a theory solver returning several explanations per call:
-Sebastiani, "Lazy satisfiability modulo theories", JSAT 2007).  So
-``t_check`` is the one decider of every set a certificate names.  Once the
-agree certificate zeroes the seed, each exposure acts as the singleton {i}.
-The walk's conflict would be a subset of seed + {cand} holding cand, which
-then acts as {cand}, one of the exposures, so the walk is skipped.  It runs
-only when every exposure passes (sensors that each fit the seed within the
-budget can still fail together), so that every rejected check still learns
-an at-least-one certificate.
+``conflict_agree`` makes the seed fit on every rejected check and learns what
+``conflict`` learns, plus the agree certificate when the fit passes: where
+the estimator's agree gate is open the seed over-determines the state, so
+``conflict`` makes the same fit whenever the walk has two candidates.  Once
+the agree certificate zeroes the seed, a conflict whose other sensors lie in
+the seed acts as the singleton {suspect}.
 """
 
 from __future__ import annotations
@@ -230,29 +226,6 @@ def _refit_ranking(
     return sorted(sensors, key=res.tolist().__getitem__)
 
 
-def _exposures(
-    stack: ObservabilityStack,
-    window: StackedWindow,
-    seed: tuple,
-    sensors: tuple,
-    noise_bounds: np.ndarray,
-    epsilon: float,
-    stats: SolveStats,
-) -> list:
-    """At-least-one-attacked certificates ``seed | {i}``, suspect i, for each
-    sensor i of ``sensors`` outside the clean ``seed`` (ascending) whose set
-    ``t_check`` rejects.  Each decision counts as one theory check in
-    ``stats``."""
-    certs = []
-    for i in sensors:
-        if i not in seed:
-            stats.theory_checks += 1
-            if not t_check(stack, window, seed + (i,), noise_bounds, epsilon).sat:
-                certs.append(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
-                                         frozenset(seed + (i,)), suspect=i))
-    return certs
-
-
 def _walk_order(stack: ObservabilityStack, ranked: list, seed_size: int) -> tuple:
     """The conflict walk's trials, ``[cand] + rest`` for each candidate:
     (candidates, highest residual first; rest, the seed_size lowest of
@@ -363,24 +336,20 @@ def certificates(
     finite (``StackedWindow.nonfinite_sensors``), when it has any: the rule
     ``estimate`` applies before its first check.  ``trivial`` blames every
     checked sensor, and so does every strategy when no more than p - 2*s_bar
-    sensors were checked.  Otherwise the checked sensors are ranked once by
-    residual at ``check.x``, and the p - 2*s_bar lowest are the seed.  The
-    seed's check, the seed fit, is made at most once (one theory check): when
-    the concentration step aims the walk (see the module docstring), and
-    under ``conflict_agree``, whose agree certificate is a passing seed fit.
-    When the walk fails, as it can on noisy data, the trivial certificate is
-    emitted instead and the fallback is counted.  When it finds its conflict
-    and the seed fit was made and passed, up to s_bar - 1 more conflicts
-    follow it, one theory check each, plus one for a prefix that passes and
-    ends them (see ``_more_conflicts``).
-    Under ``conflict_agree`` with a passing seed fit, the exposures come
-    first: one at-least-one certificate ``seed | {i}``, suspect i, for each
-    checked sensor i outside the seed whose set is rejected, in ascending i,
-    each decision one theory check (see ``_exposures``).  When one is
-    rejected the walk is skipped; when every one passes, the walk runs as
-    under ``conflict``.  The agree certificate comes last.
-    ``conflict_agree`` is sound only where the estimator's agree gate holds;
-    ``estimate`` runs it as ``conflict`` elsewhere.
+    sensors were checked.  Otherwise every strategy takes one path.  The
+    checked sensors are ranked once by residual at ``check.x``, and the
+    p - 2*s_bar lowest are the seed.  The seed's check, the seed fit, is made
+    at most once (one theory check): when the concentration step aims the
+    walk (see the module docstring), and under ``conflict_agree``, whose
+    agree certificate is a passing seed fit.  The walk comes next; when it
+    fails, as it can on noisy data, the trivial certificate is emitted
+    instead and the fallback is counted.  When it finds its conflict and the
+    seed fit was made and passed, up to s_bar - 1 more conflicts follow it,
+    one theory check each, plus one for a prefix that passes and ends them
+    (see ``_more_conflicts``).  Under ``conflict_agree`` the agree
+    certificate comes last, when the seed fit passes.  ``conflict_agree`` is
+    sound only where the estimator's agree gate holds; ``estimate`` runs it
+    as ``conflict`` elsewhere.
     """
     if check.sat:
         raise ValueError("certificates require an UNSAT check")
@@ -401,24 +370,18 @@ def certificates(
     if agree or aimed:
         counts.theory_checks += 1
         seed_fit = t_check(stack, window, ranked[:seed_size], noise_bounds, epsilon)
-    certs = []
-    if agree and seed_fit.sat:
-        certs = _exposures(stack, window, seed_fit.sensors, check.sensors, noise_bounds,
-                           epsilon, counts)
-    if not certs:
         if aimed:
             ranked = _refit_ranking(stack, window, check.sensors, seed_fit.x)
-        try:
-            certs = [certificate_conflict(stack, window, ranked, seed_size, epsilon,
-                                          noise_bounds, counts)]
-        except ConflictSearchError:
-            counts.conflict_fallbacks = 1
-            certs = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
-                                 frozenset(check.sensors))]
-        else:
-            if (agree or aimed) and seed_fit.sat:
-                certs += _more_conflicts(stack, window, ranked, seed_size, certs[0].suspect,
-                                         s_bar - 1, epsilon, noise_bounds, counts)
+    try:
+        certs = [certificate_conflict(stack, window, ranked, seed_size, epsilon,
+                                      noise_bounds, counts)]
+    except ConflictSearchError:
+        counts.conflict_fallbacks = 1
+        certs = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))]
+    else:
+        if (agree or aimed) and seed_fit.sat:
+            certs += _more_conflicts(stack, window, ranked, seed_size, certs[0].suspect,
+                                     s_bar - 1, epsilon, noise_bounds, counts)
     if agree:
         cert = certificate_agree(seed_fit)
         if cert is not None:

@@ -451,20 +451,23 @@ def test_agree_certificate_termination_bound():
 
 def test_clean_seed_exposes_both_attacked_sensors():
     # the agree gate is open: the first check fails, its seed fit passes, and
-    # seed + {i} fails exactly for the two attacked sensors, so one rejected
-    # check teaches the core the whole support
+    # the walk's conflict and the one more conflict after it name the two
+    # attacked sensors, each beside sensors of the clean seed, so one
+    # rejected check teaches the core the whole support
     inst = generate_instance(4, 12, 2, 2, "3s", 0.0, seed=3, attack_norm={"lo": 3.0, "hi": 7.0})
     result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
     assert result.strategy is Strategy.CONFLICT_AGREE
     assert result.iterations == 2
     first, second = result.records
     assert first.support == () and not first.sat
-    *exposures, agree = first.certificates
+    *conflicts, agree = first.certificates
     assert agree.kind is CertificateKind.ALL_UNATTACKED and len(agree.sensors) == 12 - 2 * 2
-    assert [c.suspect for c in exposures] == sorted(inst.attacked)
-    for cert in exposures:
+    assert {c.suspect for c in conflicts} == set(inst.attacked)
+    for cert in conflicts:
         assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
-        assert cert.sensors == agree.sensors | {cert.suspect}
+        assert cert.sensors - {cert.suspect} <= agree.sensors
+        assert not t_check(inst.stack, inst.window, cert.sensors,
+                           inst.model.noise_bounds, 1e-6).sat
     assert second.sat and second.support == tuple(sorted(inst.attacked)) == result.support
 
 

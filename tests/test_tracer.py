@@ -47,22 +47,23 @@ def test_tracer_counts_match_estimates(four_lines):
     assert tracer.counts["satcore.decisions"] == decisions
     assert tracer.counts["satcore.conflicts"] == conflicts
     # the theory.cert span sees every certificate `certificates` returns, the
-    # exposures of the gate-open solve included
+    # agree certificates of the gate-open solve included
     assert any(r.strategy is Strategy.CONFLICT_AGREE for r in results)
     assert tracer.counts["certificates"] == sum(
         len(rec.certificates) for r in results for rec in r.records if not rec.sat)
     # and every conflict certificate the walk returns: in a solve that runs
-    # as conflict, it is the first certificate of each rejected check; the
-    # conflicts a consistent seed fit adds after it come from `certificates`
-    # alone, so the walk's span does not see them
-    ran_conflict = [(r, seen) for r, seen in zip(results, walks)
-                    if r.strategy is Strategy.CONFLICT]
-    walk_certs = [rec.certificates[0] for r, _ in ran_conflict for rec in r.records
+    # as conflict or conflict_agree, it is the first certificate of each
+    # rejected check; the conflicts a consistent seed fit adds after it come
+    # from `certificates` alone, so the walk's span does not see them
+    ran_walks = [(r, seen) for r, seen in zip(results, walks)
+                 if r.strategy is not Strategy.TRIVIAL]
+    assert any(r.strategy is Strategy.CONFLICT_AGREE for r, _ in ran_walks)
+    walk_certs = [rec.certificates[0] for r, _ in ran_walks for rec in r.records
                   if not rec.sat]
     assert walk_certs
     assert all(c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED for c in walk_certs)
-    assert sum(seen[0] for _, seen in ran_conflict) == len(walk_certs)
-    assert sum(seen[1] for _, seen in ran_conflict) == sum(len(c.sensors) for c in walk_certs)
+    assert sum(seen[0] for _, seen in ran_walks) == len(walk_certs)
+    assert sum(seen[1] for _, seen in ran_walks) == sum(len(c.sensors) for c in walk_certs)
 
 
 def test_tracer_counts_agree_certificates_when_the_gate_is_open():
