@@ -155,10 +155,10 @@ def estimate(
 
     Returns a feasible estimate (state at the window start plus the attack
     support) or an infeasible outcome when no sensor subset within budget
-    explains the data.  A sensor whose window row has a non-finite squared
-    norm (a NaN or +-inf reading, or one whose square overflows) is treated as
-    attacked: a singleton certificate for it is learned up front.  A stack
-    or window that does not fit the model raises ``ValueError``.
+    explains the data.  A sensor ``StackedWindow.nonfinite_sensors`` names (a
+    NaN or +-inf reading, or one whose square overflows or nears it) is
+    treated as attacked: a singleton certificate for it is learned up front.
+    A stack or window that does not fit the model raises ``ValueError``.
     """
     require_fit(model, stack, window)
     p, s_bar = model.p, model.s_bar

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,14 +204,17 @@ class StackedWindow:
     blocks: np.ndarray  # p x tau, row i is Y_i
 
     def nonfinite_sensors(self) -> list:
-        """Sensors whose row has a non-finite squared norm: a NaN or +-inf
-        reading, or one so large that its square overflows."""
+        """Sensors whose row's squared norm is not finite (a NaN or +-inf
+        reading, or one whose square overflows) or exceeds the largest float
+        over 4p: the other rows' squares then sum, with a check's residual,
+        to a finite number."""
+        limit = sys.float_info.max / (4 * len(self.blocks))
         flat = self.blocks.reshape(-1)
         with np.errstate(over="ignore", invalid="ignore"):
-            if math.isfinite(flat.dot(flat)):
+            if flat.dot(flat) <= limit:
                 return []
             row_sq = (self.blocks * self.blocks).sum(axis=1)
-        return np.flatnonzero(~np.isfinite(row_sq)).tolist()
+            return np.flatnonzero(~(row_sq <= limit)).tolist()  # NaN rows too
 
 
 def require_fit(model: SystemModel, stack: ObservabilityStack, window: StackedWindow) -> None:

@@ -37,8 +37,8 @@ def brute_force(
     epsilon: float = DEFAULT_EPSILON,
 ) -> OracleResult:
     """Enumerate all attack supports of size <= s_bar whose complement passes
-    the least-squares check.  A sensor whose window row has a non-finite
-    squared norm is treated as attacked, as the estimator does: supports that
+    the least-squares check.  A sensor ``StackedWindow.nonfinite_sensors``
+    names is treated as attacked, as the estimator does: supports that
     leave it out are skipped.  A stack or window that does not fit the model
     raises ``ValueError``."""
     require_fit(model, stack, window)

@@ -217,12 +217,13 @@ def _refit_ranking(
     state information, so it gets inf and sorts last; the stable sort breaks
     ties by index."""
     diff = window.blocks - stack.blocks @ x  # (p, tau): every sensor, cheaper than a subset
-    res = (diff * diff).sum(axis=1)
-    if stack.dead_block:
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # a row blamed before the check may overflow to inf; it is never ranked
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        res = (diff * diff).sum(axis=1)
+        if stack.dead_block:
             res = np.where(stack.block_norms_sq > 0, res / stack.block_norms_sq, math.inf)
-    else:
-        res = res / stack.block_norms_sq
+        else:
+            res = res / stack.block_norms_sq
     return sorted(sensors, key=res.tolist().__getitem__)
 
 

@@ -658,21 +658,33 @@ def test_non_finite_sensor_is_attacked_up_front(four_lines, bad):
         assert result.certificates[0].sensors == {2}
 
 
-@pytest.mark.parametrize("spike", [1e300, 1e160])
-def test_overflowing_reading_is_attacked_without_warnings(four_lines, spike):
+FIVE_LINES = [[1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], [-2.0, 1.0], [3.0, 1.0]]  # meet at (2, 6)
+
+
+@pytest.mark.parametrize("lines, s_bar, readings, blamed, support, iterations", [
     # the reading is finite but its square overflows, so it counts as non-finite
-    model, stack, _ = four_lines
-    window = line_window(model, [8.0, 4.0, spike, 2.0])
+    *[pytest.param(FIVE_LINES[:4], 1, [8.0, 4.0, spike, 2.0], [2], (2,), 1, id=str(spike))
+      for spike in (1e300, 1e160)],
+    # sensor 0 is blamed up front, and the walk ranks every row, its own too
+    pytest.param(FIVE_LINES, 2, [1e160, 4.0, 8.0, 2.0, 12.0], [0], (0, 2), 3, id="ranked"),
+    # each row's square is finite, but their sum is not
+    pytest.param(FIVE_LINES, 2, [1.2e154, 4.0, 1.2e154, 2.0, 12.0], [0, 2], (0, 2), 1,
+                 id="summed"),
+])
+def test_overflowing_reading_is_attacked_without_warnings(lines, s_bar, readings, blamed,
+                                                           support, iterations):
+    model = line_model(lines, s_bar=s_bar)
+    stack, window = build_observability(model), line_window(model, readings)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         results = [estimate(model, stack, window, cfg(strategy)) for strategy in Strategy]
         minimal = minimal_support_estimate(model, stack, window, cfg())
     assert caught == []
     for result in results:
-        assert result.support == (2,)
-        assert result.iterations == 1
-        assert result.certificates[0].sensors == {2}
-    assert minimal.support == (2,)
+        assert result.support == support
+        assert result.iterations == iterations
+        assert [c.sensors for c in result.certificates[:len(blamed)]] == [{i} for i in blamed]
+    assert minimal.support == support
 
 
 def test_non_finite_sensors_beyond_budget_are_infeasible(four_lines):

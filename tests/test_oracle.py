@@ -75,12 +75,21 @@ def test_budget_and_cap_validation():
         brute_force(big.model, big.stack, big.window, s_bar=12)
 
 
-@pytest.mark.parametrize("bad", [math.inf, math.nan, 1e300, 1e160])
-def test_non_finite_reading_is_attacked_without_warnings(four_lines, bad):
-    model, stack, _ = four_lines
-    window = line_window(model, [8.0, 4.0, bad, 2.0])
+FIVE_LINES = [[1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], [-2.0, 1.0], [3.0, 1.0]]  # meet at (2, 6)
+
+
+@pytest.mark.parametrize("lines, s_bar, readings, support", [
+    *[pytest.param(FIVE_LINES[:4], 1, [8.0, 4.0, bad, 2.0], (2,), id=str(bad))
+      for bad in (math.inf, math.nan, 1e300, 1e160)],
+    pytest.param(FIVE_LINES, 2, [1e160, 4.0, 8.0, 2.0, 12.0], (0, 2), id="ranked"),
+    # each row's square is finite, but their sum is not
+    pytest.param(FIVE_LINES, 2, [1.2e154, 4.0, 1.2e154, 2.0, 12.0], (0, 2), id="summed"),
+])
+def test_non_finite_reading_is_attacked_without_warnings(lines, s_bar, readings, support):
+    model = line_model(lines, s_bar=s_bar)
+    stack, window = build_observability(model), line_window(model, readings)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = brute_force(model, stack, window, epsilon=1e-9)
     assert caught == []
-    assert result.supports == result.minimal == ((2,),)
+    assert result.supports == result.minimal == (support,)
