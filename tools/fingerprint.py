@@ -12,9 +12,12 @@ iteration count and its counts.  A change meant to leave every output alone
 must print the same digest as its parent.  The combined digest comes first,
 with the estimates hashed per workload; then one line per workload gives the
 digest of that workload's estimates alone, so a changed combined digest
-names the workload that moved, followed by the workload's total
-``iterations`` and ``stats.theory_checks`` over the same estimates (capped
-solves included), so a change that moves them can report by how much.
+names the workload that moved, then its answers digest, over ``feasible``,
+``support``, ``iterations`` and the bytes of ``x`` alone (a capped solve's
+iteration count), so a change that moves only certificates or counts can
+show that its answers held, and last the workload's total ``iterations``
+and ``stats.theory_checks`` over the same estimates (capped solves
+included), so a change that moves them can report by how much.
 """
 
 from __future__ import annotations
@@ -51,31 +54,39 @@ def _counts(stats) -> tuple:
     return astuple(replace(stats, solve_time=0.0))
 
 
-def _digest_estimate(hashes, out) -> None:
-    """Feed one estimate, or a capped solve's error, to every hash in ``hashes``."""
+def _digest_estimate(hashes, answers, out) -> None:
+    """Feed one estimate, or a capped solve's error, to every hash in
+    ``hashes``, and its answers alone to ``answers``."""
     if isinstance(out, sse.IterationLimitError):
         data = repr(("capped", out.iterations, _counts(out.stats))).encode()
+        answer = repr(("capped", out.iterations)).encode()
     else:
         certs = [(c.kind.value, sorted(c.sensors), c.suspect) for c in out.certificates]
         data = repr((out.feasible, out.support, out.iterations, certs,
                      _counts(out.stats))).encode()
+        answer = repr((out.feasible, out.support, out.iterations)).encode()
         if out.x is not None:
-            data += np.ascontiguousarray(out.x, dtype=float).tobytes()
+            x = np.ascontiguousarray(out.x, dtype=float).tobytes()
+            data += x
+            answer += x
     for h in hashes:
         h.update(data)
+    answers.update(answer)
 
 
 def fingerprint() -> tuple:
-    """(combined digest, digest per workload, estimates hashed per workload,
-    [total iterations, total theory checks] per workload)."""
+    """(combined digest, digest per workload, answers digest per workload,
+    estimates hashed per workload, [total iterations, total theory checks]
+    per workload)."""
     h = hashlib.sha256()
     per_workload = {name: hashlib.sha256() for name in ROUNDS}
+    answers = {name: hashlib.sha256() for name in ROUNDS}
     hashed = dict.fromkeys(ROUNDS, 0)
     totals = {name: [0, 0] for name in ROUNDS}
     real = sse.estimate
 
     def record(out):
-        _digest_estimate((h, per_workload[name]), out)
+        _digest_estimate((h, per_workload[name]), answers[name], out)
         totals[name][0] += out.iterations
         totals[name][1] += out.stats.theory_checks
 
@@ -99,14 +110,16 @@ def fingerprint() -> tuple:
                     workload.run_round(state, r, meter)
     finally:
         sse.estimate = sse.attacksim.estimate = real
-    return h.hexdigest(), {k: v.hexdigest() for k, v in per_workload.items()}, hashed, totals
+    return (h.hexdigest(), {k: v.hexdigest() for k, v in per_workload.items()},
+            {k: v.hexdigest() for k, v in answers.items()}, hashed, totals)
 
 
 if __name__ == "__main__":
-    digest, per_workload, hashed, totals = fingerprint()
+    digest, per_workload, answers, hashed, totals = fingerprint()
     if not all(hashed.values()):
         raise SystemExit(f"fingerprint: a workload made no estimate: {hashed}")
     print(digest, " ".join(f"{k}={v}" for k, v in hashed.items()))
     for name, workload_digest in per_workload.items():
         iterations, theory_checks = totals[name]
-        print(name, workload_digest, f"iterations={iterations}", f"theory_checks={theory_checks}")
+        print(name, workload_digest, f"answers={answers[name]}", f"iterations={iterations}",
+              f"theory_checks={theory_checks}")
