@@ -19,6 +19,10 @@ def line_window(model, offsets):
     return stack_window(model, offsets, np.zeros((1, model.m)))
 
 
+# lines in the plane meeting at (2, 6); the first four are four_lines's rows
+FIVE_LINES = [[1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], [-2.0, 1.0], [3.0, 1.0]]
+
+
 @pytest.fixture
 def four_lines():
     """Four lines in the plane meeting at (2, 6) except sensor 2 (y = 8)."""

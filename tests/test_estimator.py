@@ -30,7 +30,7 @@ from sse.oracle import brute_force
 from sse.satcore import SolveStats
 from sse.theory import CertificateKind, Strategy, certificates, t_check
 
-from conftest import four_lines, line_model, line_window
+from conftest import FIVE_LINES, four_lines, line_model, line_window
 
 
 def cfg(strategy=Strategy.CONFLICT, epsilon=1e-9, **kw):
@@ -656,9 +656,6 @@ def test_non_finite_sensor_is_attacked_up_front(four_lines, bad):
         assert np.allclose(result.x, [2.0, 6.0], atol=1e-9)
         assert result.certificates[0].kind is CertificateKind.AT_LEAST_ONE_ATTACKED
         assert result.certificates[0].sensors == {2}
-
-
-FIVE_LINES = [[1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], [-2.0, 1.0], [3.0, 1.0]]  # meet at (2, 6)
 
 
 @pytest.mark.parametrize("lines, s_bar, readings, blamed, support, iterations", [

@@ -8,7 +8,7 @@ from sse import SubsetCapError, build_observability
 from sse.attacksim import generate_instance
 from sse.oracle import brute_force
 
-from conftest import line_model, line_window, scalar_sensors
+from conftest import FIVE_LINES, line_model, line_window, scalar_sensors
 
 
 def test_attack_free_minimal_support_is_empty():
@@ -73,9 +73,6 @@ def test_budget_and_cap_validation():
     big = generate_instance(2, 24, 1, 1, "2s", 0.0, seed=1)
     with pytest.raises(SubsetCapError):
         brute_force(big.model, big.stack, big.window, s_bar=12)
-
-
-FIVE_LINES = [[1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], [-2.0, 1.0], [3.0, 1.0]]  # meet at (2, 6)
 
 
 @pytest.mark.parametrize("lines, s_bar, readings, support", [
