@@ -7,21 +7,23 @@ least-squares problem, and accepts when the residual fits inside the stacked
 noise budget plus the solver tolerance.
 
 A rejected check is explained in one place, ``certificates``.  It ranks the
-checked sensors once by their normalized residuals at the failed check's
+checked sensors by their normalized residuals at the failed check's
 minimizer (``_refit_ranking``, the one residual ranking: each block's squared
 residual over its squared norm, a dead sensor last); the p - 2*s_bar lowest
-are the seed, and the seed's own check, the seed fit, is made at most once.
-Two heuristics share them: a linear walk that pairs the seed with
-high-residual candidates until they conflict, and an agreement certificate
-that certifies the seed as clean when its fit passes.  The failed fit runs
-over attacked sensors too, which pull it off the state.  When the seed
-over-determines the state (tau * |seed| > n) and the walk has at least two
-candidates, one concentration step from least trimmed squares (Rousseeuw
-and Van Driessen, "Computing LTS regression for large data sets", DMKD
-2006) ranks the checked sensors again, by the same rule at the seed fit, and
-the walk seeds, walks and picks its suspect from that ranking.  A seed with
-no spare equations is interpolated by its own fit, so the step could not
-move it and is skipped.
+are the seed, and the seed's own check is the seed fit.  Two heuristics
+share them: a linear walk that pairs the seed with high-residual candidates
+until they conflict, and an agreement certificate that certifies the seed
+as clean when its fit passes.  The failed fit runs over attacked sensors
+too, which pull it off the state.  When the seed over-determines the state
+(tau * |seed| > n) and the walk has at least two candidates, concentration
+steps from least trimmed squares (Rousseeuw and Van Driessen, "Computing LTS
+regression for large data sets", DMKD 2006) rank the checked sensors again,
+by the same rule at the seed fit; while that fit fails, the p - 2*s_bar
+lowest of the new ranking are fitted next, until a fit passes or its
+ranking names a seed already fitted in the call, a fixpoint or a cycle, so
+the steps always end.  The walk seeds, walks and picks its suspect from the
+last ranking.  A seed with no spare equations is interpolated by its own
+fit, so a step could not move it and is skipped.
 
 Each walk trial is a candidate followed by the seed in ascending kernel
 dimension, and ``t_check`` decides its prefixes from the fewest sensors
@@ -36,8 +38,8 @@ is not checked.  When the seed is clean and the candidate attacked, the
 first prefix already fails: a conflict usually costs one check.  Every
 conflict is a set that ``t_check`` rejected, or the checked set.
 
-A seed whose fit passes condemns more than one candidate.  When the seed fit
-was made and passed and the walk found its conflict, the candidates after the
+A seed whose fit passes condemns more than one candidate.  When the last seed
+fit was made and passed and the walk found its conflict, the candidates after the
 walk's suspect follow in walk order, each with its trial's first checked
 prefix alone (``_more_conflicts``): each rejected prefix is one more conflict,
 with that candidate as suspect, until a prefix passes or s_bar conflicts are
@@ -338,19 +340,22 @@ def certificates(
     ``estimate`` applies before its first check.  ``trivial`` blames every
     checked sensor, and so does every strategy when no more than p - 2*s_bar
     sensors were checked.  Otherwise every strategy takes one path.  The
-    checked sensors are ranked once by residual at ``check.x``, and the
+    checked sensors are ranked by residual at ``check.x``, and the
     p - 2*s_bar lowest are the seed.  The seed's check, the seed fit, is made
-    at most once (one theory check): when the concentration step aims the
-    walk (see the module docstring), and under ``conflict_agree``, whose
-    agree certificate is a passing seed fit.  The walk comes next; when it
-    fails, as it can on noisy data, the trivial certificate is emitted
-    instead and the fallback is counted.  When it finds its conflict and the
-    seed fit was made and passed, up to s_bar - 1 more conflicts follow it,
-    one theory check each, plus one for a prefix that passes and ends them
-    (see ``_more_conflicts``).  Under ``conflict_agree`` the agree
-    certificate comes last, when the seed fit passes.  ``conflict_agree`` is
-    sound only where the estimator's agree gate holds; ``estimate`` runs it
-    as ``conflict`` elsewhere.
+    when the concentration steps aim the walk (see the module docstring),
+    and under ``conflict_agree``, whose agree certificate is a passing seed
+    fit.  When aimed, each failing seed fit is followed by the fit of the
+    seed of the ranking at it, unless that seed was fitted already in this
+    call; every seed fit is one theory check, and the last fit and its
+    ranking are the ones used below.  The walk comes next; when it fails, as
+    it can on noisy data, the trivial certificate is emitted instead and the
+    fallback is counted.  When it finds its conflict and the last seed fit
+    passed, up to s_bar - 1 more conflicts follow it, one theory check each,
+    plus one for a prefix that passes and ends them (see
+    ``_more_conflicts``).  Under ``conflict_agree`` the agree certificate
+    comes last, when the last seed fit passes.  ``conflict_agree`` is sound
+    only where the estimator's agree gate holds; ``estimate`` runs it as
+    ``conflict`` elsewhere.
     """
     if check.sat:
         raise ValueError("certificates require an UNSAT check")
@@ -371,8 +376,14 @@ def certificates(
     if agree or aimed:
         counts.theory_checks += 1
         seed_fit = t_check(stack, window, ranked[:seed_size], noise_bounds, epsilon)
-        if aimed:
+        fitted = set()
+        while aimed:
+            fitted.add(seed_fit.sensors)
             ranked = _refit_ranking(stack, window, check.sensors, seed_fit.x)
+            if seed_fit.sat or (seed := tuple(sorted(ranked[:seed_size]))) in fitted:
+                break
+            counts.theory_checks += 1
+            seed_fit = t_check(stack, window, seed, noise_bounds, epsilon)
     try:
         certs = [certificate_conflict(stack, window, ranked, seed_size, epsilon,
                                       noise_bounds, counts)]

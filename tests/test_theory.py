@@ -49,10 +49,10 @@ def _residual_of(stack, window, check, sensor):
     return _residuals_at(stack, window, check.x)[sensor].item()
 
 
-def _ranked(stack, window, check):
-    """The checked sensors by ascending normalized residual at the check's
-    minimizer, then index."""
-    res = _residuals_at(stack, window, check.x)
+def _ranked(stack, window, check, x=None):
+    """The checked sensors by ascending normalized residual at ``x``, the
+    check's minimizer by default, then index."""
+    res = _residuals_at(stack, window, check.x if x is None else x)
     return sorted(check.sensors, key=lambda i: (res[i], i))
 
 
@@ -528,29 +528,34 @@ def test_certificates_share_one_seed_fit_with_agree(monkeypatch):
 
 def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
     # desk scale: tau * (p - 2*s_bar) = 40 > n = 25, so the walk re-ranks by
-    # the residuals at the seed fit and picks its suspect from them
+    # the residuals at the last seed fit and picks its suspect from them
     inst = generate_instance(25, 60, 18, 20, "2s", 0.0, seed=9000 + 97 * 18)
     model, stack, window = inst.model, inst.stack, inst.window
     rng = np.random.default_rng(5)
+    looped = 0
     for trusted in _random_trusted(rng, 60, 20, 10):
         check = t_check(stack, window, trusted, model.noise_bounds, 1e-6)
         if check.sat:
             continue
-        fit = t_check(stack, window, _ranked(stack, window, check)[:20], model.noise_bounds, 1e-6)
+        fits = _seed_fits(stack, window, check, 20, 1e-6, model.noise_bounds)
+        fit = fits[-1]
+        looped += len(fits) > 1
         with monkeypatch.context() as m:
             checked = _counting_checks(m)
-            certs, _ = certificates(stack, window, check, 20, 1e-6, model.noise_bounds,
-                                    Strategy.CONFLICT)
-        # the seed fit is one t_check; every other one is a walk prefix of at
-        # least n // tau + 1 = 13 sensors, and the walk's last is the first
-        # certificate.  When the seed fit passes, the extension's first
+            certs, counts = certificates(stack, window, check, 20, 1e-6, model.noise_bounds,
+                                         Strategy.CONFLICT)
+        # the seed fits come first, one t_check each, and every one but the
+        # last fails; every other check is a walk prefix of at least
+        # n // tau + 1 = 13 sensors, and the walk's last is the first
+        # certificate.  When the last seed fit passes, the extension's first
         # prefixes of 13 follow: one per further certificate, and at most one
         # more that passed
+        assert counts.theory_checks == len(checked)
+        assert [sensors for _, sensors in checked[:len(fits)]] == [f.sensors for f in fits]
+        assert not any(f.sat for f in fits[:-1])
         cert = certs[0]
         assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
-        seed_set = tuple(sorted(_ranked(stack, window, check)[:20]))
-        assert checked.count(("t_check", seed_set)) == 1
-        prefixes = [sensors for _, sensors in checked if sensors != seed_set]
+        prefixes = [sensors for _, sensors in checked[len(fits):]]
         assert all(13 <= len(sensors) <= 21 for sensors in prefixes)
         walked = prefixes.index(tuple(sorted(cert.sensors))) + 1
         extra = prefixes[walked:]
@@ -561,10 +566,11 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
         refit = _residuals_at(stack, window, fit.x)
         assert cert.suspect == max(cert.sensors, key=lambda i: (refit[i], i))
         assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
-        # the walk on the seed fit's ranking is the certificate
+        # the walk on the last seed fit's ranking is the certificate
         refit_ranked = _refit_ranking(stack, window, check.sensors, fit.x)
         assert certificate_conflict(stack, window, refit_ranked, 20, 1e-6,
                                     model.noise_bounds, SolveStats()) == cert
+    assert looped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -1234,13 +1240,29 @@ def test_desk_walk_certificates_have_thirteen_members():
 # ---------------------------------------------------------------------------
 
 
-def _seed_fit(stack, window, check, s_bar, epsilon, bounds):
-    """The seed fit ``certificates`` makes under conflict, or None when the
-    walk is unaimed (no seed fit)."""
+def _seed_fits(stack, window, check, s_bar, epsilon, bounds):
+    """The seed fits ``certificates`` makes under conflict, in order; none
+    when the walk is unaimed.  The first fits the seed_size lowest of the
+    check's ranking, and each next one the seed_size lowest of the ranking
+    at the fit before it, until a fit passes or that seed was fitted
+    already."""
     seed_size = stack.p - 2 * s_bar
     if stack.tau * seed_size <= stack.n or len(check.sensors) - seed_size < 2:
-        return None
-    return t_check(stack, window, _ranked(stack, window, check)[:seed_size], bounds, epsilon)
+        return []
+    fits, x = [], check.x
+    while True:
+        seed = tuple(sorted(_ranked(stack, window, check, x)[:seed_size]))
+        if fits and (fits[-1].sat or seed in [fit.sensors for fit in fits]):
+            return fits
+        fits.append(t_check(stack, window, seed, bounds, epsilon))
+        x = fits[-1].x
+
+
+def _seed_fit(stack, window, check, s_bar, epsilon, bounds):
+    """The last seed fit ``certificates`` makes under conflict, the one the
+    walk ranks at, or None when the walk is unaimed."""
+    fits = _seed_fits(stack, window, check, s_bar, epsilon, bounds)
+    return fits[-1] if fits else None
 
 
 def _over_budget_cases():
@@ -1285,7 +1307,7 @@ def test_seed_fit_conflicts_follow_the_walk_and_are_rejected():
 
 
 def test_no_extension_without_a_passing_seed_fit(monkeypatch):
-    # the seed fit is made and fails: the walk's conflict alone
+    # the last seed fit is made and fails: the walk's conflict alone
     failed = 0
     for case in range(8):
         for stack, window, check, s_bar, epsilon, bounds in _walk_cases(case):
@@ -1369,6 +1391,96 @@ def test_conflict_matches_the_oracle_on_small_instances(noise):
 
 
 # ---------------------------------------------------------------------------
+# the concentration loop: seed fits until one passes or a seed repeats
+# ---------------------------------------------------------------------------
+
+
+def _rejected_checks(model, stack, window, result):
+    """The rejected check of each record of a solve that failed."""
+    for record in result.records:
+        if not record.sat:
+            sensors = tuple(i for i in range(model.p) if i not in record.support)
+            yield t_check(stack, window, sensors, model.noise_bounds, 1e-6)
+
+
+def test_repeated_seed_fits_solve_a_desk_tail_instance_in_two_iterations():
+    # the first seed fit of the first rejected check fails, and the fit at
+    # its ranking passes: the walk and the extension then name the whole
+    # attack, so the solve takes 2 iterations (10 with a single seed fit)
+    inst = _desk_instance(19)
+    model, stack, window = inst.model, inst.stack, inst.window
+    config = EstimatorConfig(strategy=Strategy.CONFLICT, epsilon=1e-6, max_iterations=1000)
+    result = estimate(model, stack, window, config)
+    assert result.feasible and result.support == inst.attacked
+    assert result.iterations == 2
+    check = next(_rejected_checks(model, stack, window, result))
+    fits = _seed_fits(stack, window, check, 20, 1e-6, model.noise_bounds)
+    assert len(fits) > 1 and fits[-1].sat
+    assert len(result.records[0].certificates) == len(inst.attacked)
+
+
+def test_seed_fit_loop_stops_on_a_repeated_seed(monkeypatch):
+    # a desk solve where the ranking at a failed seed fit names a seed
+    # already fitted: the loop stops there, having counted every seed fit as
+    # one theory check, and the walk runs on the ranking at the last fit
+    inst = generate_instance(25, 60, 14, 20, "2s", 0.0, seed=9000 + 97 * 14 + 2)
+    model, stack, window = inst.model, inst.stack, inst.window
+    config = EstimatorConfig(strategy=Strategy.CONFLICT, epsilon=1e-6, max_iterations=1000)
+    result = estimate(model, stack, window, config)
+    assert result.feasible and result.support == inst.attacked
+    stopped = 0
+    for check in _rejected_checks(model, stack, window, result):
+        fits = _seed_fits(stack, window, check, 20, 1e-6, model.noise_bounds)
+        with monkeypatch.context() as m:
+            checked = _counting_checks(m)
+            certs, counts = certificates(stack, window, check, 20, 1e-6,
+                                         model.noise_bounds, Strategy.CONFLICT)
+        assert [sensors for _, sensors in checked[:len(fits)]] == [f.sensors for f in fits]
+        assert counts.theory_checks == len(checked)
+        ranked = _refit_ranking(stack, window, check.sensors, fits[-1].x)
+        assert certs[0] == certificate_conflict(stack, window, ranked, 20, 1e-6,
+                                                model.noise_bounds, SolveStats())
+        if not fits[-1].sat:
+            stopped += 1
+            assert len(fits) > 1 and not any(f.sat for f in fits)
+            assert tuple(sorted(ranked[:20])) in [f.sensors for f in fits]
+            assert len(certs) == 1
+    assert stopped > 0
+
+
+REPEATED_SEED_FIT_CASES = (
+    [((2, 7, 2, 2, "3s"), seed) for seed in (6, 29)]
+    + [((3, 9, 2, 2, "3s"), 20), ((2, 9, 2, 2, "3s"), 6)]
+    + [((3, 8, 2, 2, "2s"), seed) for seed in (8, 17)]
+    + [((4, 10, 3, 3, "2s"), seed) for seed in (3, 16)]
+    + [((3, 10, 3, 3, "2s"), 30)]
+)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.CONFLICT, Strategy.CONFLICT_AGREE])
+def test_repeated_seed_fits_keep_the_oracle_answers(strategy):
+    # small exact instances whose seed over-determines the state, each with a
+    # rejected check whose first seed fit fails: feasibility, the support and
+    # the minimal support against brute force
+    config = EstimatorConfig(strategy=strategy, epsilon=1e-6)
+    agreed = 0
+    for spec, seed in REPEATED_SEED_FIT_CASES:
+        inst = generate_instance(*spec, 0.0, seed=seed, attack_norm={"lo": 0.05, "hi": 2.0})
+        model, stack, window = inst.model, inst.stack, inst.window
+        assert stack.tau * (model.p - 2 * model.s_bar) > stack.n
+        oracle = brute_force(model, stack, window, epsilon=1e-6)
+        result = estimate(model, stack, window, config)
+        assert result.feasible and result.support in oracle.supports
+        minimal = minimal_support_estimate(model, stack, window, config)
+        assert minimal.feasible and minimal.support in oracle.minimal
+        assert any(len(_seed_fits(stack, window, check, model.s_bar, 1e-6,
+                                  model.noise_bounds)) > 1
+                   for check in _rejected_checks(model, stack, window, result))
+        agreed += result.strategy is Strategy.CONFLICT_AGREE
+    assert agreed == (6 if strategy is Strategy.CONFLICT_AGREE else 0)
+
+
+# ---------------------------------------------------------------------------
 # the gate-open path: conflict's certificates, plus the agree certificate
 # ---------------------------------------------------------------------------
 
@@ -1424,9 +1536,9 @@ def test_gate_open_at_least_one_certificates_are_rejected_sets(case):
 @pytest.mark.parametrize("case", range(len(GATE_OPEN_CASES)))
 def test_gate_open_certificates_are_conflicts_plus_the_agree_certificate(case):
     # on each rejected check of the solve, conflict_agree learns conflict's
-    # certificates, then the agree certificate when the seed fit passes; it
-    # makes conflict's checks, plus the seed fit when conflict skips it (one
-    # candidate: no concentration step)
+    # certificates, then the agree certificate when the last seed fit
+    # passes; it makes conflict's checks, plus the seed fit when conflict
+    # skips it (one candidate: no concentration step)
     model, stack, window = _gate_open_case(case)
     result = estimate(model, stack, window, AGREE_CONFIG)
     seed_size = model.p - 2 * model.s_bar
@@ -1442,10 +1554,13 @@ def test_gate_open_certificates_are_conflicts_plus_the_agree_certificate(case):
         conflict, conflict_counts = certificates(stack, window, check, model.s_bar, 1e-6,
                                                  model.noise_bounds, Strategy.CONFLICT)
         assert list(record.certificates) == agree
-        seed = _refit_ranking(stack, window, sensors, check.x)[:seed_size]
-        if t_check(stack, window, seed, model.noise_bounds, 1e-6).sat:
+        fit = (_seed_fit(stack, window, check, model.s_bar, 1e-6, model.noise_bounds)
+               or t_check(stack, window, _ranked(stack, window, check)[:seed_size],
+                          model.noise_bounds, 1e-6))
+        if fit.sat:
             passed += 1
-            conflict = conflict + [Certificate(CertificateKind.ALL_UNATTACKED, frozenset(seed))]
+            conflict = conflict + [Certificate(CertificateKind.ALL_UNATTACKED,
+                                               frozenset(fit.sensors))]
         assert agree == conflict
         one_candidate = len(sensors) - seed_size < 2
         assert agree_counts.theory_checks == conflict_counts.theory_checks + one_candidate
