@@ -21,7 +21,8 @@ from .theory import DEFAULT_EPSILON, Strategy
 
 BENCH_FIELDS = [
     "record", "sweep", "trial", "n", "p", "s", "s_bar", "strategy", "seed",
-    "status", "iterations", "wall_time", "estimation_error", "theoretical_bound",
+    "status", "iterations", "theory_checks", "conflict_fallbacks", "wall_time",
+    "estimation_error", "theoretical_bound",
 ]
 SWEEP_KEYS = ("n", "p", "s", "s_bar", "trials", "seed", "strategies", "observability",
               "noise", "attack_norm", "epsilon", "max_iterations")
@@ -50,24 +51,29 @@ def _run_bench_trial(task: dict) -> list[dict]:
             "record": "trial", "sweep": sweep_idx, "trial": trial, "n": n, "p": p,
             "s": s, "s_bar": s_bar, "strategy": strategy.value, "seed": seed,
             "theoretical_bound": iteration_bound(strategy, p, s_bar),
-            "iterations": "", "estimation_error": "",
+            "iterations": "", "theory_checks": "", "conflict_fallbacks": "",
+            "estimation_error": "",
         }
         start = time.perf_counter()
+        solved = None  # the Estimate, or a capped solve's IterationLimitError
         try:
-            result = estimate(instance.model, instance.stack, instance.window, config)
-            row["iterations"] = result.iterations
-            if result.feasible:
-                err = np.linalg.norm(result.x - instance.x_true)
+            solved = estimate(instance.model, instance.stack, instance.window, config)
+            if solved.feasible:
+                err = np.linalg.norm(solved.x - instance.x_true)
                 row["status"] = "feasible"
                 row["estimation_error"] = err / max(np.linalg.norm(instance.x_true), 1e-12)
             else:
                 row["status"] = "infeasible"
         except IterationLimitError as exc:
-            row["iterations"] = exc.iterations
+            solved = exc
             row["status"] = "capped"
         except Exception as exc:  # record per-trial failures, keep running
             row["status"] = f"error:{type(exc).__name__}"
         row["wall_time"] = time.perf_counter() - start
+        if solved is not None:
+            row["iterations"] = solved.iterations
+            row["theory_checks"] = solved.stats.theory_checks
+            row["conflict_fallbacks"] = solved.stats.conflict_fallbacks
         rows.append(row)
     return rows
 

@@ -18,7 +18,7 @@ from sse.attacksim import (
 )
 from sse.bench import iteration_bound, run_bench
 from sse.cli import EXIT_CAP, EXIT_INPUT, main
-from sse.estimator import Estimate
+from sse.estimator import Estimate, EstimatorConfig, IterationLimitError, estimate
 from sse.theory import Strategy
 
 
@@ -507,6 +507,24 @@ def test_bench_capped_trials_recorded(tmp_path):
     assert rows[0]["iterations"] == "2"
 
 
+def test_bench_trial_rows_carry_the_solve_counts():
+    # every trial row, a capped one included, carries its solve's theory
+    # checks and conflict fallbacks from SolveStats
+    sweep = {"n": 3, "p": 8, "s": 2, "s_bar": 2, "trials": 2, "seed": 0,
+             "strategies": ["trivial", "conflict"], "max_iterations": 1}
+    rows = [r for r in run_bench({"sweeps": [sweep]}) if r["record"] == "trial"]
+    assert len(rows) == 4
+    for row in rows:
+        inst = generate_instance(3, 8, 2, 2, seed=row["seed"])
+        config = EstimatorConfig(strategy=row["strategy"], max_iterations=1)
+        with pytest.raises(IterationLimitError) as capped:
+            estimate(inst.model, inst.stack, inst.window, config)
+        assert row["status"] == "capped"
+        assert (row["theory_checks"], row["conflict_fallbacks"]) == (
+            capped.value.stats.theory_checks, capped.value.stats.conflict_fallbacks)
+    assert any(row["theory_checks"] > 0 for row in rows)
+
+
 def _infeasible_estimate(*args):
     return Estimate(feasible=False, x=None, iterations=4, certificates=[],
                     residual_sq=None, strategy=Strategy.CONFLICT)
@@ -516,11 +534,12 @@ def _failing_estimate(*args):
     raise RuntimeError("solver fault")
 
 
-@pytest.mark.parametrize("fake, status, iterations", [
-    (_infeasible_estimate, "infeasible", 4),
-    (_failing_estimate, "error:RuntimeError", ""),
+@pytest.mark.parametrize("fake, status, iterations, theory_checks", [
+    (_infeasible_estimate, "infeasible", 4, 0),
+    (_failing_estimate, "error:RuntimeError", "", ""),
 ], ids=["infeasible", "error"])
-def test_bench_trial_rows_for_an_unsolved_window(monkeypatch, fake, status, iterations):
+def test_bench_trial_rows_for_an_unsolved_window(monkeypatch, fake, status, iterations,
+                                                 theory_checks):
     monkeypatch.setattr(sse.bench, "estimate", fake)
     rows = run_bench({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 1,
                                   "strategies": ["conflict"]}]})
@@ -528,6 +547,7 @@ def test_bench_trial_rows_for_an_unsolved_window(monkeypatch, fake, status, iter
     assert trial["record"] == "trial"
     assert (trial["status"], trial["iterations"], trial["estimation_error"]) == (
         status, iterations, "")
+    assert trial["theory_checks"] == trial["conflict_fallbacks"] == theory_checks
     assert isinstance(trial["wall_time"], float) and trial["wall_time"] >= 0.0
 
 
@@ -615,7 +635,9 @@ def test_bench_jobs_below_one_is_input_error(tmp_path, capsys, jobs, message):
 def test_bench_empty_sweep_list_runs_nothing(tmp_path, capsys):
     assert run_bench({"sweeps": []}) == []
     assert main(["bench", bench_spec(tmp_path, [])]) == 0
-    assert capsys.readouterr().out.strip() == ",".join(sse.bench.BENCH_FIELDS)
+    header = ("record,sweep,trial,n,p,s,s_bar,strategy,seed,status,iterations,theory_checks,"
+              "conflict_fallbacks,wall_time,estimation_error,theoretical_bound")
+    assert capsys.readouterr().out.strip() == header == ",".join(sse.bench.BENCH_FIELDS)
 
 
 def test_bench_whole_float_counts_run_as_ints(tmp_path):
