@@ -17,7 +17,9 @@ names the workload that moved, then its answers digest, over ``feasible``,
 iteration count), so a change that moves only certificates or counts can
 show that its answers held, and last the workload's total ``iterations``
 and ``stats.theory_checks`` over the same estimates (capped solves
-included), so a change that moves them can report by how much.
+included), so a change that moves them can report by how much.  A last line
+per workload gives its iteration tail: how many of those estimates took more
+than 2 iterations, and the most any took.
 """
 
 from __future__ import annotations
@@ -76,19 +78,21 @@ def _digest_estimate(hashes, answers, out) -> None:
 
 def fingerprint() -> tuple:
     """(combined digest, digest per workload, answers digest per workload,
-    estimates hashed per workload, [total iterations, total theory checks]
-    per workload)."""
+    estimates hashed per workload, [total iterations, total theory checks,
+    estimates over 2 iterations, most iterations] per workload)."""
     h = hashlib.sha256()
     per_workload = {name: hashlib.sha256() for name in ROUNDS}
     answers = {name: hashlib.sha256() for name in ROUNDS}
     hashed = dict.fromkeys(ROUNDS, 0)
-    totals = {name: [0, 0] for name in ROUNDS}
+    totals = {name: [0, 0, 0, 0] for name in ROUNDS}
     real = sse.estimate
 
     def record(out):
         _digest_estimate((h, per_workload[name]), answers[name], out)
         totals[name][0] += out.iterations
         totals[name][1] += out.stats.theory_checks
+        totals[name][2] += out.iterations > 2
+        totals[name][3] = max(totals[name][3], out.iterations)
 
     def recording(*args, **kwargs):
         hashed[name] += 1
@@ -120,6 +124,8 @@ if __name__ == "__main__":
         raise SystemExit(f"fingerprint: a workload made no estimate: {hashed}")
     print(digest, " ".join(f"{k}={v}" for k, v in hashed.items()))
     for name, workload_digest in per_workload.items():
-        iterations, theory_checks = totals[name]
+        iterations, theory_checks, _, _ = totals[name]
         print(name, workload_digest, f"answers={answers[name]}", f"iterations={iterations}",
               f"theory_checks={theory_checks}")
+    for name, (_, _, over_two, most) in totals.items():
+        print(name, f"over_2_iterations={over_two}", f"max_iterations={most}")
