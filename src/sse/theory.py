@@ -38,20 +38,20 @@ is not checked.  When the seed is clean and the candidate attacked, the
 first prefix already fails: a conflict usually costs one check.  Every
 conflict is a set that ``t_check`` rejected, or the checked set.
 
-A seed whose fit passes condemns more than one candidate.  When the last seed
-fit was made and passed and the walk found its conflict, the candidates after the
-walk's suspect follow in walk order, each with its trial's first checked
-prefix alone (``_more_conflicts``): each rejected prefix is one more conflict,
-with that candidate as suspect, until a prefix passes or s_bar conflicts are
-held.  With the seed consistent, a rejected prefix names an attacked
-candidate, so one rejected check teaches the core most of the attack (a
-theory solver returning several explanations per call: Sebastiani, "Lazy
-satisfiability modulo theories", JSAT 2007).
+A seed whose fit passes condemns more than one candidate.  When the last
+seed fit was made and passed and the walk found its conflict, the candidates
+after the walk's suspect follow in walk order, each with its trial's first
+checked prefix alone (``_more_conflicts``): each rejected prefix is one more
+conflict, with that candidate as suspect, until a prefix passes or s_bar
+conflicts are held.  With the seed consistent, a rejected prefix names an
+attacked candidate, so one rejected check teaches the core most of the
+attack (a theory solver returning several explanations per call:
+Sebastiani, "Lazy satisfiability modulo theories", JSAT 2007).
 
 ``conflict_agree`` makes the seed fit on every rejected check and learns what
-``conflict`` learns, plus the agree certificate when the fit passes: where
-the estimator's agree gate is open the seed over-determines the state, so
-``conflict`` makes the same fit whenever the walk has two candidates.  Once
+``conflict`` learns, plus the agree certificate when the last fit passes:
+where the estimator's agree gate is open the seed over-determines the state,
+so ``conflict`` makes the same fits whenever the walk has two candidates.  Once
 the agree certificate zeroes the seed, a conflict whose other sensors lie in
 the seed acts as the singleton {suspect}.
 """
