@@ -39,14 +39,15 @@ first prefix already fails: a conflict usually costs one check.  Every
 conflict is a set that ``t_check`` rejected, or the checked set.
 
 A seed whose fit passes condemns more than one candidate.  When the last
-seed fit was made and passed and the walk found its conflict, the candidates
-after the walk's suspect follow in walk order, each with its trial's first
-checked prefix alone (``_more_conflicts``): each rejected prefix is one more
-conflict, with that candidate as suspect, until a prefix passes or s_bar
-conflicts are held.  With the seed consistent, a rejected prefix names an
-attacked candidate, so one rejected check teaches the core most of the
-attack (a theory solver returning several explanations per call:
-Sebastiani, "Lazy satisfiability modulo theories", JSAT 2007).
+seed fit was made and passed and the walk found its conflict,
+``certificates`` goes on along the same walk order: the candidates after
+the walk's suspect follow, each with its trial's first checked prefix
+alone, and each rejected prefix is one more conflict, with that candidate
+as suspect, until a prefix passes or s_bar conflicts are held.  With the
+seed consistent, a rejected prefix names an attacked candidate, so one
+rejected check teaches the core most of the attack (a theory solver
+returning several explanations per call: Sebastiani, "Lazy satisfiability
+modulo theories", JSAT 2007).
 
 ``conflict_agree`` makes the seed fit on every rejected check and learns what
 ``conflict`` learns, plus the agree certificate when the last fit passes:
@@ -240,62 +241,31 @@ def _walk_order(stack: ObservabilityStack, ranked: list, seed_size: int) -> tupl
     return ranked[seed_size:][::-1], rest, first
 
 
-def _more_conflicts(
-    stack: ObservabilityStack,
-    window: StackedWindow,
-    ranked: list,
-    seed_size: int,
-    suspect: int,
-    room: int,
-    epsilon: float,
-    noise_bounds: np.ndarray,
-    stats: SolveStats,
-) -> list:
-    """Up to ``room`` more at-least-one-attacked certificates from the walk's
-    candidates after ``suspect``, the walk's own suspect, in walk order: each
-    candidate's first checked prefix ``[cand] + rest[:first - 1]``, suspect
-    cand, while ``t_check`` rejects it.  The first prefix that passes ends the
-    run.  Each decision counts as one theory check in ``stats``."""
-    candidates, rest, first = _walk_order(stack, ranked, seed_size)
-    certs = []
-    for cand in candidates[candidates.index(suspect) + 1:]:
-        if len(certs) == room:
-            break
-        prefix = [cand] + rest[:first - 1]
-        stats.theory_checks += 1
-        if t_check(stack, window, prefix, noise_bounds, epsilon).sat:
-            break
-        certs.append(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(prefix),
-                                 suspect=cand))
-    return certs
-
-
 def certificate_conflict(
     stack: ObservabilityStack,
     window: StackedWindow,
-    ranked: list,
-    seed_size: int,
+    order: tuple,
     epsilon: float,
     noise_bounds: np.ndarray,
     stats: SolveStats,
 ) -> Certificate:
     """Small sensor set that cannot all be attack-free.
 
-    ``ranked`` is a rejected check's sensors by ascending residual, more than
-    ``seed_size`` of them.  The seed_size lowest are the seed, put in
-    ascending kernel dimension, then index.  Candidates are tried from the
-    highest residual down; each trial is the candidate followed by the seed.
-    ``t_check`` decides the trial's prefixes, growing from the fewest sensors
-    whose stacked blocks have more rows than states (n // tau + 1, or the
-    whole trial when it is shorter), and the first rejected prefix is the
+    The walk follows the ``order`` it is given, ``_walk_order``'s
+    (candidates, rest, first) for a rejected check's ranking: candidates are
+    tried in that order, highest residual first, and each trial is the
+    candidate followed by ``rest``, the seed.  ``t_check`` decides the
+    trial's prefixes, growing from ``first``, the fewest sensors whose
+    stacked blocks have more rows than states (n // tau + 1, or the whole
+    trial when it is shorter), and the first rejected prefix is the
     certificate, with the candidate as its suspect.  A candidate with no
     rejected prefix passes the walk to the next.  A lone candidate's full
-    trial is the checked set itself, which the check rejected, so it is taken
-    without a check.  Each ``t_check`` counts as one theory check in
+    trial is the checked set itself, which the check rejected, so it is
+    taken without a check.  Each ``t_check`` counts as one theory check in
     ``stats``, and every certificate is a set that ``t_check`` rejected or
     the checked set.
     """
-    candidates, rest, first = _walk_order(stack, ranked, seed_size)
+    candidates, rest, first = order
     lone = len(candidates) == 1
     for cand in candidates:
         trial = [cand] + rest
@@ -344,18 +314,19 @@ def certificates(
     p - 2*s_bar lowest are the seed.  The seed's check, the seed fit, is made
     when the concentration steps aim the walk (see the module docstring),
     and under ``conflict_agree``, whose agree certificate is a passing seed
-    fit.  When aimed, each failing seed fit is followed by the fit of the
-    seed of the ranking at it, unless that seed was fitted already in this
-    call; every seed fit is one theory check, and the last fit and its
-    ranking are the ones used below.  The walk comes next; when it fails, as
-    it can on noisy data, the trivial certificate is emitted instead and the
+    fit.  One loop makes every seed fit, one theory check each: when aimed,
+    it ranks the checked sensors again at each fit and stops when the fit
+    passes or the new ranking's seed was fitted already in this call; the
+    last fit and its ranking are the ones used below.  The walk comes next,
+    along the one ``_walk_order`` of that ranking; when it fails, as it can
+    on noisy data, the trivial certificate is emitted instead and the
     fallback is counted.  When it finds its conflict and the last seed fit
-    passed, up to s_bar - 1 more conflicts follow it, one theory check each,
-    plus one for a prefix that passes and ends them (see
-    ``_more_conflicts``).  Under ``conflict_agree`` the agree certificate
-    comes last, when the last seed fit passes.  ``conflict_agree`` is sound
-    only where the estimator's agree gate holds; ``estimate`` runs it as
-    ``conflict`` elsewhere.
+    passed, the candidates after its suspect follow in the same order, each
+    with its first checked prefix alone: up to s_bar - 1 more conflicts, one
+    theory check each, plus one for a prefix that passes and ends them.
+    Under ``conflict_agree`` the agree certificate comes last, when the last
+    seed fit passes.  ``conflict_agree`` is sound only where the estimator's
+    agree gate holds; ``estimate`` runs it as ``conflict`` elsewhere.
     """
     if check.sat:
         raise ValueError("certificates require an UNSAT check")
@@ -373,27 +344,33 @@ def certificates(
     ranked = _refit_ranking(stack, window, check.sensors, check.x)
     agree = strategy is Strategy.CONFLICT_AGREE and seed_size >= 1
     aimed = stack.tau * seed_size > stack.n and len(ranked) - seed_size >= 2
-    if agree or aimed:
+    seed_fit, fitted = None, set()
+    while (agree or aimed) and (seed := tuple(sorted(ranked[:seed_size]))) not in fitted:
+        fitted.add(seed)
         counts.theory_checks += 1
-        seed_fit = t_check(stack, window, ranked[:seed_size], noise_bounds, epsilon)
-        fitted = set()
-        while aimed:
-            fitted.add(seed_fit.sensors)
-            ranked = _refit_ranking(stack, window, check.sensors, seed_fit.x)
-            if seed_fit.sat or (seed := tuple(sorted(ranked[:seed_size]))) in fitted:
-                break
-            counts.theory_checks += 1
-            seed_fit = t_check(stack, window, seed, noise_bounds, epsilon)
+        seed_fit = t_check(stack, window, seed, noise_bounds, epsilon)
+        if not aimed:
+            break
+        ranked = _refit_ranking(stack, window, check.sensors, seed_fit.x)
+        if seed_fit.sat:
+            break
+    order = candidates, rest, first = _walk_order(stack, ranked, seed_size)
     try:
-        certs = [certificate_conflict(stack, window, ranked, seed_size, epsilon,
-                                      noise_bounds, counts)]
+        certs = [certificate_conflict(stack, window, order, epsilon, noise_bounds, counts)]
     except ConflictSearchError:
         counts.conflict_fallbacks = 1
         certs = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))]
     else:
-        if (agree or aimed) and seed_fit.sat:
-            certs += _more_conflicts(stack, window, ranked, seed_size, certs[0].suspect,
-                                     s_bar - 1, epsilon, noise_bounds, counts)
+        if seed_fit is not None and seed_fit.sat:
+            for cand in candidates[candidates.index(certs[0].suspect) + 1:]:
+                if len(certs) == s_bar:
+                    break
+                prefix = [cand] + rest[:first - 1]
+                counts.theory_checks += 1
+                if t_check(stack, window, prefix, noise_bounds, epsilon).sat:
+                    break
+                certs.append(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(prefix),
+                                         suspect=cand))
     if agree:
         cert = certificate_agree(seed_fit)
         if cert is not None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sse.estimator
 import sse.theory
 from sse import StackedWindow, SystemModel, build_observability, stack_window
 from sse.attacksim import (
@@ -26,6 +27,7 @@ from sse.theory import (
     DEFAULT_EPSILON,
     Strategy,
     _refit_ranking,
+    _walk_order as _theory_walk_order,
     certificate_agree,
     certificate_conflict,
     certificates,
@@ -332,7 +334,8 @@ def test_conflict_walk_can_fail_under_noise():
     assert not check.sat
     # four lines, two in the seed, n = 2 = tau * |seed|: the walk is unaimed
     with pytest.raises(ConflictSearchError):
-        certificate_conflict(stack, window, _ranked(stack, window, check), 2, 0.0,
+        certificate_conflict(stack, window,
+                             _theory_walk_order(stack, _ranked(stack, window, check), 2), 0.0,
                              model.noise_bounds, SolveStats())
     certs, counts = certificates(stack, window, check, 1, 0.0,
                                model.noise_bounds, Strategy.CONFLICT)
@@ -568,8 +571,8 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
         assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
         # the walk on the last seed fit's ranking is the certificate
         refit_ranked = _refit_ranking(stack, window, check.sensors, fit.x)
-        assert certificate_conflict(stack, window, refit_ranked, 20, 1e-6,
-                                    model.noise_bounds, SolveStats()) == cert
+        assert certificate_conflict(stack, window, _theory_walk_order(stack, refit_ranked, 20),
+                                    1e-6, model.noise_bounds, SolveStats()) == cert
     assert looped > 0
 
 
@@ -1189,8 +1192,8 @@ def test_nonfinite_reading_in_the_one_sensor_prefix_is_checked(monkeypatch, read
         check = t_check(stack, window, range(3), bounds, DEFAULT_EPSILON)
         assert not check.sat
         cert, _ = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
-        direct = certificate_conflict(stack, window, [1, 0], 1, DEFAULT_EPSILON, bounds,
-                                      SolveStats())
+        direct = certificate_conflict(stack, window, _theory_walk_order(stack, [1, 0], 1),
+                                      DEFAULT_EPSILON, bounds, SolveStats())
     assert (cert.sensors, cert.suspect) == (frozenset({0}), None)
     # a lone candidate: the checked set, taken without a check
     assert (direct.sensors, direct.suspect) == (frozenset({0, 1}), 0)
@@ -1328,17 +1331,21 @@ def test_no_extension_without_a_passing_seed_fit(monkeypatch):
     certs, counts = certificates(stack, window, check, 2, epsilon, model.noise_bounds,
                                  Strategy.CONFLICT)
     assert certs == [trivial] and counts.conflict_fallbacks == 1
-    # s_bar = 1 on the vehicle: a run makes exactly the t_check calls it
-    # makes with the extension taken out
-    runs = []
-    for extension in (sse.theory._more_conflicts, lambda *a: []):
-        with monkeypatch.context() as m:
-            m.setattr(sse.theory, "_more_conflicts", extension)
-            checked = _counting_checks(m)
-            trace = run_closed_loop(discretize_ugv(), alternating_encoder_scenario(),
-                                    steps=340, seed=4)
-        runs.append((checked, trace.b.tobytes(), trace.x_est.tobytes()))
-    assert runs[0][0] and runs[0] == runs[1]
+    # s_bar = 1 on the vehicle: on every rejected check of a run, the walk
+    # with the extension is the walk alone, and certificates returns its one
+    # certificate and its theory checks
+    calls = []
+    real = sse.estimator.certificates
+    monkeypatch.setattr(sse.estimator, "certificates",
+                        lambda *a: calls.append((a, real(*a))) or calls[-1][1])
+    run_closed_loop(discretize_ugv(), alternating_encoder_scenario(), steps=340, seed=4)
+    assert calls
+    for (stack, window, check, s_bar, epsilon, bounds, _), (certs, counts) in calls:
+        conflict, suspect, checks = _reference_walk(stack, window, check, s_bar, epsilon, bounds)
+        walked = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, conflict, suspect=suspect)]
+        assert _reference_walk(stack, window, check, s_bar, epsilon, bounds,
+                               extend=True) == (walked, checks)
+        assert (certs, counts.theory_checks) == (walked, checks)
 
 
 @pytest.mark.parametrize("strategy", [Strategy.CONFLICT, Strategy.CONFLICT_AGREE])
@@ -1438,7 +1445,8 @@ def test_seed_fit_loop_stops_on_a_repeated_seed(monkeypatch):
         assert [sensors for _, sensors in checked[:len(fits)]] == [f.sensors for f in fits]
         assert counts.theory_checks == len(checked)
         ranked = _refit_ranking(stack, window, check.sensors, fits[-1].x)
-        assert certs[0] == certificate_conflict(stack, window, ranked, 20, 1e-6,
+        assert certs[0] == certificate_conflict(stack, window,
+                                                _theory_walk_order(stack, ranked, 20), 1e-6,
                                                 model.noise_bounds, SolveStats())
         if not fits[-1].sat:
             stopped += 1
