@@ -12,7 +12,7 @@ import contextlib
 import math
 import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -282,6 +282,8 @@ class AttackScenario:
     def __post_init__(self):
         for name in ("steps", "segment_steps", "seed"):
             object.__setattr__(self, name, whole_number(getattr(self, name), name))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.segment_steps < 1:
             raise ValueError(f"segment_steps must be at least 1, got {self.segment_steps}")
         ordered = sorted(self.phases, key=lambda ph: ph.start)
@@ -313,8 +315,18 @@ class AttackScenario:
         unknown = [k for k in doc if k not in known]
         if unknown:
             raise ValueError(f"scenario has unknown key {unknown[0]!r}")
-        phases = tuple(AttackPhase(**ph) for ph in doc.get("phases", []))
-        return cls(**{**doc, "phases": phases})
+        phases = doc.get("phases", [])
+        if not isinstance(phases, list) or not all(isinstance(ph, dict) for ph in phases):
+            raise ValueError("phases must be a list of objects")
+        phase_fields = fields(AttackPhase)
+        for i, ph in enumerate(phases):
+            unknown = [k for k in ph if k not in {f.name for f in phase_fields}]
+            if unknown:
+                raise ValueError(f"phase {i} has unknown key {unknown[0]!r}")
+            missing = [f.name for f in phase_fields if f.default is MISSING and f.name not in ph]
+            if missing:
+                raise ValueError(f"phase {i} lacks {', '.join(map(repr, missing))}")
+        return cls(**{**doc, "phases": tuple(AttackPhase(**ph) for ph in phases)})
 
 
 def alternating_encoder_scenario() -> AttackScenario:
@@ -432,6 +444,8 @@ def run_closed_loop(
     seed = scenario.seed if seed is None else whole_number(seed, "seed")
     if steps < model.tau:
         raise ValueError(f"need at least tau={model.tau} steps, got {steps}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     for phase in scenario.phases:
         if phase.sensor >= model.p:
             raise ValueError(f"phase attacks sensor {phase.sensor}; the model has {model.p}")

@@ -100,9 +100,13 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
         if unknown:
             raise ValueError(f"sweep {sweep_idx} has unknown key {unknown[0]!r}")
         spec = {**spec, **{k: whole_number(spec[k], f"sweep {sweep_idx} {k}")
-                           for k in ("n", "p", "s", "s_bar", "seed") if k in spec}}
+                           for k in ("n", "p", "s", "s_bar", "trials", "seed") if k in spec}}
+        negative = [k for k in ("trials", "seed") if spec.get(k, 0) < 0]
+        if negative:
+            raise ValueError(f"sweep {sweep_idx} {negative[0]} must be non-negative, "
+                             f"got {spec[negative[0]]}")
         checked.append(spec)
-        for trial in range(whole_number(spec.get("trials", 1), f"sweep {sweep_idx} trials")):
+        for trial in range(spec.get("trials", 1)):
             tasks.append({"sweep": sweep_idx, "trial": trial, "spec": spec,
                           "seed_offset": seed_offset})
     if jobs > 1 and len(tasks) > 1:

@@ -236,8 +236,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.jobs < 1:  # checked before the spec is read: the error is the flag's
+    # flags are checked before the spec is read: the error is the flag's
+    if args.jobs < 1:
         raise InputError(f"jobs must be at least 1, got {args.jobs}")
+    if args.seed < 0:
+        raise InputError(f"seed must be non-negative, got {args.seed}")
     rows = _read_json(args.spec, "bench spec",
                       lambda doc: bench.run_bench(doc, jobs=args.jobs, seed_offset=args.seed))
     bench.write_bench_csv(rows, args.output)

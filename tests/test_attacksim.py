@@ -232,6 +232,7 @@ def test_phase_signal_fields_are_finite_numbers(field, value):
 @pytest.mark.parametrize("field, value, message", [
     ("steps", 20.7, "steps must be a whole number, got 20.7"),
     ("seed", 0.5, "seed must be a whole number, got 0.5"),
+    ("seed", -3, "seed must be non-negative, got -3"),
     ("segment_steps", 0, "segment_steps must be at least 1, got 0"),
     ("segment_steps", 2.5, "segment_steps must be a whole number, got 2.5"),
     ("stpes", 5, "scenario has unknown key 'stpes'"),
@@ -239,6 +240,14 @@ def test_phase_signal_fields_are_finite_numbers(field, value):
 def test_scenario_document_rejects_a_bad_count(field, value, message):
     with pytest.raises(ValueError, match=message):
         AttackScenario.from_json_dict({"phases": [], field: value})
+
+
+@pytest.mark.parametrize("field", ["sensor", "kind", "start", "end"])
+def test_scenario_phase_lacking_a_field_is_named(field):
+    doc = {"sensor": 1, "kind": "replay", "start": 5, "end": 20}
+    del doc[field]
+    with pytest.raises(ValueError, match=f"^phase 0 lacks '{field}'$"):
+        AttackScenario.from_json_dict({"phases": [doc]})
 
 
 def test_scenario_document_loads_whole_floats_as_ints():

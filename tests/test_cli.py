@@ -375,13 +375,32 @@ def test_simulate_rejects_a_phase_number_that_is_not_finite(tmp_path, capsys, ph
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["stpes", "phase"])
-def test_simulate_rejects_an_unknown_scenario_key(tmp_path, capsys, key):
+@pytest.mark.parametrize("doc, message", [
+    ({"phases": [], "stpes": 5}, "scenario has unknown key 'stpes'"),
+    ({"phases": [], "phase": 5}, "scenario has unknown key 'phase'"),
+    ({"phases": [{"sensor": 1, "kind": "replay", "start": 5, "end": 20, "dealy": 3}]},
+     "phase 0 has unknown key 'dealy'"),
+], ids=["stpes", "phase", "phase_dealy"])
+def test_simulate_rejects_an_unknown_scenario_key(tmp_path, capsys, doc, message):
     scn_path = tmp_path / "typo.json"
-    scn_path.write_text(json.dumps({"phases": [], key: 5}))
+    scn_path.write_text(json.dumps(doc))
     out = tmp_path / "typo.csv"
     assert main(["simulate", str(scn_path), "--output", str(out)]) == EXIT_INPUT
-    assert capsys.readouterr().err == f"error: {scn_path}: scenario has unknown key {key!r}\n"
+    assert capsys.readouterr().err == f"error: {scn_path}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, doc", [
+    (["--seed", "-1"], {"steps": 50, "phases": []}),
+    ([], {"steps": 50, "seed": -1, "phases": []}),
+], ids=["flag", "file"])
+def test_simulate_negative_seed_is_input_error(tmp_path, capsys, flag, doc):
+    scn_path = tmp_path / "seed.json"
+    scn_path.write_text(json.dumps(doc))
+    out = tmp_path / "seed.csv"
+    assert main(["simulate", str(scn_path), "--output", str(out), *flag]) == EXIT_INPUT
+    named = "" if flag else f"{scn_path}: "  # a flag names no file
+    assert capsys.readouterr().err == f"error: {named}seed must be non-negative, got -1\n"
     assert not out.exists()
 
 
@@ -416,8 +435,8 @@ def test_simulate_file_wins_over_a_bundled_name(tmp_path, monkeypatch):
 DOCUMENTS = {
     "model file": (lambda path: ["observability", path], {"A": [[1.0]]},
                    "model document missing fields: B, C, tau, s_bar, noise_bounds"),
-    "scenario": (lambda path: ["simulate", path, "--output", path + ".csv"], {"phases": 3},
-                 "'int' object is not iterable"),
+    "scenario": (lambda path: ["simulate", path, "--output", path + ".csv"],
+                 {"phases": {"sensor": 1}}, "phases must be a list of objects"),
     "bench spec": (lambda path: ["bench", path], {"sweeps": 3},
                    "a bench spec is a JSON object with a 'sweeps' list"),
 }
@@ -609,8 +628,13 @@ def test_bench_iteration_cap_below_one_is_input_error(tmp_path, capsys):
     ({"sweep": [{"n": 2, "p": 6, "s": 1, "s_bar": 1}]}, "bench spec has unknown key 'sweep'"),
     ({}, "a bench spec is a JSON object with a 'sweeps' list"),
     ({"sweeps": [], "jobs": 2}, "bench spec has unknown key 'jobs'"),
+    ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "seed": -4}]},
+     "sweep 0 seed must be non-negative, got -4"),
+    ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": -2}]},
+     "sweep 0 trials must be non-negative, got -2"),
 ], ids=["sweep_not_object", "trials_not_whole", "p_not_whole", "misspelt_key",
-        "singular_strategies", "misspelt_sweeps", "no_sweeps", "unknown_top_level_key"])
+        "singular_strategies", "misspelt_sweeps", "no_sweeps", "unknown_top_level_key",
+        "negative_seed", "negative_trials"])
 def test_bench_malformed_spec_is_input_error(tmp_path, capsys, doc, message):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(doc))
@@ -618,17 +642,21 @@ def test_bench_malformed_spec_is_input_error(tmp_path, capsys, doc, message):
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
-@pytest.mark.parametrize("jobs, message", [
+@pytest.mark.parametrize("value, message", [
     (0, "jobs must be at least 1, got 0"),
     (-2, "jobs must be at least 1, got -2"),
     (1.5, "jobs must be a whole number, got 1.5"),
+    (-5, "seed must be non-negative, got -5"),
 ])
-def test_bench_jobs_below_one_is_input_error(tmp_path, capsys, jobs, message):
-    with pytest.raises(ValueError, match=message):
-        run_bench({"sweeps": []}, jobs=jobs)
-    if isinstance(jobs, int):
-        spec = bench_spec(tmp_path, [])
-        assert main(["bench", spec, "--jobs", str(jobs)]) == EXIT_INPUT
+def test_bench_jobs_below_one_is_input_error(tmp_path, capsys, value, message):
+    # the message names the flag: --jobs, or --seed, the offset of every trial seed
+    flag = message.split()[0]
+    if flag == "jobs":
+        with pytest.raises(ValueError, match=message):
+            run_bench({"sweeps": []}, jobs=value)
+    if isinstance(value, int):
+        spec = bench_spec(tmp_path, [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 1}])
+        assert main(["bench", spec, f"--{flag}", str(value)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"  # a flag: no file named
 
 
