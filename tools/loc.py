@@ -24,9 +24,10 @@ def counts(path: Path) -> tuple:
     return len(lines), code
 
 
-total_lines = total_code = 0
-for path in sorted(SRC.glob("*.py")):
-    lines, code = counts(path)
-    total_lines, total_code = total_lines + lines, total_code + code
-    print(f"{path.name:<16}{lines:>7}{code:>7}")
-print(f"{'total':<16}{total_lines:>7}{total_code:>7}")
+if __name__ == "__main__":
+    total_lines = total_code = 0
+    for path in sorted(SRC.glob("*.py")):
+        lines, code = counts(path)
+        total_lines, total_code = total_lines + lines, total_code + code
+        print(f"{path.name:<16}{lines:>7}{code:>7}")
+    print(f"{'total':<16}{total_lines:>7}{total_code:>7}")
