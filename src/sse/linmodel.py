@@ -31,6 +31,11 @@ RANK_RTOL = 1e-12
 # call on that matrix alone.
 CHUNK_FLOATS = 1 << 15
 
+# The exact sparse-observability check clears a kept set without an SVD when
+# the smallest eigenvalue of its summed Gram exceeds this times the sum of its
+# blocks' squared norms (derived in ``check_sparse_observability``).
+SCREEN_RTOL = 1e-8
+
 
 class SubsetCapError(RuntimeError):
     """A combinatorial enumeration would exceed the configured subset cap."""
@@ -171,7 +176,8 @@ class ObservabilityStack:
     dimensions, squared spectral norms, and Gram matrices.
 
     Build it once per model and reuse it: it also remembers the answers of
-    ``check_sparse_observability(model, s, stack=stack)`` by ``s``, and the
+    ``check_sparse_observability(model, s, stack=stack)`` by ``s`` (a proven
+    level answers every lower one, a refuted level every higher one), and the
     per-set constants of ``theory.t_check`` (the stacked O_I, the summed
     Gram, ...) for as many sensor sets as fit a fixed float budget.
     """
@@ -354,6 +360,20 @@ def _gram_sums(grams: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return total
 
 
+def _all_full_rank(stack: ObservabilityStack, idx: np.ndarray) -> bool:
+    """Whether O_K has rank n for every kept set K, a row of ``idx``: the
+    eigenvalue screen of ``check_sparse_observability`` clears what it can,
+    and the SVD rule decides the rest."""
+    n = stack.n
+    lam_min = np.linalg.eigvalsh(_gram_sums(stack.gram_blocks, idx))[:, 0]
+    unclear = ~(lam_min > SCREEN_RTOL * stack.block_norms_sq[idx].sum(axis=1))
+    if not unclear.any():
+        return True
+    rows = idx.shape[1] * stack.tau
+    sv = np.linalg.svd(stack.blocks[idx[unclear]].reshape(-1, rows, n), compute_uv=False)
+    return bool((_nonzero(sv, max(rows, n)).sum(axis=1) >= n).all())
+
+
 def check_sparse_observability(
     model: SystemModel,
     s: int,
@@ -363,9 +383,29 @@ def check_sparse_observability(
 ) -> bool:
     """True iff the system stays observable after removing any s sensors.
 
-    Exhaustive over all C(p, s) removals; refuses above ``subset_cap``.  A
-    given ``stack`` (the model's) remembers the answer, so each s is
-    enumerated once per stack.
+    Exhaustive over all C(p, s) removals, in chunks, stopping at the first
+    chunk that holds a rank-deficient kept set; refuses above ``subset_cap``.
+
+    Each kept set K is first screened on its summed Gram G_K = O_K^T O_K.
+    With S = sum of ``block_norms_sq[i]`` over K, sigma_max(O_K)^2 <= S.
+    Rounding in forming and summing the blocks' Grams and in ``eigvalsh``
+    moves the computed eigenvalues of G_K by at most a small multiple of
+    (|K| + tau + n) u S, with u = 2^-53: under 1e-12 S for any set that fits
+    in memory.  So a set whose computed smallest eigenvalue exceeds
+    ``SCREEN_RTOL`` S has sigma_min(O_K) / sigma_max(O_K) above about
+    sqrt(SCREEN_RTOL) = 1e-4.  ``_zero_tol`` counts singular values at or
+    below dim * sigma_max * 1e-12 as zero, and the SVD's own error is a small
+    multiple of dim u sigma_max; neither comes near 1e-4 sigma_max, so the
+    SVD rule gives such a set rank n too, and the screen clears it.  Only
+    the sets it does not clear get an SVD, so the answer is the SVD rule's.
+
+    A given ``stack`` (the model's) remembers the answers, and reads them
+    monotonically: a proven level k answers every s <= k, since each kept
+    set of a lower level contains a kept set of level k and adding rows
+    never lowers the rank, and a refuted level k answers every s >= k.  The
+    memo follows exact arithmetic: a direct enumeration could rule otherwise
+    only on a set whose smallest singular value sits within the ``_zero_tol``
+    band, a band that grows with the set.  The subset cap is checked first.
     """
     p, n = model.p, model.n
     if not 0 <= s <= p:
@@ -373,10 +413,12 @@ def check_sparse_observability(
     _check_cap(math.comb(p, s), subset_cap)
     if stack is None:
         stack = build_observability(model)
-    elif s in stack._sparse_obs:
-        return stack._sparse_obs[s]
+    for level, held in stack._sparse_obs.items():
+        if s <= level if held else s >= level:
+            return held
+    size = p - s
     holds = s < p and all(
-        (nonzero.sum(axis=1) >= n).all() for _, nonzero in _subset_svds(stack, p - s)
+        _all_full_rank(stack, idx) for idx in _subset_chunks(p, size, size * stack.tau * n)
     )
     stack._sparse_obs[s] = holds
     return holds
@@ -426,6 +468,22 @@ def compute_delta_s(
     |Gamma| <= s_bar and |I| >= p - s_bar.  ``attackable`` restricts Gamma to a
     known attack surface.  A singular G_I signals a violated observability
     precondition unless ``skip_singular_sets`` is set.
+
+    Only the dominating pairs are evaluated.  The leakage grows with Gamma
+    (G_Gamma does), so each I takes only its Gammas of the largest size,
+    min(s_bar, |I & surface|, |I| - 1): every smaller one lies inside one of
+    them.  It shrinks as I grows (G_I does), so once no Gram of a size k is
+    singular, and so none larger either, and every Gamma fits strictly
+    inside a set of size k (min(s_bar, |surface|) <= k - 1), each larger I is
+    dominated by a set of size k inside it and the enumeration stops after
+    size k: on an s_bar-sparse observable model with p > 2 s_bar, after the
+    smallest size, max(p - s_bar, 1).  A stacked LAPACK call gives each
+    matrix the bits of a lone call, so every value kept has the bits it
+    would have in the full enumeration, and so has the maximum wherever no
+    pruned pair ties with it in exact arithmetic.  Pairs tie at 1 when
+    delta_s is 1 (some I minus Gamma leaves a direction unseen); rounding
+    then picks among them, and the last bits can differ from the full
+    enumeration's.
     """
     p, n = stack.p, stack.n
     if not 0 <= s_bar <= p:
@@ -450,6 +508,7 @@ def compute_delta_s(
     floats_each = (1 + sum(len(rows) for rows, _ in gamma_sets)) * n * n
     worst = 0.0  # the empty Gamma contributes zero
     for size in range(max(min_i, 1), p + 1):
+        any_singular = False
         for idx in _subset_chunks(p, size, floats_each):
             eigvals, eigvecs = np.linalg.eigh(_gram_sums(grams, idx))
             tol = _zero_tol(np.maximum(eigvals[:, -1], 0.0), n)
@@ -461,15 +520,17 @@ def compute_delta_s(
                         f"Gram matrix of sensor set {first} is singular; the system "
                         f"is not sparse-observable enough for this enumeration"
                     )
+                any_singular = True
                 regular = ~singular
                 idx, eigvals, eigvecs = idx[regular], eigvals[regular], eigvecs[regular]
             member = np.zeros((len(idx), p), dtype=bool)
             member[np.arange(len(idx))[:, None], idx] = True
+            # each I's largest Gamma size, strictly inside I
+            top = np.minimum(member[:, surface].sum(axis=1), min(s_bar, size - 1))
             inv_sqrt = None
-            for rows, sums in gamma_sets[: size - 1]:  # Gamma strictly inside I
-                owner, gamma = np.nonzero(member[:, rows].all(axis=2))
-                if not len(owner):
-                    continue
+            for g in np.unique(top[top > 0]).tolist():
+                rows, sums = gamma_sets[g - 1]
+                owner, gamma = np.nonzero(member[:, rows].all(axis=2) & (top == g)[:, None])
                 if inv_sqrt is None:
                     scale = np.zeros(eigvecs.shape)  # diagonal matrices of 1/sqrt(eigvals)
                     scale.reshape(len(idx), n * n)[:, :: n + 1] = 1.0 / np.sqrt(eigvals)
@@ -478,6 +539,8 @@ def compute_delta_s(
                 lam = np.linalg.eigvalsh(w @ sums[gamma] @ w)[:, -1]
                 # fmax passes over NaN, as max(worst, nan) does
                 worst = max(worst, float(np.fmax.reduce(lam)))
+        if not any_singular and min(s_bar, len(surface)) < size:
+            break
     return worst
 
 

@@ -166,9 +166,12 @@ def test_agree_gate_ignores_sampled_audit():
 
 
 def _count_rank_calls(monkeypatch):
+    """Count the exact check's rank work: each chunk of kept sets it screens
+    and, where the screen leaves any, ranks by SVD."""
     calls = []
-    real = linmodel._nonzero
-    monkeypatch.setattr(linmodel, "_nonzero", lambda sv, dim: calls.append(1) or real(sv, dim))
+    real = linmodel._all_full_rank
+    monkeypatch.setattr(linmodel, "_all_full_rank",
+                        lambda stack, idx: calls.append(1) or real(stack, idx))
     return calls
 
 

@@ -459,7 +459,8 @@ def test_batched_analysis_equals_per_subset_reference(monkeypatch, chunk_floats)
 
 
 def test_sparse_observability_stops_at_first_deficient_chunk(monkeypatch):
-    # one subset per chunk: the check ranks exactly the subsets the
+    # one subset per chunk: the check does rank work (its screen, then the
+    # SVD on what the screen leaves) on exactly the subsets the
     # short-circuiting reference looks at
     c = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [2.0, 0.0]])
     model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=c, tau=1, s_bar=0,
@@ -469,10 +470,41 @@ def test_sparse_observability_stops_at_first_deficient_chunk(monkeypatch):
     assert looked == 4  # (0, 4) is the first pair that sees one direction
     monkeypatch.setattr(linmodel, "CHUNK_FLOATS", 1)
     calls = []
-    real = linmodel._nonzero
-    monkeypatch.setattr(linmodel, "_nonzero", lambda sv, dim: calls.append(len(sv)) or real(sv, dim))
+    real = linmodel._all_full_rank
+    monkeypatch.setattr(linmodel, "_all_full_rank",
+                        lambda stack, idx: calls.append(len(idx)) or real(stack, idx))
     assert not check_sparse_observability(model, 3, stack=stack)
     assert calls == [1] * looked
+
+
+def test_sparse_observability_memo_is_monotone(monkeypatch):
+    # a proven level answers every level below it, a refuted level every
+    # level above it, with no rank work; the subset cap is still checked first
+    calls = []
+    real = linmodel._all_full_rank
+    monkeypatch.setattr(linmodel, "_all_full_rank",
+                        lambda stack, idx: calls.append(len(idx)) or real(stack, idx))
+    rows = np.random.default_rng(3).normal(size=(8, 2))
+    lines = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=rows, tau=1, s_bar=0,
+                        noise_bounds=np.zeros(8))
+    stack = build_observability(lines)
+    assert check_sparse_observability(lines, 6, stack=stack)
+    calls.clear()
+    assert check_sparse_observability(lines, 3, stack=stack)
+    assert not calls
+    with pytest.raises(SubsetCapError):
+        check_sparse_observability(lines, 3, stack=stack, subset_cap=55)
+    # four sensors see only x, three only y: removing 3 can blind y, 2 cannot
+    c = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 3)
+    model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=c, tau=1, s_bar=0,
+                        noise_bounds=np.zeros(7))
+    stack = build_observability(model)
+    assert not check_sparse_observability(model, 3, stack=stack)
+    calls.clear()
+    assert not check_sparse_observability(model, 5, stack=stack)
+    assert not calls
+    assert check_sparse_observability(model, 2, stack=stack)  # not answered by the memo
+    assert calls
 
 
 # ---------------------------------------------------------------------------
