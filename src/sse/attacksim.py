@@ -319,6 +319,7 @@ class AttackScenario:
         if not isinstance(phases, list) or not all(isinstance(ph, dict) for ph in phases):
             raise ValueError("phases must be a list of objects")
         phase_fields = fields(AttackPhase)
+        built = []
         for i, ph in enumerate(phases):
             unknown = [k for k in ph if k not in {f.name for f in phase_fields}]
             if unknown:
@@ -326,7 +327,11 @@ class AttackScenario:
             missing = [f.name for f in phase_fields if f.default is MISSING and f.name not in ph]
             if missing:
                 raise ValueError(f"phase {i} lacks {', '.join(map(repr, missing))}")
-        return cls(**{**doc, "phases": tuple(AttackPhase(**ph) for ph in phases)})
+            try:
+                built.append(AttackPhase(**ph))
+            except ValueError as exc:
+                raise ValueError(f"phase {i}: {exc}") from None
+        return cls(**{**doc, "phases": tuple(built)})
 
 
 def alternating_encoder_scenario() -> AttackScenario:

@@ -89,6 +89,8 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
         raise ValueError("a bench spec is a JSON object with a 'sweeps' list")
     if whole_number(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if whole_number(seed_offset, "seed_offset") < 0:
+        raise ValueError(f"seed_offset must be non-negative, got {seed_offset}")
     tasks, checked = [], []
     for sweep_idx, spec in enumerate(sweeps):
         if not isinstance(spec, dict):

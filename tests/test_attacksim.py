@@ -225,7 +225,8 @@ def test_phase_step_fields_are_whole_numbers(field, value):
 ])
 def test_phase_signal_fields_are_finite_numbers(field, value):
     doc = {"sensor": 1, "kind": "step_ramp", "start": 0, "end": 10, field: value}
-    with pytest.raises(ValueError, match=f"^{field} must be a finite number, got {value!r}$"):
+    message = f"^phase 0: {field} must be a finite number, got {value!r}$"
+    with pytest.raises(ValueError, match=message):
         AttackScenario.from_json_dict({"phases": [doc]})
 
 

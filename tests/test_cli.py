@@ -357,7 +357,7 @@ def test_simulate_rejects_a_bad_replay_phase(tmp_path, capsys, phase, message):
     scn_path.write_text(json.dumps(doc))
     out = tmp_path / "replay.csv"
     assert main(["simulate", str(scn_path), "--output", str(out)]) == EXIT_INPUT
-    assert f"{scn_path}: {message}" in capsys.readouterr().err
+    assert f"{scn_path}: phase 0: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -371,7 +371,7 @@ def test_simulate_rejects_a_phase_number_that_is_not_finite(tmp_path, capsys, ph
         {"sensor": 1, "start": 5, "end": 20, **phase}]}))
     out = tmp_path / "phase.csv"
     assert main(["simulate", str(scn_path), "--output", str(out)]) == EXIT_INPUT
-    assert capsys.readouterr().err == f"error: {scn_path}: {message}\n"
+    assert capsys.readouterr().err == f"error: {scn_path}: phase 0: {message}\n"
     assert not out.exists()
 
 
@@ -380,7 +380,10 @@ def test_simulate_rejects_a_phase_number_that_is_not_finite(tmp_path, capsys, ph
     ({"phases": [], "phase": 5}, "scenario has unknown key 'phase'"),
     ({"phases": [{"sensor": 1, "kind": "replay", "start": 5, "end": 20, "dealy": 3}]},
      "phase 0 has unknown key 'dealy'"),
-], ids=["stpes", "phase", "phase_dealy"])
+    ({"phases": [{"sensor": 1, "kind": "replay", "start": 5, "end": 20},
+                 {"sensor": 2, "kind": "replay", "start": 30, "end": 40, "delay": 0}]},
+     "phase 1: replay delay must be at least 1 step, got 0"),
+], ids=["stpes", "phase", "phase_dealy", "phase_delay"])
 def test_simulate_rejects_an_unknown_scenario_key(tmp_path, capsys, doc, message):
     scn_path = tmp_path / "typo.json"
     scn_path.write_text(json.dumps(doc))
@@ -650,10 +653,15 @@ def test_bench_malformed_spec_is_input_error(tmp_path, capsys, doc, message):
 ])
 def test_bench_jobs_below_one_is_input_error(tmp_path, capsys, value, message):
     # the message names the flag: --jobs, or --seed, the offset of every trial seed
+    # (run_bench's seed_offset)
     flag = message.split()[0]
     if flag == "jobs":
         with pytest.raises(ValueError, match=message):
             run_bench({"sweeps": []}, jobs=value)
+    else:
+        sweep = {"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 1}
+        with pytest.raises(ValueError, match=f"^seed_offset must be non-negative, got {value}$"):
+            run_bench({"sweeps": [sweep]}, seed_offset=value)
     if isinstance(value, int):
         spec = bench_spec(tmp_path, [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 1}])
         assert main(["bench", spec, f"--{flag}", str(value)]) == EXIT_INPUT

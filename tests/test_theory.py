@@ -34,7 +34,7 @@ from sse.theory import (
     t_check,
 )
 
-from conftest import four_lines, line_model, line_window, scalar_sensors, stack_rows
+from conftest import FIVE_LINES, four_lines, line_model, line_window, scalar_sensors, stack_rows
 
 
 def _residuals_at(stack, window, x):
@@ -1346,6 +1346,21 @@ def test_no_extension_without_a_passing_seed_fit(monkeypatch):
         assert _reference_walk(stack, window, check, s_bar, epsilon, bounds,
                                extend=True) == (walked, checks)
         assert (certs, counts.theory_checks) == (walked, checks)
+    # the vehicle's budget is full after the walk's conflict; six lines with
+    # two attacked sensors and s_bar = 2 also walk unaimed (no seed fit) but
+    # leave room for a second conflict, which the other attacked sensor with
+    # the first conflict's seed would be: still the walk's conflict alone
+    rows = np.array(FIVE_LINES + [[1.0, -1.0]])
+    model = line_model(rows, s_bar=2)
+    stack = build_observability(model)
+    window = line_window(model, rows @ [2.0, 6.0] + [5.0, -7.0, 0.0, 0.0, 0.0, 0.0])
+    check = t_check(stack, window, range(6), model.noise_bounds, DEFAULT_EPSILON)
+    assert _seed_fit(stack, window, check, 2, DEFAULT_EPSILON, model.noise_bounds) is None
+    certs, _ = certificates(stack, window, check, 2, DEFAULT_EPSILON, model.noise_bounds,
+                            Strategy.CONFLICT)
+    assert len(certs) == 1 and certs[0].suspect in (0, 1)
+    other = ({0, 1} - {certs[0].suspect}) | (certs[0].sensors - {certs[0].suspect})
+    assert not t_check(stack, window, other, model.noise_bounds, DEFAULT_EPSILON).sat
 
 
 @pytest.mark.parametrize("strategy", [Strategy.CONFLICT, Strategy.CONFLICT_AGREE])
