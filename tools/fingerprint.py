@@ -20,6 +20,12 @@ and ``stats.theory_checks`` over the same estimates (capped solves
 included), so a change that moves them can report by how much.  A last line
 per workload gives its iteration tail: how many of those estimates took more
 than 2 iterations, and the most any took.
+
+The last line is the analysis digest, over the model analysis of the seed-0
+set-ups: the answer of each 3 s_bar-sparse observability check that the
+``plant_stream`` plant draws make, the bytes of each plant's ``o_bar`` and
+``delta_s``, and the bytes of the vehicle's ``ugv_guarantees`` constants.  A
+change to ``linmodel``'s analysis that keeps its answers prints the same one.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np  # noqa: E402
 
 import sse  # noqa: E402
 import sse.attacksim  # noqa: E402
-from perfbench.workloads import WORKLOADS  # noqa: E402
+from perfbench.workloads import WORKLOADS, PlantStream, UgvLoop  # noqa: E402
 
 ROUNDS = {"desk_sweep": 1, "ugv_loop": 75, "plant_stream": 5}
 SEED = 0
@@ -118,6 +124,28 @@ def fingerprint() -> tuple:
             {k: v.hexdigest() for k, v in answers.items()}, hashed, totals)
 
 
+def analysis_digest() -> str:
+    """SHA-256 over the seed-0 model analysis (see the module docstring)."""
+    h = hashlib.sha256()
+    real = sse.check_sparse_observability
+
+    def recording(*args, **kwargs):
+        holds = real(*args, **kwargs)
+        h.update(repr(holds).encode())
+        return holds
+
+    sse.check_sparse_observability = recording
+    try:
+        plants = PlantStream().setup(SEED, _Untimed())
+    finally:
+        sse.check_sparse_observability = real
+    constants, _ = sse.attacksim.ugv_guarantees(sse.attacksim.discretize_ugv(),
+                                                UgvLoop.config.epsilon)
+    for o_bar, delta_s in [(pl.o_bar, pl.delta_s) for pl in plants] + [astuple(constants)]:
+        h.update(np.array([o_bar, delta_s], dtype=float).tobytes())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     digest, per_workload, answers, hashed, totals = fingerprint()
     if not all(hashed.values()):
@@ -129,3 +157,4 @@ if __name__ == "__main__":
               f"theory_checks={theory_checks}")
     for name, (_, _, over_two, most) in totals.items():
         print(name, f"over_2_iterations={over_two}", f"max_iterations={most}")
+    print("analysis", analysis_digest())
