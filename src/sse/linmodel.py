@@ -528,9 +528,10 @@ def compute_delta_s(
             # each I's largest Gamma size, strictly inside I
             top = np.minimum(member[:, surface].sum(axis=1), min(s_bar, size - 1))
             inv_sqrt = None
-            for g in np.unique(top[top > 0]).tolist():
-                rows, sums = gamma_sets[g - 1]
+            for g, (rows, sums) in enumerate(gamma_sets[: size - 1], 1):
                 owner, gamma = np.nonzero(member[:, rows].all(axis=2) & (top == g)[:, None])
+                if not len(owner):
+                    continue
                 if inv_sqrt is None:
                     scale = np.zeros(eigvecs.shape)  # diagonal matrices of 1/sqrt(eigvals)
                     scale.reshape(len(idx), n * n)[:, :: n + 1] = 1.0 / np.sqrt(eigvals)
