@@ -50,26 +50,22 @@ EXIT_INPUT = 3
 EXIT_CAP = 4
 
 
-class InputError(ValueError):
-    pass
-
-
 def _read_json(path: str, what: str, parse):
     """``parse`` applied to the JSON object in file ``path``; every failure,
-    the content's own included, is an ``InputError`` that names the file."""
+    the content's own included, is a ``ValueError`` that names the file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except FileNotFoundError as exc:
-        raise InputError(f"{what} not found: {path}") from exc
+        raise ValueError(f"{what} not found: {path}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     if not isinstance(doc, dict):
-        raise InputError(f"{path}: a {what} must be a JSON object")
+        raise ValueError(f"{path}: a {what} must be a JSON object")
     try:
         return parse(doc)
     except (ValueError, TypeError, KeyError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_trace(path: str, p: int, m: int):
@@ -78,23 +74,23 @@ def _read_trace(path: str, p: int, m: int):
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
-                raise InputError(f"{path}: empty trace file")
+                raise ValueError(f"{path}: empty trace file")
             y_cols = [f"y{i + 1}" for i in range(p)]
             u_cols = [f"u{i + 1}" for i in range(m)]
             if m == 1 and "u1" not in reader.fieldnames and "u" in reader.fieldnames:
                 u_cols = ["u"]
             missing = [c for c in y_cols + u_cols if c not in reader.fieldnames]
             if missing:
-                raise InputError(f"{path}: missing columns {', '.join(missing)}")
+                raise ValueError(f"{path}: missing columns {', '.join(missing)}")
             outputs, inputs = [], []
             for lineno, row in enumerate(reader, start=2):
                 try:
                     outputs.append([float(row[c]) for c in y_cols])
                     inputs.append([float(row[c]) for c in u_cols])
                 except (TypeError, ValueError) as exc:
-                    raise InputError(f"{path}: bad number on line {lineno}") from exc
+                    raise ValueError(f"{path}: bad number on line {lineno}") from exc
     except FileNotFoundError as exc:
-        raise InputError(f"trace file not found: {path}") from exc
+        raise ValueError(f"trace file not found: {path}") from exc
     return np.array(outputs), np.array(inputs)
 
 
@@ -156,7 +152,7 @@ def _load_window(args):
     model = _read_json(args.model, "model file", SystemModel.from_json_dict)
     outputs, inputs = _read_trace(args.trace, model.p, model.m)
     if outputs.shape[0] < model.tau:
-        raise InputError(
+        raise ValueError(
             f"trace has {outputs.shape[0]} rows, need at least tau={model.tau}"
         )
     outputs, inputs = outputs[-model.tau :], inputs[-model.tau :]
@@ -238,9 +234,9 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     # flags are checked before the spec is read: the error is the flag's
     if args.jobs < 1:
-        raise InputError(f"jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
     if args.seed < 0:
-        raise InputError(f"seed must be non-negative, got {args.seed}")
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
     rows = _read_json(args.spec, "bench spec",
                       lambda doc: bench.run_bench(doc, jobs=args.jobs, seed_offset=args.seed))
     bench.write_bench_csv(rows, args.output)

@@ -229,22 +229,18 @@ def minimal_support_estimate(
     budget; an ``IterationLimitError`` carries the same totals, the capped
     budget included.
     """
-    budget = model.s_bar
-    outcomes = []
-    try:
-        while budget >= 0:
+    budget, iterations, stats, last_feasible = model.s_bar, 0, SolveStats(), None
+    while budget >= 0:
+        try:
             outcome = estimate(replace(model, s_bar=budget), stack, window, config)
-            outcomes.append(outcome)
-            if not outcome.feasible:
-                break
-            budget = min(budget, len(outcome.support)) - 1
-    except IterationLimitError as capped:
-        outcomes.append(capped)
-    iterations = sum(o.iterations for o in outcomes)
-    stats = sum((o.stats for o in outcomes), SolveStats())
-    if isinstance(outcomes[-1], IterationLimitError):
-        raise IterationLimitError(iterations, stats)
-    result = ([o for o in outcomes if o.feasible] or outcomes)[-1]  # the last feasible
+        except IterationLimitError as exc:
+            raise IterationLimitError(iterations + exc.iterations, stats + exc.stats) from None
+        iterations, stats = iterations + outcome.iterations, stats + outcome.stats
+        if not outcome.feasible:
+            break
+        last_feasible = outcome
+        budget = min(budget, len(outcome.support)) - 1
+    result = outcome if last_feasible is None else last_feasible
     result.iterations, result.stats = iterations, stats
     if result.feasible:
         # the estimate also solves the problem at the budget matching its support

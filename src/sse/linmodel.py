@@ -342,15 +342,6 @@ def _subset_chunks(p: int, size: int, floats_each: int):
         left -= m
 
 
-def _subset_svds(stack: ObservabilityStack, size: int):
-    """Singular values of O_I for the size-subsets I, and which of them count
-    as nonzero, one chunk at a time in enumeration order."""
-    rows, n = size * stack.tau, stack.n
-    for idx in _subset_chunks(stack.p, size, rows * n):
-        sv = np.linalg.svd(stack.blocks[idx].reshape(len(idx), rows, n), compute_uv=False)
-        yield sv, _nonzero(sv, max(rows, n))
-
-
 def _gram_sums(grams: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``sum(grams[i] for i in row)`` for each row of ``idx``, added left to
     right from zero as that sum does."""
@@ -443,7 +434,10 @@ def compute_o_bar(
     _check_cap(count, subset_cap)
     worst = 0.0
     for size in range(min_card, p + 1):
-        for sv, nonzero in _subset_svds(stack, size):
+        rows = size * stack.tau
+        for idx in _subset_chunks(p, size, rows * n):
+            sv = np.linalg.svd(stack.blocks[idx].reshape(len(idx), rows, n), compute_uv=False)
+            nonzero = _nonzero(sv, max(rows, n))
             if full_rank_only:
                 nonzero &= (nonzero.sum(axis=1) >= n)[:, None]
             # ||pinv(O_I)|| is 1 / the smallest nonzero singular value; a zero
