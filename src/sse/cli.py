@@ -129,16 +129,26 @@ def cmd_observability(args) -> int:
     out.write(f"o_bar (|I| >= {min_card}) = {format_exact(o_bar)}\n")
     try:
         delta = compute_delta_s(stack, model.s_bar, subset_cap=args.subset_cap)
-        out.write(f"delta_s = {format_exact(delta)}\n")
-        if delta < 1.0:
-            bounds = delta_bound(model, RobustnessConstants(o_bar, delta), args.epsilon)
-            out.write(f"detection_threshold_sq = {format_exact(bounds.detection_threshold_sq)}\n")
-            out.write(f"detected_delta = {format_exact(bounds.detected_delta)}\n")
-            out.write(f"undetected_bound = {format_exact(bounds.undetected_bound)}\n")
-        else:
-            out.write("detection_threshold_sq = inf (delta_s >= 1)\n")
     except GramSingularError as exc:
         out.write(f"delta_s = undefined ({exc})\n")
+        return EXIT_OK
+    out.write(f"delta_s = {format_exact(delta)}\n")
+    # the bounds need p > 2 s_bar, 2 s_bar-sparse observability and delta_s < 1;
+    # rounding can put delta_s just below 1 where the exact check refutes the
+    # model.  C(p, 2 s_bar) <= C(p, s_bar) C(p - s_bar, s_bar) is within the
+    # cap the delta_s enumeration passed.
+    two_s = 2 * model.s_bar
+    if delta >= 1.0:
+        out.write("detection_threshold_sq = inf (delta_s >= 1)\n")
+    elif p <= two_s:
+        out.write("detection_threshold_sq = inf (p <= 2 s_bar)\n")
+    elif not check_sparse_observability(model, two_s, stack=stack, subset_cap=args.subset_cap):
+        out.write(f"detection_threshold_sq = inf (not {two_s}-sparse observable)\n")
+    else:
+        bounds = delta_bound(model, RobustnessConstants(o_bar, delta), args.epsilon)
+        out.write(f"detection_threshold_sq = {format_exact(bounds.detection_threshold_sq)}\n")
+        out.write(f"detected_delta = {format_exact(bounds.detected_delta)}\n")
+        out.write(f"undetected_bound = {format_exact(bounds.undetected_bound)}\n")
     return EXIT_OK
 
 

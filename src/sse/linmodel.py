@@ -45,8 +45,8 @@ class SubsetCapError(RuntimeError):
 
 
 class GramSingularError(RuntimeError):
-    """A sensor-subset Gram matrix is singular where observability requires
-    it to be positive definite."""
+    """A sensor-subset Gram matrix to be inverted is too ill-conditioned: its
+    smallest eigenvalue is at most n * RANK_RTOL times its largest."""
 
 
 def _zero_tol(top, dim: int):
@@ -460,8 +460,10 @@ def compute_delta_s(
 
     Maximizes lambda_max{G_Gamma G_I^{-1}} over Gamma strictly inside I with
     |Gamma| <= s_bar and |I| >= p - s_bar.  ``attackable`` restricts Gamma to a
-    known attack surface.  A singular G_I signals a violated observability
-    precondition unless ``skip_singular_sets`` is set.
+    known attack surface.  A G_I too ill-conditioned to invert raises
+    ``GramSingularError`` unless ``skip_singular_sets`` is set; that test is
+    stricter than the SVD rank rule of ``check_sparse_observability``, so it
+    can refuse a set that the check counts as full rank.
 
     Only the dominating pairs are evaluated.  The leakage grows with Gamma
     (G_Gamma does), so each I takes only its Gammas of the largest size,
@@ -511,8 +513,9 @@ def compute_delta_s(
                 if not skip_singular_sets:
                     first = tuple(idx[np.argmax(singular)].tolist())
                     raise GramSingularError(
-                        f"Gram matrix of sensor set {first} is singular; the system "
-                        f"is not sparse-observable enough for this enumeration"
+                        f"Gram matrix of sensor set {first} is too ill-conditioned to "
+                        f"invert: its smallest eigenvalue is at most n * RANK_RTOL "
+                        f"times its largest"
                     )
                 any_singular = True
                 regular = ~singular

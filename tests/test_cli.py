@@ -112,6 +112,35 @@ def test_observability_reports_no_threshold_at_full_leakage(tmp_path, capsys):
     assert out.endswith("detection_threshold_sq = inf (delta_s >= 1)\n")
 
 
+@pytest.mark.parametrize("doc, lines", [
+    # rounding puts delta_s just below 1, but the exact check refutes the
+    # model at 2 s_bar: no bounds
+    ({"A": [[0.9]], "B": [[0.0]],
+      "C": [[1.8512209651924858], [0.8933216703416794], [0.0]],
+      "tau": 1, "s_bar": 1, "noise_bounds": [0, 0, 0]},
+     ["sparse_observable s=2: no", "delta_s = 0.99999999999999989",
+      "detection_threshold_sq = inf (not 2-sparse observable)"]),
+    # delta_s is 1/2, but two sensors cannot outvote one attacked sensor
+    ({"A": [[1.0]], "B": [[0.0]], "C": [[1.0], [1.0]], "tau": 1, "s_bar": 1,
+      "noise_bounds": [0, 0]},
+     ["delta_s = 0.49999999999999989", "detection_threshold_sq = inf (p <= 2 s_bar)"]),
+    # proven observable, with a Gram too ill-conditioned to invert
+    ({"A": [[1, 0], [0, 1]], "B": [[0], [0]], "C": [[1, 0], [1, 1e-10]], "tau": 1,
+      "s_bar": 0, "noise_bounds": [0, 0]},
+     ["sparse_observable s=0: yes",
+      "delta_s = undefined (Gram matrix of sensor set (0, 1) is too ill-conditioned to "
+      "invert: its smallest eigenvalue is at most n * RANK_RTOL times its largest)"]),
+], ids=["refuted_below_one", "p_at_most_2_s_bar", "ill_conditioned_gram"])
+def test_observability_prints_bounds_only_with_a_guarantee(tmp_path, capsys, doc, lines):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["observability", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(lines[-1] + "\n")
+    assert all(line in out.splitlines() for line in lines)
+    assert "detected_delta" not in out
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"A": [[1, 2],')

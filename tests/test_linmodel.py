@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,19 @@ def test_model_validation_errors():
         SystemModel(A=eye, B=eye, C=np.ones((3, 3)), tau=2, s_bar=1, noise_bounds=[0, 0, 0])
     with pytest.raises(ValueError, match="at least one row"):
         SystemModel(A=eye, B=eye, C=np.zeros((0, 2)), tau=2, s_bar=0, noise_bounds=[])
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("A", [1.0, 0.0], "A must be a 2-D matrix, got shape (2,)"),
+    ("C", [[1.0, 0.0], [0.0, np.inf]], "C contains non-finite entries"),
+    ("B", np.zeros((3, 1)), "B has 3 rows, expected 2"),
+    ("noise_bounds", [0.0], "noise_bounds must have length p=2, got (1,)"),
+])
+def test_model_rejects_a_field_that_does_not_fit(field, value, message):
+    fields = dict(A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2), tau=1, s_bar=0,
+                  noise_bounds=[0.0, 0.0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SystemModel(**{**fields, field: value})
 
 
 def test_model_json_round_trip():
@@ -306,6 +320,20 @@ def test_delta_s_subset_cap():
         compute_delta_s(stack, 4, subset_cap=100)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda model, stack: check_sparse_observability(model, 3), "s must be in [0, 2], got 3"),
+    (lambda model, stack: compute_o_bar(stack, 0), "min_card must be in [1, 2], got 0"),
+    (lambda model, stack: compute_delta_s(stack, -1), "s_bar must be in [0, 2], got -1"),
+    (lambda model, stack: spectral_helper_check(np.eye(2), np.eye(3)),
+     "A and B must be square matrices of the same dimension"),
+], ids=["sparse_observability_s", "o_bar_min_card", "delta_s_s_bar", "spectral_shapes"])
+def test_analysis_rejects_an_argument_out_of_range(call, message):
+    model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2), tau=1, s_bar=0,
+                        noise_bounds=[0.0, 0.0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(model, build_observability(model))
+
+
 # ---------------------------------------------------------------------------
 # batched enumerations against the per-subset reference
 # ---------------------------------------------------------------------------
@@ -363,8 +391,9 @@ def reference_delta_s(stack, s_bar, attackable=None, skip_singular_sets=False):
                 if skip_singular_sets:
                     continue
                 raise GramSingularError(
-                    f"Gram matrix of sensor set {subset} is singular; the system "
-                    f"is not sparse-observable enough for this enumeration"
+                    f"Gram matrix of sensor set {subset} is too ill-conditioned to "
+                    f"invert: its smallest eigenvalue is at most n * RANK_RTOL "
+                    f"times its largest"
                 )
             inv_sqrt = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
             candidates = [i for i in subset if i in attack_set]
