@@ -128,6 +128,17 @@ def test_generator_rejects_impossible_level():
         generate_instance(3, 6, 3, 2, "2s", 0.0, seed=0)
 
 
+def test_generator_rejects_an_unknown_level():
+    with pytest.raises(ValueError, match="observability_level must be '2s' or '3s', got '4s'"):
+        generate_instance(3, 6, 1, 1, "4s", 0.0, seed=0)
+
+
+def test_generator_gives_up_after_its_resamples(monkeypatch):
+    monkeypatch.setattr(attacksim, "MAX_RESAMPLES", 0)
+    with pytest.raises(RuntimeError, match="no 2s-sparse observable system found in 0 draws"):
+        generate_instance(3, 6, 1, 1, "2s", 0.0, seed=0)
+
+
 def test_generator_above_the_exact_limit_keeps_its_stream():
     # C(40, 30) removals are too many to check: the first system is kept
     # unproven, after the generator's AUDIT_SAMPLES kept-set draws
@@ -293,6 +304,11 @@ def test_closed_loop_rejects_a_phase_on_a_missing_sensor():
         AttackPhase(sensor=3, kind="step_ramp", start=5, end=10, step=3.0),), steps=20)
     with pytest.raises(ValueError, match="sensor 3"):
         run_closed_loop(discretize_ugv(), scenario)
+
+
+def test_closed_loop_needs_a_full_window():
+    with pytest.raises(ValueError, match="need at least tau=2 steps, got 1"):
+        run_closed_loop(discretize_ugv(), AttackScenario(phases=(), steps=20), steps=1)
 
 
 @pytest.mark.parametrize("count, value", [("steps", 3.7), ("seed", 1.5)])

@@ -160,6 +160,11 @@ def test_constraint_validation():
         SatInstance(3, 9)
 
 
+def test_bump_rejects_a_sensor_out_of_range():
+    with pytest.raises(ValueError, match="sensor index out of range: 3"):
+        new_instance(3, 1).bump(3)
+
+
 def test_empty_at_least_one_is_permanent_unsat():
     inst = new_instance(3, 2)
     inst.add_constraint(alo(1))
@@ -339,6 +344,18 @@ class ListOfMasksInstance:
                 return found
             banned |= bit
         return None
+
+
+def test_search_backtracks_from_a_set_whose_members_are_all_banned():
+    # with 0 banned after its branch fails and 2 chosen, 3 hits {1, 3} once 1
+    # has failed too: {0, 1} is then the first set left, with no free member
+    rows = [(0, 2), (1, 3), (0, 1), (4, 5), (6, 7), (8, 9), (10, 11)]
+    indexed, reference = SatInstance(12, 4), ListOfMasksInstance(12, 4)
+    for inst in (indexed, reference):
+        for row in rows:
+            inst.add_constraint(alo(*row))
+    assert indexed.solve() is None and reference.solve() is None
+    assert indexed.stats == reference.stats
 
 
 def random_op_stream(rng, p, s_bar, length):
