@@ -1388,11 +1388,11 @@ def test_seed_fit_conflicts_keep_the_oracle_answers(strategy):
     assert extended > 0
 
 
-@pytest.mark.parametrize("noise", [0.0, 0.05])
+@pytest.mark.parametrize("noise", [0.0, 0.05, 1.0])
 def test_conflict_matches_the_oracle_on_small_instances(noise):
     # feasibility and the minimal support under conflict, against brute force
     config = EstimatorConfig(strategy=Strategy.CONFLICT, epsilon=1e-6)
-    walks = 0
+    walks = fallbacks = 0
     for spec in ((2, 7, 2, 2, "3s"), (3, 8, 2, 2, "2s"), (4, 10, 3, 3, "2s"),
                  (2, 9, 1, 3, "2s")):
         for seed in range(4):
@@ -1409,7 +1409,12 @@ def test_conflict_matches_the_oracle_on_small_instances(noise):
             if minimal.feasible:
                 assert minimal.support in oracle.minimal
             walks += result.stats.theory_checks
+            if spec == (4, 10, 3, 3, "2s"):
+                fallbacks += result.stats.conflict_fallbacks
     assert walks > 0
+    if noise == 1.0:
+        # here the walk runs out of candidates and learns the checked set
+        assert fallbacks > 0
 
 
 # ---------------------------------------------------------------------------
