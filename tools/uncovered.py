@@ -7,14 +7,14 @@ standard library and pytest.  It runs the tier-1 suite (``tests/``) in this
 process under ``sys.settrace``, tracing only frames whose code comes from
 ``src/sse/``, and then prints, for each module with such lines, the line
 numbers that a code object's ``co_lines`` lists but no traced frame ran.
-Work done in worker processes (``sse bench --jobs``) is not seen.  Expect
+Only the main thread is traced, and work done in worker processes
+(``sse bench --jobs``) is not seen.  Expect
 the run to take several times as long as the suite does untraced.
 """
 
 from __future__ import annotations
 
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -49,13 +49,11 @@ def traced_suite() -> tuple:
             ours[name] = name.startswith(prefix)
         return local if ours[name] else None
 
-    threading.settrace(tracer)
     sys.settrace(tracer)
     try:
         code = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return code, ran
 
 
