@@ -186,7 +186,6 @@ class ObservabilityStack:
     block_kernel_dims: np.ndarray
     gram_blocks: np.ndarray  # p x n x n, entry i is O_i^T O_i
     block_norms_sq: np.ndarray  # squared spectral norm of each O_i
-    dead_block: bool  # some block_norms_sq entry is 0: that sensor sees nothing
     _sparse_obs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _checks: _CheckMemo = field(default_factory=_CheckMemo, init=False, repr=False, compare=False)
 
@@ -264,7 +263,6 @@ def build_observability(model: SystemModel) -> ObservabilityStack:
         block_kernel_dims=kdims,
         gram_blocks=grams,
         block_norms_sq=norms_sq,
-        dead_block=not bool((norms_sq > 0).all()),
     )
 
 

@@ -127,21 +127,23 @@ def t_check(
     ||Psi_I||^2 the sum of the selected sensors' squared noise bounds.  A
     rank-deficient stack is not an error.  A set with fewer equations than
     states (tau * |I| < n) is flagged, and so is one whose rank the SVD
-    fallback finds short; x is then a least-squares solution, the minimum-norm
-    one only when the fallback ran.  Noise bounds of a length other than p,
-    or a window whose blocks are not (p, tau), raise ``ValueError``.  The
-    stack's memo keeps the set's index array, O_I, Gram matrix and norm while
-    they fit ``CHECK_MEMO_FLOATS``.
+    solve finds short when its fit is returned; x is then a least-squares
+    solution, the minimum-norm one only when the SVD's fit is returned.
+    Noise bounds of a length other than p, or a window whose blocks are not
+    (p, tau), raise ``ValueError``.  The stack's memo keeps the set's index
+    array, O_I, Gram matrix and norm while they fit ``CHECK_MEMO_FLOATS``.
 
-    The normal-equation solve is accepted on a small gradient, a test of
-    backward stability; its forward error grows with cond(O_I)^2, and the
-    residual it leaves exceeds the least one by up to about u * cond(O_I) *
-    (norm * ||x|| + ||Y_I||), u the unit roundoff.  So on an ill-conditioned
-    set it can reject a set that fits.  A rejection it makes within
-    ``RESOLVE_RTOL`` times that scale of the budget, which covers
-    cond(O_I) up to about 1e10, is decided again by the SVD solver.  Where
-    the two solves disagree the SVD rules, and its fit is returned; where
-    both reject, the normal-equation result stands.
+    One rule decides.  The normal equations decide, unless their solve
+    fails (a ``LinAlgError``, or a gradient above ``GRAD_RTOL`` of
+    ||Y_I|| * norm, a test of backward stability) or they reject within
+    ``RESOLVE_RTOL`` * (norm * ||x|| + ||Y_I||) of the budget; then one SVD
+    solve (``lstsq``) decides, and its fit is returned, except that a
+    near-budget rejection it confirms keeps the normal equations' result.
+    The band is there because their forward error grows with cond(O_I)^2:
+    the residual they leave exceeds the least one by up to about u *
+    cond(O_I) * (norm * ||x|| + ||Y_I||), u the unit roundoff, so on an
+    ill-conditioned set they can reject a set that fits; the band covers
+    cond(O_I) up to about 1e10.
     """
     p, n, tau = stack.p, stack.n, stack.tau
     try:
@@ -175,41 +177,35 @@ def t_check(
     else:
         idx, o_i, gram, norm = held
     y_i = window.blocks.take(idx, 0).reshape(-1)
-    # Normal-equation fast path; fall back to the SVD solver when the Gram
-    # matrix is singular or the gradient check says the solve went bad.
+    # the normal equations' rank bound: the set's rows, short only when < n
+    rank = len(sensors) * tau
     # math.sqrt(v.dot(v)) is numpy's 2-norm of a vector, without its overhead.
-    x = None
-    rank_deficient = len(sensors) * tau < n
     rhs = o_i.T @ y_i
     y_norm = math.sqrt(float(y_i.dot(y_i)))
-    scale = y_norm * norm
     try:
-        cand = np.linalg.solve(gram, rhs)
-        grad = rhs - gram @ cand
-        if math.sqrt(float(grad.dot(grad))) <= GRAD_RTOL * max(scale, GRAD_FLOOR):
-            x = cand
+        x = np.linalg.solve(gram, rhs)
+        grad = rhs - gram @ x
+        if not math.sqrt(float(grad.dot(grad))) <= GRAD_RTOL * max(y_norm * norm, GRAD_FLOOR):
+            x = None
     except np.linalg.LinAlgError:
-        pass
-    normal = x is not None
-    if not normal:
-        x, _, rank, _ = np.linalg.lstsq(o_i, y_i, rcond=None)
-        rank_deficient = rank < n
-    diff = y_i - o_i @ x
-    residual_sq = float(diff.dot(diff))
+        x = None
     psi = bounds.take(idx)
     budget = math.sqrt(float(psi.dot(psi))) + epsilon
-    sat = math.sqrt(residual_sq) <= budget
-    # a normal-equation rejection near the budget goes to the SVD solver,
-    # whose acceptance rules; strictly near, so that a residual whose square
-    # overflowed to inf is not solved again
-    if (normal and not sat and math.sqrt(residual_sq) - budget
-            < RESOLVE_RTOL * (norm * math.sqrt(float(x.dot(x))) + y_norm)):
-        x_svd, _, rank, _ = np.linalg.lstsq(o_i, y_i, rcond=None)
-        diff = y_i - o_i @ x_svd
-        svd_sq = float(diff.dot(diff))
-        if math.sqrt(svd_sq) <= budget:
-            return CheckResult(True, x_svd, svd_sq, sensors, rank < n)
-    return CheckResult(sat, x, residual_sq, sensors, rank_deficient)
+    if x is not None:
+        diff = y_i - o_i @ x
+        residual_sq = float(diff.dot(diff))
+        sat = math.sqrt(residual_sq) <= budget
+    # strictly near, so that a residual whose square overflowed to inf is not
+    # solved again
+    if x is None or (not sat and math.sqrt(residual_sq) - budget
+                     < RESOLVE_RTOL * (norm * math.sqrt(float(x.dot(x))) + y_norm)):
+        svd = np.linalg.lstsq(o_i, y_i, rcond=None)
+        diff = y_i - o_i @ svd[0]
+        if x is None or math.sqrt(float(diff.dot(diff))) <= budget:
+            x, _, rank, _ = svd
+            residual_sq = float(diff.dot(diff))
+            sat = math.sqrt(residual_sq) <= budget
+    return CheckResult(sat, x, residual_sq, sensors, rank < n)
 
 
 def _refit_ranking(
@@ -223,10 +219,7 @@ def _refit_ranking(
     # a row blamed before the check may overflow to inf; it is never ranked
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         res = (diff * diff).sum(axis=1)
-        if stack.dead_block:
-            res = np.where(stack.block_norms_sq > 0, res / stack.block_norms_sq, math.inf)
-        else:
-            res = res / stack.block_norms_sq
+        res = np.where(stack.block_norms_sq > 0, res / stack.block_norms_sq, math.inf)
     return sorted(sensors, key=res.tolist().__getitem__)
 
 
@@ -340,7 +333,6 @@ def certificates(
     if strategy is Strategy.TRIVIAL or len(check.sensors) <= seed_size:
         trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))
         return [trivial], counts
-    noise_bounds = np.asarray(noise_bounds, dtype=float)
     ranked = _refit_ranking(stack, window, check.sensors, check.x)
     agree = strategy is Strategy.CONFLICT_AGREE and seed_size >= 1
     aimed = stack.tau * seed_size > stack.n and len(ranked) - seed_size >= 2

@@ -814,7 +814,7 @@ def test_t_check_matches_reference_bit_for_bit(case, four_lines):
         model, stack, window = inst.model, inst.stack, inst.window
     else:
         model, stack, window = _dead_block_case()
-        assert stack.dead_block
+        assert not stack.block_norms_sq.all()
     # a second noise budget on the same stack: the memo must not serve the
     # first one's psi
     other_bounds = model.noise_bounds + np.linspace(0.01, 0.2, stack.p)
