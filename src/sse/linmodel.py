@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import sys
 from dataclasses import dataclass, field
 
@@ -394,7 +395,9 @@ def check_sparse_observability(
     never lowers the rank, and a refuted level k answers every s >= k.  The
     memo follows exact arithmetic: a direct enumeration could rule otherwise
     only on a set whose smallest singular value sits within the ``_zero_tol``
-    band, a band that grows with the set.  The subset cap is checked first.
+    band, a band that grows with the set.  The subset cap is checked first,
+    and then that the stack's blocks are the model's (p, tau, n), before the
+    memo is read: a stack that does not fit raises ``ValueError``.
     """
     p, n = model.p, model.n
     if not 0 <= s <= p:
@@ -402,6 +405,9 @@ def check_sparse_observability(
     _check_cap(math.comb(p, s), subset_cap)
     if stack is None:
         stack = build_observability(model)
+    elif stack.blocks.shape != (p, model.tau, n):
+        raise ValueError(f"stack blocks {stack.blocks.shape} do not fit the model's "
+                         f"(p, tau, n) = {(p, model.tau, n)}")
     for level, held in stack._sparse_obs.items():
         if s <= level if held else s >= level:
             return held
@@ -458,7 +464,8 @@ def compute_delta_s(
 
     Maximizes lambda_max{G_Gamma G_I^{-1}} over Gamma strictly inside I with
     |Gamma| <= s_bar and |I| >= p - s_bar.  ``attackable`` restricts Gamma to a
-    known attack surface.  A G_I too ill-conditioned to invert raises
+    known attack surface; an entry that is not an integer in range(p) raises
+    ``ValueError``.  A G_I too ill-conditioned to invert raises
     ``GramSingularError`` unless ``skip_singular_sets`` is set; that test is
     stricter than the SVD rank rule of ``check_sparse_observability``, so it
     can refuse a set that the check counts as full rank.
@@ -482,7 +489,10 @@ def compute_delta_s(
     p, n = stack.p, stack.n
     if not 0 <= s_bar <= p:
         raise ValueError(f"s_bar must be in [0, {p}], got {s_bar}")
-    attack_set = frozenset(range(p)) if attackable is None else frozenset(attackable)
+    attack_set = frozenset(range(p) if attackable is None else attackable)
+    for i in attack_set:
+        if not hasattr(i, "__index__") or not 0 <= operator.index(i) < p:
+            raise ValueError(f"attackable entry {i!r} is not a sensor in range({p})")
     min_i = p - s_bar
     count = 0
     for size in range(max(min_i, 1), p + 1):

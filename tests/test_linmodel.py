@@ -324,9 +324,17 @@ def test_delta_s_subset_cap():
     (lambda model, stack: check_sparse_observability(model, 3), "s must be in [0, 2], got 3"),
     (lambda model, stack: compute_o_bar(stack, 0), "min_card must be in [1, 2], got 0"),
     (lambda model, stack: compute_delta_s(stack, -1), "s_bar must be in [0, 2], got -1"),
+    (lambda model, stack: compute_delta_s(stack, 1, attackable=(1, 2)),
+     "attackable entry 2 is not a sensor in range(2)"),
+    (lambda model, stack: compute_delta_s(stack, 1, attackable=(0.5,)),
+     "attackable entry 0.5 is not a sensor in range(2)"),
+    (lambda model, stack: check_sparse_observability(
+        model, 1, stack=build_observability(discretize_ugv().model)),
+     "stack blocks (3, 2, 2) do not fit the model's (p, tau, n) = (2, 1, 2)"),
     (lambda model, stack: spectral_helper_check(np.eye(2), np.eye(3)),
      "A and B must be square matrices of the same dimension"),
-], ids=["sparse_observability_s", "o_bar_min_card", "delta_s_s_bar", "spectral_shapes"])
+], ids=["sparse_observability_s", "o_bar_min_card", "delta_s_s_bar", "delta_s_attackable_range",
+        "delta_s_attackable_integer", "sparse_observability_stack", "spectral_shapes"])
 def test_analysis_rejects_an_argument_out_of_range(call, message):
     model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2), tau=1, s_bar=0,
                         noise_bounds=[0.0, 0.0])
