@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from sse import (
     RobustnessConstants,
@@ -28,7 +29,7 @@ from sse.estimator import (
 )
 from sse.oracle import brute_force
 from sse.satcore import SolveStats
-from sse.theory import CertificateKind, Strategy, certificates, t_check
+from sse.theory import DEFAULT_EPSILON, CertificateKind, Strategy, certificates, t_check
 
 from conftest import FIVE_LINES, four_lines, line_model, line_window
 
@@ -638,6 +639,70 @@ def test_stack_or_window_of_another_shape_is_rejected(entry, misfit):
                "do not fit the model's (p, tau, n) = (8, 2, 3)")
     with pytest.raises(ValueError, match=re.escape(message)):
         ENTRY_POINTS[entry](inst.model, stack, window)
+
+
+# ---------------------------------------------------------------------------
+# infeasible verdicts against an independent fit and an independent MILP
+# ---------------------------------------------------------------------------
+
+
+def _independent_fit_passes(inst, sensors):
+    """Whether a plain-numpy least-squares fit of ``sensors`` stays within
+    their noise budget, built from the model's matrices alone: rows C_i A^j,
+    and the raw outputs less the zero-state response to the inputs."""
+    model, sensors = inst.model, sorted(sensors)
+    rows, outputs = [], []
+    power, z = np.eye(model.n), np.zeros(model.n)
+    for j in range(model.tau):
+        rows.append(model.C[sensors] @ power)
+        outputs.append(inst.outputs[j, sensors] - model.C[sensors] @ z)
+        power, z = power @ model.A, model.A @ z + model.B @ inst.inputs[j]
+    o, y = np.vstack(rows), np.concatenate(outputs)
+    x = np.linalg.lstsq(o, y, rcond=None)[0]
+    budget = np.linalg.norm(model.noise_bounds[sensors]) + DEFAULT_EPSILON
+    return np.linalg.norm(y - o @ x) <= budget
+
+
+def _learned(result):
+    """(at-least-one sets, certified-clean sensors) of an estimate."""
+    kinds = CertificateKind.AT_LEAST_ONE_ATTACKED, CertificateKind.ALL_UNATTACKED
+    sets, clean = ([c.sensors for c in result.certificates if c.kind is kind] for kind in kinds)
+    return sets, frozenset().union(*clean)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.CONFLICT, Strategy.CONFLICT_AGREE])
+@pytest.mark.parametrize("spec", [(3, 8, 2, 2, "3s"), (3, 9, 2, 2, "3s"), (4, 12, 3, 3, "2s"),
+                                  (2, 7, 2, 2, "2s"), (3, 10, 3, 3, "3s")])
+def test_infeasible_verdicts_hold_under_independent_checks(spec, strategy):
+    # s sensors are attacked, so at budget s - 1 every exact instance is
+    # infeasible: (a) each learned set is rejected by a fit that shares no
+    # code with t_check, (b) a MILP finds no support within the budget that
+    # hits every set and avoids every clean sensor, and (c) at budget s the
+    # feasible support does both, and its complement fits
+    config, s = cfg(strategy, DEFAULT_EPSILON), spec[2]
+    for seed in range(6):
+        inst = generate_instance(*spec, seed=seed)
+        p = inst.model.p
+        result = estimate(replace(inst.model, s_bar=s - 1), inst.stack, inst.window, config)
+        assert not result.feasible
+        sets, clean = _learned(result)
+        assert sets
+        assert not any(_independent_fit_passes(inst, sensors) for sensors in sets)
+        hits = np.zeros((len(sets) + 1, p))
+        for row, sensors in zip(hits, sets):
+            row[sorted(sensors)] = 1.0
+        hits[-1] = 1.0  # the support's size
+        solved = milp(np.zeros(p), integrality=np.ones(p),
+                      bounds=Bounds(0.0, [0.0 if i in clean else 1.0 for i in range(p)]),
+                      constraints=LinearConstraint(hits, [1.0] * len(sets) + [0.0],
+                                                   [np.inf] * len(sets) + [s - 1]))
+        assert solved.status == 2, solved.message  # infeasible
+        result = estimate(inst.model, inst.stack, inst.window, config)
+        assert result.feasible
+        sets, clean = _learned(result)
+        assert all(sensors & set(result.support) for sensors in sets)
+        assert not clean & set(result.support)
+        assert _independent_fit_passes(inst, set(range(p)) - set(result.support))
 
 
 # ---------------------------------------------------------------------------
