@@ -240,7 +240,7 @@ def test_four_lines_conflict_found_on_first_candidate(four_lines):
     assert len(cert.sensors) <= 4 - 2 * 1 + 1
 
 
-def test_four_lines_shrink_pass_is_noop(four_lines):
+def test_four_lines_walk_checks_its_whole_trial(four_lines):
     # n // tau + 1 = 3 sensors over-determine a point in the plane: the first
     # prefix the walk checks is its whole three-sensor trial
     model, stack, window = four_lines
@@ -276,7 +276,7 @@ def test_conflict_walk_needs_two_candidates():
     assert counts.theory_checks == checks
 
 
-def test_shrink_drops_high_kernel_members():
+def test_first_rejected_prefix_leaves_out_the_dead_sensor():
     # sensors 0-2 pin the state; sensor 3 duplicates sensor 0 and sensor 4 is
     # dead, so its block has the highest kernel dimension and comes last in
     # every trial: the first rejected prefix leaves it out
@@ -903,7 +903,7 @@ def _vehicle_windows(steps=340, every=7):
                    for t in range(tau - 1, steps, every)]
 
 
-def _shrink_cases():
+def _trusted_set_cases():
     """(model, stack, windows, s_bar, epsilon, trusted sets): every trusted
     set is checked on every window."""
     cases = []
@@ -931,8 +931,8 @@ def _shrink_cases():
 
 def _walk_cases(case):
     """(stack, window, check, s_bar, epsilon, noise bounds) for every
-    rejected check of ``_shrink_cases()[case]`` that the walk runs on."""
-    model, stack, windows, s_bar, epsilon, trusted_sets = _shrink_cases()[case]
+    rejected check of ``_trusted_set_cases()[case]`` that the walk runs on."""
+    model, stack, windows, s_bar, epsilon, trusted_sets = _trusted_set_cases()[case]
     for window, trusted in itertools.product(windows, trusted_sets):
         check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
         if not check.sat and len(check.sensors) > stack.p - 2 * s_bar:
@@ -940,7 +940,7 @@ def _walk_cases(case):
 
 
 @pytest.mark.parametrize("case", range(8))
-def test_batched_prefix_decisions_match_t_check(case):
+def test_walk_prefixes_short_of_the_certificate_pass(case):
     # the walk decides its prefixes by t_check alone, growing from the first
     # that over-determines the state: every such prefix shorter than the
     # certificate passes, and the certificate itself fails
@@ -963,7 +963,7 @@ def test_batched_prefix_decisions_match_t_check(case):
 
 
 @pytest.mark.parametrize("memo_floats", [1, 10**6])
-def test_shrink_pass_matches_sequential_shrink(monkeypatch, memo_floats):
+def test_walk_matches_the_reference_walk(monkeypatch, memo_floats):
     # the walk and its extension give the reference's certificates, suspects
     # and number of checks, whether the stack's check memo holds none of
     # their sets or all
@@ -1075,7 +1075,7 @@ def _ill_conditioned_pair():
     return model, build_observability(model), window
 
 
-def test_full_row_rank_tie_keeps_one_more_member(monkeypatch):
+def test_walk_certifies_the_pair_although_sensor_0_fits_alone(monkeypatch):
     # sensor 0's block is square and of full rank by the stack's rule, but its
     # condition number is about 1e6: the check's normal-equation solve leaves
     # a rounding residual of about 0.03, and the SVD solve that decides such a
@@ -1166,7 +1166,7 @@ def test_overflowing_residual_is_not_solved_again(monkeypatch):
     assert solves == []
 
 
-def test_vehicle_shrink_checks_only_the_encoder_singletons(monkeypatch):
+def test_vehicle_walk_checks_no_lone_sensor(monkeypatch):
     checked = _counting_checks(monkeypatch)
     run_closed_loop(discretize_ugv(), alternating_encoder_scenario(), steps=340, seed=4)
     # n // tau + 1 = 2, and the one-sensor seed has no spare equation, so

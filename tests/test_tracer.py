@@ -82,7 +82,7 @@ def test_tracer_counts_agree_certificates_when_the_gate_is_open():
     assert tracer.counts["theory.agree_certs"] == agree
 
 
-def test_tracer_sees_the_shrink_checks():
+def test_tracer_sees_the_walk_checks():
     # the two encoders disagree, so the check on all three sensors fails; the
     # walk has two candidates, and each trial pairs one with the seed, a
     # first prefix of two sensors (n // tau + 1 = 2) that the walk checks

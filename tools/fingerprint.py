@@ -21,11 +21,17 @@ included), so a change that moves them can report by how much.  A last line
 per workload gives its iteration tail: how many of those estimates took more
 than 2 iterations, and the most any took.
 
-The last line is the analysis digest, over the model analysis of the seed-0
+The next line is the analysis digest, over the model analysis of the seed-0
 set-ups: the answer of each 3 s_bar-sparse observability check that the
 ``plant_stream`` plant draws make, the bytes of each plant's ``o_bar`` and
 ``delta_s``, and the bytes of the vehicle's ``ugv_guarantees`` constants.  A
 change to ``linmodel``'s analysis that keeps its answers prints the same one.
+
+Last comes one trace digest per workload, over every iteration record of
+its estimates (the ``trace`` that ``sse estimate`` prints): the record's
+``support``, ``sat`` and the bytes of ``residual_sq``.  It moves when a
+check's verdict or residual does, a rejected check's included, even where
+the estimates' answers and certificates hold.
 """
 
 from __future__ import annotations
@@ -84,17 +90,22 @@ def _digest_estimate(hashes, answers, out) -> None:
 
 def fingerprint() -> tuple:
     """(combined digest, digest per workload, answers digest per workload,
-    estimates hashed per workload, [total iterations, total theory checks,
-    estimates over 2 iterations, most iterations] per workload)."""
+    trace digest per workload, estimates hashed per workload, [total
+    iterations, total theory checks, estimates over 2 iterations, most
+    iterations] per workload)."""
     h = hashlib.sha256()
     per_workload = {name: hashlib.sha256() for name in ROUNDS}
     answers = {name: hashlib.sha256() for name in ROUNDS}
+    traces = {name: hashlib.sha256() for name in ROUNDS}
     hashed = dict.fromkeys(ROUNDS, 0)
     totals = {name: [0, 0, 0, 0] for name in ROUNDS}
     real = sse.estimate
 
     def record(out):
         _digest_estimate((h, per_workload[name]), answers[name], out)
+        for r in getattr(out, "records", ()):
+            traces[name].update(repr((r.support, r.sat)).encode()
+                                + np.float64(r.residual_sq).tobytes())
         totals[name][0] += out.iterations
         totals[name][1] += out.stats.theory_checks
         totals[name][2] += out.iterations > 2
@@ -121,7 +132,8 @@ def fingerprint() -> tuple:
     finally:
         sse.estimate = sse.attacksim.estimate = real
     return (h.hexdigest(), {k: v.hexdigest() for k, v in per_workload.items()},
-            {k: v.hexdigest() for k, v in answers.items()}, hashed, totals)
+            {k: v.hexdigest() for k, v in answers.items()},
+            {k: v.hexdigest() for k, v in traces.items()}, hashed, totals)
 
 
 def analysis_digest() -> str:
@@ -147,7 +159,7 @@ def analysis_digest() -> str:
 
 
 if __name__ == "__main__":
-    digest, per_workload, answers, hashed, totals = fingerprint()
+    digest, per_workload, answers, traces, hashed, totals = fingerprint()
     if not all(hashed.values()):
         raise SystemExit(f"fingerprint: a workload made no estimate: {hashed}")
     print(digest, " ".join(f"{k}={v}" for k, v in hashed.items()))
@@ -158,3 +170,5 @@ if __name__ == "__main__":
     for name, (_, _, over_two, most) in totals.items():
         print(name, f"over_2_iterations={over_two}", f"max_iterations={most}")
     print("analysis", analysis_digest())
+    for name, trace in traces.items():
+        print(name, f"trace={trace}")
