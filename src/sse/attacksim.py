@@ -42,10 +42,13 @@ UGV_ATTACKABLE = (1, 2)  # the scenario's attack surface: the two encoders
 FEEDBACK_POLES = (0.8, 0.85)  # closed-loop poles placed by the controller
 PATH_LENGTH = 5.0  # position target of the square path's outbound legs
 
-# The generator proves an observability level exactly when it has at most
-# AUDIT_EXACT_LIMIT removals to check; above that the level is unproven (a
-# Gaussian C fails it with probability zero), and the generator still draws
-# AUDIT_SAMPLES kept sets, unused, so every instance keeps its random stream.
+# The generator checks an observability level with a cap of AUDIT_EXACT_LIMIT
+# examined sets.  With at most AUDIT_EXACT_LIMIT removals the check is exact
+# and a failing system is resampled.  Above that the first system is kept,
+# proven where a partition of the sensors proves the level within the cap and
+# unproven otherwise (a Gaussian C fails it with probability zero), and the
+# generator draws AUDIT_SAMPLES kept sets, unused, whatever the check
+# answered, so every instance keeps its random stream.
 AUDIT_SAMPLES = 200
 AUDIT_EXACT_LIMIT = 20_000
 
@@ -128,7 +131,8 @@ def generate_instance(
     observable after removing that many times ``s_bar`` sensors.  With at
     most ``AUDIT_EXACT_LIMIT`` removals the level is checked exactly (the
     stack keeps the answer) and a failing system is resampled; above that
-    the first system is kept and the level is unproven.
+    the first system is kept, and the stack keeps the level where a
+    partition of the sensors proves it within ``AUDIT_EXACT_LIMIT`` unions.
     ``attack_norm`` fixes each attacked sensor's stacked attack norm: a
     number for all of them, a sequence of ``s`` per-sensor norms, or a
     uniform range ``{"lo": lo, "hi": hi}``.
@@ -157,12 +161,15 @@ def generate_instance(
         model = SystemModel(A=a, B=b, C=c, tau=tau, s_bar=s_bar, noise_bounds=bounds)
         stack = build_observability(model)
         try:
-            if check_sparse_observability(model, level_s, stack=stack,
-                                          subset_cap=AUDIT_EXACT_LIMIT):
-                break
+            held = check_sparse_observability(model, level_s, stack=stack,
+                                              subset_cap=AUDIT_EXACT_LIMIT)
         except SubsetCapError:
+            held = False
+        if math.comb(p, level_s) > AUDIT_EXACT_LIMIT:
             for _ in range(AUDIT_SAMPLES):
                 rng.choice(p, size=p - level_s, replace=False)
+            break
+        if held:
             break
     else:
         raise RuntimeError(f"no {observability_level}-sparse observable system found "

@@ -135,8 +135,8 @@ def cmd_observability(args) -> int:
     out.write(f"delta_s = {format_exact(delta)}\n")
     # the bounds need p > 2 s_bar, 2 s_bar-sparse observability and delta_s < 1;
     # rounding can put delta_s just below 1 where the exact check refutes the
-    # model.  C(p, 2 s_bar) <= C(p, s_bar) C(p - s_bar, s_bar) is within the
-    # cap the delta_s enumeration passed.
+    # model.  The check examines at most C(p, 2 s_bar) <= C(p, s_bar)
+    # C(p - s_bar, s_bar) sets, within the cap that delta_s passed.
     two_s = 2 * model.s_bar
     if delta >= 1.0:
         out.write("detection_threshold_sq = inf (delta_s >= 1)\n")

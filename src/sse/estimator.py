@@ -130,8 +130,9 @@ def _solve_strategy(
     They are only sound on exact data, and only when the state stays
     observable after losing any 3*s_bar sensors: under noise an attack below
     the detection threshold can pass the agreement check.  The only proof is
-    the exact check, whose answer the stack remembers, so it runs once per
-    stack and budget.
+    ``check_sparse_observability`` (a partition of the sensors, or the
+    enumeration where that fails), whose answer the stack remembers, so it
+    runs once per stack and budget.
     """
     if config.strategy is not Strategy.CONFLICT_AGREE:
         return config.strategy

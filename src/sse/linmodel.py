@@ -328,6 +328,14 @@ def _check_cap(count: int, cap: int) -> None:
         raise SubsetCapError(count, cap)
 
 
+def _valid_cap(cap) -> int:
+    """``subset_cap`` as an int: a whole number, and not negative."""
+    cap = whole_number(cap, "subset_cap")
+    if cap < 0:
+        raise ValueError(f"subset_cap must be non-negative, got {cap}")
+    return cap
+
+
 def _subset_chunks(p: int, size: int, floats_each: int):
     """The size-subsets of range(p) in ``itertools.combinations`` order, as
     index rows; at most ``CHUNK_FLOATS // floats_each`` rows per chunk."""
@@ -341,6 +349,38 @@ def _subset_chunks(p: int, size: int, floats_each: int):
         left -= m
 
 
+def _cheapest_partition(p: int, s: int, need: int) -> int | None:
+    """The number of parts b of the cheapest partition proof of level s (see
+    ``check_sparse_observability``), or None where no partition can prove it:
+    the smallest b in (s, p) whose smallest union of b - s parts, which leaves
+    out the s largest parts, holds at least ``need`` sensors.  It also has
+    the fewest unions, since C(b, b - s) = C(b, s) grows with b."""
+    for b in range(s + 1, p if s else 0):  # at s = 0 each union is range(p)
+        q, r = divmod(p, b)
+        if p - s * q - min(s, r) >= need:
+            return b
+    return None
+
+
+def _union_chunks(p: int, b: int, t: int, floats_each: int):
+    """The unions of t of the b parts that split range(p) in index order
+    (``np.array_split``'s sizes, the first p % b parts one sensor longer), as
+    sorted index rows, one chunk per union length in each chunk of the parts'
+    t-combinations in ``itertools.combinations`` order; ``floats_each``
+    floats per sensor.  With b = p they are ``_subset_chunks(p, t, ...)``."""
+    width = -(-p // b)
+    padded = np.full((b, width), -1, dtype=np.intp)
+    for i, part in enumerate(np.array_split(np.arange(p), b)):
+        padded[i, :len(part)] = part
+    for combos in _subset_chunks(b, t, t * width * floats_each):
+        rows = padded[combos].reshape(len(combos), t * width)
+        kept = rows >= 0
+        lengths = kept.sum(axis=1)
+        for length in sorted(set(lengths.tolist())):
+            same = lengths == length
+            yield rows[same][kept[same]].reshape(-1, length)
+
+
 def _gram_sums(grams: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``sum(grams[i] for i in row)`` for each row of ``idx``, added left to
     right from zero as that sum does."""
@@ -351,7 +391,7 @@ def _gram_sums(grams: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def _all_full_rank(stack: ObservabilityStack, idx: np.ndarray) -> bool:
-    """Whether O_K has rank n for every kept set K, a row of ``idx``: the
+    """Whether O_K has rank n for every sensor set K, a row of ``idx``: the
     eigenvalue screen of ``check_sparse_observability`` clears what it can,
     and the SVD rule decides the rest."""
     n = stack.n
@@ -373,12 +413,28 @@ def check_sparse_observability(
 ) -> bool:
     """True iff the system stays observable after removing any s sensors.
 
-    Exhaustive over all C(p, s) removals, in chunks, stopping at the first
-    chunk that holds a rank-deficient kept set; refuses above ``subset_cap``.
+    The check first tries to prove the level from a partition of the sensors
+    (Chong, Wakaiki and Hespanha, ACC 2015).  Split range(p) into b parts in
+    index order, of sizes floor(p/b) and ceil(p/b).  Removing s sensors
+    touches at most s parts, so every kept set contains the union of some
+    t = b - s untouched parts; if every such union has rank n, so does every
+    kept set, and C(b, s) rank decisions prove the level.  The partition
+    taken is the cheapest: the smallest b in (s, p) whose smallest t-union
+    holds at least ceil(n / tau) sensors (a smaller union has fewer rows than
+    states), which also has the fewest unions.  When it does not prove the
+    level, the check enumerates all C(p, s) kept sets, the singleton
+    partition b = p, in chunks, stopping at the first chunk that holds a
+    rank-deficient set; only the enumeration refutes a level.
 
-    Each kept set K is first screened on its summed Gram G_K = O_K^T O_K.
-    With S = sum of ``block_norms_sq[i]`` over K, sigma_max(O_K)^2 <= S.
-    Rounding in forming and summing the blocks' Grams and in ``eigvalsh``
+    ``subset_cap`` bounds the sets one call examines.  ``SubsetCapError`` is
+    raised, by arithmetic alone, when neither the cheapest partition's
+    unions nor the C(p, s) kept sets fit it; a partition that fits but fails
+    falls through to the enumeration if that fits, and raises otherwise.
+    ``s`` and ``subset_cap`` must be whole numbers, the cap not negative.
+
+    Each set K, a union or a kept set, is first screened on its summed Gram
+    G_K = O_K^T O_K.  With S = sum of ``block_norms_sq[i]`` over K,
+    sigma_max(O_K)^2 <= S.  Rounding in forming and summing the blocks' Grams and in ``eigvalsh``
     moves the computed eigenvalues of G_K by at most a small multiple of
     (|K| + tau + n) u S, with u = 2^-53: under 1e-12 S for any set that fits
     in memory.  So a set whose computed smallest eigenvalue exceeds
@@ -393,16 +449,23 @@ def check_sparse_observability(
     monotonically: a proven level k answers every s <= k, since each kept
     set of a lower level contains a kept set of level k and adding rows
     never lowers the rank, and a refuted level k answers every s >= k.  The
-    memo follows exact arithmetic: a direct enumeration could rule otherwise
-    only on a set whose smallest singular value sits within the ``_zero_tol``
-    band, a band that grows with the set.  The subset cap is checked first,
-    and then that the stack's blocks are the model's (p, tau, n), before the
-    memo is read: a stack that does not fit raises ``ValueError``.
+    memo, like the partition's "a kept set containing a full-rank union has
+    full rank", follows exact arithmetic: a direct enumeration could rule
+    otherwise only on a set whose smallest singular value sits within the
+    ``_zero_tol`` band, a band that grows with the set.  The subset cap is
+    checked first, and then that the stack's blocks are the model's (p, tau,
+    n), before the memo is read: a stack that does not fit raises
+    ``ValueError``.
     """
     p, n = model.p, model.n
+    s = whole_number(s, "s")
+    subset_cap = _valid_cap(subset_cap)
     if not 0 <= s <= p:
         raise ValueError(f"s must be in [0, {p}], got {s}")
-    _check_cap(math.comb(p, s), subset_cap)
+    partition = _cheapest_partition(p, s, -(-n // model.tau))
+    plans = [b for b in (partition, p) if b is not None and math.comb(b, s) <= subset_cap]
+    if not plans:
+        raise SubsetCapError(math.comb(p if partition is None else partition, s), subset_cap)
     if stack is None:
         stack = build_observability(model)
     elif stack.blocks.shape != (p, model.tau, n):
@@ -411,12 +474,16 @@ def check_sparse_observability(
     for level, held in stack._sparse_obs.items():
         if s <= level if held else s >= level:
             return held
-    size = p - s
-    holds = s < p and all(
-        _all_full_rank(stack, idx) for idx in _subset_chunks(p, size, size * stack.tau * n)
-    )
-    stack._sparse_obs[s] = holds
-    return holds
+    floats_each = stack.tau * n
+    for b in plans:
+        if s < p and all(_all_full_rank(stack, idx)
+                         for idx in _union_chunks(p, b, b - s, floats_each)):
+            stack._sparse_obs[s] = True
+            return True
+    if plans[-1] != p:
+        raise SubsetCapError(math.comb(p, s), subset_cap)
+    stack._sparse_obs[s] = False
+    return False
 
 
 def compute_o_bar(
@@ -432,6 +499,8 @@ def compute_o_bar(
     the model is not sparse-observable enough for every subset to pin the state.
     """
     p, n = stack.p, stack.n
+    min_card = whole_number(min_card, "min_card")
+    subset_cap = _valid_cap(subset_cap)
     if not 1 <= min_card <= p:
         raise ValueError(f"min_card must be in [1, {p}], got {min_card}")
     count = sum(math.comb(p, k) for k in range(min_card, p + 1))
@@ -487,6 +556,8 @@ def compute_delta_s(
     enumeration's.
     """
     p, n = stack.p, stack.n
+    s_bar = whole_number(s_bar, "s_bar")
+    subset_cap = _valid_cap(subset_cap)
     if not 0 <= s_bar <= p:
         raise ValueError(f"s_bar must be in [0, {p}], got {s_bar}")
     attack_set = frozenset(range(p) if attackable is None else attackable)

@@ -161,6 +161,11 @@ def test_subset_cap_exit_code(tmp_path):
     assert main(["observability", str(path), "--max-s", "6", "--subset-cap", "5"]) == 4
 
 
+def test_negative_subset_cap_is_input_error(ugv_model_file, capsys):
+    assert main(["observability", ugv_model_file, "--subset-cap", "-1"]) == 3
+    assert capsys.readouterr().err == "error: subset_cap must be non-negative, got -1\n"
+
+
 # ---------------------------------------------------------------------------
 # estimate / oracle
 # ---------------------------------------------------------------------------

@@ -157,11 +157,25 @@ def test_agree_gate_allows_generated_3s_model():
 
 
 def test_agree_gate_ignores_sampled_audit():
-    # C(40, 30) is too many subsets to enumerate: the generator leaves the 3s
-    # level unproven, and the gate's exact check refuses at the subset cap
-    inst = generate_instance(3, 40, 2, 10, "3s", 0.0, seed=1)
+    # C(32, 24) is too many subsets to enumerate, and with n = 16 and tau = 2
+    # only a union of at least 8 sensors can have rank n, which no partition
+    # into fewer than 32 parts leaves after removing 24 of them: the generator
+    # leaves the 3s level unproven, and the gate's check refuses at the cap
+    inst = generate_instance(16, 32, 2, 8, "3s", 0.0, seed=1)
+    with pytest.raises(SubsetCapError):
+        check_sparse_observability(inst.model, 24, stack=inst.stack)
     result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE))
     assert result.strategy is Strategy.CONFLICT
+    assert result.feasible
+    assert set(inst.attacked) <= set(result.support)
+
+
+def test_agree_gate_opens_on_a_partition_proof():
+    # C(40, 30) is too many subsets to enumerate, but 32 parts prove the 3s
+    # level with C(32, 30) = 496 unions
+    inst = generate_instance(3, 40, 2, 10, "3s", 0.0, seed=1)
+    result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE))
+    assert result.strategy is Strategy.CONFLICT_AGREE
     assert result.feasible
     assert set(inst.attacked) <= set(result.support)
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -18,7 +19,7 @@ from sse import (
     stack_window,
 )
 from sse import linmodel
-from sse.attacksim import discretize_ugv
+from sse.attacksim import discretize_ugv, generate_instance
 from sse.linmodel import numerical_rank
 
 from conftest import simulate_outputs, stack_rows
@@ -235,10 +236,12 @@ def test_removing_all_sensors_never_observable():
 
 
 def test_sparse_observability_subset_cap():
+    # C(12, 6) = 924 kept sets, and the cheapest partition has 7 parts and
+    # C(7, 6) = 7 unions: both exceed the cap
     rng = np.random.default_rng(7)
     model = random_model(rng, n=3, p=12, tau=3, s_bar=3)
     with pytest.raises(SubsetCapError):
-        check_sparse_observability(model, 6, subset_cap=10)
+        check_sparse_observability(model, 6, subset_cap=6)
 
 
 def test_duplicated_sensors_break_observability():
@@ -248,6 +251,108 @@ def test_duplicated_sensors_break_observability():
                         noise_bounds=np.zeros(4))
     assert check_sparse_observability(model, 1)
     assert not check_sparse_observability(model, 2)
+
+
+def reference_partition(p, s, need, cap):
+    """(unions, b) of the cheapest partition proof of level s, by the rule
+    written out: among the b in (s, p) whose smallest union of b - s parts
+    holds ``need`` sensors and whose C(b, b - s) unions fit ``cap``, the fewest
+    unions, then the smaller b; None where no b qualifies."""
+    best = None
+    for b in range(s + 1, p):
+        t = b - s
+        sizes = sorted(len(part) for part in np.array_split(np.arange(p), b))
+        count = math.comb(b, t)
+        if sum(sizes[:t]) >= need and count <= cap and (best is None or count < best[0]):
+            best = (count, b)
+    return best
+
+
+@pytest.mark.parametrize("shape", [(4, 12, 1, 2, "3s"), (3, 20, 1, 4, "3s"),
+                                   (6, 16, 2, 3, "2s"), (25, 60, 5, 20, "2s")],
+                         ids=["plant", "wide_3s", "mid_2s", "desk"])
+def test_partition_proofs_check_independently(monkeypatch, shape):
+    # every level a partition proves alone (the cap is its union count, below
+    # C(p, s), so the enumeration cannot run), checked from the model's own
+    # matrices: the sets examined are whole unions of t parts of the
+    # index-order split, t <= b - s, every t-union is there, the parts are
+    # disjoint and cover range(p), and each union's C_i A^j rows have rank n
+    seen = []
+    real = linmodel._all_full_rank
+    monkeypatch.setattr(linmodel, "_all_full_rank", lambda stack, idx: seen.extend(
+        map(tuple, idx.tolist())) or real(stack, idx))
+    proven = []
+    for seed in range(2):
+        model = generate_instance(*shape, seed=seed).model
+        p, n, tau = model.p, model.n, model.tau
+        layers = [model.C @ np.linalg.matrix_power(model.A, j) for j in range(tau)]
+        for s in range(1, p):
+            plan = reference_partition(p, s, -(-n // tau), 2000)
+            if plan is None:
+                continue
+            count, b = plan
+            seen.clear()
+            try:
+                assert check_sparse_observability(model, s, subset_cap=count)
+            except SubsetCapError:
+                continue  # a union failed, and C(p, s) exceeds the cap
+            parts = np.array_split(np.arange(p), b)
+            assert sorted(np.concatenate(parts).tolist()) == list(range(p))
+            part_of = {i: k for k, part in enumerate(parts) for i in part.tolist()}
+            touched = {tuple(sorted({part_of[i] for i in union})) for union in seen}
+            t = len(next(iter(touched)))
+            assert {len(combo) for combo in touched} == {t} and b - s >= t
+            assert touched == set(itertools.combinations(range(b), t))
+            assert len(seen) == count
+            for union in seen:
+                assert list(union) == np.concatenate([parts[k] for k in
+                                                      sorted({part_of[i] for i in union})]).tolist()
+                rows = np.vstack([np.stack([layer[i] for layer in layers]) for i in union])
+                assert np.linalg.matrix_rank(rows) == n
+            proven.append(s)
+    assert proven
+
+
+def enumerated_sparse_observability(stack, s):
+    """Every kept set's rank by the SVD rule, in one stacked call per level."""
+    p, tau, n = stack.blocks.shape
+    if s >= p:
+        return False
+    kept = np.array(list(itertools.combinations(range(p), p - s)))
+    rows = (p - s) * tau
+    sv = np.linalg.svd(stack.blocks[kept].reshape(len(kept), rows, n), compute_uv=False)
+    return bool(((sv > max(rows, n) * sv[:, :1] * linmodel.RANK_RTOL).sum(axis=1) >= n).all())
+
+
+def test_partition_never_proves_what_the_enumeration_refutes():
+    # small awkward models (a third of C zeroed, duplicated rows, diagonal A):
+    # the check answers as the plain enumeration does at every level, and the
+    # partition alone proves no level the enumeration refutes
+    rng = np.random.default_rng(15)
+    by_partition = refuted = 0
+    for _ in range(200):
+        n, p = int(rng.integers(1, 5)), int(rng.integers(2, 15))
+        c = rng.normal(size=(p, n))
+        c[rng.random(size=(p, n)) < 0.35] = 0.0
+        copies = rng.choice(p, size=int(rng.integers(0, p // 2 + 1)), replace=False)
+        c[copies] = c[rng.integers(p, size=len(copies))]
+        model = SystemModel(A=np.diag(rng.uniform(-1, 1, size=n)), B=np.zeros((n, 1)), C=c,
+                            tau=int(rng.integers(1, n + 1)), s_bar=0, noise_bounds=np.zeros(p))
+        stack = build_observability(model)
+        for s in range(p + 1):
+            expected = enumerated_sparse_observability(stack, s)
+            refuted += not expected
+            assert check_sparse_observability(model, s) == expected
+            plan = reference_partition(p, s, -(-n // model.tau), math.inf) if s else None
+            if plan is None:
+                continue
+            try:
+                proven = check_sparse_observability(model, s, subset_cap=plan[0])
+            except SubsetCapError:
+                continue  # a union failed, and only the enumeration refutes
+            assert proven and expected
+            by_partition += 1
+    assert by_partition and refuted
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +438,35 @@ def test_delta_s_subset_cap():
      "stack blocks (3, 2, 2) do not fit the model's (p, tau, n) = (2, 1, 2)"),
     (lambda model, stack: spectral_helper_check(np.eye(2), np.eye(3)),
      "A and B must be square matrices of the same dimension"),
+    (lambda model, stack: check_sparse_observability(model, 2.5), "s must be a whole number, got 2.5"),
+    (lambda model, stack: compute_o_bar(stack, 1.5), "min_card must be a whole number, got 1.5"),
+    (lambda model, stack: compute_delta_s(stack, 0.5), "s_bar must be a whole number, got 0.5"),
+    (lambda model, stack: check_sparse_observability(model, 1, subset_cap=-1),
+     "subset_cap must be non-negative, got -1"),
+    (lambda model, stack: compute_o_bar(stack, 1, subset_cap=2.5),
+     "subset_cap must be a whole number, got 2.5"),
+    (lambda model, stack: compute_delta_s(stack, 1, subset_cap=-1),
+     "subset_cap must be non-negative, got -1"),
 ], ids=["sparse_observability_s", "o_bar_min_card", "delta_s_s_bar", "delta_s_attackable_range",
-        "delta_s_attackable_integer", "sparse_observability_stack", "spectral_shapes"])
+        "delta_s_attackable_integer", "sparse_observability_stack", "spectral_shapes",
+        "sparse_observability_s_whole", "o_bar_min_card_whole", "delta_s_s_bar_whole",
+        "sparse_observability_cap", "o_bar_cap_whole", "delta_s_cap"])
 def test_analysis_rejects_an_argument_out_of_range(call, message):
     model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2), tau=1, s_bar=0,
                         noise_bounds=[0.0, 0.0])
     with pytest.raises(ValueError, match=re.escape(message)):
         call(model, build_observability(model))
+
+
+def test_analysis_takes_a_whole_float():
+    model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2), tau=1, s_bar=0,
+                        noise_bounds=[0.0, 0.0])
+    stack = build_observability(model)
+    assert check_sparse_observability(model, 0.0, subset_cap=1.0)
+    assert not check_sparse_observability(model, 1.0)
+    assert compute_o_bar(stack, 2.0) == compute_o_bar(stack, 2)
+    assert compute_delta_s(stack, 1.0, skip_singular_sets=True) == compute_delta_s(
+        stack, 1, skip_singular_sets=True)
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +656,8 @@ def test_sparse_observability_memo_is_monotone(monkeypatch):
     calls.clear()
     assert check_sparse_observability(lines, 3, stack=stack)
     assert not calls
-    with pytest.raises(SubsetCapError):
-        check_sparse_observability(lines, 3, stack=stack, subset_cap=55)
+    with pytest.raises(SubsetCapError):  # C(8, 3) = 56 kept sets, 4 parts' 4 unions
+        check_sparse_observability(lines, 3, stack=stack, subset_cap=3)
     # four sensors see only x, three only y: removing 3 can blind y, 2 cannot
     c = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 3)
     model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=c, tau=1, s_bar=0,
