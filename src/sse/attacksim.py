@@ -24,6 +24,7 @@ from .linmodel import (
     SubsetCapError,
     SystemModel,
     build_observability,
+    check_keys,
     check_sparse_observability,
     compute_delta_s,
     compute_o_bar,
@@ -287,12 +288,8 @@ class AttackScenario:
     name: str = "scenario"
 
     def __post_init__(self):
-        for name in ("steps", "segment_steps", "seed"):
-            object.__setattr__(self, name, whole_number(getattr(self, name), name))
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.segment_steps < 1:
-            raise ValueError(f"segment_steps must be at least 1, got {self.segment_steps}")
+        for name, lo in (("steps", None), ("segment_steps", 1), ("seed", 0)):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name, lo))
         ordered = sorted(self.phases, key=lambda ph: ph.start)
         for prev, nxt in zip(ordered, ordered[1:]):
             if nxt.start < prev.end:
@@ -318,22 +315,15 @@ class AttackScenario:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AttackScenario":
-        known = {f.name for f in fields(cls)}
-        unknown = [k for k in doc if k not in known]
-        if unknown:
-            raise ValueError(f"scenario has unknown key {unknown[0]!r}")
+        check_keys(doc, "scenario", (), {f.name for f in fields(cls)})
         phases = doc.get("phases", [])
         if not isinstance(phases, list) or not all(isinstance(ph, dict) for ph in phases):
             raise ValueError("phases must be a list of objects")
         phase_fields = fields(AttackPhase)
+        required = [f.name for f in phase_fields if f.default is MISSING]
         built = []
         for i, ph in enumerate(phases):
-            unknown = [k for k in ph if k not in {f.name for f in phase_fields}]
-            if unknown:
-                raise ValueError(f"phase {i} has unknown key {unknown[0]!r}")
-            missing = [f.name for f in phase_fields if f.default is MISSING and f.name not in ph]
-            if missing:
-                raise ValueError(f"phase {i} lacks {', '.join(map(repr, missing))}")
+            check_keys(ph, f"phase {i}", required, {f.name for f in phase_fields})
             try:
                 built.append(AttackPhase(**ph))
             except ValueError as exc:
@@ -453,11 +443,9 @@ def run_closed_loop(
     """
     model = ugv.model
     steps = scenario.steps if steps is None else whole_number(steps, "steps")
-    seed = scenario.seed if seed is None else whole_number(seed, "seed")
+    seed = scenario.seed if seed is None else whole_number(seed, "seed", 0)
     if steps < model.tau:
         raise ValueError(f"need at least tau={model.tau} steps, got {steps}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
     for phase in scenario.phases:
         if phase.sensor >= model.p:
             raise ValueError(f"phase attacks sensor {phase.sensor}; the model has {model.p}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import attacksim
 from .estimator import EstimatorConfig, IterationLimitError, estimate, iteration_bound
-from .linmodel import whole_number
+from .linmodel import check_keys, whole_number
 from .theory import DEFAULT_EPSILON, Strategy
 
 BENCH_FIELDS = [
@@ -81,32 +81,22 @@ def _run_bench_trial(task: dict) -> list[dict]:
 def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]:
     """Run every sweep trial and append per-(sweep, strategy) aggregate rows.
     The spec's one top-level key is ``sweeps``, a list (it may be empty)."""
-    unknown = [k for k in spec_doc if k != "sweeps"] if isinstance(spec_doc, dict) else []
-    if unknown:
-        raise ValueError(f"bench spec has unknown key {unknown[0]!r}")
-    sweeps = spec_doc.get("sweeps") if isinstance(spec_doc, dict) else None
+    sweeps = None
+    if isinstance(spec_doc, dict):
+        check_keys(spec_doc, "bench spec", (), ("sweeps",))
+        sweeps = spec_doc.get("sweeps")
     if not isinstance(sweeps, list):
         raise ValueError("a bench spec is a JSON object with a 'sweeps' list")
-    if whole_number(jobs, "jobs") < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if whole_number(seed_offset, "seed_offset") < 0:
-        raise ValueError(f"seed_offset must be non-negative, got {seed_offset}")
+    jobs = whole_number(jobs, "jobs", 1)
+    seed_offset = whole_number(seed_offset, "seed_offset", 0)
     tasks, checked = [], []
     for sweep_idx, spec in enumerate(sweeps):
         if not isinstance(spec, dict):
             raise ValueError(f"sweep {sweep_idx} must be a JSON object, got {spec!r}")
-        missing = [k for k in ("n", "p", "s", "s_bar") if k not in spec]
-        if missing:
-            raise ValueError(f"sweep {sweep_idx} lacks {', '.join(map(repr, missing))}")
-        unknown = [k for k in spec if k not in SWEEP_KEYS]
-        if unknown:
-            raise ValueError(f"sweep {sweep_idx} has unknown key {unknown[0]!r}")
-        spec = {**spec, **{k: whole_number(spec[k], f"sweep {sweep_idx} {k}")
+        check_keys(spec, f"sweep {sweep_idx}", ("n", "p", "s", "s_bar"), SWEEP_KEYS)
+        spec = {**spec, **{k: whole_number(spec[k], f"sweep {sweep_idx} {k}",
+                                           0 if k in ("trials", "seed") else None)
                            for k in ("n", "p", "s", "s_bar", "trials", "seed") if k in spec}}
-        negative = [k for k in ("trials", "seed") if spec.get(k, 0) < 0]
-        if negative:
-            raise ValueError(f"sweep {sweep_idx} {negative[0]} must be non-negative, "
-                             f"got {spec[negative[0]]}")
         checked.append(spec)
         for trial in range(spec.get("trials", 1)):
             tasks.append({"sweep": sweep_idx, "trial": trial, "spec": spec,

@@ -4,7 +4,7 @@ Subcommands: observability (model analysis and robustness constants),
 estimate (solve one window from a trace file), oracle (brute-force supports),
 simulate (closed-loop vehicle run to CSV), bench (iteration-count experiments
 to CSV).  Exit codes: 0 success, 2 infeasible estimate, 3 input error,
-4 enumeration, iteration or search-node cap exceeded.
+4 subset, iteration or search-node cap exceeded.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .linmodel import (
     compute_o_bar,
     roll_forward,
     stack_window,
+    whole_number,
 )
 from .satcore import SearchBudgetError
 from .theory import DEFAULT_EPSILON, Strategy
@@ -243,10 +244,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     # flags are checked before the spec is read: the error is the flag's
-    if args.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
-    if args.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {args.seed}")
+    whole_number(args.jobs, "jobs", 1)
+    whole_number(args.seed, "seed", 0)
     rows = _read_json(args.spec, "bench spec",
                       lambda doc: bench.run_bench(doc, jobs=args.jobs, seed_offset=args.seed))
     bench.write_bench_csv(rows, args.output)

@@ -62,10 +62,8 @@ class EstimatorConfig:
         if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
         if self.max_iterations is not None:
-            cap = whole_number(self.max_iterations, "max_iterations")
-            if cap < 1:
-                raise ValueError(f"max_iterations must be at least 1, got {cap}")
-            object.__setattr__(self, "max_iterations", cap)
+            object.__setattr__(self, "max_iterations",
+                               whole_number(self.max_iterations, "max_iterations", 1))
 
     def iteration_cap(self, p: int, s_bar: int) -> int:
         if self.max_iterations is not None:

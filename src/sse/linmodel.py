@@ -16,7 +16,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,10 +39,10 @@ SCREEN_RTOL = 1e-8
 
 
 class SubsetCapError(RuntimeError):
-    """A combinatorial enumeration would exceed the configured subset cap."""
+    """A call would examine more sensor sets than its subset cap allows."""
 
     def __init__(self, count: int, cap: int):
-        super().__init__(f"enumeration needs {count} subsets, cap is {cap}")
+        super().__init__(f"would examine {count} sensor sets, cap is {cap}")
 
 
 class GramSingularError(RuntimeError):
@@ -68,12 +68,29 @@ def numerical_rank(m: np.ndarray) -> int:
     return int(_nonzero(np.linalg.svd(m, compute_uv=False), max(m.shape)).sum())
 
 
-def whole_number(value, name: str) -> int:
+def whole_number(value, name: str, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as an int: 2 and 2.0 pass, while 2.5, "2" or inf raise
-    ``ValueError`` instead of being truncated."""
+    ``ValueError`` instead of being truncated, as does a value below ``lo``
+    or, when ``hi`` is given (with ``lo``), outside [lo, hi]."""
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
         raise ValueError(f"{name} must be a whole number, got {value!r}")
-    return int(value)
+    v = int(value)
+    if hi is not None and not lo <= v <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {v}")
+    if lo is not None and v < lo:
+        raise ValueError(f"{name} must be {f'at least {lo}' if lo else 'non-negative'}, got {v}")
+    return v
+
+
+def check_keys(doc: dict, what: str, required, known) -> None:
+    """Raise ``ValueError`` naming the first key of ``doc`` not in ``known``,
+    or else every key of ``required`` that ``doc`` lacks."""
+    unknown = [k for k in doc if k not in known]
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValueError(f"{what} lacks {', '.join(map(repr, missing))}")
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
@@ -150,17 +167,11 @@ class SystemModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SystemModel":
-        missing = [k for k in ("A", "B", "C", "tau", "s_bar", "noise_bounds") if k not in doc]
+        names = [f.name for f in fields(cls)]
+        missing = [k for k in names if k not in doc]
         if missing:
             raise ValueError(f"model document missing fields: {', '.join(missing)}")
-        return cls(
-            A=doc["A"],
-            B=doc["B"],
-            C=doc["C"],
-            tau=doc["tau"],
-            s_bar=doc["s_bar"],
-            noise_bounds=doc["noise_bounds"],
-        )
+        return cls(**{k: doc[k] for k in names})
 
 
 class _CheckMemo(dict):
@@ -328,14 +339,6 @@ def _check_cap(count: int, cap: int) -> None:
         raise SubsetCapError(count, cap)
 
 
-def _valid_cap(cap) -> int:
-    """``subset_cap`` as an int: a whole number, and not negative."""
-    cap = whole_number(cap, "subset_cap")
-    if cap < 0:
-        raise ValueError(f"subset_cap must be non-negative, got {cap}")
-    return cap
-
-
 def _subset_chunks(p: int, size: int, floats_each: int):
     """The size-subsets of range(p) in ``itertools.combinations`` order, as
     index rows; at most ``CHUNK_FLOATS // floats_each`` rows per chunk."""
@@ -458,10 +461,8 @@ def check_sparse_observability(
     ``ValueError``.
     """
     p, n = model.p, model.n
-    s = whole_number(s, "s")
-    subset_cap = _valid_cap(subset_cap)
-    if not 0 <= s <= p:
-        raise ValueError(f"s must be in [0, {p}], got {s}")
+    s = whole_number(s, "s", 0, p)
+    subset_cap = whole_number(subset_cap, "subset_cap", 0)
     partition = _cheapest_partition(p, s, -(-n // model.tau))
     plans = [b for b in (partition, p) if b is not None and math.comb(b, s) <= subset_cap]
     if not plans:
@@ -499,10 +500,8 @@ def compute_o_bar(
     the model is not sparse-observable enough for every subset to pin the state.
     """
     p, n = stack.p, stack.n
-    min_card = whole_number(min_card, "min_card")
-    subset_cap = _valid_cap(subset_cap)
-    if not 1 <= min_card <= p:
-        raise ValueError(f"min_card must be in [1, {p}], got {min_card}")
+    min_card = whole_number(min_card, "min_card", 1, p)
+    subset_cap = whole_number(subset_cap, "subset_cap", 0)
     count = sum(math.comb(p, k) for k in range(min_card, p + 1))
     _check_cap(count, subset_cap)
     worst = 0.0
@@ -556,10 +555,8 @@ def compute_delta_s(
     enumeration's.
     """
     p, n = stack.p, stack.n
-    s_bar = whole_number(s_bar, "s_bar")
-    subset_cap = _valid_cap(subset_cap)
-    if not 0 <= s_bar <= p:
-        raise ValueError(f"s_bar must be in [0, {p}], got {s_bar}")
+    s_bar = whole_number(s_bar, "s_bar", 0, p)
+    subset_cap = whole_number(subset_cap, "subset_cap", 0)
     attack_set = frozenset(range(p) if attackable is None else attackable)
     for i in attack_set:
         if not hasattr(i, "__index__") or not 0 <= operator.index(i) < p:

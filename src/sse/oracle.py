@@ -12,7 +12,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .linmodel import ObservabilityStack, StackedWindow, SubsetCapError, require_fit, whole_number
+from .linmodel import ObservabilityStack, StackedWindow, _check_cap, require_fit, whole_number
 from .theory import DEFAULT_EPSILON, t_check
 
 ORACLE_SUBSET_CAP = 10**5
@@ -43,12 +43,8 @@ def brute_force(
     raises ``ValueError``."""
     require_fit(model, stack, window)
     p = stack.p
-    budget = model.s_bar if s_bar is None else whole_number(s_bar, "s_bar")
-    if not 0 <= budget < p:
-        raise ValueError(f"s_bar must be in [0, {p - 1}], got {budget}")
-    count = sum(math.comb(p, s) for s in range(budget + 1))
-    if count > ORACLE_SUBSET_CAP:
-        raise SubsetCapError(count, ORACLE_SUBSET_CAP)
+    budget = whole_number(model.s_bar if s_bar is None else s_bar, "s_bar", 0, p - 1)
+    _check_cap(sum(math.comb(p, s) for s in range(budget + 1)), ORACLE_SUBSET_CAP)
     nonfinite = set(window.nonfinite_sensors())
     feasible = []
     x_map = {}

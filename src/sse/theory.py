@@ -227,7 +227,8 @@ def _walk_order(stack: ObservabilityStack, ranked: list, seed_size: int) -> tupl
     """The conflict walk's trials, ``[cand] + rest`` for each candidate:
     (candidates, highest residual first; rest, the seed_size lowest of
     ``ranked`` in ascending kernel dimension, then index; first, the length
-    of each trial's first checked prefix)."""
+    of each trial's first checked prefix).  A negative seed_size slices as
+    Python does: rest is all but the -seed_size highest."""
     rest = sorted(ranked[:seed_size])
     rest.sort(key=stack.block_kernel_dims.tolist().__getitem__)
     first = min(stack.n // stack.tau + 1, len(rest) + 1)
@@ -304,7 +305,10 @@ def certificates(
     checked sensor, and so does every strategy when no more than p - 2*s_bar
     sensors were checked.  Otherwise every strategy takes one path.  The
     checked sensors are ranked by residual at ``check.x``, and the
-    p - 2*s_bar lowest are the seed.  The seed's check, the seed fit, is made
+    p - 2*s_bar lowest are the seed; with a budget above p/2 that count is
+    negative, and the seed is all but the 2*s_bar - p highest (an empty
+    seed would leave the walk nothing to conflict with, and it would fall
+    back to the trivial certificate).  The seed's check, the seed fit, is made
     when the concentration steps aim the walk (see the module docstring),
     and under ``conflict_agree``, whose agree certificate is a passing seed
     fit.  One loop makes every seed fit, one theory check each: when aimed,

@@ -669,9 +669,10 @@ def test_bench_iteration_cap_below_one_is_input_error(tmp_path, capsys):
      "sweep 0 seed must be non-negative, got -4"),
     ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": -2}]},
      "sweep 0 trials must be non-negative, got -2"),
+    ({"sweeps": [{"n": 2, "P": 6, "s": 1, "s_bar": 1}]}, "sweep 0 has unknown key 'P'"),
 ], ids=["sweep_not_object", "trials_not_whole", "p_not_whole", "misspelt_key",
         "singular_strategies", "misspelt_sweeps", "no_sweeps", "unknown_top_level_key",
-        "negative_seed", "negative_trials"])
+        "negative_seed", "negative_trials", "misspelt_required_key"])
 def test_bench_malformed_spec_is_input_error(tmp_path, capsys, doc, message):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(doc))
@@ -700,6 +701,18 @@ def test_bench_jobs_below_one_is_input_error(tmp_path, capsys, value, message):
         spec = bench_spec(tmp_path, [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 1}])
         assert main(["bench", spec, f"--{flag}", str(value)]) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: {message}\n"  # a flag: no file named
+
+
+def test_bench_whole_float_jobs_and_seed_offset_run_as_ints():
+    spec = {"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 2,
+                        "strategies": ["trivial", "conflict"]}]}
+    tables = []
+    for jobs, seed_offset in ((1, 1), (2.0, 1.0)):
+        rows = run_bench(spec, jobs=jobs, seed_offset=seed_offset)
+        for row in rows:
+            row.pop("wall_time")
+        tables.append(rows)
+    assert tables[0] == tables[1]
 
 
 def test_bench_empty_sweep_list_runs_nothing(tmp_path, capsys):

@@ -550,6 +550,28 @@ def test_strategies_match_oracle_feasibility(spec, noise):
             assert result.support in oracle.supports
 
 
+@pytest.mark.parametrize("p, attacked", [(6, (0, 1, 2)), (7, (0, 1, 2)), (7, (0, 1, 2, 3, 4))])
+def test_strategies_match_oracle_with_budget_above_half_the_sensors(p, attacked):
+    # p / 2 < s_bar = 4 < p, which the generator never draws: the seed size
+    # p - 2 s_bar is negative, and the seed is all but the 2 s_bar - p
+    # highest-ranked checked sensors; five attacked sensors exceed the budget
+    rows = (FIVE_LINES + [[2.0, 1.0], [1.0, -1.0]])[:p]
+    model = line_model(rows, s_bar=4)
+    stack = build_observability(model)
+    offsets = np.array(rows) @ [2.0, 6.0]
+    offsets[list(attacked)] += [5.0, -7.0, 9.0, 4.0, -6.0][:len(attacked)]
+    window = line_window(model, offsets)
+    oracle = brute_force(model, stack, window, epsilon=1e-9)
+    for strategy in Strategy:
+        result = estimate(model, stack, window, cfg(strategy))
+        assert result.feasible == bool(oracle.supports) == (len(attacked) <= 4), strategy
+        if result.feasible:
+            assert result.support in oracle.supports
+        for cert in result.certificates:
+            if cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED:
+                assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-9).sat
+
+
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(spec=small_instances())
 def test_minimal_support_matches_unique_oracle_minimum(spec):

@@ -69,3 +69,18 @@ def test_every_module_constant_is_read():
     assert len(defined) > 20
     dead = [f"{module}: {name}" for module, name in defined if name not in read]
     assert not dead, f"constants nothing in the package reads: {', '.join(dead)}"
+
+
+def test_document_keys_are_checked_in_one_place():
+    # the messages for an unknown or a missing document key are written
+    # only in linmodel.check_keys, which every document check calls
+    trees, _ = package_trees()
+    inside = {id(node) for module, tree in trees if module == "linmodel.py"
+              for helper in tree.body
+              if isinstance(helper, ast.FunctionDef) and helper.name == "check_keys"
+              for node in ast.walk(helper)}
+    copies = [f"{module}: line {node.lineno}" for module, tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in inside
+              and ("has unknown key" in node.value or " lacks " in node.value)]
+    assert not copies, f"document key messages outside check_keys: {', '.join(copies)}"

@@ -244,6 +244,16 @@ def test_sparse_observability_subset_cap():
         check_sparse_observability(model, 6, subset_cap=6)
 
 
+def test_subset_cap_message_counts_the_sets_examined():
+    # desk level 21: the cheapest partition has 28 parts and C(28, 21) =
+    # 1,184,040 unions, where the enumeration would rank C(60, 21) kept sets;
+    # the cap is checked by arithmetic, before any rank work
+    model = generate_instance(25, 60, 5, 20, "2s", seed=9000).model
+    with pytest.raises(SubsetCapError) as raised:
+        check_sparse_observability(model, 21)
+    assert str(raised.value) == "would examine 1184040 sensor sets, cap is 1000000"
+
+
 def test_duplicated_sensors_break_observability():
     # two copies of each row: dropping both copies of one row loses a direction
     c = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
