@@ -131,8 +131,8 @@ def generate_instance(
     ``observability_level`` is "2s" or "3s": the system should stay
     observable after removing that many times ``s_bar`` sensors.  With at
     most ``AUDIT_EXACT_LIMIT`` removals the level is checked exactly (the
-    stack keeps the answer) and a failing system is resampled; above that
-    the first system is kept, and the stack keeps the level where a
+    model's stack keeps the answer) and a failing system is resampled; above
+    that the first system is kept, and its stack keeps the level where a
     partition of the sensors proves it within ``AUDIT_EXACT_LIMIT`` unions.
     ``attack_norm`` fixes each attacked sensor's stacked attack norm: a
     number for all of them, a sequence of ``s`` per-sensor norms, or a
@@ -160,10 +160,8 @@ def generate_instance(
         b = rng.normal(size=(n, 1))
         c = rng.normal(size=(p, n))
         model = SystemModel(A=a, B=b, C=c, tau=tau, s_bar=s_bar, noise_bounds=bounds)
-        stack = build_observability(model)
         try:
-            held = check_sparse_observability(model, level_s, stack=stack,
-                                              subset_cap=AUDIT_EXACT_LIMIT)
+            held = check_sparse_observability(model, level_s, subset_cap=AUDIT_EXACT_LIMIT)
         except SubsetCapError:
             held = False
         if math.comb(p, level_s) > AUDIT_EXACT_LIMIT:
@@ -215,7 +213,7 @@ def generate_instance(
     window = stack_window(model, outputs, inputs)
     return GeneratedInstance(
         model=model,
-        stack=stack,
+        stack=build_observability(model),
         x_true=x_true,
         window=window,
         attacked=attacked,

@@ -122,7 +122,7 @@ def cmd_observability(args) -> int:
     out.write("kernel_dims=" + ",".join(str(int(k)) for k in stack.block_kernel_dims) + "\n")
     max_s = args.max_s if args.max_s is not None else min(2 * model.s_bar, p)
     for s in range(max_s + 1):
-        ok = check_sparse_observability(model, s, stack=stack, subset_cap=args.subset_cap)
+        ok = check_sparse_observability(model, s, subset_cap=args.subset_cap)
         out.write(f"sparse_observable s={s}: {'yes' if ok else 'no'}\n")
     min_card = max(p - model.s_bar, 1) if args.min_card is None else args.min_card
     o_bar = compute_o_bar(stack, min_card, subset_cap=args.subset_cap,
@@ -143,7 +143,7 @@ def cmd_observability(args) -> int:
         out.write("detection_threshold_sq = inf (delta_s >= 1)\n")
     elif p <= two_s:
         out.write("detection_threshold_sq = inf (p <= 2 s_bar)\n")
-    elif not check_sparse_observability(model, two_s, stack=stack, subset_cap=args.subset_cap):
+    elif not check_sparse_observability(model, two_s, subset_cap=args.subset_cap):
         out.write(f"detection_threshold_sq = inf (not {two_s}-sparse observable)\n")
     else:
         bounds = delta_bound(model, RobustnessConstants(o_bar, delta), args.epsilon)

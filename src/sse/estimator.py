@@ -119,9 +119,7 @@ class Estimate:
         }
 
 
-def _solve_strategy(
-    model: SystemModel, stack: ObservabilityStack, config: EstimatorConfig
-) -> Strategy:
+def _solve_strategy(model: SystemModel, config: EstimatorConfig) -> Strategy:
     """The strategy the solve runs: ``conflict_agree`` runs as ``conflict``
     unless agreement certificates are sound.
 
@@ -129,15 +127,15 @@ def _solve_strategy(
     observable after losing any 3*s_bar sensors: under noise an attack below
     the detection threshold can pass the agreement check.  The only proof is
     ``check_sparse_observability`` (a partition of the sensors, or the
-    enumeration where that fails), whose answer the stack remembers, so it
-    runs once per stack and budget.
+    enumeration where that fails), whose answer the model's stack
+    remembers, so it runs once per model.
     """
     if config.strategy is not Strategy.CONFLICT_AGREE:
         return config.strategy
     if model.p <= 3 * model.s_bar or np.any(model.noise_bounds > 0):
         return Strategy.CONFLICT
     try:
-        if check_sparse_observability(model, 3 * model.s_bar, stack=stack):
+        if check_sparse_observability(model, 3 * model.s_bar):
             return Strategy.CONFLICT_AGREE
     except SubsetCapError:
         pass
@@ -157,14 +155,15 @@ def estimate(
     explains the data.  A sensor ``StackedWindow.nonfinite_sensors`` names (a
     NaN or +-inf reading, or one whose square overflows or nears it) is
     treated as attacked: a singleton certificate for it is learned up front.
-    A stack or window that does not fit the model raises ``ValueError``.
+    A stack or window that does not fit the model, or a stack built from
+    another model, raises ``ValueError``.
     """
     require_fit(model, stack, window)
     p, s_bar = model.p, model.s_bar
     started = time.perf_counter()
     # a support of every sensor leaves no equation to check: not a hypothesis
     inst = satcore.new_instance(p, min(s_bar, p - 1))
-    strategy = _solve_strategy(model, stack, config)
+    strategy = _solve_strategy(model, config)
     cap = config.iteration_cap(p, s_bar)
     result = Estimate(
         feasible=False,

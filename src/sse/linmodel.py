@@ -106,7 +106,10 @@ def _as_matrix(value, name: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class SystemModel:
     """Discrete-time plant x+ = A x + B u, y = C x, with a window length,
-    an attack budget, and per-sensor noise norm bounds over the window."""
+    an attack budget, and per-sensor noise norm bounds over the window.
+
+    ``build_observability`` keeps the model's one stack in ``_stack``; a
+    copy made by ``dataclasses.replace`` starts without one."""
 
     A: np.ndarray
     B: np.ndarray
@@ -114,6 +117,7 @@ class SystemModel:
     tau: int
     s_bar: int
     noise_bounds: np.ndarray
+    _stack: ObservabilityStack | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "A", _as_matrix(self.A, "A"))
@@ -167,7 +171,7 @@ class SystemModel:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SystemModel":
-        names = [f.name for f in fields(cls)]
+        names = [f.name for f in fields(cls) if f.init]
         missing = [k for k in names if k not in doc]
         if missing:
             raise ValueError(f"model document missing fields: {', '.join(missing)}")
@@ -187,9 +191,10 @@ class ObservabilityStack:
     """Per-sensor observability blocks O_i (tau x n), their kernel
     dimensions, squared spectral norms, and Gram matrices.
 
-    Build it once per model and reuse it: it also remembers the answers of
-    ``check_sparse_observability(model, s, stack=stack)`` by ``s`` (a proven
-    level answers every lower one, a refuted level every higher one), and the
+    ``build_observability`` builds it once per model and keeps it on the
+    model.  It also remembers the answers of
+    ``check_sparse_observability(model, s)`` by ``s`` (a proven level
+    answers every lower one, a refuted level every higher one), and the
     per-set constants of ``theory.t_check`` (the stacked O_I, the summed
     Gram, ...) for as many sensor sets as fit a fixed float budget.
     """
@@ -236,12 +241,16 @@ class StackedWindow:
 
 def require_fit(model: SystemModel, stack: ObservabilityStack, window: StackedWindow) -> None:
     """Raise ``ValueError`` unless the stack's blocks are (p, tau, n) and the
-    window's (p, tau), with the model's p, tau and n."""
+    window's (p, tau), with the model's p, tau and n, and the stack is
+    ``build_observability(model)`` or has its blocks."""
     p, tau = model.p, model.tau
     if stack.blocks.shape != (p, tau, model.n) or window.blocks.shape != (p, tau):
         raise ValueError(
             f"stack blocks {stack.blocks.shape} and window blocks {window.blocks.shape} "
             f"do not fit the model's (p, tau, n) = {(p, tau, model.n)}")
+    own = build_observability(model)
+    if stack is not own and not np.array_equal(stack.blocks, own.blocks):
+        raise ValueError("stack was built from another model: its blocks are not this model's")
 
 
 @dataclass(frozen=True)
@@ -253,7 +262,10 @@ class RobustnessConstants:
 
 
 def build_observability(model: SystemModel) -> ObservabilityStack:
-    """Construct all O_i = [C_i; C_i A; ...; C_i A^(tau-1)]."""
+    """The model's one stack of all O_i = [C_i; C_i A; ...; C_i A^(tau-1)]:
+    built on the first call, kept on the model and returned afterwards."""
+    if model._stack is not None:
+        return model._stack
     p, n, tau = model.p, model.n, model.tau
     # layers[j] = C @ A^j; block i interleaves row i of each layer.
     layers = np.empty((tau, p, n))
@@ -270,12 +282,14 @@ def build_observability(model: SystemModel) -> ObservabilityStack:
     grams = blocks.transpose(0, 2, 1) @ blocks
     for arr in (kdims, grams, norms_sq):
         arr.setflags(write=False)
-    return ObservabilityStack(
+    stack = ObservabilityStack(
         blocks=blocks,
         block_kernel_dims=kdims,
         gram_blocks=grams,
         block_norms_sq=norms_sq,
     )
+    object.__setattr__(model, "_stack", stack)
+    return stack
 
 
 def simulate_window(model: SystemModel, x0, inputs) -> np.ndarray:
@@ -411,7 +425,6 @@ def check_sparse_observability(
     model: SystemModel,
     s: int,
     *,
-    stack: ObservabilityStack | None = None,
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> bool:
     """True iff the system stays observable after removing any s sensors.
@@ -448,17 +461,15 @@ def check_sparse_observability(
     SVD rule gives such a set rank n too, and the screen clears it.  Only
     the sets it does not clear get an SVD, so the answer is the SVD rule's.
 
-    A given ``stack`` (the model's) remembers the answers, and reads them
-    monotonically: a proven level k answers every s <= k, since each kept
+    The model's stack (``build_observability``) remembers the answers, and
+    reads them monotonically: a proven level k answers every s <= k, since each kept
     set of a lower level contains a kept set of level k and adding rows
     never lowers the rank, and a refuted level k answers every s >= k.  The
     memo, like the partition's "a kept set containing a full-rank union has
     full rank", follows exact arithmetic: a direct enumeration could rule
     otherwise only on a set whose smallest singular value sits within the
     ``_zero_tol`` band, a band that grows with the set.  The subset cap is
-    checked first, and then that the stack's blocks are the model's (p, tau,
-    n), before the memo is read: a stack that does not fit raises
-    ``ValueError``.
+    checked before the memo is read.
     """
     p, n = model.p, model.n
     s = whole_number(s, "s", 0, p)
@@ -467,11 +478,7 @@ def check_sparse_observability(
     plans = [b for b in (partition, p) if b is not None and math.comb(b, s) <= subset_cap]
     if not plans:
         raise SubsetCapError(math.comb(p if partition is None else partition, s), subset_cap)
-    if stack is None:
-        stack = build_observability(model)
-    elif stack.blocks.shape != (p, model.tau, n):
-        raise ValueError(f"stack blocks {stack.blocks.shape} do not fit the model's "
-                         f"(p, tau, n) = {(p, model.tau, n)}")
+    stack = build_observability(model)
     for level, held in stack._sparse_obs.items():
         if s <= level if held else s >= level:
             return held

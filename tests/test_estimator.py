@@ -163,7 +163,7 @@ def test_agree_gate_ignores_sampled_audit():
     # leaves the 3s level unproven, and the gate's check refuses at the cap
     inst = generate_instance(16, 32, 2, 8, "3s", 0.0, seed=1)
     with pytest.raises(SubsetCapError):
-        check_sparse_observability(inst.model, 24, stack=inst.stack)
+        check_sparse_observability(inst.model, 24)
     result = estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE))
     assert result.strategy is Strategy.CONFLICT
     assert result.feasible
@@ -192,7 +192,7 @@ def _count_rank_calls(monkeypatch):
 
 def test_agree_gate_checked_once_per_stack(monkeypatch):
     inst = generate_instance(3, 8, 1, 2, "3s", 0.0, seed=5, attack_norm=4.0)
-    model = inst.model
+    model = replace(inst.model)  # a fresh copy: the generator's answer sits on inst.model
     stack = build_observability(model)
     calls = _count_rank_calls(monkeypatch)
     first = estimate(model, stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
@@ -205,7 +205,7 @@ def test_agree_gate_checked_once_per_stack(monkeypatch):
     assert again.iterations == first.iterations and again.support == first.support
     # the generator's exact level check already sits on the stack it returns
     calls.clear()
-    estimate(model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
+    estimate(inst.model, inst.stack, inst.window, cfg(Strategy.CONFLICT_AGREE, 1e-6))
     assert not calls
 
 
@@ -223,9 +223,9 @@ def test_agree_gate_remembers_a_failed_check(monkeypatch, four_lines):
 
 def test_remembered_check_still_honours_subset_cap(four_lines):
     model, stack, _ = four_lines
-    assert not check_sparse_observability(model, 3, stack=stack)
+    assert not check_sparse_observability(model, 3)
     with pytest.raises(SubsetCapError):
-        check_sparse_observability(model, 3, stack=stack, subset_cap=3)
+        check_sparse_observability(model, 3, subset_cap=3)
 
 
 def test_agree_gate_arithmetic_blocks_p_equal_3s():
@@ -675,6 +675,41 @@ def test_stack_or_window_of_another_shape_is_rejected(entry, misfit):
                "do not fit the model's (p, tau, n) = (8, 2, 3)")
     with pytest.raises(ValueError, match=re.escape(message)):
         ENTRY_POINTS[entry](inst.model, stack, window)
+
+
+def test_a_copy_with_another_budget_accepts_the_original_stack():
+    inst = generate_instance(3, 8, 1, 2, "2s", 0.0, seed=1, attack_norm=4.0)
+    lower = replace(inst.model, s_bar=1)
+    assert build_observability(lower) is not inst.stack
+    got = estimate(lower, inst.stack, inst.window, cfg())
+    want = estimate(lower, build_observability(lower), inst.window, cfg())
+    assert got.support == want.support == inst.attacked
+    assert np.array_equal(got.x, want.x)
+
+
+FOREIGN_ENTRY_POINTS = {
+    "estimate": lambda m, st, w: estimate(m, st, w, cfg()),
+    "minimal_support_estimate": lambda m, st, w: minimal_support_estimate(m, st, w, cfg()),
+    "brute_force": brute_force,
+}
+
+
+@pytest.mark.parametrize("entry", list(FOREIGN_ENTRY_POINTS))
+def test_stack_of_another_model_is_rejected(entry):
+    # a's stack has b's shape, and on it y = (1, 2, 3) fits x = (1, 2) with
+    # no sensor attacked, where b's own stack gives x = (1, 3)
+    a, b = (SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=c, tau=1, s_bar=1,
+                        noise_bounds=np.zeros(3))
+            for c in ([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]))
+    assert check_sparse_observability(a, 1)  # level 1 proven on a's stack
+    assert not check_sparse_observability(b, 1)
+    window = stack_window(b, [[1.0, 2.0, 3.0]], [[0.0]])
+    message = "stack was built from another model: its blocks are not this model's"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        FOREIGN_ENTRY_POINTS[entry](b, build_observability(a), window)
+    assert not check_sparse_observability(b, 1)
+    own = estimate(b, build_observability(b), window, cfg())
+    assert own.feasible and own.support == () and np.allclose(own.x, [1.0, 3.0])
 
 
 # ---------------------------------------------------------------------------

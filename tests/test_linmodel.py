@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,19 @@ def test_identity_dynamics_repeats_rows():
     assert np.array_equal(stack.blocks[0], [[1, 0], [1, 0]])
     assert np.array_equal(stack.blocks[1], [[0, 1], [0, 1]])
     assert list(stack.block_kernel_dims) == [1, 1]
+
+
+def test_a_model_keeps_its_one_stack():
+    # built on the first call and returned afterwards; a copy made by
+    # dataclasses.replace, or read back from its document, builds its own
+    model = discretize_ugv().model
+    stack = build_observability(model)
+    assert build_observability(model) is stack
+    assert "_stack" not in repr(model) and "_stack" not in model.to_json_dict()
+    for copy in (replace(model, s_bar=0), SystemModel.from_json_dict(model.to_json_dict())):
+        own = build_observability(copy)
+        assert own is not stack and build_observability(copy) is own
+        assert np.array_equal(own.blocks, stack.blocks)
 
 
 def test_ugv_block_kernels():
@@ -303,7 +317,7 @@ def test_partition_proofs_check_independently(monkeypatch, shape):
             count, b = plan
             seen.clear()
             try:
-                assert check_sparse_observability(model, s, subset_cap=count)
+                assert check_sparse_observability(replace(model), s, subset_cap=count)
             except SubsetCapError:
                 continue  # a union failed, and C(p, s) exceeds the cap
             parts = np.array_split(np.arange(p), b)
@@ -357,7 +371,7 @@ def test_partition_never_proves_what_the_enumeration_refutes():
             if plan is None:
                 continue
             try:
-                proven = check_sparse_observability(model, s, subset_cap=plan[0])
+                proven = check_sparse_observability(replace(model), s, subset_cap=plan[0])
             except SubsetCapError:
                 continue  # a union failed, and only the enumeration refutes
             assert proven and expected
@@ -443,9 +457,6 @@ def test_delta_s_subset_cap():
      "attackable entry 2 is not a sensor in range(2)"),
     (lambda model, stack: compute_delta_s(stack, 1, attackable=(0.5,)),
      "attackable entry 0.5 is not a sensor in range(2)"),
-    (lambda model, stack: check_sparse_observability(
-        model, 1, stack=build_observability(discretize_ugv().model)),
-     "stack blocks (3, 2, 2) do not fit the model's (p, tau, n) = (2, 1, 2)"),
     (lambda model, stack: spectral_helper_check(np.eye(2), np.eye(3)),
      "A and B must be square matrices of the same dimension"),
     (lambda model, stack: check_sparse_observability(model, 2.5), "s must be a whole number, got 2.5"),
@@ -458,7 +469,7 @@ def test_delta_s_subset_cap():
     (lambda model, stack: compute_delta_s(stack, 1, subset_cap=-1),
      "subset_cap must be non-negative, got -1"),
 ], ids=["sparse_observability_s", "o_bar_min_card", "delta_s_s_bar", "delta_s_attackable_range",
-        "delta_s_attackable_integer", "sparse_observability_stack", "spectral_shapes",
+        "delta_s_attackable_integer", "spectral_shapes",
         "sparse_observability_s_whole", "o_bar_min_card_whole", "delta_s_s_bar_whole",
         "sparse_observability_cap", "o_bar_cap_whole", "delta_s_cap"])
 def test_analysis_rejects_an_argument_out_of_range(call, message):
@@ -647,7 +658,7 @@ def test_sparse_observability_stops_at_first_deficient_chunk(monkeypatch):
     real = linmodel._all_full_rank
     monkeypatch.setattr(linmodel, "_all_full_rank",
                         lambda stack, idx: calls.append(len(idx)) or real(stack, idx))
-    assert not check_sparse_observability(model, 3, stack=stack)
+    assert not check_sparse_observability(model, 3)
     assert calls == [1] * looked
 
 
@@ -661,23 +672,21 @@ def test_sparse_observability_memo_is_monotone(monkeypatch):
     rows = np.random.default_rng(3).normal(size=(8, 2))
     lines = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=rows, tau=1, s_bar=0,
                         noise_bounds=np.zeros(8))
-    stack = build_observability(lines)
-    assert check_sparse_observability(lines, 6, stack=stack)
+    assert check_sparse_observability(lines, 6)
     calls.clear()
-    assert check_sparse_observability(lines, 3, stack=stack)
+    assert check_sparse_observability(lines, 3)
     assert not calls
     with pytest.raises(SubsetCapError):  # C(8, 3) = 56 kept sets, 4 parts' 4 unions
-        check_sparse_observability(lines, 3, stack=stack, subset_cap=3)
+        check_sparse_observability(lines, 3, subset_cap=3)
     # four sensors see only x, three only y: removing 3 can blind y, 2 cannot
     c = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 3)
     model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=c, tau=1, s_bar=0,
                         noise_bounds=np.zeros(7))
-    stack = build_observability(model)
-    assert not check_sparse_observability(model, 3, stack=stack)
+    assert not check_sparse_observability(model, 3)
     calls.clear()
-    assert not check_sparse_observability(model, 5, stack=stack)
+    assert not check_sparse_observability(model, 5)
     assert not calls
-    assert check_sparse_observability(model, 2, stack=stack)  # not answered by the memo
+    assert check_sparse_observability(model, 2)  # not answered by the memo
     assert calls
 
 
