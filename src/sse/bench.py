@@ -40,8 +40,7 @@ def _run_bench_trial(task: dict) -> list[dict]:
         seed=seed,
         attack_norm=spec.get("attack_norm", attacksim.ATTACK_NORM_RANGE),
     )
-    for strategy_name in spec.get("strategies", ["conflict"]):
-        strategy = Strategy(strategy_name)
+    for strategy in spec["strategies"]:
         config = EstimatorConfig(
             strategy=strategy,
             epsilon=spec.get("epsilon", DEFAULT_EPSILON),
@@ -97,6 +96,12 @@ def run_bench(spec_doc: dict, jobs: int = 1, seed_offset: int = 0) -> list[dict]
         spec = {**spec, **{k: whole_number(spec[k], f"sweep {sweep_idx} {k}",
                                            0 if k in ("trials", "seed") else None)
                            for k in ("n", "p", "s", "s_bar", "trials", "seed") if k in spec}}
+        names = [v.value for v in Strategy]
+        strategies = spec.get("strategies", ["conflict"])
+        if not (isinstance(strategies, list) and all(v in names for v in strategies)):
+            raise ValueError(f"sweep {sweep_idx} strategies must be a list of "
+                             f"{', '.join(map(repr, names))}, got {strategies!r}")
+        spec["strategies"] = [Strategy(v) for v in strategies]
         checked.append(spec)
         for trial in range(spec.get("trials", 1)):
             tasks.append({"sweep": sweep_idx, "trial": trial, "spec": spec,

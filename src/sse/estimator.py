@@ -24,6 +24,7 @@ from .linmodel import (
     StackedWindow,
     SubsetCapError,
     SystemModel,
+    check_epsilon,
     check_sparse_observability,
     require_fit,
     whole_number,
@@ -59,8 +60,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "strategy", Strategy(self.strategy))
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be non-negative, got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if self.max_iterations is not None:
             object.__setattr__(self, "max_iterations",
                                whole_number(self.max_iterations, "max_iterations", 1))
@@ -269,8 +269,7 @@ def delta_bound(
         raise ValueError(
             f"delta_s must be < 1 for the guarantees to hold, got {constants.delta_s}"
         )
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    check_epsilon(epsilon)
     psi_sq = float(np.dot(model.noise_bounds, model.noise_bounds))
     gap = 1.0 - constants.delta_s
     threshold = (2.0 / gap) * psi_sq + epsilon / gap

@@ -82,6 +82,15 @@ def whole_number(value, name: str, lo: int | None = None, hi: int | None = None)
     return v
 
 
+def check_epsilon(epsilon) -> None:
+    """Raise ``ValueError`` unless the tolerance ``epsilon`` is non-negative
+    and finite: NaN fails the first test, inf the second."""
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    if epsilon == math.inf:
+        raise ValueError(f"epsilon must be finite, got {epsilon}")
+
+
 def check_keys(doc: dict, what: str, required, known) -> None:
     """Raise ``ValueError`` naming the first key of ``doc`` not in ``known``,
     or else every key of ``required`` that ``doc`` lacks."""

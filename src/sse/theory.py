@@ -66,7 +66,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linmodel import ObservabilityStack, StackedWindow
+from .linmodel import ObservabilityStack, StackedWindow, check_epsilon
 from .satcore import Certificate, CertificateKind, SolveStats
 
 
@@ -130,8 +130,9 @@ def t_check(
     solve finds short when its fit is returned; x is then a least-squares
     solution, the minimum-norm one only when the SVD's fit is returned.
     Noise bounds of a length other than p, or a window whose blocks are not
-    (p, tau), raise ``ValueError``.  The stack's memo keeps the set's index
-    array, O_I, Gram matrix and norm while they fit ``CHECK_MEMO_FLOATS``.
+    (p, tau), raise ``ValueError``, as does an ``epsilon`` that is negative,
+    NaN or infinite.  The stack's memo keeps the set's index array, O_I, Gram
+    matrix and norm while they fit ``CHECK_MEMO_FLOATS``.
 
     One rule decides.  The normal equations decide, unless their solve
     fails (a ``LinAlgError``, or a gradient above ``GRAD_RTOL`` of
@@ -156,8 +157,7 @@ def t_check(
     if sensors[0] < 0 or sensors[-1] >= p:
         bad = sensors[0] if sensors[0] < 0 else sensors[-1]
         raise ValueError(f"sensor index {bad} out of range for p = {p}")
-    if not epsilon >= 0:
-        raise ValueError(f"epsilon must be non-negative, got {epsilon}")
+    check_epsilon(epsilon)
     bounds = np.asarray(noise_bounds, dtype=float)
     if bounds.shape + window.blocks.shape != (p, p, tau):
         raise ValueError(

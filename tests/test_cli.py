@@ -218,6 +218,18 @@ def test_estimate_nan_epsilon_is_input_error(ugv_model_file, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["estimate", "oracle"])
+def test_infinite_epsilon_is_input_error(ugv_model_file, tmp_path, capsys, command):
+    # an infinite tolerance would pass every check: every window feasible, nothing attacked
+    outputs, inputs, _ = attacked_window()
+    trace_path = tmp_path / "window.csv"
+    write_window_trace(trace_path, outputs, inputs)
+    assert main([command, ugv_model_file, str(trace_path), "--epsilon", "inf"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "epsilon must be finite, got inf" in captured.err
+    assert captured.out == ""
+
+
 def test_estimate_accepts_legacy_verification_key(ugv_model_file, tmp_path, capsys):
     with open(ugv_model_file) as fh:
         doc = json.load(fh)
@@ -670,9 +682,20 @@ def test_bench_iteration_cap_below_one_is_input_error(tmp_path, capsys):
     ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": -2}]},
      "sweep 0 trials must be non-negative, got -2"),
     ({"sweeps": [{"n": 2, "P": 6, "s": 1, "s_bar": 1}]}, "sweep 0 has unknown key 'P'"),
+    ({"sweeps": [{"n": -1, "p": 6, "s": 1, "s_bar": 1}]}, "n must be at least 1, got -1"),
+    ({"sweeps": [{"n": 0, "p": 6, "s": 1, "s_bar": 1}]}, "n must be at least 1, got 0"),
+    ({"sweeps": [{"n": 2, "p": 6, "s": -1, "s_bar": 1}]}, "s must be non-negative, got -1"),
+    ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "strategies": "conflict"}]},
+     "sweep 0 strategies must be a list of 'trivial', 'conflict', 'conflict_agree', "
+     "got 'conflict'"),
+    ({"sweeps": [{"n": 2, "p": 6, "s": 1, "s_bar": 1, "trials": 1},
+                 {"n": 2, "p": 6, "s": 1, "s_bar": 1, "strategies": ["bogus"]}]},
+     "sweep 1 strategies must be a list of 'trivial', 'conflict', 'conflict_agree', "
+     "got ['bogus']"),
 ], ids=["sweep_not_object", "trials_not_whole", "p_not_whole", "misspelt_key",
         "singular_strategies", "misspelt_sweeps", "no_sweeps", "unknown_top_level_key",
-        "negative_seed", "negative_trials", "misspelt_required_key"])
+        "negative_seed", "negative_trials", "misspelt_required_key", "negative_n", "zero_n",
+        "negative_s", "strategies_not_list", "unknown_strategy"])
 def test_bench_malformed_spec_is_input_error(tmp_path, capsys, doc, message):
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(doc))

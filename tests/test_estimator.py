@@ -655,6 +655,25 @@ def test_nan_epsilon_is_rejected():
         delta_bound(toy_model(0.1), RobustnessConstants(0.5, 0.5), float("nan"))
 
 
+@pytest.mark.parametrize("epsilon, message", [
+    (float("nan"), "epsilon must be non-negative, got nan"),
+    (-1e-9, "epsilon must be non-negative, got -1e-09"),
+    (float("inf"), "epsilon must be finite, got inf"),
+], ids=["nan", "negative", "inf"])
+def test_every_epsilon_reader_rejects_a_bad_tolerance(epsilon, message):
+    # an infinite tolerance passes every check: on this instance (attacked
+    # (1, 4)) estimate would return feasible with no sensor attacked
+    inst = generate_instance(3, 8, 2, 2, "2s", 0.0, seed=1)
+    calls = (
+        lambda: EstimatorConfig(epsilon=epsilon),
+        lambda: t_check(inst.stack, inst.window, range(8), inst.model.noise_bounds, epsilon),
+        lambda: delta_bound(toy_model(0.1), RobustnessConstants(0.5, 0.5), epsilon),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
 ENTRY_POINTS = {
     "estimate_conflict": lambda m, st, w: estimate(m, st, w, cfg(Strategy.CONFLICT)),
     "estimate_trivial": lambda m, st, w: estimate(m, st, w, cfg(Strategy.TRIVIAL)),

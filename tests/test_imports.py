@@ -84,3 +84,19 @@ def test_document_keys_are_checked_in_one_place():
               and id(node) not in inside
               and ("has unknown key" in node.value or " lacks " in node.value)]
     assert not copies, f"document key messages outside check_keys: {', '.join(copies)}"
+
+
+def test_stacks_are_built_in_one_place():
+    # a stack built anywhere but linmodel.build_observability would skip the
+    # model's own stack, and a check could answer for another model
+    trees, _ = package_trees()
+    inside = {id(node) for module, tree in trees if module == "linmodel.py"
+              for helper in tree.body
+              if isinstance(helper, ast.FunctionDef) and helper.name == "build_observability"
+              for node in ast.walk(helper)}
+    calls = [(module, node) for module, tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ObservabilityStack"]
+    assert any(id(node) in inside for _, node in calls)
+    copies = [f"{module}: line {node.lineno}" for module, node in calls if id(node) not in inside]
+    assert not copies, f"ObservabilityStack built outside build_observability: {', '.join(copies)}"
