@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -119,9 +119,9 @@ class Estimate:
         }
 
 
-def _solve_strategy(model: SystemModel, config: EstimatorConfig) -> Strategy:
-    """The strategy the solve runs: ``conflict_agree`` runs as ``conflict``
-    unless agreement certificates are sound.
+def _solve_strategy(model: SystemModel, config: EstimatorConfig, s_bar: int) -> Strategy:
+    """The strategy a solve under budget ``s_bar`` runs: ``conflict_agree``
+    runs as ``conflict`` unless agreement certificates are sound.
 
     They are only sound on exact data, and only when the state stays
     observable after losing any 3*s_bar sensors: under noise an attack below
@@ -132,10 +132,10 @@ def _solve_strategy(model: SystemModel, config: EstimatorConfig) -> Strategy:
     """
     if config.strategy is not Strategy.CONFLICT_AGREE:
         return config.strategy
-    if model.p <= 3 * model.s_bar or np.any(model.noise_bounds > 0):
+    if model.p <= 3 * s_bar or np.any(model.noise_bounds > 0):
         return Strategy.CONFLICT
     try:
-        if check_sparse_observability(model, 3 * model.s_bar):
+        if check_sparse_observability(model, 3 * s_bar):
             return Strategy.CONFLICT_AGREE
     except SubsetCapError:
         pass
@@ -159,12 +159,18 @@ def estimate(
     another model, raises ``ValueError``.
     """
     require_fit(model, stack, window)
-    p, s_bar = model.p, model.s_bar
+    return _solve(model, stack, window, config, model.s_bar)
+
+
+def _solve(model: SystemModel, stack: ObservabilityStack, window: StackedWindow,
+           config: EstimatorConfig, s_bar: int) -> Estimate:
+    """``estimate``'s loop under the attack budget ``s_bar``, on a stack and
+    window already checked against the model."""
     started = time.perf_counter()
     # a support of every sensor leaves no equation to check: not a hypothesis
-    inst = satcore.new_instance(p, min(s_bar, p - 1))
-    strategy = _solve_strategy(model, config)
-    cap = config.iteration_cap(p, s_bar)
+    inst = satcore.new_instance(model.p, min(s_bar, model.p - 1))
+    strategy = _solve_strategy(model, config, s_bar)
+    cap = config.iteration_cap(model.p, s_bar)
     result = Estimate(
         feasible=False,
         x=None,
@@ -179,7 +185,7 @@ def estimate(
         cert = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({i}))
         result.certificates.append(cert)
         inst.add_constraint(cert)
-    everyone = set(range(p))
+    everyone = set(range(model.p))
     while result.iterations < cap and (suspected := inst.solve()) is not None:
         result.iterations += 1
         check = t_check(stack, window, everyone.difference(suspected),
@@ -219,18 +225,21 @@ def minimal_support_estimate(
     """Feasible estimate with the smallest attack budget that still explains
     the data.
 
-    Runs the budgeted problem with the budget descending from the model's
-    s_bar; certificates are not carried across budgets (clean-sensor
-    certificates are only sound under the budget they were derived for).
+    Runs the budgeted problem on the model and stack it is given, with the
+    budget descending from the model's s_bar, so every budget reads and
+    writes the model's one sparse-observability memo; certificates are not
+    carried across budgets (clean-sensor certificates are only sound under
+    the budget they were derived for).
     The result's ``iterations`` and ``stats`` are totals over every budget
     tried, the final infeasible one included.  The iteration cap holds per
     budget; an ``IterationLimitError`` carries the same totals, the capped
     budget included.
     """
+    require_fit(model, stack, window)
     budget, iterations, stats, last_feasible = model.s_bar, 0, SolveStats(), None
     while budget >= 0:
         try:
-            outcome = estimate(replace(model, s_bar=budget), stack, window, config)
+            outcome = _solve(model, stack, window, config, budget)
         except IterationLimitError as exc:
             raise IterationLimitError(iterations + exc.iterations, stats + exc.stats) from None
         iterations, stats = iterations + outcome.iterations, stats + outcome.stats

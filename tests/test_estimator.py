@@ -307,15 +307,15 @@ def test_minimal_support_infeasible_at_budget_propagates():
 def test_minimal_support_sums_counts_over_budgets(monkeypatch):
     inst = generate_instance(3, 9, 3, 3, "2s", 0.0, seed=1)
     config = cfg(Strategy.TRIVIAL, epsilon=1e-6)
-    returned = []  # each budget's totals as estimate returns them, in budget order
-    real = estimator.estimate
+    returned = []  # each budget's totals as its solve returns them, in budget order
+    real = estimator._solve
 
     def recording(*args):
         outcome = real(*args)
         returned.append((outcome.iterations, replace(outcome.stats)))
         return outcome
 
-    monkeypatch.setattr(estimator, "estimate", recording)
+    monkeypatch.setattr(estimator, "_solve", recording)
     result = minimal_support_estimate(inst.model, inst.stack, inst.window, config)
     iterations, stats = zip(*returned)
     assert len(returned) == 2
@@ -332,6 +332,27 @@ def test_minimal_support_sums_counts_over_budgets(monkeypatch):
     untimed = [replace(r.stats, solve_time=0.0) for r in (result, *per_budget)]
     assert untimed[0] == untimed[1] + untimed[2]
     assert result.stats.decisions > per_budget[0].stats.decisions > 0
+
+
+def test_minimal_support_runs_every_budget_on_the_callers_model(monkeypatch):
+    # budgets 20 and 3: every budget solves on the model and stack it is
+    # given, so no stack is built and budget 3's level-9 gate proof lands
+    # in the caller's memo
+    inst = generate_instance(25, 60, 4, 20, "2s", 0.0, seed=9388)
+    built = []
+    real = linmodel.build_observability
+
+    def counting(model):
+        if model._stack is None:
+            built.append(model.s_bar)
+        return real(model)
+
+    monkeypatch.setattr(linmodel, "build_observability", counting)
+    result = minimal_support_estimate(inst.model, inst.stack, inst.window)
+    assert built == []
+    assert result.support == inst.attacked and result.budget == 4
+    calls = _count_rank_calls(monkeypatch)
+    assert check_sparse_observability(inst.model, 9) and not calls
 
 
 def test_capped_minimal_support_reports_totals_over_budgets():
