@@ -139,7 +139,8 @@ def generate_instance(
     uniform range ``{"lo": lo, "hi": hi}``.
     Fully deterministic for a given seed.
     """
-    n, s = whole_number(n, "n", 1), whole_number(s, "s", 0)
+    n, p, s = whole_number(n, "n", 1), whole_number(p, "p", 1), whole_number(s, "s", 0)
+    s_bar, seed = whole_number(s_bar, "s_bar", 0), whole_number(seed, "seed", 0)
     if s > s_bar:
         raise ValueError(f"s={s} exceeds the budget s_bar={s_bar}")
     if observability_level not in ("2s", "3s"):

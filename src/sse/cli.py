@@ -35,6 +35,7 @@ from .linmodel import (
     SubsetCapError,
     SystemModel,
     build_observability,
+    check_epsilon,
     check_sparse_observability,
     compute_delta_s,
     compute_o_bar,
@@ -110,8 +111,15 @@ def _estimator_config(args) -> EstimatorConfig:
 
 def cmd_observability(args) -> int:
     model = _read_json(args.model, "model file", SystemModel.from_json_dict)
-    stack = build_observability(model)
     p = model.p
+    # flags are checked before anything is printed or proved
+    max_s = (min(2 * model.s_bar, p) if args.max_s is None
+             else whole_number(args.max_s, "max_s", 0, p))
+    min_card = (max(p - model.s_bar, 1) if args.min_card is None
+                else whole_number(args.min_card, "min_card", 1, p))
+    whole_number(args.subset_cap, "subset_cap", 0)
+    check_epsilon(args.epsilon)
+    stack = build_observability(model)
     out = sys.stdout
     out.write(f"n={model.n} m={model.m} p={p} tau={model.tau} s_bar={model.s_bar}\n")
     if model.s_bar >= math.ceil(p / 2):
@@ -120,11 +128,9 @@ def cmd_observability(args) -> int:
             f"reconstructed if that many sensors are attacked\n"
         )
     out.write("kernel_dims=" + ",".join(str(int(k)) for k in stack.block_kernel_dims) + "\n")
-    max_s = args.max_s if args.max_s is not None else min(2 * model.s_bar, p)
     for s in range(max_s + 1):
         ok = check_sparse_observability(model, s, subset_cap=args.subset_cap)
         out.write(f"sparse_observable s={s}: {'yes' if ok else 'no'}\n")
-    min_card = max(p - model.s_bar, 1) if args.min_card is None else args.min_card
     o_bar = compute_o_bar(stack, min_card, subset_cap=args.subset_cap,
                           full_rank_only=args.full_rank_only)
     out.write(f"o_bar (|I| >= {min_card}) = {format_exact(o_bar)}\n")

@@ -273,11 +273,17 @@ class GuaranteeBounds:
 def delta_bound(
     model: SystemModel, constants: RobustnessConstants, epsilon: float
 ) -> GuaranteeBounds:
-    """Evaluate the noise-robustness guarantees for this model."""
-    if constants.delta_s >= 1.0:
+    """Evaluate the noise-robustness guarantees for this model.
+
+    ``delta_s`` must be in [0, 1) and ``o_bar`` non-negative (NaN fails
+    both); an infinite ``o_bar`` means no error bound holds.
+    """
+    if not 0.0 <= constants.delta_s < 1.0:
         raise ValueError(
-            f"delta_s must be < 1 for the guarantees to hold, got {constants.delta_s}"
+            f"delta_s must be in [0, 1) for the guarantees to hold, got {constants.delta_s}"
         )
+    if not constants.o_bar >= 0.0:
+        raise ValueError(f"o_bar must be non-negative, got {constants.o_bar}")
     check_epsilon(epsilon)
     psi_sq = float(np.dot(model.noise_bounds, model.noise_bounds))
     gap = 1.0 - constants.delta_s

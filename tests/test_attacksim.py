@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,27 @@ def test_generator_rejects_impossible_level():
         generate_instance(3, 6, 1, 2, "3s", 0.0, seed=0)
     with pytest.raises(ValueError, match="budget"):
         generate_instance(3, 6, 3, 2, "2s", 0.0, seed=0)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((3, 8.5, 0, 2), {}, "p must be a whole number, got 8.5"),
+    ((3, 0, 0, 0), {}, "p must be at least 1, got 0"),
+    ((3, 8, 0, 2.5), {}, "s_bar must be a whole number, got 2.5"),
+    ((3, 8, 0, -1), {}, "s_bar must be non-negative, got -1"),
+    ((3, 8, 0, 2), {"seed": -1}, "seed must be non-negative, got -1"),
+    ((3, 8, 0, 2), {"seed": 1.5}, "seed must be a whole number, got 1.5"),
+], ids=["p_fraction", "p_zero", "s_bar_fraction", "s_bar_negative", "seed_negative",
+        "seed_fraction"])
+def test_generator_range_checks_p_s_bar_and_seed(args, kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        generate_instance(*args, **kwargs)
+
+
+def test_generator_takes_whole_floats_as_their_ints():
+    a = generate_instance(3, 8, 1, 2, "2s", 0.0, seed=1)
+    b = generate_instance(3, 8.0, 1, 2.0, "2s", 0.0, seed=1.0)
+    assert b.model.p == 8 and b.model.s_bar == 2 and b.attacked == a.attacked
+    assert np.array_equal(a.outputs, b.outputs)
 
 
 def test_generator_rejects_an_unknown_level():

@@ -166,6 +166,26 @@ def test_negative_subset_cap_is_input_error(ugv_model_file, capsys):
     assert capsys.readouterr().err == "error: subset_cap must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--max-s", "-1"], "max_s must be in [0, 8], got -1"),
+    (["--max-s", "20"], "max_s must be in [0, 8], got 20"),
+    (["--min-card", "0"], "min_card must be in [1, 8], got 0"),
+    (["--min-card", "9"], "min_card must be in [1, 8], got 9"),
+    (["--subset-cap", "-1"], "subset_cap must be non-negative, got -1"),
+    (["--epsilon", "nan"], "epsilon must be non-negative, got nan"),
+    (["--epsilon", "inf"], "epsilon must be finite, got inf"),
+], ids=["max_s_negative", "max_s_above_p", "min_card_zero", "min_card_above_p",
+        "subset_cap_negative", "epsilon_nan", "epsilon_inf"])
+def test_observability_checks_its_flags_before_any_output(tmp_path, capsys, flags, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(generate_instance(2, 8, 1, 2, "2s", 0.0, seed=1).model
+                               .to_json_dict()))
+    assert main(["observability", str(path), *flags]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # estimate / oracle
 # ---------------------------------------------------------------------------

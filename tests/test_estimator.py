@@ -445,6 +445,25 @@ def test_delta_bound_rejects_degenerate_leakage():
         delta_bound(toy_model(0.1), RobustnessConstants(0.5, 1.0), 0.0)
 
 
+@pytest.mark.parametrize("o_bar, delta_s, message", [
+    # negative leakage would shrink the threshold below zero leakage's
+    (1.0, -3.0, "delta_s must be in [0, 1) for the guarantees to hold, got -3.0"),
+    (1.0, math.nan, "delta_s must be in [0, 1) for the guarantees to hold, got nan"),
+    (1.0, math.inf, "delta_s must be in [0, 1) for the guarantees to hold, got inf"),
+    (-1.0, 0.5, "o_bar must be non-negative, got -1.0"),
+    (math.nan, 0.5, "o_bar must be non-negative, got nan"),
+], ids=["delta_s_negative", "delta_s_nan", "delta_s_inf", "o_bar_negative", "o_bar_nan"])
+def test_delta_bound_rejects_constants_out_of_range(o_bar, delta_s, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        delta_bound(toy_model(0.1), RobustnessConstants(o_bar, delta_s), 1e-6)
+
+
+def test_delta_bound_with_no_pseudo_inverse_bound_bounds_no_error():
+    bounds = delta_bound(toy_model(0.1), RobustnessConstants(math.inf, 0.5), 1e-6)
+    assert bounds.detected_delta == bounds.undetected_bound == math.inf
+    assert bounds.detection_threshold_sq == pytest.approx(0.4 + 2e-6, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # noiseless delta-completeness (randomized, small scale)
 # ---------------------------------------------------------------------------

@@ -27,11 +27,19 @@ set-ups: the answer of each 3 s_bar-sparse observability check that the
 ``delta_s``, and the bytes of the vehicle's ``ugv_guarantees`` constants.  A
 change to ``linmodel``'s analysis that keeps its answers prints the same one.
 
-Last comes one trace digest per workload, over every iteration record of
+Then comes one trace digest per workload, over every iteration record of
 its estimates (the ``trace`` that ``sse estimate`` prints): the record's
 ``support``, ``sat`` and the bytes of ``residual_sq``.  It moves when a
 check's verdict or residual does, a rejected check's included, even where
 the estimates' answers and certificates hold.
+
+The last line is the minimal-support digest, which no workload covers: it
+runs ``minimal_support_estimate`` with the default configuration on the
+exact desk instances ``generate_instance(25, 60, s, 20, "2s", 0.0,
+seed=9000 + 97 * s + k)`` for s in {3, 4} and k = 0-3, and hashes each
+search's ``support``, ``iterations``, ``stats`` counts (all but
+``solve_time``) and the bytes of ``x``, followed by the searches' total
+iterations.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ from perfbench.workloads import WORKLOADS, PlantStream, UgvLoop  # noqa: E402
 
 ROUNDS = {"desk_sweep": 1, "ugv_loop": 75, "plant_stream": 5}
 SEED = 0
+MINIMAL_SEARCHES = [(s, 9000 + 97 * s + k) for s in (3, 4) for k in range(4)]
 
 
 class _Untimed:
@@ -158,6 +167,19 @@ def analysis_digest() -> str:
     return h.hexdigest()
 
 
+def minimal_digest() -> tuple:
+    """(SHA-256 over the minimal-support searches, their total iterations);
+    see the module docstring."""
+    h, iterations = hashlib.sha256(), 0
+    for s, seed in MINIMAL_SEARCHES:
+        inst = sse.attacksim.generate_instance(25, 60, s, 20, "2s", 0.0, seed=seed)
+        out = sse.minimal_support_estimate(inst.model, inst.stack, inst.window)
+        h.update(repr((out.support, out.iterations, _counts(out.stats))).encode()
+                 + np.ascontiguousarray(out.x, dtype=float).tobytes())
+        iterations += out.iterations
+    return h.hexdigest(), iterations
+
+
 if __name__ == "__main__":
     digest, per_workload, answers, traces, hashed, totals = fingerprint()
     if not all(hashed.values()):
@@ -172,3 +194,5 @@ if __name__ == "__main__":
     print("analysis", analysis_digest())
     for name, trace in traces.items():
         print(name, f"trace={trace}")
+    minimal, iterations = minimal_digest()
+    print("minimal", minimal, f"searches={len(MINIMAL_SEARCHES)}", f"iterations={iterations}")
