@@ -177,9 +177,9 @@ def test_negative_subset_cap_is_input_error(ugv_model_file, capsys):
 ], ids=["max_s_negative", "max_s_above_p", "min_card_zero", "min_card_above_p",
         "subset_cap_negative", "epsilon_nan", "epsilon_inf"])
 def test_observability_checks_its_flags_before_any_output(tmp_path, capsys, flags, message):
+    model = generate_instance(2, 8, 1, 2, "2s", 0.0, seed=1).model
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(generate_instance(2, 8, 1, 2, "2s", 0.0, seed=1).model
-                               .to_json_dict()))
+    path.write_text(json.dumps(model.to_json_dict()))
     assert main(["observability", str(path), *flags]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
