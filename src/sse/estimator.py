@@ -276,7 +276,8 @@ def delta_bound(
     """Evaluate the noise-robustness guarantees for this model.
 
     ``delta_s`` must be in [0, 1) and ``o_bar`` non-negative (NaN fails
-    both); an infinite ``o_bar`` means no error bound holds.
+    both); an infinite ``o_bar`` means no error bound holds, so both error
+    bounds are inf, on a noiseless model too.
     """
     if not 0.0 <= constants.delta_s < 1.0:
         raise ValueError(
@@ -292,6 +293,8 @@ def delta_bound(
     undetected = 2.0 * constants.o_bar * (1.0 + 2.0 / gap) * psi_sq + (
         2.0 * constants.o_bar * epsilon / gap
     )
+    if constants.o_bar == math.inf:  # inf * 0 reads NaN on a noiseless model
+        detected = undetected = math.inf
     return GuaranteeBounds(
         detected_delta=detected,
         detection_threshold_sq=threshold,

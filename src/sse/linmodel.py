@@ -37,6 +37,17 @@ CHUNK_FLOATS = 1 << 15
 # blocks' squared norms (derived in ``check_sparse_observability``).
 SCREEN_RTOL = 1e-8
 
+# ``compute_delta_s`` hands a batch of fewer pairs than this straight to
+# ``eigvalsh``: below it the trace bound costs more than the eigenvalues it
+# skips.  Measured break-even: about 20 pairs of n x n matrices for n = 4 to
+# 8, about 100 for n = 2, where such a batch costs some 20 us either way.
+BOUND_MIN_PAIRS = 24
+
+# ``compute_delta_s`` skips a pair only when its trace bound misses the
+# running maximum by more than this times the bound on the pair's spectral
+# norm (derived there).
+BOUND_SLACK = 1e-8
+
 
 class SubsetCapError(RuntimeError):
     """A call would examine more sensor sets than its subset cap allows."""
@@ -536,6 +547,28 @@ def compute_o_bar(
     return worst
 
 
+def _leakage_max(m: np.ndarray, worst: float) -> float:
+    """max(worst, the largest eigenvalue ``eigvalsh`` computes for each matrix
+    of ``m``), skipping, in a batch of at least ``BOUND_MIN_PAIRS``, every
+    matrix whose trace bound (see ``compute_delta_s``) cannot exceed it."""
+    if len(m) >= BOUND_MIN_PAIRS:
+        n = m.shape[-1]
+        flat = m.reshape(len(m), n * n)
+        diag = flat[:, :: n + 1]
+        mean = diag.sum(axis=1) / n
+        dev = diag - mean[:, None]
+        # n times the variance of the eigenvalues of the mirrored lower triangle
+        spread_sq = (dev * dev).sum(axis=1) + (flat * flat) @ (2 * np.tri(n, k=-1)).ravel()
+        spread = np.sqrt((n - 1) / n * spread_sq)
+        slack = BOUND_SLACK * (np.abs(mean) + spread)
+        floor = np.fmax(worst, np.fmax.reduce(diag.max(axis=1) - slack))
+        m = m[~(mean + spread + slack < floor)]
+        if not len(m):
+            return worst
+    # fmax passes over NaN, as max(worst, nan) does
+    return max(worst, float(np.fmax.reduce(np.linalg.eigvalsh(m)[:, -1])))
+
+
 def compute_delta_s(
     stack: ObservabilityStack,
     s_bar: int,
@@ -569,6 +602,29 @@ def compute_delta_s(
     delta_s is 1 (some I minus Gamma leaves a direction unseen); rounding
     then picks among them, and the last bits can differ from the full
     enumeration's.
+
+    Of the dominating pairs, ``eigvalsh`` sees only those whose leakage can
+    beat the running maximum.  It reads the lower triangle of each matrix
+    W G_Gamma W, with W = G_I^{-1/2}, so the bounds are taken on the
+    symmetric matrix S that triangle makes when mirrored, whatever rounding
+    left in the upper one.  With mean = tr(S) / n and spread =
+    sqrt((n - 1) / n * (||S||_F^2 - n mean^2)), every eigenvalue of a
+    symmetric S lies within mean +- spread (Wolkowicz and Styan, "Bounds for
+    eigenvalues using traces", Linear Algebra Appl. 29, 1980), so ||S||_2 <=
+    |mean| + spread, and lambda_max(S) >= max_i S_ii.  The spread is summed
+    from the diagonal's deviations from the mean and the off-diagonal
+    squares, all non-negative, so no cancellation under the square root
+    inflates its error.  ``eigvalsh`` and the computed bounds each err by a
+    small multiple of n^2 u ||S||_2 at most, with u = 2^-53: far below the
+    margin e = ``BOUND_SLACK`` (|mean| + spread).  A pair is skipped when
+    mean + spread + e falls below the running maximum or below the largest
+    max_i S_ii - e of its batch.  Its computed eigenvalue then lies strictly
+    below the running maximum or below that of the pair holding that
+    diagonal entry, which is kept unless it too lies below the running
+    maximum; so the maximum is a kept pair's ``eigvalsh`` value, with the
+    same bits.  A pair whose bounds are
+    NaN is kept, and a batch of fewer than ``BOUND_MIN_PAIRS`` pairs goes
+    straight to ``eigvalsh``.
     """
     p, n = stack.p, stack.n
     s_bar = whole_number(s_bar, "s_bar", 0, p)
@@ -626,9 +682,7 @@ def compute_delta_s(
                     scale.reshape(len(idx), n * n)[:, :: n + 1] = 1.0 / np.sqrt(eigvals)
                     inv_sqrt = eigvecs @ scale @ eigvecs.transpose(0, 2, 1)
                 w = inv_sqrt[owner]
-                lam = np.linalg.eigvalsh(w @ sums[gamma] @ w)[:, -1]
-                # fmax passes over NaN, as max(worst, nan) does
-                worst = max(worst, float(np.fmax.reduce(lam)))
+                worst = _leakage_max(w @ sums[gamma] @ w, worst)
         if not any_singular and min(s_bar, len(surface)) < size:
             break
     return worst

@@ -464,6 +464,13 @@ def test_delta_bound_with_no_pseudo_inverse_bound_bounds_no_error():
     assert bounds.detection_threshold_sq == pytest.approx(0.4 + 2e-6, rel=1e-12)
 
 
+def test_delta_bound_with_no_pseudo_inverse_bound_is_infinite_without_noise():
+    # o_bar * |Psi|^2 is inf * 0 here: no bound, not NaN
+    bounds = delta_bound(toy_model(0.0), RobustnessConstants(math.inf, 0.5), 0.0)
+    assert bounds.detected_delta == bounds.undetected_bound == math.inf
+    assert bounds.detection_threshold_sq == 0.0
+
+
 # ---------------------------------------------------------------------------
 # noiseless delta-completeness (randomized, small scale)
 # ---------------------------------------------------------------------------

@@ -615,8 +615,10 @@ def outcome(f, *args, **kwargs):
 @pytest.mark.parametrize("chunk_floats", [1, 300, linmodel.CHUNK_FLOATS],
                          ids=["one_subset", "few_subsets", "default"])
 def test_batched_analysis_equals_per_subset_reference(monkeypatch, chunk_floats):
-    # one subset per chunk, a few per chunk, and the default bound
+    # one subset per chunk, a few per chunk, and the default bound; every
+    # batch of pairs goes through compute_delta_s's trace bound
     monkeypatch.setattr(linmodel, "CHUNK_FLOATS", chunk_floats)
+    monkeypatch.setattr(linmodel, "BOUND_MIN_PAIRS", 0)
     rng = np.random.default_rng(chunk_floats)
     errors = 0
     for _ in range(10):
@@ -641,6 +643,33 @@ def test_batched_analysis_equals_per_subset_reference(monkeypatch, chunk_floats)
                     assert got == want
                     errors += isinstance(want, str)
     assert errors  # the first singular subset was named at least once
+
+
+@pytest.mark.parametrize("s_bar", [2, 3])
+def test_trace_bound_keeps_plant_sized_delta_s(monkeypatch, s_bar):
+    # p = 12 as in the benchmark's plants: batches large enough for the trace
+    # bound, which must skip pairs and still return the reference's bits
+    model = random_model(np.random.default_rng(s_bar), n=4, p=12, tau=3, s_bar=s_bar)
+    stack = build_observability(model)
+    surfaces = [None, [0, 2, 3, 5, 7, 8, 11]]
+    want = [reference_delta_s(stack, s_bar, attackable) for attackable in surfaces]
+    pairs = rows = 0
+    leakage_max, eigvalsh = linmodel._leakage_max, np.linalg.eigvalsh
+
+    def counting_leakage_max(m, worst):
+        nonlocal pairs
+        pairs += len(m)
+        return leakage_max(m, worst)
+
+    def counting_eigvalsh(m):
+        nonlocal rows
+        rows += len(m)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(linmodel, "_leakage_max", counting_leakage_max)
+    monkeypatch.setattr(linmodel.np.linalg, "eigvalsh", counting_eigvalsh)
+    assert [compute_delta_s(stack, s_bar, attackable=a) for a in surfaces] == want
+    assert 0 < rows < pairs
 
 
 def test_sparse_observability_stops_at_first_deficient_chunk(monkeypatch):

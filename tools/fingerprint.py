@@ -24,8 +24,11 @@ than 2 iterations, and the most any took.
 The next line is the analysis digest, over the model analysis of the seed-0
 set-ups: the answer of each 3 s_bar-sparse observability check that the
 ``plant_stream`` plant draws make, the bytes of each plant's ``o_bar`` and
-``delta_s``, and the bytes of the vehicle's ``ugv_guarantees`` constants.  A
-change to ``linmodel``'s analysis that keeps its answers prints the same one.
+``delta_s``, the bytes of the vehicle's ``ugv_guarantees`` constants, and
+the bytes of ``delta_s`` at s_bar = 3 on the stack of
+``generate_instance(4, 14, 1, 3, "3s", seed=3)``, where ``compute_delta_s``'s
+trace bound skips most pairs.  A change to ``linmodel``'s analysis that keeps
+its answers prints the same one.
 
 Then comes one trace digest per workload, over every iteration record of
 its estimates (the ``trace`` that ``sse estimate`` prints): the record's
@@ -164,6 +167,8 @@ def analysis_digest() -> str:
                                                 UgvLoop.config.epsilon)
     for o_bar, delta_s in [(pl.o_bar, pl.delta_s) for pl in plants] + [astuple(constants)]:
         h.update(np.array([o_bar, delta_s], dtype=float).tobytes())
+    wide = sse.attacksim.generate_instance(4, 14, 1, 3, "3s", seed=3).stack
+    h.update(np.float64(sse.compute_delta_s(wide, 3)).tobytes())
     return h.hexdigest()
 
 
