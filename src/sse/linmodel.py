@@ -622,9 +622,8 @@ def compute_delta_s(
     below the running maximum or below that of the pair holding that
     diagonal entry, which is kept unless it too lies below the running
     maximum; so the maximum is a kept pair's ``eigvalsh`` value, with the
-    same bits.  A pair whose bounds are
-    NaN is kept, and a batch of fewer than ``BOUND_MIN_PAIRS`` pairs goes
-    straight to ``eigvalsh``.
+    same bits.  A pair whose bounds are NaN is kept, and a batch of fewer
+    than ``BOUND_MIN_PAIRS`` pairs goes straight to ``eigvalsh``.
     """
     p, n = stack.p, stack.n
     s_bar = whole_number(s_bar, "s_bar", 0, p)
