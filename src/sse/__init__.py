@@ -10,6 +10,7 @@ from .estimator import (
     minimal_support_estimate,
 )
 from .linmodel import (
+    GramOverflowError,
     GramSingularError,
     ObservabilityStack,
     RobustnessConstants,

@@ -47,11 +47,15 @@ PATH_LENGTH = 5.0  # position target of the square path's outbound legs
 # examined sets.  With at most AUDIT_EXACT_LIMIT removals the check is exact
 # and a failing system is resampled.  Above that the first system is kept,
 # proven where a partition of the sensors proves the level within the cap and
-# unproven otherwise (a Gaussian C fails it with probability zero), and the
-# generator draws AUDIT_SAMPLES kept sets, unused, whatever the check
-# answered, so every instance keeps its random stream.
+# unproven otherwise (a Gaussian C fails it with probability zero).  Either
+# way the generator then advances its stream as AUDIT_SAMPLES calls of
+# ``rng.choice(p, p - level, replace=False)`` would, without making them:
+# that stream defines every instance above the limit, criterion 4's grid and
+# the benchmark's desk instances among them.
 AUDIT_SAMPLES = 200
 AUDIT_EXACT_LIMIT = 20_000
+# ``_skip_choices`` makes at most about this many bounded draws per call.
+SKIP_CHUNK_DRAWS = 1 << 15
 
 # Random systems drawn before generate_instance gives up on a level.
 MAX_RESAMPLES = 1000
@@ -105,6 +109,28 @@ class GeneratedInstance:
     noise_blocks: dict       # sensor -> stacked noise vector over the window
     outputs: np.ndarray      # raw tau x p samples
     inputs: np.ndarray       # raw tau x m samples
+
+
+def _skip_choices(rng: np.random.Generator, p: int, k: int, times: int) -> None:
+    """Advance ``rng`` exactly as ``times`` calls of ``rng.choice(p, size=k,
+    replace=False)`` would, with ``integers`` calls of at most about
+    ``SKIP_CHUNK_DRAWS`` draws each (one call at desk scale).
+
+    Each such call draws one bounded integer per inclusive upper bound below,
+    in this order.  Above 10,000 items, when k exceeds p // 50, numpy swaps
+    each of the last k slots of ``arange(p)`` with one at or below it (its
+    tail shuffle, which stops above slot 0); otherwise it picks with Floyd's
+    algorithm, one draw in [0, j] for each j from p - k to p - 1, and then
+    shuffles the k picks.  ``integers`` draws its bounded integers the same
+    way, and a bound of 0 draws nothing in either.
+    """
+    if p > 10_000 and k > p // 50:
+        highs = np.arange(p - 1, max(p - k, 1) - 1, -1)
+    else:
+        highs = np.concatenate([np.arange(p - k, p), np.arange(k - 1, 0, -1)])
+    rows = max(1, SKIP_CHUNK_DRAWS // len(highs))
+    for start in range(0, times, rows):
+        rng.integers(0, highs, endpoint=True, size=(min(rows, times - start), len(highs)))
 
 
 def _resolve_tau(n: int, p: int, level_s: int) -> int:
@@ -167,8 +193,7 @@ def generate_instance(
         except SubsetCapError:
             held = False
         if math.comb(p, level_s) > AUDIT_EXACT_LIMIT:
-            for _ in range(AUDIT_SAMPLES):
-                rng.choice(p, size=p - level_s, replace=False)
+            _skip_choices(rng, p, p - level_s, AUDIT_SAMPLES)
             break
         if held:
             break
@@ -195,13 +220,14 @@ def generate_instance(
     attack_blocks = {}
     for sensor, norm in zip(attacked, norms):
         direction = rng.normal(size=tau)
-        direction /= np.linalg.norm(direction)
+        # the square root of the same dot that np.linalg.norm takes
+        direction /= math.sqrt(direction.dot(direction))
         attack_blocks[sensor] = direction * norm
 
     noise_blocks = {}
     for sensor in range(p):
         direction = rng.normal(size=tau)
-        direction /= np.linalg.norm(direction)
+        direction /= math.sqrt(direction.dot(direction))
         radius = bounds[sensor] * rng.uniform() ** (1.0 / tau)
         noise_blocks[sensor] = direction * radius
 

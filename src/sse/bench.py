@@ -21,9 +21,11 @@ from .theory import DEFAULT_EPSILON, Strategy
 
 BENCH_FIELDS = [
     "record", "sweep", "trial", "n", "p", "s", "s_bar", "strategy", "seed",
-    "status", "iterations", "theory_checks", "conflict_fallbacks", "wall_time",
-    "estimation_error", "theoretical_bound",
+    "status", "iterations", "theory_checks", "conflict_fallbacks", "solve_calls",
+    "decisions", "conflicts", "wall_time", "estimation_error", "theoretical_bound",
 ]
+# SolveStats counts that every trial row carries, a capped trial's included
+STATS_FIELDS = ("theory_checks", "conflict_fallbacks", "solve_calls", "decisions", "conflicts")
 SWEEP_KEYS = ("n", "p", "s", "s_bar", "trials", "seed", "strategies", "observability",
               "noise", "attack_norm", "epsilon", "max_iterations")
 
@@ -50,8 +52,7 @@ def _run_bench_trial(task: dict) -> list[dict]:
             "record": "trial", "sweep": sweep_idx, "trial": trial, "n": n, "p": p,
             "s": s, "s_bar": s_bar, "strategy": strategy.value, "seed": seed,
             "theoretical_bound": iteration_bound(strategy, p, s_bar),
-            "iterations": "", "theory_checks": "", "conflict_fallbacks": "",
-            "estimation_error": "",
+            "iterations": "", "estimation_error": "", **dict.fromkeys(STATS_FIELDS, ""),
         }
         start = time.perf_counter()
         solved = None  # the Estimate, or a capped solve's IterationLimitError
@@ -71,8 +72,7 @@ def _run_bench_trial(task: dict) -> list[dict]:
         row["wall_time"] = time.perf_counter() - start
         if solved is not None:
             row["iterations"] = solved.iterations
-            row["theory_checks"] = solved.stats.theory_checks
-            row["conflict_fallbacks"] = solved.stats.conflict_fallbacks
+            row.update((name, getattr(solved.stats, name)) for name in STATS_FIELDS)
         rows.append(row)
     return rows
 

@@ -181,6 +181,22 @@ def test_generator_above_the_exact_limit_keeps_its_stream():
     assert np.array_equal(inst.x_true, rng.normal(size=n) * attacksim.STATE_SCALE)
 
 
+@pytest.mark.parametrize("p, k", [
+    (60, 40), (60, 20), (14, 8), (12, 1), (5, 5), (10000, 9000),  # Floyd's algorithm
+    (10001, 150), (10001, 200),  # Floyd's algorithm: k <= p // 50 above 10,000 items
+    (10001, 201), (10001, 300), (20000, 19999), (10001, 10001),  # tail shuffle
+])
+def test_skipped_choices_leave_the_stream_of_repeated_choices(p, k):
+    # both of numpy's regimes for choice without replacement, and their edges
+    drawn, skipped = np.random.default_rng(p + k), np.random.default_rng(p + k)
+    for rng in (drawn, skipped):
+        rng.normal(size=3)
+    for _ in range(3):
+        drawn.choice(p, size=k, replace=False)
+    attacksim._skip_choices(skipped, p, k, 3)
+    assert skipped.bit_generator.state == drawn.bit_generator.state
+
+
 def test_generator_resamples_a_system_that_fails_the_exact_check(monkeypatch):
     real = attacksim.check_sparse_observability
     calls = []

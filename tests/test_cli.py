@@ -186,6 +186,23 @@ def test_observability_checks_its_flags_before_any_output(tmp_path, capsys, flag
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["observability", "estimate"])
+def test_a_model_whose_grams_overflow_is_input_error(tmp_path, capsys, command):
+    # the blocks are finite, their Grams are not
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"A": [[1e200, 0], [0, 1e200]], "B": [[0], [0]],
+                                "C": [[1, 0], [0, 1], [1, 1], [1, -1]], "tau": 2,
+                                "s_bar": 1, "noise_bounds": [0, 0, 0, 0]}))
+    trace = tmp_path / "trace.csv"
+    write_window_trace(trace, np.zeros((2, 4)), np.zeros((2, 1)))
+    args = [str(path)] + ([str(trace)] if command == "estimate" else [])
+    assert main([command, *args]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the squared entries of the model's observability "
+                                   "blocks sum to inf")
+
+
 # ---------------------------------------------------------------------------
 # estimate / oracle
 # ---------------------------------------------------------------------------
@@ -613,6 +630,23 @@ def test_bench_trial_rows_carry_the_solve_counts():
     assert any(row["theory_checks"] > 0 for row in rows)
 
 
+def test_bench_capped_trivial_desk_row_carries_the_sat_counts():
+    # criterion 4's trivial desk rows stop at the cap; their SAT counts come
+    # from the IterationLimitError's stats
+    sweep = {"n": 25, "p": 60, "s": 8, "s_bar": 20, "seed": 3, "strategies": ["trivial"],
+             "max_iterations": 5}
+    (row,) = [r for r in run_bench({"sweeps": [sweep]}) if r["record"] == "trial"]
+    inst = generate_instance(25, 60, 8, 20, seed=3)
+    with pytest.raises(IterationLimitError) as capped:
+        estimate(inst.model, inst.stack, inst.window,
+                 EstimatorConfig(strategy="trivial", max_iterations=5))
+    stats = capped.value.stats
+    assert row["status"] == "capped"
+    assert ({name: row[name] for name in sse.bench.STATS_FIELDS}
+            == {name: getattr(stats, name) for name in sse.bench.STATS_FIELDS})
+    assert row["solve_calls"] == 5 and row["decisions"] > 0
+
+
 def _infeasible_estimate(*args):
     return Estimate(feasible=False, x=None, iterations=4, certificates=[],
                     residual_sq=None, strategy=Strategy.CONFLICT)
@@ -762,7 +796,8 @@ def test_bench_empty_sweep_list_runs_nothing(tmp_path, capsys):
     assert run_bench({"sweeps": []}) == []
     assert main(["bench", bench_spec(tmp_path, [])]) == 0
     header = ("record,sweep,trial,n,p,s,s_bar,strategy,seed,status,iterations,theory_checks,"
-              "conflict_fallbacks,wall_time,estimation_error,theoretical_bound")
+              "conflict_fallbacks,solve_calls,decisions,conflicts,wall_time,estimation_error,"
+              "theoretical_bound")
     assert capsys.readouterr().out.strip() == header == ",".join(sse.bench.BENCH_FIELDS)
 
 

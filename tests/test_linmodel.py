@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sse import (
+    GramOverflowError,
     GramSingularError,
     SubsetCapError,
     SystemModel,
@@ -21,7 +22,8 @@ from sse import (
 )
 from sse import linmodel
 from sse.attacksim import discretize_ugv, generate_instance
-from sse.linmodel import numerical_rank
+from sse.estimator import estimate
+from sse.linmodel import StackedWindow, numerical_rank
 
 from conftest import simulate_outputs, stack_rows
 
@@ -441,6 +443,37 @@ def test_delta_s_singular_gram_raises():
     assert 0.99 < delta < 1.0
 
 
+def scaled_model(scale):
+    """Blocks O_i = [C_i; scale C_i], whose squared entries sum to
+    6 (1 + scale^2): finite at 5e153, past the largest float at 5.5e153."""
+    return SystemModel(A=np.diag([scale, scale]), B=np.zeros((2, 1)),
+                       C=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]]),
+                       tau=2, s_bar=1, noise_bounds=np.zeros(4))
+
+
+@pytest.mark.parametrize("scale", [1e200, 5.5e153])
+@pytest.mark.parametrize("call", [
+    lambda model: estimate(model, build_observability(scaled_model(1.0)),
+                           StackedWindow(np.zeros((4, 2)))),
+    lambda model: check_sparse_observability(model, 1),
+    lambda model: compute_o_bar(build_observability(model), 3),
+    lambda model: compute_delta_s(build_observability(model), 1),
+], ids=["estimate", "check", "o_bar", "delta_s"])
+def test_a_model_whose_grams_overflow_is_refused(scale, call):
+    # finite blocks whose Grams overflow: unrefused, delta_s reads 0.0, the
+    # most optimistic leakage, and the check proves level 1
+    with pytest.raises(GramOverflowError, match="observability blocks sum to inf"):
+        call(scaled_model(scale))
+
+
+def test_a_model_just_inside_the_float_range_keeps_its_answers():
+    model = scaled_model(5e153)
+    stack = build_observability(model)
+    assert check_sparse_observability(model, 1)
+    assert compute_o_bar(stack, 3) == 4e-308
+    assert compute_delta_s(stack, 1) == 0.8333333333333333
+
+
 def test_delta_s_subset_cap():
     rng = np.random.default_rng(9)
     model = random_model(rng, n=2, p=12, tau=2, s_bar=4)
@@ -618,7 +651,7 @@ def test_batched_analysis_equals_per_subset_reference(monkeypatch, chunk_floats)
     # one subset per chunk, a few per chunk, and the default bound; every
     # batch of pairs goes through compute_delta_s's trace bound
     monkeypatch.setattr(linmodel, "CHUNK_FLOATS", chunk_floats)
-    monkeypatch.setattr(linmodel, "BOUND_MIN_PAIRS", 0)
+    monkeypatch.setattr(linmodel, "BOUND_MIN_FLOATS", 0)
     rng = np.random.default_rng(chunk_floats)
     errors = 0
     for _ in range(10):

@@ -43,6 +43,12 @@ seed=9000 + 97 * s + k)`` for s in {3, 4} and k = 0-3, and hashes each
 search's ``support``, ``iterations``, ``stats`` counts (all but
 ``solve_time``) and the bytes of ``x``, followed by the searches' total
 iterations.
+
+The generator line comes last: a digest over the instances of the seed-0
+``desk_sweep`` set-up, in set-up order, hashing the bytes of each one's
+``A``, ``B``, ``C``, ``x_true`` and ``outputs`` and its ``attacked``
+sensors, then their count.  It moves whenever ``generate_instance``'s random
+stream does.
 """
 
 from __future__ import annotations
@@ -185,6 +191,19 @@ def minimal_digest() -> tuple:
     return h.hexdigest(), iterations
 
 
+def generator_digest() -> tuple:
+    """(SHA-256 over the seed-0 ``desk_sweep`` instances, their count); see
+    the module docstring."""
+    h = hashlib.sha256()
+    cases = WORKLOADS["desk_sweep"]().setup(SEED, _Untimed())
+    for case in cases:
+        inst = case.instance
+        for a in (inst.model.A, inst.model.B, inst.model.C, inst.x_true, inst.outputs):
+            h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+        h.update(repr(inst.attacked).encode())
+    return h.hexdigest(), len(cases)
+
+
 if __name__ == "__main__":
     digest, per_workload, answers, traces, hashed, totals = fingerprint()
     if not all(hashed.values()):
@@ -201,3 +220,5 @@ if __name__ == "__main__":
         print(name, f"trace={trace}")
     minimal, iterations = minimal_digest()
     print("minimal", minimal, f"searches={len(MINIMAL_SEARCHES)}", f"iterations={iterations}")
+    generator, instances = generator_digest()
+    print("generator", generator, f"instances={instances}")
