@@ -37,12 +37,11 @@ CHUNK_FLOATS = 1 << 15
 # blocks' squared norms (derived in ``check_sparse_observability``).
 SCREEN_RTOL = 1e-8
 
-# ``compute_delta_s`` hands a batch of pairs holding fewer floats than this
-# straight to ``eigvalsh``: below it the trace bound costs more than the
-# eigenvalues it skips.  Measured break-even: about 100, 35, 22, 20 and 15
-# pairs of n x n matrices at n = 2, 3, 4, 6 and 8, or 400, 315, 352, 720 and
-# 960 floats; a fixed float count fits n = 2 to 4, the plant sizes.
-BOUND_MIN_FLOATS = 384
+# ``compute_delta_s`` hands a batch of fewer pairs than this straight to
+# ``eigvalsh``: below it the trace bound costs more than the eigenvalues it
+# skips.  Measured break-even: about 20 pairs of n x n matrices for n = 4 to
+# 8, about 100 for n = 2, where such a batch costs some 20 us either way.
+BOUND_MIN_PAIRS = 24
 
 # ``compute_delta_s`` skips a pair only when its trace bound misses the
 # running maximum by more than this times the bound on the pair's spectral
@@ -567,9 +566,9 @@ def compute_o_bar(
 
 def _leakage_max(m: np.ndarray, worst: float) -> float:
     """max(worst, the largest eigenvalue ``eigvalsh`` computes for each matrix
-    of ``m``), skipping, in a batch of at least ``BOUND_MIN_FLOATS`` floats,
-    every matrix whose trace bound (see ``compute_delta_s``) cannot exceed it."""
-    if m.size >= BOUND_MIN_FLOATS:
+    of ``m``), skipping, in a batch of at least ``BOUND_MIN_PAIRS``, every
+    matrix whose trace bound (see ``compute_delta_s``) cannot exceed it."""
+    if len(m) >= BOUND_MIN_PAIRS:
         n = m.shape[-1]
         flat = m.reshape(len(m), n * n)
         diag = flat[:, :: n + 1]
@@ -641,7 +640,7 @@ def compute_delta_s(
     diagonal entry, which is kept unless it too lies below the running
     maximum; so the maximum is a kept pair's ``eigvalsh`` value, with the
     same bits.  A pair whose bounds are NaN is kept, and a batch of fewer
-    than ``BOUND_MIN_FLOATS`` floats goes straight to ``eigvalsh``.
+    than ``BOUND_MIN_PAIRS`` pairs goes straight to ``eigvalsh``.
     """
     p, n = stack.p, stack.n
     s_bar = whole_number(s_bar, "s_bar", 0, p)

@@ -651,7 +651,7 @@ def test_batched_analysis_equals_per_subset_reference(monkeypatch, chunk_floats)
     # one subset per chunk, a few per chunk, and the default bound; every
     # batch of pairs goes through compute_delta_s's trace bound
     monkeypatch.setattr(linmodel, "CHUNK_FLOATS", chunk_floats)
-    monkeypatch.setattr(linmodel, "BOUND_MIN_FLOATS", 0)
+    monkeypatch.setattr(linmodel, "BOUND_MIN_PAIRS", 0)
     rng = np.random.default_rng(chunk_floats)
     errors = 0
     for _ in range(10):
