@@ -208,9 +208,7 @@ def generate_instance(
     if np.isscalar(attack_norm):
         norms = [float(attack_norm)] * s
     elif isinstance(attack_norm, dict):
-        if set(attack_norm) != {"lo", "hi"}:
-            raise ValueError("an attack norm range has the keys 'lo' and 'hi', "
-                             f"got {sorted(attack_norm)}")
+        check_keys(attack_norm, "an attack norm range", ("lo", "hi"), ("lo", "hi"))
         norms = [float(rng.uniform(attack_norm["lo"], attack_norm["hi"])) for _ in range(s)]
     else:
         norms = [float(v) for v in attack_norm]

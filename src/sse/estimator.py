@@ -155,17 +155,18 @@ def estimate(
     explains the data.  A sensor ``StackedWindow.nonfinite_sensors`` names (a
     NaN or +-inf reading, or one whose square overflows or nears it) is
     treated as attacked: a singleton certificate for it is learned up front.
-    A stack or window that does not fit the model, or a stack built from
+    The checks run on the model's own stack; ``stack`` is only checked: a
+    stack or window that does not fit the model, or a stack built from
     another model, raises ``ValueError``.
     """
     require_fit(model, stack, window)
-    return _solve(model, stack, window, config, model.s_bar)
+    return _solve(model, window, config, model.s_bar)
 
 
-def _solve(model: SystemModel, stack: ObservabilityStack, window: StackedWindow,
-           config: EstimatorConfig, s_bar: int) -> Estimate:
-    """``estimate``'s loop under the attack budget ``s_bar``, on a stack and
-    window already checked against the model."""
+def _solve(model: SystemModel, window: StackedWindow, config: EstimatorConfig,
+           s_bar: int) -> Estimate:
+    """``estimate``'s loop under the attack budget ``s_bar``, on a window
+    already checked against the model."""
     started = time.perf_counter()
     # a support of every sensor leaves no equation to check: not a hypothesis
     inst = satcore.new_instance(model.p, min(s_bar, model.p - 1))
@@ -188,8 +189,7 @@ def _solve(model: SystemModel, stack: ObservabilityStack, window: StackedWindow,
     everyone = set(range(model.p))
     while result.iterations < cap and (suspected := inst.solve()) is not None:
         result.iterations += 1
-        check = t_check(stack, window, everyone.difference(suspected),
-                        model.noise_bounds, config.epsilon)
+        check = t_check(model, window, everyone.difference(suspected), config.epsilon)
         record = IterationRecord(
             support=suspected, sat=check.sat, residual_sq=check.residual_sq
         )
@@ -201,9 +201,7 @@ def _solve(model: SystemModel, stack: ObservabilityStack, window: StackedWindow,
             result.residual_sq = check.residual_sq
             result.rank_deficient_final = check.rank_deficient
             break
-        certs, counts = certificates(
-            stack, window, check, s_bar, config.epsilon, model.noise_bounds, strategy
-        )
+        certs, counts = certificates(model, window, check, s_bar, config.epsilon, strategy)
         record.certificates = tuple(certs)
         inst.stats.theory_checks += counts.theory_checks
         inst.stats.conflict_fallbacks += counts.conflict_fallbacks
@@ -225,11 +223,12 @@ def minimal_support_estimate(
     """Feasible estimate with the smallest attack budget that still explains
     the data.
 
-    Runs the budgeted problem on the model and stack it is given, with the
-    budget descending from the model's s_bar, so every budget reads and
-    writes the model's one sparse-observability memo; certificates are not
-    carried across budgets (clean-sensor certificates are only sound under
-    the budget they were derived for).
+    Runs the budgeted problem on the model it is given, with the budget
+    descending from the model's s_bar, so every budget reads and writes the
+    model's one sparse-observability memo; ``stack`` is only checked, as
+    ``estimate`` checks it.  Certificates are not carried across budgets
+    (clean-sensor certificates are only sound under the budget they were
+    derived for).
     The result's ``iterations`` and ``stats`` are totals over every budget
     tried, the final infeasible one included.  The iteration cap holds per
     budget; an ``IterationLimitError`` carries the same totals, the capped
@@ -239,7 +238,7 @@ def minimal_support_estimate(
     budget, iterations, stats, last_feasible = model.s_bar, 0, SolveStats(), None
     while budget >= 0:
         try:
-            outcome = _solve(model, stack, window, config, budget)
+            outcome = _solve(model, window, config, budget)
         except IterationLimitError as exc:
             raise IterationLimitError(iterations + exc.iterations, stats + exc.stats) from None
         iterations, stats = iterations + outcome.iterations, stats + outcome.stats

@@ -156,15 +156,11 @@ class SystemModel:
             raise ValueError(f"B has {self.B.shape[0]} rows, expected {n}")
         if self.C.shape[1] != n:
             raise ValueError(f"C has {self.C.shape[1]} columns, expected {n}")
-        object.__setattr__(self, "tau", whole_number(self.tau, "tau"))
-        if not 1 <= self.tau <= n:
-            raise ValueError(f"tau must satisfy 1 <= tau <= n={n}, got {self.tau}")
+        object.__setattr__(self, "tau", whole_number(self.tau, "tau", 1, n))
         p = self.C.shape[0]
         if not p:
             raise ValueError("C must have at least one row (sensor)")
-        object.__setattr__(self, "s_bar", whole_number(self.s_bar, "s_bar"))
-        if not 0 <= self.s_bar <= p:
-            raise ValueError(f"s_bar must satisfy 0 <= s_bar <= p={p}, got {self.s_bar}")
+        object.__setattr__(self, "s_bar", whole_number(self.s_bar, "s_bar", 0, p))
         nb = np.array(self.noise_bounds, dtype=float).reshape(-1)
         if nb.shape != (p,):
             raise ValueError(f"noise_bounds must have length p={p}, got {nb.shape}")
@@ -198,9 +194,8 @@ class SystemModel:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SystemModel":
         names = [f.name for f in fields(cls) if f.init]
-        missing = [k for k in names if k not in doc]
-        if missing:
-            raise ValueError(f"model document missing fields: {', '.join(missing)}")
+        # the retired verified_sparse_obs key loads and is ignored
+        check_keys(doc, "model document", names, names + ["verified_sparse_obs"])
         return cls(**{k: doc[k] for k in names})
 
 
@@ -266,14 +261,13 @@ class StackedWindow:
 
 
 def require_fit(model: SystemModel, stack: ObservabilityStack, window: StackedWindow) -> None:
-    """Raise ``ValueError`` unless the stack's blocks are (p, tau, n) and the
-    window's (p, tau), with the model's p, tau and n, and the stack is
-    ``build_observability(model)`` or has its blocks."""
+    """Raise ``ValueError`` unless the window's blocks are (p, tau), with the
+    model's p and tau, and the stack is ``build_observability(model)`` or has
+    its blocks (blocks of another shape are not its blocks)."""
     p, tau = model.p, model.tau
-    if stack.blocks.shape != (p, tau, model.n) or window.blocks.shape != (p, tau):
+    if window.blocks.shape != (p, tau):
         raise ValueError(
-            f"stack blocks {stack.blocks.shape} and window blocks {window.blocks.shape} "
-            f"do not fit the model's (p, tau, n) = {(p, tau, model.n)}")
+            f"window blocks {window.blocks.shape} do not fit the model's (p, tau) = {(p, tau)}")
     own = build_observability(model)
     if stack is not own and not np.array_equal(stack.blocks, own.blocks):
         raise ValueError("stack was built from another model: its blocks are not this model's")

@@ -39,10 +39,10 @@ def brute_force(
     """Enumerate all attack supports of size <= s_bar whose complement passes
     the least-squares check.  A sensor ``StackedWindow.nonfinite_sensors``
     names is treated as attacked, as the estimator does: supports that
-    leave it out are skipped.  A stack or window that does not fit the model
-    raises ``ValueError``."""
+    leave it out are skipped.  The checks run on the model's own stack;
+    ``stack`` is only checked, as ``estimate`` checks it."""
     require_fit(model, stack, window)
-    p = stack.p
+    p = model.p
     budget = whole_number(model.s_bar if s_bar is None else s_bar, "s_bar", 0, p - 1)
     _check_cap(sum(math.comb(p, s) for s in range(budget + 1)), ORACLE_SUBSET_CAP)
     nonfinite = set(window.nonfinite_sensors())
@@ -53,7 +53,7 @@ def brute_force(
             if not nonfinite.issubset(gamma):
                 continue
             complement = tuple(i for i in range(p) if i not in gamma)
-            check = t_check(stack, window, complement, model.noise_bounds, epsilon)
+            check = t_check(model, window, complement, epsilon)
             if check.sat:
                 feasible.append(gamma)
                 x_map[gamma] = check.x

@@ -66,7 +66,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linmodel import ObservabilityStack, StackedWindow, check_epsilon
+from .linmodel import (
+    ObservabilityStack,
+    StackedWindow,
+    SystemModel,
+    build_observability,
+    check_epsilon,
+)
 from .satcore import Certificate, CertificateKind, SolveStats
 
 
@@ -114,14 +120,9 @@ class CheckResult(NamedTuple):
     rank_deficient: bool
 
 
-def t_check(
-    stack: ObservabilityStack,
-    window: StackedWindow,
-    sensors,
-    noise_bounds,
-    epsilon: float,
-) -> CheckResult:
-    """Least-squares feasibility of the selected sensor set.
+def t_check(model: SystemModel, window: StackedWindow, sensors, epsilon: float) -> CheckResult:
+    """Least-squares feasibility of the selected sensor set, on the model's
+    own stack (``build_observability(model)``) and noise bounds.
 
     SAT iff ||Y_I - O_I x|| <= ||Psi_I|| + epsilon at the minimizer, with
     ||Psi_I||^2 the sum of the selected sensors' squared noise bounds.  A
@@ -129,10 +130,10 @@ def t_check(
     states (tau * |I| < n) is flagged, and so is one whose rank the SVD
     solve finds short when its fit is returned; x is then a least-squares
     solution, the minimum-norm one only when the SVD's fit is returned.
-    Noise bounds of a length other than p, or a window whose blocks are not
-    (p, tau), raise ``ValueError``, as does an ``epsilon`` that is negative,
-    NaN or infinite.  The stack's memo keeps the set's index array, O_I, Gram
-    matrix and norm while they fit ``CHECK_MEMO_FLOATS``.
+    A window whose blocks are not (p, tau) raises ``ValueError``, as does an
+    ``epsilon`` that is negative, NaN or infinite.  The stack's memo keeps
+    the set's index array, O_I, Gram matrix and norm while they fit
+    ``CHECK_MEMO_FLOATS``.
 
     One rule decides.  The normal equations decide, unless their solve
     fails (a ``LinAlgError``, or a gradient above ``GRAD_RTOL`` of
@@ -146,6 +147,7 @@ def t_check(
     ill-conditioned set they can reject a set that fits; the band covers
     cond(O_I) up to about 1e10.
     """
+    stack = build_observability(model)
     p, n, tau = stack.p, stack.n, stack.tau
     try:
         sensors = tuple(sorted(set(map(operator.index, sensors))))
@@ -158,11 +160,9 @@ def t_check(
         bad = sensors[0] if sensors[0] < 0 else sensors[-1]
         raise ValueError(f"sensor index {bad} out of range for p = {p}")
     check_epsilon(epsilon)
-    bounds = np.asarray(noise_bounds, dtype=float)
-    if bounds.shape + window.blocks.shape != (p, p, tau):
+    if window.blocks.shape != (p, tau):
         raise ValueError(
-            f"noise bounds {bounds.shape} and window blocks {window.blocks.shape} "
-            f"do not fit the stack's (p, tau) = {(p, tau)}")
+            f"window blocks {window.blocks.shape} do not fit the model's (p, tau) = {(p, tau)}")
     memo = stack._checks
     held = memo.get(sensors)
     if held is None:
@@ -189,7 +189,7 @@ def t_check(
             x = None
     except np.linalg.LinAlgError:
         x = None
-    psi = bounds.take(idx)
+    psi = model.noise_bounds.take(idx)
     budget = math.sqrt(float(psi.dot(psi))) + epsilon
     if x is not None:
         diff = y_i - o_i @ x
@@ -236,12 +236,7 @@ def _walk_order(stack: ObservabilityStack, ranked: list, seed_size: int) -> tupl
 
 
 def certificate_conflict(
-    stack: ObservabilityStack,
-    window: StackedWindow,
-    order: tuple,
-    epsilon: float,
-    noise_bounds: np.ndarray,
-    stats: SolveStats,
+    model: SystemModel, window: StackedWindow, order: tuple, epsilon: float, stats: SolveStats
 ) -> Certificate:
     """Small sensor set that cannot all be attack-free.
 
@@ -267,7 +262,7 @@ def certificate_conflict(
             if lone and keep == len(trial):
                 break  # the checked set, already rejected
             stats.theory_checks += 1
-            if not t_check(stack, window, trial[:keep], noise_bounds, epsilon).sat:
+            if not t_check(model, window, trial[:keep], epsilon).sat:
                 break
         else:
             continue
@@ -287,12 +282,11 @@ def certificate_agree(seed_fit: CheckResult) -> Certificate | None:
 
 
 def certificates(
-    stack: ObservabilityStack,
+    model: SystemModel,
     window: StackedWindow,
     check: CheckResult,
     s_bar: int,
     epsilon: float,
-    noise_bounds,
     strategy: Strategy,
 ) -> tuple:
     """Certificates to learn from an UNSAT check, per the strategy, and the
@@ -333,6 +327,7 @@ def certificates(
         if blamed:
             return [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset({i}))
                     for i in blamed], counts
+    stack = build_observability(model)
     seed_size = stack.p - 2 * s_bar
     if strategy is Strategy.TRIVIAL or len(check.sensors) <= seed_size:
         trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))
@@ -344,7 +339,7 @@ def certificates(
     while (agree or aimed) and (seed := tuple(sorted(ranked[:seed_size]))) not in fitted:
         fitted.add(seed)
         counts.theory_checks += 1
-        seed_fit = t_check(stack, window, seed, noise_bounds, epsilon)
+        seed_fit = t_check(model, window, seed, epsilon)
         if not aimed:
             break
         ranked = _refit_ranking(stack, window, check.sensors, seed_fit.x)
@@ -352,7 +347,7 @@ def certificates(
             break
     order = candidates, rest, first = _walk_order(stack, ranked, seed_size)
     try:
-        certs = [certificate_conflict(stack, window, order, epsilon, noise_bounds, counts)]
+        certs = [certificate_conflict(model, window, order, epsilon, counts)]
     except ConflictSearchError:
         counts.conflict_fallbacks = 1
         certs = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(check.sensors))]
@@ -363,7 +358,7 @@ def certificates(
                     break
                 prefix = [cand] + rest[:first - 1]
                 counts.theory_checks += 1
-                if t_check(stack, window, prefix, noise_bounds, epsilon).sat:
+                if t_check(model, window, prefix, epsilon).sat:
                     break
                 certs.append(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(prefix),
                                          suspect=cand))

@@ -88,8 +88,10 @@ def test_attack_norm_list_is_per_sensor_and_range_is_a_dict():
         assert 3.0 <= np.linalg.norm(block) <= 7.0 + 1e-12
     with pytest.raises(ValueError, match='"lo": lo'):
         generate_instance(3, 7, 3, 3, "2s", 0.0, seed=5, attack_norm=[3.0, 7.0])
-    with pytest.raises(ValueError, match="'lo' and 'hi'"):
+    with pytest.raises(ValueError, match="an attack norm range has unknown key 'low'"):
         generate_instance(3, 7, 2, 3, "2s", 0.0, seed=5, attack_norm={"low": 3.0, "hi": 7.0})
+    with pytest.raises(ValueError, match="an attack norm range lacks 'hi'"):
+        generate_instance(3, 7, 2, 3, "2s", 0.0, seed=5, attack_norm={"lo": 3.0})
 
 
 def test_generated_noise_respects_bounds():

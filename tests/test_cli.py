@@ -520,7 +520,7 @@ def test_simulate_file_wins_over_a_bundled_name(tmp_path, monkeypatch):
 # object its library type rejects, and the library's message for that object
 DOCUMENTS = {
     "model file": (lambda path: ["observability", path], {"A": [[1.0]]},
-                   "model document missing fields: B, C, tau, s_bar, noise_bounds"),
+                   "model document lacks 'B', 'C', 'tau', 's_bar', 'noise_bounds'"),
     "scenario": (lambda path: ["simulate", path, "--output", path + ".csv"],
                  {"phases": {"sensor": 1}}, "phases must be a list of objects"),
     "bench spec": (lambda path: ["bench", path], {"sweeps": 3},

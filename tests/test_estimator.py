@@ -383,9 +383,8 @@ def _replayed_counts(model, stack, window, result, epsilon):
         if record.sat:
             continue
         trusted = set(range(model.p)).difference(record.support)
-        check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
-        certs, counts = certificates(stack, window, check, model.s_bar, epsilon,
-                                     model.noise_bounds, result.strategy)
+        check = t_check(model, window, trusted, epsilon)
+        certs, counts = certificates(model, window, check, model.s_bar, epsilon, result.strategy)
         assert tuple(certs) == record.certificates
         total += counts
     return total
@@ -531,8 +530,7 @@ def test_clean_seed_exposes_both_attacked_sensors():
     for cert in conflicts:
         assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
         assert cert.sensors - {cert.suspect} <= agree.sensors
-        assert not t_check(inst.stack, inst.window, cert.sensors,
-                           inst.model.noise_bounds, 1e-6).sat
+        assert not t_check(inst.model, inst.window, cert.sensors, 1e-6).sat
     assert second.sat and second.support == tuple(sorted(inst.attacked)) == result.support
 
 
@@ -616,7 +614,7 @@ def test_strategies_match_oracle_with_budget_above_half_the_sensors(p, attacked)
             assert result.support in oracle.supports
         for cert in result.certificates:
             if cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED:
-                assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-9).sat
+                assert not t_check(model, window, cert.sensors, 1e-9).sat
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -713,7 +711,7 @@ def test_every_epsilon_reader_rejects_a_bad_tolerance(epsilon, message):
     inst = generate_instance(3, 8, 2, 2, "2s", 0.0, seed=1)
     calls = (
         lambda: EstimatorConfig(epsilon=epsilon),
-        lambda: t_check(inst.stack, inst.window, range(8), inst.model.noise_bounds, epsilon),
+        lambda: t_check(inst.model, inst.window, range(8), epsilon),
         lambda: delta_bound(toy_model(0.1), RobustnessConstants(0.5, 0.5), epsilon),
     )
     for call in calls:
@@ -735,10 +733,11 @@ def test_stack_or_window_of_another_shape_is_rejected(entry, misfit):
     stack, window = inst.stack, inst.window
     if misfit == "five_sensor_window":
         window = linmodel.StackedWindow(blocks=window.blocks[:5])
+        message = "window blocks (5, 2) do not fit the model's (p, tau) = (8, 2)"
     else:
+        # blocks of another shape are not the model's blocks
         stack = generate_instance(3, 10, 1, 1, "2s", 0.0, seed=0).stack
-    message = (f"stack blocks {stack.blocks.shape} and window blocks {window.blocks.shape} "
-               "do not fit the model's (p, tau, n) = (8, 2, 3)")
+        message = "stack was built from another model: its blocks are not this model's"
     with pytest.raises(ValueError, match=re.escape(message)):
         ENTRY_POINTS[entry](inst.model, stack, window)
 

@@ -71,6 +71,12 @@ def test_every_module_constant_is_read():
     assert not dead, f"constants nothing in the package reads: {', '.join(dead)}"
 
 
+# wordings of a document-key message: check_keys's own, and ones it replaced
+KEY_MESSAGES = ("has unknown key", " lacks ", "missing field", "has the key")
+# functions that take the model and read its stack themselves
+MODEL_READERS = ("_solve", "t_check", "certificates", "certificate_conflict")
+
+
 def test_document_keys_are_checked_in_one_place():
     # the messages for an unknown or a missing document key are written
     # only in linmodel.check_keys, which every document check calls
@@ -82,8 +88,22 @@ def test_document_keys_are_checked_in_one_place():
     copies = [f"{module}: line {node.lineno}" for module, tree in trees for node in ast.walk(tree)
               if isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in inside
-              and ("has unknown key" in node.value or " lacks " in node.value)]
+              and any(marker in node.value for marker in KEY_MESSAGES)]
     assert not copies, f"document key messages outside check_keys: {', '.join(copies)}"
+
+
+def test_solves_read_the_model_alone():
+    # the least-squares layer reads the stack and noise bounds from the model:
+    # no function below the entry points takes either from its caller
+    trees, _ = package_trees()
+    params = [(module, node.name, arg.arg) for module, tree in trees
+              if module in ("theory.py", "estimator.py", "oracle.py")
+              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    assert any(name == "t_check" for _, name, _ in params)
+    passed = [f"{module}: {name}({arg})" for module, name, arg in params
+              if arg == "noise_bounds" or (arg == "stack" and name in MODEL_READERS)]
+    assert not passed, f"functions handed what the model holds: {', '.join(passed)}"
 
 
 def test_stacks_are_built_in_one_place():

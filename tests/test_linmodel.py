@@ -67,6 +67,8 @@ def test_model_validation_errors():
     ("C", [[1.0, 0.0], [0.0, np.inf]], "C contains non-finite entries"),
     ("B", np.zeros((3, 1)), "B has 3 rows, expected 2"),
     ("noise_bounds", [0.0], "noise_bounds must have length p=2, got (1,)"),
+    ("tau", 3, "tau must be in [1, 2], got 3"),
+    ("s_bar", 3, "s_bar must be in [0, 2], got 3"),
 ])
 def test_model_rejects_a_field_that_does_not_fit(field, value, message):
     fields = dict(A=np.eye(2), B=np.zeros((2, 1)), C=np.eye(2), tau=1, s_bar=0,
@@ -88,8 +90,11 @@ def test_model_json_round_trip():
 
 
 def test_model_json_missing_field():
-    with pytest.raises(ValueError, match="missing fields"):
+    with pytest.raises(ValueError, match="model document lacks 'B', 'C'"):
         SystemModel.from_json_dict({"A": [[1.0]]})
+    doc = {**discretize_ugv().model.to_json_dict(), "noise_bound": [0.0]}
+    with pytest.raises(ValueError, match="model document has unknown key 'noise_bound'"):
+        SystemModel.from_json_dict(doc)
 
 
 @pytest.mark.parametrize("field, value", [

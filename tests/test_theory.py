@@ -58,20 +58,18 @@ def _ranked(stack, window, check, x=None):
     return sorted(check.sensors, key=lambda i: (res[i], i))
 
 
-def _conflict(stack, window, check, s_bar, epsilon, noise_bounds):
+def _conflict(model, window, check, s_bar, epsilon):
     """The conflict certificate and counts ``certificates`` gives under
     the conflict strategy."""
-    certs, counts = certificates(stack, window, check, s_bar, epsilon, noise_bounds,
-                               Strategy.CONFLICT)
+    certs, counts = certificates(model, window, check, s_bar, epsilon, Strategy.CONFLICT)
     assert len(certs) == 1
     return certs[0], counts
 
 
-def _agree(stack, window, check, s_bar, epsilon, noise_bounds):
+def _agree(model, window, check, s_bar, epsilon):
     """The agree certificate ``certificates`` gives under conflict_agree, or
     None."""
-    certs, _ = certificates(stack, window, check, s_bar, epsilon, noise_bounds,
-                            Strategy.CONFLICT_AGREE)
+    certs, _ = certificates(model, window, check, s_bar, epsilon, Strategy.CONFLICT_AGREE)
     agree = [c for c in certs if c.kind is CertificateKind.ALL_UNATTACKED]
     assert len(agree) <= 1
     return agree[0] if agree else None
@@ -83,8 +81,8 @@ def _agree(stack, window, check, s_bar, epsilon, noise_bounds):
 
 
 def test_four_lines_honest_subset_is_exact(four_lines):
-    model, stack, window = four_lines
-    check = t_check(stack, window, (0, 1, 3), model.noise_bounds, 1e-9)
+    model, _, window = four_lines
+    check = t_check(model, window, (0, 1, 3), 1e-9)
     assert check.sat
     assert np.allclose(check.x, [2.0, 6.0], atol=1e-9)
     assert check.residual_sq <= 1e-18
@@ -92,7 +90,7 @@ def test_four_lines_honest_subset_is_exact(four_lines):
 
 def test_four_lines_full_set_rejected_with_known_minimizer(four_lines):
     model, stack, window = four_lines
-    check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
+    check = t_check(model, window, (0, 1, 2, 3), 1e-9)
     assert not check.sat
     # normal equations by hand: [[6,-2],[-2,4]] x = [0, 22]
     assert np.allclose(check.x, [2.2, 6.6], atol=1e-12)
@@ -106,11 +104,10 @@ def test_four_lines_full_set_rejected_with_known_minimizer(four_lines):
 def test_single_full_rank_sensor_interpolates():
     model = SystemModel(A=np.array([[0.0, 1.0], [-0.5, 0.3]]), B=np.zeros((2, 1)),
                         C=np.array([[1.0, 0.0]]), tau=2, s_bar=0, noise_bounds=[0.0])
-    stack = build_observability(model)
     x0 = np.array([0.7, -1.2])
     outputs = np.array([[x0[0]], [float(model.A[0] @ x0)]])
     window = stack_window(model, outputs, np.zeros((2, 1)))
-    check = t_check(stack, window, (0,), model.noise_bounds, 1e-10)
+    check = t_check(model, window, (0,), 1e-10)
     assert check.sat and not check.rank_deficient
     assert np.allclose(check.x, x0, atol=1e-9)
 
@@ -120,8 +117,7 @@ def test_attacked_sensor_in_set_rejected():
 
     for seed in range(5):
         inst = generate_instance(3, 5, 1, 1, "2s", 0.0, seed=seed, attack_norm=5.0)
-        check = t_check(inst.stack, inst.window, tuple(range(5)),
-                        inst.model.noise_bounds, 1e-9)
+        check = t_check(inst.model, inst.window, tuple(range(5)), 1e-9)
         assert not check.sat
         assert check.residual_sq > 0
 
@@ -129,65 +125,64 @@ def test_attacked_sensor_in_set_rejected():
 def test_noise_budget_boundary():
     # two scalar sensors disagreeing by exactly d: the least-squares residual
     # is d/sqrt(2); SAT iff that is within the stacked budget plus epsilon
-    model, stack, window = scalar_sensors(2, [0.0, 1.0], s_bar=0, noise=0.5)
+    model, _, window = scalar_sensors(2, [0.0, 1.0], s_bar=0, noise=0.5)
     residual = 1.0 / math.sqrt(2.0)
     budget = math.sqrt(2 * 0.25)
     assert residual <= budget  # sanity: this instance sits inside the budget
-    assert t_check(stack, window, (0, 1), model.noise_bounds, 0.0).sat
-    tight_model, tight_stack, tight_window = scalar_sensors(2, [0.0, 1.0], s_bar=0, noise=0.4)
+    assert t_check(model, window, (0, 1), 0.0).sat
+    tight_model, _, tight_window = scalar_sensors(2, [0.0, 1.0], s_bar=0, noise=0.4)
     tight_budget = math.sqrt(2 * 0.16)
     assert residual > tight_budget
-    assert not t_check(tight_stack, tight_window, (0, 1), tight_model.noise_bounds, 0.0).sat
+    assert not t_check(tight_model, tight_window, (0, 1), 0.0).sat
     # a large enough tolerance flips it back
-    assert t_check(tight_stack, tight_window, (0, 1), tight_model.noise_bounds,
-                   residual - tight_budget + 1e-12).sat
+    assert t_check(tight_model, tight_window, (0, 1), residual - tight_budget + 1e-12).sat
 
 
 def test_rank_deficient_set_flagged_not_error():
     from sse.attacksim import discretize_ugv
 
     ugv = discretize_ugv()
-    stack = build_observability(ugv.model)
     outputs = np.array([[0.0, 1.0, 1.0], [0.1, 1.0, 1.0]])
     window = stack_window(ugv.model, outputs, np.zeros((2, 1)))
-    check = t_check(stack, window, (1, 2), ugv.model.noise_bounds, 1e-9)
+    check = t_check(ugv.model, window, (1, 2), 1e-9)
     assert check.rank_deficient
     assert check.sat  # both encoders agree; minimum-norm solution returned
     assert np.isfinite(check.x).all()
 
 
 def test_t_check_input_validation(four_lines):
-    model, stack, window = four_lines
+    model, _, window = four_lines
     with pytest.raises(ValueError, match="non-empty"):
-        t_check(stack, window, (), model.noise_bounds, 0.0)
+        t_check(model, window, (), 0.0)
     with pytest.raises(ValueError, match="epsilon"):
-        t_check(stack, window, (0,), model.noise_bounds, -1.0)
+        t_check(model, window, (0,), -1.0)
     with pytest.raises(ValueError, match="epsilon"):
-        t_check(stack, window, (0,), model.noise_bounds, float("nan"))
+        t_check(model, window, (0,), float("nan"))
     # a negative index would wrap around to sensor p - 1, a float would be
     # truncated, and an index >= p would fail inside numpy
     with pytest.raises(ValueError, match="sensor index -1 out of range"):
-        t_check(stack, window, [-1, 0, 1], model.noise_bounds, 0.0)
+        t_check(model, window, [-1, 0, 1], 0.0)
     with pytest.raises(ValueError, match="sensor index 0.7 is not an integer"):
-        t_check(stack, window, [0.7, 1, 2], model.noise_bounds, 0.0)
+        t_check(model, window, [0.7, 1, 2], 0.0)
     with pytest.raises(ValueError, match="sensor index 4 out of range"):
-        t_check(stack, window, [1, 4], model.noise_bounds, 0.0)
+        t_check(model, window, [1, 4], 0.0)
     # ints and numpy integer scalars name the same set
-    mixed = t_check(stack, window, [np.int64(3), np.int32(0), 1], model.noise_bounds, 0.0)
-    plain = t_check(stack, window, (0, 1, 3), model.noise_bounds, 0.0)
+    mixed = t_check(model, window, [np.int64(3), np.int32(0), 1], 0.0)
+    plain = t_check(model, window, (0, 1, 3), 0.0)
     assert mixed.sensors == plain.sensors == (0, 1, 3)
     assert all(type(i) is int for i in mixed.sensors)
     assert mixed.x.tobytes() == plain.x.tobytes()
 
 
-@pytest.mark.parametrize("bounds_len, window_rows", [(5, 8), (12, 8), (8, 5)])
-def test_t_check_rejects_bounds_or_window_of_another_length(bounds_len, window_rows):
+@pytest.mark.parametrize("rows, steps", [(5, 2), (8, 1)])
+def test_t_check_rejects_a_window_of_another_length(rows, steps):
+    # noise bounds of another length cannot reach the check: SystemModel
+    # refuses them
     inst = generate_instance(3, 8, 1, 1, "2s", 0.0, seed=0)
-    stack, bounds = inst.stack, np.resize(inst.model.noise_bounds, bounds_len)
-    window = StackedWindow(inst.window.blocks[:window_rows])
-    shapes = f"noise bounds ({bounds_len},) and window blocks ({window_rows}, {stack.tau})"
+    window = StackedWindow(inst.window.blocks[:rows, :steps])
+    shapes = f"window blocks ({rows}, {steps}) do not fit the model's (p, tau) = (8, 2)"
     with pytest.raises(ValueError, match=re.escape(shapes)):
-        t_check(stack, window, range(5), bounds, 1e-6)
+        t_check(inst.model, window, range(5), 1e-6)
 
 
 def test_least_squares_optimality_property():
@@ -197,7 +192,7 @@ def test_least_squares_optimality_property():
     for seed in range(10):
         inst = generate_instance(4, 6, 1, 1, "2s", 0.1, seed=seed)
         sensors = tuple(sorted(rng.choice(6, size=4, replace=False).tolist()))
-        check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 0.01)
+        check = t_check(inst.model, inst.window, sensors, 0.01)
         o_i = stack_rows(inst.stack, sensors)
         y_i = inst.window.blocks[list(sensors)].reshape(-1)
         gradient = np.linalg.norm(o_i.T @ (y_i - o_i @ check.x))
@@ -219,7 +214,7 @@ def test_dead_sensor_sorts_last():
     model = line_model([[1.0, 1.0], [0.0, 0.0], [-1.0, 1.0]], s_bar=1)
     stack = build_observability(model)
     window = line_window(model, [8.0, 0.0, 4.0])
-    check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
+    check = t_check(model, window, (0, 1, 2), 1e-9)
     assert _residual_of(stack, window, check, 1) == math.inf
 
 
@@ -229,9 +224,9 @@ def test_dead_sensor_sorts_last():
 
 
 def test_four_lines_conflict_found_on_first_candidate(four_lines):
-    model, stack, window = four_lines
-    check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    cert, counts = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    model, _, window = four_lines
+    check = t_check(model, window, (0, 1, 2, 3), 1e-9)
+    cert, counts = _conflict(model, window, check, 1, 1e-9)
     assert counts.conflict_fallbacks == 0
     assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
     # seed = two lowest residuals {3, 1}; first candidate = max residual 2
@@ -243,11 +238,10 @@ def test_four_lines_conflict_found_on_first_candidate(four_lines):
 def test_four_lines_walk_checks_its_whole_trial(four_lines):
     # n // tau + 1 = 3 sensors over-determine a point in the plane: the first
     # prefix the walk checks is its whole three-sensor trial
-    model, stack, window = four_lines
-    check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    cert, counts = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
-    conflict, suspect, checks = _reference_walk(stack, window, check, 1, 1e-9,
-                                                model.noise_bounds)
+    model, _, window = four_lines
+    check = t_check(model, window, (0, 1, 2, 3), 1e-9)
+    cert, counts = _conflict(model, window, check, 1, 1e-9)
+    conflict, suspect, checks = _reference_walk(model, window, check, 1, 1e-9)
     assert (cert.sensors, cert.suspect) == (conflict, suspect)
     assert len(cert.sensors) == 3 and counts.theory_checks == checks
 
@@ -261,17 +255,16 @@ def test_conflict_walk_needs_two_candidates():
     offsets = dirs @ np.array([2.0, 6.0])
     offsets[2] += 2.0
     window = line_window(model, offsets)
-    check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
+    check = t_check(model, window, (0, 1, 2, 3), 1e-9)
     assert not check.sat
     ranked = _ranked(stack, window, check)
     seed, candidates = ranked[:2], ranked[2:][::-1]
-    first = t_check(stack, window, seed + [candidates[0]], model.noise_bounds, 1e-9)
+    first = t_check(model, window, seed + [candidates[0]], 1e-9)
     assert first.sat  # the max-residual line passes through the seed intersection
-    conflict, suspect, checks = _reference_walk(stack, window, check, 1, 1e-9,
-                                                model.noise_bounds)
+    conflict, suspect, checks = _reference_walk(model, window, check, 1, 1e-9)
     assert checks == 2
     assert 2 in conflict
-    cert, counts = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    cert, counts = _conflict(model, window, check, 1, 1e-9)
     assert (cert.sensors, cert.suspect) == (conflict, suspect)
     assert counts.theory_checks == checks
 
@@ -282,31 +275,29 @@ def test_first_rejected_prefix_leaves_out_the_dead_sensor():
     # every trial: the first rejected prefix leaves it out
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
     model = line_model(rows, s_bar=1)
-    stack = build_observability(model)
     offsets = rows @ np.array([2.0, 6.0])
     offsets[2] += 3.0  # attack the diagonal line
     window = line_window(model, offsets)
     sensors = (0, 1, 2, 3, 4)
-    check = t_check(stack, window, sensors, model.noise_bounds, 1e-9)
+    check = t_check(model, window, sensors, 1e-9)
     assert not check.sat
-    shrunk, _ = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
-    conflict, suspect, _ = _reference_walk(stack, window, check, 1, 1e-9, model.noise_bounds)
+    shrunk, _ = _conflict(model, window, check, 1, 1e-9)
+    conflict, suspect, _ = _reference_walk(model, window, check, 1, 1e-9)
     assert (shrunk.sensors, shrunk.suspect) == (conflict, suspect)
     assert 2 in shrunk.sensors and 4 not in shrunk.sensors
 
 
 def test_conflict_requires_unsat_and_enough_sensors(four_lines):
-    model, stack, window = four_lines
-    good = t_check(stack, window, (0, 1, 3), model.noise_bounds, 1e-9)
+    model, _, window = four_lines
+    good = t_check(model, window, (0, 1, 3), 1e-9)
     with pytest.raises(ValueError, match="UNSAT"):
-        certificates(stack, window, good, 1, 1e-9, model.noise_bounds, Strategy.CONFLICT)
+        certificates(model, window, good, 1, 1e-9, Strategy.CONFLICT)
     # p - 2*s_bar = 3 here, so a 3-sensor set is too small to search: the
     # conflict strategy blames all of it
-    small_model, small_stack, small_window = scalar_sensors(5, [0.0, 0.0, 9.0, 0.0, 0.0])
-    bad = t_check(small_stack, small_window, (0, 1, 2), small_model.noise_bounds, 1e-9)
+    small_model, _, small_window = scalar_sensors(5, [0.0, 0.0, 9.0, 0.0, 0.0])
+    bad = t_check(small_model, small_window, (0, 1, 2), 1e-9)
     assert not bad.sat
-    certs, counts = certificates(small_stack, small_window, bad, 1, 1e-9,
-                               small_model.noise_bounds, Strategy.CONFLICT)
+    certs, counts = certificates(small_model, small_window, bad, 1, 1e-9, Strategy.CONFLICT)
     assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
                                  frozenset({0, 1, 2}))]
     assert counts.theory_checks == 0 and counts.conflict_fallbacks == 0
@@ -314,11 +305,11 @@ def test_conflict_requires_unsat_and_enough_sensors(four_lines):
 
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_certificates_reject_a_sat_check_under_every_strategy(four_lines, strategy):
-    model, stack, window = four_lines
-    good = t_check(stack, window, (0, 1, 3), model.noise_bounds, 1e-9)
+    model, _, window = four_lines
+    good = t_check(model, window, (0, 1, 3), 1e-9)
     assert good.sat
     with pytest.raises(ValueError, match="UNSAT"):
-        certificates(stack, window, good, 1, 1e-9, model.noise_bounds, strategy)
+        certificates(model, window, good, 1, 1e-9, strategy)
 
 
 def test_conflict_walk_can_fail_under_noise():
@@ -330,15 +321,14 @@ def test_conflict_walk_can_fail_under_noise():
     model = line_model(dirs, s_bar=1, noise=1.0)
     stack = build_observability(model)
     window = line_window(model, offsets)
-    check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 0.0)
+    check = t_check(model, window, (0, 1, 2, 3), 0.0)
     assert not check.sat
     # four lines, two in the seed, n = 2 = tau * |seed|: the walk is unaimed
     with pytest.raises(ConflictSearchError):
-        certificate_conflict(stack, window,
+        certificate_conflict(model, window,
                              _theory_walk_order(stack, _ranked(stack, window, check), 2), 0.0,
-                             model.noise_bounds, SolveStats())
-    certs, counts = certificates(stack, window, check, 1, 0.0,
-                               model.noise_bounds, Strategy.CONFLICT)
+                             SolveStats())
+    certs, counts = certificates(model, window, check, 1, 0.0, Strategy.CONFLICT)
     assert counts.conflict_fallbacks == 1
     assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
                                  frozenset({0, 1, 2, 3}))]
@@ -355,10 +345,9 @@ def test_conflict_certificates_intersect_true_support():
         inst = generate_instance(3, 7, 2, 2, "2s", 0.0, seed=seed,
                                  attack_norm={"lo": 2.0, "hi": 8.0})
         sensors = tuple(range(7))
-        check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-8)
+        check = t_check(inst.model, inst.window, sensors, 1e-8)
         assert not check.sat
-        certs, counts = certificates(inst.stack, inst.window, check, 2, 1e-8,
-                                     inst.model.noise_bounds, Strategy.CONFLICT)
+        certs, counts = certificates(inst.model, inst.window, check, 2, 1e-8, Strategy.CONFLICT)
         assert counts.conflict_fallbacks == 0
         # the walk's conflict, and at most s_bar - 1 = 1 more from its seed fit
         assert 1 <= len(certs) <= 2
@@ -378,7 +367,7 @@ def _walk_order(stack, sensors):
     return sorted(sensors, key=lambda i: (int(stack.block_kernel_dims[i]), i))
 
 
-def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds, extend=False):
+def _reference_walk(model, window, check, s_bar, epsilon, extend=False):
     """The conflict walk with one t_check per prefix: (conflict, suspect,
     theory checks).  The walk is aimed by the seed fit's residuals when the
     seed over-determines the state and there are at least two candidates.
@@ -393,13 +382,14 @@ def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds, extend=F
     suspect follow in turn, each with its trial's first checked prefix alone,
     and each rejected one is one more conflict, until one passes or s_bar
     conflicts are held."""
+    stack = build_observability(model)
     seed_size = stack.p - 2 * s_bar
     ranked = _ranked(stack, window, check)
     candidates = ranked[seed_size:][::-1]
     checks = 0
     consistent = False
     if stack.tau * seed_size > stack.n and len(candidates) >= 2:
-        fit = t_check(stack, window, ranked[:seed_size], noise_bounds, epsilon)
+        fit = t_check(model, window, ranked[:seed_size], epsilon)
         checks += 1
         consistent = fit.sat
         res = _residuals_at(stack, window, fit.x)
@@ -416,7 +406,7 @@ def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds, extend=F
                 if keep == len(trial) and len(candidates) == 1:
                     return frozenset(trial), cand
                 checks += 1
-                if not t_check(stack, window, trial[:keep], noise_bounds, epsilon).sat:
+                if not t_check(model, window, trial[:keep], epsilon).sat:
                     return frozenset(trial[:keep]), cand
         raise ConflictSearchError(f"no conflict among {len(candidates)} candidates")
 
@@ -429,21 +419,22 @@ def _reference_walk(stack, window, check, s_bar, epsilon, noise_bounds, extend=F
             break
         checks += 1
         prefix = [cand] + seed[:first - 1]
-        if t_check(stack, window, prefix, noise_bounds, epsilon).sat:
+        if t_check(model, window, prefix, epsilon).sat:
             break
         certs.append(Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(prefix),
                                  suspect=cand))
     return certs, checks
 
 
-def _unaimed_walk(stack, window, check, s_bar, epsilon, noise_bounds):
+def _unaimed_walk(model, window, check, s_bar, epsilon):
     """The walk seeded and aimed from the failed check's own residuals:
     (conflict, suspect, trials checked), or None when no trial fails."""
+    stack = build_observability(model)
     ranked = _ranked(stack, window, check)
     seed_size = stack.p - 2 * s_bar
     for checks, cand in enumerate(ranked[seed_size:][::-1], start=1):
         trial = ranked[:seed_size] + [cand]
-        if not t_check(stack, window, trial, noise_bounds, epsilon).sat:
+        if not t_check(model, window, trial, epsilon).sat:
             suspect = max(trial, key=lambda i: (_residual_of(stack, window, check, i), i))
             return frozenset(trial), suspect, checks
     return None
@@ -454,8 +445,8 @@ def _counting_checks(monkeypatch):
     checked = []
     real_t = sse.theory.t_check
     monkeypatch.setattr(sse.theory, "t_check",
-                        lambda st, w, sensors, *a: checked.append(
-                            ("t_check", tuple(sorted(sensors)))) or real_t(st, w, sensors, *a))
+                        lambda m, w, sensors, *a: checked.append(
+                            ("t_check", tuple(sorted(sensors)))) or real_t(m, w, sensors, *a))
     return checked
 
 
@@ -463,14 +454,13 @@ def test_one_candidate_walk_takes_the_checked_set(monkeypatch, four_lines):
     # p - 2*s_bar = 2 and three sensors checked: the only trial is the checked
     # set, which the check already rejected, and its shorter prefixes have no
     # spare equation, so the walk checks nothing
-    model, stack, window = four_lines
-    check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
+    model, _, window = four_lines
+    check = t_check(model, window, (0, 1, 2), 1e-9)
     assert not check.sat
-    conflict, suspect, walk_checks = _reference_walk(stack, window, check, 1, 1e-9,
-                                                     model.noise_bounds)
+    conflict, suspect, walk_checks = _reference_walk(model, window, check, 1, 1e-9)
     assert conflict == frozenset(check.sensors) and walk_checks == 0
     checked = _counting_checks(monkeypatch)
-    cert, counts = _conflict(stack, window, check, 1, 1e-9, model.noise_bounds)
+    cert, counts = _conflict(model, window, check, 1, 1e-9)
     assert (cert.sensors, cert.suspect) == (conflict, suspect)
     assert counts.theory_checks == len(checked) == 0
 
@@ -488,19 +478,18 @@ def test_exactly_determined_seed_walks_unaimed():
         assert stack.tau * (stack.p - 2 * 2) == stack.n
         for size in (3, 4, 5):  # at least two candidates
             for trusted in itertools.combinations(range(5), size):
-                check = t_check(stack, window, trusted, model.noise_bounds, 1e-6)
+                check = t_check(model, window, trusted, 1e-6)
                 if check.sat:
                     continue
-                want = _unaimed_walk(stack, window, check, 2, 1e-6, model.noise_bounds)
+                want = _unaimed_walk(model, window, check, 2, 1e-6)
                 if want is None:
-                    certs, counts = certificates(stack, window, check, 2, 1e-6,
-                                               model.noise_bounds, Strategy.CONFLICT)
+                    certs, counts = certificates(model, window, check, 2, 1e-6, Strategy.CONFLICT)
                     assert counts.conflict_fallbacks == 1
                     assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
                                                  frozenset(check.sensors))]
                     continue
                 conflict, suspect, walk_checks = want
-                cert, counts = _conflict(stack, window, check, 2, 1e-6, model.noise_bounds)
+                cert, counts = _conflict(model, window, check, 2, 1e-6)
                 assert (cert.sensors, cert.suspect) == (conflict, suspect)
                 assert counts.theory_checks == walk_checks
                 cases += 1
@@ -513,14 +502,13 @@ def test_certificates_share_one_seed_fit_with_agree(monkeypatch):
         inst = generate_instance(4, 10, 2, 2, "3s", 0.0, seed=seed,
                                  attack_norm={"lo": 2.0, "hi": 6.0})
         model, stack, window = inst.model, inst.stack, inst.window
-        check = t_check(stack, window, tuple(range(10)), model.noise_bounds, 1e-8)
+        check = t_check(model, window, tuple(range(10)), 1e-8)
         assert not check.sat
         seed_set = tuple(sorted(_ranked(stack, window, check)[:6]))
-        alone = certificate_agree(t_check(stack, window, seed_set, model.noise_bounds, 1e-8))
+        alone = certificate_agree(t_check(model, window, seed_set, 1e-8))
         with monkeypatch.context() as m:
             checked = _counting_checks(m)
-            certs, counts = certificates(stack, window, check, 2, 1e-8, model.noise_bounds,
-                                       Strategy.CONFLICT_AGREE)
+            certs, counts = certificates(model, window, check, 2, 1e-8, Strategy.CONFLICT_AGREE)
         assert checked.count(("t_check", seed_set)) == 1
         agree = [c for c in certs if c.kind is CertificateKind.ALL_UNATTACKED]
         assert agree == ([] if alone is None else [alone])
@@ -537,16 +525,15 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
     rng = np.random.default_rng(5)
     looped = 0
     for trusted in _random_trusted(rng, 60, 20, 10):
-        check = t_check(stack, window, trusted, model.noise_bounds, 1e-6)
+        check = t_check(model, window, trusted, 1e-6)
         if check.sat:
             continue
-        fits = _seed_fits(stack, window, check, 20, 1e-6, model.noise_bounds)
+        fits = _seed_fits(model, window, check, 20, 1e-6)
         fit = fits[-1]
         looped += len(fits) > 1
         with monkeypatch.context() as m:
             checked = _counting_checks(m)
-            certs, counts = certificates(stack, window, check, 20, 1e-6, model.noise_bounds,
-                                         Strategy.CONFLICT)
+            certs, counts = certificates(model, window, check, 20, 1e-6, Strategy.CONFLICT)
         # the seed fits come first, one t_check each, and every one but the
         # last fails; every other check is a walk prefix of at least
         # n // tau + 1 = 13 sensors, and the walk's last is the first
@@ -568,11 +555,11 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
         assert extra == [] or fit.sat
         refit = _residuals_at(stack, window, fit.x)
         assert cert.suspect == max(cert.sensors, key=lambda i: (refit[i], i))
-        assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
+        assert not t_check(model, window, cert.sensors, 1e-6).sat
         # the walk on the last seed fit's ranking is the certificate
         refit_ranked = _refit_ranking(stack, window, check.sensors, fit.x)
-        assert certificate_conflict(stack, window, _theory_walk_order(stack, refit_ranked, 20),
-                                    1e-6, model.noise_bounds, SolveStats()) == cert
+        assert certificate_conflict(model, window, _theory_walk_order(stack, refit_ranked, 20),
+                                    1e-6, SolveStats()) == cert
     assert looped > 0
 
 
@@ -582,9 +569,9 @@ def test_aimed_suspect_has_the_largest_refit_residual(monkeypatch):
 
 
 def test_four_lines_agree_certifies_lowest_residual_pair(four_lines):
-    model, stack, window = four_lines
-    check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    cert = _agree(stack, window, check, 1, 1e-9, model.noise_bounds)
+    model, _, window = four_lines
+    check = t_check(model, window, (0, 1, 2, 3), 1e-9)
+    cert = _agree(model, window, check, 1, 1e-9)
     assert cert is not None
     assert cert.kind is CertificateKind.ALL_UNATTACKED
     # the two smallest normalized residuals belong to honest lines 3 and 1
@@ -596,13 +583,13 @@ def test_agree_absent_when_seed_inconsistent():
     model = line_model([[1.0, 1.0], [-1.0, 1.0], [0.0, 1.0], [-2.0, 1.0]], s_bar=1)
     stack = build_observability(model)
     window = line_window(model, [8.0, 4.0 + 0.5, 8.0, 2.0 + 0.4])
-    check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
+    check = t_check(model, window, (0, 1, 2, 3), 1e-9)
     assert not check.sat
     seed = _ranked(stack, window, check)[:2]
-    seed_check = t_check(stack, window, seed, model.noise_bounds, 1e-9)
+    seed_check = t_check(model, window, seed, 1e-9)
     if not seed_check.sat:  # construction sanity: the seed itself conflicts
         assert certificate_agree(seed_check) is None
-        assert _agree(stack, window, check, 1, 1e-9, model.noise_bounds) is None
+        assert _agree(model, window, check, 1, 1e-9) is None
 
 
 def test_agree_single_sensor_edge():
@@ -610,13 +597,12 @@ def test_agree_single_sensor_edge():
     rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     model = SystemModel(A=np.eye(2), B=np.zeros((2, 1)), C=rows, tau=2, s_bar=1,
                         noise_bounds=np.zeros(3))
-    stack = build_observability(model)
     outputs = np.vstack([rows @ [1.0, 2.0]] * 2)
     outputs[:, 2] += 5.0
     window = stack_window(model, outputs, np.zeros((2, 1)))
-    check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
+    check = t_check(model, window, (0, 1, 2), 1e-9)
     assert not check.sat
-    cert = _agree(stack, window, check, 1, 1e-9, model.noise_bounds)
+    cert = _agree(model, window, check, 1, 1e-9)
     assert cert is not None and len(cert.sensors) == 1
 
 
@@ -628,9 +614,9 @@ def test_agree_certificates_avoid_true_support():
         inst = generate_instance(4, 10, 2, 2, "3s", 0.0, seed=seed,
                                  attack_norm={"lo": 2.0, "hi": 6.0})
         sensors = tuple(range(10))
-        check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-8)
+        check = t_check(inst.model, inst.window, sensors, 1e-8)
         assert not check.sat
-        cert = _agree(inst.stack, inst.window, check, 2, 1e-8, inst.model.noise_bounds)
+        cert = _agree(inst.model, inst.window, check, 2, 1e-8)
         if cert is not None:
             found += 1
             assert not (cert.sensors & set(inst.attacked))
@@ -644,19 +630,17 @@ def test_agree_certificates_avoid_true_support():
 
 
 def test_trivial_strategy_blames_all_checked(four_lines):
-    model, stack, window = four_lines
-    check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    certs, _ = certificates(stack, window, check, 1, 1e-9,
-                            model.noise_bounds, Strategy.TRIVIAL)
+    model, _, window = four_lines
+    check = t_check(model, window, (0, 1, 2, 3), 1e-9)
+    certs, _ = certificates(model, window, check, 1, 1e-9, Strategy.TRIVIAL)
     assert len(certs) == 1
     assert certs[0].sensors == frozenset({0, 1, 2, 3})
 
 
 def test_conflict_agree_emits_both_when_allowed(four_lines):
-    model, stack, window = four_lines
-    check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    certs, counts = certificates(stack, window, check, 1, 1e-9,
-                               model.noise_bounds, Strategy.CONFLICT_AGREE)
+    model, _, window = four_lines
+    check = t_check(model, window, (0, 1, 2, 3), 1e-9)
+    certs, counts = certificates(model, window, check, 1, 1e-9, Strategy.CONFLICT_AGREE)
     kinds = [c.kind for c in certs]
     assert kinds == [CertificateKind.AT_LEAST_ONE_ATTACKED, CertificateKind.ALL_UNATTACKED]
 
@@ -673,18 +657,16 @@ def test_conflict_agree_suppressed_without_gate(four_lines):
     assert [c.kind for c in first.certificates] == [CertificateKind.AT_LEAST_ONE_ATTACKED]
     # the closed gate is what suppressed it: certificates under conflict_agree
     # emits one for the same check
-    check = t_check(stack, window, (0, 1, 2, 3), model.noise_bounds, 1e-9)
-    opened, _ = certificates(stack, window, check, 1, 1e-9,
-                             model.noise_bounds, Strategy.CONFLICT_AGREE)
+    check = t_check(model, window, (0, 1, 2, 3), 1e-9)
+    opened, _ = certificates(model, window, check, 1, 1e-9, Strategy.CONFLICT_AGREE)
     assert CertificateKind.ALL_UNATTACKED in [c.kind for c in opened]
 
 
 def test_small_sensor_sets_fall_back_to_trivial():
-    model, stack, window = scalar_sensors(3, [0.0, 0.0, 5.0], s_bar=1)
-    check = t_check(stack, window, (0, 2), model.noise_bounds, 1e-9)
+    model, _, window = scalar_sensors(3, [0.0, 0.0, 5.0], s_bar=1)
+    check = t_check(model, window, (0, 2), 1e-9)
     assert not check.sat
-    certs, _ = certificates(stack, window, check, 1, 1e-9,
-                            model.noise_bounds, Strategy.CONFLICT)
+    certs, _ = certificates(model, window, check, 1, 1e-9, Strategy.CONFLICT)
     assert certs[0].sensors == frozenset({0, 2})
 
 
@@ -714,8 +696,7 @@ def test_above_threshold_attacks_rejected_in_every_large_set():
             for subset in itertools.combinations(range(p), size):
                 if attacked not in subset:
                     continue
-                check = t_check(inst.stack, inst.window, subset,
-                                inst.model.noise_bounds, eps)
+                check = t_check(inst.model, inst.window, subset, eps)
                 assert not check.sat
 
 
@@ -730,8 +711,7 @@ def test_noiseless_sat_checks_pin_the_true_state():
         inst = generate_instance(3, 6, 1, 1, "2s", 0.0, seed=seed, attack_norm=4.0)
         for size in range(5, 7):
             for subset in itertools.combinations(range(6), size):
-                check = t_check(inst.stack, inst.window, subset,
-                                inst.model.noise_bounds, 1e-6)
+                check = t_check(inst.model, inst.window, subset, 1e-6)
                 if check.sat:
                     err = np.linalg.norm(check.x - inst.x_true)
                     assert err <= 1e-6 * (1 + np.linalg.norm(inst.x_true))
@@ -776,10 +756,11 @@ def _reference_t_check(stack, window, sensors, noise_bounds, epsilon):
     return sat, x, residual_sq, sensors, rank_deficient
 
 
-def _assert_matches_reference(stack, window, sensors, noise_bounds, epsilon):
-    check = t_check(stack, window, sensors, noise_bounds, epsilon)
+def _assert_matches_reference(model, window, sensors, epsilon):
+    stack = build_observability(model)
+    check = t_check(model, window, sensors, epsilon)
     sat, x, residual_sq, ref_sensors, rank_deficient = _reference_t_check(
-        stack, window, sensors, noise_bounds, epsilon)
+        stack, window, sensors, model.noise_bounds, epsilon)
     assert check.x.tobytes() == x.tobytes()
     assert check.residual_sq == residual_sq
     assert check.sensors == ref_sensors
@@ -815,25 +796,26 @@ def test_t_check_matches_reference_bit_for_bit(case, four_lines):
     else:
         model, stack, window = _dead_block_case()
         assert not stack.block_norms_sq.all()
-    # a second noise budget on the same stack: the memo must not serve the
-    # first one's psi
-    other_bounds = model.noise_bounds + np.linspace(0.01, 0.2, stack.p)
+    # a second noise budget: a copy of the model with other bounds, whose
+    # checks read its own stack and memo
+    other = dataclasses.replace(
+        model, noise_bounds=model.noise_bounds + np.linspace(0.01, 0.2, stack.p))
     rng = np.random.default_rng(7)
     for _ in range(60):
         size = int(rng.integers(1, stack.p + 1))
         sensors = rng.choice(stack.p, size=size, replace=False).tolist()
         key = tuple(sorted(sensors))
-        # the shared stack fills its memo until the budget is spent; a fresh
-        # copy (empty memo) serves the second check of every set from it
-        fresh = dataclasses.replace(stack)
-        for on in (stack, fresh):
-            for noise_bounds in (model.noise_bounds, other_bounds):
-                for epsilon in (0.0, 1e-6):
-                    for _ in range(2):  # the second check reads the memo if it holds the set
-                        _assert_matches_reference(on, window, sensors, noise_bounds, epsilon)
-        assert key in fresh._checks
+        # the model's stack fills its memo until the budget is spent; a fresh
+        # copy of the model (its own stack, an empty memo) serves the second
+        # check of every set from it
+        fresh = dataclasses.replace(model)
+        for on in (model, fresh, other):
+            for epsilon in (0.0, 1e-6):
+                for _ in range(2):  # the second check reads the memo if it holds the set
+                    _assert_matches_reference(on, window, sensors, epsilon)
+        assert key in build_observability(fresh)._checks
     if case == "dead_block":
-        check = t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-9)
+        check = t_check(model, window, (0, 1, 2), 1e-9)
         assert _residual_of(stack, window, check, 1) == math.inf
 
 
@@ -848,7 +830,7 @@ def test_check_memo_stays_within_its_float_budget():
         if key in seen:
             continue
         seen.add(key)
-        t_check(stack, window, key, inst.model.noise_bounds, 1e-6)
+        t_check(inst.model, window, key, 1e-6)
         assert stack._checks.floats <= sse.theory.CHECK_MEMO_FLOATS
     held = sum(const.o_i.size + const.gram.size + len(key)
                for key, const in stack._checks.items())
@@ -862,7 +844,7 @@ def test_t_check_flags_undetermined_sets():
     rng = np.random.default_rng(11)
     for _ in range(200):
         sensors = rng.choice(inst.stack.p, size=12, replace=False).tolist()
-        check = t_check(inst.stack, inst.window, sensors, inst.model.noise_bounds, 1e-6)
+        check = t_check(inst.model, inst.window, sensors, 1e-6)
         assert check.rank_deficient
 
 
@@ -930,13 +912,13 @@ def _trusted_set_cases():
 
 
 def _walk_cases(case):
-    """(stack, window, check, s_bar, epsilon, noise bounds) for every
-    rejected check of ``_trusted_set_cases()[case]`` that the walk runs on."""
+    """(model, stack, window, check, s_bar, epsilon) for every rejected
+    check of ``_trusted_set_cases()[case]`` that the walk runs on."""
     model, stack, windows, s_bar, epsilon, trusted_sets = _trusted_set_cases()[case]
     for window, trusted in itertools.product(windows, trusted_sets):
-        check = t_check(stack, window, trusted, model.noise_bounds, epsilon)
+        check = t_check(model, window, trusted, epsilon)
         if not check.sat and len(check.sensors) > stack.p - 2 * s_bar:
-            yield stack, window, check, s_bar, epsilon, model.noise_bounds
+            yield model, stack, window, check, s_bar, epsilon
 
 
 @pytest.mark.parametrize("case", range(8))
@@ -946,11 +928,10 @@ def test_walk_prefixes_short_of_the_certificate_pass(case):
     # certificate passes, and the certificate itself fails
     # (the conflicts the seed fit adds are first prefixes, so the same holds)
     walked = 0
-    for stack, window, check, s_bar, epsilon, bounds in _walk_cases(case):
-        certs, counts = certificates(stack, window, check, s_bar, epsilon, bounds,
-                                     Strategy.CONFLICT)
+    for model, stack, window, check, s_bar, epsilon in _walk_cases(case):
+        certs, counts = certificates(model, window, check, s_bar, epsilon, Strategy.CONFLICT)
         for cert in certs:
-            assert not t_check(stack, window, cert.sensors, bounds, epsilon).sat
+            assert not t_check(model, window, cert.sensors, epsilon).sat
         if counts.conflict_fallbacks:
             continue
         walked += 1
@@ -958,7 +939,7 @@ def test_walk_prefixes_short_of_the_certificate_pass(case):
             assert cert.suspect in cert.sensors
             trial = [cert.suspect] + _walk_order(stack, cert.sensors - {cert.suspect})
             for keep in range(stack.n // stack.tau + 1, len(trial)):
-                assert t_check(stack, window, trial[:keep], bounds, epsilon).sat
+                assert t_check(model, window, trial[:keep], epsilon).sat
     assert walked > 0
 
 
@@ -970,12 +951,10 @@ def test_walk_matches_the_reference_walk(monkeypatch, memo_floats):
     monkeypatch.setattr(sse.theory, "CHECK_MEMO_FLOATS", memo_floats)
     walked = 0
     for case in range(8):
-        for stack, window, check, s_bar, epsilon, bounds in _walk_cases(case):
-            certs, counts = certificates(stack, window, check, s_bar, epsilon, bounds,
-                                         Strategy.CONFLICT)
+        for model, _, window, check, s_bar, epsilon in _walk_cases(case):
+            certs, counts = certificates(model, window, check, s_bar, epsilon, Strategy.CONFLICT)
             try:
-                want, checks = _reference_walk(stack, window, check, s_bar, epsilon, bounds,
-                                               extend=True)
+                want, checks = _reference_walk(model, window, check, s_bar, epsilon, extend=True)
             except ConflictSearchError:
                 assert counts.conflict_fallbacks == 1
                 assert certs == [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED,
@@ -1001,19 +980,18 @@ def test_rank_deficient_prefix_goes_through_the_check(monkeypatch):
     offsets = rows @ np.array([2.0, 6.0])
     offsets[4] += 3.0
     window = line_window(model, offsets)
-    bounds = model.noise_bounds
-    check = t_check(stack, window, range(5), bounds, 1e-6)
+    check = t_check(model, window, range(5), 1e-6)
     assert _ranked(stack, window, check)[:3] == [3, 0, 1]
     assert np.linalg.matrix_rank(stack_rows(stack, (4, 0, 1))) == 2
     checked = _counting_checks(monkeypatch)
-    cert, counts = _conflict(stack, window, check, 1, 1e-6, bounds)
+    cert, counts = _conflict(model, window, check, 1, 1e-6)
     monkeypatch.undo()
     assert [sensors for _, sensors in checked] == [(0, 1, 3), (0, 1, 4), (0, 1, 3, 4)]
     assert (cert.sensors, cert.suspect) == (frozenset({0, 1, 3, 4}), 4)
     assert counts.theory_checks == 3
-    assert _reference_walk(stack, window, check, 1, 1e-6, bounds) == (cert.sensors, 4, 3)
-    assert t_check(stack, window, (0, 1, 4), bounds, 1e-6).sat
-    assert not t_check(stack, window, cert.sensors, bounds, 1e-6).sat
+    assert _reference_walk(model, window, check, 1, 1e-6) == (cert.sensors, 4, 3)
+    assert t_check(model, window, (0, 1, 4), 1e-6).sat
+    assert not t_check(model, window, cert.sensors, 1e-6).sat
 
 
 # kinds of C row in the rank property test: a fresh random row, a dead one, a
@@ -1060,8 +1038,9 @@ def test_full_row_rank_blocks_pass_the_check_alone(spec):
         sv = np.linalg.svd(stack.blocks[i], compute_uv=False)
         if sv[0] > COND_LIMIT * sv[-1]:
             continue
-        for bounds in (np.zeros(p), rng.uniform(0.0, 1.0, size=p)):
-            assert t_check(stack, window, (i,), bounds, DEFAULT_EPSILON).sat
+        noisy = dataclasses.replace(model, noise_bounds=rng.uniform(0.0, 1.0, size=p))
+        for on in (model, noisy):
+            assert t_check(on, window, (i,), DEFAULT_EPSILON).sat
 
 
 def _ill_conditioned_pair():
@@ -1084,18 +1063,17 @@ def test_walk_certifies_the_pair_although_sensor_0_fits_alone(monkeypatch):
     # is the pair it rejected.
     model, stack, window = _ill_conditioned_pair()
     assert stack.block_kernel_dims.tolist() == [0, 0, 0]
-    bounds = model.noise_bounds
-    assert t_check(stack, window, (0,), bounds, DEFAULT_EPSILON).sat
+    assert t_check(model, window, (0,), DEFAULT_EPSILON).sat
     exact = np.linalg.solve(stack.blocks[0], window.blocks[0])
     assert np.linalg.norm(stack.blocks[0] @ exact - window.blocks[0]) <= DEFAULT_EPSILON
-    check = t_check(stack, window, range(3), bounds, DEFAULT_EPSILON)
+    check = t_check(model, window, range(3), DEFAULT_EPSILON)
     checked = _counting_checks(monkeypatch)
-    cert, counts = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
+    cert, counts = _conflict(model, window, check, 1, DEFAULT_EPSILON)
     assert cert.sensors == frozenset({0, 1})
     assert checked == [("t_check", (0, 1))]
     assert counts.theory_checks == 1  # the walk's one trial
     monkeypatch.undo()
-    assert not t_check(stack, window, cert.sensors, bounds, DEFAULT_EPSILON).sat
+    assert not t_check(model, window, cert.sensors, DEFAULT_EPSILON).sat
 
 
 def test_brute_force_lists_the_support_of_an_ill_conditioned_complement():
@@ -1146,7 +1124,7 @@ def test_ill_conditioned_checks_match_an_svd_reference(spec):
         for sensors in itertools.combinations(range(p), size):
             residual = _svd_residual(stack, window, sensors)
             if abs(residual - DEFAULT_EPSILON) > 0.5 * DEFAULT_EPSILON:
-                check = t_check(stack, window, sensors, model.noise_bounds, DEFAULT_EPSILON)
+                check = t_check(model, window, sensors, DEFAULT_EPSILON)
                 assert check.sat == (residual <= DEFAULT_EPSILON)
 
 
@@ -1154,14 +1132,14 @@ def test_overflowing_residual_is_not_solved_again(monkeypatch):
     # the GPS reading's square overflows: the normal-equation solve passes
     # its gradient test, the residual is inf, and the rejection stands
     # without an SVD solve
-    model, stack, _ = _ugv_case()
+    model, _, _ = _ugv_case()
     window = stack_window(model, np.array([[1e200, 1.0, 1.2], [0.4, 0.9, 1.1]]),
                           np.zeros((2, 1)))
     solves = []
     real = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solves.append(a) or real(*a, **k))
     with np.errstate(all="ignore"):
-        check = t_check(stack, window, range(3), model.noise_bounds, DEFAULT_EPSILON)
+        check = t_check(model, window, range(3), DEFAULT_EPSILON)
     assert not check.sat and check.residual_sq == math.inf
     assert solves == []
 
@@ -1186,20 +1164,19 @@ def test_nonfinite_reading_in_the_one_sensor_prefix_is_checked(monkeypatch, read
     model, stack, _ = _ugv_case()
     window = stack_window(model, np.array([[reading, 1.0, 1.2], [0.4, 0.9, 1.1]]),
                           np.zeros((2, 1)))
-    bounds = model.noise_bounds
     checked = _counting_checks(monkeypatch)
     with np.errstate(all="ignore"):
-        check = t_check(stack, window, range(3), bounds, DEFAULT_EPSILON)
+        check = t_check(model, window, range(3), DEFAULT_EPSILON)
         assert not check.sat
-        cert, _ = _conflict(stack, window, check, 1, DEFAULT_EPSILON, bounds)
-        direct = certificate_conflict(stack, window, _theory_walk_order(stack, [1, 0], 1),
-                                      DEFAULT_EPSILON, bounds, SolveStats())
+        cert, _ = _conflict(model, window, check, 1, DEFAULT_EPSILON)
+        direct = certificate_conflict(model, window, _theory_walk_order(stack, [1, 0], 1),
+                                      DEFAULT_EPSILON, SolveStats())
     assert (cert.sensors, cert.suspect) == (frozenset({0}), None)
     # a lone candidate: the checked set, taken without a check
     assert (direct.sensors, direct.suspect) == (frozenset({0, 1}), 0)
     assert checked == []
     with np.errstate(all="ignore"):
-        assert not t_check(stack, window, cert.sensors, bounds, DEFAULT_EPSILON).sat
+        assert not t_check(model, window, cert.sensors, DEFAULT_EPSILON).sat
 
 
 def test_every_conflict_certificate_is_rejected():
@@ -1218,8 +1195,7 @@ def test_every_conflict_certificate_is_rejected():
     assert all(1 <= len(r.certificates) <= 20 for r in rejected)
     assert len(conflicts) == sum(len(r.certificates) for r in rejected)
     for cert in conflicts:
-        assert not t_check(inst.stack, inst.window, cert.sensors,
-                           inst.model.noise_bounds, 1e-6).sat
+        assert not t_check(inst.model, inst.window, cert.sensors, 1e-6).sat
 
 
 def test_desk_walk_certificates_have_thirteen_members():
@@ -1234,8 +1210,7 @@ def test_desk_walk_certificates_have_thirteen_members():
     assert conflicts
     for cert in conflicts:
         assert len(cert.sensors) == 13 and cert.suspect in cert.sensors
-        assert not t_check(inst.stack, inst.window, cert.sensors,
-                           inst.model.noise_bounds, 1e-6).sat
+        assert not t_check(inst.model, inst.window, cert.sensors, 1e-6).sat
 
 
 # ---------------------------------------------------------------------------
@@ -1243,12 +1218,13 @@ def test_desk_walk_certificates_have_thirteen_members():
 # ---------------------------------------------------------------------------
 
 
-def _seed_fits(stack, window, check, s_bar, epsilon, bounds):
+def _seed_fits(model, window, check, s_bar, epsilon):
     """The seed fits ``certificates`` makes under conflict, in order; none
     when the walk is unaimed.  The first fits the seed_size lowest of the
     check's ranking, and each next one the seed_size lowest of the ranking
     at the fit before it, until a fit passes or that seed was fitted
     already."""
+    stack = build_observability(model)
     seed_size = stack.p - 2 * s_bar
     if stack.tau * seed_size <= stack.n or len(check.sensors) - seed_size < 2:
         return []
@@ -1257,41 +1233,40 @@ def _seed_fits(stack, window, check, s_bar, epsilon, bounds):
         seed = tuple(sorted(_ranked(stack, window, check, x)[:seed_size]))
         if fits and (fits[-1].sat or seed in [fit.sensors for fit in fits]):
             return fits
-        fits.append(t_check(stack, window, seed, bounds, epsilon))
+        fits.append(t_check(model, window, seed, epsilon))
         x = fits[-1].x
 
 
-def _seed_fit(stack, window, check, s_bar, epsilon, bounds):
+def _seed_fit(model, window, check, s_bar, epsilon):
     """The last seed fit ``certificates`` makes under conflict, the one the
     walk ranks at, or None when the walk is unaimed."""
-    fits = _seed_fits(stack, window, check, s_bar, epsilon, bounds)
+    fits = _seed_fits(model, window, check, s_bar, epsilon)
     return fits[-1] if fits else None
 
 
 def _over_budget_cases():
-    """(stack, window, check, s_bar, epsilon, bounds) for rejected checks of
+    """(model, stack, window, check, s_bar, epsilon, attacked) for rejected checks of
     all 12 sensors of exact instances with 3 attacked sensors, solved at
     budget 2: the seed of 8 can be clean while 3 candidates are attacked, so
     the budget can end the extension."""
     for seed in range(6):
         inst = generate_instance(3, 12, 3, 3, "2s", 0.0, seed=seed,
                                  attack_norm={"lo": 2.0, "hi": 8.0})
-        check = t_check(inst.stack, inst.window, range(12), inst.model.noise_bounds, 1e-6)
-        yield inst.stack, inst.window, check, 2, 1e-6, inst.model.noise_bounds, inst.attacked
+        check = t_check(inst.model, inst.window, range(12), 1e-6)
+        yield inst.model, inst.stack, inst.window, check, 2, 1e-6, inst.attacked
 
 
 def test_seed_fit_conflicts_follow_the_walk_and_are_rejected():
     extended = capped = 0
     cases = [case + (None,) for c in range(8) for case in _walk_cases(c)]
-    for stack, window, check, s_bar, epsilon, bounds, attacked in cases + list(
+    for model, stack, window, check, s_bar, epsilon, attacked in cases + list(
             _over_budget_cases()):
-        certs, counts = certificates(stack, window, check, s_bar, epsilon, bounds,
-                                     Strategy.CONFLICT)
+        certs, counts = certificates(model, window, check, s_bar, epsilon, Strategy.CONFLICT)
         assert 1 <= len(certs) <= s_bar
         if len(certs) == 1:
             continue
         extended += 1
-        fit = _seed_fit(stack, window, check, s_bar, epsilon, bounds)
+        fit = _seed_fit(model, window, check, s_bar, epsilon)
         assert fit is not None and fit.sat and counts.conflict_fallbacks == 0
         # the walk's candidates, highest refit residual first: each further
         # suspect comes later in that order than the one before it
@@ -1303,7 +1278,7 @@ def test_seed_fit_conflicts_follow_the_walk_and_are_rejected():
         for cert in certs[1:]:
             assert cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
             assert cert.suspect in cert.sensors and len(cert.sensors) == first
-            assert not t_check(stack, window, cert.sensors, bounds, epsilon).sat
+            assert not t_check(model, window, cert.sensors, epsilon).sat
         if attacked is not None and len(certs) == s_bar:
             capped += len(set(attacked) & set(check.sensors)) > s_bar
     assert extended > 0 and capped > 0
@@ -1313,10 +1288,9 @@ def test_no_extension_without_a_passing_seed_fit(monkeypatch):
     # the last seed fit is made and fails: the walk's conflict alone
     failed = 0
     for case in range(8):
-        for stack, window, check, s_bar, epsilon, bounds in _walk_cases(case):
-            fit = _seed_fit(stack, window, check, s_bar, epsilon, bounds)
-            certs, _ = certificates(stack, window, check, s_bar, epsilon, bounds,
-                                    Strategy.CONFLICT)
+        for model, _, window, check, s_bar, epsilon in _walk_cases(case):
+            fit = _seed_fit(model, window, check, s_bar, epsilon)
+            certs, _ = certificates(model, window, check, s_bar, epsilon, Strategy.CONFLICT)
             if fit is None or not fit.sat:
                 failed += fit is not None
                 assert len(certs) == 1
@@ -1324,12 +1298,11 @@ def test_no_extension_without_a_passing_seed_fit(monkeypatch):
     # the seed fit passes but the walk falls back: the checked set alone,
     # then (under conflict_agree) the agree certificate
     epsilon = 1e-3
-    model, stack, window = _lines_off_by((0.9, 0.9, 0.9, 0.9), epsilon, 2)
-    check = t_check(stack, window, range(10), model.noise_bounds, epsilon)
-    assert _seed_fit(stack, window, check, 2, epsilon, model.noise_bounds).sat
+    model, _, window = _lines_off_by((0.9, 0.9, 0.9, 0.9), epsilon, 2)
+    check = t_check(model, window, range(10), epsilon)
+    assert _seed_fit(model, window, check, 2, epsilon).sat
     trivial = Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, frozenset(range(10)))
-    certs, counts = certificates(stack, window, check, 2, epsilon, model.noise_bounds,
-                                 Strategy.CONFLICT)
+    certs, counts = certificates(model, window, check, 2, epsilon, Strategy.CONFLICT)
     assert certs == [trivial] and counts.conflict_fallbacks == 1
     # s_bar = 1 on the vehicle: on every rejected check of a run, the walk
     # with the extension is the walk alone, and certificates returns its one
@@ -1340,11 +1313,11 @@ def test_no_extension_without_a_passing_seed_fit(monkeypatch):
                         lambda *a: calls.append((a, real(*a))) or calls[-1][1])
     run_closed_loop(discretize_ugv(), alternating_encoder_scenario(), steps=340, seed=4)
     assert calls
-    for (stack, window, check, s_bar, epsilon, bounds, _), (certs, counts) in calls:
-        conflict, suspect, checks = _reference_walk(stack, window, check, s_bar, epsilon, bounds)
+    for (model, window, check, s_bar, epsilon, _), (certs, counts) in calls:
+        conflict, suspect, checks = _reference_walk(model, window, check, s_bar, epsilon)
         walked = [Certificate(CertificateKind.AT_LEAST_ONE_ATTACKED, conflict, suspect=suspect)]
-        assert _reference_walk(stack, window, check, s_bar, epsilon, bounds,
-                               extend=True) == (walked, checks)
+        assert (_reference_walk(model, window, check, s_bar, epsilon, extend=True)
+                == (walked, checks))
         assert (certs, counts.theory_checks) == (walked, checks)
     # the vehicle's budget is full after the walk's conflict; six lines with
     # two attacked sensors and s_bar = 2 also walk unaimed (no seed fit) but
@@ -1352,15 +1325,13 @@ def test_no_extension_without_a_passing_seed_fit(monkeypatch):
     # the first conflict's seed would be: still the walk's conflict alone
     rows = np.array(FIVE_LINES + [[1.0, -1.0]])
     model = line_model(rows, s_bar=2)
-    stack = build_observability(model)
     window = line_window(model, rows @ [2.0, 6.0] + [5.0, -7.0, 0.0, 0.0, 0.0, 0.0])
-    check = t_check(stack, window, range(6), model.noise_bounds, DEFAULT_EPSILON)
-    assert _seed_fit(stack, window, check, 2, DEFAULT_EPSILON, model.noise_bounds) is None
-    certs, _ = certificates(stack, window, check, 2, DEFAULT_EPSILON, model.noise_bounds,
-                            Strategy.CONFLICT)
+    check = t_check(model, window, range(6), DEFAULT_EPSILON)
+    assert _seed_fit(model, window, check, 2, DEFAULT_EPSILON) is None
+    certs, _ = certificates(model, window, check, 2, DEFAULT_EPSILON, Strategy.CONFLICT)
     assert len(certs) == 1 and certs[0].suspect in (0, 1)
     other = ({0, 1} - {certs[0].suspect}) | (certs[0].sensors - {certs[0].suspect})
-    assert not t_check(stack, window, other, model.noise_bounds, DEFAULT_EPSILON).sat
+    assert not t_check(model, window, other, DEFAULT_EPSILON).sat
 
 
 @pytest.mark.parametrize("strategy", [Strategy.CONFLICT, Strategy.CONFLICT_AGREE])
@@ -1427,7 +1398,7 @@ def _rejected_checks(model, stack, window, result):
     for record in result.records:
         if not record.sat:
             sensors = tuple(i for i in range(model.p) if i not in record.support)
-            yield t_check(stack, window, sensors, model.noise_bounds, 1e-6)
+            yield t_check(model, window, sensors, 1e-6)
 
 
 def test_repeated_seed_fits_solve_a_desk_tail_instance_in_two_iterations():
@@ -1441,7 +1412,7 @@ def test_repeated_seed_fits_solve_a_desk_tail_instance_in_two_iterations():
     assert result.feasible and result.support == inst.attacked
     assert result.iterations == 2
     check = next(_rejected_checks(model, stack, window, result))
-    fits = _seed_fits(stack, window, check, 20, 1e-6, model.noise_bounds)
+    fits = _seed_fits(model, window, check, 20, 1e-6)
     assert len(fits) > 1 and fits[-1].sat
     assert len(result.records[0].certificates) == len(inst.attacked)
 
@@ -1457,17 +1428,16 @@ def test_seed_fit_loop_stops_on_a_repeated_seed(monkeypatch):
     assert result.feasible and result.support == inst.attacked
     stopped = 0
     for check in _rejected_checks(model, stack, window, result):
-        fits = _seed_fits(stack, window, check, 20, 1e-6, model.noise_bounds)
+        fits = _seed_fits(model, window, check, 20, 1e-6)
         with monkeypatch.context() as m:
             checked = _counting_checks(m)
-            certs, counts = certificates(stack, window, check, 20, 1e-6,
-                                         model.noise_bounds, Strategy.CONFLICT)
+            certs, counts = certificates(model, window, check, 20, 1e-6, Strategy.CONFLICT)
         assert [sensors for _, sensors in checked[:len(fits)]] == [f.sensors for f in fits]
         assert counts.theory_checks == len(checked)
         ranked = _refit_ranking(stack, window, check.sensors, fits[-1].x)
-        assert certs[0] == certificate_conflict(stack, window,
+        assert certs[0] == certificate_conflict(model, window,
                                                 _theory_walk_order(stack, ranked, 20), 1e-6,
-                                                model.noise_bounds, SolveStats())
+                                                SolveStats())
         if not fits[-1].sat:
             stopped += 1
             assert len(fits) > 1 and not any(f.sat for f in fits)
@@ -1501,8 +1471,7 @@ def test_repeated_seed_fits_keep_the_oracle_answers(strategy):
         assert result.feasible and result.support in oracle.supports
         minimal = minimal_support_estimate(model, stack, window, config)
         assert minimal.feasible and minimal.support in oracle.minimal
-        assert any(len(_seed_fits(stack, window, check, model.s_bar, 1e-6,
-                                  model.noise_bounds)) > 1
+        assert any(len(_seed_fits(model, window, check, model.s_bar, 1e-6)) > 1
                    for check in _rejected_checks(model, stack, window, result))
         agreed += result.strategy is Strategy.CONFLICT_AGREE
     assert agreed == (6 if strategy is Strategy.CONFLICT_AGREE else 0)
@@ -1550,12 +1519,11 @@ def test_gate_open_at_least_one_certificates_are_rejected_sets(case):
     # need not lie in the seed, as the concentration step ranks again at the
     # seed fit, where every clean sensor fits
     assert any(c.kind is CertificateKind.AT_LEAST_ONE_ATTACKED
-               and t_check(stack, window, seed | c.sensors - {c.suspect},
-                           model.noise_bounds, 1e-6).sat
+               and t_check(model, window, seed | c.sensors - {c.suspect}, 1e-6).sat
                for r in result.records for seed in _agree_seeds(r) for c in r.certificates)
     for cert in result.certificates:
         if cert.kind is CertificateKind.AT_LEAST_ONE_ATTACKED:
-            assert not t_check(stack, window, cert.sensors, model.noise_bounds, 1e-6).sat
+            assert not t_check(model, window, cert.sensors, 1e-6).sat
     oracle = brute_force(model, stack, window, epsilon=1e-6)
     assert result.feasible and result.support in oracle.supports
     assert minimal_support_estimate(model, stack, window, AGREE_CONFIG).support in oracle.minimal
@@ -1575,16 +1543,15 @@ def test_gate_open_certificates_are_conflicts_plus_the_agree_certificate(case):
         if record.sat:
             continue
         sensors = tuple(i for i in range(model.p) if i not in record.support)
-        check = t_check(stack, window, sensors, model.noise_bounds, 1e-6)
+        check = t_check(model, window, sensors, 1e-6)
         assert not check.sat
-        agree, agree_counts = certificates(stack, window, check, model.s_bar, 1e-6,
-                                           model.noise_bounds, Strategy.CONFLICT_AGREE)
-        conflict, conflict_counts = certificates(stack, window, check, model.s_bar, 1e-6,
-                                                 model.noise_bounds, Strategy.CONFLICT)
+        agree, agree_counts = certificates(model, window, check, model.s_bar, 1e-6,
+                                           Strategy.CONFLICT_AGREE)
+        conflict, conflict_counts = certificates(model, window, check, model.s_bar, 1e-6,
+                                                 Strategy.CONFLICT)
         assert list(record.certificates) == agree
-        fit = (_seed_fit(stack, window, check, model.s_bar, 1e-6, model.noise_bounds)
-               or t_check(stack, window, _ranked(stack, window, check)[:seed_size],
-                          model.noise_bounds, 1e-6))
+        fit = (_seed_fit(model, window, check, model.s_bar, 1e-6)
+               or t_check(model, window, _ranked(stack, window, check)[:seed_size], 1e-6))
         if fit.sat:
             passed += 1
             conflict = conflict + [Certificate(CertificateKind.ALL_UNATTACKED,
@@ -1611,21 +1578,19 @@ def test_conflict_agree_walks_as_conflict_when_sensors_fail_only_together(monkey
     # each fits the six within epsilon, but together they do not, so the
     # check on all ten fails while the seed fit passes
     epsilon = 1e-3
-    model, stack, window = _lines_off_by((0.9, 0.9, 0.9, 0.9), epsilon, 2)
-    check = t_check(stack, window, range(10), model.noise_bounds, epsilon)
+    model, _, window = _lines_off_by((0.9, 0.9, 0.9, 0.9), epsilon, 2)
+    check = t_check(model, window, range(10), epsilon)
     assert not check.sat
     seed = frozenset(range(6))
     for i in range(6, 10):
-        assert t_check(stack, window, seed | {i}, model.noise_bounds, epsilon).sat
+        assert t_check(model, window, seed | {i}, epsilon).sat
     walks = []
     real = sse.theory.certificate_conflict
     monkeypatch.setattr(sse.theory, "certificate_conflict",
                         lambda *a: walks.append(a) or real(*a))
-    conflict, conflict_counts = certificates(stack, window, check, 2, epsilon,
-                                             model.noise_bounds, Strategy.CONFLICT)
+    conflict, conflict_counts = certificates(model, window, check, 2, epsilon, Strategy.CONFLICT)
     walks.clear()
-    certs, counts = certificates(stack, window, check, 2, epsilon, model.noise_bounds,
-                                 Strategy.CONFLICT_AGREE)
+    certs, counts = certificates(model, window, check, 2, epsilon, Strategy.CONFLICT_AGREE)
     assert len(walks) == 1
     # the walk's certificate (its trivial fallback: no trial of it fails
     # either), then the agree certificate

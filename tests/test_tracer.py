@@ -87,16 +87,14 @@ def test_tracer_sees_the_walk_checks():
     # walk has two candidates, and each trial pairs one with the seed, a
     # first prefix of two sensors (n // tau + 1 = 2) that the walk checks
     model = discretize_ugv().model
-    stack = sse.build_observability(model)
     window = sse.stack_window(model, np.array([[0.3, 1.0, 5.0], [0.4, 1.0, 5.0]]),
                               np.zeros((2, 1)))
-    check = sse.t_check(stack, window, (0, 1, 2), model.noise_bounds, 1e-6)
+    check = sse.t_check(model, window, (0, 1, 2), 1e-6)
     assert not check.sat
     tracer = Tracer()
     tracer.install()
     try:
-        _, counts = sse.certificates(stack, window, check, model.s_bar, 1e-6,
-                                     model.noise_bounds, Strategy.CONFLICT)
+        _, counts = sse.certificates(model, window, check, model.s_bar, 1e-6, Strategy.CONFLICT)
     finally:
         tracer.uninstall()
     assert tracer.calls["theory.cert_check"] == counts.theory_checks == 2
