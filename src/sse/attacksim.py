@@ -288,6 +288,9 @@ class AttackPhase:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
+        if self.kind == "random_noise" and self.floor_frac > 1.0:
+            # the magnitude is drawn from [floor_frac, 1]
+            raise ValueError(f"floor_frac must be at most 1, got {self.floor_frac!r}")
 
     def to_json_dict(self) -> dict:
         doc = {"sensor": self.sensor, "kind": self.kind, "start": self.start, "end": self.end}
@@ -477,11 +480,19 @@ def run_closed_loop(
     stack = build_observability(model)
     gain = place_feedback_gain(model.A, model.B)
     p, tau = model.p, model.tau
-    # rng.uniform(-bound, bound) is low + (high - low) * rng.random(): the same
-    # doubles and generator state, without uniform's per-call argument checks
+    phase_of = [scenario.phase_at(t) for t in range(steps)]
+    # The run's doubles come from one rng.random call, in the order of the
+    # per-step draws they replace: p noise values each step, then a
+    # random_noise step's sign and magnitude draws.  rng.uniform(lo, hi) is
+    # lo + (hi - lo) * rng.random(): the same doubles and generator state.
+    counts = np.array([p + 2 * (ph is not None and ph.kind == "random_noise")
+                       for ph in phase_of])
+    starts = np.cumsum(counts) - counts
+    draws = rng.random(int(counts.sum()))
     noise_high = model.noise_bounds / math.sqrt(tau)
     noise_low = -noise_high
-    noise_width = noise_high - noise_low
+    noise_rows = noise_low + (noise_high - noise_low) * draws[starts[:, None] + np.arange(p)]
+    draws, starts = draws.tolist(), starts.tolist()
 
     x = np.zeros(2)
     x_est = np.zeros(2)
@@ -498,15 +509,17 @@ def run_closed_loop(
     )
     u_rows = tr.u.reshape(steps, 1)  # a view: row t is u_t
     for t in range(steps):
-        noise = noise_low + noise_width * rng.random(p)
+        noise = noise_rows[t]
         clean = model.C @ x
         attack = np.zeros(p)
-        phase = scenario.phase_at(t)
+        phase = phase_of[t]
         if phase is not None:
             i = phase.sensor
             if phase.kind == "random_noise":
-                sign = 1.0 if rng.uniform() < 0.5 else -1.0
-                attack[i] = sign * phase.amplitude * rng.uniform(phase.floor_frac, 1.0)
+                k = starts[t] + p
+                sign = 1.0 if draws[k] < 0.5 else -1.0
+                floor = float(phase.floor_frac)  # as rng.uniform takes it
+                attack[i] = sign * phase.amplitude * (floor + (1.0 - floor) * draws[k + 1])
             elif phase.kind == "step_ramp":
                 switch = phase.switch_step if phase.switch_step is not None else phase.end
                 attack[i] = phase.step

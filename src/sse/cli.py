@@ -34,6 +34,10 @@ from .linmodel import (
     RobustnessConstants,
     SubsetCapError,
     SystemModel,
+    _check_cap,
+    _delta_s_count,
+    _level_plans,
+    _o_bar_count,
     build_observability,
     check_epsilon,
     check_sparse_observability,
@@ -110,6 +114,11 @@ def _estimator_config(args) -> EstimatorConfig:
 
 
 def cmd_observability(args) -> int:
+    """Print the model's analysis.  The flags, and then every level check and
+    enumeration that the subset cap refuses by arithmetic alone, are checked
+    before anything is printed or proved.  A level whose cheapest partition
+    fits the cap but fails, and whose kept sets do not fit it, still
+    refuses mid-run (exit 4), after the lower levels are printed."""
     model = _read_json(args.model, "model file", SystemModel.from_json_dict)
     p = model.p
     # flags are checked before anything is printed or proved
@@ -120,6 +129,10 @@ def cmd_observability(args) -> int:
     whole_number(args.subset_cap, "subset_cap", 0)
     check_epsilon(args.epsilon)
     stack = build_observability(model)
+    for s in range(max_s + 1):
+        _level_plans(model, s, args.subset_cap)
+    _check_cap(_o_bar_count(p, min_card), args.subset_cap)
+    _check_cap(_delta_s_count(p, model.s_bar, p), args.subset_cap)
     out = sys.stdout
     out.write(f"n={model.n} m={model.m} p={p} tau={model.tau} s_bar={model.s_bar}\n")
     if model.s_bar >= math.ceil(p / 2):

@@ -24,6 +24,7 @@ from .linmodel import (
     StackedWindow,
     SubsetCapError,
     SystemModel,
+    build_observability,
     check_epsilon,
     check_sparse_observability,
     require_fit,
@@ -127,8 +128,9 @@ def _solve_strategy(model: SystemModel, config: EstimatorConfig, s_bar: int) -> 
     observable after losing any 3*s_bar sensors: under noise an attack below
     the detection threshold can pass the agreement check.  The only proof is
     ``check_sparse_observability`` (a partition of the sensors, or the
-    enumeration where that fails), whose answer the model's stack
-    remembers, so it runs once per model.
+    enumeration where that fails).  ``_solve`` keeps this function's answer
+    on the model's stack, by strategy, ``max_iterations`` and budget, so the
+    gate runs once per model and budget.
     """
     if config.strategy is not Strategy.CONFLICT_AGREE:
         return config.strategy
@@ -170,8 +172,14 @@ def _solve(model: SystemModel, window: StackedWindow, config: EstimatorConfig,
     started = time.perf_counter()
     # a support of every sensor leaves no equation to check: not a hypothesis
     inst = satcore.new_instance(model.p, min(s_bar, model.p - 1))
-    strategy = _solve_strategy(model, config, s_bar)
-    cap = config.iteration_cap(model.p, s_bar)
+    # kept on the model's stack: the gate runs once per model and budget
+    facts = build_observability(model)._solve_facts
+    key = (config.strategy, config.max_iterations, s_bar)
+    held = facts.get(key)
+    if held is None:
+        held = facts[key] = (_solve_strategy(model, config, s_bar),
+                             config.iteration_cap(model.p, s_bar))
+    strategy, cap = held
     result = Estimate(
         feasible=False,
         x=None,

@@ -217,7 +217,9 @@ class ObservabilityStack:
     ``check_sparse_observability(model, s)`` by ``s`` (a proven level
     answers every lower one, a refuted level every higher one), and the
     per-set constants of ``theory.t_check`` (the stacked O_I, the summed
-    Gram, ...) for as many sensor sets as fit a fixed float budget.
+    Gram, ...) for as many sensor sets as fit a fixed float budget, and the
+    strategy and iteration cap of ``estimator._solve`` by (strategy,
+    ``max_iterations``, budget).
     """
 
     blocks: np.ndarray  # p x tau x n, entry i is O_i
@@ -226,6 +228,7 @@ class ObservabilityStack:
     block_norms_sq: np.ndarray  # squared spectral norm of each O_i
     _sparse_obs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _checks: _CheckMemo = field(default_factory=_CheckMemo, init=False, repr=False, compare=False)
+    _solve_facts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def p(self) -> int:
@@ -410,6 +413,36 @@ def _cheapest_partition(p: int, s: int, need: int) -> int | None:
     return None
 
 
+def _level_plans(model: SystemModel, s: int, subset_cap: int) -> list:
+    """The part counts b of the proofs ``check_sparse_observability`` may try
+    for level s, each examining C(b, s) sets within ``subset_cap``: the
+    cheapest partition's, then the enumeration's (b = p).  Raises
+    ``SubsetCapError`` when neither fits, by arithmetic alone."""
+    p = model.p
+    partition = _cheapest_partition(p, s, -(-model.n // model.tau))
+    plans = [b for b in (partition, p) if b is not None and math.comb(b, s) <= subset_cap]
+    if not plans:
+        raise SubsetCapError(math.comb(p if partition is None else partition, s), subset_cap)
+    return plans
+
+
+def _o_bar_count(p: int, min_card: int) -> int:
+    """The sensor sets ``compute_o_bar`` examines: every size from min_card."""
+    return sum(math.comb(p, k) for k in range(min_card, p + 1))
+
+
+def _delta_s_count(p: int, s_bar: int, surface: int) -> int:
+    """The (I, Gamma) pairs ``compute_delta_s``'s cap counts, with ``surface``
+    attackable sensors: each I of size max(p - s_bar, 1) or more, times the
+    non-empty sets of at most s_bar of min(|I|, surface) sensors (at least
+    one)."""
+    count = 0
+    for size in range(max(p - s_bar, 1), p + 1):
+        gammas = sum(math.comb(min(size, surface), g) for g in range(1, s_bar + 1))
+        count += math.comb(p, size) * max(gammas, 1)
+    return count
+
+
 def _union_chunks(p: int, b: int, t: int, floats_each: int):
     """The unions of t of the b parts that split range(p) in index order
     (``np.array_split``'s sizes, the first p % b parts one sensor longer), as
@@ -505,10 +538,7 @@ def check_sparse_observability(
     p, n = model.p, model.n
     s = whole_number(s, "s", 0, p)
     subset_cap = whole_number(subset_cap, "subset_cap", 0)
-    partition = _cheapest_partition(p, s, -(-n // model.tau))
-    plans = [b for b in (partition, p) if b is not None and math.comb(b, s) <= subset_cap]
-    if not plans:
-        raise SubsetCapError(math.comb(p if partition is None else partition, s), subset_cap)
+    plans = _level_plans(model, s, subset_cap)
     stack = build_observability(model)
     for level, held in stack._sparse_obs.items():
         if s <= level if held else s >= level:
@@ -540,8 +570,7 @@ def compute_o_bar(
     p, n = stack.p, stack.n
     min_card = whole_number(min_card, "min_card", 1, p)
     subset_cap = whole_number(subset_cap, "subset_cap", 0)
-    count = sum(math.comb(p, k) for k in range(min_card, p + 1))
-    _check_cap(count, subset_cap)
+    _check_cap(_o_bar_count(p, min_card), subset_cap)
     worst = 0.0
     for size in range(min_card, p + 1):
         rows = size * stack.tau
@@ -644,13 +673,7 @@ def compute_delta_s(
         if not hasattr(i, "__index__") or not 0 <= operator.index(i) < p:
             raise ValueError(f"attackable entry {i!r} is not a sensor in range({p})")
     min_i = p - s_bar
-    count = 0
-    for size in range(max(min_i, 1), p + 1):
-        gammas = sum(
-            math.comb(min(size, len(attack_set)), g) for g in range(1, s_bar + 1)
-        )
-        count += math.comb(p, size) * max(gammas, 1)
-    _check_cap(count, subset_cap)
+    _check_cap(_delta_s_count(p, s_bar, len(attack_set)), subset_cap)
 
     grams = stack.gram_blocks
     surface = [i for i in range(p) if i in attack_set]

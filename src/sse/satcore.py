@@ -12,8 +12,9 @@ get flagged first and stay flagged; that is what makes the certificate
 heuristics pay off.  Found supports are padded up to the budget with the
 most-suspected sensors, mirroring how a general-purpose solver returns
 non-minimal models.  With nothing learned the empty support is returned,
-and everything is deterministic given the learned certificates and the solve
-history.
+without a search when nothing is suspected either (no row, an empty phase
+and all-zero weights), and everything is deterministic given the learned
+certificates and the solve history.
 
 The store is one list of int bitmasks, the rows: each at-least-one-attacked
 set exactly as it was learned, in the order it was learned.  A column index
@@ -152,6 +153,8 @@ class SatInstance:
         to the budget, as a sorted tuple; None when no support fits the
         budget."""
         self.stats.solve_calls += 1
+        if not self._masks and not self._phase and not self.weights.any():
+            return ()  # nothing to hit and nothing suspected: what the search returns
         if self._by_size[0]:
             return None
         rank = self.weights.tolist()

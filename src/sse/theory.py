@@ -108,6 +108,7 @@ class _SetConstants(NamedTuple):
     o_i: np.ndarray  # the stacked O_I
     gram: np.ndarray  # the summed Gram blocks
     norm: float  # the square root of the summed squared block norms
+    psi_norm: float  # ||Psi_I||, the square root of the summed squared noise bounds
 
 
 class CheckResult(NamedTuple):
@@ -132,8 +133,8 @@ def t_check(model: SystemModel, window: StackedWindow, sensors, epsilon: float) 
     solution, the minimum-norm one only when the SVD's fit is returned.
     A window whose blocks are not (p, tau) raises ``ValueError``, as does an
     ``epsilon`` that is negative, NaN or infinite.  The stack's memo keeps
-    the set's index array, O_I, Gram matrix and norm while they fit
-    ``CHECK_MEMO_FLOATS``.
+    the set's index array, O_I, Gram matrix, norm and ||Psi_I|| while they
+    fit ``CHECK_MEMO_FLOATS``.
 
     One rule decides.  The normal equations decide, unless their solve
     fails (a ``LinAlgError``, or a gradient above ``GRAD_RTOL`` of
@@ -170,12 +171,14 @@ def t_check(model: SystemModel, window: StackedWindow, sensors, epsilon: float) 
         o_i = stack.blocks.take(idx, 0).reshape(-1, n)
         gram = stack.gram_blocks.take(idx, 0).sum(axis=0)
         norm = math.sqrt(float(stack.block_norms_sq.take(idx).sum()))
+        psi = model.noise_bounds.take(idx)
+        psi_norm = math.sqrt(float(psi.dot(psi)))
         floats = o_i.size + gram.size + len(sensors)
         if memo.floats + floats <= CHECK_MEMO_FLOATS:
-            memo[sensors] = _SetConstants(idx, o_i, gram, norm)
+            memo[sensors] = _SetConstants(idx, o_i, gram, norm, psi_norm)
             memo.floats += floats
     else:
-        idx, o_i, gram, norm = held
+        idx, o_i, gram, norm, psi_norm = held
     y_i = window.blocks.take(idx, 0).reshape(-1)
     # the normal equations' rank bound: the set's rows, short only when < n
     rank = len(sensors) * tau
@@ -189,8 +192,7 @@ def t_check(model: SystemModel, window: StackedWindow, sensors, epsilon: float) 
             x = None
     except np.linalg.LinAlgError:
         x = None
-    psi = model.noise_bounds.take(idx)
-    budget = math.sqrt(float(psi.dot(psi))) + epsilon
+    budget = psi_norm + epsilon
     if x is not None:
         diff = y_i - o_i @ x
         residual_sq = float(diff.dot(diff))

@@ -19,7 +19,8 @@ from sse.attacksim import (
     square_path_reference,
     ugv_guarantees,
 )
-from sse.estimator import EstimatorConfig
+from sse.estimator import EstimatorConfig, estimate
+from sse.linmodel import build_observability, roll_forward, stack_window
 from sse.theory import Strategy
 
 
@@ -254,6 +255,14 @@ def test_phase_validation():
         AttackPhase(sensor=-1, kind="replay", start=0, end=5)
 
 
+def test_random_noise_floor_above_one_is_rejected():
+    # its magnitude is drawn from [floor_frac, 1]; other kinds never read it
+    with pytest.raises(ValueError, match="floor_frac must be at most 1, got 1.5"):
+        AttackPhase(sensor=1, kind="random_noise", start=0, end=5, amplitude=1.0, floor_frac=1.5)
+    assert AttackPhase(sensor=1, kind="step_ramp", start=0, end=5, floor_frac=1.5).floor_frac == 1.5
+    AttackPhase(sensor=1, kind="random_noise", start=0, end=5, amplitude=1.0, floor_frac=1.0)
+
+
 @pytest.mark.parametrize("delay", [0, -1])
 def test_replay_delay_below_one_is_rejected(delay):
     # -1 would read a row past the end of the run, 0 the row being written
@@ -466,6 +475,105 @@ def test_attack_free_loop_noise_is_the_uniform_stream():
     expected = np.array([ugv.model.C @ trace.x_true[t] + np.zeros(3)
                          + rng.uniform(-bound, bound) for t in range(50)])
     assert trace.y.tobytes() == expected.tobytes()
+
+
+def _reference_closed_loop(ugv, scenario, steps=None, config=EstimatorConfig(), seed=None):
+    """``run_closed_loop`` as it drew its numbers step by step: rng.random(p)
+    for the noise, then rng.uniform() and rng.uniform(floor_frac, 1.0) on a
+    random_noise step, and ``scenario.phase_at`` each step."""
+    model = ugv.model
+    steps = scenario.steps if steps is None else steps
+    rng = np.random.default_rng(scenario.seed if seed is None else seed)
+    stack = build_observability(model)
+    gain = place_feedback_gain(model.A, model.B)
+    p, tau = model.p, model.tau
+    noise_high = model.noise_bounds / math.sqrt(tau)
+    noise_low = -noise_high
+    noise_width = noise_high - noise_low
+    x, x_est = np.zeros(2), np.zeros(2)
+    tr = attacksim.Trace(
+        x_true=np.zeros((steps, 2)), x_est=np.zeros((steps, 2)), y=np.zeros((steps, p)),
+        attack=np.zeros((steps, p)), b=np.zeros((steps, p), dtype=int), u=np.zeros(steps),
+        feasible=np.zeros(steps, dtype=bool), estimated=np.zeros(steps, dtype=bool),
+        degenerate=np.zeros(steps, dtype=bool),
+    )
+    u_rows = tr.u.reshape(steps, 1)
+    for t in range(steps):
+        noise = noise_low + noise_width * rng.random(p)
+        clean = model.C @ x
+        attack = np.zeros(p)
+        phase = scenario.phase_at(t)
+        if phase is not None:
+            i = phase.sensor
+            if phase.kind == "random_noise":
+                sign = 1.0 if rng.uniform() < 0.5 else -1.0
+                attack[i] = sign * phase.amplitude * rng.uniform(phase.floor_frac, 1.0)
+            elif phase.kind == "step_ramp":
+                switch = phase.switch_step if phase.switch_step is not None else phase.end
+                attack[i] = phase.step
+                if t >= switch:
+                    attack[i] += phase.slope * (t - switch) * ugv.dt
+            elif phase.kind == "replay" and t >= phase.delay:
+                attack[i] = tr.y[t - phase.delay, i] - (clean[i] + noise[i])
+        y = clean + attack + noise
+        tr.x_true[t], tr.y[t], tr.attack[t] = x, y, attack
+        ref = square_path_reference(t, scenario.segment_steps)
+        if t >= tau - 1:
+            window_inputs = u_rows[t - tau + 1 : t + 1]
+            window = stack_window(model, tr.y[t - tau + 1 : t + 1], window_inputs)
+            result = estimate(model, stack, window, config)
+            tr.estimated[t] = True
+            tr.feasible[t] = result.feasible
+            if result.feasible:
+                tr.b[t, list(result.support)] = 1
+            if result.feasible and not result.rank_deficient_final:
+                x_est = roll_forward(model, result.x, window_inputs[:-1])
+            else:
+                tr.degenerate[t] = result.feasible
+                x_est = model.A @ x_est + model.B @ np.array([tr.u[t - 1]]) if t else x_est
+        else:
+            x_est = np.array([y[0], 0.5 * (y[1] + y[2])])
+        tr.x_est[t] = x_est
+        u = float(-(gain @ (x_est - np.array([ref, 0.0])))[0])
+        tr.u[t] = u
+        x = model.A @ x + model.B @ np.array([u])
+    return tr
+
+
+def _assert_same_trace(trace, want):
+    for f in dataclasses.fields(attacksim.Trace):
+        got, expected = getattr(trace, f.name), getattr(want, f.name)
+        assert got.dtype == expected.dtype and got.shape == expected.shape, f.name
+        assert got.tobytes() == expected.tobytes(), f.name
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_closed_loop_replays_the_per_step_draws(seed):
+    # the run's one rng.random call gives the doubles the per-step calls gave
+    ugv, scenario = discretize_ugv(), alternating_encoder_scenario()
+    _assert_same_trace(run_closed_loop(ugv, scenario, seed=seed),
+                       _reference_closed_loop(ugv, scenario, seed=seed))
+
+
+@pytest.mark.parametrize("phases, steps", [
+    # every kind, floors other than 0.75, and a random_noise phase that the
+    # run's 130 steps cut off at step 130 of [105, 160)
+    ((AttackPhase(sensor=1, kind="random_noise", start=10, end=40, amplitude=25.0,
+                  floor_frac=0.3),
+      AttackPhase(sensor=2, kind="step_ramp", start=45, end=70, step=12.0, slope=5.0,
+                  switch_step=55),
+      AttackPhase(sensor=1, kind="replay", start=75, end=100, delay=20),
+      AttackPhase(sensor=2, kind="random_noise", start=105, end=160, amplitude=40.0,
+                  floor_frac=-0.5)), 130),
+    # no random_noise phase: the noise is every draw
+    ((AttackPhase(sensor=2, kind="step_ramp", start=5, end=30, step=30.0),
+      AttackPhase(sensor=1, kind="replay", start=40, end=90, delay=30)), None),
+], ids=["all_kinds_cut_off", "no_random_noise"])
+def test_closed_loop_draws_match_the_reference_on_other_scenarios(phases, steps):
+    ugv = discretize_ugv()
+    scenario = AttackScenario(phases=phases, steps=200, segment_steps=60, seed=11)
+    _assert_same_trace(run_closed_loop(ugv, scenario, steps=steps),
+                       _reference_closed_loop(ugv, scenario, steps=steps))
 
 
 def test_alternating_attack_detection_smoke():

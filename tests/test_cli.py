@@ -152,13 +152,29 @@ def test_missing_file_is_input_error(tmp_path):
     assert main(["observability", str(tmp_path / "nope.json")]) == 3
 
 
-def test_subset_cap_exit_code(tmp_path):
+def test_subset_cap_exit_code(tmp_path, capsys):
     from sse.attacksim import generate_instance
 
     inst = generate_instance(2, 12, 1, 4, "2s", 0.0, seed=1)
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(inst.model.to_json_dict()))
     assert main(["observability", str(path), "--max-s", "6", "--subset-cap", "5"]) == 4
+    # the level over the cap is refused by arithmetic, before the lower ones
+    # are proved and printed
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "would examine" in captured.err
+
+
+@pytest.mark.parametrize("flags, sets", [
+    (["--min-card", "1", "--subset-cap", "3"], 7),  # o_bar: every non-empty set
+    (["--subset-cap", "5"], 9),  # delta_s: 6 pairs of size 2, 3 of size 3
+], ids=["o_bar", "delta_s"])
+def test_analysis_over_the_cap_refuses_before_any_output(ugv_model_file, capsys, flags, sets):
+    assert main(["observability", ugv_model_file, "--max-s", "0", *flags]) == EXIT_CAP
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"would examine {sets} sensor sets" in captured.err
 
 
 def test_negative_subset_cap_is_input_error(ugv_model_file, capsys):

@@ -209,6 +209,58 @@ def test_agree_gate_checked_once_per_stack(monkeypatch):
     assert not calls
 
 
+def _plant_stream_case(seed):
+    """A plant shaped like the benchmark's plant_stream (n=4, p=12, s_bar=2,
+    tau=3, noiseless, proven 3 s_bar-sparse observable) and its 148
+    windows over 150 steps, attacked on two sensors that change every 22
+    steps."""
+    rng = np.random.default_rng(seed)
+    n, p, s_bar, tau, steps = 4, 12, 2, 3, 150
+    while True:
+        a = rng.normal(size=(n, n))
+        a *= 0.95 / max(abs(np.linalg.eigvals(a)))
+        model = SystemModel(A=a, B=rng.normal(size=(n, 1)), C=rng.normal(size=(p, n)),
+                            tau=tau, s_bar=s_bar, noise_bounds=np.zeros(p))
+        if check_sparse_observability(replace(model), 3 * s_bar):
+            break
+    u = rng.normal(size=(steps, 1))
+    x = np.zeros((steps, n))
+    x[0] = rng.normal(size=n) * 3.0
+    for t in range(steps - 1):
+        x[t + 1] = model.A @ x[t] + model.B @ u[t]
+    attack = np.zeros((steps, p))
+    for start in range(0, steps, 22):
+        sensors = rng.choice(p, size=s_bar, replace=False)
+        attack[start:start + 20, sensors] = rng.uniform(1.0, 10.0, size=(1, s_bar))
+    y = x @ model.C.T + attack
+    return model, [stack_window(model, y[t:t + tau], u[t:t + tau])
+                   for t in range(steps - tau + 1)]
+
+
+def test_per_model_solve_facts_keep_every_estimate(monkeypatch):
+    # the gate and the cap are worked out once per model and budget; every
+    # window's estimate equals the one on a fresh copy that works them out
+    model, windows = _plant_stream_case(7)
+    assert len(windows) == 148
+    gates = []
+    real = estimator.check_sparse_observability
+    monkeypatch.setattr(estimator, "check_sparse_observability",
+                        lambda m, s: gates.append((m, s)) or real(m, s))
+    stack = build_observability(model)
+    for k, window in enumerate(windows):
+        fresh = replace(model)
+        for solve in (estimate, minimal_support_estimate) if k % 10 == 0 else (estimate,):
+            got = solve(model, stack, window)
+            want = solve(fresh, build_observability(fresh), window)
+            _same_estimate(got, want)
+            assert (got.strategy, got.budget) == (want.strategy, want.budget)
+            assert replace(got.stats, solve_time=0.0) == replace(want.stats, solve_time=0.0)
+    levels = [s for m, s in gates if m is model]
+    assert levels.count(6) == 1 and len(levels) == len(set(levels)) > 1
+    # the default configuration's gate is open at the model's budget
+    assert stack._solve_facts[Strategy.CONFLICT_AGREE, None, 2][0] is Strategy.CONFLICT_AGREE
+
+
 def test_agree_gate_remembers_a_failed_check(monkeypatch, four_lines):
     model, stack, window = four_lines  # not 3-sparse observable
     calls = _count_rank_calls(monkeypatch)

@@ -838,6 +838,33 @@ def test_check_memo_stays_within_its_float_budget():
     assert 0 < len(stack._checks) < len(seen)
 
 
+def test_check_memo_hit_decides_as_a_miss(monkeypatch):
+    # the memo keeps each set's ||Psi_I||; with unequal noise bounds a hit
+    # must give the verdict, residual and fit that a recomputation gives
+    bounds = np.linspace(0.05, 0.8, 8)
+    inst = generate_instance(3, 8, 2, 2, "2s", bounds, seed=4)
+    sets = [combo for k in range(2, 9) for combo in itertools.combinations(range(8), k)]
+    monkeypatch.setattr(sse.theory, "CHECK_MEMO_FLOATS", 10**6)
+    model = dataclasses.replace(inst.model)
+    for sensors in sets:
+        t_check(model, inst.window, sensors, 1e-6)
+    assert len(build_observability(model)._checks) == len(sets)
+    hits = [t_check(model, inst.window, sensors, 1e-6) for sensors in sets]
+    monkeypatch.setattr(sse.theory, "CHECK_MEMO_FLOATS", 0)
+    fresh = dataclasses.replace(inst.model)
+    misses = [t_check(fresh, inst.window, sensors, 1e-6) for sensors in sets]
+    assert not build_observability(fresh)._checks
+    for hit, miss in zip(hits, misses):
+        assert (hit.sat, hit.sensors, hit.rank_deficient) == (miss.sat, miss.sensors,
+                                                               miss.rank_deficient)
+        assert np.float64(hit.residual_sq).tobytes() == np.float64(miss.residual_sq).tobytes()
+        assert hit.x.tobytes() == miss.x.tobytes()
+    assert {hit.sat for hit in hits} == {True, False}
+    for sensors, const in build_observability(model)._checks.items():
+        psi = bounds[list(sensors)]
+        assert const.psi_norm == math.sqrt(float(psi.dot(psi)))
+
+
 def test_t_check_flags_undetermined_sets():
     # 12 sensors give 24 equations for 25 states
     inst = _desk_instance(8)

@@ -36,7 +36,14 @@ its estimates (the ``trace`` that ``sse estimate`` prints): the record's
 check's verdict or residual does, a rejected check's included, even where
 the estimates' answers and certificates hold.
 
-The last line is the minimal-support digest, which no workload covers: it
+The closed-loop line follows: a digest over the ``Trace`` of each seed-0
+``ugv_loop`` round, in round order, hashing the bytes of its ``x_true``,
+``x_est``, ``y``, ``attack``, ``b``, ``u``, ``feasible``, ``estimated`` and
+``degenerate`` arrays, then the number of rounds.  It moves when the closed
+loop's random draws, attacks, plant or controller do, even where no estimate
+moves.
+
+The next line is the minimal-support digest, which no workload covers: it
 runs ``minimal_support_estimate`` with the default configuration on the
 exact desk instances ``generate_instance(25, 60, s, 20, "2s", 0.0,
 seed=9000 + 97 * s + k)`` for s in {3, 4} and k = 0-3, and hashes each
@@ -70,6 +77,8 @@ from perfbench.workloads import WORKLOADS, PlantStream, UgvLoop  # noqa: E402
 ROUNDS = {"desk_sweep": 1, "ugv_loop": 75, "plant_stream": 5}
 SEED = 0
 MINIMAL_SEARCHES = [(s, 9000 + 97 * s + k) for s in (3, 4) for k in range(4)]
+TRACE_ARRAYS = ("x_true", "x_est", "y", "attack", "b", "u", "feasible", "estimated",
+                "degenerate")
 
 
 class _Untimed:
@@ -110,13 +119,14 @@ def fingerprint() -> tuple:
     """(combined digest, digest per workload, answers digest per workload,
     trace digest per workload, estimates hashed per workload, [total
     iterations, total theory checks, estimates over 2 iterations, most
-    iterations] per workload)."""
+    iterations] per workload, closed-loop digest)."""
     h = hashlib.sha256()
     per_workload = {name: hashlib.sha256() for name in ROUNDS}
     answers = {name: hashlib.sha256() for name in ROUNDS}
     traces = {name: hashlib.sha256() for name in ROUNDS}
     hashed = dict.fromkeys(ROUNDS, 0)
     totals = {name: [0, 0, 0, 0] for name in ROUNDS}
+    closed_loop = hashlib.sha256()
     real = sse.estimate
 
     def record(out):
@@ -146,12 +156,16 @@ def fingerprint() -> tuple:
             state = workload.setup(SEED, meter)
             with workload.session(state, meter):
                 for r in range(rounds):
-                    workload.run_round(state, r, meter)
+                    outputs = workload.run_round(state, r, meter)
+                    if name == "ugv_loop":
+                        for array in TRACE_ARRAYS:
+                            closed_loop.update(getattr(outputs[0], array).tobytes())
     finally:
         sse.estimate = sse.attacksim.estimate = real
     return (h.hexdigest(), {k: v.hexdigest() for k, v in per_workload.items()},
             {k: v.hexdigest() for k, v in answers.items()},
-            {k: v.hexdigest() for k, v in traces.items()}, hashed, totals)
+            {k: v.hexdigest() for k, v in traces.items()}, hashed, totals,
+            closed_loop.hexdigest())
 
 
 def analysis_digest() -> str:
@@ -205,7 +219,7 @@ def generator_digest() -> tuple:
 
 
 if __name__ == "__main__":
-    digest, per_workload, answers, traces, hashed, totals = fingerprint()
+    digest, per_workload, answers, traces, hashed, totals, closed_loop = fingerprint()
     if not all(hashed.values()):
         raise SystemExit(f"fingerprint: a workload made no estimate: {hashed}")
     print(digest, " ".join(f"{k}={v}" for k, v in hashed.items()))
@@ -218,6 +232,7 @@ if __name__ == "__main__":
     print("analysis", analysis_digest())
     for name, trace in traces.items():
         print(name, f"trace={trace}")
+    print("closed_loop", closed_loop, f"rounds={ROUNDS['ugv_loop']}")
     minimal, iterations = minimal_digest()
     print("minimal", minimal, f"searches={len(MINIMAL_SEARCHES)}", f"iterations={iterations}")
     generator, instances = generator_digest()
