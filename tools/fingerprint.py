@@ -39,7 +39,7 @@ the estimates' answers and certificates hold.
 The closed-loop line follows: a digest over the ``Trace`` of each seed-0
 ``ugv_loop`` round, in round order, hashing the bytes of its ``x_true``,
 ``x_est``, ``y``, ``attack``, ``b``, ``u``, ``feasible``, ``estimated`` and
-``degenerate`` arrays, then the number of rounds.  It moves when the closed
+``degenerate`` arrays, and the number of rounds.  It moves when the closed
 loop's random draws, attacks, plant or controller do, even where no estimate
 moves.
 
