@@ -65,6 +65,7 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1
 
 from .linmodel import (
     ObservabilityStack,
@@ -121,6 +122,19 @@ class CheckResult(NamedTuple):
     rank_deficient: bool
 
 
+def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """``np.linalg.solve(gram, rhs)`` without its Python wrapper: the LAPACK
+    ``gesv`` gufunc it calls, under its error rule, so the same bytes, and
+    None where it raises ``LinAlgError`` (a Gram ``gesv`` finds singular).
+    The rule fixes every floating-point category, so a caller's
+    ``np.errstate`` changes nothing."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return _solve1(gram, rhs, signature="dd->d")
+    except FloatingPointError:
+        return None
+
+
 def t_check(model: SystemModel, window: StackedWindow, sensors, epsilon: float) -> CheckResult:
     """Least-squares feasibility of the selected sensor set, on the model's
     own stack (``build_observability(model)``) and noise bounds.
@@ -137,7 +151,8 @@ def t_check(model: SystemModel, window: StackedWindow, sensors, epsilon: float) 
     fit ``CHECK_MEMO_FLOATS``.
 
     One rule decides.  The normal equations decide, unless their solve
-    fails (a ``LinAlgError``, or a gradient above ``GRAD_RTOL`` of
+    fails (a Gram that LAPACK's ``gesv`` finds singular, numpy's
+    ``LinAlgError`` rule, or a gradient above ``GRAD_RTOL`` of
     ||Y_I|| * norm, a test of backward stability) or they reject within
     ``RESOLVE_RTOL`` * (norm * ||x|| + ||Y_I||) of the budget; then one SVD
     solve (``lstsq``) decides, and its fit is returned, except that a
@@ -185,13 +200,11 @@ def t_check(model: SystemModel, window: StackedWindow, sensors, epsilon: float) 
     # math.sqrt(v.dot(v)) is numpy's 2-norm of a vector, without its overhead.
     rhs = o_i.T @ y_i
     y_norm = math.sqrt(float(y_i.dot(y_i)))
-    try:
-        x = np.linalg.solve(gram, rhs)
+    x = _normal_solve(gram, rhs)
+    if x is not None:
         grad = rhs - gram @ x
         if not math.sqrt(float(grad.dot(grad))) <= GRAD_RTOL * max(y_norm * norm, GRAD_FLOOR):
             x = None
-    except np.linalg.LinAlgError:
-        x = None
     budget = psi_norm + epsilon
     if x is not None:
         diff = y_i - o_i @ x

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import warnings
 from dataclasses import asdict, replace
 
@@ -9,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+import sse.theory
 from sse import (
     RobustnessConstants,
     SubsetCapError,
@@ -399,7 +401,14 @@ def test_minimal_support_runs_every_budget_on_the_callers_model(monkeypatch):
             built.append(model.s_bar)
         return real(model)
 
-    monkeypatch.setattr(linmodel, "build_observability", counting)
+    # patched where each module reads it: estimator and theory call the
+    # name they imported, not linmodel's
+    readers = [module for name, module in sorted(sys.modules.items())
+               if (name == "sse" or name.startswith("sse."))
+               and getattr(module, "build_observability", None) is real]
+    assert {estimator, sse.theory, linmodel} <= set(readers)
+    for module in readers:
+        monkeypatch.setattr(module, "build_observability", counting)
     result = minimal_support_estimate(inst.model, inst.stack, inst.window)
     assert built == []
     assert result.support == inst.attacked and result.budget == 4

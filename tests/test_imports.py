@@ -120,3 +120,27 @@ def test_stacks_are_built_in_one_place():
     assert any(id(node) in inside for _, node in calls)
     copies = [f"{module}: line {node.lineno}" for module, node in calls if id(node) not in inside]
     assert not copies, f"ObservabilityStack built outside build_observability: {', '.join(copies)}"
+
+
+def test_numpys_private_linalg_is_read_in_theory_alone():
+    # the least-squares check calls the gufunc below np.linalg.solve; a numpy
+    # that moves it breaks one import, and the public wrapper stays off the
+    # package's paths but for the vehicle's pole placement, once per set-up
+    trees, _ = package_trees()
+    readers = {module for module, tree in trees for node in ast.walk(tree)
+               if (isinstance(node, ast.ImportFrom) and "_umath_linalg" in (node.module or ""))
+               or (isinstance(node, (ast.Import, ast.ImportFrom))
+                   and any("_umath_linalg" in alias.name for alias in node.names))
+               or (isinstance(node, ast.Attribute) and node.attr == "_umath_linalg")
+               or (isinstance(node, ast.Name) and node.id == "_umath_linalg")}
+    assert readers == {"theory.py"}
+    solves = [(module, getattr(top, "name", None), node.lineno)
+              for module, tree in trees for top in tree.body for node in ast.walk(top)
+              if (isinstance(node, ast.Attribute) and node.attr == "solve"
+                  and getattr(node.value, "attr", None) == "linalg")
+              or (isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+                  and any(alias.name == "solve" for alias in node.names))]
+    assert ("attacksim.py", "place_feedback_gain") in {solve[:2] for solve in solves}
+    others = [f"{module}: line {line}" for module, name, line in solves
+              if (module, name) != ("attacksim.py", "place_feedback_gain")]
+    assert not others, f"np.linalg.solve read in the package: {', '.join(others)}"

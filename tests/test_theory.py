@@ -819,6 +819,77 @@ def test_t_check_matches_reference_bit_for_bit(case, four_lines):
         assert _residual_of(stack, window, check, 1) == math.inf
 
 
+def _spd_gram(rng, n, cond):
+    """A random symmetric positive definite n x n Gram of condition about
+    ``cond``: a random orthogonal basis with eigenvalues spaced
+    logarithmically from 1 down to 1/cond."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    gram = (q * np.logspace(0.0, -math.log10(cond), n)) @ q.T
+    return (gram + gram.T) / 2
+
+
+def _solve_cases():
+    """(gram, rhs) pairs for the normal-equation solve: SPD Grams up to
+    condition 1e15, exactly singular Grams, and right-hand sides holding NaN
+    or an infinity."""
+    rng = np.random.default_rng(44)
+    for n in (1, 2, 4, 25):
+        for cond in (1.0, 1e3, 1e8, 1e12, 1e15):
+            for _ in range(3):
+                gram = _spd_gram(rng, n, cond) * 10.0 ** rng.uniform(-3, 3)
+                yield gram, rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        gram = _spd_gram(rng, n, 1e3)
+        for bad in (math.nan, math.inf, -math.inf):
+            rhs = rng.standard_normal(n)
+            rhs[rng.integers(n)] = bad
+            yield gram, rhs
+        yield np.zeros((n, n)), rng.standard_normal(n)
+        if n > 1:
+            # a repeated row and column: rank n - 1, a zero pivot in exact arithmetic
+            cols = rng.integers(-3, 4, (n, n - 1)).astype(float)
+            cols = np.column_stack([cols, cols[:, :1]])
+            yield cols @ cols.T, rng.standard_normal(n)
+            yield np.diag(np.r_[np.ones(n - 1), 0.0]), np.r_[np.ones(n - 1), math.nan]
+
+
+@pytest.mark.parametrize("caller", [None, "raise", "ignore"])
+def test_normal_solve_matches_numpy_bit_for_bit_and_failure_for_failure(caller):
+    # the gufunc below np.linalg.solve returns its bytes, and fails (None)
+    # exactly where it raises LinAlgError, under any caller errstate
+    solved = failed = 0
+    for gram, rhs in _solve_cases():
+        try:
+            expected = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            expected = None
+        if caller is None:
+            got = sse.theory._normal_solve(gram, rhs)
+        else:
+            with np.errstate(all=caller):
+                got = sse.theory._normal_solve(gram, rhs)
+        if expected is None:
+            assert got is None
+            failed += 1
+        else:
+            assert got is not None and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+            solved += 1
+    assert solved > 60 and failed >= 7
+
+
+@pytest.mark.parametrize("caller", ["raise", "ignore"])
+def test_callers_errstate_changes_no_check(caller, four_lines):
+    # singular Grams (a dead block, undetermined sets) included: every check
+    # made under a caller's errstate is the reference check
+    rng = np.random.default_rng(45)
+    for model, stack, window in (_ugv_case(), four_lines, _dead_block_case()):
+        for _ in range(40):
+            size = int(rng.integers(1, stack.p + 1))
+            sensors = rng.choice(stack.p, size=size, replace=False).tolist()
+            with np.errstate(all=caller):
+                _assert_matches_reference(model, window, sensors, 1e-6)
+
+
 def test_check_memo_stays_within_its_float_budget():
     inst = _desk_instance()
     stack, window = inst.stack, inst.window
