@@ -508,10 +508,13 @@ def run_closed_loop(
         degenerate=np.zeros(steps, dtype=bool),
     )
     u_rows = tr.u.reshape(steps, 1)  # a view: row t is u_t
+    # per-run buffers for the reference state [ref, 0] and the applied input
+    target = np.zeros(2)
+    u_now = np.zeros(1)
     for t in range(steps):
         noise = noise_rows[t]
         clean = model.C @ x
-        attack = np.zeros(p)
+        attack = tr.attack[t]  # still zero: the step's attack is written in place
         phase = phase_of[t]
         if phase is not None:
             i = phase.sensor
@@ -528,12 +531,11 @@ def run_closed_loop(
             elif phase.kind == "replay" and t >= phase.delay:
                 replayed = tr.y[t - phase.delay, i]
                 attack[i] = replayed - (clean[i] + noise[i])
-        y = clean + attack + noise
+        y = np.add(clean, attack, out=tr.y[t])
+        y += noise
 
         tr.x_true[t] = x
-        tr.y[t] = y
-        tr.attack[t] = attack
-        ref = square_path_reference(t, scenario.segment_steps)
+        target[0] = square_path_reference(t, scenario.segment_steps)
 
         if t >= tau - 1:
             # u_t is not applied yet: it is still 0 and only pads the window
@@ -551,15 +553,14 @@ def run_closed_loop(
             else:
                 # hold the previous estimate through the model for one step
                 tr.degenerate[t] = result.feasible
-                x_est = model.A @ x_est + model.B @ np.array([tr.u[t - 1]]) if t else x_est
+                x_est = model.A @ x_est + model.B @ u_now if t else x_est  # u_now is u_(t-1)
         else:
             # no full window yet: invert the output map directly
             x_est = np.array([y[0], 0.5 * (y[1] + y[2])])
         tr.x_est[t] = x_est
 
-        u = float(-(gain @ (x_est - np.array([ref, 0.0])))[0])
-        tr.u[t] = u
-        x = model.A @ x + model.B @ np.array([u])
+        u_now[0] = tr.u[t] = float(-(gain @ (x_est - target))[0])
+        x = model.A @ x + model.B @ u_now
     return tr
 
 

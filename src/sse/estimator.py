@@ -162,13 +162,19 @@ def estimate(
     another model, raises ``ValueError``.
     """
     require_fit(model, stack, window)
-    return _solve(model, window, config, model.s_bar)
+    result = _solve(model, window, config, model.s_bar)
+    if isinstance(result, IterationLimitError):
+        raise result
+    return result
 
 
 def _solve(model: SystemModel, window: StackedWindow, config: EstimatorConfig,
-           s_bar: int) -> Estimate:
+           s_bar: int) -> Estimate | IterationLimitError:
     """``estimate``'s loop under the attack budget ``s_bar``, on a window
-    already checked against the model."""
+    already checked against the model.  A solve that hits its cap returns
+    its ``IterationLimitError`` for the caller to raise: raised here, the
+    error's traceback would keep this frame, and with it the search's
+    instance, records and certificates, alive as long as the error."""
     started = time.perf_counter()
     # a support of every sensor leaves no equation to check: not a hypothesis
     inst = satcore.new_instance(model.p, min(s_bar, model.p - 1))
@@ -218,7 +224,7 @@ def _solve(model: SystemModel, window: StackedWindow, config: EstimatorConfig,
             inst.add_constraint(cert)
     inst.stats.solve_time = time.perf_counter() - started
     if not result.feasible and result.iterations >= cap:
-        raise IterationLimitError(result.iterations, inst.stats)
+        return IterationLimitError(result.iterations, inst.stats)
     return result
 
 
@@ -243,12 +249,22 @@ def minimal_support_estimate(
     budget included.
     """
     require_fit(model, stack, window)
+    result = _minimal_support(model, window, config)
+    if isinstance(result, IterationLimitError):
+        raise result
+    return result
+
+
+def _minimal_support(model: SystemModel, window: StackedWindow,
+                     config: EstimatorConfig) -> Estimate | IterationLimitError:
+    """``minimal_support_estimate``'s descent over the budgets.  A capped
+    budget's ``IterationLimitError`` is returned, as ``_solve`` returns it, so
+    the error does not keep the budgets' estimates alive."""
     budget, iterations, stats, last_feasible = model.s_bar, 0, SolveStats(), None
     while budget >= 0:
-        try:
-            outcome = _solve(model, window, config, budget)
-        except IterationLimitError as exc:
-            raise IterationLimitError(iterations + exc.iterations, stats + exc.stats) from None
+        outcome = _solve(model, window, config, budget)
+        if isinstance(outcome, IterationLimitError):
+            return IterationLimitError(iterations + outcome.iterations, stats + outcome.stats)
         iterations, stats = iterations + outcome.iterations, stats + outcome.stats
         if not outcome.feasible:
             break

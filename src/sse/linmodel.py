@@ -339,6 +339,9 @@ def simulate_window(model: SystemModel, x0, inputs) -> np.ndarray:
     return outputs
 
 
+_FLOAT = np.dtype(float)
+
+
 def _as_rows(value) -> np.ndarray:
     """``np.atleast_2d(np.asarray(value, dtype=float))``, without the second
     call for a value that already has two axes."""
@@ -370,13 +373,16 @@ def roll_forward(model: SystemModel, x_delayed, inputs) -> np.ndarray:
     """Propagate a window-start state to the current time through tau-1 inputs,
     oldest first."""
     x = np.asarray(x_delayed, dtype=float).reshape(model.n)
-    inputs = _as_rows(inputs)
-    if not inputs.size:
-        inputs = np.zeros((0, model.m))
-    if inputs.shape != (model.tau - 1, model.m):
-        raise ValueError(
-            f"expected {model.tau - 1} inputs of width {model.m}, got {inputs.shape}"
-        )
+    shape = (model.tau - 1, model.m)
+    # a float array of that shape is what _as_rows would return unchanged
+    if not (type(inputs) is np.ndarray and inputs.dtype == _FLOAT and inputs.shape == shape):
+        inputs = _as_rows(inputs)
+        if not inputs.size and inputs.shape != shape:
+            inputs = np.zeros((0, model.m))
+        if inputs.shape != shape:
+            raise ValueError(
+                f"expected {model.tau - 1} inputs of width {model.m}, got {inputs.shape}"
+            )
     for u in inputs:
         x = model.A @ x + model.B @ u
     return x

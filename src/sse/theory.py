@@ -110,6 +110,7 @@ class _SetConstants(NamedTuple):
     gram: np.ndarray  # the summed Gram blocks
     norm: float  # the square root of the summed squared block norms
     psi_norm: float  # ||Psi_I||, the square root of the summed squared noise bounds
+    singular: bool  # gesv found the Gram singular on the set's first check
 
 
 class CheckResult(NamedTuple):
@@ -127,7 +128,8 @@ def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     ``gesv`` gufunc it calls, under its error rule, so the same bytes, and
     None where it raises ``LinAlgError`` (a Gram ``gesv`` finds singular).
     The rule fixes every floating-point category, so a caller's
-    ``np.errstate`` changes nothing."""
+    ``np.errstate`` changes nothing.  ``t_check`` runs a set's first check
+    through it; a memo hit reuses that verdict (see ``t_check``)."""
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
             return _solve1(gram, rhs, signature="dd->d")
@@ -148,7 +150,14 @@ def t_check(model: SystemModel, window: StackedWindow, sensors, epsilon: float) 
     A window whose blocks are not (p, tau) raises ``ValueError``, as does an
     ``epsilon`` that is negative, NaN or infinite.  The stack's memo keeps
     the set's index array, O_I, Gram matrix, norm and ||Psi_I|| while they
-    fit ``CHECK_MEMO_FLOATS``.
+    fit ``CHECK_MEMO_FLOATS``, with the verdict of the set's first solve,
+    which runs under numpy's error rule (``_normal_solve``): whether
+    ``gesv`` found the Gram singular.  The verdict is the Gram's alone:
+    ``gesv`` fails only on a zero pivot of its LU factorization, and when it
+    solves it clears every floating-point flag, whatever the right-hand side
+    holds.  So a memo hit calls the gufunc without the rule when the Gram
+    was regular, and goes straight to the SVD solve when it was singular;
+    a set that does not fit the memo runs under the rule on every check.
 
     One rule decides.  The normal equations decide, unless their solve
     fails (a Gram that LAPACK's ``gesv`` finds singular, numpy's
@@ -188,23 +197,31 @@ def t_check(model: SystemModel, window: StackedWindow, sensors, epsilon: float) 
         norm = math.sqrt(float(stack.block_norms_sq.take(idx).sum()))
         psi = model.noise_bounds.take(idx)
         psi_norm = math.sqrt(float(psi.dot(psi)))
-        floats = o_i.size + gram.size + len(sensors)
-        if memo.floats + floats <= CHECK_MEMO_FLOATS:
-            memo[sensors] = _SetConstants(idx, o_i, gram, norm, psi_norm)
-            memo.floats += floats
+        singular = None  # not known before the set's first solve
     else:
-        idx, o_i, gram, norm, psi_norm = held
+        idx, o_i, gram, norm, psi_norm, singular = held
     y_i = window.blocks.take(idx, 0).reshape(-1)
     # the normal equations' rank bound: the set's rows, short only when < n
     rank = len(sensors) * tau
-    # math.sqrt(v.dot(v)) is numpy's 2-norm of a vector, without its overhead.
-    rhs = o_i.T @ y_i
-    y_norm = math.sqrt(float(y_i.dot(y_i)))
-    x = _normal_solve(gram, rhs)
-    if x is not None:
-        grad = rhs - gram @ x
-        if not math.sqrt(float(grad.dot(grad))) <= GRAD_RTOL * max(y_norm * norm, GRAD_FLOOR):
-            x = None
+    if singular:
+        x = None  # gesv found the Gram singular: the SVD solve decides
+    else:
+        # math.sqrt(v.dot(v)) is numpy's 2-norm of a vector, without its overhead.
+        rhs = o_i.T @ y_i
+        y_norm = math.sqrt(float(y_i.dot(y_i)))
+        if singular is None:
+            x = _normal_solve(gram, rhs)
+            floats = o_i.size + gram.size + len(sensors)
+            if memo.floats + floats <= CHECK_MEMO_FLOATS:
+                memo[sensors] = _SetConstants(idx, o_i, gram, norm, psi_norm, x is None)
+                memo.floats += floats
+        else:
+            # gesv solved this Gram before, so it solves it again and raises nothing
+            x = _solve1(gram, rhs, signature="dd->d")
+        if x is not None:
+            grad = rhs - gram @ x
+            if not math.sqrt(float(grad.dot(grad))) <= GRAD_RTOL * max(y_norm * norm, GRAD_FLOOR):
+                x = None
     budget = psi_norm + epsilon
     if x is not None:
         diff = y_i - o_i @ x

@@ -20,7 +20,7 @@ from sse.attacksim import (
     ugv_guarantees,
 )
 from sse.estimator import EstimatorConfig, estimate
-from sse.linmodel import build_observability, roll_forward, stack_window
+from sse.linmodel import build_observability, stack_window
 from sse.theory import Strategy
 
 
@@ -480,7 +480,9 @@ def test_attack_free_loop_noise_is_the_uniform_stream():
 def _reference_closed_loop(ugv, scenario, steps=None, config=EstimatorConfig(), seed=None):
     """``run_closed_loop`` as it drew its numbers step by step: rng.random(p)
     for the noise, then rng.uniform() and rng.uniform(floor_frac, 1.0) on a
-    random_noise step, and ``scenario.phase_at`` each step."""
+    random_noise step, and ``scenario.phase_at`` each step.  It builds each
+    step's arrays afresh and rolls the estimate forward by its own
+    ``A @ x + B @ u`` loop."""
     model = ugv.model
     steps = scenario.steps if steps is None else steps
     rng = np.random.default_rng(scenario.seed if seed is None else seed)
@@ -527,7 +529,9 @@ def _reference_closed_loop(ugv, scenario, steps=None, config=EstimatorConfig(), 
             if result.feasible:
                 tr.b[t, list(result.support)] = 1
             if result.feasible and not result.rank_deficient_final:
-                x_est = roll_forward(model, result.x, window_inputs[:-1])
+                x_est = result.x  # rolled to the current step through tau - 1 inputs
+                for u in window_inputs[:-1]:
+                    x_est = model.A @ x_est + model.B @ u
             else:
                 tr.degenerate[t] = result.feasible
                 x_est = model.A @ x_est + model.B @ np.array([tr.u[t - 1]]) if t else x_est

@@ -1,7 +1,9 @@
+import gc
 import math
 import re
 import sys
 import warnings
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -19,6 +21,7 @@ from sse import (
     check_sparse_observability,
     estimator,
     linmodel,
+    satcore,
     stack_window,
 )
 from sse.attacksim import generate_instance
@@ -434,6 +437,43 @@ def test_capped_minimal_support_reports_totals_over_budgets():
     untimed = [replace(s, solve_time=0.0) for s in (exc.stats, first.stats, capped.value.stats)]
     assert untimed[0] == untimed[1] + untimed[2]
     assert exc.stats.solve_calls == 6 and exc.stats.solve_time > 0.0
+
+
+@pytest.mark.parametrize("solver", [estimate, minimal_support_estimate])
+def test_capped_solve_error_keeps_no_search_alive(monkeypatch, solver):
+    # the error carries counts only: while it is held, no solve's SAT
+    # instance, and no budget's estimate with its records and certificates,
+    # outlives a collection
+    instances, estimates = [], []
+    new_instance, solve = satcore.new_instance, estimator._solve
+
+    def keeping(*args):
+        inst = new_instance(*args)
+        instances.append(weakref.ref(inst))
+        return inst
+
+    def keeping_estimates(*args):
+        outcome = solve(*args)
+        if not isinstance(outcome, IterationLimitError):
+            estimates.append(weakref.ref(outcome))
+        return outcome
+
+    monkeypatch.setattr(satcore, "new_instance", keeping)
+    monkeypatch.setattr(estimator, "_solve", keeping_estimates)
+    inst = generate_instance(6, 20, 2, 6, "2s", 0.0, seed=1)
+    # budget 1 caps at 4 iterations; minimal support reaches it after budget 6
+    model = replace(inst.model, s_bar=1) if solver is estimate else inst.model
+    config = cfg(Strategy.CONFLICT, epsilon=1e-6, max_iterations=4)
+    with pytest.raises(IterationLimitError) as info:
+        solver(model, inst.stack, inst.window, config)
+    gc.collect()
+    assert len(instances) == (1 if solver is estimate else 2)
+    assert [ref() for ref in instances] == [None] * len(instances)
+    # minimal support found budget 6 feasible before budget 1 capped
+    assert len(estimates) == (0 if solver is estimate else 1)
+    assert [ref() for ref in estimates] == [None] * len(estimates)
+    assert info.value.iterations == (4 if solver is estimate else 6)
+    assert info.value.__context__ is None
 
 
 def _replayed_counts(model, stack, window, result, epsilon):

@@ -830,6 +830,65 @@ def test_roll_forward_recovers_simulated_state():
     assert np.allclose(roll_forward(model, x0, inputs[:2]), x, atol=0)
 
 
+def _reference_roll_forward(model, x_delayed, inputs):
+    """``roll_forward`` as it was before its shaped-input shortcut."""
+    x = np.asarray(x_delayed, dtype=float).reshape(model.n)
+    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if not inputs.size:
+        inputs = np.zeros((0, model.m))
+    if inputs.shape != (model.tau - 1, model.m):
+        raise ValueError(
+            f"expected {model.tau - 1} inputs of width {model.m}, got {inputs.shape}")
+    for u in inputs:
+        x = model.A @ x + model.B @ u
+    return x
+
+
+def _roll_outcome(roll, model, x, inputs):
+    try:
+        return roll(model, x, inputs).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+_UGV = discretize_ugv().model
+_TAU_ONE = SystemModel(A=2 * np.eye(1), B=np.ones((1, 1)), C=np.ones((1, 1)), tau=1,
+                       s_bar=0, noise_bounds=[0])
+_THREE_STEPS = random_model(np.random.default_rng(5), n=3, p=3, m=2, tau=3)
+
+
+@pytest.mark.parametrize("model, inputs", [
+    # a 1-D input and a list: rows of one input
+    (_UGV, np.array([0.7])), (_UGV, [0.7]), (_UGV, [[0.7]]),
+    # exactly (tau - 1, m): float rows, a view of a longer trace, ints, float32
+    (_UGV, np.array([[0.7]])), (_UGV, np.array([[0.7], [0.0]])[:-1]),
+    (_UGV, np.array([[3]])), (_UGV, np.array([[0.7]], dtype=np.float32)),
+    (_THREE_STEPS, np.arange(4.0).reshape(2, 2) - 1.5),
+    (_THREE_STEPS, np.arange(6.0).reshape(3, 2)[:-1]),
+    # no input at tau = 1: shaped, flat or a list
+    (_TAU_ONE, np.zeros((0, 1))), (_TAU_ONE, np.zeros(0)), (_TAU_ONE, []),
+    # wrong shapes: the message names the shape it got
+    (_UGV, np.zeros((2, 1))), (_UGV, np.zeros((1, 2))), (_UGV, []), (_UGV, np.zeros((0, 1))),
+    (_UGV, np.zeros((1, 1, 1))), (_THREE_STEPS, np.zeros((2, 1))), (_TAU_ONE, [[1.0]]),
+])
+def test_roll_forward_keeps_its_results_and_messages(model, inputs):
+    x = np.linspace(-1.0, 2.0, model.n)
+    want = _roll_outcome(_reference_roll_forward, model, x, inputs)
+    assert _roll_outcome(roll_forward, model, x, inputs) == want
+
+
+def test_roll_forward_takes_the_shape_it_asks_for_without_inputs():
+    # with m = 0 an input of the (tau - 1, 0) shape the message names is
+    # accepted, and the state evolves under A alone
+    model = SystemModel(A=np.array([[1.0, 0.5], [0.0, 0.9]]), B=np.zeros((2, 0)),
+                        C=np.eye(2), tau=2, s_bar=0, noise_bounds=[0, 0])
+    x = np.array([1.0, -2.0])
+    for inputs in (np.zeros((1, 0)), [[]], []):
+        assert roll_forward(model, x, inputs).tobytes() == (model.A @ x).tobytes()
+    with pytest.raises(ValueError, match=re.escape("expected 1 inputs of width 0, got (0, 0)")):
+        roll_forward(model, x, np.zeros((0, 0)))
+
+
 # ---------------------------------------------------------------------------
 # full-rank subsets under sparse observability
 # ---------------------------------------------------------------------------

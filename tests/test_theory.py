@@ -907,6 +907,8 @@ def test_check_memo_stays_within_its_float_budget():
                for key, const in stack._checks.items())
     assert stack._checks.floats == held
     assert 0 < len(stack._checks) < len(seen)
+    # each set's gesv verdict rides along, a bool outside the float budget
+    assert {type(const.singular) for const in stack._checks.values()} == {bool}
 
 
 def test_check_memo_hit_decides_as_a_miss(monkeypatch):
@@ -934,6 +936,143 @@ def test_check_memo_hit_decides_as_a_miss(monkeypatch):
     for sensors, const in build_observability(model)._checks.items():
         psi = bounds[list(sensors)]
         assert const.psi_norm == math.sqrt(float(psi.dot(psi)))
+
+
+# entries a window or right-hand side may hold that set floating-point flags
+EXTREMES = (math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 2.5e-310)
+
+
+def _extreme_windows(window):
+    """``window`` with one entry set to each of ``EXTREMES``, entry by entry."""
+    for value in EXTREMES:
+        for pos in np.ndindex(window.blocks.shape):
+            blocks = window.blocks.copy()
+            blocks[pos] = value
+            yield StackedWindow(blocks=blocks)
+
+
+def _raising_check(model, window, sensors):
+    """``t_check`` under a caller's ``np.errstate(all="raise")``: its result,
+    or the type and message of what it raised."""
+    try:
+        with np.errstate(all="raise"):
+            return t_check(model, window, sensors, 1e-6)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_check(got, want):
+    assert type(got) is type(want)
+    if not isinstance(want, sse.theory.CheckResult):
+        assert got == want  # the same error
+        return
+    assert (got.sat, got.sensors, got.rank_deficient) == (want.sat, want.sensors,
+                                                          want.rank_deficient)
+    assert np.float64(got.residual_sq).tobytes() == np.float64(want.residual_sq).tobytes()
+    assert got.x.tobytes() == want.x.tobytes()
+
+
+def _memoized(model, sets):
+    """A copy of ``model`` whose memo holds every set of ``sets``, each
+    checked once on a zero window, and the memo."""
+    copy = dataclasses.replace(model)
+    zero = StackedWindow(blocks=np.zeros((model.p, model.tau)))
+    for sensors in sets:
+        t_check(copy, zero, sensors, 1e-6)
+    memo = build_observability(copy)._checks
+    assert set(memo) == set(sets)
+    return copy, memo
+
+
+def _all_sets(p):
+    return [combo for k in range(1, p + 1) for combo in itertools.combinations(range(p), k)]
+
+
+def test_regular_memo_hit_solves_without_the_error_rule(monkeypatch, four_lines):
+    # a hit on a set whose Gram gesv solved calls the gufunc bare: under a
+    # caller's all="raise" it raises exactly where a miss raises, never in the
+    # solve, and where it returns it is the reference check
+    normal_solves, finite_rhs = [], []
+    normal_solve, solve1 = sse.theory._normal_solve, sse.theory._solve1
+
+    def counting(gram, rhs):
+        normal_solves.append(1)
+        return normal_solve(gram, rhs)
+
+    def bare(gram, rhs, **kwargs):
+        finite_rhs.append(bool(np.isfinite(rhs).all()))
+        return solve1(gram, rhs, **kwargs)
+
+    returned = 0
+    for model, stack, window in (_ugv_case(), four_lines):
+        monkeypatch.setattr(sse.theory, "CHECK_MEMO_FLOATS", 10**6)
+        hit_model, memo = _memoized(model, _all_sets(stack.p))
+        regular = [sensors for sensors, const in memo.items() if not const.singular]
+        assert len(regular) >= 4
+        monkeypatch.setattr(sse.theory, "CHECK_MEMO_FLOATS", 0)  # every check of fresh misses
+        fresh = dataclasses.replace(model)
+        monkeypatch.setattr(sse.theory, "_normal_solve", counting)
+        monkeypatch.setattr(sse.theory, "_solve1", bare)
+        for extreme in _extreme_windows(window):
+            for sensors in regular:
+                calls = len(normal_solves)
+                hit = _raising_check(hit_model, extreme, sensors)
+                assert len(normal_solves) == calls
+                _assert_same_check(hit, _raising_check(fresh, extreme, sensors))
+                if isinstance(hit, sse.theory.CheckResult):
+                    returned += 1
+                    with np.errstate(all="ignore"):
+                        sat, x, residual_sq, ref_sensors, deficient = _reference_t_check(
+                            stack, extreme, sensors, model.noise_bounds, 1e-6)
+                    _assert_same_check(hit, sse.theory.CheckResult(
+                        sat, x, residual_sq, ref_sensors, deficient))
+        monkeypatch.undo()
+        assert not build_observability(fresh)._checks
+    # hits returned, some of them after solving a right-hand side holding NaN or inf
+    assert returned > 50 and finite_rhs.count(False) > 10
+    # the gufunc alone, on every memoized regular Gram: no raise and numpy's
+    # bytes, for right-hand sides that t_check's own arithmetic refuses under "raise"
+    for model, stack, _ in (_ugv_case(), four_lines):
+        _, memo = _memoized(model, _all_sets(stack.p))
+        for const in memo.values():
+            if const.singular:
+                continue
+            for value in EXTREMES:
+                for rhs in (np.array([value, 1.0]), np.array([1.0, value]), np.full(2, value)):
+                    with np.errstate(all="raise"):
+                        got = sse.theory._solve1(const.gram, rhs, signature="dd->d")
+                    assert got.tobytes() == np.linalg.solve(const.gram, rhs).tobytes()
+
+
+def test_singular_memo_hit_goes_straight_to_the_svd_solve(monkeypatch):
+    # the dead block's Gram is zero, and one line has a rank-one Gram
+    # (tau * |I| = 1 < n = 2): gesv finds both singular on the set's first
+    # check, and a hit skips the gufunc yet decides as a miss does
+    model, stack, window = _dead_block_case()
+    sets = _all_sets(stack.p)
+    monkeypatch.setattr(sse.theory, "CHECK_MEMO_FLOATS", 10**6)
+    hit_model, memo = _memoized(model, sets)
+    for const in memo.values():
+        assert const.singular == (sse.theory._normal_solve(const.gram, np.ones(2)) is None)
+    singular = [sensors for sensors in sets if memo[sensors].singular]
+    assert {(0,), (1,), (1, 3)} <= set(singular) and len(singular) < len(sets)
+    monkeypatch.setattr(sse.theory, "CHECK_MEMO_FLOATS", 0)
+    fresh = dataclasses.replace(model)
+    solves = []
+    solve1 = sse.theory._solve1
+    monkeypatch.setattr(sse.theory, "_solve1",
+                        lambda *args, **kwargs: solves.append(1) or solve1(*args, **kwargs))
+    windows = [window, line_window(model, [2.0, 0.0, 2.0, 1.0]),
+               line_window(model, [3.0, 0.5, -1.0, 7.0])]
+    for w in windows:
+        for sensors in singular:
+            calls = len(solves)
+            hit = t_check(hit_model, w, sensors, 1e-6)
+            assert len(solves) == calls
+            miss = t_check(fresh, w, sensors, 1e-6)
+            assert len(solves) == calls + 1  # the miss solved under numpy's rule
+            _assert_same_check(hit, miss)
+    assert not build_observability(fresh)._checks
 
 
 def test_t_check_flags_undetermined_sets():
